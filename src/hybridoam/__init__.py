@@ -7,7 +7,7 @@ state tomography with maximum-likelihood refinement, fringe visibility,
 CHSH, and the coincidence-rate budget.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .states import (
     ATOL,
@@ -62,7 +62,6 @@ from .source import (
 )
 from .measurement import (
     CountRecord,
-    ExpectedCountRecord,
     FitFailureError,
     MeasurementSetting,
     exact_counts,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
+import math
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,8 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            return None  # JSON has no NaN or infinity
         # normalize to 17 significant digits for byte-stable output
         return float(f"{float(obj):.17g}")
     return obj
@@ -58,7 +60,7 @@ def _jsonable(obj):
 def write_json(payload: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -101,6 +103,24 @@ def _parse_noise(spec) -> src.NoiseModel:
         raise ConfigError(str(exc)) from exc
 
 
+def _config_value(cfg: dict, key: str, default, kind):
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+
+
+def _positive_duration(name: str, value) -> float:
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"duration {name} must be a number, got {value!r}") from None
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ConfigError(f"duration {name} must be positive, got {value!r}")
+    return seconds
+
+
 class _Resolved:
     """Effective settings after merging defaults, config file, and flags."""
 
@@ -109,22 +129,29 @@ class _Resolved:
         self.seed = (
             args.seed
             if args.seed is not None
-            else int(cfg.get("seed", _DEFAULT_SEED))
+            else _config_value(cfg, "seed", _DEFAULT_SEED, int)
         )
         self.rate_cps = (
             args.rate_cps
             if args.rate_cps is not None
-            else float(cfg.get("rate_cps", _DEFAULT_RATE))
+            else _config_value(cfg, "rate_cps", _DEFAULT_RATE, float)
         )
         if self.rate_cps < 0:
             raise ConfigError("rate_cps must be non-negative")
-        durations = dict(_DEFAULT_DURATIONS)
         cfg_durations = cfg.get("durations", {})
         if not isinstance(cfg_durations, dict):
             raise ConfigError('"durations" must be an object')
-        durations.update({k: float(v) for k, v in cfg_durations.items()})
-        self.durations = durations
-        self.duration_flag = args.duration_s
+        extra = set(cfg_durations) - set(_DEFAULT_DURATIONS)
+        if extra:
+            raise ConfigError(f"unknown durations keys: {sorted(extra)}")
+        self.durations = {
+            k: _positive_duration(k, cfg_durations.get(k, v))
+            for k, v in _DEFAULT_DURATIONS.items()
+        }
+        self.duration_flag = (
+            None if args.duration_s is None
+            else _positive_duration("--duration-s", args.duration_s)
+        )
         noise_spec = args.noise if args.noise is not None else cfg.get("noise")
         self.noise = _parse_noise(noise_spec)
         self.deterministic = bool(args.deterministic_transferrers)
@@ -178,19 +205,63 @@ class _Resolved:
         }
 
 
-def _prepare(res: _Resolved):
-    rho = src.apply_noise(src.singlet(), res.noise)
-    return src.hybrid_state(rho, res.mode())
-
-
-def _point_metrics(run: tg.TomographyRun) -> dict:
-    target = src.hybrid_singlet_ket()
+def _tomography_block(res: _Resolved, records) -> dict:
+    """Reconstruction of one count table, with bootstrap metrics if asked."""
+    run = tg.reconstruct(records)
+    if res.resamples > 0:
+        metrics = tg.metric_uncertainties(
+            records, n_resamples=res.resamples, seed=res.seed
+        ).as_dict()
+    else:
+        target = src.hybrid_singlet_ket()
+        metrics = {
+            "fidelity": tg.fidelity(run.rho_mle, target),
+            "concurrence": tg.concurrence(run.rho_mle),
+            "linear_entropy": tg.linear_entropy(run.rho_mle),
+            "uncertainties": None,
+        }
     return {
-        "fidelity": tg.fidelity(run.rho_mle, target),
-        "concurrence": tg.concurrence(run.rho_mle),
-        "linear_entropy": tg.linear_entropy(run.rho_mle),
-        "uncertainties": None,
+        "rho_linear": matrix_to_json(run.rho_linear),
+        "rho_mle": matrix_to_json(run.rho_mle),
+        "metrics": metrics,
+        "loglik": run.loglik,
+        "converged": run.converged,
     }
+
+
+def _fringe_block(
+    res: _Resolved, rho, bob: str, n_points: int, scan_index: int = 0
+) -> tuple[list, dict]:
+    """One analyzer scan over a period and its fit: (records, result)."""
+    grid = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    records = ms.fringe_scan_records(
+        rho,
+        bob,
+        grid,
+        res.rate_cps,
+        res.duration_for("fringe"),
+        seed=res.seed,
+        scan_index=scan_index,
+        exact=res.exact,
+    )
+    points = [(float(t), float(r.counts)) for t, r in zip(grid, records)]
+    n0, vis, phi0 = ms.fit_fringe(points)
+    return records, {
+        "n0": n0,
+        "visibility": vis,
+        "phi0": phi0,
+        "visibility_minmax": ms.visibility_minmax(points),
+        "points": [[t, c] for t, c in points],
+    }
+
+
+def _chsh_result(res: _Resolved, rho) -> bell.ChshResult:
+    if res.exact:
+        return bell.chsh_exact(rho)
+    return bell.chsh_empirical(
+        rho, rate_cps=res.rate_cps, duration_s=res.duration_for("chsh"),
+        seed=res.seed,
+    )
 
 
 def _cmd_tomography(res: _Resolved, args) -> dict:
@@ -199,75 +270,39 @@ def _cmd_tomography(res: _Resolved, args) -> dict:
         records = ms.read_counts_csv(args.counts_csv)
         success = None
     else:
-        rho, success = _prepare(res)
+        rho, success = src.prepare_hybrid(res.noise, res.mode())
         records = tg.simulate_tomography(
             rho, res.rate_cps, duration, res.seed, exact=res.exact
         )
         ms.write_counts_csv(records, res.out / "tomography_counts.csv")
-    run = tg.reconstruct(records)
-    if res.resamples > 0:
-        metrics = tg.metric_uncertainties(
-            records, n_resamples=res.resamples, seed=res.seed
-        ).as_dict()
-    else:
-        metrics = _point_metrics(run)
-    payload = {
-        "rho_linear": matrix_to_json(run.rho_linear),
-        "rho_mle": matrix_to_json(run.rho_mle),
-        "metrics": metrics,
-        "loglik": run.loglik,
-        "converged": run.converged,
-        "success_probability": success,
-        "provenance": res.provenance(
-            "tomography", duration_s=duration, resamples=res.resamples
-        ),
-    }
+    payload = _tomography_block(res, records)
+    payload["success_probability"] = success
+    payload["provenance"] = res.provenance(
+        "tomography", duration_s=duration, resamples=res.resamples
+    )
     write_json(payload, res.out / "tomography.json")
     return payload
 
 
 def _cmd_fringe(res: _Resolved, args) -> dict:
-    duration = res.duration_for("fringe")
-    rho, _ = _prepare(res)
-    grid = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-    records = ms.fringe_scan_records(
-        rho,
-        args.bob,
-        grid,
-        res.rate_cps,
-        duration,
-        seed=res.seed,
-        exact=res.exact,
-    )
-    points = [(float(t), float(r.counts)) for t, r in zip(grid, records)]
-    n0, vis, phi0 = ms.fit_fringe(points)
+    rho, _ = src.prepare_hybrid(res.noise, res.mode())
+    records, payload = _fringe_block(res, rho, args.bob, args.points)
     ms.write_counts_csv(records, res.out / "fringe_counts.csv")
-    payload = {
-        "bob": args.bob,
-        "n0": n0,
-        "visibility": vis,
-        "phi0": phi0,
-        "visibility_minmax": ms.visibility_minmax(points),
-        "points": [[t, c] for t, c in points],
-        "provenance": res.provenance(
-            "fringe", duration_s=duration, bob=args.bob, points=args.points
-        ),
-    }
+    payload["bob"] = args.bob
+    payload["provenance"] = res.provenance(
+        "fringe", duration_s=res.duration_for("fringe"), bob=args.bob,
+        points=args.points,
+    )
     write_json(payload, res.out / "fringe.json")
     return payload
 
 
 def _cmd_chsh(res: _Resolved, args) -> dict:
-    duration = res.duration_for("chsh")
-    rho, _ = _prepare(res)
-    if res.exact:
-        result = bell.chsh_exact(rho)
-    else:
-        result = bell.chsh_empirical(
-            rho, rate_cps=res.rate_cps, duration_s=duration, seed=res.seed
-        )
-    payload = result.as_dict()
-    payload["provenance"] = res.provenance("chsh", duration_s=duration)
+    rho, _ = src.prepare_hybrid(res.noise, res.mode())
+    payload = _chsh_result(res, rho).as_dict()
+    payload["provenance"] = res.provenance(
+        "chsh", duration_s=res.duration_for("chsh")
+    )
     write_json(payload, res.out / "chsh.json")
     return payload
 
@@ -282,62 +317,26 @@ def _cmd_budget(res: _Resolved, args) -> dict:
 
 
 def _cmd_pipeline(res: _Resolved, args) -> dict:
-    rho, success = _prepare(res)
+    rho, success = src.prepare_hybrid(res.noise, res.mode())
     records = tg.simulate_tomography(
-        rho, res.rate_cps, res.durations["tomography"], res.seed, exact=res.exact
+        rho, res.rate_cps, res.duration_for("tomography"), res.seed,
+        exact=res.exact,
     )
     ms.write_counts_csv(records, res.out / "pipeline_tomography_counts.csv")
-    run = tg.reconstruct(records)
-    if res.resamples > 0:
-        metrics = tg.metric_uncertainties(
-            records, n_resamples=res.resamples, seed=res.seed
-        ).as_dict()
-    else:
-        metrics = _point_metrics(run)
-    fringes = {}
-    for scan_index, bob in enumerate(("+2", "h")):
-        grid = np.linspace(0.0, 2.0 * np.pi, _FRINGE_POINTS, endpoint=False)
-        recs = ms.fringe_scan_records(
-            rho,
-            bob,
-            grid,
-            res.rate_cps,
-            res.durations["fringe"],
-            seed=res.seed,
-            scan_index=scan_index,
-            exact=res.exact,
-        )
-        pts = [(float(t), float(r.counts)) for t, r in zip(grid, recs)]
-        n0, vis, phi0 = ms.fit_fringe(pts)
-        fringes[bob] = {
-            "n0": n0,
-            "visibility": vis,
-            "phi0": phi0,
-            "visibility_minmax": ms.visibility_minmax(pts),
-            "points": [[t, c] for t, c in pts],
-        }
-    if res.exact:
-        chsh_result = bell.chsh_exact(rho)
-    else:
-        chsh_result = bell.chsh_empirical(
-            rho,
-            rate_cps=res.rate_cps,
-            duration_s=res.durations["chsh"],
-            seed=res.seed,
-        )
     payload = {
         "success_probability": success,
         "budget": budget_mod.budget_report(res.budget),
-        "tomography": {
-            "rho_linear": matrix_to_json(run.rho_linear),
-            "rho_mle": matrix_to_json(run.rho_mle),
-            "metrics": metrics,
-            "loglik": run.loglik,
-            "converged": run.converged,
+        "tomography": _tomography_block(res, records),
+        "fringe": {
+            bob: _fringe_block(res, rho, bob, _FRINGE_POINTS, scan_index)[1]
+            for scan_index, bob in enumerate(("+2", "h"))
         },
-        "fringe": fringes,
-        "chsh": chsh_result.as_dict(),
-        "provenance": res.provenance("pipeline", resamples=res.resamples),
+        "chsh": _chsh_result(res, rho).as_dict(),
+        "provenance": res.provenance(
+            "pipeline",
+            resamples=res.resamples,
+            durations={k: res.duration_for(k) for k in _DEFAULT_DURATIONS},
+        ),
     }
     write_json(payload, res.out / "pipeline.json")
     return payload
@@ -350,6 +349,14 @@ _COMMANDS = {
     "budget": _cmd_budget,
     "pipeline": _cmd_pipeline,
 }
+
+
+def _fringe_points(text: str) -> int:
+    n = int(text)
+    if n < 4:
+        # the fit has three parameters and needs one more point than that
+        raise argparse.ArgumentTypeError(f"need at least 4 points, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--exact", action="store_true", help="expected counts, no noise")
     p.add_argument("--bob", default="+2", help="Bob projector label (default +2)")
-    p.add_argument("--points", type=int, default=_FRINGE_POINTS,
-                   help="grid points over one period")
+    p.add_argument("--points", type=_fringe_points, default=_FRINGE_POINTS,
+                   help="grid points over one period (at least 4)")
 
     p = sub.add_parser("chsh", help="S measurement")
     common(p)

@@ -46,6 +46,9 @@ FILTER = "filter"
 PROBABILISTIC = "probabilistic"
 DETERMINISTIC = "deterministic"
 
+# success probability of one transferrer pass, per realization
+TRANSFER_SUCCESS = {PROBABILISTIC: 0.5, DETERMINISTIC: 1.0}
+
 # oam_full ordering: (|0>, |+2>, |-2>)
 _KET0 = np.array([1.0, 0.0, 0.0], dtype=complex)
 _KETP2 = np.array([0.0, 1.0, 0.0], dtype=complex)
@@ -220,11 +223,10 @@ def qplate(q: int = 1, acts_on: tuple[int, int] = (0, 1)) -> OpticalMap:
 
 
 def _transfer_mode_scale(mode: str) -> float:
-    if mode == PROBABILISTIC:
-        return 1.0
-    if mode == DETERMINISTIC:
-        return np.sqrt(2.0)
-    raise ValueError(f"unknown transferrer mode {mode!r}")
+    if mode not in TRANSFER_SUCCESS:
+        raise ValueError(f"unknown transferrer mode {mode!r}")
+    # the polarizing-beamsplitter Kraus operators transmit half the weight
+    return np.sqrt(2.0 * TRANSFER_SUCCESS[mode])
 
 
 def transferrer_pi_to_o2(

@@ -74,41 +74,25 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Simulated counts for one setting, reproducible from (setting, seed).
+    """Counts for one setting, reproducible from (setting, seed).
 
-    expected_rate_cps is the per-setting mean rate used for the draw; it is
-    None for records read back from CSV, which does not store it.
+    ``counts`` is an integer Poisson draw, or a float holding the exact
+    expectation for noise-free records.  expected_rate_cps is the
+    per-setting mean rate; it is None for drawn records read back from CSV,
+    which does not store it.
     """
 
     setting: MeasurementSetting
-    counts: int
+    counts: int | float
     expected_rate_cps: float | None
     seed: int
 
     def __post_init__(self):
+        if not np.isfinite(self.counts):
+            raise ValueError(f"counts must be finite, got {self.counts}")
         if self.counts < 0:
             raise ValueError("counts must be non-negative")
-        if self.expected_rate_cps is not None and self.expected_rate_cps < 0:
-            raise ValueError("expected rate must be non-negative")
-
-
-@dataclass(frozen=True)
-class ExpectedCountRecord:
-    """No-noise counterpart of CountRecord carrying the exact expectation.
-
-    counts is the Poisson mean itself and is generally fractional; the field
-    names mirror CountRecord so reconstruction code accepts either kind.
-    """
-
-    setting: MeasurementSetting
-    counts: float
-    expected_rate_cps: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.counts < 0:
-            raise ValueError("counts must be non-negative")
-        if self.expected_rate_cps < 0:
+        if self.expected_rate_cps is not None and not self.expected_rate_cps >= 0:
             raise ValueError("expected rate must be non-negative")
 
 
@@ -167,38 +151,35 @@ def joint_probability(rho: DensityMatrix, s: MeasurementSetting) -> float:
     return p
 
 
+def _expected_rate(rho: DensityMatrix, s: MeasurementSetting, rate_cps: float) -> float:
+    if rate_cps < 0:
+        raise ValueError("rate must be non-negative")
+    return max(joint_probability(rho, s), 0.0) * rate_cps
+
+
 def expected_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float
 ) -> float:
     """Noise-free mean count for a setting (the Poisson parameter)."""
-    if rate_cps < 0:
-        raise ValueError("rate must be non-negative")
-    return max(joint_probability(rho, s), 0.0) * rate_cps * s.duration_s
+    return _expected_rate(rho, s, rate_cps) * s.duration_s
 
 
 def simulate_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int
 ) -> CountRecord:
     """Draw one Poisson count for a setting, deterministic for a given seed."""
-    lam = expected_counts(rho, s, rate_cps)
-    counts = int(np.random.default_rng(seed).poisson(lam))
-    p = joint_probability(rho, s)
-    return CountRecord(
-        setting=s, counts=counts, expected_rate_cps=max(p, 0.0) * rate_cps, seed=seed
-    )
+    rate = _expected_rate(rho, s, rate_cps)
+    counts = int(np.random.default_rng(seed).poisson(rate * s.duration_s))
+    return CountRecord(setting=s, counts=counts, expected_rate_cps=rate, seed=seed)
 
 
 def exact_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int = 0
-) -> ExpectedCountRecord:
+) -> CountRecord:
     """Noise-free record whose counts equal the unrounded expectation."""
-    lam = expected_counts(rho, s, rate_cps)
-    p = joint_probability(rho, s)
-    return ExpectedCountRecord(
-        setting=s,
-        counts=lam,
-        expected_rate_cps=max(p, 0.0) * rate_cps,
-        seed=seed,
+    rate = _expected_rate(rho, s, rate_cps)
+    return CountRecord(
+        setting=s, counts=rate * s.duration_s, expected_rate_cps=rate, seed=seed
     )
 
 
@@ -315,13 +296,13 @@ def write_counts_csv(records, path) -> None:
             w.writerow([s.label, s.alice, s.bob, f"{s.duration_s:.17g}", c, r.seed])
 
 
-def read_counts_csv(path) -> list:
+def read_counts_csv(path) -> list[CountRecord]:
     """Read records written by write_counts_csv, rebuilding the projectors.
 
-    Integer counts come back as CountRecord, fractional ones (exact-mode
-    expectations) as ExpectedCountRecord.  The per-setting expected rate is
-    not stored in the CSV, so CountRecord rows carry None and exact rows
-    recover it as counts / duration.
+    Integer counts come back as int, fractional ones (exact-mode
+    expectations) as float.  The per-setting expected rate is not stored in
+    the CSV, so integer rows carry None and fractional rows recover it as
+    counts / duration.  Non-finite counts raise ValueError.
     """
     records = []
     with open(path, newline="") as fh:
@@ -341,23 +322,9 @@ def read_counts_csv(path) -> list:
                 bob=row["bob"],
             )
             c = float(row["counts"])
-            seed = int(row["seed"])
             if c.is_integer():
-                records.append(
-                    CountRecord(
-                        setting=s,
-                        counts=int(c),
-                        expected_rate_cps=None,
-                        seed=seed,
-                    )
-                )
+                counts, rate = int(c), None
             else:
-                records.append(
-                    ExpectedCountRecord(
-                        setting=s,
-                        counts=c,
-                        expected_rate_cps=c / s.duration_s,
-                        seed=seed,
-                    )
-                )
+                counts, rate = c, c / s.duration_s
+            records.append(CountRecord(s, counts, rate, int(row["seed"])))
     return records

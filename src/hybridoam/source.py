@@ -5,7 +5,8 @@ imperfections are folded into a three-parameter noise channel applied to the
 polarization pair before the transfer step (one insertion point keeps the
 model identifiable): a Werner admixture, phase damping on Bob, and a coherent
 rotation error on Bob.  ``hybrid_state`` then moves Bob's qubit onto the
-+/-2 OAM subspace through the fiber filter and the transferrer.
++/-2 OAM subspace through the fiber filter and the transferrer, applied as
+one compiled 4x4 Kraus operator.
 
 Frame convention: after the transferrer the o2 frame is rotated by a fixed
 quarter-turn (``O2_FRAME_ALIGNMENT``, the one free basis choice of the
@@ -26,12 +27,11 @@ import numpy as np
 from . import elements as el
 from .states import (
     ATOL,
-    OAM_FULL,
     OAM_O2,
     POLARIZATION,
     DensityMatrix,
     StateVector,
-    partial_trace,
+    _freeze,
 )
 
 # Reference tomography values the fitted noise preset is tuned to reproduce.
@@ -41,6 +41,14 @@ REFERENCE_CONCURRENCE = 0.957
 
 # Fixed o2 basis rotation closing the transfer chain: h -> |-2>, v -> |+2>.
 O2_FRAME_ALIGNMENT = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+
+# The whole transfer chain acts on a polarization pair as one fixed Kraus
+# operator, sqrt(transfer success) times this unitary: Alice untouched, Bob's
+# qubit carried by the pinned transfer H -> h, V -> v and then by
+# O2_FRAME_ALIGNMENT, which nets to the logical NOT H -> |-2>, V -> |+2>.
+# The NOT is written out exactly so that exact zeros of the input stay
+# exact; the tests derive it element by element.
+_TRANSFER_UNITARY = _freeze(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
 
 
 @dataclass(frozen=True)
@@ -134,43 +142,24 @@ def hybrid_state(
 ) -> tuple[DensityMatrix, float]:
     """Transfer Bob's polarization qubit onto the o2 OAM subspace.
 
-    Takes a two-photon polarization state, sends Bob's photon (in the
-    fundamental spatial mode) through the fiber filter and the
-    polarization-to-OAM transferrer, applies the fixed frame alignment, and
-    discards Bob's now-factored |H> polarization.  Returns the renormalized
-    Alice-polarization x Bob-OAM state and the accumulated success
+    Takes a two-photon polarization state and applies the compiled transfer
+    chain: Bob's photon (in the fundamental spatial mode) through the fiber
+    filter and the polarization-to-OAM transferrer, then the fixed frame
+    alignment, with Bob's now-factored |H> polarization discarded.  Returns
+    the renormalized Alice-polarization x Bob-OAM state and the success
     probability (0.5 probabilistic, 1.0 deterministic).
     """
     if rho_pol.basis != (POLARIZATION, POLARIZATION):
         raise ValueError("hybrid_state expects a polarization pair")
-    oam0 = np.zeros((3, 3), dtype=complex)
-    oam0[0, 0] = 1.0
-    full = DensityMatrix(
-        np.kron(rho_pol.matrix, oam0),
-        (POLARIZATION, POLARIZATION, OAM_FULL),
-        unnormalized=True,
-    )
-    before = float(np.trace(full.matrix).real)
-    if before <= 0:
+    if mode not in el.TRANSFER_SUCCESS:
+        raise ValueError(f"unknown transferrer mode {mode!r}")
+    if rho_pol.trace() <= 0:
         raise ValueError("input state has no weight")
-    full = el.apply(el.smf_filter(acts_on=(2,)), full)
-    full = el.apply(el.transferrer_pi_to_o2(mode, acts_on=(1, 2)), full)
-    align = np.eye(3, dtype=complex)
-    align[1:, 1:] = O2_FRAME_ALIGNMENT
-    full = el.apply(
-        el.OpticalMap(el.UNITARY, align, (2,), (OAM_FULL,), "o2 frame alignment"),
-        full,
-    )
-    reduced = partial_trace(full, keep=(0, 2))
-    success = float(np.trace(reduced.matrix).real) / before
-    # restrict oam_full to the o2 block; ordering (0,+2,-2) -> rows 1, 2
-    idx = [1, 2, 4, 5]
-    block = reduced.matrix[np.ix_(idx, idx)]
-    dropped = float(np.trace(reduced.matrix).real - np.trace(block).real)
-    if abs(dropped) > 1e-10 * before:
-        raise RuntimeError(f"transfer left weight {dropped:.3g} outside o2")
-    tr = float(np.trace(block).real)
-    return DensityMatrix(block / tr, (POLARIZATION, OAM_O2)), success
+    u = _TRANSFER_UNITARY
+    out = u @ rho_pol.matrix @ u.conj().T
+    out = (out + out.conj().T) / 2
+    out /= np.trace(out).real
+    return DensityMatrix(out, (POLARIZATION, OAM_O2)), el.TRANSFER_SUCCESS[mode]
 
 
 def prepare_hybrid(

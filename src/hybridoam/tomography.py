@@ -40,6 +40,7 @@ from .states import (
     POLARIZATION,
     DensityMatrix,
     StateVector,
+    _freeze,
     project_to_physical,
 )
 
@@ -135,6 +136,37 @@ def tomography_settings(duration_s: float = 15.0) -> list[MeasurementSetting]:
     ]
 
 
+# The tomography model, fixed by the canonical settings and built once:
+# setting keys in canonical order, the (36,4,4) projector stack, each
+# setting's basis-pair group, and the linear-inversion map M_k with
+# rho = I/4 + sum_k f_k M_k for the within-group frequencies f_k.
+_KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
+_INDEX = {k: i for i, k in enumerate(_KEYS)}
+_GROUP_AXES = tuple((aa, bb) for aa in _AXES for bb in _AXES)
+_PROJECTORS = _freeze(
+    np.stack([np.kron(s.alice_proj, s.bob_proj) for s in tomography_settings()])
+)
+_GROUP = _freeze(
+    np.array([
+        _GROUP_AXES.index((_ALICE_AXIS[a][0], _BOB_AXIS[b][0])) for a, b in _KEYS
+    ])
+)
+
+
+def _inversion_term(a: str, b: str) -> np.ndarray:
+    (aa, sa), (bb, sb) = _ALICE_AXIS[a], _BOB_AXIS[b]
+    # the correlation term, plus this setting's share of each marginal, which
+    # is averaged over the partner's three bases
+    return (
+        sa * sb * np.kron(_PAULI[aa], _PAULI[bb])
+        + sa / 3.0 * np.kron(_PAULI[aa], _PAULI["0"])
+        + sb / 3.0 * np.kron(_PAULI["0"], _PAULI[bb])
+    ) / 4.0
+
+
+_INVERSION_MAP = _freeze(np.stack([_inversion_term(a, b) for a, b in _KEYS]))
+
+
 def simulate_tomography(
     rho: DensityMatrix,
     rate_cps: float = 100.0,
@@ -153,20 +185,29 @@ def simulate_tomography(
     return records
 
 
-def _count_table(records) -> dict[tuple[str, str], float]:
+def _projector_stack(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(36,4,4) projector stack, counts, per-setting group totals.
+
+    The stack is the module's canonical one; counts and totals follow its
+    order whatever the order of ``records``.
+    """
     table = {}
     for r in records:
         key = (r.setting.alice, r.setting.bob)
-        if key[0] not in _ALICE_AXIS or key[1] not in _BOB_AXIS:
+        if key not in _INDEX:
             raise InsufficientDataError(f"setting {key} is not a tomography setting")
         if key in table:
             raise InsufficientDataError(f"duplicate setting {key}")
         table[key] = float(r.counts)
-    expected = {(a, b) for a in ALICE_LABELS for b in BOB_LABELS}
-    missing = expected - set(table)
+    missing = [k for k in _KEYS if k not in table]
     if missing:
-        raise InsufficientDataError(f"missing settings: {sorted(missing)[:4]}...")
-    return table
+        raise InsufficientDataError(f"missing settings: {missing[:4]}...")
+    counts = np.array([table[k] for k in _KEYS])
+    gtot = np.bincount(_GROUP, weights=counts, minlength=len(_GROUP_AXES))
+    if gtot.min() <= 0:
+        bad = [g for g, v in zip(_GROUP_AXES, gtot) if v <= 0]
+        raise InsufficientDataError(f"basis pairs with zero counts: {bad}")
+    return _PROJECTORS, counts, gtot[_GROUP]
 
 
 def linear_inversion(records) -> DensityMatrix:
@@ -174,46 +215,11 @@ def linear_inversion(records) -> DensityMatrix:
 
     Two-qubit correlations come from each basis pair's own 2x2 frequency
     table; single-side marginals are averaged over the partner's three
-    bases, which all estimate the same quantity.
+    bases, which all estimate the same quantity.  Both are folded into the
+    fixed inversion map, so rho = I/4 + sum_k (n_k / N_group(k)) M_k.
     """
-    table = _count_table(records)
-    a_names = {ax: [n for n, (x, _) in _ALICE_AXIS.items() if x == ax] for ax in _AXES}
-    b_names = {ax: [n for n, (x, _) in _BOB_AXIS.items() if x == ax] for ax in _AXES}
-    freq = {}
-    for aa in _AXES:
-        for bb in _AXES:
-            grp = {
-                (na, nb): table[(na, nb)]
-                for na in a_names[aa]
-                for nb in b_names[bb]
-            }
-            tot = sum(grp.values())
-            if tot <= 0:
-                raise InsufficientDataError(f"basis pair ({aa},{bb}) has zero counts")
-            freq[(aa, bb)] = {k: v / tot for k, v in grp.items()}
-    s = {("0", "0"): 1.0}
-    for aa in _AXES:
-        for bb in _AXES:
-            f = freq[(aa, bb)]
-            s[(aa, bb)] = sum(
-                _ALICE_AXIS[na][1] * _BOB_AXIS[nb][1] * v for (na, nb), v in f.items()
-            )
-    for aa in _AXES:
-        vals = []
-        for bb in _AXES:
-            f = freq[(aa, bb)]
-            vals.append(sum(_ALICE_AXIS[na][1] * v for (na, nb), v in f.items()))
-        s[(aa, "0")] = float(np.mean(vals))
-    for bb in _AXES:
-        vals = []
-        for aa in _AXES:
-            f = freq[(aa, bb)]
-            vals.append(sum(_BOB_AXIS[nb][1] * v for (na, nb), v in f.items()))
-        s[("0", bb)] = float(np.mean(vals))
-    rho = np.zeros((4, 4), dtype=complex)
-    for (i, j), val in s.items():
-        rho += val * np.kron(_PAULI[i], _PAULI[j])
-    rho /= 4.0
+    _, counts, totals = _projector_stack(records)
+    rho = np.eye(4) / 4.0 + np.einsum("s,sij->ij", counts / totals, _INVERSION_MAP)
     return DensityMatrix(
         (rho + rho.conj().T) / 2,
         (POLARIZATION, OAM_O2),
@@ -221,34 +227,16 @@ def linear_inversion(records) -> DensityMatrix:
     )
 
 
-def _projector_stack(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(36,4,4) projector stack, counts, per-setting group totals."""
-    table = _count_table(records)
-    by_key = {(r.setting.alice, r.setting.bob): r.setting for r in records}
-    keys = [(a, b) for a in ALICE_LABELS for b in BOB_LABELS]
-    projs = np.stack(
-        [np.kron(by_key[k].alice_proj, by_key[k].bob_proj) for k in keys]
-    )
-    counts = np.array([table[k] for k in keys])
-    group_of = {
-        k: (_ALICE_AXIS[k[0]][0], _BOB_AXIS[k[1]][0]) for k in keys
-    }
-    gtot = {}
-    for k in keys:
-        gtot[group_of[k]] = gtot.get(group_of[k], 0.0) + table[k]
-    if min(gtot.values()) <= 0:
-        bad = [g for g, v in gtot.items() if v <= 0]
-        raise InsufficientDataError(f"basis pairs with zero counts: {bad}")
-    totals = np.array([gtot[group_of[k]] for k in keys])
-    return projs, counts, totals
+def _loglik(rho: np.ndarray, counts: np.ndarray, totals: np.ndarray) -> float:
+    p = np.einsum("sij,ji->s", _PROJECTORS, rho).real
+    lam = totals * np.clip(p, _P_FLOOR, None)
+    return float(np.sum(counts * np.log(lam) - lam - gammaln(counts + 1.0)))
 
 
 def log_likelihood(rho: DensityMatrix, records) -> float:
     """Poisson log-likelihood of the counts, group totals as the scale."""
-    projs, counts, totals = _projector_stack(records)
-    p = np.einsum("sij,ji->s", projs, rho.matrix).real
-    lam = totals * np.clip(p, _P_FLOOR, None)
-    return float(np.sum(counts * np.log(lam) - lam - gammaln(counts + 1.0)))
+    _, counts, totals = _projector_stack(records)
+    return _loglik(rho.matrix, counts, totals)
 
 
 def _pack(t: np.ndarray) -> np.ndarray:
@@ -321,8 +309,8 @@ def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
     t = _unpack(res.x)
     gram = t @ t.conj().T
     rho_opt = DensityMatrix(gram / np.trace(gram).real, (POLARIZATION, OAM_O2))
-    ll_opt = log_likelihood(rho_opt, records)
-    ll_pli = log_likelihood(pli, records)
+    ll_opt = _loglik(rho_opt.matrix, counts, totals)
+    ll_pli = _loglik(pli.matrix, counts, totals)
     if ll_opt < ll_pli:
         return MLEResult(pli, ll_pli, bool(res.success), int(res.nit))
     return MLEResult(rho_opt, ll_opt, bool(res.success), int(res.nit))
@@ -331,7 +319,7 @@ def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
 def reconstruct(records) -> TomographyRun:
     """Linear inversion plus MLE refinement on one count table."""
     rho_lin = linear_inversion(records)
-    mle = mle_reconstruct(records)
+    mle = mle_reconstruct(records, start=rho_lin)
     settings = tuple(r.setting for r in records)
     return TomographyRun(
         settings=settings,

@@ -23,6 +23,19 @@ def test_budget_command(tmp_path, capsys):
     assert "p_prep" in out and "192.0" in out
 
 
+def test_budget_json_is_strict_when_a_rate_vanishes(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": {"c_source_cps": 0}}))
+    assert main(["budget", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def reject(constant):
+        raise AssertionError(f"non-JSON constant {constant} in budget.json")
+
+    d = json.loads((tmp_path / "budget.json").read_text(), parse_constant=reject)
+    assert d["upgrade"]["rate_gain"] is None
+    assert d["expected_rate_cps"] == 0.0
+
+
 def test_chsh_exact_command(tmp_path):
     assert main(["chsh", "--exact", "--out", str(tmp_path)]) == 0
     d = load(tmp_path / "chsh.json")
@@ -94,6 +107,24 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
     assert abs(d["budget"]["expected_rate_cps"] - 192.0) < 1e-9
 
 
+def test_pipeline_honours_duration_flag(tmp_path):
+    args = ["pipeline", "--resamples", "0", "--seed", "1"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--duration-s", "300", "--out", str(tmp_path / "b")]) == 0
+    name = "pipeline_tomography_counts.csv"
+    assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
+    da = load(tmp_path / "a" / "pipeline.json")
+    db = load(tmp_path / "b" / "pipeline.json")
+    assert da["provenance"]["config"]["durations"] == {
+        "tomography": 15.0, "fringe": 15.0, "chsh": 60.0,
+    }
+    assert db["provenance"]["config"]["durations"] == {
+        "tomography": 300.0, "fringe": 300.0, "chsh": 300.0,
+    }
+    assert da["fringe"]["+2"]["points"] != db["fringe"]["+2"]["points"]
+    assert da["chsh"]["sigma"] > db["chsh"]["sigma"]
+
+
 def test_pipeline_exact_is_seed_invariant(tmp_path):
     outa = tmp_path / "a"
     outb = tmp_path / "b"
@@ -129,18 +160,28 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert prov["config"]["noise"]["miscal_angle"] > 0
 
 
-def test_usage_errors_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["chsh", "--noise", "lab", "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"gain": 3}))
-    with pytest.raises(SystemExit) as exc:
-        main(["budget", "--config", str(cfg), "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["chsh", "--rate-cps", "-5", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(tmp_path, capsys):
+    def config(payload):
+        path = tmp_path / f"cfg{len(list(tmp_path.glob('cfg*')))}.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    cases = [
+        (["chsh", "--noise", "lab"], "unknown noise preset"),
+        (["budget", "--config", config({"gain": 3})], "unknown config keys"),
+        (["chsh", "--rate-cps", "-5"], "rate_cps"),
+        (["chsh", "--config", config({"seed": "x"})], "seed"),
+        (["chsh", "--config", config({"durations": {"chsh": "abc"}})], "chsh"),
+        (["pipeline", "--config", config({"durations": {"tomografy": 5}})],
+         "tomografy"),
+        (["fringe", "--points", "0"], "at least 4"),
+        (["fringe", "--points", "-3"], "at least 4"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_runtime_errors_exit_1_with_error_json(tmp_path, capsys):

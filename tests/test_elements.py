@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridoam.budget import RateBudget
 from hybridoam.elements import (
     DETERMINISTIC,
     FILTER,
@@ -190,3 +191,19 @@ def test_probabilistic_and_deterministic_modes_share_the_conditional_map():
     assert np.max(np.abs(S2 * a.amplitudes - b.amplitudes)) < ATOL
     with pytest.raises(ValueError):
         transferrer_pi_to_o2("heralded")
+
+
+def test_detection_chain_realizes_the_ideal_analyzers():
+    # Bob's lab analyzer is the o2->pi transferrer followed by a polarizer.
+    # On the o2 qubit (|H> x span{|+2>, |-2>}) its effective POVM element is
+    # the ideal projector the tomography model uses, times the detection
+    # transfer efficiency of the rate budget.
+    back = transferrer_o2_to_pi().matrix
+    embed = np.kron(H[:, None], np.eye(3)[:, 1:])
+    analyzer = {"+2": "+", "-2": "-", "h": "H", "v": "V", "a": "R", "d": "L"}
+    eff = RateBudget().transfer_det_eff
+    for bob, pol in analyzer.items():
+        detect = back.conj().T @ np.kron(polarizer(pol).matrix, np.eye(3)) @ back
+        povm = embed.conj().T @ detect @ embed
+        ket = basis_ket(bob).amplitudes
+        assert np.max(np.abs(povm - eff * np.outer(ket, ket.conj()))) < ATOL

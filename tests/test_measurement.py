@@ -5,7 +5,6 @@ from hybridoam.measurement import (
     DEFAULT_DURATION_S,
     DEFAULT_RATE_CPS,
     CountRecord,
-    ExpectedCountRecord,
     FitFailureError,
     MeasurementSetting,
     exact_counts,
@@ -63,7 +62,7 @@ def test_exact_counts_keep_fractional_expectations():
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.25))
     s = setting_from_labels("H", "+2", duration_s=15.0)
     rec = exact_counts(rho, s, 100.0)
-    assert isinstance(rec, ExpectedCountRecord)
+    assert isinstance(rec, CountRecord) and isinstance(rec.counts, float)
     # p = 0.25*0.5 + 0.75*0.25 = 0.3125, times 1500
     assert abs(rec.counts - 468.75) < 1e-9
     assert abs(rec.expected_rate_cps - 31.25) < 1e-9
@@ -107,6 +106,9 @@ def test_setting_validation():
         setting_from_labels("+2", "H")  # degrees swapped
     with pytest.raises(ValueError):
         CountRecord(setting_from_labels("H", "+2"), -1, None, 0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CountRecord(setting_from_labels("H", "+2"), bad, None, 0)
 
 
 def test_exact_fringe_is_a_perfect_cosine():
@@ -182,9 +184,23 @@ def test_counts_csv_roundtrip_fractional(tmp_path):
     path = tmp_path / "exact.csv"
     write_counts_csv(recs, path)
     back = read_counts_csv(path)
-    assert isinstance(back[0], ExpectedCountRecord)
+    assert isinstance(back[0].counts, float)
     assert abs(back[0].counts - 468.75) < 1e-12
     assert abs(back[0].expected_rate_cps - 31.25) < 1e-12
+
+
+def test_counts_csv_rejects_non_finite_counts(tmp_path):
+    rho = hybrid_singlet()
+    recs = fringe_scan_records(rho, "h", GRID16, seed=2)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(recs, path)
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[4] = "nan"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_counts_csv(path)
 
 
 def test_counts_csv_rejects_foreign_columns(tmp_path):

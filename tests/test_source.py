@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from hybridoam.elements import DETERMINISTIC
+from hybridoam.budget import RateBudget
+from hybridoam.elements import (
+    DETERMINISTIC,
+    PROBABILISTIC,
+    UNITARY,
+    OpticalMap,
+    apply,
+    smf_filter,
+    transferrer_pi_to_o2,
+)
 from hybridoam.source import (
     O2_FRAME_ALIGNMENT,
     REFERENCE_CONCURRENCE,
@@ -20,12 +29,14 @@ from hybridoam.source import (
 )
 from hybridoam.states import (
     ATOL,
+    OAM_FULL,
     OAM_O2,
     POLARIZATION,
     DensityMatrix,
     StateVector,
     basis_ket,
     density_from_ket,
+    partial_trace,
     tensor,
 )
 
@@ -34,6 +45,35 @@ S2 = np.sqrt(2.0)
 # frozen output of fit_noise_model() at the reference targets
 FITTED_Q = 0.009040868653000356
 FITTED_THETA = 0.19789613827834454
+
+
+def reference_hybrid_state(rho_pol: DensityMatrix, mode: str):
+    """The transfer chain element by element, on the full 12-dim space.
+
+    Bob's photon starts in the fundamental mode, passes the fiber filter,
+    the pi->o2 transferrer and the frame alignment; Bob's polarization is
+    then traced out and the OAM factor restricted to the o2 block.
+    """
+    oam0 = np.zeros((3, 3), dtype=complex)
+    oam0[0, 0] = 1.0
+    full = DensityMatrix(
+        np.kron(rho_pol.matrix, oam0),
+        (POLARIZATION, POLARIZATION, OAM_FULL),
+        unnormalized=True,
+    )
+    before = full.trace()
+    full = apply(smf_filter(acts_on=(2,)), full)
+    full = apply(transferrer_pi_to_o2(mode, acts_on=(1, 2)), full)
+    align = np.eye(3, dtype=complex)
+    align[1:, 1:] = O2_FRAME_ALIGNMENT
+    full = apply(OpticalMap(UNITARY, align, (2,), (OAM_FULL,), "alignment"), full)
+    reduced = partial_trace(full, keep=(0, 2))
+    # oam_full ordering (0, +2, -2): the o2 block is rows 1, 2 of each half
+    idx = [1, 2, 4, 5]
+    block = reduced.matrix[np.ix_(idx, idx)]
+    tr = float(np.trace(block).real)
+    assert abs(reduced.trace() - tr) < 1e-12 * before  # nothing left outside o2
+    return block / tr, tr / before
 
 
 def fidelity_to(rho: DensityMatrix, psi: StateVector) -> float:
@@ -74,6 +114,23 @@ def test_frame_alignment_maps_computational_basis():
     hv = density_from_ket(tensor(basis_ket("H"), basis_ket("V")))
     rho2, _ = hybrid_state(hv)
     assert abs(rho2.matrix[0, 0].real - 1.0) < 1e-10  # |H,+2>
+
+
+def test_compiled_transfer_matches_the_element_chain():
+    rng = np.random.default_rng(17)
+    success = {PROBABILISTIC: RateBudget().transfer_prep_eff, DETERMINISTIC: 1.0}
+    for mode, want in success.items():
+        for _ in range(50):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = g @ g.conj().T
+            rho_pol = DensityMatrix(m / np.trace(m).real, (POLARIZATION, POLARIZATION))
+            ref, ref_success = reference_hybrid_state(rho_pol, mode)
+            rho, p = hybrid_state(rho_pol, mode)
+            assert np.max(np.abs(rho.matrix - ref)) < 1e-12
+            assert abs(p - ref_success) < 1e-12
+            assert p == want
+    with pytest.raises(ValueError):
+        hybrid_state(singlet(), "heralded")
 
 
 def test_transfer_preserves_spectrum():

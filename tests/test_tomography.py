@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridoam.measurement import CountRecord, ExpectedCountRecord, setting_from_labels
+from hybridoam.measurement import CountRecord, setting_from_labels
 from hybridoam.source import NoiseModel, hybrid_singlet, hybrid_singlet_ket, prepare_hybrid
 from hybridoam.states import (
     OAM_O2,
@@ -46,7 +46,11 @@ def test_settings_enumeration():
 def test_exact_data_linear_inversion_is_exact():
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.887))
     recs = simulate_tomography(rho, exact=True)
-    assert all(isinstance(r, ExpectedCountRecord) for r in recs)
+    assert all(isinstance(r.counts, float) for r in recs)
+    assert all(
+        abs(r.expected_rate_cps * r.setting.duration_s - r.counts) < 1e-9
+        for r in recs
+    )
     est = linear_inversion(recs)
     assert np.max(np.abs(est.matrix - rho.matrix)) < 1e-12
 
