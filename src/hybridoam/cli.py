@@ -103,19 +103,19 @@ def _parse_noise(spec) -> src.NoiseModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _config_value(cfg: dict, key: str, default, kind):
-    value = cfg.get(key, default)
+def _config_value(key: str, value, kind):
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        converted = kind(value)
+        # a bool is an int to Python, and int(3.7) is 3: neither converts cleanly
+        if isinstance(value, bool) or (isinstance(value, float) and converted != value):
+            raise ValueError(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
+    return converted
 
 
 def _positive_duration(name: str, value) -> float:
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"duration {name} must be a number, got {value!r}") from None
+    seconds = _config_value(f"duration {name}", value, float)
     if not (math.isfinite(seconds) and seconds > 0):
         raise ConfigError(f"duration {name} must be positive, got {value!r}")
     return seconds
@@ -129,12 +129,12 @@ class _Resolved:
         self.seed = (
             args.seed
             if args.seed is not None
-            else _config_value(cfg, "seed", _DEFAULT_SEED, int)
+            else _config_value("seed", cfg.get("seed", _DEFAULT_SEED), int)
         )
         self.rate_cps = (
             args.rate_cps
             if args.rate_cps is not None
-            else _config_value(cfg, "rate_cps", _DEFAULT_RATE, float)
+            else _config_value("rate_cps", cfg.get("rate_cps", _DEFAULT_RATE), float)
         )
         if self.rate_cps < 0:
             raise ConfigError("rate_cps must be non-negative")
@@ -393,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fringe", help="analyzer rotation scan")
     common(p)
     p.add_argument("--exact", action="store_true", help="expected counts, no noise")
-    p.add_argument("--bob", default="+2", help="Bob projector label (default +2)")
+    p.add_argument("--bob", default="+2", choices=tg.BOB_LABELS,
+                   help="Bob projector label (default +2)")
     p.add_argument("--points", type=_fringe_points, default=_FRINGE_POINTS,
                    help="grid points over one period (at least 4)")
 

@@ -176,6 +176,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "tomografy"),
         (["fringe", "--points", "0"], "at least 4"),
         (["fringe", "--points", "-3"], "at least 4"),
+        (["chsh", "--exact", "--config", config({"seed": 3.7})], "seed"),
+        (["chsh", "--exact", "--config", config({"seed": True})], "seed"),
+        (["chsh", "--exact", "--config", config({"rate_cps": False})], "rate_cps"),
+        (["chsh", "--exact", "--config", config({"durations": {"chsh": True}})],
+         "duration chsh"),
+        (["fringe", "--exact", "--bob", "xyz"], "invalid choice"),
+        (["fringe", "--exact", "--bob", "H"], "invalid choice"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -107,6 +112,42 @@ def test_noisy_reconstruction_is_physical_and_close():
     assert run.loglik >= base - 1e-9
 
 
+def test_mle_starts_from_projected_linear_inversion_and_never_loses():
+    rho, _ = prepare_hybrid("fitted")
+    exact = simulate_tomography(rho, exact=True)
+    res = mle_reconstruct(exact)
+    start = project_to_physical(linear_inversion(exact))
+    assert res.converged
+    assert np.max(np.abs(res.rho.matrix - start.matrix)) < 1e-12
+    # a start where a counted setting has zero probability has no likelihood
+    with pytest.raises(ValueError, match="zero probability"):
+        mle_reconstruct(exact, start=DensityMatrix(np.diag([1.0, 0, 0, 0]), start.basis))
+    for rate, seed in ((1.0, 0), (5.0, 1), (100.0, 2)):
+        recs = simulate_tomography(rho, rate_cps=rate, seed=seed)
+        res = mle_reconstruct(recs)
+        start = project_to_physical(linear_inversion(recs))
+        assert res.converged
+        assert res.loglik >= log_likelihood(start, recs)
+        assert res.loglik == log_likelihood(res.rho, recs)
+
+
+def test_import_loads_no_scipy():
+    import hybridoam
+
+    env = dict(os.environ)
+    src_dir = str(Path(hybridoam.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, hybridoam, hybridoam.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_count_table_validation():
     rho = hybrid_singlet()
     recs = simulate_tomography(rho, seed=1)
@@ -126,43 +167,32 @@ def test_count_table_validation():
 
 
 def test_mle_gradient_spot_check():
-    # central finite differences against the analytic gradient
-    from hybridoam.tomography import _grad_to_params, _pack, _projector_stack, _unpack
+    # central finite differences of the solver's objective along random
+    # Hermitian directions, against its analytic gradient
+    from hybridoam.tomography import _PROJECTORS, _count_table, _objective
 
     rho, _ = prepare_hybrid("fitted")
-    recs = simulate_tomography(rho, seed=2)
-    projs, counts, totals = _projector_stack(recs)
-    const = float(np.sum(counts * np.log(totals)))
+    counts, _ = _count_table(simulate_tomography(rho, seed=2))
 
-    def value(x):
-        t = _unpack(x)
-        gram = t @ t.conj().T
-        rho_m = gram / np.trace(gram).real
-        p = np.einsum("sij,ji->s", projs, rho_m).real
-        pc = np.clip(p, 1e-15, None)
-        return float(np.sum(counts * np.log(pc))) + const
+    def hermitian(rng):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        return (a + a.conj().T) / 2
 
     rng = np.random.default_rng(11)
     for _ in range(3):
-        x = rng.normal(size=16) * 0.4
-        x[:4] = np.abs(x[:4]) + 0.3
-        t = _unpack(x)
-        gram = t @ t.conj().T
-        tr = np.trace(gram).real
-        rho_m = gram / tr
-        p = np.einsum("sij,ji->s", projs, rho_m).real
-        active = p > 1e-15
-        pc = np.where(active, p, 1e-15)
-        w = np.where(active, counts / pc, 0.0)
-        a = np.einsum("s,sij->ij", w, projs)
-        grad = _grad_to_params(((a - float(np.sum(w * p)) * np.eye(4)) @ t) / tr)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        gram = a @ a.conj().T
+        rho_m = 0.8 * gram / np.trace(gram).real + 0.05 * np.eye(4)
+        _, grad = _objective(rho_m, counts, _PROJECTORS)
         eps = 1e-6
-        for k in (0, 5, 11):
-            xp, xm = x.copy(), x.copy()
-            xp[k] += eps
-            xm[k] -= eps
-            fd = (value(xp) - value(xm)) / (2 * eps)
-            assert abs(grad[k] - fd) <= 1e-5 * max(1.0, abs(fd))
+        for _ in range(3):
+            d = hermitian(rng)
+            fd = (
+                _objective(rho_m + eps * d, counts, _PROJECTORS)[0]
+                - _objective(rho_m - eps * d, counts, _PROJECTORS)[0]
+            ) / (2 * eps)
+            analytic = np.vdot(grad, d).real
+            assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_mle_physical_on_random_counts():
@@ -200,6 +230,9 @@ def test_bootstrap_enforces_resample_floor_and_failure_budget():
         metric_uncertainties(
             recs, n_resamples=100, resampler=lambda obs, r: np.zeros_like(obs)
         )
+    # bad resamples are an error, not a bootstrap failure to count
+    with pytest.raises(ValueError, match="non-negative"):
+        metric_uncertainties(recs, n_resamples=100, resampler=lambda obs, r: -obs)
 
 
 def test_bootstrap_sigma_scale_at_reference_acquisition():
