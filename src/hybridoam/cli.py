@@ -136,8 +136,10 @@ class _Resolved:
             if args.rate_cps is not None
             else _config_value("rate_cps", cfg.get("rate_cps", _DEFAULT_RATE), float)
         )
-        if self.rate_cps < 0:
-            raise ConfigError("rate_cps must be non-negative")
+        if not (math.isfinite(self.rate_cps) and self.rate_cps >= 0):
+            raise ConfigError(
+                f"rate_cps must be finite and non-negative, got {self.rate_cps!r}"
+            )
         cfg_durations = cfg.get("durations", {})
         if not isinstance(cfg_durations, dict):
             raise ConfigError('"durations" must be an object')

@@ -272,15 +272,18 @@ def project_to_physical(rho, basis: Iterable[str] | None = None) -> DensityMatri
                 raise ValueError("basis factors required for raw matrix input")
     if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
         raise ValueError("project_to_physical requires a Hermitian matrix")
-    w, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
+    return DensityMatrix(_clip_to_states((mat + mat.conj().T) / 2), tuple(basis))
+
+
+def _clip_to_states(mats: np.ndarray) -> np.ndarray:
+    """project_to_physical on a (..., n, n) stack of Hermitian matrices."""
+    w, vecs = np.linalg.eigh(mats)
     w = np.clip(w, 0.0, None)
-    total = float(w.sum())
-    if total <= 0.0:
+    total = w.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise DegenerateInputError("matrix has no positive spectral weight")
-    w /= total
-    out = (vecs * w) @ vecs.conj().T
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out, tuple(basis))
+    out = (vecs * (w / total)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return (out + np.swapaxes(out.conj(), -1, -2)) / 2
 
 
 def matrix_to_json(rho: DensityMatrix) -> dict:

@@ -91,6 +91,15 @@ def test_tomography_from_counts_csv(tmp_path):
     db = load(outb / "tomography.json")
     assert db["rho_mle"] == da["rho_mle"]
     assert db["success_probability"] is None
+    # with the bootstrap on, the metrics say how many resamples it refused
+    outc = tmp_path / "c"
+    assert main(
+        ["tomography", "--counts-csv", str(outa / "tomography_counts.csv"),
+         "--out", str(outc)]
+    ) == 0
+    metrics = load(outc / "tomography.json")["metrics"]
+    assert metrics["failed_resamples"] == 0
+    assert metrics["uncertainties"]["fidelity"] > 0
 
 
 def test_pipeline_reruns_are_byte_identical(tmp_path):
@@ -179,6 +188,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["chsh", "--exact", "--config", config({"seed": 3.7})], "seed"),
         (["chsh", "--exact", "--config", config({"seed": True})], "seed"),
         (["chsh", "--exact", "--config", config({"rate_cps": False})], "rate_cps"),
+        (["chsh", "--rate-cps", "inf"], "rate_cps"),
+        (["chsh", "--rate-cps", "nan"], "rate_cps"),
+        (["chsh", "--exact", "--rate-cps", "inf"], "rate_cps"),
+        (["chsh", "--exact", "--rate-cps", "nan"], "rate_cps"),
+        (["chsh", "--exact", "--config", config({"rate_cps": float("inf")})],
+         "rate_cps"),
         (["chsh", "--exact", "--config", config({"durations": {"chsh": True}})],
          "duration chsh"),
         (["fringe", "--exact", "--bob", "xyz"], "invalid choice"),

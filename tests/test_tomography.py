@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridoam.measurement import CountRecord, setting_from_labels
+from hybridoam.measurement import CountRecord, setting_from_labels, setting_stream_seed
 from hybridoam.source import NoiseModel, hybrid_singlet, hybrid_singlet_ket, prepare_hybrid
 from hybridoam.states import (
     OAM_O2,
@@ -46,6 +46,11 @@ def test_settings_enumeration():
     assert settings[6].label == "V|+2"
     assert {s.alice for s in settings} == set(ALICE_LABELS)
     assert {s.bob for s in settings} == set(BOB_LABELS)
+    # built once: a fresh list of the same settings, whose projectors are read-only
+    again = tomography_settings()
+    assert again is not settings and all(a is b for a, b in zip(again, settings))
+    assert not settings[0].alice_proj.flags.writeable
+    assert not settings[0].bob_proj.flags.writeable
 
 
 def test_exact_data_linear_inversion_is_exact():
@@ -129,6 +134,9 @@ def test_mle_starts_from_projected_linear_inversion_and_never_loses():
         assert res.converged
         assert res.loglik >= log_likelihood(start, recs)
         assert res.loglik == log_likelihood(res.rho, recs)
+        # converged means at the maximum: solving on from there gains ~nothing
+        again = mle_reconstruct(recs, start=res.rho)
+        assert again.loglik - res.loglik <= 1e-9 * abs(res.loglik)
 
 
 def test_import_loads_no_scipy():
@@ -167,9 +175,9 @@ def test_count_table_validation():
 
 
 def test_mle_gradient_spot_check():
-    # central finite differences of the solver's objective along random
-    # Hermitian directions, against its analytic gradient
-    from hybridoam.tomography import _PROJECTORS, _count_table, _objective
+    # central finite differences of the solver's stacked objective along
+    # random Hermitian directions, against its analytic gradient
+    from hybridoam.tomography import _ROWS, _as_rows, _count_table, _objective
 
     rho, _ = prepare_hybrid("fitted")
     counts, _ = _count_table(simulate_tomography(rho, seed=2))
@@ -183,16 +191,71 @@ def test_mle_gradient_spot_check():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         gram = a @ a.conj().T
         rho_m = 0.8 * gram / np.trace(gram).real + 0.05 * np.eye(4)
-        _, grad = _objective(rho_m, counts, _PROJECTORS)
         eps = 1e-6
-        for _ in range(3):
-            d = hermitian(rng)
-            fd = (
-                _objective(rho_m + eps * d, counts, _PROJECTORS)[0]
-                - _objective(rho_m - eps * d, counts, _PROJECTORS)[0]
-            ) / (2 * eps)
-            analytic = np.vdot(grad, d).real
-            assert abs(analytic - fd) <= 1e-5 * max(1.0, abs(fd))
+        dirs = np.stack([hermitian(rng) for _ in range(3)])
+        stack = np.concatenate([rho_m[None], rho_m + eps * dirs, rho_m - eps * dirs])
+        f, grad = _objective(_as_rows(stack) @ _ROWS.T, np.tile(counts, (len(stack), 1)))
+        fd = (f[1:4] - f[4:]) / (2 * eps)
+        analytic = _as_rows(dirs) @ grad[0]
+        assert np.all(np.abs(analytic - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
+
+
+def test_stacked_solve_matches_each_table_alone():
+    from hybridoam.tomography import _count_table, _solve
+
+    rho, _ = prepare_hybrid("fitted")
+    rng = np.random.default_rng(5)
+    tables = [
+        simulate_tomography(rho, rate_cps=rate, seed=seed)
+        for rate, seed in ((1.0, 0), (5.0, 1), (100.0, 2), (1000.0, 3))
+    ]
+    tables.append(simulate_tomography(rho, exact=True))
+    tables.append(
+        [CountRecord(s, int(rng.integers(0, 400)), None, 0) for s in tomography_settings()]
+    )
+    counts = np.stack([_count_table(t)[0] for t in tables])
+    starts = np.stack([project_to_physical(linear_inversion(t)).matrix for t in tables])
+    rhos, converged, n_iter = _solve(counts, starts)
+    for table, rho_stacked, conv, iters in zip(tables, rhos, converged, n_iter):
+        alone = mle_reconstruct(table)
+        assert np.max(np.abs(rho_stacked - alone.rho.matrix)) < 1e-9
+        assert conv == alone.converged
+        assert iters == alone.n_iter
+
+
+def _bootstrap_by_reconstruct(records, seed):
+    """The bootstrap as a loop of reconstruct calls over the (3, r) streams:
+    the metric sigmas and the number of refused resamples."""
+    obs = np.array([float(r.counts) for r in records])
+    samples, failures = [], 0
+    for r in range(100):
+        drawn = np.random.default_rng(setting_stream_seed(seed, (3, r))).poisson(obs)
+        resample = [
+            CountRecord(rec.setting, int(c), None, rec.seed)
+            for rec, c in zip(records, drawn)
+        ]
+        try:
+            run = reconstruct(resample)
+        except InsufficientDataError:
+            failures += 1
+            continue
+        rho = run.rho_mle
+        samples.append((fidelity(rho, PSI), concurrence(rho), linear_entropy(rho)))
+    return np.array(samples).std(axis=0, ddof=1), failures
+
+
+def test_bootstrap_matches_a_reconstruct_loop():
+    rho, _ = prepare_hybrid("fitted")
+    # 0.5 cps tables lose a few resamples to empty basis pairs
+    for rate, seed in ((0.5, 1), (5.0, 0), (100.0, 3), (1000.0, 4)):
+        recs = simulate_tomography(rho, rate_cps=rate, seed=seed)
+        m = metric_uncertainties(recs, n_resamples=100, seed=seed)
+        sigmas, failures = _bootstrap_by_reconstruct(recs, seed)
+        got = (m.fidelity_sigma, m.concurrence_sigma, m.linear_entropy_sigma)
+        assert np.max(np.abs(np.array(got) - sigmas)) < 1e-6
+        assert m.failed_resamples == failures
+        assert m.as_dict()["failed_resamples"] == failures
+        assert (failures > 0) == (rate < 1.0)
 
 
 def test_mle_physical_on_random_counts():
