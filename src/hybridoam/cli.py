@@ -89,13 +89,13 @@ def _parse_noise(spec) -> src.NoiseModel:
     if isinstance(spec, dict):
         try:
             return src.NoiseModel.from_dict(spec)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad noise model: {exc}") from exc
     text = str(spec).strip()
     if text.startswith("{"):
         try:
             return src.NoiseModel.from_dict(json.loads(text))
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad inline noise JSON: {exc}") from exc
     try:
         return src.noise_preset(text)
@@ -131,6 +131,8 @@ class _Resolved:
             if args.seed is not None
             else _config_value("seed", cfg.get("seed", _DEFAULT_SEED), int)
         )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self.rate_cps = (
             args.rate_cps
             if args.rate_cps is not None
@@ -161,8 +163,11 @@ class _Resolved:
         self.resamples = (
             args.resamples if args.resamples is not None else _DEFAULT_RESAMPLES
         )
-        if self.resamples < 0:
-            raise ConfigError("resamples must be non-negative")
+        if self.resamples != 0 and self.resamples < 100:
+            # the bootstrap needs at least 100 resamples for its sigmas
+            raise ConfigError(
+                f"resamples: 0 disables, at least 100 otherwise; got {self.resamples}"
+            )
         try:
             b = budget_mod.RateBudget.from_dict(cfg.get("budget", {}))
         except (TypeError, ValueError) as exc:

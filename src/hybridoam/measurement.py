@@ -19,11 +19,12 @@ The phase offset phi0 depends on Bob's projector (0 for |+2>, -pi/2 for
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ATOL, StateVector, DensityMatrix, basis_ket, _resolve_label
+from .states import ATOL, DensityMatrix, basis_ket, _freeze, _resolve_label
 
 DEFAULT_RATE_CPS = 100.0
 DEFAULT_DURATION_S = 15.0
@@ -140,47 +141,108 @@ def setting_from_labels(
     )
 
 
-def joint_probability(rho: DensityMatrix, s: MeasurementSetting) -> float:
-    """Born probability Tr[rho (Pi_A x Pi_B)] for a coincidence setting."""
+def _probabilities(rho: DensityMatrix, ops: np.ndarray) -> list[float]:
+    """Born probabilities Tr[rho Pi_k] for an (n, 4, 4) operator stack."""
     if rho.dim != 4 or len(rho.basis) != 2:
         raise ValueError("joint_probability expects a two-qubit state")
-    op = np.kron(s.alice_proj, s.bob_proj)
-    p = float(np.trace(rho.matrix @ op).real)
-    if p < -ATOL or p > 1.0 + ATOL:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return p
+    # one zgemm and one diagonal sum per operator, as for a single setting
+    probs = np.trace(rho.matrix @ ops, axis1=1, axis2=2).real.tolist()
+    for p in probs:
+        if p < -ATOL or p > 1.0 + ATOL:
+            raise ValueError(f"probability {p} outside [0, 1]")
+    return probs
 
 
-def _expected_rate(rho: DensityMatrix, s: MeasurementSetting, rate_cps: float) -> float:
+def _born_counts(
+    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, durations, seeds, exact: bool
+) -> tuple[list[float], list]:
+    """Expected rates and counts for the settings behind an operator stack.
+
+    ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack; setting
+    k is measured for durations[k] and draws from the stream seeds[k], or
+    with ``exact`` takes the unrounded expectation.  This is the one
+    counting path: every simulated count goes through it.
+    """
     if rate_cps < 0:
         raise ValueError("rate must be non-negative")
-    return max(joint_probability(rho, s), 0.0) * rate_cps
+    rates = [max(p, 0.0) * rate_cps for p in _probabilities(rho, ops)]
+    if exact:
+        return rates, [r * t for r, t in zip(rates, durations)]
+    counts = [
+        int(np.random.default_rng(sd).poisson(r * t))
+        for r, t, sd in zip(rates, durations, seeds)
+    ]
+    return rates, counts
+
+
+def _count_records(
+    rho: DensityMatrix, settings, ops: np.ndarray, rate_cps: float, seeds, exact: bool
+) -> list[CountRecord]:
+    """One CountRecord per setting; ``ops`` is the settings' operator stack."""
+    durations = [s.duration_s for s in settings]
+    rates, counts = _born_counts(rho, ops, rate_cps, durations, seeds, exact)
+    return [
+        CountRecord(setting=s, counts=c, expected_rate_cps=r, seed=sd)
+        for s, c, r, sd in zip(settings, counts, rates, seeds)
+    ]
+
+
+def _operator(s: MeasurementSetting) -> np.ndarray:
+    return np.kron(s.alice_proj, s.bob_proj)[None]
+
+
+def joint_probability(rho: DensityMatrix, s: MeasurementSetting) -> float:
+    """Born probability Tr[rho (Pi_A x Pi_B)] for a coincidence setting."""
+    return _probabilities(rho, _operator(s))[0]
 
 
 def expected_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float
 ) -> float:
     """Noise-free mean count for a setting (the Poisson parameter)."""
-    return _expected_rate(rho, s, rate_cps) * s.duration_s
+    return exact_counts(rho, s, rate_cps).counts
 
 
 def simulate_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int
 ) -> CountRecord:
     """Draw one Poisson count for a setting, deterministic for a given seed."""
-    rate = _expected_rate(rho, s, rate_cps)
-    counts = int(np.random.default_rng(seed).poisson(rate * s.duration_s))
-    return CountRecord(setting=s, counts=counts, expected_rate_cps=rate, seed=seed)
+    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), False)[0]
 
 
 def exact_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int = 0
 ) -> CountRecord:
     """Noise-free record whose counts equal the unrounded expectation."""
-    rate = _expected_rate(rho, s, rate_cps)
-    return CountRecord(
-        setting=s, counts=rate * s.duration_s, expected_rate_cps=rate, seed=seed
-    )
+    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), True)[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _fringe_settings(
+    bob: bytes, bname: str, thetas: bytes, duration_s: float
+) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
+    """The settings of one scan and their operator stack, built once.
+
+    Keyed by the bytes of Bob's validated projector, his label, the bytes
+    of the float theta grid and the duration; everything returned is shared
+    by every caller, so read-only.
+    """
+    pb = np.frombuffer(bob, dtype=complex).reshape(2, 2)
+    settings = []
+    for theta in np.frombuffer(thetas):
+        aname = f"{_THETA_PREFIX}{theta:.17g}"
+        ket = _analyzer_state(aname)
+        s = MeasurementSetting(
+            alice_proj=_freeze(np.outer(ket, ket.conj())),
+            bob_proj=pb,
+            duration_s=duration_s,
+            label=f"{aname}|{bname}",
+            alice=aname,
+            bob=bname,
+        )
+        settings.append(s)
+    ops = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
+    return tuple(settings), _freeze(ops)
 
 
 def fringe_scan_records(
@@ -203,24 +265,11 @@ def fringe_scan_records(
         raise ValueError("theta grid is empty")
     pb, bname = _projector_from(bob_proj, "oam_o2")
     pb = _check_projector(pb, "bob")
-    records = []
-    for i, theta in enumerate(thetas):
-        aname = f"{_THETA_PREFIX}{theta:.17g}"
-        ket = _analyzer_state(aname)
-        s = MeasurementSetting(
-            alice_proj=np.outer(ket, ket.conj()),
-            bob_proj=pb,
-            duration_s=duration_s,
-            label=f"{aname}|{bname}",
-            alice=aname,
-            bob=bname,
-        )
-        point_seed = setting_stream_seed(seed, (2, scan_index, i))
-        if exact:
-            records.append(exact_counts(rho, s, rate_cps, seed=point_seed))
-        else:
-            records.append(simulate_counts(rho, s, rate_cps, point_seed))
-    return records
+    settings, ops = _fringe_settings(
+        pb.tobytes(), bname, thetas.tobytes(), duration_s
+    )
+    seeds = [setting_stream_seed(seed, (2, scan_index, i)) for i in range(len(settings))]
+    return _count_records(rho, settings, ops, rate_cps, seeds, exact)
 
 
 def fringe_scan(

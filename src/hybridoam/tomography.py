@@ -38,10 +38,10 @@ import numpy as np
 from .measurement import (
     CountRecord,
     MeasurementSetting,
-    exact_counts,
+    _count_records,
+    _projector_from,
     setting_from_labels,
     setting_stream_seed,
-    simulate_counts,
 )
 from .source import hybrid_singlet_ket
 from .states import (
@@ -143,17 +143,20 @@ _KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
 
 
 @functools.lru_cache(maxsize=16)
-def _compiled_settings(duration_s: float) -> tuple[MeasurementSetting, ...]:
+def _compiled_settings(
+    duration_s: float,
+) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
+    """The 36 settings for one duration and their (36, 4, 4) operator stack."""
     settings = tuple(setting_from_labels(a, b, duration_s) for a, b in _KEYS)
     for s in settings:  # shared by every caller, so nobody may write them
         _freeze(s.alice_proj)
         _freeze(s.bob_proj)
-    return settings
+    return settings, _PROJECTORS.reshape(-1, 4, 4)
 
 
 def tomography_settings(duration_s: float = 15.0) -> list[MeasurementSetting]:
     """The 36 canonical settings, Alice-major order."""
-    return list(_compiled_settings(duration_s))
+    return list(_compiled_settings(duration_s)[0])
 
 
 # The tomography model, fixed by the canonical settings and built once:
@@ -165,7 +168,10 @@ def tomography_settings(duration_s: float = 15.0) -> list[MeasurementSetting]:
 _INDEX = {k: i for i, k in enumerate(_KEYS)}
 _GROUP_AXES = tuple((aa, bb) for aa in _AXES for bb in _AXES)
 _PROJECTORS = _freeze(np.stack([
-    np.kron(s.alice_proj, s.bob_proj).reshape(-1) for s in tomography_settings()
+    np.kron(
+        _projector_from(a, "polarization")[0], _projector_from(b, "oam_o2")[0]
+    ).reshape(-1)
+    for a, b in _KEYS
 ]))
 _GROUP = _freeze(
     np.array([
@@ -197,14 +203,9 @@ def simulate_tomography(
     exact: bool = False,
 ) -> list[CountRecord]:
     """Counts for all 36 settings; setting i draws from stream (0, i)."""
-    records = []
-    for i, s in enumerate(_compiled_settings(duration_s)):
-        sseed = setting_stream_seed(seed, (0, i))
-        if exact:
-            records.append(exact_counts(rho, s, rate_cps, seed=sseed))
-        else:
-            records.append(simulate_counts(rho, s, rate_cps, sseed))
-    return records
+    settings, ops = _compiled_settings(duration_s)
+    seeds = [setting_stream_seed(seed, (0, i)) for i in range(len(settings))]
+    return _count_records(rho, settings, ops, rate_cps, seeds, exact)
 
 
 def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
@@ -501,7 +502,8 @@ def metric_uncertainties(
 
     Each resample draws Poisson counts with the observed values as means
     (stream (3, r) off the seed) and is reconstructed as reconstruct would,
-    all resamples in one stacked solve; the sample standard deviations of the
+    all resamples in one stacked solve with the observed table, whose
+    estimate gives the point values; the sample standard deviations of the
     metrics over resamples are the one-sigma uncertainties.
     ``resampler(counts, r) -> counts`` can replace the Poisson draw; counts
     are truncated to integers.  A resample with an empty basis pair is
@@ -513,12 +515,7 @@ def metric_uncertainties(
         raise ValueError(f"need at least 100 resamples, got {n_resamples}")
     if psi_target is None:
         psi_target = hybrid_singlet_ket()
-    base = reconstruct(records)
-    point = (
-        fidelity(base.rho_mle, psi_target),
-        concurrence(base.rho_mle),
-        linear_entropy(base.rho_mle),
-    )
+    observed, _ = _count_table(records)
     obs = np.array([float(r.counts) for r in records])
     draws = np.empty((n_resamples, obs.size))
     for r in range(n_resamples):
@@ -532,7 +529,7 @@ def metric_uncertainties(
     draws = np.trunc(draws)
     if (draws < 0).any():
         raise ValueError("resampled counts must be non-negative")
-    # the records passed reconstruct, so they hold each setting once
+    # the records passed _count_table, so they hold each setting once
     counts = np.empty_like(draws)
     counts[:, [_INDEX[r.setting.alice, r.setting.bob] for r in records]] = draws
     gtot = counts @ _GROUP_SUM
@@ -544,7 +541,20 @@ def metric_uncertainties(
         )
     counts, gtot = counts[~refused], gtot[~refused]
     start = _clip_to_states(_invert(counts / gtot[:, _GROUP]))
-    rhos, _, _ = _solve(counts, start)
+    # the observed table is row 0, started where reconstruct starts it; rows
+    # solve independently, so its estimate is reconstruct's rho_mle
+    point_start = project_to_physical(linear_inversion(records))
+    rhos, _, _ = _solve(
+        np.concatenate([observed[None], counts]),
+        np.concatenate([point_start.matrix[None], start]),
+    )
+    rho_mle = DensityMatrix(rhos[0], point_start.basis)
+    point = (
+        fidelity(rho_mle, psi_target),
+        concurrence(rho_mle),
+        linear_entropy(rho_mle),
+    )
+    rhos = rhos[1:]
     samples = np.column_stack([
         _fidelities(rhos, psi_target.amplitudes),
         _concurrences(rhos),

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -198,6 +199,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "duration chsh"),
         (["fringe", "--exact", "--bob", "xyz"], "invalid choice"),
         (["fringe", "--exact", "--bob", "H"], "invalid choice"),
+        (["tomography", "--exact", "--resamples", "1"], "0 disables, at least 100"),
+        (["tomography", "--exact", "--resamples", "99"], "0 disables, at least 100"),
+        (["chsh", "--seed", "-1"], "seed"),
+        (["chsh", "--exact", "--seed", "-1"], "seed"),
+        (["budget", "--seed", "-1"], "seed"),
+        (["chsh", "--config", config({"seed": -3})], "seed"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -221,3 +228,78 @@ def test_inline_noise_json(tmp_path):
     ) == 0
     d = load(tmp_path / "chsh.json")
     assert abs(d["S"] - 0.5 * S_MAX) < 1e-12
+
+
+# values no config field or CSV cell should crash on
+_HOSTILE = (-1, 0, 3.7, 1e308, float("inf"), float("nan"), True, "x", [], {})
+_CONFIG_FIELDS = (
+    ("seed",), ("rate_cps",), ("noise",), ("budget",), ("durations",),
+    ("noise", "werner_p"), ("noise", "dephase_q"), ("noise", "miscal_angle"),
+    ("budget", "c_source_cps"), ("budget", "qplate_eff"),
+    ("budget", "fiber_coupling"), ("budget", "deterministic_prep"),
+    ("durations", "chsh"), ("durations", "tomography"),
+)
+_FUZZ_COMMANDS = (
+    ["budget"],
+    ["chsh", "--exact"],
+    ["tomography", "--exact", "--resamples", "0"],
+)
+
+
+def _run_contract(argv, out, capsys):
+    """Run the CLI in-process and check its exit and output contract."""
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv
+    stdout = capsys.readouterr().out
+    if code == 1:
+        error = json.loads(stdout.strip().splitlines()[-1])["error"]
+        assert error["type"] and "message" in error, argv
+
+    def reject(constant):
+        raise AssertionError(f"non-JSON constant {constant} from {argv}")
+
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject)
+    return code
+
+
+def test_fuzzed_configs_and_count_tables_keep_the_exit_contract(tmp_path, capsys):
+    rng = np.random.default_rng(20261018)
+    table = tmp_path / "table"
+    assert main(["tomography", "--noise", "fitted", "--resamples", "0",
+                 "--out", str(table)]) == 0
+    header, *rows = (table / "tomography_counts.csv").read_text().splitlines()
+    codes = []
+    for case in range(120):
+        out = tmp_path / f"run{case}"
+        cfg = {}
+        for i in rng.choice(len(_CONFIG_FIELDS), size=rng.integers(1, 4), replace=False):
+            value = copy.deepcopy(_HOSTILE[rng.integers(len(_HOSTILE))])
+            key, *inner = _CONFIG_FIELDS[i]
+            if inner:
+                if not isinstance(cfg.get(key), dict):
+                    cfg[key] = {}
+                cfg[key][inner[0]] = value
+            else:
+                cfg[key] = value
+        path = tmp_path / f"cfg{case}.json"
+        path.write_text(json.dumps(cfg))  # inf and nan as Infinity and NaN
+        command = _FUZZ_COMMANDS[rng.integers(len(_FUZZ_COMMANDS))]
+        codes.append(_run_contract(command + ["--config", str(path)], out, capsys))
+
+        # one to three cells of the count table replaced by a hostile value
+        cells = [line.split(",") for line in rows]
+        for _ in range(rng.integers(1, 4)):
+            row = cells[rng.integers(len(cells))]
+            row[rng.integers(len(row))] = str(_HOSTILE[rng.integers(len(_HOSTILE))])
+        csv_path = tmp_path / f"counts{case}.csv"
+        csv_path.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+        codes.append(_run_contract(
+            ["tomography", "--counts-csv", str(csv_path), "--resamples", "0"],
+            out, capsys,
+        ))
+    # the draw reaches every branch of the contract
+    assert set(codes) == {0, 1, 2}

@@ -20,8 +20,11 @@ from hybridoam.measurement import (
     visibility_minmax,
     write_counts_csv,
 )
+import hybridoam.bell as bell
+import hybridoam.measurement as measurement
+import hybridoam.tomography as tomography
 from hybridoam.source import NoiseModel, hybrid_singlet, prepare_hybrid
-from hybridoam.states import basis_ket, density_from_ket
+from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix, basis_ket, density_from_ket
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 
@@ -162,6 +165,128 @@ def test_fringe_records_use_per_point_streams():
     other_scan = fringe_scan_records(rho, "+2", GRID16, seed=3, scan_index=1)
     assert [r.counts for r in recs] != [r.counts for r in other_scan]
     assert recs[0].setting.alice.startswith("theta=")
+
+
+def _loop_records(rho, settings, rate, seeds, exact):
+    """The reference: one public call per setting."""
+    if exact:
+        return [exact_counts(rho, s, rate, seed=sd) for s, sd in zip(settings, seeds)]
+    return [simulate_counts(rho, s, rate, sd) for s, sd in zip(settings, seeds)]
+
+
+def _as_rows(records):
+    return [
+        (r.setting.label, r.setting.alice, r.setting.bob, r.setting.duration_s,
+         r.counts, type(r.counts), r.expected_rate_cps, r.seed)
+        for r in records
+    ]
+
+
+def _theta_setting(theta, bob, duration_s):
+    aname = f"theta={theta:.17g}"
+    ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
+    return MeasurementSetting(
+        alice_proj=np.outer(ket, ket.conj()),
+        bob_proj=setting_from_labels("H", bob).bob_proj,
+        duration_s=duration_s,
+        label=f"{aname}|{bob}",
+        alice=aname,
+        bob=bob,
+    )
+
+
+def _random_state(seed):
+    g = np.random.default_rng(seed).normal(size=(2, 4, 4))
+    m = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
+    return DensityMatrix(m / np.trace(m).real, (POLARIZATION, OAM_O2))
+
+
+def test_compiled_counts_match_a_per_setting_loop():
+    states = (hybrid_singlet(), prepare_hybrid("fitted")[0], _random_state(11))
+    cases = ((0.5, 7.5, 0), (100.0, 15.0, 7), (1234.5, 1.0, 2**40))
+    for rho in states:
+        for rate, duration, seed in cases:
+            for exact in (False, True):
+                # tomography: setting i on stream (0, i)
+                settings = tomography.tomography_settings(duration)
+                seeds = [setting_stream_seed(seed, (0, i)) for i in range(36)]
+                got = tomography.simulate_tomography(rho, rate, duration, seed, exact)
+                want = _loop_records(rho, settings, rate, seeds, exact)
+                assert _as_rows(got) == _as_rows(want)
+                # fringes: point i of scan k on stream (2, k, i)
+                for k, bob in enumerate(("+2", "h")):
+                    settings = [_theta_setting(t, bob, duration) for t in GRID16]
+                    seeds = [setting_stream_seed(seed, (2, k, i)) for i in range(16)]
+                    got = fringe_scan_records(
+                        rho, bob, GRID16, rate, duration, seed, k, exact
+                    )
+                    want = _loop_records(rho, settings, rate, seeds, exact)
+                    assert _as_rows(got) == _as_rows(want)
+                    # Bob's projector as a matrix: same counts, no Bob label
+                    matrix = fringe_scan_records(
+                        rho, settings[0].bob_proj, GRID16, rate, duration, seed, k,
+                        exact,
+                    )
+                    assert [r.counts for r in matrix] == [r.counts for r in got]
+                    assert matrix[0].setting.bob == ""
+            # CHSH: outcome (i, j) of pair k on stream (1, k, 2i + j)
+            result = bell.chsh_empirical(
+                rho, rate_cps=rate, duration_s=4 * duration, seed=seed
+            )
+            a, a_p, b, b_p = bell.chsh_settings()
+            es = []
+            for k, (x, y) in enumerate(((a, b), (a_p, b), (a, b_p), (a_p, b_p))):
+                settings = [
+                    MeasurementSetting(x.projector(i), y.projector(j), duration, "")
+                    for i in (0, 1) for j in (0, 1)
+                ]
+                seeds = [setting_stream_seed(seed, (1, k, idx)) for idx in range(4)]
+                counts = [r.counts for r in _loop_records(rho, settings, rate, seeds, False)]
+                es.append(bell.correlation_from_counts(counts))
+            assert result.correlations == tuple(es)
+            assert result.s == es[0] + es[1] + es[2] - es[3]
+
+
+def test_counting_rejects_bad_inputs():
+    rho = hybrid_singlet()
+    a, a_p, b, b_p = bell.chsh_settings()
+    skew = np.array([[1, 1], [0, 0]])  # idempotent, trace 1, not Hermitian
+    bad = bell.DichotomicObservable(skew, np.eye(2) - skew, "skew")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        bell.chsh_empirical(rho, settings=(a, a_p, b, bad))
+    with pytest.raises(ValueError, match="not idempotent"):
+        fringe_scan_records(rho, np.diag([1.0, 0.5]), GRID16)
+    one_qubit = density_from_ket(basis_ket("H"))
+    runs = (
+        lambda state, rate: tomography.simulate_tomography(state, rate),
+        lambda state, rate: fringe_scan_records(state, "h", GRID16, rate),
+        lambda state, rate: bell.chsh_empirical(state, rate_cps=rate),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="rate must be non-negative"):
+            run(rho, -1.0)
+        with pytest.raises(ValueError, match="two-qubit"):
+            run(one_qubit, 100.0)
+
+
+def test_compiled_settings_are_read_only():
+    fringe = fringe_scan_records(hybrid_singlet(), "h", GRID16)
+    settings = [
+        *tomography._compiled_settings(15.0)[0],
+        *(r.setting for r in fringe),
+    ]
+    assert all(
+        not s.alice_proj.flags.writeable and not s.bob_proj.flags.writeable
+        for s in settings
+    )
+    stacks = (
+        tomography._compiled_settings(15.0)[1],
+        measurement._fringe_settings(
+            fringe[0].setting.bob_proj.tobytes(), "h", GRID16.tobytes(), 15.0
+        )[1],
+        bell._default_compiled()[1],
+    )
+    assert all(not ops.flags.writeable for ops in stacks)
 
 
 def test_counts_csv_roundtrip(tmp_path):

@@ -256,6 +256,10 @@ def test_bootstrap_matches_a_reconstruct_loop():
         assert m.failed_resamples == failures
         assert m.as_dict()["failed_resamples"] == failures
         assert (failures > 0) == (rate < 1.0)
+        # the point values are the metrics of reconstruct's estimate, exactly
+        best = reconstruct(recs).rho_mle
+        point = (fidelity(best, PSI), concurrence(best), linear_entropy(best))
+        assert (m.fidelity, m.concurrence, m.linear_entropy) == point
 
 
 def test_mle_physical_on_random_counts():
