@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 
+from .states import _check_real
+
 DEFAULT_OBSERVED_RATE_CPS = 100.0
 
 
@@ -29,13 +31,13 @@ class RateBudget:
     deterministic_det: bool = False
 
     def __post_init__(self):
-        if self.c_source_cps < 0:
-            raise ValueError("source rate must be non-negative")
+        _check_real("c_source_cps", self.c_source_cps, 0.0)
         for name in ("qplate_eff", "transfer_prep_eff", "transfer_det_eff",
                      "fiber_coupling"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _check_real(name, getattr(self, name), 0.0, 1.0)
+        for name in ("deterministic_prep", "deterministic_det"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

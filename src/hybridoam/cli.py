@@ -216,8 +216,9 @@ def _tomography_block(res: _Resolved, records) -> dict:
     """Reconstruction of one count table, with bootstrap metrics if asked."""
     run = tg.reconstruct(records)
     if res.resamples > 0:
+        # the bootstrap takes the run, so the observed table is solved once
         metrics = tg.metric_uncertainties(
-            records, n_resamples=res.resamples, seed=res.seed
+            run, n_resamples=res.resamples, seed=res.seed
         ).as_dict()
     else:
         target = src.hybrid_singlet_ket()
@@ -232,6 +233,7 @@ def _tomography_block(res: _Resolved, records) -> dict:
         "rho_mle": matrix_to_json(run.rho_mle),
         "metrics": metrics,
         "loglik": run.loglik,
+        "loglik_gap_bound": run.loglik_gap_bound,
         "converged": run.converged,
     }
 

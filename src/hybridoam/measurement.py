@@ -345,8 +345,20 @@ def write_counts_csv(records, path) -> None:
             w.writerow([s.label, s.alice, s.bob, f"{s.duration_s:.17g}", c, r.seed])
 
 
+@functools.lru_cache(maxsize=128)
+def _csv_setting(label: str, alice: str, bob: str, duration_s: float) -> MeasurementSetting:
+    """The setting of one CSV row, built and checked once and then shared."""
+    pa, _ = _projector_from(alice, "polarization")
+    pb, _ = _projector_from(bob, "oam_o2")
+    s = MeasurementSetting(pa, pb, duration_s, label, alice, bob)
+    _freeze(s.alice_proj)  # shared by every table read, so nobody may write it
+    _freeze(s.bob_proj)
+    return s
+
+
 def read_counts_csv(path) -> list[CountRecord]:
-    """Read records written by write_counts_csv, rebuilding the projectors.
+    """Read records written by write_counts_csv, sharing one checked setting
+    per (label, alice, bob, duration) across rows and files.
 
     Integer counts come back as int, fractional ones (exact-mode
     expectations) as float.  The per-setting expected rate is not stored in
@@ -360,15 +372,8 @@ def read_counts_csv(path) -> list[CountRecord]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
         for row in reader:
-            pa, _ = _projector_from(row["alice"], "polarization")
-            pb, _ = _projector_from(row["bob"], "oam_o2")
-            s = MeasurementSetting(
-                alice_proj=pa,
-                bob_proj=pb,
-                duration_s=float(row["duration_s"]),
-                label=row["setting_label"],
-                alice=row["alice"],
-                bob=row["bob"],
+            s = _csv_setting(
+                row["setting_label"], row["alice"], row["bob"], float(row["duration_s"])
             )
             c = float(row["counts"])
             if c.is_integer():

@@ -31,6 +31,7 @@ from .states import (
     POLARIZATION,
     DensityMatrix,
     StateVector,
+    _check_real,
     _freeze,
 )
 
@@ -65,12 +66,9 @@ class NoiseModel:
     miscal_angle: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.werner_p <= 1.0:
-            raise ValueError(f"werner_p must lie in [0, 1], got {self.werner_p}")
-        if not 0.0 <= self.dephase_q <= 1.0:
-            raise ValueError(f"dephase_q must lie in [0, 1], got {self.dephase_q}")
-        if not np.isfinite(self.miscal_angle):
-            raise ValueError("miscal_angle must be finite")
+        _check_real("werner_p", self.werner_p, 0.0, 1.0)
+        _check_real("dephase_q", self.dephase_q, 0.0, 1.0)
+        _check_real("miscal_angle", self.miscal_angle)
 
     def as_dict(self) -> dict:
         return {
@@ -84,7 +82,7 @@ class NoiseModel:
         extra = set(d) - {"werner_p", "dephase_q", "miscal_angle"}
         if extra:
             raise ValueError(f"unknown noise keys: {sorted(extra)}")
-        return cls(**{k: float(v) for k, v in d.items()})
+        return cls(**{k: float(_check_real(k, v)) for k, v in d.items()})
 
 
 def singlet_ket() -> StateVector:

@@ -18,6 +18,8 @@ Conventions pinned here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -106,6 +108,15 @@ def _resolve_label(label) -> BasisLabel:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf):
+    """A model parameter: a real number but not a bool, finite, in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and lo <= value <= hi):
+        raise ValueError(f"{name} must be finite and lie in [{lo}, {hi}], got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,22 @@ out and relative frequencies are unbiased.
 
 Reconstruction is linear inversion over the Pauli expectations (Hermitian
 and unit trace by construction, possibly non-positive with finite counts)
-followed by maximum-likelihood refinement on rho itself: projected-gradient
-ascent from the physical projection of the linear estimate, where each
-projection moves the eigenvalues onto the probability simplex.  The Poisson
-log-likelihood uses each basis pair's observed total as the scale, making it
-multinomial-equivalent per group.
+followed by maximum-likelihood refinement: a log-barrier (primal-dual
+interior-point) Newton method in the 15 Bloch coordinates of rho, from the
+physical projection of the linear estimate.  The Poisson log-likelihood
+uses each basis pair's observed total as the scale, making it
+multinomial-equivalent per group.  The solve stops when the concavity bound
+lambda_max(R) - N proves the likelihood within _MLE_TOL of its maximum, and
+that bound is reported with the estimate.
 
-The solver works on a stack of count tables at once: each round projects
-every unfinished table with one batched eigendecomposition and evaluates the
-objective for all of them in one product, and a table leaves the stack when
-it converges.  Every table keeps its own step, momentum and stopping rule,
-and its row arithmetic does not depend on the other tables, so a table
-solved in a stack gives exactly what it gives alone.  mle_reconstruct solves
-a stack of one; the bootstrap solves all its resamples in one stack.
+The solver works on a stack of count tables at once: each round bounds the
+gap of the unfinished tables with one batched eigvalsh and makes one Newton
+step on all of them with one batched 15x15 solve, and a table leaves the
+stack when it is certified.  Every table keeps its own barrier weight,
+dual estimate and step, and its row arithmetic does not depend on the other
+tables, so a table solved in a stack gives exactly what it gives alone.
+mle_reconstruct solves a stack of one; the bootstrap solves all its
+resamples in one stack.
 
 Linear entropy is normalized as S_L = (4/3)(1 - Tr rho^2) so the maximally
 mixed two-qubit state scores 1; drop the 4/3 to convert to the
@@ -73,9 +76,25 @@ _PAULI = {
 _AXES = ("x", "y", "z")
 
 _P_FLOOR = 1e-15
-_MLE_FTOL = 1e-14
-_MLE_MAXITER = 10_000
-_STEP_GROWTH = 1.25
+# The solver stops once the likelihood is certified within _MLE_TOL of its
+# maximum.  Near the maximum L falls off quadratically in standard errors,
+# so a deficit delta leaves the estimate about sqrt(2 delta) standard errors
+# from the maximum: 1e-6 keeps it within 0.0015 of one, far inside the
+# bootstrap's spread, and far above the bound's round-off (about 1e-16 N).
+_MLE_TOL = 1e-6
+_MLE_MAXITER = 100
+_MU_START = 1.0  # least duality measure of the start, in log-likelihood units
+_MU_PER_GAP = 1e-3  # the start's duality measure per unit of its gap bound
+# the next round aims at a share of the duality measure mu that depends on
+# how long the last steps were: a hundredth after near-full steps, a tenth
+# after long ones, and a half (mostly re-centring) after short ones
+_TARGETS = ((0.98, 0.01), (0.9, 0.1), (0.0, 0.5))
+_BOUND_MU = 10 * _MLE_TOL  # duality measure from which on the gap is bounded
+_START_BLEND = 1e-2  # share of I/4 mixed into the start, so that rho > 0
+# longest share of the way to a singular rho, and Z, per step
+_TO_BOUNDARY, _TO_BOUNDARY_DUAL = 0.9, 0.99
+_ARMIJO = 0.25
+_HALVES = _freeze(0.5 ** np.arange(1.0, 13.0))  # tried when a full step fails
 
 
 class InsufficientDataError(ValueError):
@@ -84,12 +103,17 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class MLEResult:
-    """Maximum-likelihood reconstruction with its convergence report."""
+    """Maximum-likelihood reconstruction with its convergence report.
+
+    ``loglik_gap_bound`` is a proven upper bound on how far ``loglik`` lies
+    below the maximum; ``converged`` means it is at most _MLE_TOL.
+    """
 
     rho: DensityMatrix
     loglik: float
     converged: bool
     n_iter: int
+    loglik_gap_bound: float
 
 
 @dataclass(frozen=True)
@@ -137,6 +161,7 @@ class TomographyRun:
     loglik: float
     converged: bool
     n_iter: int
+    loglik_gap_bound: float
 
 
 _KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
@@ -262,15 +287,25 @@ def log_likelihood(rho: DensityMatrix, records) -> float:
     return _loglik(rho.matrix, counts, totals)
 
 
-# The solver holds each table's points as float rows: the row of a point
-# rho is [vec(rho) as interleaved (Re, Im) pairs | its 36 probabilities |
-# the objective's gradient there, as a vec row too | the objective's value].
-# The dot product of two vec rows is Re Tr(a^H b), so p_k is a vec row times
-# row k of _ROWS, and a gradient is a counts-weighted sum of _ROWS.
+# The solver works in Bloch coordinates: rho = (I + sum_m x_m G_m) / 4 over
+# the 15 traceless Pauli products G_m, so x_m = Tr(rho G_m), every point has
+# unit trace, and p_k = 1/4 + sum_m C_km x_m with C_km = Tr(Pi_k G_m) / 4.
+# Matrices are held as vec rows, vec(rho) as interleaved (Re, Im) pairs; the
+# dot product of two vec rows is Re Tr(a^H b), so p_k is a vec row times row
+# k of _ROWS, and x is a vec row times the rows of _BLOCH_ROWS.  _BLOCH_MAP
+# takes x to [p - 1/4 | 4 rho - I as a vec row] in one product, and
+# C^T diag(d) C is d @ _C_OUTER, reshaped, for a (36,) weight vector d.
 _ROWS = _PROJECTORS.view(np.float64)
-_X, _P, _G, _F = slice(0, 32), slice(32, 68), slice(68, 100), 100
-_XP = slice(0, 68)  # the vec row and the probabilities, both linear in rho
-_WIDTH = 101
+_SIGMAS = np.stack([_PAULI[a] for a in "0xyz"])
+_BLOCH = _freeze(  # the kron products sigma_a x sigma_b but the identity
+    (_SIGMAS[:, None, :, None, :, None] * _SIGMAS[None, :, None, :, None, :]).reshape(16, 4, 4)[1:]
+)
+_BLOCH_ROWS = _BLOCH.reshape(15, 16).view(np.float64)
+_BLOCH_VEC = _freeze(_BLOCH.reshape(15, 16) / 4.0)  # vec(G_m / 4), complex
+_C = _freeze(_ROWS @ _BLOCH_ROWS.T / 4.0)
+_C_OUTER = _freeze((_C[:, :, None] * _C[:, None, :]).reshape(36, 225))
+_EYE_ROW = _freeze(np.eye(4, dtype=complex).reshape(16).view(np.float64))
+_BLOCH_MAP = _freeze(np.concatenate([_C.T, _BLOCH_ROWS], axis=1))
 
 
 def _as_rows(mats: np.ndarray) -> np.ndarray:
@@ -284,7 +319,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a @ m computed one row at a time.
+    """a @ m computed one row at a time; m is one matrix or one per row.
 
     BLAS may round a row of a (B, n) product differently depending on the
     rows around it, and a table's solve must not depend on its stack.
@@ -292,142 +327,247 @@ def _rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ m)[:, 0]
 
 
-def _objective(p: np.ndarray, counts: np.ndarray):
-    """Per table, sum_k n_k log p_k and its gradient sum_k (n_k / p_k) Pi_k.
+def _point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, 36) setting probabilities and the (B, 4, 4) density matrices
+    of a (B, 15) stack of Bloch points, from one product."""
+    y = _rowwise(x, _BLOCH_MAP)
+    return 0.25 + y[:, :36], ((_EYE_ROW + y[:, 36:]) / 4.0).view(complex).reshape(-1, 4, 4)
 
-    ``p`` and ``counts`` are (B, 36) stacks; returns the (B,) values and the
-    gradients as (B, 32) vec rows.  Settings with zero counts add nothing.
-    On unit-trace states this is the Poisson log-likelihood up to a constant.
-    Off its domain, where some counted p_k <= 0, the value is -inf and the
-    gradient means nothing.
+
+def _gap_bound(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per table, lambda_max(R) - N with R = sum_k (n_k / p_k) Pi_k.
+
+    L = sum_k n_k log p_k is concave, and R is its gradient, so for every
+    state sigma L(sigma) <= L(rho) + Tr(R sigma) - Tr(R rho), where
+    Tr(R rho) = N and Tr(R sigma) <= lambda_max(R): this bounds the gap to
+    the maximum (Glancy, Knill & Girard, NJP 14, 095017, 2012).  It is zero
+    at the maximum and needs every counted p_k > 0.
+    """
+    ratio = counts / np.where(counts > 0, p, 1.0)
+    r = _rowwise(ratio, _ROWS).view(complex).reshape(-1, 4, 4)
+    return np.linalg.eigvalsh(r)[:, -1] - counts.sum(axis=1)
+
+
+def _newton_system(rho, p, counts, mu, z=None):
+    """The barrier objective's gradient and primal-dual Newton matrix at a
+    (B, 4, 4) stack of positive definite states with probabilities p.
+
+    The objective is sum_k n_k log p_k + mu log det rho over the settings
+    with counts, per table, in the Bloch coordinates of rho; its gradient
+    is C^T (n/p) + mu Tr(rho^-1 G_m) / 4.  The matrix is
+    C^T diag(n/p^2) C + Re Tr(Z G_m rho^-1 G_n) / 16 for the dual estimate
+    Z; with Z = mu rho^-1, the default, it is the objective's Hessian,
+    negated.  The Z term is the Gram matrix of A_m = Lz^H G_m W^H / 4, with
+    Z = Lz Lz^H and W = L^-1 for rho = L L^H.  Returns (gradient, matrix,
+    W, rho^-1, Lz^-1).
     """
     p = np.where(counts > 0, p, 1.0)
-    inside = p.min(axis=1) > 0.0
-    if inside.all():
-        return _dot(counts, np.log(p)), _rowwise(counts / p, _ROWS)
-    # rows off the domain get placeholder probabilities to keep the logs finite
-    p = np.where(inside[:, None], p, 1.0)
-    f = np.where(inside, _dot(counts, np.log(p)), -np.inf)
-    return f, _rowwise(counts / p, _ROWS)
+    if z is None:
+        z = mu[:, None, None] * np.linalg.inv(rho)
+    chol = _cholesky(np.concatenate([rho, z]))
+    w, z_inv = np.split(np.linalg.inv(chol), 2)
+    rho_inv = np.swapaxes(w.conj(), 1, 2) @ w
+    # vec(A_m) = kron(Lz^H, conj(W)) vec(G_m / 4) for all 15 A_m in one
+    # product, as the vec rows of a (B, 15, 32) stack whose Gram matrix is
+    # the Z term
+    kron_t = chol[len(rho):].conj()[:, :, None, :, None] * w.conj().transpose(0, 2, 1)[
+        :, None, :, None, :
+    ]
+    a = (_BLOCH_VEC @ kron_t.reshape(-1, 16, 16)).view(np.float64)
+    grad = _rowwise(counts / p, _C) + mu[:, None] / 4.0 * _rowwise(
+        _as_rows(rho_inv), _BLOCH_ROWS.T
+    )
+    hess = _rowwise(counts / p**2, _C_OUTER).reshape(-1, 15, 15) + a @ np.swapaxes(a, 1, 2)
+    return grad, hess, w, rho_inv, z_inv
 
 
-def _project_to_states(h: np.ndarray) -> np.ndarray:
-    """Nearest density matrices in Frobenius norm, for a (B, 4, 4) stack.
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (B, n, n) stack; NaN where m is not positive
+    definite, which round-off can cause on a nearly singular point."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        out = np.full_like(m, np.nan)
+        for i, mi in enumerate(m):
+            try:
+                out[i] = np.linalg.cholesky(mi)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    The eigenvalues move onto the probability simplex: they drop by the
-    threshold tau = max_j (sum_{i<=j} w_i - 1) / j over the descending
-    spectrum w, and are clipped at zero.
+
+def _newton_step(x, p, rho, z, counts, mu):
+    """One primal-dual Newton step towards the barrier optimum at weight mu,
+    from points x with probabilities p, states rho and duals Z.
+
+    The Newton system linearizes the optimality conditions
+    C^T (n/p) + A*(Z) = 0 and Z rho = mu I (the HKM direction): the step dx
+    solves _newton_system at weight mu and Z, so it ascends that weight's
+    barrier objective, and Z moves by
+    dZ = mu rho^-1 - Z - (Z drho rho^-1 + its adjoint) / 2.  Each starts at
+    full length, or at _TO_BOUNDARY (_TO_BOUNDARY_DUAL) of the way to where
+    rho (Z) would turn singular if that is shorter, so no eigenvalue of rho
+    shrinks more than tenfold in a step, nor one of Z more than a
+    hundredfold.  The rho step must gain at least _ARMIJO of the gain the
+    quadratic model predicts, or it is shortened by halving; along it the
+    gain is exact and cheap, sum_k n_k log(1 + t dp_k / p_k) +
+    mu sum_i log(1 + t e_i) with e the eigenvalues of W drho W^H.  Returns
+    the new points and duals and the two step lengths (0 where the point
+    is stuck).
     """
-    w, vecs = np.linalg.eigh(h)
-    tau = ((_rowwise(w, _TOP_SUMS) - 1.0) / _RANKS).max(axis=1, keepdims=True)
-    w = np.maximum(w - tau, 0.0)
-    return (vecs * w[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        grad, hess, w, rho_inv, z_inv = _newton_system(rho, p, counts, mu, z)
+        dx = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        decrement = _dot(grad, dx)
+    # a point that round-off has made singular stays where it is
+    stuck = ~(decrement > 0.0)
+    if stuck.any():
+        dx[stuck], w[stuck], z_inv[stuck] = 0.0, 0.0, 0.0
+    counted = counts > 0
+    dy = _rowwise(dx, _BLOCH_MAP)
+    dq = np.where(counted, dy[:, :36] / np.where(counted, p, 1.0), 0.0)
+    d_rho = (dy[:, 36:] / 4.0).view(complex).reshape(-1, 4, 4)
+    z_rho = z @ d_rho @ rho_inv
+    dz = mu[:, None, None] * rho_inv - z - (z_rho + np.swapaxes(z_rho.conj(), 1, 2)) / 2
+    if stuck.any():
+        dz[stuck] = 0.0
+    # the eigenvalues of both steps, whitened, in one call
+    whiten = np.concatenate([w, z_inv])
+    e = np.linalg.eigvalsh(
+        whiten @ np.concatenate([d_rho, dz]) @ np.swapaxes(whiten.conj(), 1, 2)
+    )
+    share = np.repeat([_TO_BOUNDARY, _TO_BOUNDARY_DUAL], len(x))
+    t, t_dual = np.split(np.minimum(1.0, share / np.maximum(-e[:, 0], 1e-300)), 2)
+    e = e[:len(x)]
+    # most steps pass at once; the others try _HALVES of it all at once and
+    # take the longest that passes, or stay where they are this round
+    retry = np.flatnonzero(~_passes(t, dq, e, counts, mu, decrement))
+    if retry.size:
+        ts = t[retry, None] * _HALVES
+        ok = _passes(
+            ts, dq[retry, None], e[retry, None], counts[retry, None], mu[retry, None],
+            decrement[retry, None],
+        )
+        t[retry] = np.where(ok.any(axis=1), ts[np.arange(retry.size), ok.argmax(axis=1)], 0.0)
+    t[stuck] = t_dual[stuck] = 0.0
+    z = z + t_dual[:, None, None] * dz
+    return x + t[:, None] * dx, (z + np.swapaxes(z.conj(), 1, 2)) / 2, t, t_dual
 
 
-# with w ascending, column j of w @ _TOP_SUMS sums the j + 1 largest
-_TOP_SUMS = _freeze(np.flipud(np.triu(np.ones((4, 4)))))
-_RANKS = _freeze(np.arange(1.0, 5.0))
+def _passes(t, dq, e, counts, mu, decrement):
+    """Whether steps of lengths t gain at least _ARMIJO of what the quadratic
+    model predicts, from the exact gain along the step; t is (B,), or
+    (B, J) with the other arguments given a second axis of length 1."""
+    gain = (np.log1p(t[..., None] * dq) * counts).sum(axis=-1)
+    gain += mu * np.log1p(t[..., None] * e).sum(axis=-1)
+    return gain >= _ARMIJO * t * decrement
 
 
 def _solve(counts: np.ndarray, start: np.ndarray):
     """Maximize the likelihood of a (B, 36) stack of count tables at once.
 
-    Each table runs its own accelerated projected-gradient ascent from its
-    physical start in the (B, 4, 4) stack, as mle_reconstruct describes.
-    A round makes one trial step for every table still running: one batched
-    projection, then one objective call for the trial points and the
-    momentum points they would lead to.  A table leaves the stack when it
-    converges or reaches _MLE_MAXITER.  Returns the Hermitian states, the
-    converged flags and the iteration counts, in input order.
+    Each table runs its own primal-dual interior-point method from its
+    physical start in the (B, 4, 4) stack, as mle_reconstruct describes.  A
+    round bounds the gap to the maximum of every running table whose
+    duality measure is small with one batched eigvalsh, retires the tables
+    that are certified or have run _MLE_MAXITER rounds, and makes one
+    Newton step on the rest.  Returns
+    the Hermitian states, the gap bounds and the round counts, in input
+    order; a table has converged when its bound is at most _MLE_TOL.
     """
     n_tables = len(counts)
-    rho_out = np.empty((n_tables, 32))
-    converged_out = np.zeros(n_tables, dtype=bool)
+    p_start = _rowwise(_as_rows(start), _ROWS.T)
+    if not (np.where(counts > 0, p_start, 1.0) > 0.0).all():
+        raise ValueError("the start gives a setting with counts zero probability")
+    loglik_start = _dot(counts, np.log(np.where(counts > 0, p_start, 1.0)))
+    bound_start = _gap_bound(counts, p_start)
+    rho_out = np.array(start, dtype=complex)
+    bound_out = bound_start.copy()
     n_iter_out = np.zeros(n_tables, dtype=int)
 
-    rho = np.empty((n_tables, _WIDTH))
-    rho[:, _X] = _as_rows(start)
-    rho[:, _P] = _rowwise(rho[:, _X], _ROWS.T)
-    rho[:, _F], rho[:, _G] = _objective(rho[:, _P], counts)
-    if not np.isfinite(rho[:, _F]).all():
-        raise ValueError("the start gives a setting with counts zero probability")
-    # y is the momentum point; at_rho marks the tables where it is rho itself
-    y = rho.copy()
-    theta = np.ones(n_tables)
-    at_rho = np.ones(n_tables, dtype=bool)
-    step = 1.0 / counts.sum(axis=1)
-    n_iter = np.zeros(n_tables, dtype=int)
-    live = np.arange(n_tables)
-    pair_counts = np.concatenate([counts, counts])  # for trial and momentum rows
+    # a start that already certifies comes back unchanged
+    live = np.flatnonzero(bound_start > _MLE_TOL)
+    counts = counts[live]
+    x = (1.0 - _START_BLEND) * _rowwise(_as_rows(start[live]), _BLOCH_ROWS.T)
+    # start on the central path, at a duality measure that grows with the
+    # start's gap for tables of millions of counts
+    mu_start = np.maximum(_MU_START, _MU_PER_GAP * bound_start[live])
+    z = mu_start[:, None, None] * np.linalg.inv(_point(x)[1])
+    z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
+    sigma = np.full(live.size, _TARGETS[1][1])
+    rounds = 0
     while live.size:
-        points = np.empty((2 * live.size, _WIDTH))
-        trial, nxt = points[:live.size], points[live.size:]
-        h = (y[:, _X] + step[:, None] * y[:, _G]).view(complex).reshape(-1, 4, 4)
-        trial[:, _X] = _as_rows(_project_to_states(h))
-        trial[:, _P] = _rowwise(trial[:, _X], _ROWS.T)
-        # where the trial advances, the momentum point moves on to nxt; p is
-        # linear in rho, so nxt's probabilities follow from the trial's
-        theta_next = 0.5 + np.sqrt(0.25 + theta * theta)  # (1 + sqrt(1 + 4 t^2)) / 2
-        mom = ((theta - 1.0) / theta_next)[:, None]
-        nxt[:, _XP] = trial[:, _XP] + mom * (trial[:, _XP] - rho[:, _XP])
-        points[:, _F], points[:, _G] = _objective(points[:, _P], pair_counts)
-
-        # a trial is accepted when it clears the quadratic model around y
-        d = trial[:, _X] - y[:, _X]
-        accept = trial[:, _F] >= (
-            y[:, _F] + _dot(y[:, _G], d) - _dot(d, d) / (2.0 * step)
-        )
-        f = rho[:, _F]
-        stalled = accept & (trial[:, _F] - f <= _MLE_FTOL * np.abs(f))
-        advance = accept & ~stalled
-        # momentum restarts at rho when a step gains nothing or the momentum
-        # point leaves the likelihood's domain
-        restart = stalled | (advance & (nxt[:, _F] == -np.inf))
-        converged = stalled & at_rho
-        n_iter += accept
-        # backtrack by halving the step; grow it again after each advance
-        step = step * np.where(advance, _STEP_GROWTH, np.where(accept, 1.0, 0.5))
-        rho = np.where(advance[:, None], trial, rho)
-        y = np.where(restart[:, None], rho, np.where(advance[:, None], nxt, y))
-        theta = np.where(restart, 1.0, np.where(advance, theta_next, theta))
-        at_rho = np.where(accept, restart, at_rho)
-
-        done = converged | (n_iter >= _MLE_MAXITER)
+        p, rho = _point(x)
+        mu = np.einsum("bij,bji->b", z, rho).real / 4.0  # the duality measure
+        # near the central path the bound is about 3 mu, so it can certify
+        # only once mu is small
+        bound = np.full(live.size, np.inf)
+        check = (mu <= _BOUND_MU) | (rounds >= _MLE_MAXITER)
+        if check.any():
+            bound[check] = _gap_bound(counts[check], p[check])
+        done = (bound <= _MLE_TOL) | (rounds >= _MLE_MAXITER)
         if done.any():
             idx = live[done]
-            rho_out[idx] = rho[done, _X]
-            converged_out[idx] = converged[done]
-            n_iter_out[idx] = n_iter[done]
+            loglik = _dot(counts[done], np.log(np.where(counts[done] > 0, p[done], 1.0)))
+            # never return less likelihood than the start had; the start is
+            # then at least as close to the maximum as this bound says
+            better = loglik >= loglik_start[idx]
+            rho_out[idx[better]] = rho[done][better]
+            bound_out[idx] = np.where(
+                better, bound[done], np.minimum(bound[done], bound_start[idx])
+            )
+            n_iter_out[idx] = rounds
             keep = ~done
-            live, counts, rho, y = live[keep], counts[keep], rho[keep], y[keep]
-            theta, at_rho = theta[keep], at_rho[keep]
-            step, n_iter = step[keep], n_iter[keep]
-            pair_counts = np.concatenate([counts, counts])
-    rho_out = rho_out.view(complex).reshape(-1, 4, 4)
-    return (rho_out + rho_out.conj().transpose(0, 2, 1)) / 2, converged_out, n_iter_out
+            live, counts, x, p, rho, z = (
+                live[keep], counts[keep], x[keep], p[keep], rho[keep], z[keep]
+            )
+            mu, sigma = mu[keep], sigma[keep]
+            if not live.size:
+                break
+        x, z, t, t_dual = _newton_step(x, p, rho, z, counts, sigma * mu)
+        # short steps mean the point strayed from the central path
+        shortest = np.minimum(t, t_dual)
+        sigma = np.select([shortest >= s for s, _ in _TARGETS], [f for _, f in _TARGETS])
+        rounds += 1
+    return (rho_out + rho_out.conj().transpose(0, 2, 1)) / 2, bound_out, n_iter_out
 
 
 def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
     """Likelihood maximization over density matrices.
 
-    Accelerated projected-gradient ascent on rho (Shang, Zhang & Ng, PRA 95,
-    062336, 2017) from the physical projection of linear inversion, with
-    backtracking on the step.  Momentum restarts when a step gains nothing
-    or the momentum point leaves the likelihood's domain, so the iterates
-    never lose likelihood.  Converged means a plain step from the returned
-    state gains less than _MLE_FTOL relative; a start that is already the
-    maximum, as for exact count tables, comes back unchanged.  A start that
-    gives a setting with counts zero probability raises ValueError.  This is
-    the stacked solver of the bootstrap on a stack of one table.
+    A log-barrier Newton method in the 15 Bloch coordinates of rho: each
+    round steps towards the maximum of sum_k n_k log p_k + mu log det rho,
+    with mu a hundredth to a half of the current duality measure, the
+    smaller the longer the last steps were.  The Newton matrix takes its barrier term from a
+    dual estimate Z, which moves with rho (the HKM primal-dual direction,
+    the primal barrier Hessian where Z = mu rho^-1), so each cut of mu takes
+    about one round.  The solve starts from the physical projection of
+    linear inversion, blended with a little of I/4 to make it full rank, and
+    each step is backtracked so that rho stays positive definite and the
+    step gains likelihood against the quadratic model.  Every round bounds
+    the gap to the maximum by the concavity bound lambda_max(R) - N, with
+    R = sum_k (n_k/p_k) Pi_k (Glancy, Knill & Girard, NJP 14, 095017, 2012),
+    once the duality measure is small enough for it to certify, and the
+    solve stops when it is at most _MLE_TOL: that is what converged
+    means, and the bound is reported as loglik_gap_bound; after
+    _MLE_MAXITER rounds the solve stops unconverged.  A start that already
+    certifies, as for exact count tables, comes back unchanged, and the
+    result never has less likelihood than the start.  A start that gives a
+    setting with counts zero probability raises ValueError.  This is the
+    stacked solver of the bootstrap on a stack of one table.
     """
     counts, totals = _count_table(records)
     if start is None:
         start = linear_inversion(records)
     pli = start if start.require_positive else project_to_physical(start)
-    rho, converged, n_iter = _solve(counts[None], pli.matrix[None])
-    rho_mle = DensityMatrix(rho[0], pli.basis)
-    loglik = _loglik(rho_mle.matrix, counts, totals)
-    return MLEResult(rho_mle, loglik, bool(converged[0]), int(n_iter[0]))
+    rho, bound, n_iter = _solve(counts[None], pli.matrix[None])
+    return MLEResult(
+        rho=DensityMatrix(rho[0], pli.basis),
+        loglik=_loglik(rho[0], counts, totals),
+        converged=bool(bound[0] <= _MLE_TOL),
+        n_iter=int(n_iter[0]),
+        loglik_gap_bound=float(bound[0]),
+    )
 
 
 def reconstruct(records) -> TomographyRun:
@@ -443,6 +583,7 @@ def reconstruct(records) -> TomographyRun:
         loglik=mle.loglik,
         converged=mle.converged,
         n_iter=mle.n_iter,
+        loglik_gap_bound=mle.loglik_gap_bound,
     )
 
 
@@ -500,11 +641,16 @@ def metric_uncertainties(
 ) -> StateMetrics:
     """Parametric bootstrap of (F, C, S_L) around the observed counts.
 
-    Each resample draws Poisson counts with the observed values as means
-    (stream (3, r) off the seed) and is reconstructed as reconstruct would,
-    all resamples in one stacked solve with the observed table, whose
-    estimate gives the point values; the sample standard deviations of the
-    metrics over resamples are the one-sigma uncertainties.
+    ``records`` is a count table, or the TomographyRun of one, whose
+    estimate then gives the point values, so that the table is not solved
+    again.  Each resample draws Poisson counts with the observed values as
+    means (stream (3, r) off the seed) and is reconstructed as reconstruct
+    would, all resamples in one stacked solve; given a bare table, the
+    observed table joins that stack as row 0, started where reconstruct
+    starts it, and its estimate gives the point values.  Rows solve
+    independently, so either way the point values are those of
+    reconstruct's estimate.  The sample standard deviations of the metrics
+    over resamples are the one-sigma uncertainties.
     ``resampler(counts, r) -> counts`` can replace the Poisson draw; counts
     are truncated to integers.  A resample with an empty basis pair is
     refused for lack of data and counts as failed; more than 10% failed
@@ -515,6 +661,9 @@ def metric_uncertainties(
         raise ValueError(f"need at least 100 resamples, got {n_resamples}")
     if psi_target is None:
         psi_target = hybrid_singlet_ket()
+    run = records if isinstance(records, TomographyRun) else None
+    if run is not None:
+        records = run.records
     observed, _ = _count_table(records)
     obs = np.array([float(r.counts) for r in records])
     draws = np.empty((n_resamples, obs.size))
@@ -541,20 +690,20 @@ def metric_uncertainties(
         )
     counts, gtot = counts[~refused], gtot[~refused]
     start = _clip_to_states(_invert(counts / gtot[:, _GROUP]))
-    # the observed table is row 0, started where reconstruct starts it; rows
-    # solve independently, so its estimate is reconstruct's rho_mle
-    point_start = project_to_physical(linear_inversion(records))
-    rhos, _, _ = _solve(
-        np.concatenate([observed[None], counts]),
-        np.concatenate([point_start.matrix[None], start]),
-    )
-    rho_mle = DensityMatrix(rhos[0], point_start.basis)
+    if run is None:
+        point_start = project_to_physical(linear_inversion(records))
+        counts = np.concatenate([observed[None], counts])
+        start = np.concatenate([point_start.matrix[None], start])
+    rhos, _, _ = _solve(counts, start)
+    if run is None:
+        rho_mle, rhos = DensityMatrix(rhos[0], point_start.basis), rhos[1:]
+    else:
+        rho_mle = run.rho_mle
     point = (
         fidelity(rho_mle, psi_target),
         concurrence(rho_mle),
         linear_entropy(rho_mle),
     )
-    rhos = rhos[1:]
     samples = np.column_stack([
         _fidelities(rhos, psi_target.amplitudes),
         _concurrences(rhos),

@@ -291,30 +291,42 @@ def test_criterion_7_property_suites():
                 eig_floor = min(eig_floor, float(w[0]))
                 assert float(np.trace(out.matrix).real) <= 1.0 + 1e-9
 
-    # the MLE objective's analytic gradient vs central finite differences
-    # along 16 random Hermitian directions at each of 20 random states, each
-    # state and its 32 displaced copies evaluated as one stack
-    from hybridoam.tomography import _ROWS, _as_rows, _count_table, _objective
+    # the MLE barrier objective's analytic gradient and Hessian vs central
+    # finite differences along 16 random directions in the 15 Bloch
+    # coordinates at each of 20 random full-rank states, each state and its
+    # 32 displaced copies evaluated as one stack; the objective
+    # sum_k n_k log p_k + mu log det rho is computed here from the projectors
+    from hybridoam.tomography import (
+        _BLOCH, _count_table, _newton_system, _point,
+    )
 
     rho_f, _ = prepare_hybrid("fitted")
     counts, _ = _count_table(simulate_tomography(rho_f, seed=2))
+    projectors = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
 
-    def rand_hermitian():
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        return (a + a.conj().T) / 2
-
-    worst_grad = 0.0
-    eps = 1e-6
+    worst_grad = worst_hess = 0.0
+    eps, mu = 1e-6, 0.5
     for _ in range(20):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         gram = a @ a.conj().T
         rm = 0.8 * gram / np.trace(gram).real + 0.05 * np.eye(4)
-        dirs = np.stack([rand_hermitian() for _ in range(16)])
-        stack = np.concatenate([rm[None], rm + eps * dirs, rm - eps * dirs])
-        f, grad = _objective(_as_rows(stack) @ _ROWS.T, np.tile(counts, (len(stack), 1)))
+        x = np.einsum("ij,mji->m", rm, _BLOCH).real
+        dirs = rng.normal(size=(16, 15))
+        stack = np.concatenate([x[None], x + eps * dirs, x - eps * dirs])
+        rhos = (np.eye(4) + np.einsum("bm,mij->bij", stack, _BLOCH)) / 4
+        p = np.einsum("kij,bji->bk", projectors, rhos).real
+        f = np.log(p) @ counts + mu * np.linalg.slogdet(rhos)[1]
+        p_stack, rho_stack = _point(stack)
+        grad, neg_hess = _newton_system(
+            rho_stack, p_stack, np.tile(counts, (len(stack), 1)),
+            np.full(len(stack), mu),
+        )[:2]
         fd = (f[1:17] - f[17:]) / (2.0 * eps)
-        rel = np.abs(_as_rows(dirs) @ grad[0] - fd) / np.maximum(1.0, np.abs(fd))
+        rel = np.abs(dirs @ grad[0] - fd) / np.maximum(1.0, np.abs(fd))
         worst_grad = max(worst_grad, float(rel.max()))
+        fd_grad = (grad[1:17] - grad[17:]) / (2.0 * eps)
+        rel = np.abs(-dirs @ neg_hess[0] - fd_grad) / np.maximum(1.0, np.abs(fd_grad))
+        worst_hess = max(worst_hess, float(rel.max()))
 
     ok = (
         worst_rt <= 1e-10
@@ -326,13 +338,15 @@ def test_criterion_7_property_suites():
         and eig_floor >= -1e-10
         and n_states >= 10_000
         and worst_grad <= 1e-5
+        and worst_hess <= 1e-5
     )
     _line(
         7,
         ok,
         f"roundtrip={worst_rt:.1e}, MLE min_eig={min_eig:.1e} on 100 tables, "
         f"{n_states} element states (unitary norm err {norm_err:.1e}, "
-        f"p in [{p_lo:.1e}, {p_hi:.6f}]), grad vs FD rel err {worst_grad:.1e}",
+        f"p in [{p_lo:.1e}, {p_hi:.6f}]), grad vs FD rel err {worst_grad:.1e}, "
+        f"Hessian vs FD rel err {worst_hess:.1e}",
     )
 
 

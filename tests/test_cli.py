@@ -98,9 +98,18 @@ def test_tomography_from_counts_csv(tmp_path):
         ["tomography", "--counts-csv", str(outa / "tomography_counts.csv"),
          "--out", str(outc)]
     ) == 0
-    metrics = load(outc / "tomography.json")["metrics"]
+    dc = load(outc / "tomography.json")
+    metrics = dc["metrics"]
     assert metrics["failed_resamples"] == 0
     assert metrics["uncertainties"]["fidelity"] > 0
+    # the bootstrap reuses the point estimate instead of solving the table again
+    assert dc["rho_mle"] == db["rho_mle"]
+    for name in ("fidelity", "concurrence", "linear_entropy"):
+        assert metrics[name] == db["metrics"][name]
+    # the solver's certificate ships next to the likelihood it certifies
+    for d in (da, db, dc):
+        assert d["converged"] is True
+        assert d["loglik_gap_bound"] <= 1e-6
 
 
 def test_pipeline_reruns_are_byte_identical(tmp_path):
@@ -205,6 +214,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["chsh", "--exact", "--seed", "-1"], "seed"),
         (["budget", "--seed", "-1"], "seed"),
         (["chsh", "--config", config({"seed": -3})], "seed"),
+        (["budget", "--config", config({"budget": {"c_source_cps": float("nan")}})],
+         "c_source_cps"),
+        (["budget", "--config", config({"budget": {"deterministic_prep": "x"}})],
+         "deterministic_prep"),
+        (["budget", "--config", config({"budget": {"qplate_eff": True}})],
+         "qplate_eff"),
+        (["budget", "--config", config({"budget": {"fiber_coupling": "0.2"}})],
+         "fiber_coupling"),
+        (["chsh", "--exact", "--config", config({"noise": {"werner_p": True}})],
+         "werner_p"),
+        (["chsh", "--exact", "--noise", '{"miscal_angle": false}'], "miscal_angle"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
@@ -236,7 +256,9 @@ _CONFIG_FIELDS = (
     ("seed",), ("rate_cps",), ("noise",), ("budget",), ("durations",),
     ("noise", "werner_p"), ("noise", "dephase_q"), ("noise", "miscal_angle"),
     ("budget", "c_source_cps"), ("budget", "qplate_eff"),
+    ("budget", "transfer_prep_eff"), ("budget", "transfer_det_eff"),
     ("budget", "fiber_coupling"), ("budget", "deterministic_prep"),
+    ("budget", "deterministic_det"),
     ("durations", "chsh"), ("durations", "tomography"),
 )
 _FUZZ_COMMANDS = (
@@ -262,8 +284,24 @@ def _run_contract(argv, out, capsys):
         raise AssertionError(f"non-JSON constant {constant} from {argv}")
 
     for path in out.glob("*.json"):
-        json.loads(path.read_text(), parse_constant=reject)
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        if code == 0:
+            # an accepted config is echoed whole: no null where it had a value
+            echoed = [payload["provenance"]["config"]]
+            if path.name == "budget.json":
+                echoed += [payload["budget"], payload["upgrade"]["budget"]]
+                for flag in ("deterministic_prep", "deterministic_det"):
+                    assert isinstance(payload["budget"][flag], bool), argv
+            assert _nulls(echoed) == 0, (argv, path.name)
     return code
+
+
+def _nulls(obj) -> int:
+    if isinstance(obj, dict):
+        return sum(_nulls(v) for v in obj.values())
+    if isinstance(obj, list):
+        return sum(_nulls(v) for v in obj)
+    return obj is None
 
 
 def test_fuzzed_configs_and_count_tables_keep_the_exit_contract(tmp_path, capsys):

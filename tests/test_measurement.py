@@ -314,6 +314,25 @@ def test_counts_csv_roundtrip_fractional(tmp_path):
     assert abs(back[0].expected_rate_cps - 31.25) < 1e-12
 
 
+def test_counts_csv_reads_share_their_settings(tmp_path):
+    rho = hybrid_singlet()
+    recs = tomography.simulate_tomography(rho, seed=3)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(recs, path)
+    first, again = read_counts_csv(path), read_counts_csv(path)
+    # one checked setting per (label, alice, bob, duration), shared read-only
+    assert all(a.setting is b.setting for a, b in zip(first, again))
+    assert not first[0].setting.alice_proj.flags.writeable
+    assert not first[0].setting.bob_proj.flags.writeable
+    for a, b in zip(first, recs):
+        assert (a.setting.label, a.setting.alice, a.setting.bob) == (
+            b.setting.label, b.setting.alice, b.setting.bob
+        )
+        assert a.setting.duration_s == b.setting.duration_s
+        assert np.array_equal(a.setting.alice_proj, b.setting.alice_proj)
+        assert np.array_equal(a.setting.bob_proj, b.setting.bob_proj)
+
+
 def test_counts_csv_rejects_non_finite_counts(tmp_path):
     rho = hybrid_singlet()
     recs = fringe_scan_records(rho, "h", GRID16, seed=2)

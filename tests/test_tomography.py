@@ -134,9 +134,25 @@ def test_mle_starts_from_projected_linear_inversion_and_never_loses():
         assert res.converged
         assert res.loglik >= log_likelihood(start, recs)
         assert res.loglik == log_likelihood(res.rho, recs)
+        # the reported certificate is the concavity bound lambda_max(R) - N
+        assert abs(res.loglik_gap_bound - _gap_bound_of(res.rho, recs)) < 1e-7
+        assert 0.0 <= res.loglik_gap_bound <= 1e-6
+        # and it bounds the gain from any start, here the linear estimate's
+        assert res.loglik - log_likelihood(start, recs) <= _gap_bound_of(start, recs)
         # converged means at the maximum: solving on from there gains ~nothing
         again = mle_reconstruct(recs, start=res.rho)
         assert again.loglik - res.loglik <= 1e-9 * abs(res.loglik)
+
+
+def _gap_bound_of(rho, records):
+    """lambda_max(R) - N with R = sum_k (n_k / p_k) Pi_k over counted settings."""
+    r, total = np.zeros((4, 4), dtype=complex), 0.0
+    for rec in records:
+        if rec.counts > 0:
+            proj = np.kron(rec.setting.alice_proj, rec.setting.bob_proj)
+            r += rec.counts / np.trace(proj @ rho.matrix).real * proj
+            total += rec.counts
+    return float(np.linalg.eigvalsh(r)[-1] - total)
 
 
 def test_import_loads_no_scipy():
@@ -174,30 +190,79 @@ def test_count_table_validation():
         linear_inversion(zero)
 
 
+def _bloch_point(rng):
+    """Bloch coordinates x_m = Tr(rho G_m) of a random full-rank state."""
+    from hybridoam.tomography import _BLOCH
+
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    gram = a @ a.conj().T
+    rho = 0.8 * gram / np.trace(gram).real + 0.05 * np.eye(4)
+    return np.einsum("ij,mji->m", rho, _BLOCH).real
+
+
+def _barrier_derivative_errors(counts, x, dirs, eps=1e-6, mu=0.5):
+    """Relative errors of the solver's barrier gradient and Hessian along
+    each direction, against central differences of the objective
+    sum_k n_k log p_k + mu log det rho (computed here from the settings'
+    projectors) and of the gradient; the point and its displaced copies
+    are evaluated as one stack."""
+    from hybridoam.tomography import _BLOCH, _newton_system, _point
+
+    projectors = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in tomography_settings()])
+    n = len(dirs)
+    stack = np.concatenate([x[None], x + eps * dirs, x - eps * dirs])
+    rhos = (np.eye(4) + np.einsum("bm,mij->bij", stack, _BLOCH)) / 4
+    p = np.einsum("kij,bji->bk", projectors, rhos).real
+    f = np.log(p) @ counts + mu * np.linalg.slogdet(rhos)[1]
+    p_stack, rho_stack = _point(stack)
+    grad, neg_hess = _newton_system(
+        rho_stack, p_stack, np.tile(counts, (len(stack), 1)),
+        np.full(len(stack), mu),
+    )[:2]
+    fd = (f[1:n + 1] - f[n + 1:]) / (2 * eps)
+    grad_err = np.abs(dirs @ grad[0] - fd) / np.maximum(1.0, np.abs(fd))
+    fd_grad = (grad[1:n + 1] - grad[n + 1:]) / (2 * eps)
+    hess_dirs = -dirs @ neg_hess[0]
+    hess_err = np.abs(hess_dirs - fd_grad) / np.maximum(1.0, np.abs(fd_grad))
+    return grad_err.max(), hess_err.max()
+
+
 def test_mle_gradient_spot_check():
-    # central finite differences of the solver's stacked objective along
-    # random Hermitian directions, against its analytic gradient
-    from hybridoam.tomography import _ROWS, _as_rows, _count_table, _objective
+    # central finite differences of the solver's barrier objective along
+    # random directions in the 15 Bloch coordinates, against its analytic
+    # gradient and Hessian
+    from hybridoam.tomography import _count_table
 
     rho, _ = prepare_hybrid("fitted")
     counts, _ = _count_table(simulate_tomography(rho, seed=2))
-
-    def hermitian(rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        return (a + a.conj().T) / 2
-
     rng = np.random.default_rng(11)
     for _ in range(3):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        gram = a @ a.conj().T
-        rho_m = 0.8 * gram / np.trace(gram).real + 0.05 * np.eye(4)
-        eps = 1e-6
-        dirs = np.stack([hermitian(rng) for _ in range(3)])
-        stack = np.concatenate([rho_m[None], rho_m + eps * dirs, rho_m - eps * dirs])
-        f, grad = _objective(_as_rows(stack) @ _ROWS.T, np.tile(counts, (len(stack), 1)))
-        fd = (f[1:4] - f[4:]) / (2 * eps)
-        analytic = _as_rows(dirs) @ grad[0]
-        assert np.all(np.abs(analytic - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
+        grad_err, hess_err = _barrier_derivative_errors(
+            counts, _bloch_point(rng), rng.normal(size=(3, 15))
+        )
+        assert grad_err <= 1e-5
+        assert hess_err <= 1e-5
+
+
+def test_newton_system_takes_the_dual_estimate():
+    # with a dual estimate Z the barrier part of the Newton matrix is
+    # Re Tr(Z G_m rho^-1 G_n) / 16 (the HKM primal-dual direction)
+    from hybridoam.tomography import (
+        _BLOCH, _C, _count_table, _newton_system, _point,
+    )
+
+    rho, _ = prepare_hybrid("fitted")
+    counts, _ = _count_table(simulate_tomography(rho, seed=2))
+    rng = np.random.default_rng(12)
+    x = _bloch_point(rng)[None]
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    z = (a @ a.conj().T + 0.1 * np.eye(4))[None]
+    p, rho_x = _point(x)
+    matrix = _newton_system(rho_x, p, counts[None], np.array([0.5]), z)[1][0]
+    rho_inv = np.linalg.inv(rho_x[0])
+    barrier = np.einsum("ij,mjk,kl,nli->mn", z[0], _BLOCH, rho_inv, _BLOCH).real / 16
+    likelihood = _C.T @ np.diag(counts / p[0] ** 2) @ _C
+    assert np.max(np.abs(matrix - likelihood - barrier)) < 1e-9 * np.abs(matrix).max()
 
 
 def test_stacked_solve_matches_each_table_alone():
@@ -215,12 +280,35 @@ def test_stacked_solve_matches_each_table_alone():
     )
     counts = np.stack([_count_table(t)[0] for t in tables])
     starts = np.stack([project_to_physical(linear_inversion(t)).matrix for t in tables])
-    rhos, converged, n_iter = _solve(counts, starts)
-    for table, rho_stacked, conv, iters in zip(tables, rhos, converged, n_iter):
+    rhos, bounds, n_iter = _solve(counts, starts)
+    for table, rho_stacked, bound, iters in zip(tables, rhos, bounds, n_iter):
         alone = mle_reconstruct(table)
         assert np.max(np.abs(rho_stacked - alone.rho.matrix)) < 1e-9
-        assert conv == alone.converged
+        assert bound == alone.loglik_gap_bound
+        assert alone.converged
         assert iters == alone.n_iter
+
+
+def test_bootstrap_stack_finishes_within_a_round_budget(monkeypatch):
+    # the stacked bootstrap runs until its slowest resample is certified; on a
+    # fitted 100 cps table that took 155 rounds of the projected-gradient
+    # solver the log-barrier Newton method replaced
+    import hybridoam.tomography as tg
+
+    solves, solve = [], tg._solve
+
+    def spy(counts, start):
+        solves.append(solve(counts, start))
+        return solves[-1]
+
+    monkeypatch.setattr(tg, "_solve", spy)
+    rho, _ = prepare_hybrid("fitted")
+    recs = simulate_tomography(rho, rate_cps=100.0, seed=0)
+    metric_uncertainties(recs, n_resamples=100, seed=0)
+    (_, bounds, n_iter), = solves
+    assert len(n_iter) == 101  # the observed table and 100 resamples
+    assert n_iter.max() <= 60
+    assert bounds.max() <= 1e-6
 
 
 def _bootstrap_by_reconstruct(records, seed):
