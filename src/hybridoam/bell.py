@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import _born_counts, _check_projector, setting_stream_seed
+from .measurement import _born_counts, _check_projector, _stream_seeds
 from .states import ATOL, DensityMatrix, _freeze, basis_ket
 
 _COS8 = np.cos(np.pi / 8)
@@ -219,11 +219,9 @@ def chsh_empirical(
         raise ValueError("duration must be positive")
     pairs, ops = _default_compiled() if settings is None else _compile(settings)
     n = len(_OUTCOME_PAIRS)
-    seeds = [
-        setting_stream_seed(seed, (1, k, idx))
-        for k in range(len(pairs))
-        for idx in range(n)
-    ]
+    seeds = _stream_seeds(
+        seed, [(1, k, idx) for k in range(len(pairs)) for idx in range(n)]
+    )
     _, counts = _born_counts(
         rho, ops, rate_cps, [duration_s / 4.0] * len(seeds), seeds, exact=False
     )

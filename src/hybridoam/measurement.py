@@ -7,7 +7,9 @@ dark counts and accidentals are out of scope.
 
 RNG contract: every setting draws from its own stream derived from
 (global seed, path of small integers), so results are independent of
-execution order and safe to parallelize.
+execution order and safe to parallelize.  The streams are numpy's
+(setting_stream_seed says how); this module derives them, a whole
+experiment's in one pass, and no other module does.
 
 Fringe convention: the scan variable theta is 4x the half-waveplate
 fast-axis angle, so Alice's analysis state is (cos(theta/2), sin(theta/2))
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +100,195 @@ class CountRecord:
             raise ValueError("expected rate must be non-negative")
 
 
+# numpy's SeedSequence hash, frozen by its stream policy (NEP 19);
+# test_measurement pins every stream derived here to numpy itself.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _words(x) -> list[int]:
+    """A non-negative integer as little-endian uint32 words, as numpy reads it.
+
+    Checked before any cast: a negative value raises ValueError and a
+    non-integer (float, string, sequence) TypeError; bools and numpy
+    integers are integers.
+    """
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError(f"stream seeds and paths must be non-negative, got {x}")
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _word_block(columns: list[list[int]], rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Word lists as the columns of a zero-padded (k, n) uint32 block, k >= rows,
+    and each column's length."""
+    lengths = np.array([len(c) for c in columns], dtype=int)
+    k = max(rows, lengths.max(initial=0))
+    block = np.array([c + [0] * (k - len(c)) for c in columns], np.uint32)
+    return block.reshape(len(columns), k).T, lengths
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 hash constants init * mult**k mod 2**32, a uint32 column."""
+    chain = np.cumprod(np.array([init] + [mult] * n, np.uint32), dtype=np.uint32)
+    return _freeze(chain[:, None])
+
+
+def _hashmix(values: np.ndarray, hc: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of row i of values under the constants hc[i], hc[i + 1]."""
+    v = (values ^ hc[:-1]) * hc[1:]
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _cross_constants() -> tuple[np.ndarray, ...]:
+    """Hash constants of the 12 steps that mix each pool word into the others.
+
+    Word s is mixed into the other three in order, so entry s holds their
+    constant pairs in their rows; row s is a placeholder.
+    """
+    hc = _hash_constants(_INIT_A, _MULT_A, 16)[:, 0]
+    out = []
+    for s in range(4):
+        c = np.zeros((2, 4, 1), np.uint32)
+        for t, d in enumerate(d for d in range(4) if d != s):
+            c[:, d, 0] = hc[4 + 3 * s + t : 6 + 3 * s + t]
+        out.append(_freeze(c))
+    return tuple(out)
+
+
+_CROSS = _cross_constants()
+
+
+def _absorb(
+    pool: np.ndarray, words: np.ndarray, start: int, lengths: np.ndarray
+) -> np.ndarray:
+    """Mix the rows of words into the pool as entropy words start, start + 1, ...
+
+    numpy's last mix_entropy loop, run across the columns at once: the
+    hash constants depend only on the word index.  Column j takes only its
+    first lengths[j] rows.
+    """
+    hc = _hash_constants(_INIT_A, _MULT_A, 4 * (start + len(words)))
+    shortest = lengths.min(initial=len(words))
+    for i, row in enumerate(words):
+        j = 4 * (start + i)
+        mixed = _mix(pool, _hashmix(row, hc[j : j + 5]))
+        pool = mixed if i < shortest else np.where(lengths > i, mixed, pool)
+    return pool
+
+
+def _pool(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence.mix_entropy over each column of a (k, n) block, k >= 4.
+
+    The zeros a column shorter than four words is padded with are hashed
+    exactly as numpy hashes its missing words.
+    """
+    hc = _hash_constants(_INIT_A, _MULT_A, 4)
+    pool = _hashmix(words[:4], hc)
+    for s, (c0, c1) in enumerate(_CROSS):
+        v = (pool[s] ^ c0) * c1
+        mixed = _mix(pool, v ^ (v >> _SHIFT))
+        mixed[s] = pool[s]
+        pool = mixed
+    return _absorb(pool, words[4:], 4, np.maximum(lengths - 4, 0))
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(head: tuple[int, ...]) -> np.ndarray:
+    """The (4, 1) pool after a global seed's words, shared by all its streams."""
+    words, lengths = _word_block([list(head)], 4)
+    return _freeze(_pool(words, lengths))
+
+
+def _generate(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """numpy's generate_state(n_words, uint64) per pool column, (n_words, n)."""
+    hc = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    out = _hashmix(pool[np.arange(2 * n_words) % 4], hc).astype(np.uint64)
+    return out[0::2] | (out[1::2] << np.uint64(32))
+
+
+def _stream_seeds(global_seed: int, paths) -> list[int]:
+    """setting_stream_seed for every path of one experiment, in one pass."""
+    head = _words(global_seed)
+    words, lengths = _word_block(
+        [[w for x in path for w in _words(x)] for path in paths], 0
+    )
+    # numpy pads the seed's words with zeros to four when a spawn key follows
+    pool = np.broadcast_to(_seed_pool(tuple(head)), (4, len(lengths)))
+    pool = _absorb(pool, words, max(4, len(head)), lengths)
+    return _generate(pool, 1)[0].tolist()
+
+
 def setting_stream_seed(global_seed: int, path: tuple[int, ...]) -> int:
-    """Per-setting 64-bit seed derived from a global seed and a stream path."""
-    ss = np.random.SeedSequence(entropy=global_seed, spawn_key=tuple(path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Per-setting 64-bit seed derived from a global seed and a stream path.
+
+    The value is numpy's
+    ``SeedSequence(entropy=global_seed, spawn_key=path).generate_state(1, np.uint64)[0]``:
+    the seed's uint32 words, padded with zeros to four, then the words of
+    each path element, are hashed into a four-word pool, whose first two
+    output words form the seed.  Counting draws from
+    ``np.random.default_rng(that seed)``, which seeds PCG64 with
+    ``SeedSequence(that seed).generate_state(4, np.uint64)``.  Both stages
+    are computed here for all the settings of an experiment at once, and a
+    test pins them to numpy's own ``SeedSequence`` and ``default_rng``.
+    Seed and path elements must be non-negative integers (ValueError,
+    else TypeError).
+    """
+    return _stream_seeds(global_seed, [path])[0]
+
+
+@functools.cache
+def _known_state() -> type:
+    """An ISeedSequence whose generate_state(4, uint64) is already known.
+
+    PCG64 seeds itself from any ISeedSequence; this one hands over the
+    state computed here.  Built on first use, because numpy imports
+    numpy.random only when it is first needed.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KnownState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError("only PCG64's 4-word uint64 state is known")
+            return self.state
+
+    return KnownState
+
+
+def _pcg64_states(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, (n, 4)."""
+    words, lengths = _word_block([_words(s) for s in seeds], 4)
+    return np.ascontiguousarray(_generate(_pool(words, lengths), 4).T)
+
+
+def _poisson_draws(seeds, means) -> list:
+    """``np.random.default_rng(seeds[k]).poisson(means[k])`` for every k.
+
+    Each stream gets its own PCG64, local to this call and seeded from
+    the state that _pcg64_states computed for all streams at once.
+    """
+    known = _known_state()
+    return [
+        np.random.Generator(np.random.PCG64(known(state))).poisson(mean)
+        for state, mean in zip(_pcg64_states(seeds), means)
+    ]
 
 
 def _analyzer_state(name: str) -> np.ndarray:
@@ -166,13 +354,10 @@ def _born_counts(
     if rate_cps < 0:
         raise ValueError("rate must be non-negative")
     rates = [max(p, 0.0) * rate_cps for p in _probabilities(rho, ops)]
+    means = [r * t for r, t in zip(rates, durations)]
     if exact:
-        return rates, [r * t for r, t in zip(rates, durations)]
-    counts = [
-        int(np.random.default_rng(sd).poisson(r * t))
-        for r, t, sd in zip(rates, durations, seeds)
-    ]
-    return rates, counts
+        return rates, means
+    return rates, [int(c) for c in _poisson_draws(seeds, means)]
 
 
 def _count_records(
@@ -268,7 +453,7 @@ def fringe_scan_records(
     settings, ops = _fringe_settings(
         pb.tobytes(), bname, thetas.tobytes(), duration_s
     )
-    seeds = [setting_stream_seed(seed, (2, scan_index, i)) for i in range(len(settings))]
+    seeds = _stream_seeds(seed, [(2, scan_index, i) for i in range(len(settings))])
     return _count_records(rho, settings, ops, rate_cps, seeds, exact)
 
 

@@ -42,9 +42,10 @@ from .measurement import (
     CountRecord,
     MeasurementSetting,
     _count_records,
+    _poisson_draws,
     _projector_from,
+    _stream_seeds,
     setting_from_labels,
-    setting_stream_seed,
 )
 from .source import hybrid_singlet_ket
 from .states import (
@@ -229,7 +230,7 @@ def simulate_tomography(
 ) -> list[CountRecord]:
     """Counts for all 36 settings; setting i draws from stream (0, i)."""
     settings, ops = _compiled_settings(duration_s)
-    seeds = [setting_stream_seed(seed, (0, i)) for i in range(len(settings))]
+    seeds = _stream_seeds(seed, [(0, i) for i in range(len(settings))])
     return _count_records(rho, settings, ops, rate_cps, seeds, exact)
 
 
@@ -666,12 +667,12 @@ def metric_uncertainties(
         records = run.records
     observed, _ = _count_table(records)
     obs = np.array([float(r.counts) for r in records])
-    draws = np.empty((n_resamples, obs.size))
-    for r in range(n_resamples):
-        if resampler is None:
-            rng = np.random.default_rng(setting_stream_seed(seed, (3, r)))
-            draws[r] = rng.poisson(obs)
-        else:
+    if resampler is None:
+        seeds = _stream_seeds(seed, [(3, r) for r in range(n_resamples)])
+        draws = np.array(_poisson_draws(seeds, [obs] * n_resamples), dtype=float)
+    else:
+        draws = np.empty((n_resamples, obs.size))
+        for r in range(n_resamples):
             draws[r] = resampler(obs, r)
     if not np.isfinite(draws).all():
         raise ValueError("resampled counts must be finite")

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,80 @@ def test_stream_seeds_are_distinct_and_reproducible():
     assert s1 != setting_stream_seed(0, (0, 4))
     assert s1 != setting_stream_seed(1, (0, 3))
     assert s1 != setting_stream_seed(0, (1, 3))
+    # numpy's SeedSequence is the oracle, for what it accepts...
+    accepted = (
+        (True, (0, True)), (np.int64(5), (np.int64(2), 7)), (np.uint64(2**64 - 1), (3,)),
+        (2**64 + 7, (2**32 + 1, 0)), (2**200, (1, 2**70)), (5, ()),
+    )
+    for seed, path in accepted:
+        assert setting_stream_seed(seed, path) == _numpy_seed(seed, path)
+    # one batch whose paths hold different numbers of words
+    paths = [(0, 1), (2**40, 3, 4), (), (7,)]
+    assert measurement._stream_seeds(9, paths) == [_numpy_seed(9, p) for p in paths]
+    # ...and for what it refuses, checked before any cast to uint32
+    refused = (
+        (-1, (0, 1), ValueError), (0, (0, -1), ValueError), (0, (-(2**40),), ValueError),
+        (1.7, (0, 1), TypeError), (0, (0, 1.7), TypeError), (np.float64(2.0), (0,), TypeError),
+    )
+    for seed, path, error in refused:
+        with pytest.raises(error):
+            np.random.SeedSequence(seed, spawn_key=path)
+        with pytest.raises(error):
+            setting_stream_seed(seed, path)
+    rho = hybrid_singlet()
+    s = setting_from_labels("H", "+2")
+    for bad, error in ((-1, ValueError), (1.7, TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng(bad)
+        with pytest.raises(error):
+            simulate_counts(rho, s, 100.0, bad)
+        with pytest.raises(error):
+            tomography.simulate_tomography(rho, seed=bad)
+        with pytest.raises(error):
+            fringe_scan_records(rho, "+2", GRID16, scan_index=bad)
+        with pytest.raises(error):
+            bell.chsh_empirical(rho, seed=bad)
+
+
+def test_counting_seeds_pcg64_as_default_rng_does():
+    # default_rng(s) seeds PCG64 from SeedSequence(s).generate_state(4, uint64);
+    # a seed below 2**32 is one entropy word, one past 2**64 three, and
+    # 2**200 seven, so this batch also mixes columns of different lengths
+    seeds = [5, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200,
+             setting_stream_seed(3, (0, 1))]
+    want = [np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in seeds]
+    assert measurement._pcg64_states(seeds).tolist() == want
+    rho = hybrid_singlet()
+    s = setting_from_labels("H", "+2")
+    for seed in seeds:
+        got = simulate_counts(rho, s, 100.0, seed).counts
+        assert got == np.random.default_rng(seed).poisson(750.0)
+
+
+def test_stream_derivation_lives_in_measurement():
+    """Only measurement.py names numpy's stream machinery."""
+    names = {"default_rng", "SeedSequence", "Generator", "PCG64"}
+
+    def referenced(path):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        return found & names
+
+    package = Path(measurement.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {"bell.py", "tomography.py", "cli.py"} <= {p.name for p in modules}
+    for path in modules:
+        if path.name == "measurement.py":
+            assert referenced(path)  # the scan does see the names where they are
+        else:
+            assert not referenced(path), path.name
 
 
 def test_setting_validation():
@@ -167,11 +244,26 @@ def test_fringe_records_use_per_point_streams():
     assert recs[0].setting.alice.startswith("theta=")
 
 
+def _numpy_seed(seed, path):
+    """A stream seed as numpy's own SeedSequence derives it."""
+    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0])
+
+
 def _loop_records(rho, settings, rate, seeds, exact):
-    """The reference: one public call per setting."""
+    """The reference: one exact record per setting, drawn by numpy's own
+    default_rng on the setting's stream seed."""
+    records = [exact_counts(rho, s, rate, seed=sd) for s, sd in zip(settings, seeds)]
     if exact:
-        return [exact_counts(rho, s, rate, seed=sd) for s, sd in zip(settings, seeds)]
-    return [simulate_counts(rho, s, rate, sd) for s, sd in zip(settings, seeds)]
+        return records
+    return [
+        CountRecord(
+            r.setting,
+            int(np.random.default_rng(r.seed).poisson(r.counts)),
+            r.expected_rate_cps,
+            r.seed,
+        )
+        for r in records
+    ]
 
 
 def _as_rows(records):
@@ -203,20 +295,26 @@ def _random_state(seed):
 
 def test_compiled_counts_match_a_per_setting_loop():
     states = (hybrid_singlet(), prepare_hybrid("fitted")[0], _random_state(11))
-    cases = ((0.5, 7.5, 0), (100.0, 15.0, 7), (1234.5, 1.0, 2**40))
+    # multi-word seeds, and np.int64, which numpy reads as an integer
+    cases = (
+        (0.5, 7.5, 0), (100.0, 15.0, 7), (1234.5, 1.0, 2**40),
+        (100.0, 15.0, 2**32 - 1), (100.0, 15.0, 2**32), (100.0, 15.0, 2**64 + 7),
+        (100.0, 15.0, 2**200), (100.0, 15.0, np.int64(5)),
+    )
     for rho in states:
         for rate, duration, seed in cases:
             for exact in (False, True):
                 # tomography: setting i on stream (0, i)
                 settings = tomography.tomography_settings(duration)
-                seeds = [setting_stream_seed(seed, (0, i)) for i in range(36)]
+                seeds = [_numpy_seed(seed, (0, i)) for i in range(36)]
                 got = tomography.simulate_tomography(rho, rate, duration, seed, exact)
                 want = _loop_records(rho, settings, rate, seeds, exact)
                 assert _as_rows(got) == _as_rows(want)
-                # fringes: point i of scan k on stream (2, k, i)
-                for k, bob in enumerate(("+2", "h")):
+                # fringes: point i of scan k on stream (2, k, i); a scan index
+                # past 2**32 puts two words in the spawn key
+                for k, bob in ((0, "+2"), (1, "h"), (2**32 + 1, "h")):
                     settings = [_theta_setting(t, bob, duration) for t in GRID16]
-                    seeds = [setting_stream_seed(seed, (2, k, i)) for i in range(16)]
+                    seeds = [_numpy_seed(seed, (2, k, i)) for i in range(16)]
                     got = fringe_scan_records(
                         rho, bob, GRID16, rate, duration, seed, k, exact
                     )
@@ -240,7 +338,7 @@ def test_compiled_counts_match_a_per_setting_loop():
                     MeasurementSetting(x.projector(i), y.projector(j), duration, "")
                     for i in (0, 1) for j in (0, 1)
                 ]
-                seeds = [setting_stream_seed(seed, (1, k, idx)) for idx in range(4)]
+                seeds = [_numpy_seed(seed, (1, k, idx)) for idx in range(4)]
                 counts = [r.counts for r in _loop_records(rho, settings, rate, seeds, False)]
                 es.append(bell.correlation_from_counts(counts))
             assert result.correlations == tuple(es)

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridoam.measurement import CountRecord, setting_from_labels, setting_stream_seed
+from hybridoam.measurement import CountRecord, setting_from_labels
 from hybridoam.source import NoiseModel, hybrid_singlet, hybrid_singlet_ket, prepare_hybrid
 from hybridoam.states import (
     OAM_O2,
@@ -312,12 +314,14 @@ def test_bootstrap_stack_finishes_within_a_round_budget(monkeypatch):
 
 
 def _bootstrap_by_reconstruct(records, seed):
-    """The bootstrap as a loop of reconstruct calls over the (3, r) streams:
-    the metric sigmas and the number of refused resamples."""
+    """The bootstrap as a loop of reconstruct calls over the (3, r) streams,
+    drawn by numpy's own SeedSequence and default_rng: the metric sigmas
+    and the number of refused resamples."""
     obs = np.array([float(r.counts) for r in records])
     samples, failures = [], 0
     for r in range(100):
-        drawn = np.random.default_rng(setting_stream_seed(seed, (3, r))).poisson(obs)
+        stream = np.random.SeedSequence(seed, spawn_key=(3, r)).generate_state(1, np.uint64)
+        drawn = np.random.default_rng(stream[0]).poisson(obs)
         resample = [
             CountRecord(rec.setting, int(c), None, rec.seed)
             for rec, c in zip(records, drawn)
@@ -348,6 +352,40 @@ def test_bootstrap_matches_a_reconstruct_loop():
         best = reconstruct(recs).rho_mle
         point = (fidelity(best, PSI), concurrence(best), linear_entropy(best))
         assert (m.fidelity, m.concurrence, m.linear_entropy) == point
+
+
+def test_concurrent_runs_reproduce_their_serial_results():
+    """Two threads simulating and bootstrapping at once, each on its own
+    seed, get what each gets alone: no stream state is shared."""
+    rho, _ = prepare_hybrid("fitted")
+
+    def job(seed):
+        recs = simulate_tomography(rho, seed=seed)
+        metrics = metric_uncertainties(recs, n_resamples=100, seed=seed)
+        return [(r.counts, r.seed) for r in recs], metrics
+
+    seeds, rounds = (1, 2), 10
+    serial = {seed: job(seed) for seed in seeds}
+    # each round starts both threads together, so their draws overlap
+    barrier = threading.Barrier(len(seeds), timeout=60)
+
+    def rerun(seed):
+        out = []
+        for _ in range(rounds):
+            barrier.wait()
+            out.append(job(seed))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            futures = {seed: pool.submit(rerun, seed) for seed in seeds}
+            results = {seed: f.result(timeout=120) for seed, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in seeds:
+        assert results[seed] == [serial[seed]] * rounds
 
 
 def test_mle_physical_on_random_counts():
