@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +107,13 @@ def _parse_noise(spec) -> src.NoiseModel:
 def _config_value(key: str, value, kind):
     try:
         converted = kind(value)
-        # a bool is an int to Python, and int(3.7) is 3: neither converts cleanly
-        if isinstance(value, bool) or (isinstance(value, float) and converted != value):
+        # a bool is an int to Python, a string such as "50" parses, and
+        # int(3.7) is 3: none of them converts cleanly
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or (isinstance(value, float) and converted != value)
+        ):
             raise ValueError(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None

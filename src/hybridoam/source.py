@@ -52,6 +52,13 @@ O2_FRAME_ALIGNMENT = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqr
 _TRANSFER_UNITARY = _freeze(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
 
 
+# Bob's two computational-basis projectors on the pair, for phase damping.
+_EYE2 = _freeze(np.eye(2))
+_BOB_PROJECTORS = tuple(
+    _freeze(np.kron(_EYE2, np.diag(d))) for d in ([1.0, 0.0], [0.0, 1.0])
+)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Three-parameter imperfection model for the polarization pair.
@@ -123,14 +130,13 @@ def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
     m = rho.matrix.astype(complex)
     m = nm.werner_p * m + (1.0 - nm.werner_p) * np.eye(4) / 4.0
     if nm.dephase_q != 0.0:
-        pk = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-        damped = sum(
-            np.kron(np.eye(2), p) @ m @ np.kron(np.eye(2), p) for p in pk
-        )
+        damped = sum(p @ m @ p for p in _BOB_PROJECTORS)
         m = (1.0 - nm.dephase_q) * m + nm.dephase_q * damped
     if nm.miscal_angle != 0.0:
         c, s = np.cos(nm.miscal_angle), np.sin(nm.miscal_angle)
-        r = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
+        # kron(I, rotation), with kron's own products so that its zeros
+        # keep their signs
+        r = (_EYE2[:, None, :, None] * np.array([[c, -s], [s, c]])[:, None, :]).reshape(4, 4)
         m = r @ m @ r.conj().T
     return DensityMatrix((m + m.conj().T) / 2, rho.basis)
 

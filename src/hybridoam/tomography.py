@@ -23,7 +23,11 @@ stack when it is certified.  Every table keeps its own barrier weight,
 dual estimate and step, and its row arithmetic does not depend on the other
 tables, so a table solved in a stack gives exactly what it gives alone.
 mle_reconstruct solves a stack of one; the bootstrap solves all its
-resamples in one stack.
+resamples in one stack.  Each of the 15 Pauli products G_m of the Bloch
+coordinates has one entry, +-1 or +-i, in each row, so the products with
+G_m that the Newton matrix needs are signed gathers from fixed index
+tables, and its barrier term is one real (15, 32) @ (32, 15) product per
+table.
 
 Linear entropy is normalized as S_L = (4/3)(1 - Tr rho^2) so the maximally
 mixed two-qubit state scores 1; drop the 4/3 to convert to the
@@ -87,13 +91,16 @@ _MLE_MAXITER = 100
 _MU_START = 1.0  # least duality measure of the start, in log-likelihood units
 _MU_PER_GAP = 1e-3  # the start's duality measure per unit of its gap bound
 # the next round aims at a share of the duality measure mu that depends on
-# how long the last steps were: a hundredth after near-full steps, a tenth
-# after long ones, and a half (mostly re-centring) after short ones
-_TARGETS = ((0.98, 0.01), (0.9, 0.1), (0.0, 0.5))
+# how long the last steps were: a half (mostly re-centring) after short
+# ones, a tenth after steps of at least _STEP_EDGES[0], and a hundredth
+# after near-full steps, of at least _STEP_EDGES[1]
+_STEP_EDGES = _freeze(np.array([0.9, 0.98]))
+_TARGETS = _freeze(np.array([0.5, 0.1, 0.01]))
 _BOUND_MU = 10 * _MLE_TOL  # duality measure from which on the gap is bounded
 _START_BLEND = 1e-2  # share of I/4 mixed into the start, so that rho > 0
 # longest share of the way to a singular rho, and Z, per step
 _TO_BOUNDARY, _TO_BOUNDARY_DUAL = 0.9, 0.99
+_SHARES = _freeze(np.array([[_TO_BOUNDARY], [_TO_BOUNDARY_DUAL]]))  # as a column
 _ARMIJO = 0.25
 _HALVES = _freeze(0.5 ** np.arange(1.0, 13.0))  # tried when a full step fails
 
@@ -302,16 +309,43 @@ _BLOCH = _freeze(  # the kron products sigma_a x sigma_b but the identity
     (_SIGMAS[:, None, :, None, :, None] * _SIGMAS[None, :, None, :, None, :]).reshape(16, 4, 4)[1:]
 )
 _BLOCH_ROWS = _BLOCH.reshape(15, 16).view(np.float64)
-_BLOCH_VEC = _freeze(_BLOCH.reshape(15, 16) / 4.0)  # vec(G_m / 4), complex
 _C = _freeze(_ROWS @ _BLOCH_ROWS.T / 4.0)
 _C_OUTER = _freeze((_C[:, :, None] * _C[:, None, :]).reshape(36, 225))
 _EYE_ROW = _freeze(np.eye(4, dtype=complex).reshape(16).view(np.float64))
 _BLOCH_MAP = _freeze(np.concatenate([_C.T, _BLOCH_ROWS], axis=1))
+_BLOCH_MAP_T = _freeze(np.ascontiguousarray(_BLOCH_MAP.T))
+
+
+def _signed_gathers(images: np.ndarray) -> np.ndarray:
+    """Index table of 15 real-linear maps f_m on 4x4 complex matrices, each
+    of which takes every real of vec(f_m(M)) to plus or minus one real of
+    vec(M): the vec row of f_m(M) is [v, -v][table[m]] for v the vec row
+    of M.  ``images`` holds f_m(E_r) for the 32 real unit directions E_r."""
+    maps = images.reshape(15, 32, 16).view(np.float64)  # [m, source, target]
+    source = np.abs(maps).argmax(axis=1)
+    sign = np.take_along_axis(maps, source[:, None], axis=1)[:, 0]
+    return np.where(sign > 0, source, source + 32)
+
+
+# Each G_m has one entry, +-1 or +-i, in each row, so G_m M and
+# conj((G_m M)^T) permute the reals of M and flip some signs: _LEFT gathers
+# vec(G_m M) and _RIGHT_T conj vec((G_n M)^T), as (32, 15) columns, from the
+# signed vec row of any M.
+_UNITS = _freeze(np.eye(32).view(complex).reshape(32, 4, 4))
+_LEFT = _freeze(_signed_gathers(_BLOCH[:, None] @ _UNITS))
+_RIGHT_T = _freeze(np.ascontiguousarray(
+    _signed_gathers(np.swapaxes(_BLOCH[:, None] @ _UNITS, 2, 3).conj()).T
+))
 
 
 def _as_rows(mats: np.ndarray) -> np.ndarray:
     """(B, 32) vec rows of a (B, 4, 4) complex stack."""
     return np.ascontiguousarray(mats, dtype=complex).reshape(-1, 16).view(np.float64)
+
+
+def _signed_rows(rows: np.ndarray) -> np.ndarray:
+    """(B, 64) rows [v, -v] of (B, 32) vec rows v, for the signed gathers."""
+    return np.concatenate([rows, -rows], axis=1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,44 +376,43 @@ def _gap_bound(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
     state sigma L(sigma) <= L(rho) + Tr(R sigma) - Tr(R rho), where
     Tr(R rho) = N and Tr(R sigma) <= lambda_max(R): this bounds the gap to
     the maximum (Glancy, Knill & Girard, NJP 14, 095017, 2012).  It is zero
-    at the maximum and needs every counted p_k > 0.
+    at the maximum and needs every counted p_k > 0; p is 1 where a setting
+    counted nothing, as _solve makes it.
     """
-    ratio = counts / np.where(counts > 0, p, 1.0)
-    r = _rowwise(ratio, _ROWS).view(complex).reshape(-1, 4, 4)
+    r = _rowwise(counts / p, _ROWS).view(complex).reshape(-1, 4, 4)
     return np.linalg.eigvalsh(r)[:, -1] - counts.sum(axis=1)
 
 
 def _newton_system(rho, p, counts, mu, z=None):
     """The barrier objective's gradient and primal-dual Newton matrix at a
-    (B, 4, 4) stack of positive definite states with probabilities p.
+    (B, 4, 4) stack of positive definite states with probabilities p, which
+    are 1 where a setting counted nothing.
 
     The objective is sum_k n_k log p_k + mu log det rho over the settings
     with counts, per table, in the Bloch coordinates of rho; its gradient
-    is C^T (n/p) + mu Tr(rho^-1 G_m) / 4.  The matrix is
+    is C^T (n/p) + mu Tr(rho^-1 G_m) / 4, one product of the row
+    [n/p | mu vec(rho^-1) / 4] with _BLOCH_MAP.  The matrix is
     C^T diag(n/p^2) C + Re Tr(Z G_m rho^-1 G_n) / 16 for the dual estimate
     Z; with Z = mu rho^-1, the default, it is the objective's Hessian,
-    negated.  The Z term is the Gram matrix of A_m = Lz^H G_m W^H / 4, with
-    Z = Lz Lz^H and W = L^-1 for rho = L L^H.  Returns (gradient, matrix,
-    W, rho^-1, Lz^-1).
+    negated.  The Z term is the real dot product of vec(G_m rho^-1) with
+    conj vec((G_n Z)^T) / 16, for all m and n one (15, 32) @ (32, 15)
+    product per table of the signed gathers _LEFT of rho^-1 and _RIGHT_T of
+    Z / 16.  rho^-1 = W^H W with W = L^-1 for rho = L L^H; W and Lz^-1 for
+    Z = Lz Lz^H whiten the step.  Returns (gradient, matrix, rho^-1, the
+    (2B, 4, 4) stack of W over Lz^-1).
     """
-    p = np.where(counts > 0, p, 1.0)
     if z is None:
         z = mu[:, None, None] * np.linalg.inv(rho)
-    chol = _cholesky(np.concatenate([rho, z]))
-    w, z_inv = np.split(np.linalg.inv(chol), 2)
+    whiten = np.linalg.inv(_cholesky(np.concatenate([rho, z])))
+    w = whiten[:len(rho)]
     rho_inv = np.swapaxes(w.conj(), 1, 2) @ w
-    # vec(A_m) = kron(Lz^H, conj(W)) vec(G_m / 4) for all 15 A_m in one
-    # product, as the vec rows of a (B, 15, 32) stack whose Gram matrix is
-    # the Z term
-    kron_t = chol[len(rho):].conj()[:, :, None, :, None] * w.conj().transpose(0, 2, 1)[
-        :, None, :, None, :
-    ]
-    a = (_BLOCH_VEC @ kron_t.reshape(-1, 16, 16)).view(np.float64)
-    grad = _rowwise(counts / p, _C) + mu[:, None] / 4.0 * _rowwise(
-        _as_rows(rho_inv), _BLOCH_ROWS.T
+    v = _as_rows(rho_inv)
+    grad = _rowwise(np.concatenate([counts / p, mu[:, None] / 4.0 * v], axis=1), _BLOCH_MAP_T)
+    dual = np.take(_signed_rows(v), _LEFT, axis=1) @ np.take(
+        _signed_rows(_as_rows(z / 16.0)), _RIGHT_T, axis=1
     )
-    hess = _rowwise(counts / p**2, _C_OUTER).reshape(-1, 15, 15) + a @ np.swapaxes(a, 1, 2)
-    return grad, hess, w, rho_inv, z_inv
+    hess = _rowwise(counts / p**2, _C_OUTER).reshape(-1, 15, 15) + dual
+    return grad, hess, rho_inv, whiten
 
 
 def _cholesky(m: np.ndarray) -> np.ndarray:
@@ -399,7 +432,8 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
 
 def _newton_step(x, p, rho, z, counts, mu):
     """One primal-dual Newton step towards the barrier optimum at weight mu,
-    from points x with probabilities p, states rho and duals Z.
+    from points x with probabilities p (1 where a setting counted nothing),
+    states rho and duals Z.
 
     The Newton system linearizes the optimality conditions
     C^T (n/p) + A*(Z) = 0 and Z rho = mu I (the HKM direction): the step dx
@@ -416,30 +450,29 @@ def _newton_step(x, p, rho, z, counts, mu):
     the new points and duals and the two step lengths (0 where the point
     is stuck).
     """
+    n = len(x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        grad, hess, w, rho_inv, z_inv = _newton_system(rho, p, counts, mu, z)
+        grad, hess, rho_inv, whiten = _newton_system(rho, p, counts, mu, z)
         dx = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         decrement = _dot(grad, dx)
-    # a point that round-off has made singular stays where it is
-    stuck = ~(decrement > 0.0)
+    # a point whose rho or Z round-off has made singular stays where it is
+    stuck = ~(decrement > 0.0) | np.isnan(whiten[n:, 0, 0])
     if stuck.any():
-        dx[stuck], w[stuck], z_inv[stuck] = 0.0, 0.0, 0.0
-    counted = counts > 0
+        dx[stuck] = 0.0
+        whiten.reshape(2, n, 4, 4)[:, stuck] = 0.0
     dy = _rowwise(dx, _BLOCH_MAP)
-    dq = np.where(counted, dy[:, :36] / np.where(counted, p, 1.0), 0.0)
+    dq = np.where(counts > 0, dy[:, :36] / p, 0.0)
     d_rho = (dy[:, 36:] / 4.0).view(complex).reshape(-1, 4, 4)
     z_rho = z @ d_rho @ rho_inv
     dz = mu[:, None, None] * rho_inv - z - (z_rho + np.swapaxes(z_rho.conj(), 1, 2)) / 2
     if stuck.any():
         dz[stuck] = 0.0
     # the eigenvalues of both steps, whitened, in one call
-    whiten = np.concatenate([w, z_inv])
     e = np.linalg.eigvalsh(
         whiten @ np.concatenate([d_rho, dz]) @ np.swapaxes(whiten.conj(), 1, 2)
     )
-    share = np.repeat([_TO_BOUNDARY, _TO_BOUNDARY_DUAL], len(x))
-    t, t_dual = np.split(np.minimum(1.0, share / np.maximum(-e[:, 0], 1e-300)), 2)
-    e = e[:len(x)]
+    t, t_dual = np.minimum(1.0, _SHARES / np.maximum(-e[:, 0].reshape(2, n), 1e-300))
+    e = e[:n]
     # most steps pass at once; the others try _HALVES of it all at once and
     # take the longest that passes, or stay where they are this round
     retry = np.flatnonzero(~_passes(t, dq, e, counts, mu, decrement))
@@ -477,10 +510,12 @@ def _solve(counts: np.ndarray, start: np.ndarray):
     order; a table has converged when its bound is at most _MLE_TOL.
     """
     n_tables = len(counts)
-    p_start = _rowwise(_as_rows(start), _ROWS.T)
-    if not (np.where(counts > 0, p_start, 1.0) > 0.0).all():
+    # probabilities are taken as 1 where a setting counted nothing, so that
+    # n/p and log p need no other guard
+    p_start = np.where(counts > 0, _rowwise(_as_rows(start), _ROWS.T), 1.0)
+    if not (p_start > 0.0).all():
         raise ValueError("the start gives a setting with counts zero probability")
-    loglik_start = _dot(counts, np.log(np.where(counts > 0, p_start, 1.0)))
+    loglik_start = _dot(counts, np.log(p_start))
     bound_start = _gap_bound(counts, p_start)
     rho_out = np.array(start, dtype=complex)
     bound_out = bound_start.copy()
@@ -495,10 +530,11 @@ def _solve(counts: np.ndarray, start: np.ndarray):
     mu_start = np.maximum(_MU_START, _MU_PER_GAP * bound_start[live])
     z = mu_start[:, None, None] * np.linalg.inv(_point(x)[1])
     z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
-    sigma = np.full(live.size, _TARGETS[1][1])
+    sigma = np.full(live.size, _TARGETS[1])
     rounds = 0
     while live.size:
         p, rho = _point(x)
+        p = np.where(counts > 0, p, 1.0)
         mu = np.einsum("bij,bji->b", z, rho).real / 4.0  # the duality measure
         # near the central path the bound is about 3 mu, so it can certify
         # only once mu is small
@@ -509,7 +545,7 @@ def _solve(counts: np.ndarray, start: np.ndarray):
         done = (bound <= _MLE_TOL) | (rounds >= _MLE_MAXITER)
         if done.any():
             idx = live[done]
-            loglik = _dot(counts[done], np.log(np.where(counts[done] > 0, p[done], 1.0)))
+            loglik = _dot(counts[done], np.log(p[done]))
             # never return less likelihood than the start had; the start is
             # then at least as close to the maximum as this bound says
             better = loglik >= loglik_start[idx]
@@ -527,8 +563,7 @@ def _solve(counts: np.ndarray, start: np.ndarray):
                 break
         x, z, t, t_dual = _newton_step(x, p, rho, z, counts, sigma * mu)
         # short steps mean the point strayed from the central path
-        shortest = np.minimum(t, t_dual)
-        sigma = np.select([shortest >= s for s, _ in _TARGETS], [f for _, f in _TARGETS])
+        sigma = _TARGETS[np.searchsorted(_STEP_EDGES, np.minimum(t, t_dual), side="right")]
         rounds += 1
     return (rho_out + rho_out.conj().transpose(0, 2, 1)) / 2, bound_out, n_iter_out
 

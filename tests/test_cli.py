@@ -190,6 +190,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["budget", "--config", config({"gain": 3})], "unknown config keys"),
         (["chsh", "--rate-cps", "-5"], "rate_cps"),
         (["chsh", "--config", config({"seed": "x"})], "seed"),
+        (["chsh", "--exact", "--config", config({"seed": "7"})], "seed"),
+        (["chsh", "--exact", "--config", config({"rate_cps": "50"})], "rate_cps"),
+        (["chsh", "--exact", "--config", config({"durations": {"chsh": "20"}})],
+         "duration chsh"),
         (["chsh", "--config", config({"durations": {"chsh": "abc"}})], "chsh"),
         (["pipeline", "--config", config({"durations": {"tomografy": 5}})],
          "tomografy"),

@@ -248,33 +248,42 @@ def test_mle_gradient_spot_check():
 
 def test_newton_system_takes_the_dual_estimate():
     # with a dual estimate Z the barrier part of the Newton matrix is
-    # Re Tr(Z G_m rho^-1 G_n) / 16 (the HKM primal-dual direction)
+    # Re Tr(Z G_m rho^-1 G_n) / 16 (the HKM primal-dual direction), for
+    # every table of a stack with its own point and Z
     from hybridoam.tomography import (
         _BLOCH, _C, _count_table, _newton_system, _point,
     )
 
     rho, _ = prepare_hybrid("fitted")
-    counts, _ = _count_table(simulate_tomography(rho, seed=2))
+    counts = np.stack([
+        _count_table(simulate_tomography(rho, rate_cps=rate, seed=2))[0]
+        for rate in (100.0, 5.0, 1000.0)
+    ])
     rng = np.random.default_rng(12)
-    x = _bloch_point(rng)[None]
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    z = (a @ a.conj().T + 0.1 * np.eye(4))[None]
+    x = np.stack([_bloch_point(rng) for _ in range(3)])
+    a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    z = a @ np.swapaxes(a.conj(), 1, 2) + 0.1 * np.eye(4)
+    mu = np.array([0.5, 2.0, 0.01])
     p, rho_x = _point(x)
-    matrix = _newton_system(rho_x, p, counts[None], np.array([0.5]), z)[1][0]
-    rho_inv = np.linalg.inv(rho_x[0])
-    barrier = np.einsum("ij,mjk,kl,nli->mn", z[0], _BLOCH, rho_inv, _BLOCH).real / 16
-    likelihood = _C.T @ np.diag(counts / p[0] ** 2) @ _C
-    assert np.max(np.abs(matrix - likelihood - barrier)) < 1e-9 * np.abs(matrix).max()
+    matrices = _newton_system(rho_x, p, counts, mu, z)[1]
+    for b in range(3):
+        rho_inv = np.linalg.inv(rho_x[b])
+        barrier = np.einsum("ij,mjk,kl,nli->mn", z[b], _BLOCH, rho_inv, _BLOCH).real / 16
+        likelihood = _C.T @ np.diag(counts[b] / p[b] ** 2) @ _C
+        err = np.max(np.abs(matrices[b] - likelihood - barrier))
+        assert err < 1e-12 * np.abs(matrices[b]).max()
 
 
 def test_stacked_solve_matches_each_table_alone():
+    # a table's solve is exactly the same alone and anywhere in a stack, so
+    # the bootstrap's row 0 gives reconstruct's point values
     from hybridoam.tomography import _count_table, _solve
 
     rho, _ = prepare_hybrid("fitted")
     rng = np.random.default_rng(5)
     tables = [
         simulate_tomography(rho, rate_cps=rate, seed=seed)
-        for rate, seed in ((1.0, 0), (5.0, 1), (100.0, 2), (1000.0, 3))
+        for rate, seed in ((0.5, 4), (1.0, 0), (5.0, 1), (100.0, 2), (1000.0, 3))
     ]
     tables.append(simulate_tomography(rho, exact=True))
     tables.append(
@@ -282,13 +291,52 @@ def test_stacked_solve_matches_each_table_alone():
     )
     counts = np.stack([_count_table(t)[0] for t in tables])
     starts = np.stack([project_to_physical(linear_inversion(t)).matrix for t in tables])
-    rhos, bounds, n_iter = _solve(counts, starts)
-    for table, rho_stacked, bound, iters in zip(tables, rhos, bounds, n_iter):
+    forward = _solve(counts, starts)
+    backward = [out[::-1] for out in _solve(counts[::-1], starts[::-1])]
+    for i, table in enumerate(tables):
         alone = mle_reconstruct(table)
-        assert np.max(np.abs(rho_stacked - alone.rho.matrix)) < 1e-9
-        assert bound == alone.loglik_gap_bound
         assert alone.converged
-        assert iters == alone.n_iter
+        for rhos, bounds, n_iter in (forward, backward):
+            assert np.array_equal(rhos[i], alone.rho.matrix)
+            assert bounds[i] == alone.loglik_gap_bound
+            assert n_iter[i] == alone.n_iter
+
+
+def test_a_singular_row_stays_put_and_leaves_its_stack_alone():
+    # round-off can make a point's rho or its dual Z singular; then its
+    # Cholesky factor is NaN and the row is stuck: it keeps its point and
+    # dual, both step lengths are 0, and the rows around it step exactly as
+    # they would alone
+    from hybridoam.tomography import _BLOCH, _count_table, _newton_step, _point
+
+    rho, _ = prepare_hybrid("fitted")
+    counts = np.stack([
+        _count_table(simulate_tomography(rho, rate_cps=100.0, seed=seed))[0]
+        for seed in range(4)
+    ])
+    rng = np.random.default_rng(13)
+    x = np.stack([_bloch_point(rng) for _ in range(4)])
+    rank3 = np.diag([0.0, 0.5, 0.25, 0.25])  # exact in Bloch coordinates
+    x[1] = np.einsum("ij,mji->m", rank3, _BLOCH).real
+    p, rhos = _point(x)
+    assert rhos[1, 0, 0] == 0.0
+    z = 0.5 * np.linalg.inv(rhos[[0, 0, 2, 3]])
+    z[3] = rank3  # a singular dual
+    z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
+    mu = np.full(4, 0.05)
+    # the rank-3 row gives a counted setting zero probability
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = np.where(counts > 0, p, 1.0)
+        x_new, z_new, t, t_dual = _newton_step(x, p, rhos, z, counts, mu)
+    for stuck in (1, 3):
+        assert np.array_equal(x_new[stuck], x[stuck])
+        assert np.array_equal(z_new[stuck], z[stuck])
+        assert t[stuck] == t_dual[stuck] == 0.0
+    for b in (0, 2):
+        alone = _newton_step(x[[b]], p[[b]], rhos[[b]], z[[b]], counts[[b]], mu[[b]])
+        assert t[b] > 0.0
+        for stacked, single in zip((x_new, z_new, t, t_dual), alone):
+            assert np.array_equal(stacked[b], single[0])
 
 
 def test_bootstrap_stack_finishes_within_a_round_budget(monkeypatch):
