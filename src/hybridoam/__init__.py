@@ -7,7 +7,7 @@ state tomography with maximum-likelihood refinement, fringe visibility,
 CHSH, and the coincidence-rate budget.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .states import (
     ATOL,

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -33,6 +35,8 @@ DEFAULT_RATE_CPS = 100.0
 DEFAULT_DURATION_S = 15.0
 
 _THETA_PREFIX = "theta="
+# the largest count float64 holds exactly, with every integer below it
+_MAX_COUNT = 2**53
 
 
 class FitFailureError(ValueError):
@@ -81,9 +85,11 @@ class CountRecord:
     """Counts for one setting, reproducible from (setting, seed).
 
     ``counts`` is an integer Poisson draw, or a float holding the exact
-    expectation for noise-free records.  expected_rate_cps is the
-    per-setting mean rate; it is None for drawn records read back from CSV,
-    which does not store it.
+    expectation for noise-free records; counts that are not finite, are
+    negative or exceed 2**53 (past which float64 cannot hold every count
+    exactly) raise ValueError.  expected_rate_cps is the per-setting mean
+    rate; it is None for drawn records read back from CSV, which does not
+    store it.
     """
 
     setting: MeasurementSetting
@@ -92,10 +98,20 @@ class CountRecord:
     seed: int
 
     def __post_init__(self):
-        if not np.isfinite(self.counts):
-            raise ValueError(f"counts must be finite, got {self.counts}")
-        if self.counts < 0:
+        c = self.counts
+        # np.isfinite's verdict without its call on the two common types; a
+        # built-in int is finite (numpy refuses one past uint64 with
+        # TypeError, the bound below with ValueError)
+        if type(c) is float:
+            finite = math.isfinite(c)
+        else:
+            finite = type(c) is int or np.isfinite(c)
+        if not finite:
+            raise ValueError(f"counts must be finite, got {c}")
+        if c < 0:
             raise ValueError("counts must be non-negative")
+        if c > _MAX_COUNT:
+            raise ValueError(f"counts above 2**53 are not exact in float64, got {c}")
         if self.expected_rate_cps is not None and not self.expected_rate_cps >= 0:
             raise ValueError("expected rate must be non-negative")
 
@@ -133,6 +149,27 @@ def _word_block(columns: list[list[int]], rows: int) -> tuple[np.ndarray, np.nda
     k = max(rows, lengths.max(initial=0))
     block = np.array([c + [0] * (k - len(c)) for c in columns], np.uint32)
     return block.reshape(len(columns), k).T, lengths
+
+
+def _path_block(paths) -> tuple[np.ndarray, np.ndarray]:
+    """The words of a batch of paths, as _word_block lays them out.
+
+    Paths of one length whose elements are all built-in ints below 2**32,
+    as the internal callers build them, have one word per element: their
+    block is the paths transposed, in one numpy pass.  Anything else goes
+    element by element through _words, which keeps its verdicts.
+    """
+    flat = list(itertools.chain.from_iterable(paths))
+    if (
+        flat
+        and set(map(type, flat)) == {int}
+        and len(set(map(len, paths))) == 1
+        and min(flat) >= 0
+        and max(flat) <= _M32
+    ):
+        block = np.array(flat, dtype=np.uint32).reshape(len(paths), -1)
+        return block.T, np.full(len(paths), block.shape[1])
+    return _word_block([[w for x in path for w in _words(x)] for path in paths], 0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -220,16 +257,15 @@ def _generate(pool: np.ndarray, n_words: int) -> np.ndarray:
     return out[0::2] | (out[1::2] << np.uint64(32))
 
 
-def _stream_seeds(global_seed: int, paths) -> list[int]:
-    """setting_stream_seed for every path of one experiment, in one pass."""
+def _stream_seeds(global_seed: int, paths) -> np.ndarray:
+    """setting_stream_seed for every path of one experiment, in one pass, as
+    a uint64 array; paths is a list of sequences."""
     head = _words(global_seed)
-    words, lengths = _word_block(
-        [[w for x in path for w in _words(x)] for path in paths], 0
-    )
+    words, lengths = _path_block(paths)
     # numpy pads the seed's words with zeros to four when a spawn key follows
     pool = np.broadcast_to(_seed_pool(tuple(head)), (4, len(lengths)))
     pool = _absorb(pool, words, max(4, len(head)), lengths)
-    return _generate(pool, 1)[0].tolist()
+    return _generate(pool, 1)[0]
 
 
 def setting_stream_seed(global_seed: int, path: tuple[int, ...]) -> int:
@@ -247,7 +283,7 @@ def setting_stream_seed(global_seed: int, path: tuple[int, ...]) -> int:
     Seed and path elements must be non-negative integers (ValueError,
     else TypeError).
     """
-    return _stream_seeds(global_seed, [path])[0]
+    return int(_stream_seeds(global_seed, [tuple(path)])[0])
 
 
 @functools.cache
@@ -273,8 +309,18 @@ def _known_state() -> type:
 
 
 def _pcg64_states(seeds) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, (n, 4)."""
-    words, lengths = _word_block([_words(s) for s in seeds], 4)
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, (n, 4).
+
+    A uint64 array of seeds, as _stream_seeds gives, is read as two uint32
+    words per seed (a zero high word hashes as numpy's missing one does);
+    other seeds go through _words.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        words = np.zeros((4, len(seeds)), np.uint32)
+        words[0], words[1] = seeds & np.uint64(_M32), seeds >> np.uint64(32)
+        lengths = 1 + (seeds > _M32)
+    else:
+        words, lengths = _word_block([_words(s) for s in seeds], 4)
     return np.ascontiguousarray(_generate(_pool(words, lengths), 4).T)
 
 
@@ -363,9 +409,12 @@ def _born_counts(
 def _count_records(
     rho: DensityMatrix, settings, ops: np.ndarray, rate_cps: float, seeds, exact: bool
 ) -> list[CountRecord]:
-    """One CountRecord per setting; ``ops`` is the settings' operator stack."""
+    """One CountRecord per setting; ``ops`` is the settings' operator stack,
+    and ``seeds`` a sequence of ints or a uint64 array from _stream_seeds."""
     durations = [s.duration_s for s in settings]
     rates, counts = _born_counts(rho, ops, rate_cps, durations, seeds, exact)
+    if isinstance(seeds, np.ndarray):
+        seeds = seeds.tolist()
     return [
         CountRecord(setting=s, counts=c, expected_rate_cps=r, seed=sd)
         for s, c, r, sd in zip(settings, counts, rates, seeds)
@@ -430,6 +479,13 @@ def _fringe_settings(
     return tuple(settings), _freeze(ops)
 
 
+@functools.lru_cache(maxsize=16)
+def _label_projector(label: str) -> tuple[np.ndarray, str]:
+    """Bob's checked, read-only projector for an OAM label, and its name."""
+    pb, bname = _projector_from(label, "oam_o2")
+    return _freeze(_check_projector(pb, "bob")), bname
+
+
 def fringe_scan_records(
     rho: DensityMatrix,
     bob_proj,
@@ -448,8 +504,10 @@ def fringe_scan_records(
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
-    pb, bname = _projector_from(bob_proj, "oam_o2")
-    pb = _check_projector(pb, "bob")
+    if isinstance(bob_proj, str):
+        pb, bname = _label_projector(bob_proj)
+    else:
+        pb, bname = _check_projector(bob_proj, "bob"), ""
     settings, ops = _fringe_settings(
         pb.tobytes(), bname, thetas.tobytes(), duration_s
     )
@@ -483,18 +541,20 @@ def fit_fringe(points) -> tuple[float, float, float]:
     """Least-squares fit of N(theta) = N0 (1 + V cos(theta - phi0)).
 
     Linear in (N0, N0 V cos phi0, N0 V sin phi0); returns (N0, V, phi0)
-    with V clamped to [0, 1].  Needs at least 4 points whose angles make the
-    three basis functions independent.
+    with V clamped to [0, 1].  Needs at least 4 finite points whose angles
+    make the three basis functions independent.
     """
-    pts = [(float(t), float(c)) for t, c in points]
+    pts = np.array([(float(t), float(c)) for t, c in points]).reshape(-1, 2)
     if len(pts) < 4:
         raise FitFailureError(f"need at least 4 points, got {len(pts)}")
-    thetas = np.array([t for t, _ in pts])
-    counts = np.array([c for _, c in pts])
+    if not np.isfinite(pts).all():
+        raise FitFailureError("fringe points must be finite")
+    thetas, counts = pts.T
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
-    if np.linalg.matrix_rank(design, tol=1e-9) < 3:
+    coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
+    # the rank, as matrix_rank(design, tol=1e-9) counts it
+    if (singular > 1e-9).sum() < 3:
         raise FitFailureError("theta grid is degenerate, cannot separate phases")
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
     n0, a1, a2 = coef
     if n0 <= 0:
         raise FitFailureError(f"fitted baseline {n0} is not positive")
@@ -548,7 +608,9 @@ def read_counts_csv(path) -> list[CountRecord]:
     Integer counts come back as int, fractional ones (exact-mode
     expectations) as float.  The per-setting expected rate is not stored in
     the CSV, so integer rows carry None and fractional rows recover it as
-    counts / duration.  Non-finite counts raise ValueError.
+    counts / duration.  Integer cells are read exactly, so one past 2**53
+    is refused as CountRecord refuses it; non-finite counts raise
+    ValueError.
     """
     records = []
     with open(path, newline="") as fh:
@@ -560,10 +622,10 @@ def read_counts_csv(path) -> list[CountRecord]:
             s = _csv_setting(
                 row["setting_label"], row["alice"], row["bob"], float(row["duration_s"])
             )
-            c = float(row["counts"])
-            if c.is_integer():
-                counts, rate = int(c), None
-            else:
-                counts, rate = c, c / s.duration_s
+            try:
+                counts, rate = int(row["counts"]), None
+            except ValueError:
+                c = float(row["counts"])
+                counts, rate = (int(c), None) if c.is_integer() else (c, c / s.duration_s)
             records.append(CountRecord(s, counts, rate, int(row["seed"])))
     return records

@@ -10,7 +10,8 @@ Reconstruction is linear inversion over the Pauli expectations (Hermitian
 and unit trace by construction, possibly non-positive with finite counts)
 followed by maximum-likelihood refinement: a log-barrier (primal-dual
 interior-point) Newton method in the 15 Bloch coordinates of rho, from the
-physical projection of the linear estimate.  The Poisson log-likelihood
+physical projection of the linear estimate: as it is when that lies well
+inside the state space, else blended toward I/4.  The Poisson log-likelihood
 uses each basis pair's observed total as the scale, making it
 multinomial-equivalent per group.  The solve stops when the concavity bound
 lambda_max(R) - N proves the likelihood within _MLE_TOL of its maximum, and
@@ -85,11 +86,20 @@ _P_FLOOR = 1e-15
 # maximum.  Near the maximum L falls off quadratically in standard errors,
 # so a deficit delta leaves the estimate about sqrt(2 delta) standard errors
 # from the maximum: 1e-6 keeps it within 0.0015 of one, far inside the
-# bootstrap's spread, and far above the bound's round-off (about 1e-16 N).
+# bootstrap's spread.  The bound lambda_max(R) - N carries round-off of a
+# few eps N, so the solver adds _ROUNDOFF N to it; past about 3e8 counts that
+# alone exceeds _MLE_TOL, and no solve of such a table converges.
 _MLE_TOL = 1e-6
+_ROUNDOFF = 16 * np.finfo(float).eps
 _MLE_MAXITER = 100
-_MU_START = 1.0  # least duality measure of the start, in log-likelihood units
-_MU_PER_GAP = 1e-3  # the start's duality measure per unit of its gap bound
+_MU_START = 1.0  # least duality measure of a blended start, in log-likelihood units
+_MU_PER_GAP = 1e-3  # a blended start's duality measure per unit of its gap bound
+# a linear-inversion start whose least eigenvalue exceeds _INSIDE is taken
+# as it is, on the central path at duality measure _MU_INSIDE: the maximum
+# then most likely lies inside the state space too, so the start needs no
+# room from the boundary
+_INSIDE = 1e-3
+_MU_INSIDE = 1e-2
 # the next round aims at a share of the duality measure mu that depends on
 # how long the last steps were: a half (mostly re-centring) after short
 # ones, a tenth after steps of at least _STEP_EDGES[0], and a hundredth
@@ -97,7 +107,7 @@ _MU_PER_GAP = 1e-3  # the start's duality measure per unit of its gap bound
 _STEP_EDGES = _freeze(np.array([0.9, 0.98]))
 _TARGETS = _freeze(np.array([0.5, 0.1, 0.01]))
 _BOUND_MU = 10 * _MLE_TOL  # duality measure from which on the gap is bounded
-_START_BLEND = 1e-2  # share of I/4 mixed into the start, so that rho > 0
+_START_BLEND = 1e-2  # share of I/4 mixed into every other start, so that rho > 0
 # longest share of the way to a singular rho, and Z, per step
 _TO_BOUNDARY, _TO_BOUNDARY_DUAL = 0.9, 0.99
 _SHARES = _freeze(np.array([[_TO_BOUNDARY], [_TO_BOUNDARY_DUAL]]))  # as a column
@@ -114,7 +124,8 @@ class MLEResult:
     """Maximum-likelihood reconstruction with its convergence report.
 
     ``loglik_gap_bound`` is a proven upper bound on how far ``loglik`` lies
-    below the maximum; ``converged`` means it is at most _MLE_TOL.
+    below the maximum, round-off included, and never negative; ``converged``
+    means it is at most _MLE_TOL.
     """
 
     rho: DensityMatrix
@@ -383,6 +394,12 @@ def _gap_bound(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(r)[:, -1] - counts.sum(axis=1)
 
 
+def _certified(counts: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Gap bounds with their round-off, a few eps N: clipped at 0, plus
+    _ROUNDOFF N."""
+    return np.maximum(bound, 0.0) + _ROUNDOFF * counts.sum(axis=1)
+
+
 def _newton_system(rho, p, counts, mu, z=None):
     """The barrier objective's gradient and primal-dual Newton matrix at a
     (B, 4, 4) stack of positive definite states with probabilities p, which
@@ -497,17 +514,24 @@ def _passes(t, dq, e, counts, mu, decrement):
     return gain >= _ARMIJO * t * decrement
 
 
-def _solve(counts: np.ndarray, start: np.ndarray):
+def _solve(counts: np.ndarray, start: np.ndarray, estimates: bool = True):
     """Maximize the likelihood of a (B, 36) stack of count tables at once.
 
     Each table runs its own primal-dual interior-point method from its
-    physical start in the (B, 4, 4) stack, as mle_reconstruct describes.  A
+    physical start in the (B, 4, 4) stack, as mle_reconstruct describes.
+    With ``estimates``, the starts are projected estimates of their tables,
+    as of linear inversion, and a start whose least eigenvalue exceeds
+    _INSIDE begins
+    at itself, on the central path at duality measure _MU_INSIDE; any other
+    start is blended with _START_BLEND of I/4 and begins at duality measure
+    max(_MU_START, _MU_PER_GAP x its gap bound).  The rule is per table.  A
     round bounds the gap to the maximum of every running table whose
     duality measure is small with one batched eigvalsh, retires the tables
     that are certified or have run _MLE_MAXITER rounds, and makes one
-    Newton step on the rest.  Returns
-    the Hermitian states, the gap bounds and the round counts, in input
-    order; a table has converged when its bound is at most _MLE_TOL.
+    Newton step on the rest.  Returns the Hermitian states, the gap bounds
+    (with their round-off, as _certified gives them) and the round counts,
+    in input order; a table has converged when its bound is at most
+    _MLE_TOL.
     """
     n_tables = len(counts)
     # probabilities are taken as 1 where a setting counted nothing, so that
@@ -518,16 +542,23 @@ def _solve(counts: np.ndarray, start: np.ndarray):
     loglik_start = _dot(counts, np.log(p_start))
     bound_start = _gap_bound(counts, p_start)
     rho_out = np.array(start, dtype=complex)
-    bound_out = bound_start.copy()
+    bound_out = _certified(counts, bound_start)
+    certified_start = bound_out.copy()
     n_iter_out = np.zeros(n_tables, dtype=int)
 
     # a start that already certifies comes back unchanged
-    live = np.flatnonzero(bound_start > _MLE_TOL)
+    live = np.flatnonzero(certified_start > _MLE_TOL)
     counts = counts[live]
-    x = (1.0 - _START_BLEND) * _rowwise(_as_rows(start[live]), _BLOCH_ROWS.T)
-    # start on the central path, at a duality measure that grows with the
-    # start's gap for tables of millions of counts
-    mu_start = np.maximum(_MU_START, _MU_PER_GAP * bound_start[live])
+    x = _rowwise(_as_rows(start[live]), _BLOCH_ROWS.T)
+    inside = np.zeros(live.size, dtype=bool)
+    if estimates:
+        inside = np.linalg.eigvalsh(start[live])[:, 0] > _INSIDE
+    x = np.where(inside[:, None], x, (1.0 - _START_BLEND) * x)
+    # start on the central path; a blended start at a duality measure that
+    # grows with its gap for tables of millions of counts
+    mu_start = np.where(
+        inside, _MU_INSIDE, np.maximum(_MU_START, _MU_PER_GAP * bound_start[live])
+    )
     z = mu_start[:, None, None] * np.linalg.inv(_point(x)[1])
     z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
     sigma = np.full(live.size, _TARGETS[1])
@@ -541,7 +572,8 @@ def _solve(counts: np.ndarray, start: np.ndarray):
         bound = np.full(live.size, np.inf)
         check = (mu <= _BOUND_MU) | (rounds >= _MLE_MAXITER)
         if check.any():
-            bound[check] = _gap_bound(counts[check], p[check])
+            checked = counts[check]
+            bound[check] = _certified(checked, _gap_bound(checked, p[check]))
         done = (bound <= _MLE_TOL) | (rounds >= _MLE_MAXITER)
         if done.any():
             idx = live[done]
@@ -551,7 +583,7 @@ def _solve(counts: np.ndarray, start: np.ndarray):
             better = loglik >= loglik_start[idx]
             rho_out[idx[better]] = rho[done][better]
             bound_out[idx] = np.where(
-                better, bound[done], np.minimum(bound[done], bound_start[idx])
+                better, bound[done], np.minimum(bound[done], certified_start[idx])
             )
             n_iter_out[idx] = rounds
             keep = ~done
@@ -578,15 +610,28 @@ def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
     dual estimate Z, which moves with rho (the HKM primal-dual direction,
     the primal barrier Hessian where Z = mu rho^-1), so each cut of mu takes
     about one round.  The solve starts from the physical projection of
-    linear inversion, blended with a little of I/4 to make it full rank, and
-    each step is backtracked so that rho stays positive definite and the
-    step gains likelihood against the quadratic model.  Every round bounds
-    the gap to the maximum by the concavity bound lambda_max(R) - N, with
-    R = sum_k (n_k/p_k) Pi_k (Glancy, Knill & Girard, NJP 14, 095017, 2012),
-    once the duality measure is small enough for it to certify, and the
-    solve stops when it is at most _MLE_TOL: that is what converged
-    means, and the bound is reported as loglik_gap_bound; after
-    _MLE_MAXITER rounds the solve stops unconverged.  A start that already
+    linear inversion, or of the ``start`` given, which is projected when
+    it is an estimate that may be indefinite (require_positive=False, as
+    linear_inversion returns it).  If such a projected estimate has least
+    eigenvalue above 1e-3, it is taken as it is, on the central path at
+    duality measure 0.01: the estimate lies close to the maximum, which then
+    most likely lies inside the state space too.  Any other start, and any
+    physical ``start`` (require_positive=True), is blended with 1% of I/4 to
+    make it full rank and begins at duality measure
+    max(1, 1e-3 x its gap bound), far enough from a boundary optimum: a
+    physical start may lie anywhere, and one near the boundary taken
+    unblended can need tens of rounds, or more than _MLE_MAXITER, where
+    blended it needs about ten.  Each step is backtracked so that rho stays
+    positive definite and the step gains likelihood against the quadratic
+    model.  Every round bounds the gap to the maximum by the concavity
+    bound lambda_max(R) - N, with R = sum_k (n_k/p_k) Pi_k (Glancy, Knill &
+    Girard, NJP 14, 095017, 2012), once the duality measure is small enough
+    for it to certify, and the solve stops when it is at most _MLE_TOL.
+    The bound counts its own round-off: it is clipped at 0 and has
+    16 eps N added for a table of N counts, so a table of more than about
+    3e8 counts cannot converge.  It is reported as loglik_gap_bound, and
+    converged means it is at most _MLE_TOL; after _MLE_MAXITER rounds the
+    solve stops unconverged.  A start that already
     certifies, as for exact count tables, comes back unchanged, and the
     result never has less likelihood than the start.  A start that gives a
     setting with counts zero probability raises ValueError.  This is the
@@ -596,7 +641,9 @@ def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
     if start is None:
         start = linear_inversion(records)
     pli = start if start.require_positive else project_to_physical(start)
-    rho, bound, n_iter = _solve(counts[None], pli.matrix[None])
+    # an estimate still to be projected, as linear inversion gives, may start
+    # unblended; a physical start from the caller may lie anywhere
+    rho, bound, n_iter = _solve(counts[None], pli.matrix[None], not start.require_positive)
     return MLEResult(
         rho=DensityMatrix(rho[0], pli.basis),
         loglik=_loglik(rho[0], counts, totals),
@@ -653,9 +700,13 @@ def _fidelities(rhos: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
 
 def _concurrences(rhos: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvals(rhos @ _YY @ rhos.conj() @ _YY).real
-    lam = np.sort(np.sqrt(np.clip(ev, 0.0, None)), axis=1)
-    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
+    # the square roots of the eigenvalues of rho Y rho* Y are the singular
+    # values of A^T Y A for rho = A A^H: no non-Hermitian eigenproblem, so
+    # round-off in rho moves them by round-off only
+    w, v = np.linalg.eigh(rhos)
+    a = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    lam = np.linalg.svd(np.swapaxes(a, 1, 2) @ _YY @ a, compute_uv=False)
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
 def _linear_entropies(rhos: np.ndarray) -> np.ndarray:

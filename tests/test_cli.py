@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from hybridoam.cli import main
+from hybridoam.measurement import write_counts_csv
+from hybridoam.source import hybrid_singlet
+from hybridoam.tomography import simulate_tomography
 
 S_MAX = 2.0 * np.sqrt(2.0)
 
@@ -244,6 +247,24 @@ def test_runtime_errors_exit_1_with_error_json(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"]["type"] == "ValueError"
+    # counts float64 cannot hold exactly: 2**53 + 1 once certified a
+    # negative gap bound, 2**62 broke the eigensolver, and 1e30 and 2**64
+    # raised numpy's TypeError
+    table = tmp_path / "table.csv"
+    write_counts_csv(simulate_tomography(hybrid_singlet(), seed=1), table)
+    rows = table.read_text().splitlines()
+    for count in ("9007199254740993", str(2**62), "1e30", str(2**64)):
+        cells = rows[1].split(",")
+        cells[4] = count
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join([rows[0], ",".join(cells), *rows[2:]]) + "\n")
+        code = main([
+            "tomography", "--counts-csv", str(huge), "--resamples", "0", "--out", str(tmp_path),
+        ])
+        assert code == 1, count
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"]["type"] == "ValueError", count
+        assert "2**53" in err["error"]["message"], count
 
 
 def test_inline_noise_json(tmp_path):

@@ -105,7 +105,22 @@ def test_stream_seeds_are_distinct_and_reproducible():
         assert setting_stream_seed(seed, path) == _numpy_seed(seed, path)
     # one batch whose paths hold different numbers of words
     paths = [(0, 1), (2**40, 3, 4), (), (7,)]
-    assert measurement._stream_seeds(9, paths) == [_numpy_seed(9, p) for p in paths]
+    assert measurement._stream_seeds(9, paths).tolist() == [_numpy_seed(9, p) for p in paths]
+    # batches built as the counting code builds them, at the one-word limit:
+    # elements up to 2**32 - 1 take the one-pass block, 2**32, bools and
+    # numpy integers the per-element words
+    top = 2**32 - 1
+    for paths in (
+        [(0, i) for i in range(36)],
+        [(2, top, i) for i in range(16)],
+        [(top, i) for i in range(top - 3, top + 1)],
+        [(1, i) for i in range(2**32 - 2, 2**32 + 2)],
+        [(3, True), (3, 1)],
+        [(2, np.int64(5), i) for i in range(4)],
+    ):
+        got = measurement._stream_seeds(top, paths)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_numpy_seed(top, p) for p in paths]
     # ...and for what it refuses, checked before any cast to uint32
     refused = (
         (-1, (0, 1), ValueError), (0, (0, -1), ValueError), (0, (-(2**40),), ValueError),
@@ -139,6 +154,10 @@ def test_counting_seeds_pcg64_as_default_rng_does():
              setting_stream_seed(3, (0, 1))]
     want = [np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in seeds]
     assert measurement._pcg64_states(seeds).tolist() == want
+    # stream seeds come as a uint64 array, read as two words per seed
+    below = [i for i, s in enumerate(seeds) if s < 2**64]
+    as_array = np.array([seeds[i] for i in below], np.uint64)
+    assert measurement._pcg64_states(as_array).tolist() == [want[i] for i in below]
     rho = hybrid_singlet()
     s = setting_from_labels("H", "+2")
     for seed in seeds:
@@ -230,6 +249,11 @@ def test_fit_fringe_failure_modes():
         fit_fringe([(0.1, 5.0)] * 6)  # degenerate grid
     n0, v, phi0 = fit_fringe([(t, 100.0) for t in GRID16])
     assert abs(v) < 1e-12 and abs(n0 - 100.0) < 1e-9
+    for bad in ((0, float("nan")), (0, float("inf")), (1, float("nan"))):
+        points = [[t, 100.0] for t in GRID16]
+        points[3][bad[0]] = bad[1]
+        with pytest.raises(FitFailureError, match="finite"):
+            fit_fringe(points)
     with pytest.raises(FitFailureError):
         visibility_minmax([])
 
@@ -385,6 +409,28 @@ def test_compiled_settings_are_read_only():
         bell._default_compiled()[1],
     )
     assert all(not ops.flags.writeable for ops in stacks)
+    # a scan label's projector is checked once and then shared, read-only
+    label = measurement._label_projector("h")
+    assert label is measurement._label_projector("h") and label[1] == "h"
+    assert np.array_equal(label[0], fringe[0].setting.bob_proj)
+    assert not label[0].flags.writeable
+
+
+def test_count_records_refuse_counts_float64_cannot_hold():
+    s = setting_from_labels("H", "+2")
+    for ok in (0, 2**53, float(2**53), 5, 7.25, True, np.int64(9), np.float64(2.5)):
+        assert CountRecord(s, ok, None, 0).counts == ok
+    for bad in (2**53 + 1, float(2**54), 2**62, 2**64, 10**30, 1e30, np.uint64(2**64 - 1)):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            CountRecord(s, bad, None, 0)
+    for bad, match in (
+        (float("nan"), "finite"), (float("inf"), "finite"), (np.float64("-inf"), "finite"),
+        (-1, "non-negative"), (-0.5, "non-negative"), (-(2**70), "non-negative"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            CountRecord(s, bad, None, 0)
+    with pytest.raises(TypeError):
+        CountRecord(s, "5", None, 0)
 
 
 def test_counts_csv_roundtrip(tmp_path):

@@ -88,8 +88,30 @@ def test_werner_metrics_closed_forms_exact_mode():
         rho, _ = prepare_hybrid(NoiseModel(werner_p=p))
         run = reconstruct(simulate_tomography(rho, exact=True))
         assert abs(fidelity(run.rho_mle, PSI) - (1 + 3 * p) / 4) < 1e-10
-        assert abs(concurrence(run.rho_mle) - max(0.0, (3 * p - 1) / 2)) < 1e-10
+        assert abs(concurrence(run.rho_mle) - max(0.0, (3 * p - 1) / 2)) < 1e-12
         assert abs(linear_entropy(run.rho_mle) - (1 - p * p)) < 1e-10
+
+
+def test_concurrence_moves_by_round_off_only():
+    # the fitted 100-cps estimate of seed 4 has a least eigenvalue of about
+    # 1e-10, where a concurrence from the eigenvalues of the non-Hermitian
+    # rho Y rho* Y moved by up to 3e-8 under perturbations of 2.5e-16
+    rho, _ = prepare_hybrid("fitted")
+    estimate = reconstruct(simulate_tomography(rho, seed=4)).rho_mle
+    assert np.linalg.eigvalsh(estimate.matrix)[0] < 1e-8
+    c = concurrence(estimate)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h += h.conj().T
+        moved = DensityMatrix(
+            estimate.matrix + 2.5e-16 * h / np.abs(h).max(), estimate.basis,
+            require_positive=False,
+        )
+        assert abs(concurrence(moved) - c) <= 1e-12
+    # and the Werner closed form C = (3p - 1) / 2, on the states themselves
+    for p in (0.4, 0.6, 0.8, 0.95):
+        assert abs(concurrence(prepare_hybrid(NoiseModel(werner_p=p))[0]) - (3 * p - 1) / 2) < 1e-12
 
 
 def test_metric_oracles_on_known_states():
@@ -289,8 +311,13 @@ def test_stacked_solve_matches_each_table_alone():
     tables.append(
         [CountRecord(s, int(rng.integers(0, 400)), None, 0) for s in tomography_settings()]
     )
+    # a full-rank state, whose start is taken unblended: the stack mixes
+    # both start rules
+    werner, _ = prepare_hybrid(NoiseModel(werner_p=0.8))
+    tables.append(simulate_tomography(werner, rate_cps=1000.0, seed=6))
     counts = np.stack([_count_table(t)[0] for t in tables])
     starts = np.stack([project_to_physical(linear_inversion(t)).matrix for t in tables])
+    assert np.linalg.eigvalsh(starts[-1])[0] > 1e-3 >= np.linalg.eigvalsh(starts[0])[0]
     forward = _solve(counts, starts)
     backward = [out[::-1] for out in _solve(counts[::-1], starts[::-1])]
     for i, table in enumerate(tables):
@@ -300,6 +327,93 @@ def test_stacked_solve_matches_each_table_alone():
             assert np.array_equal(rhos[i], alone.rho.matrix)
             assert bounds[i] == alone.loglik_gap_bound
             assert n_iter[i] == alone.n_iter
+
+
+def _least_start_eigenvalue(records):
+    return np.linalg.eigvalsh(project_to_physical(linear_inversion(records)).matrix)[0]
+
+
+def test_mle_start_rule(monkeypatch):
+    # a table's projected linear inversion whose least eigenvalue exceeds
+    # 1e-3 is taken as it is, on the central path at duality measure 0.01;
+    # any other start, and any physical start the caller gives, is blended
+    # with I/4 and starts at duality measure max(1, 1e-3 x its gap bound),
+    # as before
+    import hybridoam.tomography as tomography
+
+    inside = [
+        simulate_tomography(prepare_hybrid(NoiseModel(werner_p=p))[0], rate, seed=seed)
+        for p, rate, seed in ((0.8, 1000.0, 0), (0.9, 100.0, 1), (0.95, 300.0, 2))
+    ]
+    fitted, _ = prepare_hybrid("fitted")
+    boundary = [simulate_tomography(fitted, rate, seed=seed) for rate, seed in ((100.0, 3), (5.0, 4))]
+    assert all(_least_start_eigenvalue(t) > 1e-3 for t in inside)
+    assert all(_least_start_eigenvalue(t) <= 1e-3 for t in boundary)
+    given = [
+        project_to_physical(linear_inversion(inside[0])),
+        prepare_hybrid(NoiseModel(werner_p=0.8))[0],
+    ]
+    given.append(DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]), (POLARIZATION, OAM_O2)))
+
+    def solve_all():
+        return [mle_reconstruct(t) for t in inside + boundary] + [
+            mle_reconstruct(inside[0], start=g) for g in given
+        ]
+
+    default = solve_all()
+    # the blend and the blended start's duality measure do not touch a
+    # start taken unblended
+    monkeypatch.setattr(tomography, "_START_BLEND", 0.05)
+    monkeypatch.setattr(tomography, "_MU_START", 3.0)
+    reblended = solve_all()
+    monkeypatch.undo()
+    # with no start counted as inside, every table starts as before
+    monkeypatch.setattr(tomography, "_INSIDE", np.inf)
+    blended = solve_all()
+    inside_rows, blended_rows = (0, 1, 2), (3, 4, 5, 6, 7)
+    for i in inside_rows:
+        assert default[i].converged and blended[i].converged
+        assert np.array_equal(default[i].rho.matrix, reblended[i].rho.matrix)
+        assert default[i].n_iter == reblended[i].n_iter
+        assert not np.array_equal(default[i].rho.matrix, blended[i].rho.matrix)
+        assert default[i].n_iter <= blended[i].n_iter
+    assert sum(default[i].n_iter for i in inside_rows) < sum(blended[i].n_iter for i in inside_rows)
+    for i in blended_rows:
+        assert default[i].converged
+        assert np.array_equal(default[i].rho.matrix, blended[i].rho.matrix)
+        assert (default[i].loglik, default[i].n_iter, default[i].loglik_gap_bound) == (
+            blended[i].loglik, blended[i].n_iter, blended[i].loglik_gap_bound
+        )
+        assert not np.array_equal(default[i].rho.matrix, reblended[i].rho.matrix)
+    # the caller's physical copy of the table's own start is blended too,
+    # while reconstruct, or a caller passing the estimate itself, starts
+    # from it as mle_reconstruct does
+    assert np.array_equal(default[5].rho.matrix, blended[0].rho.matrix)
+    monkeypatch.undo()
+    run = reconstruct(inside[1])
+    assert np.array_equal(run.rho_mle.matrix, default[1].rho.matrix)
+    assert run.n_iter == default[1].n_iter
+    again = mle_reconstruct(inside[1], start=linear_inversion(inside[1]))
+    assert np.array_equal(again.rho.matrix, default[1].rho.matrix)
+
+
+def test_gap_bound_counts_its_round_off():
+    # lambda_max(R) - N carries round-off of a few eps N: on tables of
+    # about 1e10 counts and more it came out negative, of order -1e-5, yet
+    # certified; the reported bound is never negative and counts that
+    # round-off, so no such table converges
+    eps = np.finfo(float).eps
+    for preset, scale in (("ideal", 10**6), ("ideal", 10**7), ("fitted", 10**6)):
+        records = simulate_tomography(prepare_hybrid(preset)[0], 100.0, 15.0, seed=3)
+        big = [CountRecord(r.setting, r.counts * scale, None, 0) for r in records]
+        total = sum(r.counts for r in big)
+        res = mle_reconstruct(big)
+        assert res.loglik_gap_bound >= 4 * eps * total > 1e-6
+        assert not res.converged
+        assert res.loglik == log_likelihood(res.rho, big)
+    # an ordinary table still certifies, with the allowance in its bound
+    res = mle_reconstruct(simulate_tomography(prepare_hybrid("ideal")[0], 100.0, 15.0, seed=3))
+    assert res.converged and 0.0 < res.loglik_gap_bound <= 1e-6
 
 
 def test_a_singular_row_stays_put_and_leaves_its_stack_alone():
