@@ -18,11 +18,12 @@ time), splitting the per-pair duration evenly across outcomes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import _born_counts, _check_projector, _stream_seeds
+from .measurement import _born_counts, _check_projector, _streams
 from .states import ATOL, DensityMatrix, _freeze, basis_ket
 
 _COS8 = np.cos(np.pi / 8)
@@ -49,9 +50,10 @@ class DichotomicObservable:
         object.__setattr__(self, "plus_proj", pp)
         object.__setattr__(self, "minus_proj", pm)
         for p, who in ((pp, "plus"), (pm, "minus")):
-            if np.max(np.abs(p @ p - p)) > ATOL or abs(np.trace(p).real - 1) > ATOL:
+            # written so that NaN fails the tolerance tests
+            if not (np.max(np.abs(p @ p - p)) <= ATOL and abs(np.trace(p).real - 1) <= ATOL):
                 raise ValueError(f"{who} projector of {self.label!r} is not rank 1")
-        if np.max(np.abs(pp + pm - np.eye(2))) > ATOL:
+        if not np.max(np.abs(pp + pm - np.eye(2))) <= ATOL:
             raise ValueError(f"observable {self.label!r} is not complete")
 
     @property
@@ -215,16 +217,14 @@ def chsh_empirical(
     evenly over its four outcome combinations; outcome (i, j) of pair k
     draws from the stream (1, k, 2i + j) off the global seed.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration_s}")
     pairs, ops = _default_compiled() if settings is None else _compile(settings)
     n = len(_OUTCOME_PAIRS)
-    seeds = _stream_seeds(
+    _, states = _streams(
         seed, [(1, k, idx) for k in range(len(pairs)) for idx in range(n)]
     )
-    _, counts = _born_counts(
-        rho, ops, rate_cps, [duration_s / 4.0] * len(seeds), seeds, exact=False
-    )
+    _, counts = _born_counts(rho, ops, rate_cps, [duration_s / 4.0] * len(states), states)
     es, sigmas = [], []
     for k in range(len(pairs)):
         pair_counts = counts[n * k : n * (k + 1)]

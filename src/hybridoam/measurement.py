@@ -44,14 +44,15 @@ class FitFailureError(ValueError):
 
 
 def _check_projector(p: np.ndarray, who: str) -> np.ndarray:
+    # each tolerance test is written so that NaN fails it
     p = np.asarray(p, dtype=complex)
     if p.shape != (2, 2):
         raise ValueError(f"{who} projector must be 2x2, got {p.shape}")
-    if np.max(np.abs(p - p.conj().T)) > ATOL:
+    if not np.max(np.abs(p - p.conj().T)) <= ATOL:
         raise ValueError(f"{who} projector is not Hermitian")
-    if np.max(np.abs(p @ p - p)) > ATOL:
+    if not np.max(np.abs(p @ p - p)) <= ATOL:
         raise ValueError(f"{who} projector is not idempotent")
-    if abs(np.trace(p).real - 1.0) > ATOL:
+    if not abs(np.trace(p).real - 1.0) <= ATOL:
         raise ValueError(f"{who} projector is not rank 1")
     return p
 
@@ -76,8 +77,8 @@ class MeasurementSetting:
             self, "alice_proj", _check_projector(self.alice_proj, "alice")
         )
         object.__setattr__(self, "bob_proj", _check_projector(self.bob_proj, "bob"))
-        if not self.duration_s > 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration_s}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,16 @@ class CountRecord:
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_L, _R, _SHIFT = np.uint32(_MIX_L), np.uint32(_MIX_R), np.uint32(16)
 
 
-def _words(x) -> list[int]:
-    """A non-negative integer as little-endian uint32 words, as numpy reads it.
-
+def _words(x, pad: int = 1) -> list[int]:
+    """A non-negative integer as little-endian uint32 words, as numpy reads it,
+    padded with zeros to ``pad`` words (numpy pads a seed to four before a
+    spawn key, and hashes a missing word of the four as a zero anyway).
     Checked before any cast: a negative value raises ValueError and a
-    non-integer (float, string, sequence) TypeError; bools and numpy
-    integers are integers.
+    non-integer TypeError; bools and numpy integers are integers.
     """
     x = operator.index(x)
     if x < 0:
@@ -139,133 +140,154 @@ def _words(x) -> list[int]:
     while x > _M32:
         x >>= 32
         words.append(x & _M32)
-    return words
-
-
-def _word_block(columns: list[list[int]], rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Word lists as the columns of a zero-padded (k, n) uint32 block, k >= rows,
-    and each column's length."""
-    lengths = np.array([len(c) for c in columns], dtype=int)
-    k = max(rows, lengths.max(initial=0))
-    block = np.array([c + [0] * (k - len(c)) for c in columns], np.uint32)
-    return block.reshape(len(columns), k).T, lengths
-
-
-def _path_block(paths) -> tuple[np.ndarray, np.ndarray]:
-    """The words of a batch of paths, as _word_block lays them out.
-
-    Paths of one length whose elements are all built-in ints below 2**32,
-    as the internal callers build them, have one word per element: their
-    block is the paths transposed, in one numpy pass.  Anything else goes
-    element by element through _words, which keeps its verdicts.
-    """
-    flat = list(itertools.chain.from_iterable(paths))
-    if (
-        flat
-        and set(map(type, flat)) == {int}
-        and len(set(map(len, paths))) == 1
-        and min(flat) >= 0
-        and max(flat) <= _M32
-    ):
-        block = np.array(flat, dtype=np.uint32).reshape(len(paths), -1)
-        return block.T, np.full(len(paths), block.shape[1])
-    return _word_block([[w for x in path for w in _words(x)] for path in paths], 0)
+    return words + [0] * (pad - len(words))
 
 
 @functools.lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    """The n + 1 hash constants init * mult**k mod 2**32, a uint32 column."""
-    chain = np.cumprod(np.array([init] + [mult] * n, np.uint32), dtype=np.uint32)
-    return _freeze(chain[:, None])
+def _hash_constants(init: int, mult: int, start: int, n: int) -> tuple[int, ...]:
+    """The hash constants init * mult**k mod 2**32, k = start, ..., start + n - 1."""
+    out = [init * pow(mult, start, 1 << 32) & _M32]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _M32)
+    return tuple(out)
 
 
-def _hashmix(values: np.ndarray, hc: np.ndarray) -> np.ndarray:
-    """numpy's hashmix of row i of values under the constants hc[i], hc[i + 1]."""
-    v = (values ^ hc[:-1]) * hc[1:]
+def _int_mix(x: int, y: int, c0: int, c1: int) -> int:
+    """numpy's mix of y, hashed under the constants c0, c1, into pool word x."""
+    y = (y ^ c0) * c1 & _M32
+    r = (_MIX_L * x - _MIX_R * (y ^ (y >> 16))) & _M32
+    return r ^ (r >> 16)
+
+
+def _hashmix(v: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of uint32 words under the constants c0, c1."""
+    v = (v ^ c0) * c1
     return v ^ (v >> _SHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
+    """numpy's mix of the hashed words y into the pool words x."""
+    r = x * _L - y * _R
     return r ^ (r >> _SHIFT)
 
 
-def _cross_constants() -> tuple[np.ndarray, ...]:
-    """Hash constants of the 12 steps that mix each pool word into the others.
+@functools.lru_cache(maxsize=16)
+def _head_pool(head: tuple[int, ...]) -> tuple[int, ...]:
+    """numpy's pool after four entropy words: each hashed into its place, then
+    each pool word mixed into the other three."""
+    hc = _hash_constants(_INIT_A, _MULT_A, 0, 17)
+    pool = [(v := (w ^ hc[k]) * hc[k + 1] & _M32) ^ (v >> 16) for k, w in enumerate(head)]
+    k = 4
+    for s in range(4):
+        for d in range(4):
+            if d != s:
+                pool[d] = _int_mix(pool[d], pool[s], hc[k], hc[k + 1])
+                k += 1
+    return tuple(pool)
 
-    Word s is mixed into the other three in order, so entry s holds their
-    constant pairs in their rows; row s is a placeholder.
-    """
-    hc = _hash_constants(_INIT_A, _MULT_A, 16)[:, 0]
-    out = []
+
+def _pool(words: list[int]) -> np.ndarray:
+    """numpy's SeedSequence.mix_entropy over four or more words, as a (4, 1)
+    uint32 column; the pool of the first four is cached."""
+    pool = list(_head_pool(tuple(words[:4])))
+    hc = _hash_constants(_INIT_A, _MULT_A, 16, 4 * len(words) - 15)
+    for i, w in enumerate(words[4:]):
+        for d in range(4):
+            pool[d] = _int_mix(pool[d], w, hc[4 * i + d], hc[4 * i + d + 1])
+    return np.array(pool, np.uint32)[:, None]
+
+
+def _constant_pairs(init: int, mult: int, start: int, rows: int) -> np.ndarray:
+    """The constant pairs of rows hash steps from step start on, (2, rows, 1)."""
+    hc = _hash_constants(init, mult, start, rows + 1)
+    return _freeze(np.array([hc[:-1], hc[1:]], np.uint32)[..., None])
+
+
+def _cross_constants() -> tuple:
+    """Per pool word s, the constant pairs of the three steps that mix it into
+    the other words, in their rows; row s is a placeholder."""
+    pairs, out = _constant_pairs(_INIT_A, _MULT_A, 4, 12), []
     for s in range(4):
         c = np.zeros((2, 4, 1), np.uint32)
-        for t, d in enumerate(d for d in range(4) if d != s):
-            c[:, d, 0] = hc[4 + 3 * s + t : 6 + 3 * s + t]
-        out.append(_freeze(c))
+        c[:, [d for d in range(4) if d != s]] = pairs[:, 3 * s : 3 * s + 3]
+        out.append((s, *_freeze(c)))
     return tuple(out)
 
 
+_HEAD = _constant_pairs(_INIT_A, _MULT_A, 0, 4)
 _CROSS = _cross_constants()
+# output word i = 4a + r hashes pool word r: the pairs as (2, a, r, 1)
+_OUT = _constant_pairs(_INIT_B, _MULT_B, 0, 8).reshape(2, 2, 4, 1)
 
 
-def _absorb(
-    pool: np.ndarray, words: np.ndarray, start: int, lengths: np.ndarray
-) -> np.ndarray:
-    """Mix the rows of words into the pool as entropy words start, start + 1, ...
+@functools.lru_cache(maxsize=32)
+def _word_column(words: tuple[int, ...], e: int) -> np.ndarray:
+    """A row of words, one per stream, hashed as entropy word e for each of
+    the four pool words it is mixed into, (4, n)."""
+    pairs = _constant_pairs(_INIT_A, _MULT_A, 4 * e, 4)
+    return _freeze(_hashmix(np.array(words, np.uint32), *pairs))
 
-    numpy's last mix_entropy loop, run across the columns at once: the
-    hash constants depend only on the word index.  Column j takes only its
-    first lengths[j] rows.
+
+def _columns(paths) -> tuple[list[tuple[int, ...]], np.ndarray | None]:
+    """Word j of every path of a batch as column j (0 past a path's end), and
+    each path's word count, None when all have as many.  Paths of built-in
+    ints below 2**32, all of one length, as the internal callers build
+    them, are their own words; other paths go through _words and its verdicts.
     """
-    hc = _hash_constants(_INIT_A, _MULT_A, 4 * (start + len(words)))
-    shortest = lengths.min(initial=len(words))
-    for i, row in enumerate(words):
-        j = 4 * (start + i)
-        mixed = _mix(pool, _hashmix(row, hc[j : j + 5]))
-        pool = mixed if i < shortest else np.where(lengths > i, mixed, pool)
-    return pool
+    columns = list(zip(*paths))
+    flat = list(itertools.chain.from_iterable(paths))
+    if (
+        flat
+        and len(flat) == len(columns) * len(paths)  # no path longer than the rest
+        and set(map(type, flat)) == {int}
+        and min(flat) >= 0
+        and max(flat) <= _M32
+    ):
+        return columns, None
+    words = [[w for x in path for w in _words(x)] for path in paths]
+    lengths = np.array([len(w) for w in words], dtype=int)
+    return list(itertools.zip_longest(*words, fillvalue=0)), lengths
 
 
-def _pool(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """numpy's SeedSequence.mix_entropy over each column of a (k, n) block, k >= 4.
+def _pcg64_states(pool: np.ndarray) -> np.ndarray:
+    """numpy's generate_state(4, uint64) of each column of a (4, n) pool: the
+    state PCG64 starts from when seeded from that SeedSequence, (n, 4)."""
+    words = _hashmix(pool, *_OUT).reshape(8, -1).T  # paired low word first
+    return np.ascontiguousarray(words, "<u4").view("<u8").astype(np.uint64, copy=False)
 
-    The zeros a column shorter than four words is padded with are hashed
-    exactly as numpy hashes its missing words.
+
+def _streams(global_seed: int, paths, draw: bool = True):
+    """setting_stream_seed of every path of a batch, a uint64 array, and with
+    ``draw`` the PCG64 state of each stream's default_rng, (n, 4) (else None).
+
+    The words all paths share, the seed's and the paths' common leading
+    words, are mixed into one pool once; only the word columns that differ
+    are mixed per stream, and a path skips the columns past its end.  The
+    second stage hashes each stream seed's two words straight (a zero high
+    word as numpy hashes the missing one) and mixes them on one (4, n) block.
     """
-    hc = _hash_constants(_INIT_A, _MULT_A, 4)
-    pool = _hashmix(words[:4], hc)
-    for s, (c0, c1) in enumerate(_CROSS):
-        v = (pool[s] ^ c0) * c1
-        mixed = _mix(pool, v ^ (v >> _SHIFT))
+    head = _words(global_seed, 4)
+    columns, lengths = _columns(paths)
+    shortest = len(columns) if lengths is None else lengths.min(initial=0)
+    p = next((j for j in range(shortest) if len(set(columns[j])) > 1), shortest)
+    pool = _pool(head + [c[0] for c in columns[:p]])
+    for j in range(p, len(columns)):
+        mixed = _mix(pool, _word_column(columns[j], len(head) + j))
+        pool = mixed if j < shortest else np.where(lengths > j, mixed, pool)
+    words = _hashmix(pool, *_OUT[:, 0])[:2]  # generate_state(1, uint64)
+    if words.shape[1] != len(paths):  # the paths are all alike
+        words = np.repeat(words, len(paths), axis=1)
+    seeds = np.ascontiguousarray(words.T, "<u4").view("<u8")[:, 0]
+    if not draw:
+        return seeds, None
+    pool = np.zeros((4, len(paths)), np.uint32)
+    pool[:2] = words
+    pool = _hashmix(pool, *_HEAD)
+    for s, c0, c1 in _CROSS:
+        mixed = _mix(pool, _hashmix(pool[s], c0, c1))
         mixed[s] = pool[s]
         pool = mixed
-    return _absorb(pool, words[4:], 4, np.maximum(lengths - 4, 0))
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_pool(head: tuple[int, ...]) -> np.ndarray:
-    """The (4, 1) pool after a global seed's words, shared by all its streams."""
-    words, lengths = _word_block([list(head)], 4)
-    return _freeze(_pool(words, lengths))
-
-
-def _generate(pool: np.ndarray, n_words: int) -> np.ndarray:
-    """numpy's generate_state(n_words, uint64) per pool column, (n_words, n)."""
-    hc = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
-    out = _hashmix(pool[np.arange(2 * n_words) % 4], hc).astype(np.uint64)
-    return out[0::2] | (out[1::2] << np.uint64(32))
-
-
-def _stream_seeds(global_seed: int, paths) -> np.ndarray:
-    """setting_stream_seed for every path of one experiment, in one pass, as
-    a uint64 array; paths is a list of sequences."""
-    head = _words(global_seed)
-    words, lengths = _path_block(paths)
-    # numpy pads the seed's words with zeros to four when a spawn key follows
-    pool = np.broadcast_to(_seed_pool(tuple(head)), (4, len(lengths)))
-    pool = _absorb(pool, words, max(4, len(head)), lengths)
-    return _generate(pool, 1)[0]
+    return seeds, _pcg64_states(pool)
 
 
 def setting_stream_seed(global_seed: int, path: tuple[int, ...]) -> int:
@@ -283,17 +305,13 @@ def setting_stream_seed(global_seed: int, path: tuple[int, ...]) -> int:
     Seed and path elements must be non-negative integers (ValueError,
     else TypeError).
     """
-    return int(_stream_seeds(global_seed, [tuple(path)])[0])
+    return int(_streams(global_seed, [tuple(path)], draw=False)[0][0])
 
 
 @functools.cache
 def _known_state() -> type:
-    """An ISeedSequence whose generate_state(4, uint64) is already known.
-
-    PCG64 seeds itself from any ISeedSequence; this one hands over the
-    state computed here.  Built on first use, because numpy imports
-    numpy.random only when it is first needed.
-    """
+    """An ISeedSequence that hands PCG64 the state computed here; built on
+    first use, as numpy imports numpy.random only when first needed."""
     from numpy.random.bit_generator import ISeedSequence
 
     class KnownState(ISeedSequence):
@@ -308,32 +326,14 @@ def _known_state() -> type:
     return KnownState
 
 
-def _pcg64_states(seeds) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, (n, 4).
-
-    A uint64 array of seeds, as _stream_seeds gives, is read as two uint32
-    words per seed (a zero high word hashes as numpy's missing one does);
-    other seeds go through _words.
-    """
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        words = np.zeros((4, len(seeds)), np.uint32)
-        words[0], words[1] = seeds & np.uint64(_M32), seeds >> np.uint64(32)
-        lengths = 1 + (seeds > _M32)
-    else:
-        words, lengths = _word_block([_words(s) for s in seeds], 4)
-    return np.ascontiguousarray(_generate(_pool(words, lengths), 4).T)
-
-
-def _poisson_draws(seeds, means) -> list:
-    """``np.random.default_rng(seeds[k]).poisson(means[k])`` for every k.
-
-    Each stream gets its own PCG64, local to this call and seeded from
-    the state that _pcg64_states computed for all streams at once.
-    """
+def _poisson_draws(states: np.ndarray, means) -> list:
+    """``np.random.default_rng(seed).poisson(means[k])`` for the stream whose
+    PCG64 state is states[k], for every k; each stream gets its own PCG64,
+    local to this call."""
     known = _known_state()
     return [
         np.random.Generator(np.random.PCG64(known(state))).poisson(mean)
-        for state, mean in zip(_pcg64_states(seeds), means)
+        for state, mean in zip(states, means)
     ]
 
 
@@ -388,31 +388,33 @@ def _probabilities(rho: DensityMatrix, ops: np.ndarray) -> list[float]:
 
 
 def _born_counts(
-    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, durations, seeds, exact: bool
+    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, durations, states
 ) -> tuple[list[float], list]:
     """Expected rates and counts for the settings behind an operator stack.
 
     ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack; setting
-    k is measured for durations[k] and draws from the stream seeds[k], or
-    with ``exact`` takes the unrounded expectation.  This is the one
-    counting path: every simulated count goes through it.
+    k is measured for durations[k] and draws from the stream whose PCG64
+    state is states[k], or with ``states`` None takes the unrounded
+    expectation.  This is the one counting path: every simulated count goes
+    through it.
     """
-    if rate_cps < 0:
-        raise ValueError("rate must be non-negative")
+    if not 0.0 <= rate_cps < math.inf:
+        raise ValueError(f"rate must be non-negative and finite, got {rate_cps}")
     rates = [max(p, 0.0) * rate_cps for p in _probabilities(rho, ops)]
     means = [r * t for r, t in zip(rates, durations)]
-    if exact:
+    if states is None:
         return rates, means
-    return rates, [int(c) for c in _poisson_draws(seeds, means)]
+    return rates, [int(c) for c in _poisson_draws(states, means)]
 
 
 def _count_records(
-    rho: DensityMatrix, settings, ops: np.ndarray, rate_cps: float, seeds, exact: bool
+    rho: DensityMatrix, settings, ops: np.ndarray, rate_cps: float, seeds, states
 ) -> list[CountRecord]:
     """One CountRecord per setting; ``ops`` is the settings' operator stack,
-    and ``seeds`` a sequence of ints or a uint64 array from _stream_seeds."""
+    ``seeds`` a sequence of ints or a uint64 array from _streams, and
+    ``states`` their PCG64 states, None for exact records."""
     durations = [s.duration_s for s in settings]
-    rates, counts = _born_counts(rho, ops, rate_cps, durations, seeds, exact)
+    rates, counts = _born_counts(rho, ops, rate_cps, durations, states)
     if isinstance(seeds, np.ndarray):
         seeds = seeds.tolist()
     return [
@@ -441,14 +443,15 @@ def simulate_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int
 ) -> CountRecord:
     """Draw one Poisson count for a setting, deterministic for a given seed."""
-    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), False)[0]
+    state = _pcg64_states(_pool(_words(seed, 4)))
+    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), state)[0]
 
 
 def exact_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int = 0
 ) -> CountRecord:
     """Noise-free record whose counts equal the unrounded expectation."""
-    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), True)[0]
+    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), None)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -462,8 +465,11 @@ def _fringe_settings(
     by every caller, so read-only.
     """
     pb = np.frombuffer(bob, dtype=complex).reshape(2, 2)
+    grid = np.frombuffer(thetas)
+    if not np.isfinite(grid).all():
+        raise ValueError("theta grid must be finite")
     settings = []
-    for theta in np.frombuffer(thetas):
+    for theta in grid:
         aname = f"{_THETA_PREFIX}{theta:.17g}"
         ket = _analyzer_state(aname)
         s = MeasurementSetting(
@@ -511,8 +517,10 @@ def fringe_scan_records(
     settings, ops = _fringe_settings(
         pb.tobytes(), bname, thetas.tobytes(), duration_s
     )
-    seeds = _stream_seeds(seed, [(2, scan_index, i) for i in range(len(settings))])
-    return _count_records(rho, settings, ops, rate_cps, seeds, exact)
+    seeds, states = _streams(
+        seed, [(2, scan_index, i) for i in range(len(settings))], not exact
+    )
+    return _count_records(rho, settings, ops, rate_cps, seeds, states)
 
 
 def fringe_scan(

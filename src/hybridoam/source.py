@@ -20,6 +20,7 @@ All reported observables are free of this convention; it only fixes signs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,18 +93,23 @@ class NoiseModel:
         return cls(**{k: float(_check_real(k, v)) for k, v in d.items()})
 
 
+# The four constant states are built on first call and then shared: the
+# dataclasses are frozen and their arrays read-only.
+@functools.cache
 def singlet_ket() -> StateVector:
     """Pure polarization singlet (|HV> - |VH>)/sqrt(2)."""
     amp = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
     return StateVector(amp, (POLARIZATION, POLARIZATION))
 
 
+@functools.cache
 def singlet() -> DensityMatrix:
     """Density matrix of the polarization singlet."""
     amp = singlet_ket().amplitudes
     return DensityMatrix(np.outer(amp, amp.conj()), (POLARIZATION, POLARIZATION))
 
 
+@functools.cache
 def hybrid_singlet_ket() -> StateVector:
     """Pure state the transfer chain produces from the ideal singlet.
 
@@ -114,7 +120,9 @@ def hybrid_singlet_ket() -> StateVector:
     return StateVector(amp, (POLARIZATION, OAM_O2))
 
 
+@functools.cache
 def hybrid_singlet() -> DensityMatrix:
+    """Density matrix of hybrid_singlet_ket."""
     amp = hybrid_singlet_ket().amplitudes
     return DensityMatrix(np.outer(amp, amp.conj()), (POLARIZATION, OAM_O2))
 

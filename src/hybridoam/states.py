@@ -140,10 +140,13 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {amp.size} does not match factors {self.basis}"
             )
-        if not self.unnormalized:
-            norm2 = float(np.vdot(amp, amp).real)
-            if abs(norm2 - 1.0) > 1e-10:
-                raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2}")
+        norm2 = float(np.vdot(amp, amp).real)
+        # NaN fails the norm test; an unnormalized ket is checked for it
+        if self.unnormalized:
+            if not math.isfinite(norm2):
+                raise ValueError(f"state vector amplitudes must be finite: |psi|^2 = {norm2}")
+        elif not abs(norm2 - 1.0) <= 1e-10:
+            raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2}")
 
     @property
     def dim(self) -> int:
@@ -176,11 +179,12 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match factors {self.basis}"
             )
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        # a NaN entry fails the Hermitian test
+        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if not self.unnormalized:
             tr = float(np.trace(mat).real)
-            if abs(tr - 1.0) > 1e-10:
+            if not abs(tr - 1.0) <= 1e-10:
                 raise ValueError(f"density matrix trace is {tr}, expected 1")
         if self.require_positive:
             lo = float(np.linalg.eigvalsh(mat)[0])
@@ -269,6 +273,11 @@ def project_to_physical(rho, basis: Iterable[str] | None = None) -> DensityMatri
     Accepts a DensityMatrix or a raw Hermitian ndarray (then ``basis`` names
     its factors).  Idempotent on matrices that are already physical.
     """
+    return _projection(rho, basis)[0]
+
+
+def _projection(rho, basis: Iterable[str] | None = None) -> tuple[DensityMatrix, np.ndarray]:
+    """project_to_physical, and its least clipped, renormalized eigenvalue."""
     if isinstance(rho, DensityMatrix):
         mat = rho.matrix
         basis = rho.basis
@@ -281,20 +290,24 @@ def project_to_physical(rho, basis: Iterable[str] | None = None) -> DensityMatri
                 basis = (POLARIZATION,)
             else:
                 raise ValueError("basis factors required for raw matrix input")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
+    if not np.max(np.abs(mat - mat.conj().T)) <= 1e-9:
         raise ValueError("project_to_physical requires a Hermitian matrix")
-    return DensityMatrix(_clip_to_states((mat + mat.conj().T) / 2), tuple(basis))
+    mat, least = _clip_to_states((mat + mat.conj().T) / 2)
+    return DensityMatrix(mat, tuple(basis)), least
 
 
-def _clip_to_states(mats: np.ndarray) -> np.ndarray:
-    """project_to_physical on a (..., n, n) stack of Hermitian matrices."""
+def _clip_to_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """project_to_physical on a (..., n, n) stack of Hermitian matrices, and
+    each result's least eigenvalue as the projection sets it, clipped and
+    renormalized: per matrix, so the same alone and in a stack."""
     w, vecs = np.linalg.eigh(mats)
     w = np.clip(w, 0.0, None)
     total = w.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise DegenerateInputError("matrix has no positive spectral weight")
-    out = (vecs * (w / total)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-    return (out + np.swapaxes(out.conj(), -1, -2)) / 2
+    w = w / total
+    out = (vecs * w[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return (out + np.swapaxes(out.conj(), -1, -2)) / 2, w[..., 0]
 
 
 def matrix_to_json(rho: DensityMatrix) -> dict:

@@ -49,7 +49,7 @@ from .measurement import (
     _count_records,
     _poisson_draws,
     _projector_from,
-    _stream_seeds,
+    _streams,
     setting_from_labels,
 )
 from .source import hybrid_singlet_ket
@@ -60,7 +60,7 @@ from .states import (
     StateVector,
     _clip_to_states,
     _freeze,
-    project_to_physical,
+    _projection,
 )
 
 ALICE_LABELS = ("H", "V", "+", "-", "L", "R")
@@ -248,8 +248,8 @@ def simulate_tomography(
 ) -> list[CountRecord]:
     """Counts for all 36 settings; setting i draws from stream (0, i)."""
     settings, ops = _compiled_settings(duration_s)
-    seeds = _stream_seeds(seed, [(0, i) for i in range(len(settings))])
-    return _count_records(rho, settings, ops, rate_cps, seeds, exact)
+    seeds, states = _streams(seed, [(0, i) for i in range(len(settings))], not exact)
+    return _count_records(rho, settings, ops, rate_cps, seeds, states)
 
 
 def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
@@ -514,15 +514,15 @@ def _passes(t, dq, e, counts, mu, decrement):
     return gain >= _ARMIJO * t * decrement
 
 
-def _solve(counts: np.ndarray, start: np.ndarray, estimates: bool = True):
+def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray | None = None):
     """Maximize the likelihood of a (B, 36) stack of count tables at once.
 
     Each table runs its own primal-dual interior-point method from its
     physical start in the (B, 4, 4) stack, as mle_reconstruct describes.
-    With ``estimates``, the starts are projected estimates of their tables,
-    as of linear inversion, and a start whose least eigenvalue exceeds
-    _INSIDE begins
-    at itself, on the central path at duality measure _MU_INSIDE; any other
+    Given ``least``, the starts are projected estimates of their tables, as
+    of linear inversion, with the least eigenvalues the projection gave
+    them, and a start whose least eigenvalue exceeds _INSIDE begins at
+    itself, on the central path at duality measure _MU_INSIDE; any other
     start is blended with _START_BLEND of I/4 and begins at duality measure
     max(_MU_START, _MU_PER_GAP x its gap bound).  The rule is per table.  A
     round bounds the gap to the maximum of every running table whose
@@ -550,9 +550,7 @@ def _solve(counts: np.ndarray, start: np.ndarray, estimates: bool = True):
     live = np.flatnonzero(certified_start > _MLE_TOL)
     counts = counts[live]
     x = _rowwise(_as_rows(start[live]), _BLOCH_ROWS.T)
-    inside = np.zeros(live.size, dtype=bool)
-    if estimates:
-        inside = np.linalg.eigvalsh(start[live])[:, 0] > _INSIDE
+    inside = np.zeros(live.size, dtype=bool) if least is None else least[live] > _INSIDE
     x = np.where(inside[:, None], x, (1.0 - _START_BLEND) * x)
     # start on the central path; a blended start at a duality measure that
     # grows with its gap for tables of millions of counts
@@ -640,10 +638,12 @@ def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
     counts, totals = _count_table(records)
     if start is None:
         start = linear_inversion(records)
-    pli = start if start.require_positive else project_to_physical(start)
     # an estimate still to be projected, as linear inversion gives, may start
     # unblended; a physical start from the caller may lie anywhere
-    rho, bound, n_iter = _solve(counts[None], pli.matrix[None], not start.require_positive)
+    pli, least = (start, None) if start.require_positive else _projection(start)
+    rho, bound, n_iter = _solve(
+        counts[None], pli.matrix[None], None if least is None else least[None]
+    )
     return MLEResult(
         rho=DensityMatrix(rho[0], pli.basis),
         loglik=_loglik(rho[0], counts, totals),
@@ -754,8 +754,8 @@ def metric_uncertainties(
     observed, _ = _count_table(records)
     obs = np.array([float(r.counts) for r in records])
     if resampler is None:
-        seeds = _stream_seeds(seed, [(3, r) for r in range(n_resamples)])
-        draws = np.array(_poisson_draws(seeds, [obs] * n_resamples), dtype=float)
+        _, states = _streams(seed, [(3, r) for r in range(n_resamples)])
+        draws = np.array(_poisson_draws(states, [obs] * n_resamples), dtype=float)
     else:
         draws = np.empty((n_resamples, obs.size))
         for r in range(n_resamples):
@@ -776,12 +776,13 @@ def metric_uncertainties(
             f"{failures}/{n_resamples} bootstrap resamples failed"
         )
     counts, gtot = counts[~refused], gtot[~refused]
-    start = _clip_to_states(_invert(counts / gtot[:, _GROUP]))
+    start, least = _clip_to_states(_invert(counts / gtot[:, _GROUP]))
     if run is None:
-        point_start = project_to_physical(linear_inversion(records))
+        point_start, point_least = _projection(linear_inversion(records))
         counts = np.concatenate([observed[None], counts])
         start = np.concatenate([point_start.matrix[None], start])
-    rhos, _, _ = _solve(counts, start)
+        least = np.concatenate([point_least[None], least])
+    rhos, _, _ = _solve(counts, start, least)
     if run is None:
         rho_mle, rhos = DensityMatrix(rhos[0], point_start.basis), rhos[1:]
     else:

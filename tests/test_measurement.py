@@ -27,7 +27,14 @@ import hybridoam.bell as bell
 import hybridoam.measurement as measurement
 import hybridoam.tomography as tomography
 from hybridoam.source import NoiseModel, hybrid_singlet, prepare_hybrid
-from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix, basis_ket, density_from_ket
+from hybridoam.states import (
+    OAM_O2,
+    POLARIZATION,
+    DensityMatrix,
+    StateVector,
+    basis_ket,
+    density_from_ket,
+)
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 
@@ -90,6 +97,20 @@ def test_simulate_counts_deterministic_and_unbiased():
     assert abs(np.mean(draws) - lam) < 3 * np.sqrt(lam / 200)
 
 
+# batches whose paths share a leading run of words that ends at each
+# position: a batch pools its shared words once and mixes the rest per stream
+PREFIX_BATCHES = (
+    [(i, 5) for i in range(4)],  # differ at word 0
+    [(0, i) for i in range(36)],  # tomography's (0, i)
+    [(1, k, idx) for k in range(4) for idx in range(4)],  # CHSH's (1, k, idx)
+    [(2, 3, i) for i in range(16)],  # a fringe scan's (2, s, i)
+    [(4, 5, 6)],  # one path: every word shared
+    [(2, 3, 4)] * 3,  # alike paths: every word shared
+    [(2**40 + 1, i) for i in range(3)],  # a shared element of two words
+    [(1, 2), (1, 2, 3), (1,), (1, 2, 2**33)],  # mixed lengths
+)
+
+
 def test_stream_seeds_are_distinct_and_reproducible():
     s1 = setting_stream_seed(0, (0, 3))
     assert s1 == setting_stream_seed(0, (0, 3))
@@ -105,7 +126,14 @@ def test_stream_seeds_are_distinct_and_reproducible():
         assert setting_stream_seed(seed, path) == _numpy_seed(seed, path)
     # one batch whose paths hold different numbers of words
     paths = [(0, 1), (2**40, 3, 4), (), (7,)]
-    assert measurement._stream_seeds(9, paths).tolist() == [_numpy_seed(9, p) for p in paths]
+    seeds, states = measurement._streams(9, paths, draw=False)
+    assert states is None
+    assert seeds.tolist() == [_numpy_seed(9, p) for p in paths]
+    # a shared prefix ending at each word, under seeds of one to seven words
+    for seed in (0, 2**32 - 1, 2**64 + 7, 2**200):
+        for paths in PREFIX_BATCHES:
+            got = measurement._streams(seed, paths, draw=False)[0]
+            assert got.tolist() == [_numpy_seed(seed, p) for p in paths]
     # batches built as the counting code builds them, at the one-word limit:
     # elements up to 2**32 - 1 take the one-pass block, 2**32, bools and
     # numpy integers the per-element words
@@ -118,7 +146,7 @@ def test_stream_seeds_are_distinct_and_reproducible():
         [(3, True), (3, 1)],
         [(2, np.int64(5), i) for i in range(4)],
     ):
-        got = measurement._stream_seeds(top, paths)
+        got = measurement._streams(top, paths, draw=False)[0]
         assert got.dtype == np.uint64
         assert got.tolist() == [_numpy_seed(top, p) for p in paths]
     # ...and for what it refuses, checked before any cast to uint32
@@ -149,20 +177,28 @@ def test_stream_seeds_are_distinct_and_reproducible():
 def test_counting_seeds_pcg64_as_default_rng_does():
     # default_rng(s) seeds PCG64 from SeedSequence(s).generate_state(4, uint64);
     # a seed below 2**32 is one entropy word, one past 2**64 three, and
-    # 2**200 seven, so this batch also mixes columns of different lengths
+    # 2**200 seven
     seeds = [5, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200,
-             setting_stream_seed(3, (0, 1))]
-    want = [np.random.SeedSequence(s).generate_state(4, np.uint64).tolist() for s in seeds]
-    assert measurement._pcg64_states(seeds).tolist() == want
-    # stream seeds come as a uint64 array, read as two words per seed
-    below = [i for i, s in enumerate(seeds) if s < 2**64]
-    as_array = np.array([seeds[i] for i in below], np.uint64)
-    assert measurement._pcg64_states(as_array).tolist() == [want[i] for i in below]
+             setting_stream_seed(3, (0, 1)), True, np.uint64(2**63)]
     rho = hybrid_singlet()
     s = setting_from_labels("H", "+2")
     for seed in seeds:
         got = simulate_counts(rho, s, 100.0, seed).counts
         assert got == np.random.default_rng(seed).poisson(750.0)
+    # a batch reseeds from its stream seeds' words: every batch shape gives
+    # numpy's states and draws, wherever its shared prefix ends
+    for seed in (0, 7, 2**32 - 1, 2**64 + 7, 2**200):
+        for paths in PREFIX_BATCHES:
+            stream_seeds, states = measurement._streams(seed, paths)
+            want = [_numpy_seed(seed, p) for p in paths]
+            assert stream_seeds.tolist() == want
+            assert states.tolist() == [
+                np.random.SeedSequence(w).generate_state(4, np.uint64).tolist() for w in want
+            ]
+            means = np.linspace(0.5, 5000.0, len(paths))
+            assert measurement._poisson_draws(states, means) == [
+                np.random.default_rng(w).poisson(mean) for w, mean in zip(want, means)
+            ]
 
 
 def test_stream_derivation_lives_in_measurement():
@@ -367,6 +403,54 @@ def test_compiled_counts_match_a_per_setting_loop():
                 es.append(bell.correlation_from_counts(counts))
             assert result.correlations == tuple(es)
             assert result.s == es[0] + es[1] + es[2] - es[3]
+
+
+NAN2 = np.full((2, 2), np.nan)
+NAN4 = np.full((4, 4), np.nan)
+PAIR = (POLARIZATION, OAM_O2)
+SINGLET = hybrid_singlet()
+# each refused at its own guard: a tolerance test that NaN fails, or a
+# finiteness check where no tolerance test can see it
+NON_FINITE = {
+    "projector": (
+        lambda: MeasurementSetting(NAN2, np.diag([1.0, 0.0]), 1.0, "nan"), "not Hermitian"
+    ),
+    "observable": (lambda: bell.DichotomicObservable(NAN2, NAN2, "nan"), "not rank 1"),
+    "ket": (lambda: StateVector([np.nan, 0.0], (POLARIZATION,)), "not normalized"),
+    "unnormalized-ket": (
+        lambda: StateVector([np.nan, 1.0], (POLARIZATION,), unnormalized=True), "finite"
+    ),
+    "infinite-unnormalized-ket": (
+        lambda: StateVector([np.inf, 0.0], (POLARIZATION,), unnormalized=True), "finite"
+    ),
+    "density-matrix": (
+        lambda: DensityMatrix(NAN4, PAIR, require_positive=False), "not Hermitian"
+    ),
+    "positive-density-matrix": (lambda: DensityMatrix(NAN4, PAIR), "not Hermitian"),
+    "chsh-duration": (lambda: bell.chsh_empirical(SINGLET, duration_s=np.nan), "duration"),
+    "chsh-infinite-duration": (
+        lambda: bell.chsh_empirical(SINGLET, duration_s=np.inf), "duration"
+    ),
+    "chsh-rate": (lambda: bell.chsh_empirical(SINGLET, rate_cps=np.nan), "rate"),
+    "tomography-rate": (lambda: tomography.simulate_tomography(SINGLET, np.nan), "rate"),
+    "exact-infinite-rate": (
+        lambda: tomography.simulate_tomography(SINGLET, np.inf, exact=True), "rate"
+    ),
+    "tomography-infinite-duration": (
+        lambda: tomography.simulate_tomography(SINGLET, duration_s=np.inf), "duration"
+    ),
+    "infinite-fringe-angle": (
+        lambda: fringe_scan_records(SINGLET, "h", [0.0, np.inf, 1.0]), "theta grid"
+    ),
+    "nan-fringe-grid": (lambda: fringe_scan_records(SINGLET, "h", [np.nan] * 4), "theta grid"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_inputs_are_refused_at_their_guard(case):
+    build, message = NON_FINITE[case]
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_counting_rejects_bad_inputs():

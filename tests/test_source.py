@@ -19,6 +19,7 @@ from hybridoam.source import (
     NoiseModel,
     apply_noise,
     fit_noise_model,
+    hybrid_singlet,
     hybrid_singlet_ket,
     hybrid_state,
     noise_fit_report,
@@ -90,6 +91,16 @@ def test_singlet_amplitude_patterns():
         hybrid_singlet_ket().amplitudes, np.array([1, 0, 0, -1]) / S2, atol=ATOL
     )
     assert hybrid_singlet_ket().basis == (POLARIZATION, OAM_O2)
+
+
+def test_constant_states_are_built_once_and_read_only():
+    for make in (singlet, singlet_ket, hybrid_singlet, hybrid_singlet_ket):
+        state = make()
+        assert make() is state
+        array = state.matrix if hasattr(state, "matrix") else state.amplitudes
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_ideal_preparation_is_exact():

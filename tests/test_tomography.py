@@ -299,6 +299,7 @@ def test_newton_system_takes_the_dual_estimate():
 def test_stacked_solve_matches_each_table_alone():
     # a table's solve is exactly the same alone and anywhere in a stack, so
     # the bootstrap's row 0 gives reconstruct's point values
+    from hybridoam.states import _projection
     from hybridoam.tomography import _count_table, _solve
 
     rho, _ = prepare_hybrid("fitted")
@@ -316,10 +317,12 @@ def test_stacked_solve_matches_each_table_alone():
     werner, _ = prepare_hybrid(NoiseModel(werner_p=0.8))
     tables.append(simulate_tomography(werner, rate_cps=1000.0, seed=6))
     counts = np.stack([_count_table(t)[0] for t in tables])
-    starts = np.stack([project_to_physical(linear_inversion(t)).matrix for t in tables])
-    assert np.linalg.eigvalsh(starts[-1])[0] > 1e-3 >= np.linalg.eigvalsh(starts[0])[0]
-    forward = _solve(counts, starts)
-    backward = [out[::-1] for out in _solve(counts[::-1], starts[::-1])]
+    projected = [_projection(linear_inversion(t)) for t in tables]
+    starts = np.stack([start.matrix for start, _ in projected])
+    least = np.array([least for _, least in projected])
+    assert least[-1] > 1e-3 >= least[0]
+    forward = _solve(counts, starts, least)
+    backward = [out[::-1] for out in _solve(counts[::-1], starts[::-1], least[::-1])]
     for i, table in enumerate(tables):
         alone = mle_reconstruct(table)
         assert alone.converged
@@ -461,8 +464,8 @@ def test_bootstrap_stack_finishes_within_a_round_budget(monkeypatch):
 
     solves, solve = [], tg._solve
 
-    def spy(counts, start):
-        solves.append(solve(counts, start))
+    def spy(counts, start, least):
+        solves.append(solve(counts, start, least))
         return solves[-1]
 
     monkeypatch.setattr(tg, "_solve", spy)
