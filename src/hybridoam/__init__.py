@@ -7,7 +7,7 @@ state tomography with maximum-likelihood refinement, fringe visibility,
 CHSH, and the coincidence-rate budget.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .states import (
     ATOL,
@@ -72,7 +72,6 @@ from .measurement import (
     joint_probability,
     read_counts_csv,
     setting_from_labels,
-    setting_stream_seed,
     simulate_counts,
     visibility_minmax,
     write_counts_csv,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import _born_counts, _check_projector, _streams
+from .measurement import _born_counts, _check_projector, _stream
 from .states import ATOL, DensityMatrix, _freeze, basis_ket
 
 _COS8 = np.cos(np.pi / 8)
@@ -214,17 +214,17 @@ def chsh_empirical(
     """S from simulated projective runs with Poisson error propagation.
 
     Each of the four setting pairs gets duration_s of beam time, split
-    evenly over its four outcome combinations; outcome (i, j) of pair k
-    draws from the stream (1, k, 2i + j) off the global seed.
+    evenly over its four outcome combinations.  The 16 counts, outcome
+    (i, j) of pair k at index 4k + 2i + j, are drawn in that order from the
+    stream (1,) off the global seed.
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
     pairs, ops = _default_compiled() if settings is None else _compile(settings)
     n = len(_OUTCOME_PAIRS)
-    _, states = _streams(
-        seed, [(1, k, idx) for k in range(len(pairs)) for idx in range(n)]
+    _, counts = _born_counts(
+        rho, ops, rate_cps, [duration_s / 4.0] * len(ops), _stream(seed, (1,))
     )
-    _, counts = _born_counts(rho, ops, rate_cps, [duration_s / 4.0] * len(states), states)
     es, sigmas = [], []
     for k in range(len(pairs)):
         pair_counts = counts[n * k : n * (k + 1)]

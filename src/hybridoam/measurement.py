@@ -5,11 +5,12 @@ Counting model: the detected pair rate is a single input constant (default
 four outcomes of a complete local basis pair sum to the total rate.  Singles,
 dark counts and accidentals are out of scope.
 
-RNG contract: every setting draws from its own stream derived from
-(global seed, path of small integers), so results are independent of
-execution order and safe to parallelize.  The streams are numpy's
-(setting_stream_seed says how); this module derives them, a whole
-experiment's in one pass, and no other module does.
+RNG contract: each experiment draws all its counts, in canonical setting
+order, from one numpy stream, default_rng(SeedSequence(global seed,
+spawn_key=path)): tomography (0,), CHSH (1,), fringe scan k (2, k) and the
+bootstrap (3,).  Experiments are independent of each other and of execution
+order, and no stream state is shared; this module builds the streams, and
+no other module does.
 
 Fringe convention: the scan variable theta is 4x the half-waveplate
 fast-axis angle, so Alice's analysis state is (cos(theta/2), sin(theta/2))
@@ -22,9 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +82,8 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Counts for one setting, reproducible from (setting, seed).
+    """Counts for one setting; ``seed`` is the seed of the run that drew them,
+    which rerunning its experiment with reproduces them.
 
     ``counts`` is an integer Poisson draw, or a float holding the exact
     expectation for noise-free records; counts that are not finite, are
@@ -117,224 +117,18 @@ class CountRecord:
             raise ValueError("expected rate must be non-negative")
 
 
-# numpy's SeedSequence hash, frozen by its stream policy (NEP 19);
-# test_measurement pins every stream derived here to numpy itself.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_L, _R, _SHIFT = np.uint32(_MIX_L), np.uint32(_MIX_R), np.uint32(16)
-
-
-def _words(x, pad: int = 1) -> list[int]:
-    """A non-negative integer as little-endian uint32 words, as numpy reads it,
-    padded with zeros to ``pad`` words (numpy pads a seed to four before a
-    spawn key, and hashes a missing word of the four as a zero anyway).
-    Checked before any cast: a negative value raises ValueError and a
-    non-integer TypeError; bools and numpy integers are integers.
+def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
+    """The one generator an experiment draws all its counts from, in setting
+    order: ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))``,
+    or None for exact records.  The seed and path are checked as numpy
+    checks them in either case: a negative seed or path element raises
+    ValueError, a non-integer one TypeError.
     """
-    x = operator.index(x)
-    if x < 0:
-        raise ValueError(f"stream seeds and paths must be non-negative, got {x}")
-    words = [x & _M32]
-    while x > _M32:
-        x >>= 32
-        words.append(x & _M32)
-    return words + [0] * (pad - len(words))
-
-
-@functools.lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, start: int, n: int) -> tuple[int, ...]:
-    """The hash constants init * mult**k mod 2**32, k = start, ..., start + n - 1."""
-    out = [init * pow(mult, start, 1 << 32) & _M32]
-    for _ in range(n - 1):
-        out.append(out[-1] * mult & _M32)
-    return tuple(out)
-
-
-def _int_mix(x: int, y: int, c0: int, c1: int) -> int:
-    """numpy's mix of y, hashed under the constants c0, c1, into pool word x."""
-    y = (y ^ c0) * c1 & _M32
-    r = (_MIX_L * x - _MIX_R * (y ^ (y >> 16))) & _M32
-    return r ^ (r >> 16)
-
-
-def _hashmix(v: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """numpy's hashmix of uint32 words under the constants c0, c1."""
-    v = (v ^ c0) * c1
-    return v ^ (v >> _SHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's mix of the hashed words y into the pool words x."""
-    r = x * _L - y * _R
-    return r ^ (r >> _SHIFT)
-
-
-@functools.lru_cache(maxsize=16)
-def _head_pool(head: tuple[int, ...]) -> tuple[int, ...]:
-    """numpy's pool after four entropy words: each hashed into its place, then
-    each pool word mixed into the other three."""
-    hc = _hash_constants(_INIT_A, _MULT_A, 0, 17)
-    pool = [(v := (w ^ hc[k]) * hc[k + 1] & _M32) ^ (v >> 16) for k, w in enumerate(head)]
-    k = 4
-    for s in range(4):
-        for d in range(4):
-            if d != s:
-                pool[d] = _int_mix(pool[d], pool[s], hc[k], hc[k + 1])
-                k += 1
-    return tuple(pool)
-
-
-def _pool(words: list[int]) -> np.ndarray:
-    """numpy's SeedSequence.mix_entropy over four or more words, as a (4, 1)
-    uint32 column; the pool of the first four is cached."""
-    pool = list(_head_pool(tuple(words[:4])))
-    hc = _hash_constants(_INIT_A, _MULT_A, 16, 4 * len(words) - 15)
-    for i, w in enumerate(words[4:]):
-        for d in range(4):
-            pool[d] = _int_mix(pool[d], w, hc[4 * i + d], hc[4 * i + d + 1])
-    return np.array(pool, np.uint32)[:, None]
-
-
-def _constant_pairs(init: int, mult: int, start: int, rows: int) -> np.ndarray:
-    """The constant pairs of rows hash steps from step start on, (2, rows, 1)."""
-    hc = _hash_constants(init, mult, start, rows + 1)
-    return _freeze(np.array([hc[:-1], hc[1:]], np.uint32)[..., None])
-
-
-def _cross_constants() -> tuple:
-    """Per pool word s, the constant pairs of the three steps that mix it into
-    the other words, in their rows; row s is a placeholder."""
-    pairs, out = _constant_pairs(_INIT_A, _MULT_A, 4, 12), []
-    for s in range(4):
-        c = np.zeros((2, 4, 1), np.uint32)
-        c[:, [d for d in range(4) if d != s]] = pairs[:, 3 * s : 3 * s + 3]
-        out.append((s, *_freeze(c)))
-    return tuple(out)
-
-
-_HEAD = _constant_pairs(_INIT_A, _MULT_A, 0, 4)
-_CROSS = _cross_constants()
-# output word i = 4a + r hashes pool word r: the pairs as (2, a, r, 1)
-_OUT = _constant_pairs(_INIT_B, _MULT_B, 0, 8).reshape(2, 2, 4, 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _word_column(words: tuple[int, ...], e: int) -> np.ndarray:
-    """A row of words, one per stream, hashed as entropy word e for each of
-    the four pool words it is mixed into, (4, n)."""
-    pairs = _constant_pairs(_INIT_A, _MULT_A, 4 * e, 4)
-    return _freeze(_hashmix(np.array(words, np.uint32), *pairs))
-
-
-def _columns(paths) -> tuple[list[tuple[int, ...]], np.ndarray | None]:
-    """Word j of every path of a batch as column j (0 past a path's end), and
-    each path's word count, None when all have as many.  Paths of built-in
-    ints below 2**32, all of one length, as the internal callers build
-    them, are their own words; other paths go through _words and its verdicts.
-    """
-    columns = list(zip(*paths))
-    flat = list(itertools.chain.from_iterable(paths))
-    if (
-        flat
-        and len(flat) == len(columns) * len(paths)  # no path longer than the rest
-        and set(map(type, flat)) == {int}
-        and min(flat) >= 0
-        and max(flat) <= _M32
-    ):
-        return columns, None
-    words = [[w for x in path for w in _words(x)] for path in paths]
-    lengths = np.array([len(w) for w in words], dtype=int)
-    return list(itertools.zip_longest(*words, fillvalue=0)), lengths
-
-
-def _pcg64_states(pool: np.ndarray) -> np.ndarray:
-    """numpy's generate_state(4, uint64) of each column of a (4, n) pool: the
-    state PCG64 starts from when seeded from that SeedSequence, (n, 4)."""
-    words = _hashmix(pool, *_OUT).reshape(8, -1).T  # paired low word first
-    return np.ascontiguousarray(words, "<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-def _streams(global_seed: int, paths, draw: bool = True):
-    """setting_stream_seed of every path of a batch, a uint64 array, and with
-    ``draw`` the PCG64 state of each stream's default_rng, (n, 4) (else None).
-
-    The words all paths share, the seed's and the paths' common leading
-    words, are mixed into one pool once; only the word columns that differ
-    are mixed per stream, and a path skips the columns past its end.  The
-    second stage hashes each stream seed's two words straight (a zero high
-    word as numpy hashes the missing one) and mixes them on one (4, n) block.
-    """
-    head = _words(global_seed, 4)
-    columns, lengths = _columns(paths)
-    shortest = len(columns) if lengths is None else lengths.min(initial=0)
-    p = next((j for j in range(shortest) if len(set(columns[j])) > 1), shortest)
-    pool = _pool(head + [c[0] for c in columns[:p]])
-    for j in range(p, len(columns)):
-        mixed = _mix(pool, _word_column(columns[j], len(head) + j))
-        pool = mixed if j < shortest else np.where(lengths > j, mixed, pool)
-    words = _hashmix(pool, *_OUT[:, 0])[:2]  # generate_state(1, uint64)
-    if words.shape[1] != len(paths):  # the paths are all alike
-        words = np.repeat(words, len(paths), axis=1)
-    seeds = np.ascontiguousarray(words.T, "<u4").view("<u8")[:, 0]
-    if not draw:
-        return seeds, None
-    pool = np.zeros((4, len(paths)), np.uint32)
-    pool[:2] = words
-    pool = _hashmix(pool, *_HEAD)
-    for s, c0, c1 in _CROSS:
-        mixed = _mix(pool, _hashmix(pool[s], c0, c1))
-        mixed[s] = pool[s]
-        pool = mixed
-    return seeds, _pcg64_states(pool)
-
-
-def setting_stream_seed(global_seed: int, path: tuple[int, ...]) -> int:
-    """Per-setting 64-bit seed derived from a global seed and a stream path.
-
-    The value is numpy's
-    ``SeedSequence(entropy=global_seed, spawn_key=path).generate_state(1, np.uint64)[0]``:
-    the seed's uint32 words, padded with zeros to four, then the words of
-    each path element, are hashed into a four-word pool, whose first two
-    output words form the seed.  Counting draws from
-    ``np.random.default_rng(that seed)``, which seeds PCG64 with
-    ``SeedSequence(that seed).generate_state(4, np.uint64)``.  Both stages
-    are computed here for all the settings of an experiment at once, and a
-    test pins them to numpy's own ``SeedSequence`` and ``default_rng``.
-    Seed and path elements must be non-negative integers (ValueError,
-    else TypeError).
-    """
-    return int(_streams(global_seed, [tuple(path)], draw=False)[0][0])
-
-
-@functools.cache
-def _known_state() -> type:
-    """An ISeedSequence that hands PCG64 the state computed here; built on
-    first use, as numpy imports numpy.random only when first needed."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KnownState(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if (n_words, dtype) != (4, np.uint64):
-                raise ValueError("only PCG64's 4-word uint64 state is known")
-            return self.state
-
-    return KnownState
-
-
-def _poisson_draws(states: np.ndarray, means) -> list:
-    """``np.random.default_rng(seed).poisson(means[k])`` for the stream whose
-    PCG64 state is states[k], for every k; each stream gets its own PCG64,
-    local to this call."""
-    known = _known_state()
-    return [
-        np.random.Generator(np.random.PCG64(known(state))).poisson(mean)
-        for state, mean in zip(states, means)
-    ]
+    if not isinstance(seed, (int, np.integer)):
+        # SeedSequence would take None as a request for fresh OS entropy
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    seq = np.random.SeedSequence(seed, spawn_key=path)
+    return None if exact else np.random.default_rng(seq)
 
 
 def _analyzer_state(name: str) -> np.ndarray:
@@ -388,38 +182,37 @@ def _probabilities(rho: DensityMatrix, ops: np.ndarray) -> list[float]:
 
 
 def _born_counts(
-    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, durations, states
+    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, durations, rng
 ) -> tuple[list[float], list]:
     """Expected rates and counts for the settings behind an operator stack.
 
     ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack; setting
-    k is measured for durations[k] and draws from the stream whose PCG64
-    state is states[k], or with ``states`` None takes the unrounded
-    expectation.  This is the one counting path: every simulated count goes
+    k is measured for durations[k].  All n counts are one Poisson draw from
+    the generator ``rng``, in stack order, or with ``rng`` None the unrounded
+    expectations.  This is the one counting path: every simulated count goes
     through it.
     """
     if not 0.0 <= rate_cps < math.inf:
         raise ValueError(f"rate must be non-negative and finite, got {rate_cps}")
     rates = [max(p, 0.0) * rate_cps for p in _probabilities(rho, ops)]
     means = [r * t for r, t in zip(rates, durations)]
-    if states is None:
+    if rng is None:
         return rates, means
-    return rates, [int(c) for c in _poisson_draws(states, means)]
+    return rates, rng.poisson(means).tolist()
 
 
 def _count_records(
-    rho: DensityMatrix, settings, ops: np.ndarray, rate_cps: float, seeds, states
+    rho: DensityMatrix, settings, ops: np.ndarray, rate_cps: float, seed: int, rng
 ) -> list[CountRecord]:
-    """One CountRecord per setting; ``ops`` is the settings' operator stack,
-    ``seeds`` a sequence of ints or a uint64 array from _streams, and
-    ``states`` their PCG64 states, None for exact records."""
+    """One CountRecord per setting, each carrying the run's seed; ``ops`` is
+    the settings' operator stack and ``rng`` the experiment's generator,
+    None for exact records."""
     durations = [s.duration_s for s in settings]
-    rates, counts = _born_counts(rho, ops, rate_cps, durations, states)
-    if isinstance(seeds, np.ndarray):
-        seeds = seeds.tolist()
+    rates, counts = _born_counts(rho, ops, rate_cps, durations, rng)
+    seed = int(seed)
     return [
-        CountRecord(setting=s, counts=c, expected_rate_cps=r, seed=sd)
-        for s, c, r, sd in zip(settings, counts, rates, seeds)
+        CountRecord(setting=s, counts=c, expected_rate_cps=r, seed=seed)
+        for s, c, r in zip(settings, counts, rates)
     ]
 
 
@@ -442,16 +235,19 @@ def expected_counts(
 def simulate_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int
 ) -> CountRecord:
-    """Draw one Poisson count for a setting, deterministic for a given seed."""
-    state = _pcg64_states(_pool(_words(seed, 4)))
-    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), state)[0]
+    """Draw one Poisson count for a setting: ``np.random.default_rng(seed)``'s
+    draw at the setting's mean."""
+    return _count_records(rho, (s,), _operator(s), rate_cps, seed, _stream(seed, ()))[0]
 
 
 def exact_counts(
     rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int = 0
 ) -> CountRecord:
-    """Noise-free record whose counts equal the unrounded expectation."""
-    return _count_records(rho, (s,), _operator(s), rate_cps, (seed,), None)[0]
+    """Noise-free record whose counts equal the unrounded expectation; the
+    seed is checked as simulate_counts checks it."""
+    return _count_records(
+        rho, (s,), _operator(s), rate_cps, seed, _stream(seed, (), exact=True)
+    )[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -504,8 +300,9 @@ def fringe_scan_records(
 ) -> list[CountRecord]:
     """Scan Alice's analyzer over theta against a fixed Bob projector.
 
-    Each point uses the stream (2, scan_index, point index) off the global
-    seed.  ``bob_proj`` is an OAM label or a 2x2 projector.
+    The points draw, in grid order, from the scan's stream (2, scan_index)
+    off the global seed, so a point's count depends on the grid before it.
+    ``bob_proj`` is an OAM label or a 2x2 projector.
     """
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if thetas.size == 0:
@@ -517,10 +314,8 @@ def fringe_scan_records(
     settings, ops = _fringe_settings(
         pb.tobytes(), bname, thetas.tobytes(), duration_s
     )
-    seeds, states = _streams(
-        seed, [(2, scan_index, i) for i in range(len(settings))], not exact
-    )
-    return _count_records(rho, settings, ops, rate_cps, seeds, states)
+    rng = _stream(seed, (2, scan_index), exact)
+    return _count_records(rho, settings, ops, rate_cps, seed, rng)
 
 
 def fringe_scan(

@@ -179,11 +179,15 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match factors {self.basis}"
             )
-        # a NaN entry fails the Hermitian test
-        if not np.max(np.abs(mat - mat.conj().T)) <= 1e-10:
+        # a NaN entry fails the Hermitian test; an infinite one is refused
+        # first, as inf - inf there would warn.  Method calls, not np.max
+        # and np.trace, keep the checks cheap on the MLE path.
+        if np.isinf(mat).any():
+            raise ValueError("density matrix has an infinite entry")
+        if not abs(mat - mat.conj().T).max() <= 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if not self.unnormalized:
-            tr = float(np.trace(mat).real)
+            tr = float(mat.trace().real)
             if not abs(tr - 1.0) <= 1e-10:
                 raise ValueError(f"density matrix trace is {tr}, expected 1")
         if self.require_positive:

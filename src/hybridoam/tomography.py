@@ -47,9 +47,8 @@ from .measurement import (
     CountRecord,
     MeasurementSetting,
     _count_records,
-    _poisson_draws,
     _projector_from,
-    _streams,
+    _stream,
     setting_from_labels,
 )
 from .source import hybrid_singlet_ket
@@ -137,7 +136,13 @@ class MLEResult:
 
 @dataclass(frozen=True)
 class StateMetrics:
-    """Point estimates and one-sigma bootstrap uncertainties."""
+    """Point estimates and one-sigma bootstrap uncertainties.
+
+    ``failed_resamples`` counts the resamples refused for an empty basis
+    pair, which the sigmas leave out, and ``unconverged_resamples`` the
+    solved ones whose gap bound still exceeded _MLE_TOL when the solver
+    stopped, which the sigmas include.
+    """
 
     fidelity: float
     concurrence: float
@@ -146,6 +151,7 @@ class StateMetrics:
     concurrence_sigma: float
     linear_entropy_sigma: float
     failed_resamples: int = 0
+    unconverged_resamples: int = 0
 
     def __post_init__(self):
         for name in ("fidelity", "concurrence", "linear_entropy"):
@@ -166,6 +172,7 @@ class StateMetrics:
                 "linear_entropy": self.linear_entropy_sigma,
             },
             "failed_resamples": self.failed_resamples,
+            "unconverged_resamples": self.unconverged_resamples,
         }
 
 
@@ -246,10 +253,9 @@ def simulate_tomography(
     seed: int = 0,
     exact: bool = False,
 ) -> list[CountRecord]:
-    """Counts for all 36 settings; setting i draws from stream (0, i)."""
+    """Counts for all 36 settings, drawn in canonical order from stream (0,)."""
     settings, ops = _compiled_settings(duration_s)
-    seeds, states = _streams(seed, [(0, i) for i in range(len(settings))], not exact)
-    return _count_records(rho, settings, ops, rate_cps, seeds, states)
+    return _count_records(rho, settings, ops, rate_cps, seed, _stream(seed, (0,), exact))
 
 
 def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
@@ -731,17 +737,19 @@ def metric_uncertainties(
     ``records`` is a count table, or the TomographyRun of one, whose
     estimate then gives the point values, so that the table is not solved
     again.  Each resample draws Poisson counts with the observed values as
-    means (stream (3, r) off the seed) and is reconstructed as reconstruct
-    would, all resamples in one stacked solve; given a bare table, the
-    observed table joins that stack as row 0, started where reconstruct
-    starts it, and its estimate gives the point values.  Rows solve
+    means: resample r is row r of one (n_resamples, 36) draw from stream
+    (3,) off the seed, so it does not depend on n_resamples.  Resamples are
+    reconstructed as reconstruct would, in one stacked solve; given a bare
+    table, the observed table joins that stack as row 0, started where
+    reconstruct starts it, and its estimate gives the point values.  Rows solve
     independently, so either way the point values are those of
     reconstruct's estimate.  The sample standard deviations of the metrics
     over resamples are the one-sigma uncertainties.
     ``resampler(counts, r) -> counts`` can replace the Poisson draw; counts
     are truncated to integers.  A resample with an empty basis pair is
     refused for lack of data and counts as failed; more than 10% failed
-    raises RuntimeError, and the result reports how many failed.  Resampled
+    raises RuntimeError, and the result reports how many failed, and how
+    many of the solved resamples stopped unconverged.  Resampled
     counts that are negative or not finite raise ValueError.
     """
     if n_resamples < 100:
@@ -754,8 +762,7 @@ def metric_uncertainties(
     observed, _ = _count_table(records)
     obs = np.array([float(r.counts) for r in records])
     if resampler is None:
-        _, states = _streams(seed, [(3, r) for r in range(n_resamples)])
-        draws = np.array(_poisson_draws(states, [obs] * n_resamples), dtype=float)
+        draws = _stream(seed, (3,)).poisson(obs, (n_resamples, obs.size)).astype(float)
     else:
         draws = np.empty((n_resamples, obs.size))
         for r in range(n_resamples):
@@ -782,9 +789,10 @@ def metric_uncertainties(
         counts = np.concatenate([observed[None], counts])
         start = np.concatenate([point_start.matrix[None], start])
         least = np.concatenate([point_least[None], least])
-    rhos, _, _ = _solve(counts, start, least)
+    rhos, bounds, _ = _solve(counts, start, least)
     if run is None:
-        rho_mle, rhos = DensityMatrix(rhos[0], point_start.basis), rhos[1:]
+        rho_mle = DensityMatrix(rhos[0], point_start.basis)
+        rhos, bounds = rhos[1:], bounds[1:]
     else:
         rho_mle = run.rho_mle
     point = (
@@ -806,4 +814,5 @@ def metric_uncertainties(
         concurrence_sigma=float(sig[1]),
         linear_entropy_sigma=float(sig[2]),
         failed_resamples=failures,
+        unconverged_resamples=int((bounds > _MLE_TOL).sum()),
     )

@@ -104,6 +104,7 @@ def test_tomography_from_counts_csv(tmp_path):
     dc = load(outc / "tomography.json")
     metrics = dc["metrics"]
     assert metrics["failed_resamples"] == 0
+    assert metrics["unconverged_resamples"] == 0
     assert metrics["uncertainties"]["fidelity"] > 0
     # the bootstrap reuses the point estimate instead of solving the table again
     assert dc["rho_mle"] == db["rho_mle"]
@@ -127,6 +128,14 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
     assert set(d["fringe"]) == {"+2", "h"}
     assert d["chsh"]["mode"] == "empirical"
     assert abs(d["budget"]["expected_rate_cps"] - 192.0) < 1e-9
+    # with the default 100 resamples the bootstrap's one stream is pinned too
+    boot = ["pipeline", "--noise", "fitted", "--seed", "11"]
+    for out in (tmp_path / "c", tmp_path / "d"):
+        assert main(boot + ["--out", str(out)]) == 0
+    for name in ("pipeline.json", "pipeline_tomography_counts.csv"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+    metrics = load(tmp_path / "c" / "pipeline.json")["tomography"]["metrics"]
+    assert metrics["uncertainties"]["fidelity"] > 0
 
 
 def test_pipeline_honours_duration_flag(tmp_path):

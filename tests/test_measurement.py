@@ -18,7 +18,6 @@ from hybridoam.measurement import (
     joint_probability,
     read_counts_csv,
     setting_from_labels,
-    setting_stream_seed,
     simulate_counts,
     visibility_minmax,
     write_counts_csv,
@@ -81,124 +80,153 @@ def test_exact_counts_keep_fractional_expectations():
     assert abs(rec.expected_rate_cps - 31.25) < 1e-9
 
 
+def _numpy_stream(seed, path):
+    """An experiment's stream as numpy's own SeedSequence and default_rng
+    build it."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+
+
 def test_simulate_counts_deterministic_and_unbiased():
     rho = hybrid_singlet()
     s = setting_from_labels("H", "+2", duration_s=15.0)
-    seed = setting_stream_seed(0, (0, 0))
-    a = simulate_counts(rho, s, 100.0, seed)
-    b = simulate_counts(rho, s, 100.0, seed)
+    seeds = _numpy_stream(0, (9,)).integers(0, 2**63, size=200)
+    a = simulate_counts(rho, s, 100.0, seeds[0])
+    b = simulate_counts(rho, s, 100.0, seeds[0])
     assert a.counts == b.counts
     assert isinstance(a.counts, int)
-    draws = [
-        simulate_counts(rho, s, 100.0, setting_stream_seed(0, (9, i))).counts
-        for i in range(200)
-    ]
+    draws = [simulate_counts(rho, s, 100.0, seed).counts for seed in seeds]
     lam = 750.0
     assert abs(np.mean(draws) - lam) < 3 * np.sqrt(lam / 200)
 
 
-# batches whose paths share a leading run of words that ends at each
-# position: a batch pools its shared words once and mixes the rest per stream
-PREFIX_BATCHES = (
-    [(i, 5) for i in range(4)],  # differ at word 0
-    [(0, i) for i in range(36)],  # tomography's (0, i)
-    [(1, k, idx) for k in range(4) for idx in range(4)],  # CHSH's (1, k, idx)
-    [(2, 3, i) for i in range(16)],  # a fringe scan's (2, s, i)
-    [(4, 5, 6)],  # one path: every word shared
-    [(2, 3, 4)] * 3,  # alike paths: every word shared
-    [(2**40 + 1, i) for i in range(3)],  # a shared element of two words
-    [(1, 2), (1, 2, 3), (1,), (1, 2, 2**33)],  # mixed lengths
-)
-
-
-def test_stream_seeds_are_distinct_and_reproducible():
-    s1 = setting_stream_seed(0, (0, 3))
-    assert s1 == setting_stream_seed(0, (0, 3))
-    assert s1 != setting_stream_seed(0, (0, 4))
-    assert s1 != setting_stream_seed(1, (0, 3))
-    assert s1 != setting_stream_seed(0, (1, 3))
-    # numpy's SeedSequence is the oracle, for what it accepts...
-    accepted = (
-        (True, (0, True)), (np.int64(5), (np.int64(2), 7)), (np.uint64(2**64 - 1), (3,)),
-        (2**64 + 7, (2**32 + 1, 0)), (2**200, (1, 2**70)), (5, ()),
-    )
-    for seed, path in accepted:
-        assert setting_stream_seed(seed, path) == _numpy_seed(seed, path)
-    # one batch whose paths hold different numbers of words
-    paths = [(0, 1), (2**40, 3, 4), (), (7,)]
-    seeds, states = measurement._streams(9, paths, draw=False)
-    assert states is None
-    assert seeds.tolist() == [_numpy_seed(9, p) for p in paths]
-    # a shared prefix ending at each word, under seeds of one to seven words
-    for seed in (0, 2**32 - 1, 2**64 + 7, 2**200):
-        for paths in PREFIX_BATCHES:
-            got = measurement._streams(seed, paths, draw=False)[0]
-            assert got.tolist() == [_numpy_seed(seed, p) for p in paths]
-    # batches built as the counting code builds them, at the one-word limit:
-    # elements up to 2**32 - 1 take the one-pass block, 2**32, bools and
-    # numpy integers the per-element words
-    top = 2**32 - 1
-    for paths in (
-        [(0, i) for i in range(36)],
-        [(2, top, i) for i in range(16)],
-        [(top, i) for i in range(top - 3, top + 1)],
-        [(1, i) for i in range(2**32 - 2, 2**32 + 2)],
-        [(3, True), (3, 1)],
-        [(2, np.int64(5), i) for i in range(4)],
-    ):
-        got = measurement._streams(top, paths, draw=False)[0]
-        assert got.dtype == np.uint64
-        assert got.tolist() == [_numpy_seed(top, p) for p in paths]
-    # ...and for what it refuses, checked before any cast to uint32
-    refused = (
-        (-1, (0, 1), ValueError), (0, (0, -1), ValueError), (0, (-(2**40),), ValueError),
-        (1.7, (0, 1), TypeError), (0, (0, 1.7), TypeError), (np.float64(2.0), (0,), TypeError),
-    )
-    for seed, path, error in refused:
-        with pytest.raises(error):
-            np.random.SeedSequence(seed, spawn_key=path)
-        with pytest.raises(error):
-            setting_stream_seed(seed, path)
-    rho = hybrid_singlet()
-    s = setting_from_labels("H", "+2")
-    for bad, error in ((-1, ValueError), (1.7, TypeError)):
-        with pytest.raises(error):
-            np.random.default_rng(bad)
-        with pytest.raises(error):
-            simulate_counts(rho, s, 100.0, bad)
-        with pytest.raises(error):
-            tomography.simulate_tomography(rho, seed=bad)
-        with pytest.raises(error):
-            fringe_scan_records(rho, "+2", GRID16, scan_index=bad)
-        with pytest.raises(error):
-            bell.chsh_empirical(rho, seed=bad)
-
-
-def test_counting_seeds_pcg64_as_default_rng_does():
-    # default_rng(s) seeds PCG64 from SeedSequence(s).generate_state(4, uint64);
+def test_simulate_counts_draws_as_default_rng_does():
     # a seed below 2**32 is one entropy word, one past 2**64 three, and
-    # 2**200 seven
-    seeds = [5, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200,
-             setting_stream_seed(3, (0, 1)), True, np.uint64(2**63)]
+    # 2**200 seven; bools and numpy integers are integers
+    seeds = [5, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200, True,
+             np.uint64(2**63), np.int64(7)]
     rho = hybrid_singlet()
     s = setting_from_labels("H", "+2")
     for seed in seeds:
-        got = simulate_counts(rho, s, 100.0, seed).counts
-        assert got == np.random.default_rng(seed).poisson(750.0)
-    # a batch reseeds from its stream seeds' words: every batch shape gives
-    # numpy's states and draws, wherever its shared prefix ends
-    for seed in (0, 7, 2**32 - 1, 2**64 + 7, 2**200):
-        for paths in PREFIX_BATCHES:
-            stream_seeds, states = measurement._streams(seed, paths)
-            want = [_numpy_seed(seed, p) for p in paths]
-            assert stream_seeds.tolist() == want
-            assert states.tolist() == [
-                np.random.SeedSequence(w).generate_state(4, np.uint64).tolist() for w in want
+        rec = simulate_counts(rho, s, 100.0, seed)
+        assert rec.counts == np.random.default_rng(seed).poisson(750.0)
+        assert rec.seed == int(seed) and type(rec.seed) is int
+
+
+def test_experiment_streams_are_distinct_and_reproducible():
+    # the same seed gives tomography, CHSH, each fringe scan and the
+    # bootstrap streams of their own; numpy builds each from its path
+    paths = ((0,), (1,), (2, 0), (2, 1), (3,))
+    for seed in (0, 1, 2**64 + 7):
+        heads = []
+        for path in paths:
+            head = measurement._stream(seed, path).integers(0, 2**63, size=4).tolist()
+            assert head == measurement._stream(seed, path).integers(0, 2**63, size=4).tolist()
+            assert head == _numpy_stream(seed, path).integers(0, 2**63, size=4).tolist()
+            heads.append(head)
+        heads += [measurement._stream(seed + 1, path).integers(0, 2**63, size=4).tolist()
+                  for path in paths]
+        assert len({tuple(h) for h in heads}) == 2 * len(paths)
+    # through the public entry points: reruns agree, other seeds and scans do not
+    rho = hybrid_singlet()
+    tomo = [r.counts for r in tomography.simulate_tomography(rho, seed=3)]
+    assert tomo == [r.counts for r in tomography.simulate_tomography(rho, seed=3)]
+    assert tomo != [r.counts for r in tomography.simulate_tomography(rho, seed=4)]
+    chsh = bell.chsh_empirical(rho, seed=3)
+    assert chsh == bell.chsh_empirical(rho, seed=3)
+    assert chsh.correlations != bell.chsh_empirical(rho, seed=4).correlations
+
+
+def test_counts_match_numpys_generator_on_each_path(monkeypatch):
+    # every experiment's counts are one draw, in canonical setting order,
+    # from numpy's default_rng on SeedSequence(seed, spawn_key=path)
+    rho, _ = prepare_hybrid("fitted")
+    for seed in (0, 2**32, 2**200, np.int64(5)):
+        recs = tomography.simulate_tomography(rho, 100.0, 15.0, seed)
+        means = [r.expected_rate_cps * 15.0 for r in recs]
+        want = _numpy_stream(seed, (0,)).poisson(means).tolist()
+        assert [r.counts for r in recs] == want
+        for k in (0, 7, 2**32 + 1):
+            scan = fringe_scan_records(rho, "h", GRID16, 100.0, 15.0, seed, k)
+            means = [r.expected_rate_cps * 15.0 for r in scan]
+            assert [r.counts for r in scan] == _numpy_stream(seed, (2, k)).poisson(means).tolist()
+        # CHSH: outcome (i, j) of pair k is draw 4k + 2i + j
+        a, a_p, b, b_p = bell.chsh_settings()
+        rng = _numpy_stream(seed, (1,))
+        es = []
+        for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p)):
+            probs = [
+                joint_probability(
+                    rho, MeasurementSetting(x.projector(i), y.projector(j), 15.0, "")
+                )
+                for i in (0, 1) for j in (0, 1)
             ]
-            means = np.linspace(0.5, 5000.0, len(paths))
-            assert measurement._poisson_draws(states, means) == [
-                np.random.default_rng(w).poisson(mean) for w, mean in zip(want, means)
-            ]
+            means = [max(p, 0.0) * 100.0 * 15.0 for p in probs]
+            es.append(bell.correlation_from_counts(rng.poisson(means).tolist()))
+        chsh = bell.chsh_empirical(rho, rate_cps=100.0, duration_s=60.0, seed=seed)
+        assert chsh.correlations == tuple(es)
+        # the bootstrap: resample r is row r of one (n_resamples, 36) draw
+        stacks = _bootstrap_stacks(monkeypatch, recs, 100, seed)
+        obs = [float(r.counts) for r in recs]
+        want = _numpy_stream(seed, (3,)).poisson(obs, size=(100, 36))
+        assert np.array_equal(stacks[1:], want)
+
+
+def _bootstrap_stacks(monkeypatch, records, n_resamples, seed):
+    """The count stack the bootstrap solves: the observed table, then its
+    resamples in canonical setting order."""
+    stacks, solve = [], tomography._solve
+
+    def spy(counts, start, least):
+        stacks.append(counts)
+        return solve(counts, start, least)
+
+    with monkeypatch.context() as m:
+        m.setattr(tomography, "_solve", spy)
+        tomography.metric_uncertainties(records, n_resamples=n_resamples, seed=seed)
+    (stack,) = stacks
+    return stack
+
+
+def test_resamples_do_not_depend_on_how_many_are_drawn(monkeypatch):
+    rho, _ = prepare_hybrid("fitted")
+    recs = tomography.simulate_tomography(rho, seed=6)
+    first = _bootstrap_stacks(monkeypatch, recs, 100, 6)
+    more = _bootstrap_stacks(monkeypatch, recs, 130, 6)
+    assert first.shape == (101, 36) and more.shape == (131, 36)
+    assert np.array_equal(more[:101], first)
+    assert not np.array_equal(_bootstrap_stacks(monkeypatch, recs, 100, 7), first)
+
+
+def test_bad_seeds_are_refused_in_draw_and_exact_mode():
+    rho = hybrid_singlet()
+    s = setting_from_labels("H", "+2")
+    recs = tomography.simulate_tomography(rho)
+    refused = ((-1, ValueError), (-(2**70), ValueError), (1.7, TypeError),
+               (np.float64(2.0), TypeError), (None, TypeError), ("3", TypeError))
+    for bad, error in refused:
+        if bad is not None:  # numpy takes None as a request for fresh entropy
+            with pytest.raises(error):
+                np.random.default_rng(bad)
+        runs = (
+            lambda: simulate_counts(rho, s, 100.0, bad),
+            lambda: exact_counts(rho, s, 100.0, bad),
+            lambda: tomography.simulate_tomography(rho, seed=bad),
+            lambda: tomography.simulate_tomography(rho, seed=bad, exact=True),
+            lambda: fringe_scan_records(rho, "+2", GRID16, seed=bad),
+            lambda: fringe_scan_records(rho, "+2", GRID16, seed=bad, exact=True),
+            lambda: bell.chsh_empirical(rho, seed=bad),
+            lambda: tomography.metric_uncertainties(recs, seed=bad),
+        )
+        for run in runs:
+            with pytest.raises(error):
+                run()
+    # a scan index is a path element: negative or not an integer, as numpy says
+    for bad, error in ((-1, ValueError), (1.7, TypeError)):
+        with pytest.raises(error):
+            np.random.SeedSequence(0, spawn_key=(2, bad))
+        for exact in (False, True):
+            with pytest.raises(error):
+                fringe_scan_records(rho, "+2", GRID16, scan_index=bad, exact=exact)
 
 
 def test_stream_derivation_lives_in_measurement():
@@ -294,7 +322,7 @@ def test_fit_fringe_failure_modes():
         visibility_minmax([])
 
 
-def test_fringe_records_use_per_point_streams():
+def test_fringe_scans_draw_from_their_own_stream():
     rho = hybrid_singlet()
     recs = fringe_scan_records(rho, "+2", GRID16, seed=3)
     again = fringe_scan_records(rho, "+2", GRID16, seed=3)
@@ -302,25 +330,43 @@ def test_fringe_records_use_per_point_streams():
     other_scan = fringe_scan_records(rho, "+2", GRID16, seed=3, scan_index=1)
     assert [r.counts for r in recs] != [r.counts for r in other_scan]
     assert recs[0].setting.alice.startswith("theta=")
+    # the points draw in grid order: a point's count depends on the points
+    # before it, not on those after
+    head = fringe_scan_records(rho, "+2", GRID16[:7], seed=3)
+    assert [r.counts for r in head] == [r.counts for r in recs[:7]]
+    assert all(r.seed == 3 for r in recs)
 
 
-def _numpy_seed(seed, path):
-    """A stream seed as numpy's own SeedSequence derives it."""
-    return int(np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)[0])
+def test_a_csv_seed_column_regenerates_its_table(tmp_path):
+    rho, _ = prepare_hybrid("fitted")
+    tables = {
+        "tomography": (
+            tomography.simulate_tomography(rho, 50.0, 15.0, seed=2**40 + 3),
+            lambda seed: tomography.simulate_tomography(rho, 50.0, 15.0, seed=seed),
+        ),
+        "fringe": (
+            fringe_scan_records(rho, "h", GRID16, 50.0, 15.0, seed=8, scan_index=1),
+            lambda seed: fringe_scan_records(rho, "h", GRID16, 50.0, 15.0, seed, 1),
+        ),
+    }
+    for name, (records, rerun) in tables.items():
+        path = tmp_path / f"{name}.csv"
+        write_counts_csv(records, path)
+        back = read_counts_csv(path)
+        (seed,) = {r.seed for r in back}
+        assert [r.counts for r in rerun(seed)] == [r.counts for r in back]
 
 
-def _loop_records(rho, settings, rate, seeds, exact):
-    """The reference: one exact record per setting, drawn by numpy's own
-    default_rng on the setting's stream seed."""
-    records = [exact_counts(rho, s, rate, seed=sd) for s, sd in zip(settings, seeds)]
+def _loop_records(rho, settings, rate, seed, path, exact):
+    """The reference: one exact record per setting, then one draw per
+    setting, in order, from numpy's own generator for the path."""
+    records = [exact_counts(rho, s, rate, seed=seed) for s in settings]
     if exact:
         return records
+    rng = _numpy_stream(seed, path)
     return [
         CountRecord(
-            r.setting,
-            int(np.random.default_rng(r.seed).poisson(r.counts)),
-            r.expected_rate_cps,
-            r.seed,
+            r.setting, int(rng.poisson(r.counts)), r.expected_rate_cps, r.seed
         )
         for r in records
     ]
@@ -364,21 +410,19 @@ def test_compiled_counts_match_a_per_setting_loop():
     for rho in states:
         for rate, duration, seed in cases:
             for exact in (False, True):
-                # tomography: setting i on stream (0, i)
+                # tomography: setting i is draw i of stream (0,)
                 settings = tomography.tomography_settings(duration)
-                seeds = [_numpy_seed(seed, (0, i)) for i in range(36)]
                 got = tomography.simulate_tomography(rho, rate, duration, seed, exact)
-                want = _loop_records(rho, settings, rate, seeds, exact)
+                want = _loop_records(rho, settings, rate, seed, (0,), exact)
                 assert _as_rows(got) == _as_rows(want)
-                # fringes: point i of scan k on stream (2, k, i); a scan index
-                # past 2**32 puts two words in the spawn key
+                # fringes: point i of scan k is draw i of stream (2, k); a
+                # scan index past 2**32 puts two words in the spawn key
                 for k, bob in ((0, "+2"), (1, "h"), (2**32 + 1, "h")):
                     settings = [_theta_setting(t, bob, duration) for t in GRID16]
-                    seeds = [_numpy_seed(seed, (2, k, i)) for i in range(16)]
                     got = fringe_scan_records(
                         rho, bob, GRID16, rate, duration, seed, k, exact
                     )
-                    want = _loop_records(rho, settings, rate, seeds, exact)
+                    want = _loop_records(rho, settings, rate, seed, (2, k), exact)
                     assert _as_rows(got) == _as_rows(want)
                     # Bob's projector as a matrix: same counts, no Bob label
                     matrix = fringe_scan_records(
@@ -387,20 +431,18 @@ def test_compiled_counts_match_a_per_setting_loop():
                     )
                     assert [r.counts for r in matrix] == [r.counts for r in got]
                     assert matrix[0].setting.bob == ""
-            # CHSH: outcome (i, j) of pair k on stream (1, k, 2i + j)
+            # CHSH: outcome (i, j) of pair k is draw 4k + 2i + j of stream (1,)
             result = bell.chsh_empirical(
                 rho, rate_cps=rate, duration_s=4 * duration, seed=seed
             )
             a, a_p, b, b_p = bell.chsh_settings()
-            es = []
-            for k, (x, y) in enumerate(((a, b), (a_p, b), (a, b_p), (a_p, b_p))):
-                settings = [
-                    MeasurementSetting(x.projector(i), y.projector(j), duration, "")
-                    for i in (0, 1) for j in (0, 1)
-                ]
-                seeds = [_numpy_seed(seed, (1, k, idx)) for idx in range(4)]
-                counts = [r.counts for r in _loop_records(rho, settings, rate, seeds, False)]
-                es.append(bell.correlation_from_counts(counts))
+            settings = [
+                MeasurementSetting(x.projector(i), y.projector(j), duration, "")
+                for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))
+                for i in (0, 1) for j in (0, 1)
+            ]
+            counts = [r.counts for r in _loop_records(rho, settings, rate, seed, (1,), False)]
+            es = [bell.correlation_from_counts(counts[4 * k : 4 * k + 4]) for k in range(4)]
             assert result.correlations == tuple(es)
             assert result.s == es[0] + es[1] + es[2] - es[3]
 
@@ -427,6 +469,12 @@ NON_FINITE = {
         lambda: DensityMatrix(NAN4, PAIR, require_positive=False), "not Hermitian"
     ),
     "positive-density-matrix": (lambda: DensityMatrix(NAN4, PAIR), "not Hermitian"),
+    "infinite-density-matrix": (
+        lambda: DensityMatrix(np.diag([np.inf, 0, 0, 0]), PAIR, True, False), "infinite"
+    ),
+    "infinite-off-diagonal-density-matrix": (
+        lambda: DensityMatrix(np.full((4, 4), -np.inf), PAIR), "infinite"
+    ),
     "chsh-duration": (lambda: bell.chsh_empirical(SINGLET, duration_s=np.nan), "duration"),
     "chsh-infinite-duration": (
         lambda: bell.chsh_empirical(SINGLET, duration_s=np.inf), "duration"

@@ -346,7 +346,7 @@ def test_mle_start_rule(monkeypatch):
 
     inside = [
         simulate_tomography(prepare_hybrid(NoiseModel(werner_p=p))[0], rate, seed=seed)
-        for p, rate, seed in ((0.8, 1000.0, 0), (0.9, 100.0, 1), (0.95, 300.0, 2))
+        for p, rate, seed in ((0.8, 1000.0, 0), (0.9, 100.0, 1), (0.95, 300.0, 3))
     ]
     fitted, _ = prepare_hybrid("fitted")
     boundary = [simulate_tomography(fitted, rate, seed=seed) for rate, seed in ((100.0, 3), (5.0, 4))]
@@ -479,14 +479,14 @@ def test_bootstrap_stack_finishes_within_a_round_budget(monkeypatch):
 
 
 def _bootstrap_by_reconstruct(records, seed):
-    """The bootstrap as a loop of reconstruct calls over the (3, r) streams,
-    drawn by numpy's own SeedSequence and default_rng: the metric sigmas
-    and the number of refused resamples."""
+    """The bootstrap as a loop of reconstruct calls over the resamples, each
+    the next 36 draws of numpy's own default_rng on SeedSequence(seed,
+    spawn_key=(3,)): the metric sigmas and the number of refused resamples."""
     obs = np.array([float(r.counts) for r in records])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
     samples, failures = [], 0
     for r in range(100):
-        stream = np.random.SeedSequence(seed, spawn_key=(3, r)).generate_state(1, np.uint64)
-        drawn = np.random.default_rng(stream[0]).poisson(obs)
+        drawn = rng.poisson(obs)
         resample = [
             CountRecord(rec.setting, int(c), None, rec.seed)
             for rec, c in zip(records, drawn)
@@ -517,6 +517,22 @@ def test_bootstrap_matches_a_reconstruct_loop():
         best = reconstruct(recs).rho_mle
         point = (fidelity(best, PSI), concurrence(best), linear_entropy(best))
         assert (m.fidelity, m.concurrence, m.linear_entropy) == point
+
+
+def test_bootstrap_reports_unconverged_resamples():
+    # a reference table certifies every resample; at 1e8 cps (about 1e10
+    # counts per table) the gap bound's round-off allowance alone exceeds
+    # the tolerance, so every resample stops unconverged after the round cap
+    rho, _ = prepare_hybrid("fitted")
+    for rate, unconverged in ((100.0, 0), (1e8, 100)):
+        recs = simulate_tomography(rho, rate_cps=rate, seed=1)
+        m = metric_uncertainties(recs, n_resamples=100, seed=1)
+        assert m.failed_resamples == 0
+        assert m.unconverged_resamples == unconverged
+        assert m.as_dict()["unconverged_resamples"] == unconverged
+        # the same count whether the point estimate joins the stack or not
+        again = metric_uncertainties(reconstruct(recs), n_resamples=100, seed=1)
+        assert again.unconverged_resamples == unconverged
 
 
 def test_concurrent_runs_reproduce_their_serial_results():
