@@ -1,18 +1,17 @@
 """Numerical simulator of a hybrid polarization-OAM entanglement bench.
 
 Builds the two-photon polarization singlet, transfers one qubit onto the
-+/-2 orbital-angular-momentum subspace through modeled optical elements,
-simulates Poissonian coincidence counting, and runs the analysis chain:
-state tomography with maximum-likelihood refinement, fringe visibility,
-CHSH, and the coincidence-rate budget.
++/-2 orbital-angular-momentum subspace through the q-plate transferrer
+(applied as one compiled operator), simulates Poissonian coincidence
+counting, and runs the analysis chain: state tomography with
+maximum-likelihood refinement, fringe visibility, CHSH, and the
+coincidence-rate budget.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .states import (
     ATOL,
-    OAM_FULL,
-    OAM_FUNDAMENTAL,
     OAM_O2,
     POLARIZATION,
     BasisLabel,
@@ -21,30 +20,14 @@ from .states import (
     InvalidLabelError,
     StateVector,
     basis_ket,
-    density_from_ket,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     project_to_physical,
-    tensor,
-)
-from .elements import (
-    DETERMINISTIC,
-    PROBABILISTIC,
-    DomainError,
-    OpticalMap,
-    apply,
-    half_waveplate,
-    polarizer,
-    qplate,
-    quarter_waveplate,
-    smf_filter,
-    success_probability,
-    transferrer_o2_to_pi,
-    transferrer_pi_to_o2,
 )
 from .source import (
+    DETERMINISTIC,
     O2_FRAME_ALIGNMENT,
+    PROBABILISTIC,
     REFERENCE_CONCURRENCE,
     REFERENCE_FIDELITY,
     REFERENCE_LINEAR_ENTROPY,

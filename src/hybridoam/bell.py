@@ -113,6 +113,9 @@ def correlation_from_counts(records) -> float:
     counts = [float(getattr(r, "counts", r)) for r in records]
     if len(counts) != 4:
         raise ValueError(f"need exactly 4 outcome counts, got {len(counts)}")
+    # NaN fails the test
+    if not all(0.0 <= c < math.inf for c in counts):
+        raise ValueError(f"outcome counts must be finite and non-negative, got {counts}")
     total = sum(counts)
     if total <= 0:
         raise UndefinedCorrelationError("all four outcome counts are zero")

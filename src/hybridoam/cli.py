@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from . import bell
 from . import budget as budget_mod
-from . import elements as el
 from . import measurement as ms
 from . import source as src
 from . import tomography as tg
@@ -199,7 +198,7 @@ class _Resolved:
         return self.durations[command]
 
     def mode(self) -> str:
-        return el.DETERMINISTIC if self.deterministic else el.PROBABILISTIC
+        return src.DETERMINISTIC if self.deterministic else src.PROBABILISTIC
 
     def provenance(self, command: str, **extras) -> dict:
         eff = {

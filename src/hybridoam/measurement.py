@@ -373,6 +373,9 @@ def visibility_minmax(points) -> float:
     if counts.size == 0:
         raise FitFailureError("no points")
     hi, lo = counts.max(), counts.min()
+    # NaN fails both tests
+    if not (0.0 <= lo and hi < math.inf):
+        raise FitFailureError("fringe counts must be finite and non-negative")
     if hi + lo == 0:
         return 0.0
     return float((hi - lo) / (hi + lo))

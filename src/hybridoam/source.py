@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elements as el
 from .states import (
     ATOL,
     OAM_O2,
@@ -35,6 +34,13 @@ from .states import (
     _check_real,
     _freeze,
 )
+
+# Transferrer realizations and the success probability of one pass: the
+# q-plate and polarizing beamsplitter transmit half the weight, the
+# interferometric realization all of it.
+PROBABILISTIC = "probabilistic"
+DETERMINISTIC = "deterministic"
+TRANSFER_SUCCESS = {PROBABILISTIC: 0.5, DETERMINISTIC: 1.0}
 
 # Reference tomography values the fitted noise preset is tuned to reproduce.
 REFERENCE_FIDELITY = 0.957
@@ -150,7 +156,7 @@ def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
 
 
 def hybrid_state(
-    rho_pol: DensityMatrix, mode: str = el.PROBABILISTIC
+    rho_pol: DensityMatrix, mode: str = PROBABILISTIC
 ) -> tuple[DensityMatrix, float]:
     """Transfer Bob's polarization qubit onto the o2 OAM subspace.
 
@@ -163,19 +169,17 @@ def hybrid_state(
     """
     if rho_pol.basis != (POLARIZATION, POLARIZATION):
         raise ValueError("hybrid_state expects a polarization pair")
-    if mode not in el.TRANSFER_SUCCESS:
+    if mode not in TRANSFER_SUCCESS:
         raise ValueError(f"unknown transferrer mode {mode!r}")
-    if rho_pol.trace() <= 0:
-        raise ValueError("input state has no weight")
     u = _TRANSFER_UNITARY
     out = u @ rho_pol.matrix @ u.conj().T
     out = (out + out.conj().T) / 2
     out /= np.trace(out).real
-    return DensityMatrix(out, (POLARIZATION, OAM_O2)), el.TRANSFER_SUCCESS[mode]
+    return DensityMatrix(out, (POLARIZATION, OAM_O2)), TRANSFER_SUCCESS[mode]
 
 
 def prepare_hybrid(
-    noise: NoiseModel | str | None = None, mode: str = el.PROBABILISTIC
+    noise: NoiseModel | str | None = None, mode: str = PROBABILISTIC
 ) -> tuple[DensityMatrix, float]:
     """Full preparation chain: singlet, noise channel, hybrid transfer."""
     rho = singlet()

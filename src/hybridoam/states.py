@@ -5,9 +5,6 @@ kinds used throughout the package:
 
 * ``polarization``: 2-dim, computational basis (|H>, |V>)
 * ``oam_o2``: 2-dim orbital angular momentum subspace, basis (|+2>, |-2>)
-* ``oam_fundamental``: 1-dim placeholder for the m=0 mode
-* ``oam_full``: 3-dim internal factor (|0>, |+2>, |-2>) used by optical
-  elements that couple the fundamental mode to the o2 subspace
 
 Conventions pinned here and relied on everywhere else:
 
@@ -21,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,15 +27,8 @@ PSD_FLOOR = -1e-10  # eigenvalue floor for physicality checks
 
 POLARIZATION = "polarization"
 OAM_O2 = "oam_o2"
-OAM_FUNDAMENTAL = "oam_fundamental"
-OAM_FULL = "oam_full"
 
-FACTOR_DIMS = {
-    POLARIZATION: 2,
-    OAM_O2: 2,
-    OAM_FUNDAMENTAL: 1,
-    OAM_FULL: 3,
-}
+FACTOR_DIMS = {POLARIZATION: 2, OAM_O2: 2}
 
 _SQ2 = np.sqrt(2.0)
 
@@ -62,13 +52,7 @@ _O2_KETS = {
     "d": np.exp(+1j * np.pi / 4) * np.array([1.0, -1.0j], dtype=complex) / _SQ2,
 }
 
-_FUND_KETS = {"0": np.array([1.0], dtype=complex)}
-
-_DEGREE_KETS = {
-    POLARIZATION: _POL_KETS,
-    OAM_O2: _O2_KETS,
-    OAM_FUNDAMENTAL: _FUND_KETS,
-}
+_DEGREE_KETS = {POLARIZATION: _POL_KETS, OAM_O2: _O2_KETS}
 
 
 class InvalidLabelError(ValueError):
@@ -110,6 +94,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _dimension(basis: tuple) -> int:
+    """Dimension of the space a tuple of tensor factors spans."""
+    try:
+        return math.prod(FACTOR_DIMS[f] for f in basis)
+    except KeyError as err:
+        raise InvalidLabelError(f"unknown tensor factor: {err.args[0]!r}") from None
+
+
 def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf):
     """A model parameter: a real number but not a bool, finite, in [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -121,31 +113,23 @@ def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf):
 
 @dataclass(frozen=True)
 class StateVector:
-    """A ket over an ordered tuple of tensor factors.
-
-    ``unnormalized`` marks the output of a filtering map whose norm encodes a
-    success probability; all other vectors must have unit norm.
-    """
+    """A unit-norm ket over an ordered tuple of tensor factors."""
 
     amplitudes: np.ndarray
     basis: tuple[str, ...]
-    unnormalized: bool = False
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "amplitudes", _freeze(amp))
         object.__setattr__(self, "basis", tuple(self.basis))
-        expected = int(np.prod([FACTOR_DIMS[f] for f in self.basis]))
+        expected = _dimension(self.basis)
         if amp.size != expected:
             raise ValueError(
                 f"amplitude length {amp.size} does not match factors {self.basis}"
             )
         norm2 = float(np.vdot(amp, amp).real)
-        # NaN fails the norm test; an unnormalized ket is checked for it
-        if self.unnormalized:
-            if not math.isfinite(norm2):
-                raise ValueError(f"state vector amplitudes must be finite: |psi|^2 = {norm2}")
-        elif not abs(norm2 - 1.0) <= 1e-10:
+        # a NaN or infinite amplitude fails the norm test
+        if not abs(norm2 - 1.0) <= 1e-10:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2}")
 
     @property
@@ -158,38 +142,38 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A Hermitian positive matrix over an ordered tuple of tensor factors.
+    """A unit-trace Hermitian positive matrix over an ordered tuple of tensor
+    factors.
 
-    ``unnormalized`` skips the unit-trace check (filter outputs).  Estimators
-    that can produce indefinite matrices (pre-projection linear inversion)
-    construct with ``require_positive=False``.
+    Estimators that can produce indefinite matrices (pre-projection linear
+    inversion) construct with ``require_positive=False``.
     """
 
     matrix: np.ndarray
     basis: tuple[str, ...]
-    unnormalized: bool = False
     require_positive: bool = True
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", _freeze(mat))
         object.__setattr__(self, "basis", tuple(self.basis))
-        expected = int(np.prod([FACTOR_DIMS[f] for f in self.basis]))
+        expected = _dimension(self.basis)
         if mat.shape != (expected, expected):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match factors {self.basis}"
             )
         # a NaN entry fails the Hermitian test; an infinite one is refused
-        # first, as inf - inf there would warn.  Method calls, not np.max
-        # and np.trace, keep the checks cheap on the MLE path.
+        # first, as inf - inf there would warn.  The trace is summed as
+        # Python floats, which overflow to inf without numpy's warning, and
+        # inf fails the trace test.  Method calls, not np.max and np.trace,
+        # keep the checks cheap on the MLE path.
         if np.isinf(mat).any():
             raise ValueError("density matrix has an infinite entry")
         if not abs(mat - mat.conj().T).max() <= 1e-10:
             raise ValueError("density matrix is not Hermitian")
-        if not self.unnormalized:
-            tr = float(mat.trace().real)
-            if not abs(tr - 1.0) <= 1e-10:
-                raise ValueError(f"density matrix trace is {tr}, expected 1")
+        tr = sum(mat.diagonal().real.tolist())
+        if not abs(tr - 1.0) <= 1e-10:
+            raise ValueError(f"density matrix trace is {tr}, expected 1")
         if self.require_positive:
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < PSD_FLOOR:
@@ -212,65 +196,6 @@ def basis_ket(label) -> StateVector:
     return StateVector(_DEGREE_KETS[lab.degree][lab.name].copy(), (lab.degree,))
 
 
-def tensor(u, v):
-    """Kronecker product of two states of the same kind.
-
-    Basis factors concatenate; norm (or trace) multiplies.
-    """
-    if isinstance(u, StateVector) and isinstance(v, StateVector):
-        return StateVector(
-            np.kron(u.amplitudes, v.amplitudes),
-            u.basis + v.basis,
-            unnormalized=u.unnormalized or v.unnormalized,
-        )
-    if isinstance(u, DensityMatrix) and isinstance(v, DensityMatrix):
-        return DensityMatrix(
-            np.kron(u.matrix, v.matrix),
-            u.basis + v.basis,
-            unnormalized=u.unnormalized or v.unnormalized,
-            require_positive=u.require_positive and v.require_positive,
-        )
-    raise TypeError("tensor requires two StateVectors or two DensityMatrices")
-
-
-def density_from_ket(psi: StateVector) -> DensityMatrix:
-    """Rank-1 projector |psi><psi| of a normalized ket."""
-    if psi.unnormalized or abs(psi.norm_squared() - 1.0) > 1e-10:
-        raise ValueError("density_from_ket requires a normalized state vector")
-    return DensityMatrix(
-        np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.basis
-    )
-
-
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every tensor factor not listed in ``keep`` (indices kept in order)."""
-    keep = tuple(keep)
-    n = len(rho.basis)
-    if any(k < 0 or k >= n for k in keep):
-        raise IndexError(f"factor index out of range for {n} factors: {keep}")
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate factor indices in keep")
-    keep = tuple(sorted(keep))
-    dims = [FACTOR_DIMS[f] for f in rho.basis]
-    work = rho.matrix.reshape(dims + dims)
-    removed = 0
-    for idx in range(n):
-        if idx in keep:
-            continue
-        axis = idx - removed
-        nleft = work.ndim // 2
-        work = np.trace(work, axis1=axis, axis2=axis + nleft)
-        removed += 1
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    out = work.reshape(kept_dim, kept_dim)
-    return DensityMatrix(
-        out,
-        tuple(rho.basis[k] for k in keep),
-        unnormalized=rho.unnormalized,
-        require_positive=rho.require_positive,
-    )
-
-
 def project_to_physical(rho, basis: Iterable[str] | None = None) -> DensityMatrix:
     """Clamp negative eigenvalues to zero and renormalize the trace to one.
 
@@ -287,6 +212,9 @@ def _projection(rho, basis: Iterable[str] | None = None) -> tuple[DensityMatrix,
         basis = rho.basis
     else:
         mat = np.asarray(rho, dtype=complex)
+        # refused here, as inf - inf in the Hermitian test would warn
+        if np.isinf(mat).any():
+            raise ValueError("project_to_physical requires finite entries")
         if basis is None:
             if mat.shape == (4, 4):
                 basis = (POLARIZATION, OAM_O2)

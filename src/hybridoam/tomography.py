@@ -32,7 +32,7 @@ table.
 
 Linear entropy is normalized as S_L = (4/3)(1 - Tr rho^2) so the maximally
 mixed two-qubit state scores 1; drop the 4/3 to convert to the
-unnormalized convention.
+plain 1 - Tr rho^2 convention.
 """
 
 from __future__ import annotations

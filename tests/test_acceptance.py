@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from chain_oracle import KET0, QPLATE, SMF, H, backward, forward
 from hybridoam.bell import chsh_empirical, chsh_exact
 from hybridoam.budget import (
     RateBudget,
@@ -19,32 +20,16 @@ from hybridoam.budget import (
     upgraded_budget,
 )
 from hybridoam.cli import main
-from hybridoam.elements import (
-    apply,
-    half_waveplate,
-    polarizer,
-    qplate,
-    quarter_waveplate,
-    smf_filter,
-    success_probability,
-    transferrer_o2_to_pi,
-    transferrer_pi_to_o2,
-)
 from hybridoam.measurement import CountRecord, fit_fringe, fringe_scan
 from hybridoam.source import (
+    PROBABILISTIC,
     NoiseModel,
     hybrid_singlet,
     hybrid_singlet_ket,
     noise_fit_report,
     prepare_hybrid,
 )
-from hybridoam.states import (
-    OAM_FULL,
-    OAM_O2,
-    POLARIZATION,
-    DensityMatrix,
-    StateVector,
-)
+from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
 from hybridoam.tomography import (
     concurrence,
     fidelity,
@@ -222,74 +207,41 @@ def test_criterion_7_property_suites():
             trace_err, abs(float(np.trace(res.rho.matrix).real) - 1.0)
         )
 
-    # CP / trace contracts across all elements, 1e4 random states total
-    ket0 = np.array([1.0, 0, 0], dtype=complex)
+    # CP / trace contracts across the chain's elements, 1e4 random states
+    # total, each on its domain: the q-plate and the pi->o2 transferrer on
+    # the fundamental mode, the o2->pi transferrer on |H> x o2
+    def rand_kets(n, d):
+        v = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-    def rand_ket(n):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        return v / np.linalg.norm(v)
-
-    unitaries = [
-        (qplate(), lambda: np.kron(rand_ket(2), ket0), (POLARIZATION, OAM_FULL)),
+    elements = [  # (operator, input kets, unitary)
+        (QPLATE, lambda n: np.kron(rand_kets(n, 2), KET0), True),
+        (forward(PROBABILISTIC), lambda n: np.kron(rand_kets(n, 2), KET0), False),
         (
-            half_waveplate(float(rng.uniform(0, np.pi))),
-            lambda: rand_ket(2),
-            (POLARIZATION,),
+            backward(PROBABILISTIC),
+            lambda n: np.kron(H, np.pad(rand_kets(n, 2), ((0, 0), (1, 0)))),
+            False,
         ),
-        (
-            quarter_waveplate(float(rng.uniform(0, np.pi))),
-            lambda: rand_ket(2),
-            (POLARIZATION,),
-        ),
-    ]
-    filters = [
-        (
-            transferrer_pi_to_o2(),
-            lambda: np.kron(rand_ket(2), ket0),
-            (POLARIZATION, OAM_FULL),
-        ),
-        (
-            transferrer_o2_to_pi(),
-            lambda: np.kron(
-                [1.0, 0.0], np.concatenate([[0.0], rand_ket(2)])
-            ),
-            (POLARIZATION, OAM_FULL),
-        ),
-        (smf_filter(), lambda: rand_ket(3), (OAM_FULL,)),
-        (polarizer("+"), lambda: rand_ket(2), (POLARIZATION,)),
+        (SMF, lambda n: rand_kets(n, 3), False),
     ]
     n_states = 0
     norm_err = 0.0
     p_lo, p_hi = 0.0, 1.0
     eig_floor = 0.0
-    per_element = 10_000 // (len(unitaries) + len(filters)) + 1
-    for m, gen, basis in unitaries:
-        for i in range(per_element):
-            psi = StateVector(gen(), basis)
-            out = apply(m, psi)
-            norm_err = max(norm_err, abs(out.norm_squared() - 1.0))
-            n_states += 1
-            if i % 100 == 0:
-                rho = DensityMatrix(
-                    np.outer(psi.amplitudes, psi.amplitudes.conj()), basis
-                )
-                w = np.linalg.eigvalsh(apply(m, rho).matrix)
-                eig_floor = min(eig_floor, float(w[0]))
-    for m, gen, basis in filters:
-        for i in range(per_element):
-            psi = StateVector(gen(), basis)
-            p = success_probability(m, psi)
-            p_lo = min(p_lo, p)
-            p_hi = max(p_hi, p)
-            n_states += 1
-            if i % 100 == 0:
-                rho = DensityMatrix(
-                    np.outer(psi.amplitudes, psi.amplitudes.conj()), basis
-                )
-                out = apply(m, rho)
-                w = np.linalg.eigvalsh(out.matrix)
-                eig_floor = min(eig_floor, float(w[0]))
-                assert float(np.trace(out.matrix).real) <= 1.0 + 1e-9
+    per_element = 10_000 // len(elements) + 1
+    for op, kets, unitary in elements:
+        out = kets(per_element) @ op.T
+        p = (np.abs(out) ** 2).sum(axis=1)
+        if unitary:
+            norm_err = max(norm_err, float(np.abs(p - 1.0).max()))
+        else:
+            p_lo = min(p_lo, float(p.min()))
+            p_hi = max(p_hi, float(p.max()))
+        n_states += len(out)
+        # every 100th state as a density matrix: K rho K^dag
+        rhos = np.einsum("ki,kj->kij", out[::100], out[::100].conj())
+        eig_floor = min(eig_floor, float(np.linalg.eigvalsh(rhos)[:, 0].min()))
+        assert (np.trace(rhos, axis1=1, axis2=2).real <= 1.0 + 1e-9).all()
 
     # the MLE barrier objective's analytic gradient and Hessian vs central
     # finite differences along 16 random directions in the 15 Bloch

@@ -60,6 +60,9 @@ def test_correlation_bounds_and_count_estimator():
         correlation_from_counts([1, 2, 3])
     with pytest.raises(UndefinedCorrelationError):
         correlation_from_counts([0, 0, 0, 0])
+    for bad in ([np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [-1, 1, 0, 0]):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            correlation_from_counts(bad)
 
 
 def test_observable_validation():

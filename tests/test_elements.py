@@ -1,196 +1,102 @@
+"""The element-by-element transfer chain of ``chain_oracle``: each element's
+action, and its tie to the rate budget's detection efficiency; and the
+waveplates behind the analyzers' conventions."""
+
 import numpy as np
-import pytest
 
+from chain_oracle import (
+    H,
+    H_O2,
+    KET0,
+    KETM2,
+    KETP2,
+    L,
+    QPLATE,
+    R,
+    S2,
+    SMF,
+    V,
+    V_O2,
+    backward,
+    forward,
+)
 from hybridoam.budget import RateBudget
-from hybridoam.elements import (
-    DETERMINISTIC,
-    FILTER,
-    PROBABILISTIC,
-    UNITARY,
-    DomainError,
-    OpticalMap,
-    apply,
-    half_waveplate,
-    polarizer,
-    qplate,
-    quarter_waveplate,
-    smf_filter,
-    success_probability,
-    transferrer_o2_to_pi,
-    transferrer_pi_to_o2,
-)
-from hybridoam.states import (
-    ATOL,
-    OAM_FULL,
-    POLARIZATION,
-    StateVector,
-    basis_ket,
-    density_from_ket,
-    tensor,
-)
-
-S2 = np.sqrt(2.0)
-
-# oam_full ordering (|0>, |+2>, |-2>)
-KET0 = np.array([1.0, 0, 0], dtype=complex)
-KETP2 = np.array([0, 1.0, 0], dtype=complex)
-KETM2 = np.array([0, 0, 1.0], dtype=complex)
-H = np.array([1.0, 0], dtype=complex)
-V = np.array([0, 1.0], dtype=complex)
-L = np.array([1.0, 1.0j], dtype=complex) / S2
-R = np.array([1.0, -1.0j], dtype=complex) / S2
+from hybridoam.measurement import fringe_scan_records
+from hybridoam.source import DETERMINISTIC, PROBABILISTIC, hybrid_singlet
+from hybridoam.states import ATOL, basis_ket
 
 
-def full_state(pol, oam):
-    return StateVector(np.kron(pol, oam), (POLARIZATION, OAM_FULL))
+def half_waveplate(t):
+    """Half waveplate at fast-axis angle t from H, global phase dropped."""
+    c, s = np.cos(2 * t), np.sin(2 * t)
+    return np.array([[c, s], [s, -c]], dtype=complex)
+
+
+def quarter_waveplate(t):
+    """Quarter waveplate at fast-axis angle t from H."""
+    c, s = np.cos(t), np.sin(t)
+    rot = np.array([[c, -s], [s, c]])
+    return rot @ np.diag([1.0, -1.0j]) @ rot.T
 
 
 def test_qplate_circular_basis_action():
-    u = qplate().matrix
-    # spin-orbit coupling: circular polarization flips, OAM picks up +-2
+    # spin-orbit coupling: circular polarization flips, OAM picks up +-2;
+    # in the linear basis, |H,0> splits evenly onto |R,+2> and |L,-2>
     cases = [
-        (np.kron(L, KET0), np.kron(R, KETP2)),
-        (np.kron(R, KET0), np.kron(L, KETM2)),
+        (np.kron(H, KET0), (np.kron(R, KETP2) + np.kron(L, KETM2)) / S2),
+        (np.kron(V, KET0), (np.kron(R, KETP2) - np.kron(L, KETM2)) / (1j * S2)),
         (np.kron(R, KETP2), np.kron(L, KET0)),
         (np.kron(L, KETM2), np.kron(R, KET0)),
-        (np.kron(L, KETP2), np.kron(L, KETP2)),
-        (np.kron(R, KETM2), np.kron(R, KETM2)),
     ]
     for src, dst in cases:
-        assert np.max(np.abs(u @ src - dst)) < ATOL
-    assert np.max(np.abs(u.conj().T @ u - np.eye(6))) < ATOL
-
-
-def test_qplate_rejects_o2_input_m0_component():
-    qp = qplate()
-    out = apply(qp, full_state(L, KET0))  # lands on |R, +2>
-    with pytest.raises(DomainError):
-        apply(qp, out)  # o2 support is outside the plate's domain
-    with pytest.raises(ValueError):
-        qplate(q=2)
+        assert np.max(np.abs(QPLATE @ src - dst)) < ATOL
+    assert np.max(np.abs(QPLATE.conj().T @ QPLATE - np.eye(6))) < ATOL
+    # a second pass returns fundamental-mode light to the fundamental mode
+    fund = np.kron(np.eye(2), np.outer(KET0, KET0))
+    assert np.max(np.abs(fund @ QPLATE @ QPLATE @ fund - fund)) < ATOL
 
 
 def test_forward_transferrer_probabilistic():
-    fwd = transferrer_pi_to_o2()
     alpha, beta = 0.6, 0.8j
-    psi = full_state(alpha * H + beta * V, KET0)
-    out = apply(fwd, psi)
-    assert out.unnormalized
-    p = out.norm_squared()
+    out = forward(PROBABILISTIC) @ np.kron(alpha * H + beta * V, KET0)
+    p = np.vdot(out, out).real
     assert abs(p - 0.5) < ATOL
-    h_o2 = (KETP2 + KETM2) / S2
-    v_o2 = (KETP2 - KETM2) / S2
-    want = np.kron(H, alpha * h_o2 + beta * v_o2)
-    assert np.max(np.abs(out.amplitudes / np.sqrt(p) - want)) < 1e-10
+    want = np.kron(H, alpha * H_O2 + beta * V_O2)
+    assert np.max(np.abs(out / np.sqrt(p) - want)) < 1e-10
 
 
 def test_forward_transferrer_deterministic_unit_success():
-    fwd = transferrer_pi_to_o2(DETERMINISTIC)
-    out = apply(fwd, full_state(L, KET0))
-    assert abs(out.norm_squared() - 1.0) < ATOL
-    assert abs(success_probability(fwd, full_state(V, KET0)) - 1.0) < ATOL
+    fwd = forward(DETERMINISTIC)
+    for pol in (L, V):
+        out = fwd @ np.kron(pol, KET0)
+        assert abs(np.vdot(out, out).real - 1.0) < ATOL
 
 
 def test_backward_transferrer_inverts_forward():
-    fwd = transferrer_pi_to_o2(DETERMINISTIC)
-    back = transferrer_o2_to_pi(DETERMINISTIC)
-    alpha, beta = 1 / S2, np.exp(0.73j) / S2
-    psi = full_state(alpha * H + beta * V, KET0)
-    out = apply(back, apply(fwd, psi))
-    assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-10
+    psi = np.kron((H + np.exp(0.73j) * V) / S2, KET0)
+    out = backward(DETERMINISTIC) @ forward(DETERMINISTIC) @ psi
+    assert np.max(np.abs(out - psi)) < 1e-10
 
 
 def test_backward_transferrer_plus2_reads_out_diagonal():
-    back = transferrer_o2_to_pi()
-    out = apply(back, full_state(H, KETP2))
-    p = out.norm_squared()
+    out = backward(PROBABILISTIC) @ np.kron(H, KETP2)
+    p = np.vdot(out, out).real
     assert abs(p - 0.5) < ATOL
     want = np.kron((H + V) / S2, KET0)
-    assert np.max(np.abs(out.amplitudes / np.sqrt(p) - want)) < 1e-10
-    # defined only on H polarization in the o2 span
-    with pytest.raises(DomainError):
-        apply(back, full_state(V, KETP2))
-    with pytest.raises(DomainError):
-        apply(back, full_state(H, KET0))
-
-
-def test_half_waveplate_matrix_and_actions():
-    hwp = half_waveplate(np.pi / 8)
-    out = apply(hwp, basis_ket("H"))
-    assert np.max(np.abs(out.amplitudes - (H + V) / S2)) < ATOL
-    out_v = apply(half_waveplate(0.0), basis_ket("V"))
-    assert np.max(np.abs(out_v.amplitudes + V)) < ATOL
-    c, s = np.cos(2 * 0.3), np.sin(2 * 0.3)
-    assert np.allclose(half_waveplate(0.3).matrix, [[c, s], [s, -c]], atol=ATOL)
-
-
-def test_quarter_waveplate_makes_circular_light():
-    out = apply(quarter_waveplate(np.pi / 4), basis_ket("H"))
-    overlap = np.vdot(L, out.amplitudes)
-    assert abs(abs(overlap) - 1.0) < ATOL
-    assert abs(overlap - np.exp(-1j * np.pi / 4)) < ATOL
-    assert np.allclose(quarter_waveplate(0.0).matrix, np.diag([1, -1j]), atol=ATOL)
+    assert np.max(np.abs(out / np.sqrt(p) - want)) < 1e-10
 
 
 def test_smf_filter_transmits_only_fundamental_mode():
-    smf = smf_filter()
-    s0 = StateVector(KET0, (OAM_FULL,))
-    sp = StateVector(KETP2, (OAM_FULL,))
-    mix = StateVector((KET0 + KETP2) / S2, (OAM_FULL,))
-    assert abs(success_probability(smf, s0) - 1.0) < ATOL
-    assert success_probability(smf, sp) < ATOL
-    assert abs(success_probability(smf, mix) - 0.5) < ATOL
-
-
-def test_polarizer_projects():
-    pol = polarizer("+")
-    assert abs(success_probability(pol, basis_ket("+")) - 1.0) < ATOL
-    assert success_probability(pol, basis_ket("-")) < ATOL
-    assert abs(success_probability(pol, basis_ket("H")) - 0.5) < ATOL
-    with pytest.raises(ValueError):
-        polarizer("+2")
-
-
-def test_apply_respects_factor_layout():
-    # HWP on factor 0 of a two-factor state leaves the OAM factor alone
-    hwp = half_waveplate(np.pi / 8, acts_on=(0,))
-    psi = tensor(basis_ket("H"), basis_ket("+2"))
-    out = apply(hwp, psi)
-    want = np.kron((H + V) / S2, [1, 0])
-    assert np.max(np.abs(out.amplitudes - want)) < ATOL
-    with pytest.raises(ValueError):
-        apply(qplate(), psi)  # factor kinds do not match
-
-
-def test_apply_density_matrix_filter_flags_unnormalized():
-    smf = smf_filter()
-    rho = density_from_ket(StateVector((KET0 + KETP2) / S2, (OAM_FULL,)))
-    out = apply(smf, rho)
-    assert out.unnormalized
-    assert abs(out.trace() - 0.5) < ATOL
-    assert abs(success_probability(smf, rho) - 0.5) < ATOL
-
-
-def test_optical_map_validation():
-    with pytest.raises(ValueError):
-        OpticalMap(UNITARY, np.array([[1, 1], [0, 1]]), (0,), (POLARIZATION,), "bad")
-    with pytest.raises(ValueError):
-        OpticalMap("lens", np.eye(2), (0,), (POLARIZATION,), "bad")
-    with pytest.raises(ValueError):
-        OpticalMap(FILTER, np.eye(3), (0,), (POLARIZATION,), "bad shape")
-    with pytest.raises(ValueError):
-        OpticalMap(
-            FILTER, np.eye(6), (0, 2), (POLARIZATION, OAM_FULL), "gap in acts_on"
-        )
+    for ket, p in ((KET0, 1.0), (KETP2, 0.0), ((KET0 + KETP2) / S2, 0.5)):
+        out = SMF @ ket
+        assert abs(np.vdot(out, out).real - p) < ATOL
 
 
 def test_probabilistic_and_deterministic_modes_share_the_conditional_map():
-    psi = full_state(0.28 * H + np.sqrt(1 - 0.28 ** 2) * V, KET0)
-    a = apply(transferrer_pi_to_o2(PROBABILISTIC), psi)
-    b = apply(transferrer_pi_to_o2(DETERMINISTIC), psi)
-    assert np.max(np.abs(S2 * a.amplitudes - b.amplitudes)) < ATOL
-    with pytest.raises(ValueError):
-        transferrer_pi_to_o2("heralded")
+    psi = np.kron(0.28 * H + np.sqrt(1 - 0.28 ** 2) * V, KET0)
+    a = forward(PROBABILISTIC) @ psi
+    b = forward(DETERMINISTIC) @ psi
+    assert np.max(np.abs(S2 * a - b)) < ATOL
 
 
 def test_detection_chain_realizes_the_ideal_analyzers():
@@ -198,12 +104,33 @@ def test_detection_chain_realizes_the_ideal_analyzers():
     # On the o2 qubit (|H> x span{|+2>, |-2>}) its effective POVM element is
     # the ideal projector the tomography model uses, times the detection
     # transfer efficiency of the rate budget.
-    back = transferrer_o2_to_pi().matrix
+    back = backward(PROBABILISTIC)
     embed = np.kron(H[:, None], np.eye(3)[:, 1:])
     analyzer = {"+2": "+", "-2": "-", "h": "H", "v": "V", "a": "R", "d": "L"}
     eff = RateBudget().transfer_det_eff
     for bob, pol in analyzer.items():
-        detect = back.conj().T @ np.kron(polarizer(pol).matrix, np.eye(3)) @ back
-        povm = embed.conj().T @ detect @ embed
+        ket = basis_ket(pol).amplitudes
+        polarizer = np.kron(np.outer(ket, ket.conj()), np.eye(3))
+        povm = embed.conj().T @ back.conj().T @ polarizer @ back @ embed
         ket = basis_ket(bob).amplitudes
         assert np.max(np.abs(povm - eff * np.outer(ket, ket.conj()))) < ATOL
+
+
+def test_half_waveplate_matrix_and_actions():
+    assert np.max(np.abs(half_waveplate(np.pi / 8) @ H - (H + V) / S2)) < ATOL
+    assert np.max(np.abs(half_waveplate(0.0) @ V + V)) < ATOL
+    # the fringe scan's analyzer at theta is |H> through a half waveplate
+    # at theta / 4
+    grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    records = fringe_scan_records(hybrid_singlet(), "h", grid, exact=True)
+    for theta, rec in zip(grid, records):
+        ket = half_waveplate(theta / 4) @ H
+        assert np.max(np.abs(rec.setting.alice_proj - np.outer(ket, ket.conj()))) < ATOL
+
+
+def test_quarter_waveplate_makes_circular_light():
+    # at +-pi/4 it turns |H> into the package's |L> and |R>
+    assert np.max(np.abs(quarter_waveplate(0.0) - np.diag([1, -1j]))) < ATOL
+    for t, label in ((np.pi / 4, "L"), (-np.pi / 4, "R")):
+        overlap = np.vdot(basis_ket(label).amplitudes, quarter_waveplate(t) @ H)
+        assert abs(overlap - np.exp(-1j * np.pi / 4)) < ATOL

@@ -31,8 +31,7 @@ from hybridoam.states import (
     POLARIZATION,
     DensityMatrix,
     StateVector,
-    basis_ket,
-    density_from_ket,
+    project_to_physical,
 )
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -58,7 +57,7 @@ def test_joint_probabilities_of_the_hybrid_singlet():
 def test_joint_probability_rejects_wrong_shape():
     with pytest.raises(ValueError):
         joint_probability(
-            density_from_ket(basis_ket("H")), setting_from_labels("H", "+2")
+            DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,)), setting_from_labels("H", "+2")
         )
 
 
@@ -320,6 +319,9 @@ def test_fit_fringe_failure_modes():
             fit_fringe(points)
     with pytest.raises(FitFailureError):
         visibility_minmax([])
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(FitFailureError, match="finite and non-negative"):
+            visibility_minmax([(0.0, bad), (1.0, 1.0)])
 
 
 def test_fringe_scans_draw_from_their_own_stream():
@@ -459,18 +461,20 @@ NON_FINITE = {
     ),
     "observable": (lambda: bell.DichotomicObservable(NAN2, NAN2, "nan"), "not rank 1"),
     "ket": (lambda: StateVector([np.nan, 0.0], (POLARIZATION,)), "not normalized"),
-    "unnormalized-ket": (
-        lambda: StateVector([np.nan, 1.0], (POLARIZATION,), unnormalized=True), "finite"
-    ),
-    "infinite-unnormalized-ket": (
-        lambda: StateVector([np.inf, 0.0], (POLARIZATION,), unnormalized=True), "finite"
-    ),
+    "infinite-ket": (lambda: StateVector([np.inf, 0.0], (POLARIZATION,)), "not normalized"),
     "density-matrix": (
         lambda: DensityMatrix(NAN4, PAIR, require_positive=False), "not Hermitian"
     ),
     "positive-density-matrix": (lambda: DensityMatrix(NAN4, PAIR), "not Hermitian"),
     "infinite-density-matrix": (
-        lambda: DensityMatrix(np.diag([np.inf, 0, 0, 0]), PAIR, True, False), "infinite"
+        lambda: DensityMatrix(np.diag([np.inf, 0, 0, 0]), PAIR, require_positive=False),
+        "infinite",
+    ),
+    "overflowing-trace-density-matrix": (
+        lambda: DensityMatrix(np.diag([1e308, 1e308, 0, 0]), PAIR), "trace is inf"
+    ),
+    "infinite-projection-input": (
+        lambda: project_to_physical(np.diag([np.inf, 0, 0, 0])), "finite entries"
     ),
     "infinite-off-diagonal-density-matrix": (
         lambda: DensityMatrix(np.full((4, 4), -np.inf), PAIR), "infinite"
@@ -510,7 +514,7 @@ def test_counting_rejects_bad_inputs():
         bell.chsh_empirical(rho, settings=(a, a_p, b, bad))
     with pytest.raises(ValueError, match="not idempotent"):
         fringe_scan_records(rho, np.diag([1.0, 0.5]), GRID16)
-    one_qubit = density_from_ket(basis_ket("H"))
+    one_qubit = DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,))
     runs = (
         lambda state, rate: tomography.simulate_tomography(state, rate),
         lambda state, rate: fringe_scan_records(state, "h", GRID16, rate),

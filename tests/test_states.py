@@ -6,19 +6,14 @@ from hybridoam.states import (
     DegenerateInputError,
     DensityMatrix,
     InvalidLabelError,
-    OAM_FULL,
-    OAM_FUNDAMENTAL,
     OAM_O2,
     POLARIZATION,
     BasisLabel,
     StateVector,
     basis_ket,
-    density_from_ket,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
     project_to_physical,
-    tensor,
 )
 
 S2 = np.sqrt(2.0)
@@ -50,9 +45,10 @@ def test_o2_superposition_kets():
 def test_label_resolution_and_errors():
     assert basis_ket("+2").basis == (OAM_O2,)
     assert basis_ket("H").basis == (POLARIZATION,)
-    assert basis_ket("0").basis == (OAM_FUNDAMENTAL,)
     with pytest.raises(InvalidLabelError):
         basis_ket("X")
+    with pytest.raises(InvalidLabelError):
+        basis_ket("0")  # the fundamental mode is not a basis state here
     with pytest.raises(InvalidLabelError):
         BasisLabel(POLARIZATION, "h")  # OAM label on the wrong degree
     with pytest.raises(InvalidLabelError):
@@ -62,8 +58,8 @@ def test_label_resolution_and_errors():
 def test_state_vector_normalization_guard():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0]), (POLARIZATION,))
-    sv = StateVector(np.array([1.0, 1.0]), (POLARIZATION,), unnormalized=True)
-    assert abs(sv.norm_squared() - 2.0) < ATOL
+    sv = StateVector(np.array([1.0, 1.0]) / S2, (POLARIZATION,))
+    assert abs(sv.norm_squared() - 1.0) < ATOL
     with pytest.raises(ValueError):
         StateVector(np.ones(3), (POLARIZATION,))  # dim mismatch
 
@@ -80,49 +76,6 @@ def test_density_matrix_guards():
     assert abs(dm.trace() - 1.0) < ATOL
     mixed = DensityMatrix(np.eye(2) / 2, (POLARIZATION,))
     assert abs(mixed.purity() - 0.5) < ATOL
-
-
-def test_tensor_and_density_from_ket():
-    hp = tensor(basis_ket("H"), basis_ket("+2"))
-    assert hp.basis == (POLARIZATION, OAM_O2)
-    assert np.allclose(hp.amplitudes, [1, 0, 0, 0], atol=ATOL)
-    rho = density_from_ket(hp)
-    assert rho.dim == 4 and abs(rho.trace() - 1.0) < ATOL
-    with pytest.raises(TypeError):
-        tensor(hp, rho)
-    with pytest.raises(ValueError):
-        density_from_ket(StateVector([1, 1], (POLARIZATION,), unnormalized=True))
-
-
-def test_partial_trace_product_state():
-    rho = density_from_ket(tensor(basis_ket("+"), basis_ket("h")))
-    pol = partial_trace(rho, keep=(0,))
-    oam = partial_trace(rho, keep=(1,))
-    assert np.allclose(pol.matrix, np.full((2, 2), 0.5), atol=ATOL)
-    assert np.allclose(oam.matrix, np.full((2, 2), 0.5), atol=ATOL)
-    assert pol.basis == (POLARIZATION,)
-
-
-def test_partial_trace_entangled_marginal_is_mixed():
-    psi = StateVector(np.array([1, 0, 0, -1]) / S2, (POLARIZATION, OAM_O2))
-    rho = density_from_ket(psi)
-    for keep in ((0,), (1,)):
-        marg = partial_trace(rho, keep)
-        assert np.allclose(marg.matrix, np.eye(2) / 2, atol=ATOL)
-    both = partial_trace(rho, keep=(0, 1))
-    assert np.allclose(both.matrix, rho.matrix, atol=ATOL)
-
-
-def test_partial_trace_three_factors():
-    psi = tensor(tensor(basis_ket("V"), basis_ket("-2")), basis_ket("0"))
-    rho = density_from_ket(psi)
-    assert rho.basis == (POLARIZATION, OAM_O2, OAM_FUNDAMENTAL)
-    sub = partial_trace(rho, keep=(0, 1))
-    assert np.allclose(sub.matrix, np.diag([0, 0, 0, 1.0]), atol=ATOL)
-    with pytest.raises(IndexError):
-        partial_trace(rho, keep=(3,))
-    with pytest.raises(ValueError):
-        partial_trace(rho, keep=(0, 0))
 
 
 def test_project_to_physical_clamps_and_renormalizes():
@@ -145,13 +98,20 @@ def test_project_to_physical_degenerate_input():
 
 
 def test_json_roundtrip_preserves_matrix_and_basis():
-    psi = StateVector(np.array([1, 1j, -1, -1j]) / 2, (POLARIZATION, OAM_O2))
-    rho = density_from_ket(psi)
+    amp = np.array([1, 1j, -1, -1j]) / 2
+    rho = DensityMatrix(np.outer(amp, amp.conj()), (POLARIZATION, OAM_O2))
     back = matrix_from_json(matrix_to_json(rho))
     assert back.basis == rho.basis
     assert np.max(np.abs(back.matrix - rho.matrix)) < ATOL
 
 
-def test_oam_full_dimension():
-    sv = StateVector(np.array([1.0, 0, 0]), (OAM_FULL,))
-    assert sv.dim == 3
+def test_unknown_factor_names_are_refused():
+    with pytest.raises(InvalidLabelError, match="'foo'"):
+        StateVector([1, 0], ("foo",))
+    with pytest.raises(InvalidLabelError, match="'foo'"):
+        DensityMatrix(np.eye(2) / 2, ("foo",))
+    with pytest.raises(InvalidLabelError, match="'oam_full'"):
+        StateVector(np.array([1.0, 0, 0]), ("oam_full",))
+    data = matrix_to_json(DensityMatrix(np.eye(2) / 2, (POLARIZATION,)))
+    with pytest.raises(InvalidLabelError, match="'oam'"):
+        matrix_from_json({**data, "basis": ["oam"]})

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -180,20 +181,25 @@ def _gap_bound_of(rho, records):
 
 
 def test_import_loads_no_scipy():
+    # a CLI start loads no scipy, and exactly the package modules it runs
     import hybridoam
 
     env = dict(os.environ)
     src_dir = str(Path(hybridoam.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
     code = (
-        "import sys, hybridoam, hybridoam.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys, hybridoam.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'hybridoam'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    modules = ("states", "source", "measurement", "tomography", "bell", "budget", "cli")
+    assert json.loads(out.stdout) == sorted(
+        ["hybridoam"] + [f"hybridoam.{name}" for name in modules]
+    )
 
 
 def test_count_table_validation():
