@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .states import (
     ATOL,
@@ -61,7 +61,6 @@ from .measurement import (
 )
 from .tomography import (
     InsufficientDataError,
-    MLEResult,
     StateMetrics,
     TomographyRun,
     concurrence,
@@ -70,7 +69,6 @@ from .tomography import (
     linear_inversion,
     log_likelihood,
     metric_uncertainties,
-    mle_reconstruct,
     reconstruct,
     simulate_tomography,
     tomography_settings,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import _born_counts, _check_projector, _stream
+from .measurement import _born_counts, _stream
 from .states import ATOL, DensityMatrix, _freeze, basis_ket
 
 _COS8 = np.cos(np.pi / 8)
@@ -161,17 +161,22 @@ class ChshResult:
         }
 
 
-def _pairs(settings):
-    if settings is None:
-        settings = chsh_settings()
-    a, a_p, b, b_p = settings
+@functools.cache
+def _compiled() -> tuple[tuple, np.ndarray]:
+    """The signed setting pairs of S and their (16, 4, 4) outcome operator
+    stack, built once; row 4k + 2i + j is outcome (i, j) of pair k."""
+    a, a_p, b, b_p = chsh_settings()
     # S = E(a,b) + E(a',b) + E(a,b') - E(a',b')
-    return [(a, b, +1), (a_p, b, +1), (a, b_p, +1), (a_p, b_p, -1)]
+    pairs = ((a, b, +1), (a_p, b, +1), (a, b_p, +1), (a_p, b_p, -1))
+    ops = np.stack([
+        np.kron(x.projector(i), y.projector(j)) for x, y, _ in pairs for i, j in _OUTCOME_PAIRS
+    ])
+    return pairs, _freeze(ops)
 
 
-def chsh_exact(rho: DensityMatrix, settings=None) -> ChshResult:
+def chsh_exact(rho: DensityMatrix) -> ChshResult:
     """S from exact Born-rule correlations."""
-    pairs = _pairs(settings)
+    pairs, _ = _compiled()
     es = [correlation(rho, a, b) for a, b, _ in pairs]
     s = sum(sign * e for (_, _, sign), e in zip(pairs, es))
     return ChshResult(
@@ -184,32 +189,8 @@ def chsh_exact(rho: DensityMatrix, settings=None) -> ChshResult:
     )
 
 
-def _compile(settings) -> tuple[tuple, np.ndarray]:
-    """The signed setting pairs and their (16, 4, 4) outcome operator stack.
-
-    Row 4k + 2i + j is outcome (i, j) of pair k.  Every analyzer projector
-    is checked as a coincidence setting checks it.
-    """
-    pairs = _pairs(settings)
-    ops = [
-        np.kron(
-            _check_projector(a.projector(i), "alice"),
-            _check_projector(b.projector(j), "bob"),
-        )
-        for a, b, _ in pairs
-        for i, j in _OUTCOME_PAIRS
-    ]
-    return tuple(pairs), _freeze(np.stack(ops))
-
-
-@functools.cache
-def _default_compiled() -> tuple[tuple, np.ndarray]:
-    return _compile(None)
-
-
 def chsh_empirical(
     rho: DensityMatrix,
-    settings=None,
     rate_cps: float = 100.0,
     duration_s: float = 60.0,
     seed: int = 0,
@@ -223,7 +204,7 @@ def chsh_empirical(
     """
     if not 0 < duration_s < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration_s}")
-    pairs, ops = _default_compiled() if settings is None else _compile(settings)
+    pairs, ops = _compiled()
     n = len(_OUTCOME_PAIRS)
     _, counts = _born_counts(
         rho, ops, rate_cps, [duration_s / 4.0] * len(ops), _stream(seed, (1,))

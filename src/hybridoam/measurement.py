@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ATOL, DensityMatrix, basis_ket, _freeze, _resolve_label
+from .states import ATOL, DensityMatrix, _DEGREE_KETS, _freeze, _resolve_label, basis_ket
 
 DEFAULT_RATE_CPS = 100.0
 DEFAULT_DURATION_S = 15.0
@@ -139,18 +139,26 @@ def _analyzer_state(name: str) -> np.ndarray:
     return basis_ket(name).amplitudes
 
 
-def _projector_from(label_or_matrix, degree: str | None = None) -> tuple[np.ndarray, str]:
-    if isinstance(label_or_matrix, str):
-        if label_or_matrix.startswith(_THETA_PREFIX):
-            ket = _analyzer_state(label_or_matrix)
-            return np.outer(ket, ket.conj()), label_or_matrix
-        lab = _resolve_label(label_or_matrix)
-        if degree is not None and lab.degree != degree:
-            raise ValueError(f"label {lab.name!r} is not a {degree} state")
-        ket = basis_ket(lab).amplitudes
-        return np.outer(ket, ket.conj()), lab.name
-    mat = np.asarray(label_or_matrix, dtype=complex)
-    return mat, ""
+def _check_label(label, degree: str) -> str:
+    if not isinstance(label, str):
+        raise TypeError(
+            f"{degree} analyzer must be a label, one of"
+            f" {', '.join(_DEGREE_KETS[degree])}, got {type(label).__name__}"
+        )
+    return label
+
+
+def _projector_from(label: str, degree: str) -> tuple[np.ndarray, str]:
+    """The projector of an analyzer label of one degree of freedom, or of a
+    "theta=<x>" scan tag, and its name."""
+    if _check_label(label, degree).startswith(_THETA_PREFIX):
+        ket = _analyzer_state(label)
+        return np.outer(ket, ket.conj()), label
+    lab = _resolve_label(label)
+    if lab.degree != degree:
+        raise ValueError(f"label {lab.name!r} is not a {degree} state")
+    ket = basis_ket(lab).amplitudes
+    return np.outer(ket, ket.conj()), lab.name
 
 
 def setting_from_labels(
@@ -252,15 +260,15 @@ def exact_counts(
 
 @functools.lru_cache(maxsize=16)
 def _fringe_settings(
-    bob: bytes, bname: str, thetas: bytes, duration_s: float
+    bob: str, thetas: bytes, duration_s: float
 ) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
     """The settings of one scan and their operator stack, built once.
 
-    Keyed by the bytes of Bob's validated projector, his label, the bytes
-    of the float theta grid and the duration; everything returned is shared
-    by every caller, so read-only.
+    Keyed by Bob's OAM label, the bytes of the float theta grid and the
+    duration; everything returned is shared by every caller, so read-only.
     """
-    pb = np.frombuffer(bob, dtype=complex).reshape(2, 2)
+    pb, bname = _projector_from(bob, "oam_o2")
+    _freeze(pb)
     grid = np.frombuffer(thetas)
     if not np.isfinite(grid).all():
         raise ValueError("theta grid must be finite")
@@ -281,16 +289,9 @@ def _fringe_settings(
     return tuple(settings), _freeze(ops)
 
 
-@functools.lru_cache(maxsize=16)
-def _label_projector(label: str) -> tuple[np.ndarray, str]:
-    """Bob's checked, read-only projector for an OAM label, and its name."""
-    pb, bname = _projector_from(label, "oam_o2")
-    return _freeze(_check_projector(pb, "bob")), bname
-
-
 def fringe_scan_records(
     rho: DensityMatrix,
-    bob_proj,
+    bob_proj: str,
     theta_grid,
     rate_cps: float = DEFAULT_RATE_CPS,
     duration_s: float = DEFAULT_DURATION_S,
@@ -302,17 +303,13 @@ def fringe_scan_records(
 
     The points draw, in grid order, from the scan's stream (2, scan_index)
     off the global seed, so a point's count depends on the grid before it.
-    ``bob_proj`` is an OAM label or a 2x2 projector.
+    ``bob_proj`` is an OAM label, such as "+2" or "h".
     """
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
-    if isinstance(bob_proj, str):
-        pb, bname = _label_projector(bob_proj)
-    else:
-        pb, bname = _check_projector(bob_proj, "bob"), ""
     settings, ops = _fringe_settings(
-        pb.tobytes(), bname, thetas.tobytes(), duration_s
+        _check_label(bob_proj, "oam_o2"), thetas.tobytes(), duration_s
     )
     rng = _stream(seed, (2, scan_index), exact)
     return _count_records(rho, settings, ops, rate_cps, seed, rng)

@@ -24,6 +24,10 @@ import numpy as np
 
 ATOL = 1e-12        # tolerance for algebraic identities
 PSD_FLOOR = -1e-10  # eigenvalue floor for physicality checks
+# project_to_physical refuses larger entries: the clipped spectrum of an
+# n x n matrix sums to at most n^2 times its largest entry, which then stays
+# finite for any n below 10^4
+_MAX_ENTRY = 1e300
 
 POLARIZATION = "polarization"
 OAM_O2 = "oam_o2"
@@ -162,14 +166,16 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match factors {self.basis}"
             )
-        # a NaN entry fails the Hermitian test; an infinite one is refused
-        # first, as inf - inf there would warn.  The trace is summed as
-        # Python floats, which overflow to inf without numpy's warning, and
-        # inf fails the trace test.  Method calls, not np.max and np.trace,
-        # keep the checks cheap on the MLE path.
-        if np.isinf(mat).any():
-            raise ValueError("density matrix has an infinite entry")
-        if not abs(mat - mat.conj().T).max() <= 1e-10:
+        # a NaN or infinite entry fails the Hermitian test, and so does a
+        # difference past float64's range, as inf without numpy's warning.
+        # The trace is summed as Python floats, which overflow to inf without
+        # the warning too, and inf fails the trace test.  Method calls, not
+        # np.max and np.trace, keep the checks cheap on the MLE path.
+        with np.errstate(over="ignore", invalid="ignore"):
+            asymmetry = abs(mat - mat.conj().T).max()
+        if not asymmetry <= 1e-10:
+            if np.isinf(mat).any():
+                raise ValueError("density matrix has an infinite entry")
             raise ValueError("density matrix is not Hermitian")
         tr = sum(mat.diagonal().real.tolist())
         if not abs(tr - 1.0) <= 1e-10:
@@ -212,9 +218,6 @@ def _projection(rho, basis: Iterable[str] | None = None) -> tuple[DensityMatrix,
         basis = rho.basis
     else:
         mat = np.asarray(rho, dtype=complex)
-        # refused here, as inf - inf in the Hermitian test would warn
-        if np.isinf(mat).any():
-            raise ValueError("project_to_physical requires finite entries")
         if basis is None:
             if mat.shape == (4, 4):
                 basis = (POLARIZATION, OAM_O2)
@@ -222,6 +225,14 @@ def _projection(rho, basis: Iterable[str] | None = None) -> tuple[DensityMatrix,
                 basis = (POLARIZATION,)
             else:
                 raise ValueError("basis factors required for raw matrix input")
+    with np.errstate(over="ignore"):  # a modulus past float64's range is inf
+        size = np.max(np.abs(mat))
+    # refused first, so that neither inf - inf nor an overflow warns below;
+    # NaN passes on to fail the Hermitian test
+    if size > _MAX_ENTRY:
+        raise ValueError(
+            f"project_to_physical requires finite entries of modulus at most {_MAX_ENTRY:g}"
+        )
     if not np.max(np.abs(mat - mat.conj().T)) <= 1e-9:
         raise ValueError("project_to_physical requires a Hermitian matrix")
     mat, least = _clip_to_states((mat + mat.conj().T) / 2)

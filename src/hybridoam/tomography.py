@@ -23,7 +23,7 @@ step on all of them with one batched 15x15 solve, and a table leaves the
 stack when it is certified.  Every table keeps its own barrier weight,
 dual estimate and step, and its row arithmetic does not depend on the other
 tables, so a table solved in a stack gives exactly what it gives alone.
-mle_reconstruct solves a stack of one; the bootstrap solves all its
+reconstruct solves a stack of one; the bootstrap solves all its
 resamples in one stack.  Each of the 15 Pauli products G_m of the Bloch
 coordinates has one entry, +-1 or +-i, in each row, so the products with
 G_m that the Newton matrix needs are signed gathers from fixed index
@@ -119,22 +119,6 @@ class InsufficientDataError(ValueError):
 
 
 @dataclass(frozen=True)
-class MLEResult:
-    """Maximum-likelihood reconstruction with its convergence report.
-
-    ``loglik_gap_bound`` is a proven upper bound on how far ``loglik`` lies
-    below the maximum, round-off included, and never negative; ``converged``
-    means it is at most _MLE_TOL.
-    """
-
-    rho: DensityMatrix
-    loglik: float
-    converged: bool
-    n_iter: int
-    loglik_gap_bound: float
-
-
-@dataclass(frozen=True)
 class StateMetrics:
     """Point estimates and one-sigma bootstrap uncertainties.
 
@@ -178,9 +162,14 @@ class StateMetrics:
 
 @dataclass(frozen=True)
 class TomographyRun:
-    """One full reconstruction: raw counts and both estimates."""
+    """One full reconstruction: raw counts, both estimates and the MLE's
+    convergence report.
 
-    settings: tuple[MeasurementSetting, ...]
+    ``loglik_gap_bound`` is a proven upper bound on how far ``loglik`` lies
+    below the maximum, round-off included, and never negative; ``converged``
+    means it is at most _MLE_TOL.
+    """
+
     records: tuple[CountRecord, ...]
     rho_linear: DensityMatrix
     rho_mle: DensityMatrix
@@ -287,7 +276,11 @@ def linear_inversion(records) -> DensityMatrix:
     bases, which all estimate the same quantity.  Both are folded into the
     fixed inversion map, so rho = I/4 + sum_k (n_k / N_group(k)) M_k.
     """
-    counts, totals = _count_table(records)
+    return _linear_estimate(*_count_table(records))
+
+
+def _linear_estimate(counts: np.ndarray, totals: np.ndarray) -> DensityMatrix:
+    """Linear inversion of one table's counts and group totals."""
     return DensityMatrix(
         _invert(counts / totals), (POLARIZATION, OAM_O2), require_positive=False
     )
@@ -520,14 +513,14 @@ def _passes(t, dq, e, counts, mu, decrement):
     return gain >= _ARMIJO * t * decrement
 
 
-def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray | None = None):
+def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray):
     """Maximize the likelihood of a (B, 36) stack of count tables at once.
 
     Each table runs its own primal-dual interior-point method from its
-    physical start in the (B, 4, 4) stack, as mle_reconstruct describes.
-    Given ``least``, the starts are projected estimates of their tables, as
-    of linear inversion, with the least eigenvalues the projection gave
-    them, and a start whose least eigenvalue exceeds _INSIDE begins at
+    physical start in the (B, 4, 4) stack, as reconstruct describes.  The
+    starts are projected estimates of their tables, as of linear inversion,
+    with ``least`` the least eigenvalues the projection gave them, and a
+    start whose least eigenvalue exceeds _INSIDE begins at
     itself, on the central path at duality measure _MU_INSIDE; any other
     start is blended with _START_BLEND of I/4 and begins at duality measure
     max(_MU_START, _MU_PER_GAP x its gap bound).  The rule is per table.  A
@@ -556,7 +549,7 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray | None = Non
     live = np.flatnonzero(certified_start > _MLE_TOL)
     counts = counts[live]
     x = _rowwise(_as_rows(start[live]), _BLOCH_ROWS.T)
-    inside = np.zeros(live.size, dtype=bool) if least is None else least[live] > _INSIDE
+    inside = least[live] > _INSIDE
     x = np.where(inside[:, None], x, (1.0 - _START_BLEND) * x)
     # start on the central path; a blended start at a duality measure that
     # grows with its gap for tables of millions of counts
@@ -604,54 +597,47 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray | None = Non
     return (rho_out + rho_out.conj().transpose(0, 2, 1)) / 2, bound_out, n_iter_out
 
 
-def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
-    """Likelihood maximization over density matrices.
+def reconstruct(records) -> TomographyRun:
+    """Linear inversion plus maximum-likelihood refinement on one count table.
 
-    A log-barrier Newton method in the 15 Bloch coordinates of rho: each
-    round steps towards the maximum of sum_k n_k log p_k + mu log det rho,
-    with mu a hundredth to a half of the current duality measure, the
-    smaller the longer the last steps were.  The Newton matrix takes its barrier term from a
-    dual estimate Z, which moves with rho (the HKM primal-dual direction,
-    the primal barrier Hessian where Z = mu rho^-1), so each cut of mu takes
-    about one round.  The solve starts from the physical projection of
-    linear inversion, or of the ``start`` given, which is projected when
-    it is an estimate that may be indefinite (require_positive=False, as
-    linear_inversion returns it).  If such a projected estimate has least
-    eigenvalue above 1e-3, it is taken as it is, on the central path at
-    duality measure 0.01: the estimate lies close to the maximum, which then
-    most likely lies inside the state space too.  Any other start, and any
-    physical ``start`` (require_positive=True), is blended with 1% of I/4 to
-    make it full rank and begins at duality measure
-    max(1, 1e-3 x its gap bound), far enough from a boundary optimum: a
-    physical start may lie anywhere, and one near the boundary taken
-    unblended can need tens of rounds, or more than _MLE_MAXITER, where
-    blended it needs about ten.  Each step is backtracked so that rho stays
-    positive definite and the step gains likelihood against the quadratic
-    model.  Every round bounds the gap to the maximum by the concavity
-    bound lambda_max(R) - N, with R = sum_k (n_k/p_k) Pi_k (Glancy, Knill &
+    This is the one reconstruction entry point.  The likelihood is maximized
+    over density matrices by a log-barrier Newton method in the 15 Bloch
+    coordinates of rho: each round steps towards the maximum of
+    sum_k n_k log p_k + mu log det rho, with mu a hundredth to a half of the
+    current duality measure, the smaller the longer the last steps were.
+    The Newton matrix takes its barrier term from a dual estimate Z, which
+    moves with rho (the HKM primal-dual direction, the primal barrier
+    Hessian where Z = mu rho^-1), so each cut of mu takes about one round.
+    The solve starts from the physical projection of linear inversion.  If
+    that has least eigenvalue above 1e-3, it is taken as it is, on the
+    central path at duality measure 0.01: the estimate lies close to the
+    maximum, which then most likely lies inside the state space too.  Any
+    other start is blended with 1% of I/4 to make it full rank and begins
+    at duality measure max(1, 1e-3 x its gap bound), far enough from a
+    boundary optimum.  Each step is backtracked so that rho stays positive
+    definite and the step gains likelihood against the quadratic model.
+    Every round bounds the gap to the maximum by the concavity bound
+    lambda_max(R) - N, with R = sum_k (n_k/p_k) Pi_k (Glancy, Knill &
     Girard, NJP 14, 095017, 2012), once the duality measure is small enough
     for it to certify, and the solve stops when it is at most _MLE_TOL.
     The bound counts its own round-off: it is clipped at 0 and has
     16 eps N added for a table of N counts, so a table of more than about
     3e8 counts cannot converge.  It is reported as loglik_gap_bound, and
     converged means it is at most _MLE_TOL; after _MLE_MAXITER rounds the
-    solve stops unconverged.  A start that already
-    certifies, as for exact count tables, comes back unchanged, and the
-    result never has less likelihood than the start.  A start that gives a
-    setting with counts zero probability raises ValueError.  This is the
-    stacked solver of the bootstrap on a stack of one table.
+    solve stops unconverged.  A start that already certifies, as for exact
+    count tables, comes back unchanged, and the result never has less
+    likelihood than the start.  This is the stacked solver of the bootstrap
+    on a stack of one table.
     """
+    records = tuple(records)  # read twice below, so any iterable will do
     counts, totals = _count_table(records)
-    if start is None:
-        start = linear_inversion(records)
-    # an estimate still to be projected, as linear inversion gives, may start
-    # unblended; a physical start from the caller may lie anywhere
-    pli, least = (start, None) if start.require_positive else _projection(start)
-    rho, bound, n_iter = _solve(
-        counts[None], pli.matrix[None], None if least is None else least[None]
-    )
-    return MLEResult(
-        rho=DensityMatrix(rho[0], pli.basis),
+    rho_lin = _linear_estimate(counts, totals)
+    start, least = _projection(rho_lin)
+    rho, bound, n_iter = _solve(counts[None], start.matrix[None], least[None])
+    return TomographyRun(
+        records=records,
+        rho_linear=rho_lin,
+        rho_mle=DensityMatrix(rho[0], start.basis),
         loglik=_loglik(rho[0], counts, totals),
         converged=bool(bound[0] <= _MLE_TOL),
         n_iter=int(n_iter[0]),
@@ -659,28 +645,11 @@ def mle_reconstruct(records, start: DensityMatrix | None = None) -> MLEResult:
     )
 
 
-def reconstruct(records) -> TomographyRun:
-    """Linear inversion plus MLE refinement on one count table."""
-    rho_lin = linear_inversion(records)
-    mle = mle_reconstruct(records, start=rho_lin)
-    settings = tuple(r.setting for r in records)
-    return TomographyRun(
-        settings=settings,
-        records=tuple(records),
-        rho_linear=rho_lin,
-        rho_mle=mle.rho,
-        loglik=mle.loglik,
-        converged=mle.converged,
-        n_iter=mle.n_iter,
-        loglik_gap_bound=mle.loglik_gap_bound,
-    )
-
-
-def fidelity(rho: DensityMatrix, psi_target: StateVector) -> float:
-    """Overlap <psi|rho|psi> with a pure target."""
-    if rho.dim != psi_target.dim:
+def fidelity(rho: DensityMatrix, target: StateVector) -> float:
+    """Overlap <psi|rho|psi> with a pure target psi."""
+    if rho.dim != target.dim:
         raise ValueError("dimension mismatch")
-    return float(_fidelities(rho.matrix[None], psi_target.amplitudes)[0])
+    return float(_fidelities(rho.matrix[None], target.amplitudes)[0])
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -725,56 +694,37 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(ev)))
 
 
-def metric_uncertainties(
-    records,
-    n_resamples: int = 100,
-    seed: int = 0,
-    psi_target: StateVector | None = None,
-    resampler=None,
-) -> StateMetrics:
-    """Parametric bootstrap of (F, C, S_L) around the observed counts.
+def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> StateMetrics:
+    """Parametric bootstrap of (F, C, S_L) around the observed counts, with
+    the hybrid singlet as the fidelity target.
 
     ``records`` is a count table, or the TomographyRun of one, whose
     estimate then gives the point values, so that the table is not solved
     again.  Each resample draws Poisson counts with the observed values as
     means: resample r is row r of one (n_resamples, 36) draw from stream
-    (3,) off the seed, so it does not depend on n_resamples.  Resamples are
-    reconstructed as reconstruct would, in one stacked solve; given a bare
-    table, the observed table joins that stack as row 0, started where
-    reconstruct starts it, and its estimate gives the point values.  Rows solve
-    independently, so either way the point values are those of
-    reconstruct's estimate.  The sample standard deviations of the metrics
-    over resamples are the one-sigma uncertainties.
-    ``resampler(counts, r) -> counts`` can replace the Poisson draw; counts
-    are truncated to integers.  A resample with an empty basis pair is
-    refused for lack of data and counts as failed; more than 10% failed
-    raises RuntimeError, and the result reports how many failed, and how
-    many of the solved resamples stopped unconverged.  Resampled
-    counts that are negative or not finite raise ValueError.
+    (3,) off the seed, in the order of the records, so it does not depend
+    on n_resamples.  Resamples are reconstructed as reconstruct would, in
+    one stacked solve; given a bare table, the observed table joins that
+    stack as row 0, started where reconstruct starts it, and its estimate
+    gives the point values.  Rows solve independently, so either way the
+    point values are those of reconstruct's estimate.  The sample standard
+    deviations of the metrics over resamples are the one-sigma
+    uncertainties.  A resample with an empty basis pair is refused for lack
+    of data and counts as failed; more than 10% failed raises RuntimeError,
+    and the result reports how many failed, and how many of the solved
+    resamples stopped unconverged.
     """
     if n_resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {n_resamples}")
-    if psi_target is None:
-        psi_target = hybrid_singlet_ket()
+    psi = hybrid_singlet_ket()
     run = records if isinstance(records, TomographyRun) else None
-    if run is not None:
-        records = run.records
-    observed, _ = _count_table(records)
-    obs = np.array([float(r.counts) for r in records])
-    if resampler is None:
-        draws = _stream(seed, (3,)).poisson(obs, (n_resamples, obs.size)).astype(float)
-    else:
-        draws = np.empty((n_resamples, obs.size))
-        for r in range(n_resamples):
-            draws[r] = resampler(obs, r)
-    if not np.isfinite(draws).all():
-        raise ValueError("resampled counts must be finite")
-    draws = np.trunc(draws)
-    if (draws < 0).any():
-        raise ValueError("resampled counts must be non-negative")
+    records = run.records if run is not None else tuple(records)
+    observed, totals = _count_table(records)
     # the records passed _count_table, so they hold each setting once
-    counts = np.empty_like(draws)
-    counts[:, [_INDEX[r.setting.alice, r.setting.bob] for r in records]] = draws
+    order = [_INDEX[r.setting.alice, r.setting.bob] for r in records]
+    draws = _stream(seed, (3,)).poisson(observed[order], (n_resamples, len(order)))
+    counts = np.empty(draws.shape)
+    counts[:, order] = draws
     gtot = counts @ _GROUP_SUM
     refused = gtot.min(axis=1) <= 0
     failures = int(refused.sum())
@@ -785,7 +735,7 @@ def metric_uncertainties(
     counts, gtot = counts[~refused], gtot[~refused]
     start, least = _clip_to_states(_invert(counts / gtot[:, _GROUP]))
     if run is None:
-        point_start, point_least = _projection(linear_inversion(records))
+        point_start, point_least = _projection(_linear_estimate(observed, totals))
         counts = np.concatenate([observed[None], counts])
         start = np.concatenate([point_start.matrix[None], start])
         least = np.concatenate([point_least[None], least])
@@ -795,13 +745,9 @@ def metric_uncertainties(
         rhos, bounds = rhos[1:], bounds[1:]
     else:
         rho_mle = run.rho_mle
-    point = (
-        fidelity(rho_mle, psi_target),
-        concurrence(rho_mle),
-        linear_entropy(rho_mle),
-    )
+    point = (fidelity(rho_mle, psi), concurrence(rho_mle), linear_entropy(rho_mle))
     samples = np.column_stack([
-        _fidelities(rhos, psi_target.amplitudes),
+        _fidelities(rhos, psi.amplitudes),
         _concurrences(rhos),
         _linear_entropies(rhos),
     ])

@@ -36,7 +36,6 @@ from hybridoam.tomography import (
     linear_entropy,
     linear_inversion,
     metric_uncertainties,
-    mle_reconstruct,
     reconstruct,
     simulate_tomography,
     tomography_settings,
@@ -200,11 +199,11 @@ def test_criterion_7_property_suites():
         recs = [
             CountRecord(s, int(rng.integers(0, 500)), None, 0) for s in settings
         ]
-        res = mle_reconstruct(recs)
-        w = np.linalg.eigvalsh(res.rho.matrix)
+        res = reconstruct(recs)
+        w = np.linalg.eigvalsh(res.rho_mle.matrix)
         min_eig = min(min_eig, float(w[0]))
         trace_err = max(
-            trace_err, abs(float(np.trace(res.rho.matrix).real) - 1.0)
+            trace_err, abs(float(np.trace(res.rho_mle.matrix).real) - 1.0)
         )
 
     # CP / trace contracts across the chain's elements, 1e4 random states

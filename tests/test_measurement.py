@@ -426,13 +426,6 @@ def test_compiled_counts_match_a_per_setting_loop():
                     )
                     want = _loop_records(rho, settings, rate, seed, (2, k), exact)
                     assert _as_rows(got) == _as_rows(want)
-                    # Bob's projector as a matrix: same counts, no Bob label
-                    matrix = fringe_scan_records(
-                        rho, settings[0].bob_proj, GRID16, rate, duration, seed, k,
-                        exact,
-                    )
-                    assert [r.counts for r in matrix] == [r.counts for r in got]
-                    assert matrix[0].setting.bob == ""
             # CHSH: outcome (i, j) of pair k is draw 4k + 2i + j of stream (1,)
             result = bell.chsh_empirical(
                 rho, rate_cps=rate, duration_s=4 * duration, seed=seed
@@ -447,6 +440,13 @@ def test_compiled_counts_match_a_per_setting_loop():
             es = [bell.correlation_from_counts(counts[4 * k : 4 * k + 4]) for k in range(4)]
             assert result.correlations == tuple(es)
             assert result.s == es[0] + es[1] + es[2] - es[3]
+
+
+def _with_pair(upper, lower):
+    """I/4 with entries [0, 1] and [1, 0] set."""
+    m = np.eye(4) / 4
+    m[0, 1], m[1, 0] = upper, lower
+    return m
 
 
 NAN2 = np.full((2, 2), np.nan)
@@ -479,6 +479,19 @@ NON_FINITE = {
     "infinite-off-diagonal-density-matrix": (
         lambda: DensityMatrix(np.full((4, 4), -np.inf), PAIR), "infinite"
     ),
+    # finite, but past what float64 can subtract, add or sum
+    "overflowing-difference-density-matrix": (
+        lambda: DensityMatrix(_with_pair(1e308, -1e308), PAIR), "not Hermitian"
+    ),
+    "overflowing-sum-projection-of-a-density-matrix": (
+        lambda: project_to_physical(
+            DensityMatrix(_with_pair(1e308, 1e308), PAIR, require_positive=False)
+        ),
+        "finite entries",
+    ),
+    "overflowing-sum-projection-input": (
+        lambda: project_to_physical(np.diag([1e308, 1e308, 0, 0])), "finite entries"
+    ),
     "chsh-duration": (lambda: bell.chsh_empirical(SINGLET, duration_s=np.nan), "duration"),
     "chsh-infinite-duration": (
         lambda: bell.chsh_empirical(SINGLET, duration_s=np.inf), "duration"
@@ -507,13 +520,17 @@ def test_non_finite_inputs_are_refused_at_their_guard(case):
 
 def test_counting_rejects_bad_inputs():
     rho = hybrid_singlet()
-    a, a_p, b, b_p = bell.chsh_settings()
-    skew = np.array([[1, 1], [0, 0]])  # idempotent, trace 1, not Hermitian
-    bad = bell.DichotomicObservable(skew, np.eye(2) - skew, "skew")
-    with pytest.raises(ValueError, match="not Hermitian"):
-        bell.chsh_empirical(rho, settings=(a, a_p, b, bad))
-    with pytest.raises(ValueError, match="not idempotent"):
-        fringe_scan_records(rho, np.diag([1.0, 0.5]), GRID16)
+    # analyzers are named by label; a projector matrix or other object is not one
+    not_labels = (
+        lambda bob: fringe_scan_records(rho, bob, GRID16),
+        lambda bob: setting_from_labels("H", bob),
+    )
+    for bad in (np.diag([1.0, 0.0]), None, 2, ["h"]):
+        for run in not_labels:
+            with pytest.raises(TypeError, match="oam_o2 analyzer must be a label, one of .*h"):
+                run(bad)
+    with pytest.raises(TypeError, match="polarization analyzer must be a label"):
+        setting_from_labels(np.diag([1.0, 0.0]), "h")
     one_qubit = DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,))
     runs = (
         lambda state, rate: tomography.simulate_tomography(state, rate),
@@ -537,19 +554,15 @@ def test_compiled_settings_are_read_only():
         not s.alice_proj.flags.writeable and not s.bob_proj.flags.writeable
         for s in settings
     )
-    stacks = (
-        tomography._compiled_settings(15.0)[1],
-        measurement._fringe_settings(
-            fringe[0].setting.bob_proj.tobytes(), "h", GRID16.tobytes(), 15.0
-        )[1],
-        bell._default_compiled()[1],
-    )
+    scan = measurement._fringe_settings("h", GRID16.tobytes(), 15.0)
+    stacks = (tomography._compiled_settings(15.0)[1], scan[1], bell._compiled()[1])
     assert all(not ops.flags.writeable for ops in stacks)
-    # a scan label's projector is checked once and then shared, read-only
-    label = measurement._label_projector("h")
-    assert label is measurement._label_projector("h") and label[1] == "h"
-    assert np.array_equal(label[0], fringe[0].setting.bob_proj)
-    assert not label[0].flags.writeable
+    # a scan is built once per label, grid and duration, and every point
+    # shares Bob's one checked, read-only projector
+    assert scan is measurement._fringe_settings("h", GRID16.tobytes(), 15.0)
+    assert all(a is b for a, b in zip(scan[0], (r.setting for r in fringe)))
+    assert all(s.bob_proj is fringe[0].setting.bob_proj for s in scan[0])
+    assert bell._compiled() is bell._compiled()
 
 
 def test_count_records_refuse_counts_float64_cannot_hold():

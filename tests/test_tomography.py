@@ -29,7 +29,6 @@ from hybridoam.tomography import (
     linear_inversion,
     log_likelihood,
     metric_uncertainties,
-    mle_reconstruct,
     reconstruct,
     simulate_tomography,
     tomography_settings,
@@ -132,7 +131,13 @@ def test_metric_oracles_on_known_states():
 
 def test_noisy_reconstruction_is_physical_and_close():
     rho, _ = prepare_hybrid("fitted")
-    run = reconstruct(simulate_tomography(rho, seed=0))
+    records = simulate_tomography(rho, seed=0)
+    run = reconstruct(records)
+    # any iterable of records will do, for the bootstrap too
+    again = reconstruct(iter(records))
+    assert again.records == run.records
+    assert np.array_equal(again.rho_mle.matrix, run.rho_mle.matrix)
+    assert metric_uncertainties(iter(records)) == metric_uncertainties(records)
     w = np.linalg.eigvalsh(run.rho_mle.matrix)
     assert w[0] > -1e-10
     assert abs(np.trace(run.rho_mle.matrix).real - 1.0) < 1e-9
@@ -143,30 +148,35 @@ def test_noisy_reconstruction_is_physical_and_close():
 
 
 def test_mle_starts_from_projected_linear_inversion_and_never_loses():
+    from hybridoam.tomography import _count_table, _solve
+
     rho, _ = prepare_hybrid("fitted")
     exact = simulate_tomography(rho, exact=True)
-    res = mle_reconstruct(exact)
+    res = reconstruct(exact)
     start = project_to_physical(linear_inversion(exact))
     assert res.converged
-    assert np.max(np.abs(res.rho.matrix - start.matrix)) < 1e-12
+    assert np.max(np.abs(res.rho_mle.matrix - start.matrix)) < 1e-12
     # a start where a counted setting has zero probability has no likelihood
+    counts = _count_table(exact)[0][None]
     with pytest.raises(ValueError, match="zero probability"):
-        mle_reconstruct(exact, start=DensityMatrix(np.diag([1.0, 0, 0, 0]), start.basis))
+        _solve(counts, np.diag([1.0, 0, 0, 0]).astype(complex)[None], np.zeros(1))
     for rate, seed in ((1.0, 0), (5.0, 1), (100.0, 2)):
         recs = simulate_tomography(rho, rate_cps=rate, seed=seed)
-        res = mle_reconstruct(recs)
+        res = reconstruct(recs)
         start = project_to_physical(linear_inversion(recs))
         assert res.converged
         assert res.loglik >= log_likelihood(start, recs)
-        assert res.loglik == log_likelihood(res.rho, recs)
+        assert res.loglik == log_likelihood(res.rho_mle, recs)
         # the reported certificate is the concavity bound lambda_max(R) - N
-        assert abs(res.loglik_gap_bound - _gap_bound_of(res.rho, recs)) < 1e-7
+        assert abs(res.loglik_gap_bound - _gap_bound_of(res.rho_mle, recs)) < 1e-7
         assert 0.0 <= res.loglik_gap_bound <= 1e-6
         # and it bounds the gain from any start, here the linear estimate's
         assert res.loglik - log_likelihood(start, recs) <= _gap_bound_of(start, recs)
-        # converged means at the maximum: solving on from there gains ~nothing
-        again = mle_reconstruct(recs, start=res.rho)
-        assert again.loglik - res.loglik <= 1e-9 * abs(res.loglik)
+        # converged means at the maximum: solving on from there, blended as
+        # any start not taken as inside, gains ~nothing
+        again = _solve(_count_table(recs)[0][None], res.rho_mle.matrix[None], np.zeros(1))[0][0]
+        gain = log_likelihood(DensityMatrix(again, res.rho_mle.basis), recs) - res.loglik
+        assert gain <= 1e-9 * abs(res.loglik)
 
 
 def _gap_bound_of(rho, records):
@@ -200,6 +210,42 @@ def test_import_loads_no_scipy():
     assert json.loads(out.stdout) == sorted(
         ["hybridoam"] + [f"hybridoam.{name}" for name in modules]
     )
+
+
+PUBLIC_NAMES = """
+    ATOL BasisLabel ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS DETERMINISTIC
+    DegenerateInputError DensityMatrix DichotomicObservable FitFailureError
+    InsufficientDataError InvalidLabelError MeasurementSetting NoiseModel
+    O2_FRAME_ALIGNMENT OAM_O2 POLARIZATION PROBABILISTIC REFERENCE_CONCURRENCE
+    REFERENCE_FIDELITY REFERENCE_LINEAR_ENTROPY RateBudget StateMetrics StateVector
+    TomographyRun UndefinedCorrelationError apply_noise basis_ket budget_report
+    chsh_empirical chsh_exact chsh_settings concurrence correlation
+    correlation_from_counts det_probability exact_counts expected_counts
+    expected_rate fidelity fit_fringe fit_noise_model format_report fringe_scan
+    fringe_scan_records hybrid_singlet hybrid_singlet_ket hybrid_state
+    joint_probability linear_entropy linear_inversion log_likelihood
+    matrix_from_json matrix_to_json metric_uncertainties noise_fit_report
+    noise_preset observable_from_kets observable_from_labels predicted_s
+    prep_probability prepare_hybrid project_to_physical read_counts_csv
+    reconstruct setting_from_labels simulate_counts simulate_tomography singlet
+    singlet_ket tomography_settings trace_distance upgraded_budget
+    visibility_minmax write_counts_csv
+""".split()
+
+
+def test_public_api_is_pinned():
+    # every name `import hybridoam` exports besides its submodules, whose
+    # set test_import_loads_no_scipy pins: adding or removing one is a
+    # deliberate change of this list
+    import types
+
+    import hybridoam
+
+    exported = {
+        name for name, value in vars(hybridoam).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(exported) == sorted(PUBLIC_NAMES)
 
 
 def test_count_table_validation():
@@ -330,10 +376,10 @@ def test_stacked_solve_matches_each_table_alone():
     forward = _solve(counts, starts, least)
     backward = [out[::-1] for out in _solve(counts[::-1], starts[::-1], least[::-1])]
     for i, table in enumerate(tables):
-        alone = mle_reconstruct(table)
+        alone = reconstruct(table)
         assert alone.converged
         for rhos, bounds, n_iter in (forward, backward):
-            assert np.array_equal(rhos[i], alone.rho.matrix)
+            assert np.array_equal(rhos[i], alone.rho_mle.matrix)
             assert bounds[i] == alone.loglik_gap_bound
             assert n_iter[i] == alone.n_iter
 
@@ -345,9 +391,8 @@ def _least_start_eigenvalue(records):
 def test_mle_start_rule(monkeypatch):
     # a table's projected linear inversion whose least eigenvalue exceeds
     # 1e-3 is taken as it is, on the central path at duality measure 0.01;
-    # any other start, and any physical start the caller gives, is blended
-    # with I/4 and starts at duality measure max(1, 1e-3 x its gap bound),
-    # as before
+    # any other start is blended with I/4 and starts at duality measure
+    # max(1, 1e-3 x its gap bound)
     import hybridoam.tomography as tomography
 
     inside = [
@@ -358,16 +403,9 @@ def test_mle_start_rule(monkeypatch):
     boundary = [simulate_tomography(fitted, rate, seed=seed) for rate, seed in ((100.0, 3), (5.0, 4))]
     assert all(_least_start_eigenvalue(t) > 1e-3 for t in inside)
     assert all(_least_start_eigenvalue(t) <= 1e-3 for t in boundary)
-    given = [
-        project_to_physical(linear_inversion(inside[0])),
-        prepare_hybrid(NoiseModel(werner_p=0.8))[0],
-    ]
-    given.append(DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]), (POLARIZATION, OAM_O2)))
 
     def solve_all():
-        return [mle_reconstruct(t) for t in inside + boundary] + [
-            mle_reconstruct(inside[0], start=g) for g in given
-        ]
+        return [reconstruct(t) for t in inside + boundary]
 
     default = solve_all()
     # the blend and the blended start's duality measure do not touch a
@@ -379,31 +417,21 @@ def test_mle_start_rule(monkeypatch):
     # with no start counted as inside, every table starts as before
     monkeypatch.setattr(tomography, "_INSIDE", np.inf)
     blended = solve_all()
-    inside_rows, blended_rows = (0, 1, 2), (3, 4, 5, 6, 7)
+    inside_rows, blended_rows = (0, 1, 2), (3, 4)
     for i in inside_rows:
         assert default[i].converged and blended[i].converged
-        assert np.array_equal(default[i].rho.matrix, reblended[i].rho.matrix)
+        assert np.array_equal(default[i].rho_mle.matrix, reblended[i].rho_mle.matrix)
         assert default[i].n_iter == reblended[i].n_iter
-        assert not np.array_equal(default[i].rho.matrix, blended[i].rho.matrix)
+        assert not np.array_equal(default[i].rho_mle.matrix, blended[i].rho_mle.matrix)
         assert default[i].n_iter <= blended[i].n_iter
     assert sum(default[i].n_iter for i in inside_rows) < sum(blended[i].n_iter for i in inside_rows)
     for i in blended_rows:
         assert default[i].converged
-        assert np.array_equal(default[i].rho.matrix, blended[i].rho.matrix)
+        assert np.array_equal(default[i].rho_mle.matrix, blended[i].rho_mle.matrix)
         assert (default[i].loglik, default[i].n_iter, default[i].loglik_gap_bound) == (
             blended[i].loglik, blended[i].n_iter, blended[i].loglik_gap_bound
         )
-        assert not np.array_equal(default[i].rho.matrix, reblended[i].rho.matrix)
-    # the caller's physical copy of the table's own start is blended too,
-    # while reconstruct, or a caller passing the estimate itself, starts
-    # from it as mle_reconstruct does
-    assert np.array_equal(default[5].rho.matrix, blended[0].rho.matrix)
-    monkeypatch.undo()
-    run = reconstruct(inside[1])
-    assert np.array_equal(run.rho_mle.matrix, default[1].rho.matrix)
-    assert run.n_iter == default[1].n_iter
-    again = mle_reconstruct(inside[1], start=linear_inversion(inside[1]))
-    assert np.array_equal(again.rho.matrix, default[1].rho.matrix)
+        assert not np.array_equal(default[i].rho_mle.matrix, reblended[i].rho_mle.matrix)
 
 
 def test_gap_bound_counts_its_round_off():
@@ -416,12 +444,12 @@ def test_gap_bound_counts_its_round_off():
         records = simulate_tomography(prepare_hybrid(preset)[0], 100.0, 15.0, seed=3)
         big = [CountRecord(r.setting, r.counts * scale, None, 0) for r in records]
         total = sum(r.counts for r in big)
-        res = mle_reconstruct(big)
+        res = reconstruct(big)
         assert res.loglik_gap_bound >= 4 * eps * total > 1e-6
         assert not res.converged
-        assert res.loglik == log_likelihood(res.rho, big)
+        assert res.loglik == log_likelihood(res.rho_mle, big)
     # an ordinary table still certifies, with the allowance in its bound
-    res = mle_reconstruct(simulate_tomography(prepare_hybrid("ideal")[0], 100.0, 15.0, seed=3))
+    res = reconstruct(simulate_tomography(prepare_hybrid("ideal")[0], 100.0, 15.0, seed=3))
     assert res.converged and 0.0 < res.loglik_gap_bound <= 1e-6
 
 
@@ -517,7 +545,9 @@ def test_bootstrap_matches_a_reconstruct_loop():
         got = (m.fidelity_sigma, m.concurrence_sigma, m.linear_entropy_sigma)
         assert np.max(np.abs(np.array(got) - sigmas)) < 1e-6
         assert m.failed_resamples == failures
-        assert m.as_dict()["failed_resamples"] == failures
+        d = m.as_dict()
+        assert d["failed_resamples"] == failures
+        assert d["uncertainties"] == dict(zip(("fidelity", "concurrence", "linear_entropy"), got))
         assert (failures > 0) == (rate < 1.0)
         # the point values are the metrics of reconstruct's estimate, exactly
         best = reconstruct(recs).rho_mle
@@ -582,23 +612,10 @@ def test_mle_physical_on_random_counts():
         recs = [
             CountRecord(s, int(rng.integers(0, 400)), None, 0) for s in settings
         ]
-        res = mle_reconstruct(recs)
-        w = np.linalg.eigvalsh(res.rho.matrix)
+        res = reconstruct(recs)
+        w = np.linalg.eigvalsh(res.rho_mle.matrix)
         assert w[0] > -1e-10
-        assert abs(np.trace(res.rho.matrix).real - 1.0) < 1e-9
-
-
-def test_bootstrap_uncertainties_identity_resampler():
-    rho, _ = prepare_hybrid("fitted")
-    recs = simulate_tomography(rho, seed=4)
-    m = metric_uncertainties(recs, n_resamples=100, resampler=lambda obs, r: obs)
-    # identical resamples: point estimates survive, spreads collapse
-    assert m.fidelity_sigma < 1e-12
-    assert m.concurrence_sigma < 1e-12
-    assert m.linear_entropy_sigma < 1e-12
-    assert 0.9 < m.fidelity <= 1.0
-    d = m.as_dict()
-    assert set(d["uncertainties"]) == {"fidelity", "concurrence", "linear_entropy"}
+        assert abs(np.trace(res.rho_mle.matrix).real - 1.0) < 1e-9
 
 
 def test_bootstrap_enforces_resample_floor_and_failure_budget():
@@ -606,13 +623,14 @@ def test_bootstrap_enforces_resample_floor_and_failure_budget():
     recs = simulate_tomography(rho, seed=4)
     with pytest.raises(ValueError):
         metric_uncertainties(recs, n_resamples=50)
-    with pytest.raises(RuntimeError):
-        metric_uncertainties(
-            recs, n_resamples=100, resampler=lambda obs, r: np.zeros_like(obs)
-        )
-    # bad resamples are an error, not a bootstrap failure to count
-    with pytest.raises(ValueError, match="non-negative"):
-        metric_uncertainties(recs, n_resamples=100, resampler=lambda obs, r: -obs)
+    # at 0.2 cps a basis pair expects 3 counts in 15 s, and more than 10% of
+    # the resamples leave one empty
+    for seed in range(6):
+        sparse = simulate_tomography(rho, rate_cps=0.2, seed=seed)
+        with pytest.raises(RuntimeError, match=r"^\d+/100 bootstrap resamples failed$"):
+            metric_uncertainties(sparse, n_resamples=100, seed=seed)
+        with pytest.raises(RuntimeError, match="bootstrap resamples failed"):
+            metric_uncertainties(reconstruct(sparse), n_resamples=100, seed=seed)
 
 
 def test_bootstrap_sigma_scale_at_reference_acquisition():
