@@ -8,13 +8,12 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .states import (
     ATOL,
     OAM_O2,
     POLARIZATION,
-    BasisLabel,
     DegenerateInputError,
     DensityMatrix,
     InvalidLabelError,
@@ -54,7 +53,6 @@ from .measurement import (
     fringe_scan_records,
     joint_probability,
     read_counts_csv,
-    setting_from_labels,
     simulate_counts,
     visibility_minmax,
     write_counts_csv,

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ATOL, DensityMatrix, _DEGREE_KETS, _freeze, _resolve_label, basis_ket
+from .states import (
+    ATOL,
+    OAM_O2,
+    POLARIZATION,
+    DensityMatrix,
+    InvalidLabelError,
+    _DEGREE_KETS,
+    _freeze,
+)
 
 DEFAULT_RATE_CPS = 100.0
 DEFAULT_DURATION_S = 15.0
@@ -42,42 +50,62 @@ class FitFailureError(ValueError):
     """Fringe fit cannot be performed on the given points."""
 
 
-def _check_projector(p: np.ndarray, who: str) -> np.ndarray:
-    # each tolerance test is written so that NaN fails it
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (2, 2):
-        raise ValueError(f"{who} projector must be 2x2, got {p.shape}")
-    if not np.max(np.abs(p - p.conj().T)) <= ATOL:
-        raise ValueError(f"{who} projector is not Hermitian")
-    if not np.max(np.abs(p @ p - p)) <= ATOL:
-        raise ValueError(f"{who} projector is not idempotent")
-    if not abs(np.trace(p).real - 1.0) <= ATOL:
-        raise ValueError(f"{who} projector is not rank 1")
-    return p
+@functools.lru_cache(maxsize=1024)
+def _projector(label: str, degree: str) -> np.ndarray:
+    """The read-only projector of an analyzer: a basis-state label of one
+    degree of freedom or, for the polarization analyzer only, a
+    "theta=<x>" scan tag with finite x, whose state is
+    (cos(x/2), sin(x/2)).  Built once per label and shared."""
+    if degree == POLARIZATION and label.startswith(_THETA_PREFIX):
+        theta = float(label[len(_THETA_PREFIX):])
+        if not math.isfinite(theta):
+            raise ValueError(f"scan angle must be finite, got {label!r}")
+        ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
+    elif label in _DEGREE_KETS[degree]:
+        ket = _DEGREE_KETS[degree][label]
+    else:
+        raise InvalidLabelError(f"label {label!r} is not a {degree} state")
+    return _freeze(np.outer(ket, ket.conj()))
 
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One coincidence setting: rank-1 analyzers on both sides.
+    """One coincidence setting: rank-1 analyzers on both sides, named by
+    their states, measured for ``duration_s`` seconds.
 
-    ``alice`` and ``bob`` are the display names used in count tables
-    (basis-state labels, or "theta=<x>" for scanned analyzers).
+    ``alice`` is a polarization label (H, V, +, -, L, R) or a "theta=<x>"
+    scan tag, ``bob`` an OAM label (+2, -2, h, v, a, d).  The projectors
+    and the "alice|bob" table label follow from the names.
     """
 
-    alice_proj: np.ndarray
-    bob_proj: np.ndarray
-    duration_s: float
-    label: str
-    alice: str = ""
-    bob: str = ""
+    alice: str
+    bob: str
+    duration_s: float = DEFAULT_DURATION_S
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "alice_proj", _check_projector(self.alice_proj, "alice")
-        )
-        object.__setattr__(self, "bob_proj", _check_projector(self.bob_proj, "bob"))
+        for label, degree in ((self.alice, POLARIZATION), (self.bob, OAM_O2)):
+            if not isinstance(label, str):
+                raise TypeError(
+                    f"{degree} analyzer must be a label, one of"
+                    f" {', '.join(_DEGREE_KETS[degree])}, got {type(label).__name__}"
+                )
+            _projector(label, degree)
+        if isinstance(self.duration_s, (bool, np.bool_)):
+            raise TypeError("duration must be a number, got a bool")
         if not 0 < self.duration_s < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration_s}")
+
+    @property
+    def label(self) -> str:
+        return f"{self.alice}|{self.bob}"
+
+    @property
+    def alice_proj(self) -> np.ndarray:
+        return _projector(self.alice, POLARIZATION)
+
+    @property
+    def bob_proj(self) -> np.ndarray:
+        return _projector(self.bob, OAM_O2)
 
 
 @dataclass(frozen=True)
@@ -122,59 +150,16 @@ def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
     order: ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))``,
     or None for exact records.  The seed and path are checked as numpy
     checks them in either case: a negative seed or path element raises
-    ValueError, a non-integer one TypeError.
+    ValueError, a non-integer one TypeError.  A bool, which numpy would
+    read as 0 or 1, is refused with TypeError too.
     """
-    if not isinstance(seed, (int, np.integer)):
-        # SeedSequence would take None as a request for fresh OS entropy
+    # SeedSequence would take None as a request for fresh OS entropy
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    if any(isinstance(k, bool) for k in path):
+        raise TypeError("a stream path element must be an integer, got a bool")
     seq = np.random.SeedSequence(seed, spawn_key=path)
     return None if exact else np.random.default_rng(seq)
-
-
-def _analyzer_state(name: str) -> np.ndarray:
-    """Alice analysis ket from a label name or a "theta=<x>" scan tag."""
-    if name.startswith(_THETA_PREFIX):
-        theta = float(name[len(_THETA_PREFIX):])
-        return np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-    return basis_ket(name).amplitudes
-
-
-def _check_label(label, degree: str) -> str:
-    if not isinstance(label, str):
-        raise TypeError(
-            f"{degree} analyzer must be a label, one of"
-            f" {', '.join(_DEGREE_KETS[degree])}, got {type(label).__name__}"
-        )
-    return label
-
-
-def _projector_from(label: str, degree: str) -> tuple[np.ndarray, str]:
-    """The projector of an analyzer label of one degree of freedom, or of a
-    "theta=<x>" scan tag, and its name."""
-    if _check_label(label, degree).startswith(_THETA_PREFIX):
-        ket = _analyzer_state(label)
-        return np.outer(ket, ket.conj()), label
-    lab = _resolve_label(label)
-    if lab.degree != degree:
-        raise ValueError(f"label {lab.name!r} is not a {degree} state")
-    ket = basis_ket(lab).amplitudes
-    return np.outer(ket, ket.conj()), lab.name
-
-
-def setting_from_labels(
-    alice: str, bob: str, duration_s: float = DEFAULT_DURATION_S
-) -> MeasurementSetting:
-    """Build a setting from analyzer names, e.g. ("H", "+2") or ("+", "d")."""
-    pa, aname = _projector_from(alice, "polarization")
-    pb, bname = _projector_from(bob, "oam_o2")
-    return MeasurementSetting(
-        alice_proj=pa,
-        bob_proj=pb,
-        duration_s=duration_s,
-        label=f"{aname}|{bname}",
-        alice=aname,
-        bob=bname,
-    )
 
 
 def _probabilities(rho: DensityMatrix, ops: np.ndarray) -> list[float]:
@@ -258,7 +243,8 @@ def exact_counts(
     )[0]
 
 
-@functools.lru_cache(maxsize=16)
+# typed, so that a bool duration misses the settings cached for 0 or 1 and is refused
+@functools.lru_cache(maxsize=16, typed=True)
 def _fringe_settings(
     bob: str, thetas: bytes, duration_s: float
 ) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
@@ -267,31 +253,20 @@ def _fringe_settings(
     Keyed by Bob's OAM label, the bytes of the float theta grid and the
     duration; everything returned is shared by every caller, so read-only.
     """
-    pb, bname = _projector_from(bob, "oam_o2")
-    _freeze(pb)
     grid = np.frombuffer(thetas)
     if not np.isfinite(grid).all():
         raise ValueError("theta grid must be finite")
-    settings = []
-    for theta in grid:
-        aname = f"{_THETA_PREFIX}{theta:.17g}"
-        ket = _analyzer_state(aname)
-        s = MeasurementSetting(
-            alice_proj=_freeze(np.outer(ket, ket.conj())),
-            bob_proj=pb,
-            duration_s=duration_s,
-            label=f"{aname}|{bname}",
-            alice=aname,
-            bob=bname,
-        )
-        settings.append(s)
+    settings = tuple(
+        MeasurementSetting(f"{_THETA_PREFIX}{theta:.17g}", bob, duration_s)
+        for theta in grid
+    )
     ops = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
-    return tuple(settings), _freeze(ops)
+    return settings, _freeze(ops)
 
 
 def fringe_scan_records(
     rho: DensityMatrix,
-    bob_proj: str,
+    bob: str,
     theta_grid,
     rate_cps: float = DEFAULT_RATE_CPS,
     duration_s: float = DEFAULT_DURATION_S,
@@ -299,25 +274,25 @@ def fringe_scan_records(
     scan_index: int = 0,
     exact: bool = False,
 ) -> list[CountRecord]:
-    """Scan Alice's analyzer over theta against a fixed Bob projector.
+    """Scan Alice's analyzer over theta against a fixed Bob analyzer.
 
     The points draw, in grid order, from the scan's stream (2, scan_index)
     off the global seed, so a point's count depends on the grid before it.
-    ``bob_proj`` is an OAM label, such as "+2" or "h".
+    ``bob`` is an OAM label, such as "+2" or "h".
     """
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
-    settings, ops = _fringe_settings(
-        _check_label(bob_proj, "oam_o2"), thetas.tobytes(), duration_s
-    )
+    if not isinstance(bob, str):  # refused by the setting, before the cache hashes it
+        MeasurementSetting("H", bob)
+    settings, ops = _fringe_settings(bob, thetas.tobytes(), duration_s)
     rng = _stream(seed, (2, scan_index), exact)
     return _count_records(rho, settings, ops, rate_cps, seed, rng)
 
 
 def fringe_scan(
     rho: DensityMatrix,
-    bob_proj,
+    bob: str,
     theta_grid,
     rate_cps: float = DEFAULT_RATE_CPS,
     duration_s: float = DEFAULT_DURATION_S,
@@ -331,7 +306,7 @@ def fringe_scan(
     them recovers the model parameters to solver precision.
     """
     records = fringe_scan_records(
-        rho, bob_proj, theta_grid, rate_cps, duration_s, seed, scan_index, exact
+        rho, bob, theta_grid, rate_cps, duration_s, seed, scan_index, exact
     )
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     return [(float(t), float(r.counts)) for t, r in zip(thetas, records)]
@@ -393,27 +368,16 @@ def write_counts_csv(records, path) -> None:
             w.writerow([s.label, s.alice, s.bob, f"{s.duration_s:.17g}", c, r.seed])
 
 
-@functools.lru_cache(maxsize=128)
-def _csv_setting(label: str, alice: str, bob: str, duration_s: float) -> MeasurementSetting:
-    """The setting of one CSV row, built and checked once and then shared."""
-    pa, _ = _projector_from(alice, "polarization")
-    pb, _ = _projector_from(bob, "oam_o2")
-    s = MeasurementSetting(pa, pb, duration_s, label, alice, bob)
-    _freeze(s.alice_proj)  # shared by every table read, so nobody may write it
-    _freeze(s.bob_proj)
-    return s
-
-
 def read_counts_csv(path) -> list[CountRecord]:
-    """Read records written by write_counts_csv, sharing one checked setting
-    per (label, alice, bob, duration) across rows and files.
+    """Read records written by write_counts_csv.
 
-    Integer counts come back as int, fractional ones (exact-mode
-    expectations) as float.  The per-setting expected rate is not stored in
-    the CSV, so integer rows carry None and fractional rows recover it as
-    counts / duration.  Integer cells are read exactly, so one past 2**53
-    is refused as CountRecord refuses it; non-finite counts raise
-    ValueError.
+    Each row's setting_label must be its "alice|bob" pair, and its seed
+    non-negative.  Integer counts come back as int, fractional ones
+    (exact-mode expectations) as float.  The per-setting expected rate is
+    not stored in the CSV, so integer rows carry None and fractional rows
+    recover it as counts / duration.  Integer cells are read exactly, so
+    one past 2**53 is refused as CountRecord refuses it; non-finite counts
+    raise ValueError.
     """
     records = []
     with open(path, newline="") as fh:
@@ -422,13 +386,18 @@ def read_counts_csv(path) -> list[CountRecord]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
         for row in reader:
-            s = _csv_setting(
-                row["setting_label"], row["alice"], row["bob"], float(row["duration_s"])
-            )
+            s = MeasurementSetting(row["alice"], row["bob"], float(row["duration_s"]))
+            if row["setting_label"] != s.label:
+                raise ValueError(
+                    f"setting label {row['setting_label']!r} does not name {s.label!r}"
+                )
+            seed = int(row["seed"])
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
             try:
                 counts, rate = int(row["counts"]), None
             except ValueError:
                 c = float(row["counts"])
                 counts, rate = (int(c), None) if c.is_integer() else (c, c / s.duration_s)
-            records.append(CountRecord(s, counts, rate, int(row["seed"])))
+            records.append(CountRecord(s, counts, rate, seed))
     return records

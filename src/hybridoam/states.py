@@ -57,6 +57,8 @@ _O2_KETS = {
 }
 
 _DEGREE_KETS = {POLARIZATION: _POL_KETS, OAM_O2: _O2_KETS}
+# every label names a state of one degree only
+_LABEL_DEGREE = {name: degree for degree, kets in _DEGREE_KETS.items() for name in kets}
 
 
 class InvalidLabelError(ValueError):
@@ -65,32 +67,6 @@ class InvalidLabelError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input matrix carries no usable weight (e.g. all eigenvalues <= 0)."""
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    """A named basis state of one degree of freedom."""
-
-    degree: str
-    name: str
-
-    def __post_init__(self):
-        kets = _DEGREE_KETS.get(self.degree)
-        if kets is None:
-            raise InvalidLabelError(f"unknown degree of freedom: {self.degree!r}")
-        if self.name not in kets:
-            raise InvalidLabelError(
-                f"label {self.name!r} is not valid for degree {self.degree!r}"
-            )
-
-
-def _resolve_label(label) -> BasisLabel:
-    if isinstance(label, BasisLabel):
-        return label
-    for degree, kets in _DEGREE_KETS.items():
-        if label in kets:
-            return BasisLabel(degree, label)
-    raise InvalidLabelError(f"unknown basis label: {label!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -196,10 +172,12 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def basis_ket(label) -> StateVector:
+def basis_ket(label: str) -> StateVector:
     """Return the defining superposition for a named basis state."""
-    lab = _resolve_label(label)
-    return StateVector(_DEGREE_KETS[lab.degree][lab.name].copy(), (lab.degree,))
+    degree = _LABEL_DEGREE.get(label)
+    if degree is None:
+        raise InvalidLabelError(f"unknown basis label: {label!r}")
+    return StateVector(_DEGREE_KETS[degree][label].copy(), (degree,))
 
 
 def project_to_physical(rho, basis: Iterable[str] | None = None) -> DensityMatrix:

@@ -47,9 +47,8 @@ from .measurement import (
     CountRecord,
     MeasurementSetting,
     _count_records,
-    _projector_from,
+    _projector,
     _stream,
-    setting_from_labels,
 )
 from .source import hybrid_singlet_ket
 from .states import (
@@ -182,15 +181,13 @@ class TomographyRun:
 _KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
 
 
-@functools.lru_cache(maxsize=16)
+# typed, so that a bool duration misses the settings cached for 0 or 1 and is refused
+@functools.lru_cache(maxsize=16, typed=True)
 def _compiled_settings(
     duration_s: float,
 ) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
     """The 36 settings for one duration and their (36, 4, 4) operator stack."""
-    settings = tuple(setting_from_labels(a, b, duration_s) for a, b in _KEYS)
-    for s in settings:  # shared by every caller, so nobody may write them
-        _freeze(s.alice_proj)
-        _freeze(s.bob_proj)
+    settings = tuple(MeasurementSetting(a, b, duration_s) for a, b in _KEYS)
     return settings, _PROJECTORS.reshape(-1, 4, 4)
 
 
@@ -208,9 +205,7 @@ def tomography_settings(duration_s: float = 15.0) -> list[MeasurementSetting]:
 _INDEX = {k: i for i, k in enumerate(_KEYS)}
 _GROUP_AXES = tuple((aa, bb) for aa in _AXES for bb in _AXES)
 _PROJECTORS = _freeze(np.stack([
-    np.kron(
-        _projector_from(a, "polarization")[0], _projector_from(b, "oam_o2")[0]
-    ).reshape(-1)
+    np.kron(_projector(a, POLARIZATION), _projector(b, OAM_O2)).reshape(-1)
     for a, b in _KEYS
 ]))
 _GROUP = _freeze(

@@ -17,7 +17,6 @@ from hybridoam.measurement import (
     fringe_scan_records,
     joint_probability,
     read_counts_csv,
-    setting_from_labels,
     simulate_counts,
     visibility_minmax,
     write_counts_csv,
@@ -31,6 +30,7 @@ from hybridoam.states import (
     POLARIZATION,
     DensityMatrix,
     StateVector,
+    basis_ket,
     project_to_physical,
 )
 
@@ -40,7 +40,7 @@ GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 def test_joint_probabilities_of_the_hybrid_singlet():
     rho = hybrid_singlet()
     probs = {
-        (a, b): joint_probability(rho, setting_from_labels(a, b))
+        (a, b): joint_probability(rho, MeasurementSetting(a, b))
         for a in ("H", "V")
         for b in ("+2", "-2")
     }
@@ -50,20 +50,20 @@ def test_joint_probabilities_of_the_hybrid_singlet():
     assert probs[("V", "+2")] < 1e-12
     assert abs(sum(probs.values()) - 1.0) < 1e-12
     # conjugate-basis correlations persist for the entangled state
-    assert abs(joint_probability(rho, setting_from_labels("+", "v")) - 0.5) < 1e-12
-    assert joint_probability(rho, setting_from_labels("+", "h")) < 1e-12
+    assert abs(joint_probability(rho, MeasurementSetting("+", "v")) - 0.5) < 1e-12
+    assert joint_probability(rho, MeasurementSetting("+", "h")) < 1e-12
 
 
 def test_joint_probability_rejects_wrong_shape():
     with pytest.raises(ValueError):
         joint_probability(
-            DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,)), setting_from_labels("H", "+2")
+            DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,)), MeasurementSetting("H", "+2")
         )
 
 
 def test_expected_counts_scale():
     rho = hybrid_singlet()
-    s = setting_from_labels("H", "+2", duration_s=15.0)
+    s = MeasurementSetting("H", "+2", duration_s=15.0)
     assert abs(expected_counts(rho, s, 100.0) - 750.0) < 1e-9
     with pytest.raises(ValueError):
         expected_counts(rho, s, -1.0)
@@ -71,7 +71,7 @@ def test_expected_counts_scale():
 
 def test_exact_counts_keep_fractional_expectations():
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.25))
-    s = setting_from_labels("H", "+2", duration_s=15.0)
+    s = MeasurementSetting("H", "+2", duration_s=15.0)
     rec = exact_counts(rho, s, 100.0)
     assert isinstance(rec, CountRecord) and isinstance(rec.counts, float)
     # p = 0.25*0.5 + 0.75*0.25 = 0.3125, times 1500
@@ -87,7 +87,7 @@ def _numpy_stream(seed, path):
 
 def test_simulate_counts_deterministic_and_unbiased():
     rho = hybrid_singlet()
-    s = setting_from_labels("H", "+2", duration_s=15.0)
+    s = MeasurementSetting("H", "+2", duration_s=15.0)
     seeds = _numpy_stream(0, (9,)).integers(0, 2**63, size=200)
     a = simulate_counts(rho, s, 100.0, seeds[0])
     b = simulate_counts(rho, s, 100.0, seeds[0])
@@ -100,11 +100,11 @@ def test_simulate_counts_deterministic_and_unbiased():
 
 def test_simulate_counts_draws_as_default_rng_does():
     # a seed below 2**32 is one entropy word, one past 2**64 three, and
-    # 2**200 seven; bools and numpy integers are integers
-    seeds = [5, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200, True,
+    # 2**200 seven; numpy integers are integers
+    seeds = [5, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200,
              np.uint64(2**63), np.int64(7)]
     rho = hybrid_singlet()
-    s = setting_from_labels("H", "+2")
+    s = MeasurementSetting("H", "+2")
     for seed in seeds:
         rec = simulate_counts(rho, s, 100.0, seed)
         assert rec.counts == np.random.default_rng(seed).poisson(750.0)
@@ -153,12 +153,7 @@ def test_counts_match_numpys_generator_on_each_path(monkeypatch):
         rng = _numpy_stream(seed, (1,))
         es = []
         for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p)):
-            probs = [
-                joint_probability(
-                    rho, MeasurementSetting(x.projector(i), y.projector(j), 15.0, "")
-                )
-                for i in (0, 1) for j in (0, 1)
-            ]
+            probs = _chsh_probabilities(rho, x, y)
             means = [max(p, 0.0) * 100.0 * 15.0 for p in probs]
             es.append(bell.correlation_from_counts(rng.poisson(means).tolist()))
         chsh = bell.chsh_empirical(rho, rate_cps=100.0, duration_s=60.0, seed=seed)
@@ -168,6 +163,15 @@ def test_counts_match_numpys_generator_on_each_path(monkeypatch):
         obs = [float(r.counts) for r in recs]
         want = _numpy_stream(seed, (3,)).poisson(obs, size=(100, 36))
         assert np.array_equal(stacks[1:], want)
+
+
+def _chsh_probabilities(rho, x, y):
+    """Born probabilities of the outcomes (i, j) of a CHSH analyzer pair,
+    in the order ++, +-, -+, --."""
+    return [
+        np.trace(rho.matrix @ np.kron(x.projector(i), y.projector(j))).real
+        for i in (0, 1) for j in (0, 1)
+    ]
 
 
 def _bootstrap_stacks(monkeypatch, records, n_resamples, seed):
@@ -198,7 +202,7 @@ def test_resamples_do_not_depend_on_how_many_are_drawn(monkeypatch):
 
 def test_bad_seeds_are_refused_in_draw_and_exact_mode():
     rho = hybrid_singlet()
-    s = setting_from_labels("H", "+2")
+    s = MeasurementSetting("H", "+2")
     recs = tomography.simulate_tomography(rho)
     refused = ((-1, ValueError), (-(2**70), ValueError), (1.7, TypeError),
                (np.float64(2.0), TypeError), (None, TypeError), ("3", TypeError))
@@ -256,21 +260,50 @@ def test_stream_derivation_lives_in_measurement():
 
 def test_setting_validation():
     with pytest.raises(ValueError):
-        MeasurementSetting(
-            alice_proj=np.eye(2),  # rank 2
-            bob_proj=np.diag([1.0, 0.0]),
-            duration_s=1.0,
-            label="bad",
-        )
+        MeasurementSetting("H", "+2", duration_s=0.0)
+    with pytest.raises(ValueError, match="not a polarization state"):
+        MeasurementSetting("+2", "H")  # degrees swapped
+    with pytest.raises(ValueError, match="not a polarization state"):
+        MeasurementSetting("X", "h")
+    # a scan tag names a polarization analyzer only
+    with pytest.raises(ValueError, match="not a oam_o2 state"):
+        MeasurementSetting("H", "theta=0.3")
+    with pytest.raises(ValueError, match="not a oam_o2 state"):
+        fringe_scan_records(hybrid_singlet(), "theta=0.3", GRID16)
     with pytest.raises(ValueError):
-        setting_from_labels("H", "+2", duration_s=0.0)
-    with pytest.raises(ValueError):
-        setting_from_labels("+2", "H")  # degrees swapped
-    with pytest.raises(ValueError):
-        CountRecord(setting_from_labels("H", "+2"), -1, None, 0)
+        CountRecord(MeasurementSetting("H", "+2"), -1, None, 0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            CountRecord(setting_from_labels("H", "+2"), bad, None, 0)
+            CountRecord(MeasurementSetting("H", "+2"), bad, None, 0)
+
+
+def test_settings_are_their_labels(tmp_path):
+    # a setting is its two analyzer labels and its duration: equal
+    # settings compare and hash equal
+    s = MeasurementSetting("H", "+2")
+    assert s == MeasurementSetting("H", "+2", DEFAULT_DURATION_S)
+    assert hash(s) == hash(MeasurementSetting("H", "+2", DEFAULT_DURATION_S))
+    assert len({s, MeasurementSetting("H", "+2"), MeasurementSetting("V", "+2")}) == 2
+    assert s != MeasurementSetting("H", "+2", 1.0)
+    # every setting the package builds projects onto its labels' states
+    fringe = fringe_scan_records(hybrid_singlet(), "h", GRID16)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(fringe, path)
+    settings = [
+        *tomography.tomography_settings(),
+        *(r.setting for r in fringe),
+        *(r.setting for r in read_counts_csv(path)),
+    ]
+    for s in settings:
+        if s.alice.startswith("theta="):
+            theta = float(s.alice[len("theta="):])
+            ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
+        else:
+            ket = basis_ket(s.alice).amplitudes
+        assert np.array_equal(s.alice_proj, np.outer(ket, ket.conj()))
+        ket = basis_ket(s.bob).amplitudes
+        assert np.array_equal(s.bob_proj, np.outer(ket, ket.conj()))
+        assert s.label == f"{s.alice}|{s.bob}"
 
 
 def test_exact_fringe_is_a_perfect_cosine():
@@ -383,16 +416,10 @@ def _as_rows(records):
 
 
 def _theta_setting(theta, bob, duration_s):
-    aname = f"theta={theta:.17g}"
+    s = MeasurementSetting(f"theta={theta:.17g}", bob, duration_s)
     ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-    return MeasurementSetting(
-        alice_proj=np.outer(ket, ket.conj()),
-        bob_proj=setting_from_labels("H", bob).bob_proj,
-        duration_s=duration_s,
-        label=f"{aname}|{bob}",
-        alice=aname,
-        bob=bob,
-    )
+    assert np.array_equal(s.alice_proj, np.outer(ket, ket.conj()))
+    return s
 
 
 def _random_state(seed):
@@ -431,12 +458,13 @@ def test_compiled_counts_match_a_per_setting_loop():
                 rho, rate_cps=rate, duration_s=4 * duration, seed=seed
             )
             a, a_p, b, b_p = bell.chsh_settings()
-            settings = [
-                MeasurementSetting(x.projector(i), y.projector(j), duration, "")
+            means = [
+                max(p, 0.0) * rate * duration
                 for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))
-                for i in (0, 1) for j in (0, 1)
+                for p in _chsh_probabilities(rho, x, y)
             ]
-            counts = [r.counts for r in _loop_records(rho, settings, rate, seed, (1,), False)]
+            rng = _numpy_stream(seed, (1,))
+            counts = [int(rng.poisson(m)) for m in means]
             es = [bell.correlation_from_counts(counts[4 * k : 4 * k + 4]) for k in range(4)]
             assert result.correlations == tuple(es)
             assert result.s == es[0] + es[1] + es[2] - es[3]
@@ -456,9 +484,8 @@ SINGLET = hybrid_singlet()
 # each refused at its own guard: a tolerance test that NaN fails, or a
 # finiteness check where no tolerance test can see it
 NON_FINITE = {
-    "projector": (
-        lambda: MeasurementSetting(NAN2, np.diag([1.0, 0.0]), 1.0, "nan"), "not Hermitian"
-    ),
+    "projector": (lambda: MeasurementSetting("theta=nan", "+2", 1.0), "scan angle"),
+    "infinite-projector": (lambda: MeasurementSetting("theta=inf", "+2", 1.0), "scan angle"),
     "observable": (lambda: bell.DichotomicObservable(NAN2, NAN2, "nan"), "not rank 1"),
     "ket": (lambda: StateVector([np.nan, 0.0], (POLARIZATION,)), "not normalized"),
     "infinite-ket": (lambda: StateVector([np.inf, 0.0], (POLARIZATION,)), "not normalized"),
@@ -518,19 +545,51 @@ def test_non_finite_inputs_are_refused_at_their_guard(case):
         build()
 
 
+H_PLUS2 = MeasurementSetting("H", "+2")
+# each of these would run as 1, or with True as the duration
+BOOLS = {
+    "simulate-counts-seed": lambda: simulate_counts(SINGLET, H_PLUS2, 100.0, True),
+    "exact-counts-seed": lambda: exact_counts(SINGLET, H_PLUS2, 100.0, True),
+    "tomography-seed": lambda: tomography.simulate_tomography(SINGLET, seed=True),
+    "chsh-seed": lambda: bell.chsh_empirical(SINGLET, seed=True),
+    "bootstrap-seed": lambda: tomography.metric_uncertainties(
+        tomography.simulate_tomography(SINGLET), seed=True
+    ),
+    "scan-index": lambda: fringe_scan_records(SINGLET, "+2", GRID16, scan_index=True),
+    "exact-scan-index": lambda: fringe_scan_records(
+        SINGLET, "+2", GRID16, scan_index=True, exact=True
+    ),
+    "setting-duration": lambda: MeasurementSetting("H", "+2", True),
+    "setting-numpy-duration": lambda: MeasurementSetting("H", "+2", np.True_),
+    # refused although settings of duration 1 are already compiled
+    "tomography-duration": lambda: tomography.simulate_tomography(
+        SINGLET, duration_s=True
+    ),
+    "fringe-duration": lambda: fringe_scan_records(SINGLET, "+2", GRID16, duration_s=True),
+}
+
+
+@pytest.mark.parametrize("case", BOOLS)
+def test_bools_are_refused_where_integers_or_durations_go(case):
+    tomography.simulate_tomography(SINGLET, duration_s=1)
+    fringe_scan_records(SINGLET, "+2", GRID16, duration_s=1)
+    with pytest.raises(TypeError, match="bool"):
+        BOOLS[case]()
+
+
 def test_counting_rejects_bad_inputs():
     rho = hybrid_singlet()
     # analyzers are named by label; a projector matrix or other object is not one
     not_labels = (
         lambda bob: fringe_scan_records(rho, bob, GRID16),
-        lambda bob: setting_from_labels("H", bob),
+        lambda bob: MeasurementSetting("H", bob),
     )
     for bad in (np.diag([1.0, 0.0]), None, 2, ["h"]):
         for run in not_labels:
             with pytest.raises(TypeError, match="oam_o2 analyzer must be a label, one of .*h"):
                 run(bad)
     with pytest.raises(TypeError, match="polarization analyzer must be a label"):
-        setting_from_labels(np.diag([1.0, 0.0]), "h")
+        MeasurementSetting(np.diag([1.0, 0.0]), "h")
     one_qubit = DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,))
     runs = (
         lambda state, rate: tomography.simulate_tomography(state, rate),
@@ -566,7 +625,7 @@ def test_compiled_settings_are_read_only():
 
 
 def test_count_records_refuse_counts_float64_cannot_hold():
-    s = setting_from_labels("H", "+2")
+    s = MeasurementSetting("H", "+2")
     for ok in (0, 2**53, float(2**53), 5, 7.25, True, np.int64(9), np.float64(2.5)):
         assert CountRecord(s, ok, None, 0).counts == ok
     for bad in (2**53 + 1, float(2**54), 2**62, 2**64, 10**30, 1e30, np.uint64(2**64 - 1)):
@@ -598,7 +657,7 @@ def test_counts_csv_roundtrip(tmp_path):
 
 def test_counts_csv_roundtrip_fractional(tmp_path):
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.25))
-    recs = [exact_counts(rho, setting_from_labels("H", "+2"), 100.0)]
+    recs = [exact_counts(rho, MeasurementSetting("H", "+2"), 100.0)]
     path = tmp_path / "exact.csv"
     write_counts_csv(recs, path)
     back = read_counts_csv(path)
@@ -613,10 +672,12 @@ def test_counts_csv_reads_share_their_settings(tmp_path):
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
     first, again = read_counts_csv(path), read_counts_csv(path)
-    # one checked setting per (label, alice, bob, duration), shared read-only
-    assert all(a.setting is b.setting for a, b in zip(first, again))
-    assert not first[0].setting.alice_proj.flags.writeable
-    assert not first[0].setting.bob_proj.flags.writeable
+    # equal settings, whose shared projectors are read-only
+    assert [a.setting for a in first] == [b.setting for b in again]
+    assert all(
+        not r.setting.alice_proj.flags.writeable and not r.setting.bob_proj.flags.writeable
+        for r in first
+    )
     for a, b in zip(first, recs):
         assert (a.setting.label, a.setting.alice, a.setting.bob) == (
             b.setting.label, b.setting.alice, b.setting.bob
@@ -638,6 +699,20 @@ def test_counts_csv_rejects_non_finite_counts(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="finite"):
         read_counts_csv(path)
+
+
+def test_counts_csv_rejects_mislabelled_rows_and_negative_seeds(tmp_path):
+    recs = tomography.simulate_tomography(hybrid_singlet(), seed=3)
+    path = tmp_path / "counts.csv"
+    write_counts_csv(recs, path)
+    lines = path.read_text().splitlines()
+    for column, value, match in ((0, "bogus", "does not name"), (0, "V|+2", "does not name"),
+                                 (5, "-3", "non-negative")):
+        cells = lines[1].split(",")
+        cells[column] = value
+        path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_counts_csv(path)
 
 
 def test_counts_csv_rejects_foreign_columns(tmp_path):

@@ -8,7 +8,6 @@ from hybridoam.states import (
     InvalidLabelError,
     OAM_O2,
     POLARIZATION,
-    BasisLabel,
     StateVector,
     basis_ket,
     matrix_from_json,
@@ -29,10 +28,10 @@ def test_circular_polarization_convention():
 
 
 def test_o2_superposition_kets():
-    h = basis_ket(BasisLabel(OAM_O2, "h")).amplitudes
-    v = basis_ket(BasisLabel(OAM_O2, "v")).amplitudes
-    a = basis_ket(BasisLabel(OAM_O2, "a")).amplitudes
-    d = basis_ket(BasisLabel(OAM_O2, "d")).amplitudes
+    h = basis_ket("h").amplitudes
+    v = basis_ket("v").amplitudes
+    a = basis_ket("a").amplitudes
+    d = basis_ket("d").amplitudes
     assert np.allclose(h, np.array([1.0, 1.0]) / S2, atol=ATOL)
     assert np.allclose(v, np.array([1.0, -1.0]) / S2, atol=ATOL)
     # a and d keep their defining global phases
@@ -49,10 +48,10 @@ def test_label_resolution_and_errors():
         basis_ket("X")
     with pytest.raises(InvalidLabelError):
         basis_ket("0")  # the fundamental mode is not a basis state here
+    # labels are unique across the two degrees: "h" is the OAM state
+    assert basis_ket("h").basis == (OAM_O2,)
     with pytest.raises(InvalidLabelError):
-        BasisLabel(POLARIZATION, "h")  # OAM label on the wrong degree
-    with pytest.raises(InvalidLabelError):
-        BasisLabel("spin", "H")
+        basis_ket("spin")
 
 
 def test_state_vector_normalization_guard():

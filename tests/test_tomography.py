@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridoam.measurement import CountRecord, setting_from_labels
+from hybridoam.measurement import CountRecord, MeasurementSetting
 from hybridoam.source import NoiseModel, hybrid_singlet, hybrid_singlet_ket, prepare_hybrid
 from hybridoam.states import (
     OAM_O2,
@@ -213,7 +213,7 @@ def test_import_loads_no_scipy():
 
 
 PUBLIC_NAMES = """
-    ATOL BasisLabel ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS DETERMINISTIC
+    ATOL ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS DETERMINISTIC
     DegenerateInputError DensityMatrix DichotomicObservable FitFailureError
     InsufficientDataError InvalidLabelError MeasurementSetting NoiseModel
     O2_FRAME_ALIGNMENT OAM_O2 POLARIZATION PROBABILISTIC REFERENCE_CONCURRENCE
@@ -227,7 +227,7 @@ PUBLIC_NAMES = """
     matrix_from_json matrix_to_json metric_uncertainties noise_fit_report
     noise_preset observable_from_kets observable_from_labels predicted_s
     prep_probability prepare_hybrid project_to_physical read_counts_csv
-    reconstruct setting_from_labels simulate_counts simulate_tomography singlet
+    reconstruct simulate_counts simulate_tomography singlet
     singlet_ket tomography_settings trace_distance upgraded_budget
     visibility_minmax write_counts_csv
 """.split()
@@ -256,7 +256,7 @@ def test_count_table_validation():
     with pytest.raises(InsufficientDataError):
         linear_inversion(recs + [recs[0]])  # duplicated setting
     renamed = CountRecord(
-        setting=setting_from_labels("theta=0.5", "+2"), counts=5,
+        setting=MeasurementSetting("theta=0.5", "+2"), counts=5,
         expected_rate_cps=None, seed=0,
     )
     with pytest.raises(InsufficientDataError):
