@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .states import (
     ATOL,
@@ -74,15 +74,11 @@ from .tomography import (
 )
 from .bell import (
     ChshResult,
-    DichotomicObservable,
     UndefinedCorrelationError,
     chsh_empirical,
     chsh_exact,
     chsh_settings,
-    correlation,
     correlation_from_counts,
-    observable_from_kets,
-    observable_from_labels,
     predicted_s,
 )
 from .budget import (

@@ -2,17 +2,21 @@
 
 Alice measures polarization observables a = {H,V} and a' = {+,-}; Bob
 measures OAM observables b and b', the -pi/8 and +pi/8 rotations of the
-{|+2>, |-2>} basis.  Written as logical Pauli operators these are
-b = (Z - X)/sqrt(2) and b' = (Z + X)/sqrt(2), the optimal companions to
-Z and X, so the ideal hybrid state reaches S = 2 sqrt(2).
+{|+2>, |-2>} basis, set by a rotatable polarizer behind the transferrer.
+Written as logical Pauli operators these are b = (Z - X)/sqrt(2) and
+b' = (Z + X)/sqrt(2), the optimal companions to Z and X, so the ideal
+hybrid state reaches S = 2 sqrt(2).
 
-The minus-outcome vector of b is the orthogonal completion
-sin(pi/8)|+2> + cos(pi/8)|-2> of its plus vector; a dichotomic observable
-must satisfy the completeness invariant, which pins the sign.
+Every analyzer is a label of a MeasurementSetting.  Bob's are scan tags:
+the state (cos(theta/2), sin(theta/2)) over (|+2>, |-2>) at theta = -pi/4
+(b) and pi/4 (b') for the plus outcome, and at theta + pi, the orthogonal
+state, for the minus outcome.
 
-Empirical mode draws the four outcome counts of each setting pair from
-four separate projective runs (16 runs total, one analyzer per side at a
-time), splitting the per-pair duration evenly across outcomes.
+The 16 outcome settings, one projective run per outcome combination of
+each setting pair, are counted on the one counting path, with the pair's
+duration split evenly over its four outcomes.  Empirical mode draws their
+counts; exact mode takes their unrounded expectations, so an exact
+correlation is the count-ratio estimator on the Born probabilities.
 """
 
 from __future__ import annotations
@@ -23,85 +27,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import _born_counts, _stream
-from .states import ATOL, DensityMatrix, _freeze, basis_ket
+from .measurement import (
+    _THETA_PREFIX,
+    MeasurementSetting,
+    _born_counts,
+    _finite_float,
+    _operators,
+    _stream,
+)
+from .states import DensityMatrix
 
-_COS8 = np.cos(np.pi / 8)
-_SIN8 = np.sin(np.pi / 8)
-
-_OUTCOME_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (++, +-, -+, --)
+# the plus- and minus-outcome analyzer labels of each observable
+_ANALYZERS = {
+    "a": ("H", "V"),
+    "a'": ("+", "-"),
+    "b": tuple(f"{_THETA_PREFIX}{k * np.pi / 4:.17g}" for k in (-1, 3)),
+    "b'": tuple(f"{_THETA_PREFIX}{k * np.pi / 4:.17g}" for k in (1, 5)),
+}
+# S = E(a,b) + E(a',b) + E(a,b') - E(a',b')
+_PAIRS = (("a", "b", +1), ("a'", "b", +1), ("a", "b'", +1), ("a'", "b'", -1))
+_PAIR_LABELS = tuple(f"{x},{y}" for x, y, _ in _PAIRS)
 
 
 class UndefinedCorrelationError(ValueError):
     """Correlation estimator has no data (all four counts are zero)."""
-
-
-@dataclass(frozen=True)
-class DichotomicObservable:
-    """A +/-1-valued local measurement given by two orthogonal projectors."""
-
-    plus_proj: np.ndarray
-    minus_proj: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        pp = np.asarray(self.plus_proj, dtype=complex)
-        pm = np.asarray(self.minus_proj, dtype=complex)
-        object.__setattr__(self, "plus_proj", pp)
-        object.__setattr__(self, "minus_proj", pm)
-        for p, who in ((pp, "plus"), (pm, "minus")):
-            # written so that NaN fails the tolerance tests
-            if not (np.max(np.abs(p @ p - p)) <= ATOL and abs(np.trace(p).real - 1) <= ATOL):
-                raise ValueError(f"{who} projector of {self.label!r} is not rank 1")
-        if not np.max(np.abs(pp + pm - np.eye(2))) <= ATOL:
-            raise ValueError(f"observable {self.label!r} is not complete")
-
-    @property
-    def operator(self) -> np.ndarray:
-        return self.plus_proj - self.minus_proj
-
-    def projector(self, outcome: int) -> np.ndarray:
-        return self.plus_proj if outcome == 0 else self.minus_proj
-
-
-def observable_from_kets(plus, minus, label: str) -> DichotomicObservable:
-    plus = np.asarray(plus, dtype=complex)
-    minus = np.asarray(minus, dtype=complex)
-    return DichotomicObservable(
-        plus_proj=np.outer(plus, plus.conj()),
-        minus_proj=np.outer(minus, minus.conj()),
-        label=label,
-    )
-
-
-def observable_from_labels(plus: str, minus: str, label: str = "") -> DichotomicObservable:
-    """Observable from two named basis states, e.g. ("+2", "-2")."""
-    kp = basis_ket(plus)
-    km = basis_ket(minus)
-    return observable_from_kets(
-        kp.amplitudes, km.amplitudes, label or f"{{{plus},{minus}}}"
-    )
-
-
-def chsh_settings() -> tuple[DichotomicObservable, ...]:
-    """The four analyzers (a, a', b, b') used for the S measurement."""
-    a = observable_from_labels("H", "V", "a")
-    a_p = observable_from_labels("+", "-", "a'")
-    b = observable_from_kets([_COS8, -_SIN8], [_SIN8, _COS8], "b")
-    b_p = observable_from_kets([_COS8, _SIN8], [_SIN8, -_COS8], "b'")
-    return a, a_p, b, b_p
-
-
-def correlation(
-    rho: DensityMatrix, a: DichotomicObservable, b: DichotomicObservable
-) -> float:
-    """Exact correlation E(A,B) = Tr[rho (A x B)] with A, B = Pi+ - Pi-."""
-    if rho.dim != 4:
-        raise ValueError("correlation expects a two-qubit state")
-    e = float(np.trace(rho.matrix @ np.kron(a.operator, b.operator)).real)
-    if abs(e) > 1.0 + ATOL:
-        raise ValueError(f"correlation {e} outside [-1, 1]")
-    return e
 
 
 def correlation_from_counts(records) -> float:
@@ -161,32 +110,52 @@ class ChshResult:
         }
 
 
-@functools.cache
-def _compiled() -> tuple[tuple, np.ndarray]:
-    """The signed setting pairs of S and their (16, 4, 4) outcome operator
-    stack, built once; row 4k + 2i + j is outcome (i, j) of pair k."""
-    a, a_p, b, b_p = chsh_settings()
-    # S = E(a,b) + E(a',b) + E(a,b') - E(a',b')
-    pairs = ((a, b, +1), (a_p, b, +1), (a, b_p, +1), (a_p, b_p, -1))
-    ops = np.stack([
-        np.kron(x.projector(i), y.projector(j)) for x, y, _ in pairs for i, j in _OUTCOME_PAIRS
-    ])
-    return pairs, _freeze(ops)
+# keyed by the float outcome duration; typed, as the other setting caches are
+@functools.lru_cache(maxsize=16, typed=True)
+def _compiled(duration_s: float) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
+    """The 16 outcome settings of S, each measured for duration_s, and
+    their operator stack, built once per duration; setting 4k + 2i + j is
+    outcome (i, j) of pair k."""
+    settings = tuple(
+        MeasurementSetting(alice, bob, duration_s)
+        for x, y, _ in _PAIRS
+        for alice in _ANALYZERS[x]
+        for bob in _ANALYZERS[y]
+    )
+    return settings, _operators(settings)
+
+
+def _outcome_duration(duration_s: float) -> float:
+    """Each outcome's share, a quarter, of a setting pair's duration."""
+    return _finite_float(duration_s, "duration", True) / 4.0
+
+
+def chsh_settings(duration_s: float = 60.0) -> list[MeasurementSetting]:
+    """The 16 outcome settings of S in draw order, outcome (i, j) of pair k
+    at index 4k + 2i + j, each measured for a quarter of the pair's
+    duration_s."""
+    return list(_compiled(_outcome_duration(duration_s))[0])
+
+
+def _chsh(rho: DensityMatrix, rate_cps: float, duration_s: float, rng) -> ChshResult:
+    """S from the 16 outcome counts of the CHSH settings: drawn from the
+    generator ``rng``, or with ``rng`` None their expectations."""
+    settings, ops = _compiled(_outcome_duration(duration_s))
+    _, counts = _born_counts(rho, ops, rate_cps, [s.duration_s for s in settings], rng)
+    quads = [counts[4 * k : 4 * k + 4] for k in range(len(_PAIRS))]
+    es = tuple(correlation_from_counts(q) for q in quads)
+    s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
+    if rng is None:
+        return ChshResult(s_val, None, es, None, "exact", _PAIR_LABELS)
+    sigmas = tuple(_correlation_sigma(q) for q in quads)
+    sigma = float(np.sqrt(sum(sg ** 2 for sg in sigmas)))
+    return ChshResult(s_val, sigma, es, sigmas, "empirical", _PAIR_LABELS)
 
 
 def chsh_exact(rho: DensityMatrix) -> ChshResult:
-    """S from exact Born-rule correlations."""
-    pairs, _ = _compiled()
-    es = [correlation(rho, a, b) for a, b, _ in pairs]
-    s = sum(sign * e for (_, _, sign), e in zip(pairs, es))
-    return ChshResult(
-        s=float(s),
-        sigma=None,
-        correlations=tuple(es),
-        correlation_sigmas=None,
-        mode="exact",
-        pair_labels=tuple(f"{a.label},{b.label}" for a, b, _ in pairs),
-    )
+    """S from the Born probabilities of the 16 outcome settings: their
+    expected counts at 1 cps for 1 s per outcome."""
+    return _chsh(rho, 1.0, 4.0, None)
 
 
 def chsh_empirical(
@@ -198,32 +167,10 @@ def chsh_empirical(
     """S from simulated projective runs with Poisson error propagation.
 
     Each of the four setting pairs gets duration_s of beam time, split
-    evenly over its four outcome combinations.  The 16 counts, outcome
-    (i, j) of pair k at index 4k + 2i + j, are drawn in that order from the
-    stream (1,) off the global seed.
+    evenly over its four outcome combinations.  The 16 counts, in the order
+    of chsh_settings, are drawn from the stream (1,) off the global seed.
     """
-    if not 0 < duration_s < math.inf:
-        raise ValueError(f"duration must be positive and finite, got {duration_s}")
-    pairs, ops = _compiled()
-    n = len(_OUTCOME_PAIRS)
-    _, counts = _born_counts(
-        rho, ops, rate_cps, [duration_s / 4.0] * len(ops), _stream(seed, (1,))
-    )
-    es, sigmas = [], []
-    for k in range(len(pairs)):
-        pair_counts = counts[n * k : n * (k + 1)]
-        es.append(correlation_from_counts(pair_counts))
-        sigmas.append(_correlation_sigma(pair_counts))
-    s_val = sum(sign * e for (_, _, sign), e in zip(pairs, es))
-    sigma_s = float(np.sqrt(sum(sg ** 2 for sg in sigmas)))
-    return ChshResult(
-        s=float(s_val),
-        sigma=sigma_s,
-        correlations=tuple(es),
-        correlation_sigmas=tuple(sigmas),
-        mode="empirical",
-        pair_labels=tuple(f"{a.label},{b.label}" for a, b, _ in pairs),
-    )
+    return _chsh(rho, rate_cps, duration_s, _stream(seed, (1,)))
 
 
 def predicted_s(visibility: float) -> float:

@@ -50,13 +50,32 @@ class FitFailureError(ValueError):
     """Fringe fit cannot be performed on the given points."""
 
 
+def _finite_float(value, name: str, positive: bool) -> float:
+    """A rate or duration as a float, so that no mean is cast to a narrower
+    type.  A bool, numpy's too, raises TypeError; NaN, an infinite value, a
+    negative one (or zero, if ``positive``) or an integer past float64's
+    range, such as 10**400, raises ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got a bool")
+    in_range = 0 < value if positive else 0 <= value  # TypeError for a non-number
+    try:
+        as_float = float(value)
+    except OverflowError:
+        as_float = math.inf
+    # NaN fails both tests
+    if not (in_range and as_float < math.inf):
+        bound = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be {bound} and finite, got {value}")
+    return as_float
+
+
 @functools.lru_cache(maxsize=1024)
 def _projector(label: str, degree: str) -> np.ndarray:
     """The read-only projector of an analyzer: a basis-state label of one
-    degree of freedom or, for the polarization analyzer only, a
-    "theta=<x>" scan tag with finite x, whose state is
-    (cos(x/2), sin(x/2)).  Built once per label and shared."""
-    if degree == POLARIZATION and label.startswith(_THETA_PREFIX):
+    degree of freedom, or a "theta=<x>" scan tag with finite x, whose state
+    is (cos(x/2), sin(x/2)) in that degree's basis, (H, V) or (+2, -2).
+    Built once per label and shared."""
+    if label.startswith(_THETA_PREFIX):
         theta = float(label[len(_THETA_PREFIX):])
         if not math.isfinite(theta):
             raise ValueError(f"scan angle must be finite, got {label!r}")
@@ -71,11 +90,11 @@ def _projector(label: str, degree: str) -> np.ndarray:
 @dataclass(frozen=True)
 class MeasurementSetting:
     """One coincidence setting: rank-1 analyzers on both sides, named by
-    their states, measured for ``duration_s`` seconds.
+    their states, measured for ``duration_s`` seconds (held as a float).
 
-    ``alice`` is a polarization label (H, V, +, -, L, R) or a "theta=<x>"
-    scan tag, ``bob`` an OAM label (+2, -2, h, v, a, d).  The projectors
-    and the "alice|bob" table label follow from the names.
+    ``alice`` is a polarization label (H, V, +, -, L, R), ``bob`` an OAM
+    label (+2, -2, h, v, a, d), and either may be a "theta=<x>" scan tag.
+    The projectors and the "alice|bob" table label follow from the names.
     """
 
     alice: str
@@ -90,10 +109,7 @@ class MeasurementSetting:
                     f" {', '.join(_DEGREE_KETS[degree])}, got {type(label).__name__}"
                 )
             _projector(label, degree)
-        if isinstance(self.duration_s, (bool, np.bool_)):
-            raise TypeError("duration must be a number, got a bool")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError(f"duration must be positive and finite, got {self.duration_s}")
+        object.__setattr__(self, "duration_s", _finite_float(self.duration_s, "duration", True))
 
     @property
     def label(self) -> str:
@@ -185,8 +201,7 @@ def _born_counts(
     expectations.  This is the one counting path: every simulated count goes
     through it.
     """
-    if not 0.0 <= rate_cps < math.inf:
-        raise ValueError(f"rate must be non-negative and finite, got {rate_cps}")
+    rate_cps = _finite_float(rate_cps, "rate", False)
     rates = [max(p, 0.0) * rate_cps for p in _probabilities(rho, ops)]
     means = [r * t for r, t in zip(rates, durations)]
     if rng is None:
@@ -209,13 +224,14 @@ def _count_records(
     ]
 
 
-def _operator(s: MeasurementSetting) -> np.ndarray:
-    return np.kron(s.alice_proj, s.bob_proj)[None]
+def _operators(settings) -> np.ndarray:
+    """The read-only (n, 4, 4) stack of Pi_A x Pi_B for the settings."""
+    return _freeze(np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings]))
 
 
 def joint_probability(rho: DensityMatrix, s: MeasurementSetting) -> float:
     """Born probability Tr[rho (Pi_A x Pi_B)] for a coincidence setting."""
-    return _probabilities(rho, _operator(s))[0]
+    return _probabilities(rho, _operators((s,)))[0]
 
 
 def expected_counts(
@@ -230,7 +246,7 @@ def simulate_counts(
 ) -> CountRecord:
     """Draw one Poisson count for a setting: ``np.random.default_rng(seed)``'s
     draw at the setting's mean."""
-    return _count_records(rho, (s,), _operator(s), rate_cps, seed, _stream(seed, ()))[0]
+    return _count_records(rho, (s,), _operators((s,)), rate_cps, seed, _stream(seed, ()))[0]
 
 
 def exact_counts(
@@ -239,7 +255,7 @@ def exact_counts(
     """Noise-free record whose counts equal the unrounded expectation; the
     seed is checked as simulate_counts checks it."""
     return _count_records(
-        rho, (s,), _operator(s), rate_cps, seed, _stream(seed, (), exact=True)
+        rho, (s,), _operators((s,)), rate_cps, seed, _stream(seed, (), exact=True)
     )[0]
 
 
@@ -250,7 +266,7 @@ def _fringe_settings(
 ) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
     """The settings of one scan and their operator stack, built once.
 
-    Keyed by Bob's OAM label, the bytes of the float theta grid and the
+    Keyed by Bob's label, the bytes of the float theta grid and the
     duration; everything returned is shared by every caller, so read-only.
     """
     grid = np.frombuffer(thetas)
@@ -260,8 +276,7 @@ def _fringe_settings(
         MeasurementSetting(f"{_THETA_PREFIX}{theta:.17g}", bob, duration_s)
         for theta in grid
     )
-    ops = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
-    return settings, _freeze(ops)
+    return settings, _operators(settings)
 
 
 def fringe_scan_records(
@@ -278,7 +293,7 @@ def fringe_scan_records(
 
     The points draw, in grid order, from the scan's stream (2, scan_index)
     off the global seed, so a point's count depends on the grid before it.
-    ``bob`` is an OAM label, such as "+2" or "h".
+    ``bob`` is an OAM label, such as "+2" or "h", or a "theta=<x>" tag.
     """
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if thetas.size == 0:

@@ -1,19 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import chsh_oracle
 from hybridoam.bell import (
     ChshResult,
-    DichotomicObservable,
     UndefinedCorrelationError,
     chsh_empirical,
     chsh_exact,
     chsh_settings,
-    correlation,
     correlation_from_counts,
-    observable_from_kets,
-    observable_from_labels,
     predicted_s,
 )
+from hybridoam.measurement import MeasurementSetting
 from hybridoam.source import NoiseModel, hybrid_singlet, prepare_hybrid
 from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
 
@@ -21,12 +21,27 @@ S_MAX = 2.0 * np.sqrt(2.0)
 
 
 def test_settings_are_valid_observables():
-    a, a_p, b, b_p = chsh_settings()
-    for obs in (a, a_p, b, b_p):
-        assert np.max(np.abs(obs.plus_proj + obs.minus_proj - np.eye(2))) < 1e-12
-        op = obs.operator
-        assert np.max(np.abs(op @ op - np.eye(2))) < 1e-12  # eigenvalues +-1
-    assert (a.label, a_p.label, b.label, b_p.label) == ("a", "a'", "b", "b'")
+    settings = chsh_settings()
+    assert len(settings) == 16 and all(s.duration_s == 15.0 for s in settings)
+    assert [s.duration_s for s in chsh_settings(8.0)] == [2.0] * 16
+    # outcome (i, j) of pair k is setting 4k + 2i + j, and each side's two
+    # outcomes are the oracle's orthogonal projectors
+    for k, (x, y, _) in enumerate(chsh_oracle.PAIRS):
+        pair = settings[4 * k : 4 * k + 4]
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            s = pair[2 * i + j]
+            assert np.max(np.abs(s.alice_proj - chsh_oracle.projectors(x)[i])) < 1e-15
+            assert np.max(np.abs(s.bob_proj - chsh_oracle.projectors(y)[j])) < 1e-15
+        for side in ("alice_proj", "bob_proj"):
+            plus, minus = getattr(pair[0], side), getattr(pair[3], side)
+            assert np.max(np.abs(plus + minus - np.eye(2))) < 1e-15
+            op = plus - minus
+            assert np.max(np.abs(op @ op - np.eye(2))) < 1e-15  # eigenvalues +-1
+    # Bob's analyzers are the theta tags -pi/4 and pi/4, with theta + pi
+    # for the minus outcome
+    bobs = [settings[j].bob for j in (0, 1)] + [settings[8 + j].bob for j in (0, 1)]
+    thetas = [float(b[len("theta="):]) for b in bobs]
+    assert np.allclose(thetas, np.array([-1, 3, 1, 5]) * np.pi / 4, rtol=0, atol=1e-15)
 
 
 def test_tsirelson_value_on_the_ideal_state():
@@ -50,10 +65,7 @@ def test_maximally_mixed_state_has_zero_s():
 
 
 def test_correlation_bounds_and_count_estimator():
-    rho = hybrid_singlet()
-    a, _, b, _ = chsh_settings()
-    e = correlation(rho, a, b)
-    assert -1.0 <= e <= 1.0
+    assert all(-1.0 <= e <= 1.0 for e in chsh_exact(hybrid_singlet()).correlations)
     assert abs(correlation_from_counts([30, 10, 10, 30]) - 0.5) < 1e-12
     assert abs(correlation_from_counts([0, 5, 5, 0]) + 1.0) < 1e-12
     with pytest.raises(ValueError):
@@ -65,14 +77,24 @@ def test_correlation_bounds_and_count_estimator():
             correlation_from_counts(bad)
 
 
-def test_observable_validation():
-    with pytest.raises(ValueError):
-        observable_from_kets([1, 0], [1, 0], "degenerate")  # not complete
-    with pytest.raises(ValueError):
-        DichotomicObservable(np.eye(2), np.zeros((2, 2)), "rank2")
-    obs = observable_from_labels("+2", "-2")
-    assert obs.label == "{+2,-2}"
-    assert np.allclose(obs.operator, np.diag([1, -1]), atol=1e-12)
+def _random_noise_model(rng):
+    return NoiseModel(
+        werner_p=float(rng.uniform(0, 1)),
+        dephase_q=float(rng.uniform(0, 1)),
+        miscal_angle=float(rng.uniform(-np.pi, np.pi)),
+    )
+
+
+def test_exact_chsh_matches_the_oracle():
+    # the count-ratio estimator on exact Born probabilities is Tr[rho (A x B)]
+    rng = np.random.default_rng(15)
+    states = [hybrid_singlet(), DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))]
+    states += [prepare_hybrid(_random_noise_model(rng))[0] for _ in range(200)]
+    for rho in states:
+        es, s = chsh_oracle.chsh(rho.matrix)
+        res = chsh_exact(rho)
+        assert np.max(np.abs(np.array(res.correlations) - es)) <= 1e-14
+        assert abs(res.s - s) <= 1e-14
 
 
 def test_empirical_chsh_reproducible_and_near_exact():
@@ -114,3 +136,51 @@ def test_predicted_s_follows_visibility():
     assert abs(predicted_s(1.0) - S_MAX) < 1e-12
     assert abs(predicted_s(0.93) - 0.93 * S_MAX) < 1e-12
     assert abs(predicted_s(0.0)) < 1e-12
+
+
+_TAGS = (
+    "theta=", "theta=nan", "theta=inf", "theta=-inf", "theta=abc", "theta=0.3",
+    "theta=-1e300", "H", "+", "+2", "h", "", None, 0.3, b"H", ["H"],
+)
+_NUMBERS = (
+    np.nan, np.inf, -np.inf, -1.0, -1, 0, 0.0, 5e-324, 1.0, 60.0, 1e308,
+    True, False, np.True_, np.False_, np.float32(3.0), np.float32(1e30),
+    np.float32(np.nan), np.int64(7), 2**64, 10**400, "3", None,
+)
+
+
+def test_fuzzed_chsh_inputs_succeed_or_raise_typed_errors():
+    rng = np.random.default_rng(20261019)
+    states = (
+        hybrid_singlet(),
+        prepare_hybrid("fitted")[0],
+        DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2)),
+        DensityMatrix(np.eye(2) / 2, (POLARIZATION,)),
+    )
+
+    def pick(pool):
+        return pool[rng.integers(len(pool))]
+
+    calls = (
+        lambda: MeasurementSetting(pick(_TAGS), pick(_TAGS), pick(_NUMBERS)),
+        lambda: chsh_settings(pick(_NUMBERS)),
+        lambda: chsh_empirical(pick(states), pick(_NUMBERS), pick(_NUMBERS), pick(_NUMBERS)),
+        # a valid state and seed, so that a rate and duration reach the draw
+        lambda: chsh_empirical(states[1], pick(_NUMBERS), pick(_NUMBERS), 2**64),
+        lambda: chsh_exact(pick(states)),
+    )
+    outcomes = set()
+    for case in range(5000):
+        call = calls[case % len(calls)]
+        # a RuntimeWarning is an error here, whatever the suite's settings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call()
+                outcomes.add("ok")
+            except ValueError:
+                outcomes.add("ValueError")
+            except TypeError:
+                outcomes.add("TypeError")
+    # the draw reaches success and both refusals
+    assert outcomes == {"ok", "ValueError", "TypeError"}

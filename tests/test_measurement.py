@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chsh_oracle
 from hybridoam.measurement import (
     DEFAULT_DURATION_S,
     DEFAULT_RATE_CPS,
@@ -149,10 +150,9 @@ def test_counts_match_numpys_generator_on_each_path(monkeypatch):
             means = [r.expected_rate_cps * 15.0 for r in scan]
             assert [r.counts for r in scan] == _numpy_stream(seed, (2, k)).poisson(means).tolist()
         # CHSH: outcome (i, j) of pair k is draw 4k + 2i + j
-        a, a_p, b, b_p = bell.chsh_settings()
         rng = _numpy_stream(seed, (1,))
         es = []
-        for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p)):
+        for x, y, _ in chsh_oracle.PAIRS:
             probs = _chsh_probabilities(rho, x, y)
             means = [max(p, 0.0) * 100.0 * 15.0 for p in probs]
             es.append(bell.correlation_from_counts(rng.poisson(means).tolist()))
@@ -166,11 +166,11 @@ def test_counts_match_numpys_generator_on_each_path(monkeypatch):
 
 
 def _chsh_probabilities(rho, x, y):
-    """Born probabilities of the outcomes (i, j) of a CHSH analyzer pair,
-    in the order ++, +-, -+, --."""
+    """Born probabilities of the outcomes (i, j) of the CHSH pair of oracle
+    observables x and y, in the order ++, +-, -+, --."""
     return [
-        np.trace(rho.matrix @ np.kron(x.projector(i), y.projector(j))).real
-        for i in (0, 1) for j in (0, 1)
+        np.trace(rho.matrix @ np.kron(px, py)).real
+        for px in chsh_oracle.projectors(x) for py in chsh_oracle.projectors(y)
     ]
 
 
@@ -265,11 +265,12 @@ def test_setting_validation():
         MeasurementSetting("+2", "H")  # degrees swapped
     with pytest.raises(ValueError, match="not a polarization state"):
         MeasurementSetting("X", "h")
-    # a scan tag names a polarization analyzer only
-    with pytest.raises(ValueError, match="not a oam_o2 state"):
-        MeasurementSetting("H", "theta=0.3")
-    with pytest.raises(ValueError, match="not a oam_o2 state"):
-        fringe_scan_records(hybrid_singlet(), "theta=0.3", GRID16)
+    # a scan tag names Bob's analyzer too: cos(theta/2)|+2> + sin(theta/2)|-2>
+    ket = np.cos(0.15) * basis_ket("+2").amplitudes + np.sin(0.15) * basis_ket("-2").amplitudes
+    proj = np.outer(ket, ket.conj())
+    assert np.array_equal(MeasurementSetting("H", "theta=0.3").bob_proj, proj)
+    scan = fringe_scan_records(hybrid_singlet(), "theta=0.3", GRID16)
+    assert all(np.array_equal(r.setting.bob_proj, proj) for r in scan)
     with pytest.raises(ValueError):
         CountRecord(MeasurementSetting("H", "+2"), -1, None, 0)
     for bad in (float("nan"), float("inf")):
@@ -293,16 +294,18 @@ def test_settings_are_their_labels(tmp_path):
         *tomography.tomography_settings(),
         *(r.setting for r in fringe),
         *(r.setting for r in read_counts_csv(path)),
+        *bell.chsh_settings(),
     ]
+
+    def ket(label):
+        if label.startswith("theta="):
+            theta = float(label[len("theta="):])
+            return np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
+        return basis_ket(label).amplitudes
+
     for s in settings:
-        if s.alice.startswith("theta="):
-            theta = float(s.alice[len("theta="):])
-            ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-        else:
-            ket = basis_ket(s.alice).amplitudes
-        assert np.array_equal(s.alice_proj, np.outer(ket, ket.conj()))
-        ket = basis_ket(s.bob).amplitudes
-        assert np.array_equal(s.bob_proj, np.outer(ket, ket.conj()))
+        for proj, label in ((s.alice_proj, s.alice), (s.bob_proj, s.bob)):
+            assert np.array_equal(proj, np.outer(ket(label), ket(label).conj()))
         assert s.label == f"{s.alice}|{s.bob}"
 
 
@@ -457,10 +460,9 @@ def test_compiled_counts_match_a_per_setting_loop():
             result = bell.chsh_empirical(
                 rho, rate_cps=rate, duration_s=4 * duration, seed=seed
             )
-            a, a_p, b, b_p = bell.chsh_settings()
             means = [
                 max(p, 0.0) * rate * duration
-                for x, y in ((a, b), (a_p, b), (a, b_p), (a_p, b_p))
+                for x, y, _ in chsh_oracle.PAIRS
                 for p in _chsh_probabilities(rho, x, y)
             ]
             rng = _numpy_stream(seed, (1,))
@@ -477,7 +479,6 @@ def _with_pair(upper, lower):
     return m
 
 
-NAN2 = np.full((2, 2), np.nan)
 NAN4 = np.full((4, 4), np.nan)
 PAIR = (POLARIZATION, OAM_O2)
 SINGLET = hybrid_singlet()
@@ -486,7 +487,7 @@ SINGLET = hybrid_singlet()
 NON_FINITE = {
     "projector": (lambda: MeasurementSetting("theta=nan", "+2", 1.0), "scan angle"),
     "infinite-projector": (lambda: MeasurementSetting("theta=inf", "+2", 1.0), "scan angle"),
-    "observable": (lambda: bell.DichotomicObservable(NAN2, NAN2, "nan"), "not rank 1"),
+    "bob-projector": (lambda: MeasurementSetting("H", "theta=nan", 1.0), "scan angle"),
     "ket": (lambda: StateVector([np.nan, 0.0], (POLARIZATION,)), "not normalized"),
     "infinite-ket": (lambda: StateVector([np.inf, 0.0], (POLARIZATION,)), "not normalized"),
     "density-matrix": (
@@ -525,6 +526,12 @@ NON_FINITE = {
     ),
     "chsh-rate": (lambda: bell.chsh_empirical(SINGLET, rate_cps=np.nan), "rate"),
     "tomography-rate": (lambda: tomography.simulate_tomography(SINGLET, np.nan), "rate"),
+    # an integer past float64's range, which float() cannot convert
+    "huge-integer-rate": (lambda: tomography.simulate_tomography(SINGLET, 10**400), "rate"),
+    "huge-integer-duration": (lambda: MeasurementSetting("H", "+2", 10**400), "duration"),
+    "chsh-huge-integer-duration": (
+        lambda: bell.chsh_empirical(SINGLET, duration_s=10**400), "duration"
+    ),
     "exact-infinite-rate": (
         lambda: tomography.simulate_tomography(SINGLET, np.inf, exact=True), "rate"
     ),
@@ -566,6 +573,17 @@ BOOLS = {
         SINGLET, duration_s=True
     ),
     "fringe-duration": lambda: fringe_scan_records(SINGLET, "+2", GRID16, duration_s=True),
+    # and these as a rate of 1, or a CHSH pair duration of 1
+    "tomography-rate": lambda: tomography.simulate_tomography(SINGLET, True),
+    "exact-tomography-rate": lambda: tomography.simulate_tomography(
+        SINGLET, np.True_, exact=True
+    ),
+    "fringe-rate": lambda: fringe_scan_records(SINGLET, "+2", GRID16, rate_cps=True),
+    "chsh-rate": lambda: bell.chsh_empirical(SINGLET, rate_cps=True),
+    "chsh-numpy-rate": lambda: bell.chsh_empirical(SINGLET, rate_cps=np.True_),
+    "chsh-duration": lambda: bell.chsh_empirical(SINGLET, duration_s=True),
+    "chsh-numpy-duration": lambda: bell.chsh_empirical(SINGLET, duration_s=np.True_),
+    "chsh-settings-duration": lambda: bell.chsh_settings(True),
 }
 
 
@@ -573,6 +591,7 @@ BOOLS = {
 def test_bools_are_refused_where_integers_or_durations_go(case):
     tomography.simulate_tomography(SINGLET, duration_s=1)
     fringe_scan_records(SINGLET, "+2", GRID16, duration_s=1)
+    bell.chsh_settings(1)
     with pytest.raises(TypeError, match="bool"):
         BOOLS[case]()
 
@@ -601,6 +620,18 @@ def test_counting_rejects_bad_inputs():
             run(rho, -1.0)
         with pytest.raises(ValueError, match="two-qubit"):
             run(one_qubit, 100.0)
+    # a float32 rate or duration is read as a float: a mean past float64's
+    # range is refused, not cast to float32 under numpy's overflow warning
+    for rate, duration in ((np.float32(3.0), 1e308), (1e308, np.float32(3.0))):
+        runs = (
+            lambda: tomography.simulate_tomography(rho, rate, duration),
+            lambda: tomography.simulate_tomography(rho, rate, duration, exact=True),
+            lambda: fringe_scan_records(rho, "h", GRID16, rate, duration),
+            lambda: bell.chsh_empirical(rho, rate, duration),
+        )
+        for run in runs:
+            with pytest.raises(ValueError):
+                run()
 
 
 def test_compiled_settings_are_read_only():
@@ -608,20 +639,21 @@ def test_compiled_settings_are_read_only():
     settings = [
         *tomography._compiled_settings(15.0)[0],
         *(r.setting for r in fringe),
+        *bell._compiled(15.0)[0],
     ]
     assert all(
         not s.alice_proj.flags.writeable and not s.bob_proj.flags.writeable
         for s in settings
     )
     scan = measurement._fringe_settings("h", GRID16.tobytes(), 15.0)
-    stacks = (tomography._compiled_settings(15.0)[1], scan[1], bell._compiled()[1])
+    stacks = (tomography._compiled_settings(15.0)[1], scan[1], bell._compiled(15.0)[1])
     assert all(not ops.flags.writeable for ops in stacks)
     # a scan is built once per label, grid and duration, and every point
     # shares Bob's one checked, read-only projector
     assert scan is measurement._fringe_settings("h", GRID16.tobytes(), 15.0)
     assert all(a is b for a, b in zip(scan[0], (r.setting for r in fringe)))
     assert all(s.bob_proj is fringe[0].setting.bob_proj for s in scan[0])
-    assert bell._compiled() is bell._compiled()
+    assert bell._compiled(15.0) is bell._compiled(15.0)
 
 
 def test_count_records_refuse_counts_float64_cannot_hold():

@@ -214,19 +214,18 @@ def test_import_loads_no_scipy():
 
 PUBLIC_NAMES = """
     ATOL ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS DETERMINISTIC
-    DegenerateInputError DensityMatrix DichotomicObservable FitFailureError
+    DegenerateInputError DensityMatrix FitFailureError
     InsufficientDataError InvalidLabelError MeasurementSetting NoiseModel
     O2_FRAME_ALIGNMENT OAM_O2 POLARIZATION PROBABILISTIC REFERENCE_CONCURRENCE
     REFERENCE_FIDELITY REFERENCE_LINEAR_ENTROPY RateBudget StateMetrics StateVector
     TomographyRun UndefinedCorrelationError apply_noise basis_ket budget_report
-    chsh_empirical chsh_exact chsh_settings concurrence correlation
+    chsh_empirical chsh_exact chsh_settings concurrence
     correlation_from_counts det_probability exact_counts expected_counts
     expected_rate fidelity fit_fringe fit_noise_model format_report fringe_scan
     fringe_scan_records hybrid_singlet hybrid_singlet_ket hybrid_state
     joint_probability linear_entropy linear_inversion log_likelihood
     matrix_from_json matrix_to_json metric_uncertainties noise_fit_report
-    noise_preset observable_from_kets observable_from_labels predicted_s
-    prep_probability prepare_hybrid project_to_physical read_counts_csv
+    noise_preset predicted_s prep_probability prepare_hybrid project_to_physical read_counts_csv
     reconstruct simulate_counts simulate_tomography singlet
     singlet_ket tomography_settings trace_distance upgraded_budget
     visibility_minmax write_counts_csv
@@ -246,6 +245,19 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(exported) == sorted(PUBLIC_NAMES)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example, run as written, so that a renamed or
+    # removed export fails here instead of leaving the example stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    fidelity_value, s_value = map(float, capsys.readouterr().out.split())
+    assert 0.85 < fidelity_value < 1.0 and 2.0 < s_value < 2.8
+    assert 0.8 < namespace["v"] <= 1.0
 
 
 def test_count_table_validation():
