@@ -8,7 +8,11 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
+
+# Every export below has a caller on a run path (the CLI,
+# benchmarks/workloads.py or the README's library quick start), or a reason
+# beside it.
 
 from .states import (
     ATOL,
@@ -18,25 +22,19 @@ from .states import (
     DensityMatrix,
     InvalidLabelError,
     StateVector,
-    basis_ket,
-    matrix_from_json,
+    matrix_from_json,  # the documented inverse of the rho_* output blocks
     matrix_to_json,
-    project_to_physical,
 )
 from .source import (
     DETERMINISTIC,
-    O2_FRAME_ALIGNMENT,
     PROBABILISTIC,
-    REFERENCE_CONCURRENCE,
     REFERENCE_FIDELITY,
     REFERENCE_LINEAR_ENTROPY,
     NoiseModel,
     apply_noise,
     fit_noise_model,
-    hybrid_singlet,
     hybrid_singlet_ket,
     hybrid_state,
-    noise_fit_report,
     noise_preset,
     prepare_hybrid,
     singlet,
@@ -46,14 +44,10 @@ from .measurement import (
     CountRecord,
     FitFailureError,
     MeasurementSetting,
-    exact_counts,
-    expected_counts,
     fit_fringe,
-    fringe_scan,
+    fringe_scan,  # benchmarks/workloads.py calls it
     fringe_scan_records,
-    joint_probability,
     read_counts_csv,
-    simulate_counts,
     visibility_minmax,
     write_counts_csv,
 )
@@ -64,22 +58,18 @@ from .tomography import (
     concurrence,
     fidelity,
     linear_entropy,
-    linear_inversion,
-    log_likelihood,
     metric_uncertainties,
     reconstruct,
     simulate_tomography,
-    tomography_settings,
-    trace_distance,
 )
 from .bell import (
     ChshResult,
     UndefinedCorrelationError,
     chsh_empirical,
     chsh_exact,
-    chsh_settings,
+    chsh_settings,  # the one public view of the 16 settings CHSH counts
     correlation_from_counts,
-    predicted_s,
+    predicted_s,  # S = 2 sqrt(2) V, kept to compare S with a fitted visibility
 )
 from .budget import (
     DEFAULT_OBSERVED_RATE_CPS,

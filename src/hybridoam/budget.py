@@ -67,30 +67,22 @@ def expected_rate(b: RateBudget) -> float:
     return b.c_source_cps * prep_probability(b) * det_probability(b)
 
 
-def upgraded_budget(b: RateBudget, fiber_coupling: float | None = None) -> RateBudget:
+def upgraded_budget(b: RateBudget) -> RateBudget:
     """The projected improved chain: deterministic transferrers on both
-    stages and (by default) doubled fiber coupling, capped at 1."""
-    if fiber_coupling is None:
-        fiber_coupling = min(1.0, 2.0 * b.fiber_coupling)
+    stages and doubled fiber coupling, capped at 1."""
     return replace(
         b,
         deterministic_prep=True,
         deterministic_det=True,
-        fiber_coupling=fiber_coupling,
+        fiber_coupling=min(1.0, 2.0 * b.fiber_coupling),
     )
 
 
-def budget_report(
-    b: RateBudget | None = None,
-    observed_rate_cps: float = DEFAULT_OBSERVED_RATE_CPS,
-    upgrade: RateBudget | None = None,
-) -> dict:
-    """Rates, probabilities, and the observed-vs-model gap, plus the
-    projected gain from the upgraded chain scaled off the observed rate."""
-    if b is None:
-        b = RateBudget()
-    if upgrade is None:
-        upgrade = upgraded_budget(b)
+def budget_report(b: RateBudget) -> dict:
+    """Rates, probabilities, and the gap between the model and the observed
+    DEFAULT_OBSERVED_RATE_CPS, plus the projected gain from the upgraded
+    chain scaled off the observed rate."""
+    upgrade = upgraded_budget(b)
     rate = expected_rate(b)
     up_rate = expected_rate(upgrade)
     gain = up_rate / rate if rate > 0 else float("nan")
@@ -99,17 +91,15 @@ def budget_report(
         "prep_probability": prep_probability(b),
         "det_probability": det_probability(b),
         "expected_rate_cps": rate,
-        "observed_rate_cps": observed_rate_cps,
-        "model_to_observed_ratio": rate / observed_rate_cps
-        if observed_rate_cps > 0
-        else float("nan"),
+        "observed_rate_cps": DEFAULT_OBSERVED_RATE_CPS,
+        "model_to_observed_ratio": rate / DEFAULT_OBSERVED_RATE_CPS,
         "upgrade": {
             "budget": upgrade.as_dict(),
             "prep_probability": prep_probability(upgrade),
             "det_probability": det_probability(upgrade),
             "expected_rate_cps": up_rate,
             "rate_gain": gain,
-            "projected_observed_rate_cps": observed_rate_cps * gain,
+            "projected_observed_rate_cps": DEFAULT_OBSERVED_RATE_CPS * gain,
         },
     }
 

@@ -165,9 +165,9 @@ class _Resolved:
         self.noise = _parse_noise(noise_spec)
         self.deterministic = bool(args.deterministic_transferrers)
         self.exact = bool(getattr(args, "exact", False))
-        self.resamples = (
-            args.resamples if args.resamples is not None else _DEFAULT_RESAMPLES
-        )
+        # only tomography and pipeline, which bootstrap, take --resamples
+        resamples = getattr(args, "resamples", None)
+        self.resamples = resamples if resamples is not None else _DEFAULT_RESAMPLES
         if self.resamples != 0 and self.resamples < 100:
             # the bootstrap needs at least 100 resamples for its sigmas
             raise ConfigError(
@@ -395,14 +395,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help='noise preset name or inline JSON {"werner_p":...}')
         p.add_argument("--deterministic-transferrers", action="store_true",
                        help="unit-success transferrers in state prep and budget")
+
+    def resamples(p):
         p.add_argument("--resamples", type=int, default=None,
                        help="bootstrap resamples for uncertainties (0 disables)")
 
     p = sub.add_parser("tomography", help="36-setting reconstruction")
     common(p)
-    p.add_argument("--exact", action="store_true", help="expected counts, no noise")
-    p.add_argument("--counts-csv", default=None,
-                   help="reconstruct from an existing count table")
+    resamples(p)
+    # a table read from a file has no expectations to take
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--exact", action="store_true", help="expected counts, no noise")
+    source.add_argument("--counts-csv", default=None,
+                        help="reconstruct from an existing count table")
 
     p = sub.add_parser("fringe", help="analyzer rotation scan")
     common(p)
@@ -421,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="tomography + fringes + chsh + budget")
     common(p)
+    resamples(p)
     p.add_argument("--exact", action="store_true", help="expected counts, no noise")
     return parser
 

@@ -181,7 +181,7 @@ def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
 def _probabilities(rho: DensityMatrix, ops: np.ndarray) -> list[float]:
     """Born probabilities Tr[rho Pi_k] for an (n, 4, 4) operator stack."""
     if rho.dim != 4 or len(rho.basis) != 2:
-        raise ValueError("joint_probability expects a two-qubit state")
+        raise ValueError("counting expects a two-qubit state")
     # one zgemm and one diagonal sum per operator, as for a single setting
     probs = np.trace(rho.matrix @ ops, axis1=1, axis2=2).real.tolist()
     for p in probs:
@@ -227,36 +227,6 @@ def _count_records(
 def _operators(settings) -> np.ndarray:
     """The read-only (n, 4, 4) stack of Pi_A x Pi_B for the settings."""
     return _freeze(np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings]))
-
-
-def joint_probability(rho: DensityMatrix, s: MeasurementSetting) -> float:
-    """Born probability Tr[rho (Pi_A x Pi_B)] for a coincidence setting."""
-    return _probabilities(rho, _operators((s,)))[0]
-
-
-def expected_counts(
-    rho: DensityMatrix, s: MeasurementSetting, rate_cps: float
-) -> float:
-    """Noise-free mean count for a setting (the Poisson parameter)."""
-    return exact_counts(rho, s, rate_cps).counts
-
-
-def simulate_counts(
-    rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int
-) -> CountRecord:
-    """Draw one Poisson count for a setting: ``np.random.default_rng(seed)``'s
-    draw at the setting's mean."""
-    return _count_records(rho, (s,), _operators((s,)), rate_cps, seed, _stream(seed, ()))[0]
-
-
-def exact_counts(
-    rho: DensityMatrix, s: MeasurementSetting, rate_cps: float, seed: int = 0
-) -> CountRecord:
-    """Noise-free record whose counts equal the unrounded expectation; the
-    seed is checked as simulate_counts checks it."""
-    return _count_records(
-        rho, (s,), _operators((s,)), rate_cps, seed, _stream(seed, (), exact=True)
-    )[0]
 
 
 # typed, so that a bool duration misses the settings cached for 0 or 1 and is refused

@@ -9,7 +9,7 @@ rotation error on Bob.  ``hybrid_state`` then moves Bob's qubit onto the
 one compiled 4x4 Kraus operator.
 
 Frame convention: after the transferrer the o2 frame is rotated by a fixed
-quarter-turn (``O2_FRAME_ALIGNMENT``, the one free basis choice of the
+quarter-turn (h -> |-2>, v -> |+2>, the one free basis choice of the
 transfer chain) so that the ideal singlet maps exactly to
 
     (|H,+2> - |V,-2>) / sqrt(2)
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (
-    ATOL,
     OAM_O2,
     POLARIZATION,
     DensityMatrix,
@@ -45,15 +44,12 @@ TRANSFER_SUCCESS = {PROBABILISTIC: 0.5, DETERMINISTIC: 1.0}
 # Reference tomography values the fitted noise preset is tuned to reproduce.
 REFERENCE_FIDELITY = 0.957
 REFERENCE_LINEAR_ENTROPY = 0.012
-REFERENCE_CONCURRENCE = 0.957
-
-# Fixed o2 basis rotation closing the transfer chain: h -> |-2>, v -> |+2>.
-O2_FRAME_ALIGNMENT = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 # The whole transfer chain acts on a polarization pair as one fixed Kraus
 # operator, sqrt(transfer success) times this unitary: Alice untouched, Bob's
-# qubit carried by the pinned transfer H -> h, V -> v and then by
-# O2_FRAME_ALIGNMENT, which nets to the logical NOT H -> |-2>, V -> |+2>.
+# qubit carried by the pinned transfer H -> h, V -> v and then by the frame
+# alignment h -> |-2>, v -> |+2>, which nets to the logical NOT
+# H -> |-2>, V -> |+2>.
 # The NOT is written out exactly so that exact zeros of the input stay
 # exact; the tests derive it element by element.
 _TRANSFER_UNITARY = _freeze(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
@@ -99,7 +95,7 @@ class NoiseModel:
         return cls(**{k: float(_check_real(k, v)) for k, v in d.items()})
 
 
-# The four constant states are built on first call and then shared: the
+# The three constant states are built on first call and then shared: the
 # dataclasses are frozen and their arrays read-only.
 @functools.cache
 def singlet_ket() -> StateVector:
@@ -124,13 +120,6 @@ def hybrid_singlet_ket() -> StateVector:
     """
     amp = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     return StateVector(amp, (POLARIZATION, OAM_O2))
-
-
-@functools.cache
-def hybrid_singlet() -> DensityMatrix:
-    """Density matrix of hybrid_singlet_ket."""
-    amp = hybrid_singlet_ket().amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()), (POLARIZATION, OAM_O2))
 
 
 def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
@@ -190,66 +179,22 @@ def prepare_hybrid(
     return hybrid_state(rho, mode)
 
 
-def fit_noise_model(
-    fidelity: float = REFERENCE_FIDELITY,
-    linear_entropy: float = REFERENCE_LINEAR_ENTROPY,
-) -> NoiseModel:
-    """Noise parameters hitting a (fidelity, linear entropy) target exactly.
+def fit_noise_model() -> NoiseModel:
+    """Noise parameters hitting the reference fidelity and linear entropy
+    exactly.
 
     Closed form on top of the pure singlet (werner_p = 1): phase damping
     alone sets the mixedness, S_L = (2/3)(1 - (1-q)^2), and the rotation
     then lowers the fidelity without changing it, F = (1 - q/2) cos^2(t).
     A Werner admixture cannot be part of the solution: matching F = 0.957
     that way would force S_L near 0.11, an order of magnitude too mixed, so
-    the miscalibration term has to carry the fidelity deficit.
+    the miscalibration term has to carry the fidelity deficit.  The
+    concurrence is then C = 1 - q, not the measured 0.957: the three
+    reference values are not simultaneously representable in this model.
     """
-    if not 0.0 < fidelity <= 1.0:
-        raise ValueError(f"fidelity target must lie in (0, 1], got {fidelity}")
-    if not 0.0 <= linear_entropy < 2.0 / 3.0:
-        raise ValueError(
-            f"linear entropy target must lie in [0, 2/3), got {linear_entropy}"
-        )
-    q = 1.0 - np.sqrt(1.0 - 1.5 * linear_entropy)
-    ratio = fidelity / (1.0 - q / 2.0)
-    if ratio > 1.0 + ATOL:
-        raise ValueError(
-            "targets unreachable: fidelity exceeds the ceiling set by the "
-            f"linear entropy ({1.0 - q / 2.0:.6f})"
-        )
-    theta = np.arccos(np.sqrt(min(ratio, 1.0)))
+    q = 1.0 - np.sqrt(1.0 - 1.5 * REFERENCE_LINEAR_ENTROPY)
+    theta = np.arccos(np.sqrt(REFERENCE_FIDELITY / (1.0 - q / 2.0)))
     return NoiseModel(werner_p=1.0, dephase_q=float(q), miscal_angle=float(theta))
-
-
-def noise_fit_report(
-    fidelity: float = REFERENCE_FIDELITY,
-    linear_entropy: float = REFERENCE_LINEAR_ENTROPY,
-    concurrence: float | None = REFERENCE_CONCURRENCE,
-) -> dict:
-    """Fit a noise model and report achieved values and residuals.
-
-    Achieved values come from the closed forms of the fitted family
-    (F = (1-q/2)cos^2 t, S_L = (2/3)(1-(1-q)^2), C = 1-q).  Fidelity and
-    linear entropy are met exactly by construction; the concurrence residual
-    is reported because the three measured values are not simultaneously
-    representable in this model.
-    """
-    nm = fit_noise_model(fidelity, linear_entropy)
-    q, t = nm.dephase_q, nm.miscal_angle
-    achieved = {
-        "fidelity": (1.0 - q / 2.0) * np.cos(t) ** 2,
-        "linear_entropy": (2.0 / 3.0) * (1.0 - (1.0 - q) ** 2),
-        "concurrence": 1.0 - q,
-    }
-    targets = {"fidelity": fidelity, "linear_entropy": linear_entropy}
-    if concurrence is not None:
-        targets["concurrence"] = concurrence
-    residuals = {k: achieved[k] - v for k, v in targets.items()}
-    return {
-        "model": nm.as_dict(),
-        "targets": targets,
-        "achieved": achieved,
-        "residuals": residuals,
-    }
 
 
 _PRESETS = {

@@ -18,16 +18,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 ATOL = 1e-12        # tolerance for algebraic identities
 PSD_FLOOR = -1e-10  # eigenvalue floor for physicality checks
-# project_to_physical refuses larger entries: the clipped spectrum of an
-# n x n matrix sums to at most n^2 times its largest entry, which then stays
-# finite for any n below 10^4
-_MAX_ENTRY = 1e300
 
 POLARIZATION = "polarization"
 OAM_O2 = "oam_o2"
@@ -57,8 +52,6 @@ _O2_KETS = {
 }
 
 _DEGREE_KETS = {POLARIZATION: _POL_KETS, OAM_O2: _O2_KETS}
-# every label names a state of one degree only
-_LABEL_DEGREE = {name: degree for degree, kets in _DEGREE_KETS.items() for name in kets}
 
 
 class InvalidLabelError(ValueError):
@@ -116,9 +109,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -165,62 +155,19 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def basis_ket(label: str) -> StateVector:
-    """Return the defining superposition for a named basis state."""
-    degree = _LABEL_DEGREE.get(label)
-    if degree is None:
-        raise InvalidLabelError(f"unknown basis label: {label!r}")
-    return StateVector(_DEGREE_KETS[degree][label].copy(), (degree,))
-
-
-def project_to_physical(rho, basis: Iterable[str] | None = None) -> DensityMatrix:
-    """Clamp negative eigenvalues to zero and renormalize the trace to one.
-
-    Accepts a DensityMatrix or a raw Hermitian ndarray (then ``basis`` names
-    its factors).  Idempotent on matrices that are already physical.
-    """
-    return _projection(rho, basis)[0]
-
-
-def _projection(rho, basis: Iterable[str] | None = None) -> tuple[DensityMatrix, np.ndarray]:
-    """project_to_physical, and its least clipped, renormalized eigenvalue."""
-    if isinstance(rho, DensityMatrix):
-        mat = rho.matrix
-        basis = rho.basis
-    else:
-        mat = np.asarray(rho, dtype=complex)
-        if basis is None:
-            if mat.shape == (4, 4):
-                basis = (POLARIZATION, OAM_O2)
-            elif mat.shape == (2, 2):
-                basis = (POLARIZATION,)
-            else:
-                raise ValueError("basis factors required for raw matrix input")
-    with np.errstate(over="ignore"):  # a modulus past float64's range is inf
-        size = np.max(np.abs(mat))
-    # refused first, so that neither inf - inf nor an overflow warns below;
-    # NaN passes on to fail the Hermitian test
-    if size > _MAX_ENTRY:
-        raise ValueError(
-            f"project_to_physical requires finite entries of modulus at most {_MAX_ENTRY:g}"
-        )
-    if not np.max(np.abs(mat - mat.conj().T)) <= 1e-9:
-        raise ValueError("project_to_physical requires a Hermitian matrix")
-    mat, least = _clip_to_states((mat + mat.conj().T) / 2)
-    return DensityMatrix(mat, tuple(basis)), least
+def _projection(rho: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
+    """The physical projection of an exactly Hermitian unit-trace estimate,
+    as _clip_to_states gives it, and its least eigenvalue."""
+    mat, least = _clip_to_states(rho.matrix)
+    return DensityMatrix(mat, rho.basis), least
 
 
 def _clip_to_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """project_to_physical on a (..., n, n) stack of Hermitian matrices, and
-    each result's least eigenvalue as the projection sets it, clipped and
-    renormalized: per matrix, so the same alone and in a stack."""
+    """Clamp negative eigenvalues to zero and renormalize the trace to one,
+    on a (..., n, n) stack of Hermitian matrices; also each result's least
+    eigenvalue as the projection sets it.  Per matrix, so the same alone and
+    in a stack."""
     w, vecs = np.linalg.eigh(mats)
     w = np.clip(w, 0.0, None)
     total = w.sum(axis=-1, keepdims=True)

@@ -191,11 +191,6 @@ def _compiled_settings(
     return settings, _PROJECTORS.reshape(-1, 4, 4)
 
 
-def tomography_settings(duration_s: float = 15.0) -> list[MeasurementSetting]:
-    """The 36 canonical settings, Alice-major order."""
-    return list(_compiled_settings(duration_s)[0])
-
-
 # The tomography model, fixed by the canonical settings and built once:
 # setting keys in canonical order, the projectors flattened to (36, 16) rows
 # (so p_k = Tr(Pi_k rho) is the real part of rows @ conj(vec(rho))), each
@@ -263,19 +258,15 @@ def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
     return counts, gtot[_GROUP]
 
 
-def linear_inversion(records) -> DensityMatrix:
-    """Pauli-expectation inversion; Hermitian, unit trace, possibly non-PSD.
+def _linear_estimate(counts: np.ndarray, totals: np.ndarray) -> DensityMatrix:
+    """Pauli-expectation inversion of one table's counts and group totals;
+    exactly Hermitian, unit trace, possibly non-PSD.
 
     Two-qubit correlations come from each basis pair's own 2x2 frequency
     table; single-side marginals are averaged over the partner's three
     bases, which all estimate the same quantity.  Both are folded into the
     fixed inversion map, so rho = I/4 + sum_k (n_k / N_group(k)) M_k.
     """
-    return _linear_estimate(*_count_table(records))
-
-
-def _linear_estimate(counts: np.ndarray, totals: np.ndarray) -> DensityMatrix:
-    """Linear inversion of one table's counts and group totals."""
     return DensityMatrix(
         _invert(counts / totals), (POLARIZATION, OAM_O2), require_positive=False
     )
@@ -292,12 +283,6 @@ def _loglik(rho: np.ndarray, counts: np.ndarray, totals: np.ndarray) -> float:
     lam = totals * np.clip(p, _P_FLOOR, None)
     log_fact = sum(math.lgamma(c + 1.0) for c in counts)
     return float(np.sum(counts * np.log(lam) - lam)) - log_fact
-
-
-def log_likelihood(rho: DensityMatrix, records) -> float:
-    """Poisson log-likelihood of the counts, group totals as the scale."""
-    counts, totals = _count_table(records)
-    return _loglik(rho.matrix, counts, totals)
 
 
 # The solver works in Bloch coordinates: rho = (I + sum_m x_m G_m) / 4 over
@@ -681,12 +666,6 @@ def _concurrences(rhos: np.ndarray) -> np.ndarray:
 
 def _linear_entropies(rhos: np.ndarray) -> np.ndarray:
     return (4.0 / 3.0) * (1.0 - np.einsum("bij,bji->b", rhos, rhos).real)
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference."""
-    ev = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(0.5 * np.sum(np.abs(ev)))
 
 
 def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> StateMetrics:

@@ -11,13 +11,16 @@ spatial mode and the o2 pair.  Conventions:
   then diag(1, i) in the (h, v) basis, so that H -> h and V -> v.
 * o2->pi transferrer: q-plate, the fiber filter onto the fundamental mode,
   then diag(1, -i) on polarization: the exact inverse of the forward map.
+* frame alignment: the fixed o2 rotation h -> |-2>, v -> |+2> after the
+  forward transferrer, so that the ideal singlet maps to
+  (|H,+2> - |V,-2>)/sqrt(2).
 * Each transferrer's Kraus operator is scaled so that one pass succeeds with
   ``TRANSFER_SUCCESS[mode]``.
 """
 
 import numpy as np
 
-from hybridoam.source import O2_FRAME_ALIGNMENT, TRANSFER_SUCCESS
+from hybridoam.source import TRANSFER_SUCCESS
 
 S2 = np.sqrt(2.0)
 H, V = np.eye(2, dtype=complex)
@@ -49,6 +52,9 @@ QPLATE = sum(
 # diag(1, i) in the (h, v) basis
 H_O2, V_O2 = (KETP2 + KETM2) / S2, (KETP2 - KETM2) / S2
 _W = _ketbra(KET0, KET0) + _ketbra(H_O2, H_O2) + 1j * _ketbra(V_O2, V_O2)
+
+# the fixed o2 basis rotation closing the transfer chain: h -> |-2>, v -> |+2>
+O2_FRAME_ALIGNMENT = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / S2
 
 
 def forward(mode):

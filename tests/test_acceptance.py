@@ -24,9 +24,7 @@ from hybridoam.measurement import CountRecord, fit_fringe, fringe_scan
 from hybridoam.source import (
     PROBABILISTIC,
     NoiseModel,
-    hybrid_singlet,
     hybrid_singlet_ket,
-    noise_fit_report,
     prepare_hybrid,
 )
 from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
@@ -34,11 +32,9 @@ from hybridoam.tomography import (
     concurrence,
     fidelity,
     linear_entropy,
-    linear_inversion,
     metric_uncertainties,
     reconstruct,
     simulate_tomography,
-    tomography_settings,
 )
 
 S_MAX = 2.0 * np.sqrt(2.0)
@@ -86,7 +82,7 @@ def test_criterion_2_werner_family_closed_forms():
 
 def test_criterion_3_chsh_exact_and_empirical():
     t0 = time.perf_counter()
-    s_ideal = chsh_exact(hybrid_singlet()).s
+    s_ideal = chsh_exact(prepare_hybrid()[0]).s
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.887))
     # 100 cps for 60 s per setting pair = 1500 events/setting
     svals = [
@@ -113,7 +109,7 @@ def test_criterion_4_fringe_visibility_recovery():
     t0 = time.perf_counter()
     # rate x duration = 4e4 puts 1e4 mean counts on every scan point
     _, v_ideal, _ = fit_fringe(
-        fringe_scan(hybrid_singlet(), "+2", GRID16, 100.0, 400.0, seed=0)
+        fringe_scan(prepare_hybrid()[0], "+2", GRID16, 100.0, 400.0, seed=0)
     )
     recov = {}
     for v_in in (0.90, 0.93, 0.966):
@@ -139,7 +135,7 @@ def test_criterion_5_tomography_statistical_scale():
     rho, _ = prepare_hybrid("fitted")
     f_true = fidelity(rho, hybrid_singlet_ket())
     sl_true = linear_entropy(rho)
-    rep = noise_fit_report()
+    c_true = concurrence(rho)
     records = simulate_tomography(rho, rate_cps=100.0, duration_s=15.0, seed=3)
     m = metric_uncertainties(records, n_resamples=100, seed=3)
     ok = (
@@ -152,9 +148,9 @@ def test_criterion_5_tomography_statistical_scale():
         ok,
         f"sigma_F={m.fidelity_sigma:.4f} in [0.003,0.03]; preset lands at "
         f"F={f_true:.6f} S_L={sl_true:.6f}; fit residuals "
-        f"F={rep['residuals']['fidelity']:+.2e} "
-        f"S_L={rep['residuals']['linear_entropy']:+.2e} "
-        f"C={rep['residuals']['concurrence']:+.4f}",
+        f"F={f_true - 0.957:+.2e} "
+        f"S_L={sl_true - 0.012:+.2e} "
+        f"C={c_true - 0.957:+.4f}",
     )
 
 
@@ -189,11 +185,11 @@ def test_criterion_7_property_suites():
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
         rho = DensityMatrix(m / np.trace(m).real, (POLARIZATION, OAM_O2))
-        est = linear_inversion(simulate_tomography(rho, exact=True))
+        est = reconstruct(simulate_tomography(rho, exact=True)).rho_linear
         worst_rt = max(worst_rt, float(np.max(np.abs(est.matrix - rho.matrix))))
 
     # MLE physicality on 100 random count tables
-    settings = tomography_settings()
+    settings = [r.setting for r in simulate_tomography(rho, exact=True)]
     min_eig, trace_err = 0.0, 0.0
     for _ in range(100):
         recs = [

@@ -14,8 +14,10 @@ from hybridoam.bell import (
     predicted_s,
 )
 from hybridoam.measurement import MeasurementSetting
-from hybridoam.source import NoiseModel, hybrid_singlet, prepare_hybrid
+from hybridoam.source import NoiseModel, prepare_hybrid
 from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
+
+SINGLET = prepare_hybrid()[0]
 
 S_MAX = 2.0 * np.sqrt(2.0)
 
@@ -45,7 +47,7 @@ def test_settings_are_valid_observables():
 
 
 def test_tsirelson_value_on_the_ideal_state():
-    res = chsh_exact(hybrid_singlet())
+    res = chsh_exact(SINGLET)
     assert abs(res.s - S_MAX) < 1e-12
     assert res.sigma is None and res.mode == "exact"
     c = 1.0 / np.sqrt(2.0)
@@ -65,7 +67,7 @@ def test_maximally_mixed_state_has_zero_s():
 
 
 def test_correlation_bounds_and_count_estimator():
-    assert all(-1.0 <= e <= 1.0 for e in chsh_exact(hybrid_singlet()).correlations)
+    assert all(-1.0 <= e <= 1.0 for e in chsh_exact(SINGLET).correlations)
     assert abs(correlation_from_counts([30, 10, 10, 30]) - 0.5) < 1e-12
     assert abs(correlation_from_counts([0, 5, 5, 0]) + 1.0) < 1e-12
     with pytest.raises(ValueError):
@@ -88,7 +90,7 @@ def _random_noise_model(rng):
 def test_exact_chsh_matches_the_oracle():
     # the count-ratio estimator on exact Born probabilities is Tr[rho (A x B)]
     rng = np.random.default_rng(15)
-    states = [hybrid_singlet(), DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))]
+    states = [SINGLET, DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))]
     states += [prepare_hybrid(_random_noise_model(rng))[0] for _ in range(200)]
     for rho in states:
         es, s = chsh_oracle.chsh(rho.matrix)
@@ -118,7 +120,7 @@ def test_empirical_seed_changes_the_draw():
 
 
 def test_result_serialization():
-    res = chsh_exact(hybrid_singlet())
+    res = chsh_exact(SINGLET)
     d = res.as_dict()
     assert set(d) == {
         "S", "sigma", "violation_sigmas", "settings", "correlations", "mode",
@@ -152,7 +154,7 @@ _NUMBERS = (
 def test_fuzzed_chsh_inputs_succeed_or_raise_typed_errors():
     rng = np.random.default_rng(20261019)
     states = (
-        hybrid_singlet(),
+        SINGLET,
         prepare_hybrid("fitted")[0],
         DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2)),
         DensityMatrix(np.eye(2) / 2, (POLARIZATION,)),

@@ -6,7 +6,7 @@ import pytest
 
 from hybridoam.cli import main
 from hybridoam.measurement import write_counts_csv
-from hybridoam.source import hybrid_singlet
+from hybridoam.source import prepare_hybrid
 from hybridoam.tomography import simulate_tomography
 
 S_MAX = 2.0 * np.sqrt(2.0)
@@ -226,6 +226,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["fringe", "--exact", "--bob", "H"], "invalid choice"),
         (["tomography", "--exact", "--resamples", "1"], "0 disables, at least 100"),
         (["tomography", "--exact", "--resamples", "99"], "0 disables, at least 100"),
+        (["pipeline", "--exact", "--resamples", "50"], "0 disables, at least 100"),
+        # only the commands that bootstrap take --resamples
+        (["chsh", "--resamples", "5"], "unrecognized arguments: --resamples"),
+        (["chsh", "--resamples", "0"], "unrecognized arguments: --resamples"),
+        (["budget", "--resamples", "50"], "unrecognized arguments: --resamples"),
+        (["fringe", "--resamples", "100"], "unrecognized arguments: --resamples"),
+        # a table read from a file has no expectations to take
+        (["tomography", "--counts-csv", "counts.csv", "--exact"], "not allowed with"),
+        (["tomography", "--exact", "--counts-csv", "counts.csv"], "not allowed with"),
         (["chsh", "--seed", "-1"], "seed"),
         (["chsh", "--exact", "--seed", "-1"], "seed"),
         (["budget", "--seed", "-1"], "seed"),
@@ -260,7 +269,7 @@ def test_runtime_errors_exit_1_with_error_json(tmp_path, capsys):
     # negative gap bound, 2**62 broke the eigensolver, and 1e30 and 2**64
     # raised numpy's TypeError
     table = tmp_path / "table.csv"
-    write_counts_csv(simulate_tomography(hybrid_singlet(), seed=1), table)
+    write_counts_csv(simulate_tomography(prepare_hybrid()[0], seed=1), table)
     rows = table.read_text().splitlines()
     for count in ("9007199254740993", str(2**62), "1e30", str(2**64)):
         cells = rows[1].split(",")

@@ -1,6 +1,8 @@
 """The element-by-element transfer chain of ``chain_oracle``: each element's
 action, and its tie to the rate budget's detection efficiency; and the
-waveplates behind the analyzers' conventions."""
+waveplates behind the analyzers' conventions.  The package itself has no
+optical elements: it applies the chain as one compiled operator, which
+test_source.py holds to this oracle."""
 
 import numpy as np
 
@@ -21,9 +23,9 @@ from chain_oracle import (
     forward,
 )
 from hybridoam.budget import RateBudget
-from hybridoam.measurement import fringe_scan_records
-from hybridoam.source import DETERMINISTIC, PROBABILISTIC, hybrid_singlet
-from hybridoam.states import ATOL, basis_ket
+from hybridoam.measurement import MeasurementSetting, fringe_scan_records
+from hybridoam.source import DETERMINISTIC, PROBABILISTIC, prepare_hybrid
+from hybridoam.states import ATOL
 
 
 def half_waveplate(t):
@@ -109,11 +111,10 @@ def test_detection_chain_realizes_the_ideal_analyzers():
     analyzer = {"+2": "+", "-2": "-", "h": "H", "v": "V", "a": "R", "d": "L"}
     eff = RateBudget().transfer_det_eff
     for bob, pol in analyzer.items():
-        ket = basis_ket(pol).amplitudes
-        polarizer = np.kron(np.outer(ket, ket.conj()), np.eye(3))
+        setting = MeasurementSetting(pol, bob)
+        polarizer = np.kron(setting.alice_proj, np.eye(3))
         povm = embed.conj().T @ back.conj().T @ polarizer @ back @ embed
-        ket = basis_ket(bob).amplitudes
-        assert np.max(np.abs(povm - eff * np.outer(ket, ket.conj()))) < ATOL
+        assert np.max(np.abs(povm - eff * setting.bob_proj)) < ATOL
 
 
 def test_half_waveplate_matrix_and_actions():
@@ -122,7 +123,7 @@ def test_half_waveplate_matrix_and_actions():
     # the fringe scan's analyzer at theta is |H> through a half waveplate
     # at theta / 4
     grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    records = fringe_scan_records(hybrid_singlet(), "h", grid, exact=True)
+    records = fringe_scan_records(prepare_hybrid()[0], "h", grid, exact=True)
     for theta, rec in zip(grid, records):
         ket = half_waveplate(theta / 4) @ H
         assert np.max(np.abs(rec.setting.alice_proj - np.outer(ket, ket.conj()))) < ATOL
@@ -131,6 +132,8 @@ def test_half_waveplate_matrix_and_actions():
 def test_quarter_waveplate_makes_circular_light():
     # at +-pi/4 it turns |H> into the package's |L> and |R>
     assert np.max(np.abs(quarter_waveplate(0.0) - np.diag([1, -1j]))) < ATOL
-    for t, label in ((np.pi / 4, "L"), (-np.pi / 4, "R")):
-        overlap = np.vdot(basis_ket(label).amplitudes, quarter_waveplate(t) @ H)
-        assert abs(overlap - np.exp(-1j * np.pi / 4)) < ATOL
+    for t, label, ket in ((np.pi / 4, "L", L), (-np.pi / 4, "R", R)):
+        out = quarter_waveplate(t) @ H
+        assert abs(np.vdot(ket, out) - np.exp(-1j * np.pi / 4)) < ATOL
+        proj = MeasurementSetting(label, "+2").alice_proj
+        assert np.max(np.abs(proj - np.outer(out, out.conj()))) < ATOL

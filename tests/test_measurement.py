@@ -11,69 +11,64 @@ from hybridoam.measurement import (
     CountRecord,
     FitFailureError,
     MeasurementSetting,
-    exact_counts,
-    expected_counts,
     fit_fringe,
     fringe_scan,
     fringe_scan_records,
-    joint_probability,
     read_counts_csv,
-    simulate_counts,
     visibility_minmax,
     write_counts_csv,
 )
 import hybridoam.bell as bell
 import hybridoam.measurement as measurement
 import hybridoam.tomography as tomography
-from hybridoam.source import NoiseModel, hybrid_singlet, prepare_hybrid
+from hybridoam.source import NoiseModel, prepare_hybrid
 from hybridoam.states import (
+    _DEGREE_KETS,
     OAM_O2,
     POLARIZATION,
     DensityMatrix,
     StateVector,
-    basis_ket,
-    project_to_physical,
 )
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+SINGLET = prepare_hybrid()[0]
+
+
+def _exact_tomography(rho, rate_cps=100.0, duration_s=15.0):
+    """The 36 exact tomography records, by setting label."""
+    records = tomography.simulate_tomography(rho, rate_cps, duration_s, exact=True)
+    return {r.setting.label: r for r in records}
 
 
 def test_joint_probabilities_of_the_hybrid_singlet():
-    rho = hybrid_singlet()
+    # at 1 cps a setting's expected rate is its Born probability
     probs = {
-        (a, b): joint_probability(rho, MeasurementSetting(a, b))
-        for a in ("H", "V")
-        for b in ("+2", "-2")
+        label: r.expected_rate_cps for label, r in _exact_tomography(SINGLET, 1.0).items()
     }
-    assert abs(probs[("H", "+2")] - 0.5) < 1e-12
-    assert abs(probs[("V", "-2")] - 0.5) < 1e-12
-    assert probs[("H", "-2")] < 1e-12
-    assert probs[("V", "+2")] < 1e-12
-    assert abs(sum(probs.values()) - 1.0) < 1e-12
+    assert abs(probs["H|+2"] - 0.5) < 1e-12
+    assert abs(probs["V|-2"] - 0.5) < 1e-12
+    assert probs["H|-2"] < 1e-12
+    assert probs["V|+2"] < 1e-12
+    assert abs(sum(probs[f"{a}|{b}"] for a in "HV" for b in ("+2", "-2")) - 1.0) < 1e-12
     # conjugate-basis correlations persist for the entangled state
-    assert abs(joint_probability(rho, MeasurementSetting("+", "v")) - 0.5) < 1e-12
-    assert joint_probability(rho, MeasurementSetting("+", "h")) < 1e-12
+    assert abs(probs["+|v"] - 0.5) < 1e-12
+    assert probs["+|h"] < 1e-12
 
 
 def test_joint_probability_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        joint_probability(
-            DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,)), MeasurementSetting("H", "+2")
-        )
+    with pytest.raises(ValueError, match="counting expects a two-qubit state"):
+        tomography.simulate_tomography(DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,)))
 
 
 def test_expected_counts_scale():
-    rho = hybrid_singlet()
-    s = MeasurementSetting("H", "+2", duration_s=15.0)
-    assert abs(expected_counts(rho, s, 100.0) - 750.0) < 1e-9
+    assert abs(_exact_tomography(SINGLET)["H|+2"].counts - 750.0) < 1e-9
     with pytest.raises(ValueError):
-        expected_counts(rho, s, -1.0)
+        _exact_tomography(SINGLET, -1.0)
 
 
 def test_exact_counts_keep_fractional_expectations():
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.25))
-    s = MeasurementSetting("H", "+2", duration_s=15.0)
-    rec = exact_counts(rho, s, 100.0)
+    rec = _exact_tomography(rho)["H|+2"]
     assert isinstance(rec, CountRecord) and isinstance(rec.counts, float)
     # p = 0.25*0.5 + 0.75*0.25 = 0.3125, times 1500
     assert abs(rec.counts - 468.75) < 1e-9
@@ -87,29 +82,16 @@ def _numpy_stream(seed, path):
 
 
 def test_simulate_counts_deterministic_and_unbiased():
-    rho = hybrid_singlet()
-    s = MeasurementSetting("H", "+2", duration_s=15.0)
+    # the H|+2 count of a tomography table, first in its stream, over seeds
     seeds = _numpy_stream(0, (9,)).integers(0, 2**63, size=200)
-    a = simulate_counts(rho, s, 100.0, seeds[0])
-    b = simulate_counts(rho, s, 100.0, seeds[0])
+    a = tomography.simulate_tomography(SINGLET, seed=seeds[0])[0]
+    b = tomography.simulate_tomography(SINGLET, seed=seeds[0])[0]
+    assert a.setting.label == "H|+2"
     assert a.counts == b.counts
     assert isinstance(a.counts, int)
-    draws = [simulate_counts(rho, s, 100.0, seed).counts for seed in seeds]
+    draws = [tomography.simulate_tomography(SINGLET, seed=seed)[0].counts for seed in seeds]
     lam = 750.0
     assert abs(np.mean(draws) - lam) < 3 * np.sqrt(lam / 200)
-
-
-def test_simulate_counts_draws_as_default_rng_does():
-    # a seed below 2**32 is one entropy word, one past 2**64 three, and
-    # 2**200 seven; numpy integers are integers
-    seeds = [5, 0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200,
-             np.uint64(2**63), np.int64(7)]
-    rho = hybrid_singlet()
-    s = MeasurementSetting("H", "+2")
-    for seed in seeds:
-        rec = simulate_counts(rho, s, 100.0, seed)
-        assert rec.counts == np.random.default_rng(seed).poisson(750.0)
-        assert rec.seed == int(seed) and type(rec.seed) is int
 
 
 def test_experiment_streams_are_distinct_and_reproducible():
@@ -127,7 +109,7 @@ def test_experiment_streams_are_distinct_and_reproducible():
                   for path in paths]
         assert len({tuple(h) for h in heads}) == 2 * len(paths)
     # through the public entry points: reruns agree, other seeds and scans do not
-    rho = hybrid_singlet()
+    rho = SINGLET
     tomo = [r.counts for r in tomography.simulate_tomography(rho, seed=3)]
     assert tomo == [r.counts for r in tomography.simulate_tomography(rho, seed=3)]
     assert tomo != [r.counts for r in tomography.simulate_tomography(rho, seed=4)]
@@ -139,12 +121,16 @@ def test_experiment_streams_are_distinct_and_reproducible():
 def test_counts_match_numpys_generator_on_each_path(monkeypatch):
     # every experiment's counts are one draw, in canonical setting order,
     # from numpy's default_rng on SeedSequence(seed, spawn_key=path)
+    # a seed below 2**32 is one entropy word, one past 2**64 three, and
+    # 2**200 seven; numpy integers are integers, and records hold them as int
     rho, _ = prepare_hybrid("fitted")
-    for seed in (0, 2**32, 2**200, np.int64(5)):
+    seeds = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200, np.int64(5), np.uint64(2**63))
+    for seed in seeds:
         recs = tomography.simulate_tomography(rho, 100.0, 15.0, seed)
         means = [r.expected_rate_cps * 15.0 for r in recs]
         want = _numpy_stream(seed, (0,)).poisson(means).tolist()
         assert [r.counts for r in recs] == want
+        assert all(r.seed == int(seed) and type(r.seed) is int for r in recs)
         for k in (0, 7, 2**32 + 1):
             scan = fringe_scan_records(rho, "h", GRID16, 100.0, 15.0, seed, k)
             means = [r.expected_rate_cps * 15.0 for r in scan]
@@ -201,8 +187,7 @@ def test_resamples_do_not_depend_on_how_many_are_drawn(monkeypatch):
 
 
 def test_bad_seeds_are_refused_in_draw_and_exact_mode():
-    rho = hybrid_singlet()
-    s = MeasurementSetting("H", "+2")
+    rho = SINGLET
     recs = tomography.simulate_tomography(rho)
     refused = ((-1, ValueError), (-(2**70), ValueError), (1.7, TypeError),
                (np.float64(2.0), TypeError), (None, TypeError), ("3", TypeError))
@@ -211,8 +196,6 @@ def test_bad_seeds_are_refused_in_draw_and_exact_mode():
             with pytest.raises(error):
                 np.random.default_rng(bad)
         runs = (
-            lambda: simulate_counts(rho, s, 100.0, bad),
-            lambda: exact_counts(rho, s, 100.0, bad),
             lambda: tomography.simulate_tomography(rho, seed=bad),
             lambda: tomography.simulate_tomography(rho, seed=bad, exact=True),
             lambda: fringe_scan_records(rho, "+2", GRID16, seed=bad),
@@ -266,10 +249,10 @@ def test_setting_validation():
     with pytest.raises(ValueError, match="not a polarization state"):
         MeasurementSetting("X", "h")
     # a scan tag names Bob's analyzer too: cos(theta/2)|+2> + sin(theta/2)|-2>
-    ket = np.cos(0.15) * basis_ket("+2").amplitudes + np.sin(0.15) * basis_ket("-2").amplitudes
+    ket = np.array([np.cos(0.15), np.sin(0.15)], dtype=complex)
     proj = np.outer(ket, ket.conj())
     assert np.array_equal(MeasurementSetting("H", "theta=0.3").bob_proj, proj)
-    scan = fringe_scan_records(hybrid_singlet(), "theta=0.3", GRID16)
+    scan = fringe_scan_records(SINGLET, "theta=0.3", GRID16)
     assert all(np.array_equal(r.setting.bob_proj, proj) for r in scan)
     with pytest.raises(ValueError):
         CountRecord(MeasurementSetting("H", "+2"), -1, None, 0)
@@ -287,11 +270,11 @@ def test_settings_are_their_labels(tmp_path):
     assert len({s, MeasurementSetting("H", "+2"), MeasurementSetting("V", "+2")}) == 2
     assert s != MeasurementSetting("H", "+2", 1.0)
     # every setting the package builds projects onto its labels' states
-    fringe = fringe_scan_records(hybrid_singlet(), "h", GRID16)
+    fringe = fringe_scan_records(SINGLET, "h", GRID16)
     path = tmp_path / "counts.csv"
     write_counts_csv(fringe, path)
     settings = [
-        *tomography.tomography_settings(),
+        *(r.setting for r in tomography.simulate_tomography(SINGLET)),
         *(r.setting for r in fringe),
         *(r.setting for r in read_counts_csv(path)),
         *bell.chsh_settings(),
@@ -301,7 +284,7 @@ def test_settings_are_their_labels(tmp_path):
         if label.startswith("theta="):
             theta = float(label[len("theta="):])
             return np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-        return basis_ket(label).amplitudes
+        return {**_DEGREE_KETS[POLARIZATION], **_DEGREE_KETS[OAM_O2]}[label]
 
     for s in settings:
         for proj, label in ((s.alice_proj, s.alice), (s.bob_proj, s.bob)):
@@ -310,7 +293,7 @@ def test_settings_are_their_labels(tmp_path):
 
 
 def test_exact_fringe_is_a_perfect_cosine():
-    rho = hybrid_singlet()
+    rho = SINGLET
     pts = fringe_scan(rho, "+2", GRID16, exact=True)
     n0, v, phi0 = fit_fringe(pts)
     assert abs(n0 - 375.0) < 1e-9  # rate*duration/4 at the defaults
@@ -320,7 +303,7 @@ def test_exact_fringe_is_a_perfect_cosine():
 
 
 def test_fringe_phase_tracks_bob_projector():
-    rho = hybrid_singlet()
+    rho = SINGLET
     n0, v, phi0 = fit_fringe(fringe_scan(rho, "h", GRID16, exact=True))
     assert abs(v - 1.0) < 1e-12
     assert abs(phi0 + np.pi / 2) < 1e-12
@@ -334,7 +317,7 @@ def test_fringe_visibility_matches_werner_weight():
 
 
 def test_noisy_fringe_recovers_visibility():
-    rho = hybrid_singlet()
+    rho = SINGLET
     # 4e4 counts per period point keeps the fit error well under a percent
     pts = fringe_scan(rho, "+2", GRID16, rate_cps=100.0, duration_s=400.0, seed=5)
     _, v, _ = fit_fringe(pts)
@@ -361,7 +344,7 @@ def test_fit_fringe_failure_modes():
 
 
 def test_fringe_scans_draw_from_their_own_stream():
-    rho = hybrid_singlet()
+    rho = SINGLET
     recs = fringe_scan_records(rho, "+2", GRID16, seed=3)
     again = fringe_scan_records(rho, "+2", GRID16, seed=3)
     assert [r.counts for r in recs] == [r.counts for r in again]
@@ -396,18 +379,18 @@ def test_a_csv_seed_column_regenerates_its_table(tmp_path):
 
 
 def _loop_records(rho, settings, rate, seed, path, exact):
-    """The reference: one exact record per setting, then one draw per
-    setting, in order, from numpy's own generator for the path."""
-    records = [exact_counts(rho, s, rate, seed=seed) for s in settings]
-    if exact:
-        return records
-    rng = _numpy_stream(seed, path)
-    return [
-        CountRecord(
-            r.setting, int(rng.poisson(r.counts)), r.expected_rate_cps, r.seed
-        )
-        for r in records
-    ]
+    """The reference: each setting's Born probability, mean rate and mean
+    count on its own, then, unless exact, one draw per setting, in order,
+    from numpy's own generator for the path."""
+    rng = None if exact else _numpy_stream(seed, path)
+    records = []
+    for s in settings:
+        p = np.trace(rho.matrix @ np.kron(s.alice_proj, s.bob_proj)).real
+        r = max(float(p), 0.0) * float(rate)
+        mean = r * s.duration_s
+        counts = mean if exact else int(rng.poisson(mean))
+        records.append(CountRecord(s, counts, r, int(seed)))
+    return records
 
 
 def _as_rows(records):
@@ -432,7 +415,7 @@ def _random_state(seed):
 
 
 def test_compiled_counts_match_a_per_setting_loop():
-    states = (hybrid_singlet(), prepare_hybrid("fitted")[0], _random_state(11))
+    states = (SINGLET, prepare_hybrid("fitted")[0], _random_state(11))
     # multi-word seeds, and np.int64, which numpy reads as an integer
     cases = (
         (0.5, 7.5, 0), (100.0, 15.0, 7), (1234.5, 1.0, 2**40),
@@ -443,8 +426,8 @@ def test_compiled_counts_match_a_per_setting_loop():
         for rate, duration, seed in cases:
             for exact in (False, True):
                 # tomography: setting i is draw i of stream (0,)
-                settings = tomography.tomography_settings(duration)
                 got = tomography.simulate_tomography(rho, rate, duration, seed, exact)
+                settings = [r.setting for r in got]
                 want = _loop_records(rho, settings, rate, seed, (0,), exact)
                 assert _as_rows(got) == _as_rows(want)
                 # fringes: point i of scan k is draw i of stream (2, k); a
@@ -481,7 +464,6 @@ def _with_pair(upper, lower):
 
 NAN4 = np.full((4, 4), np.nan)
 PAIR = (POLARIZATION, OAM_O2)
-SINGLET = hybrid_singlet()
 # each refused at its own guard: a tolerance test that NaN fails, or a
 # finiteness check where no tolerance test can see it
 NON_FINITE = {
@@ -501,24 +483,12 @@ NON_FINITE = {
     "overflowing-trace-density-matrix": (
         lambda: DensityMatrix(np.diag([1e308, 1e308, 0, 0]), PAIR), "trace is inf"
     ),
-    "infinite-projection-input": (
-        lambda: project_to_physical(np.diag([np.inf, 0, 0, 0])), "finite entries"
-    ),
     "infinite-off-diagonal-density-matrix": (
         lambda: DensityMatrix(np.full((4, 4), -np.inf), PAIR), "infinite"
     ),
     # finite, but past what float64 can subtract, add or sum
     "overflowing-difference-density-matrix": (
         lambda: DensityMatrix(_with_pair(1e308, -1e308), PAIR), "not Hermitian"
-    ),
-    "overflowing-sum-projection-of-a-density-matrix": (
-        lambda: project_to_physical(
-            DensityMatrix(_with_pair(1e308, 1e308), PAIR, require_positive=False)
-        ),
-        "finite entries",
-    ),
-    "overflowing-sum-projection-input": (
-        lambda: project_to_physical(np.diag([1e308, 1e308, 0, 0])), "finite entries"
     ),
     "chsh-duration": (lambda: bell.chsh_empirical(SINGLET, duration_s=np.nan), "duration"),
     "chsh-infinite-duration": (
@@ -552,11 +522,10 @@ def test_non_finite_inputs_are_refused_at_their_guard(case):
         build()
 
 
-H_PLUS2 = MeasurementSetting("H", "+2")
 # each of these would run as 1, or with True as the duration
 BOOLS = {
-    "simulate-counts-seed": lambda: simulate_counts(SINGLET, H_PLUS2, 100.0, True),
-    "exact-counts-seed": lambda: exact_counts(SINGLET, H_PLUS2, 100.0, True),
+    "simulate-counts-seed": lambda: fringe_scan_records(SINGLET, "+2", GRID16, seed=True),
+    "exact-counts-seed": lambda: tomography.simulate_tomography(SINGLET, seed=True, exact=True),
     "tomography-seed": lambda: tomography.simulate_tomography(SINGLET, seed=True),
     "chsh-seed": lambda: bell.chsh_empirical(SINGLET, seed=True),
     "bootstrap-seed": lambda: tomography.metric_uncertainties(
@@ -597,7 +566,7 @@ def test_bools_are_refused_where_integers_or_durations_go(case):
 
 
 def test_counting_rejects_bad_inputs():
-    rho = hybrid_singlet()
+    rho = SINGLET
     # analyzers are named by label; a projector matrix or other object is not one
     not_labels = (
         lambda bob: fringe_scan_records(rho, bob, GRID16),
@@ -635,7 +604,7 @@ def test_counting_rejects_bad_inputs():
 
 
 def test_compiled_settings_are_read_only():
-    fringe = fringe_scan_records(hybrid_singlet(), "h", GRID16)
+    fringe = fringe_scan_records(SINGLET, "h", GRID16)
     settings = [
         *tomography._compiled_settings(15.0)[0],
         *(r.setting for r in fringe),
@@ -674,7 +643,7 @@ def test_count_records_refuse_counts_float64_cannot_hold():
 
 
 def test_counts_csv_roundtrip(tmp_path):
-    rho = hybrid_singlet()
+    rho = SINGLET
     recs = fringe_scan_records(rho, "h", GRID16, seed=2)
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
@@ -689,7 +658,7 @@ def test_counts_csv_roundtrip(tmp_path):
 
 def test_counts_csv_roundtrip_fractional(tmp_path):
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.25))
-    recs = [exact_counts(rho, MeasurementSetting("H", "+2"), 100.0)]
+    recs = [_exact_tomography(rho)["H|+2"]]
     path = tmp_path / "exact.csv"
     write_counts_csv(recs, path)
     back = read_counts_csv(path)
@@ -699,7 +668,7 @@ def test_counts_csv_roundtrip_fractional(tmp_path):
 
 
 def test_counts_csv_reads_share_their_settings(tmp_path):
-    rho = hybrid_singlet()
+    rho = SINGLET
     recs = tomography.simulate_tomography(rho, seed=3)
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
@@ -720,7 +689,7 @@ def test_counts_csv_reads_share_their_settings(tmp_path):
 
 
 def test_counts_csv_rejects_non_finite_counts(tmp_path):
-    rho = hybrid_singlet()
+    rho = SINGLET
     recs = fringe_scan_records(rho, "h", GRID16, seed=2)
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
@@ -734,7 +703,7 @@ def test_counts_csv_rejects_non_finite_counts(tmp_path):
 
 
 def test_counts_csv_rejects_mislabelled_rows_and_negative_seeds(tmp_path):
-    recs = tomography.simulate_tomography(hybrid_singlet(), seed=3)
+    recs = tomography.simulate_tomography(SINGLET, seed=3)
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
     lines = path.read_text().splitlines()

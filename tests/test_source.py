@@ -5,23 +5,20 @@ from chain_oracle import reference_hybrid_state
 from hybridoam.budget import RateBudget
 from hybridoam.source import (
     DETERMINISTIC,
-    O2_FRAME_ALIGNMENT,
     PROBABILISTIC,
-    REFERENCE_CONCURRENCE,
     REFERENCE_FIDELITY,
     REFERENCE_LINEAR_ENTROPY,
     NoiseModel,
     apply_noise,
     fit_noise_model,
-    hybrid_singlet,
     hybrid_singlet_ket,
     hybrid_state,
-    noise_fit_report,
     noise_preset,
     prepare_hybrid,
     singlet,
     singlet_ket,
 )
+from hybridoam.tomography import concurrence
 from hybridoam.states import (
     ATOL,
     OAM_O2,
@@ -54,7 +51,7 @@ def test_singlet_amplitude_patterns():
 
 
 def test_constant_states_are_built_once_and_read_only():
-    for make in (singlet, singlet_ket, hybrid_singlet, hybrid_singlet_ket):
+    for make in (singlet, singlet_ket, hybrid_singlet_ket):
         state = make()
         assert make() is state
         array = state.matrix if hasattr(state, "matrix") else state.amplitudes
@@ -78,7 +75,6 @@ def test_deterministic_mode_has_unit_success():
 
 def test_frame_alignment_maps_computational_basis():
     # net Bob map through transfer + alignment: H -> |-2>, V -> |+2>
-    assert np.allclose(O2_FRAME_ALIGNMENT, np.array([[1, -1], [1, 1]]) / S2, atol=ATOL)
     pair = (POLARIZATION, POLARIZATION)
     rho, _ = hybrid_state(DensityMatrix(np.diag([1.0, 0, 0, 0]), pair))
     assert abs(rho.matrix[1, 1].real - 1.0) < 1e-10  # |H,-2>
@@ -159,29 +155,14 @@ def test_fit_noise_model_frozen_values():
     assert abs((2 / 3) * (1 - (1 - q) ** 2) - REFERENCE_LINEAR_ENTROPY) < 1e-12
 
 
-def test_fit_noise_model_rejects_unreachable_targets():
-    with pytest.raises(ValueError):
-        fit_noise_model(fidelity=1.0, linear_entropy=0.012)
-    with pytest.raises(ValueError):
-        fit_noise_model(fidelity=0.0)
-    with pytest.raises(ValueError):
-        fit_noise_model(linear_entropy=0.7)
-
-
-def test_noise_fit_report_residuals():
-    rep = noise_fit_report()
-    assert abs(rep["residuals"]["fidelity"]) < 1e-12
-    assert abs(rep["residuals"]["linear_entropy"]) < 1e-12
-    # the third measured value is over-constrained in this family
-    want_c_resid = (1.0 - FITTED_Q) - REFERENCE_CONCURRENCE
-    assert abs(rep["residuals"]["concurrence"] - want_c_resid) < 1e-12
-    assert rep["model"]["werner_p"] == 1.0
-
-
 def test_fitted_preset_hits_reference_metrics_through_the_chain():
     rho, _ = prepare_hybrid("fitted")
     assert abs(fidelity_to(rho, hybrid_singlet_ket()) - 0.957) < 1e-12
     assert abs(linear_entropy_of(rho) - 0.012) < 1e-12
+    # the measured concurrence, 0.957, is over-constrained in this family:
+    # the preset reaches C = 1 - q, 0.033 above it
+    assert abs(concurrence(rho) - (1.0 - FITTED_Q)) < 1e-12
+    assert abs(concurrence(rho) - 0.957 - 0.033959) < 1e-6
 
 
 def test_noise_presets():
@@ -195,4 +176,4 @@ def test_hybrid_state_input_guards():
     with pytest.raises(ValueError, match="polarization pair"):
         hybrid_state(DensityMatrix(np.eye(2) / 2, (POLARIZATION,)))
     with pytest.raises(ValueError, match="polarization pair"):
-        hybrid_state(hybrid_singlet())
+        hybrid_state(prepare_hybrid()[0])

@@ -1,64 +1,65 @@
 import numpy as np
 import pytest
 
+from hybridoam.measurement import MeasurementSetting
 from hybridoam.states import (
     ATOL,
-    DegenerateInputError,
     DensityMatrix,
     InvalidLabelError,
     OAM_O2,
     POLARIZATION,
     StateVector,
-    basis_ket,
+    _projection,
     matrix_from_json,
     matrix_to_json,
-    project_to_physical,
 )
 
 S2 = np.sqrt(2.0)
 
 
+def _projector(ket):
+    ket = np.asarray(ket, dtype=complex)
+    return np.outer(ket, ket.conj())
+
+
 def test_circular_polarization_convention():
-    # |L> = (|H>+i|V>)/sqrt2, |R> = (|H>-i|V>)/sqrt2
-    L = basis_ket("L").amplitudes
-    R = basis_ket("R").amplitudes
-    assert np.allclose(L, np.array([1.0, 1.0j]) / S2, atol=ATOL)
-    assert np.allclose(R, np.array([1.0, -1.0j]) / S2, atol=ATOL)
-    assert abs(np.vdot(L, R)) < ATOL
+    # |L> = (|H>+i|V>)/sqrt2, |R> = (|H>-i|V>)/sqrt2, as analyzers
+    L = MeasurementSetting("L", "+2").alice_proj
+    R = MeasurementSetting("R", "+2").alice_proj
+    assert np.allclose(L, _projector(np.array([1.0, 1.0j]) / S2), atol=ATOL)
+    assert np.allclose(R, _projector(np.array([1.0, -1.0j]) / S2), atol=ATOL)
+    assert np.allclose(L @ R, 0.0, atol=ATOL)
 
 
 def test_o2_superposition_kets():
-    h = basis_ket("h").amplitudes
-    v = basis_ket("v").amplitudes
-    a = basis_ket("a").amplitudes
-    d = basis_ket("d").amplitudes
-    assert np.allclose(h, np.array([1.0, 1.0]) / S2, atol=ATOL)
-    assert np.allclose(v, np.array([1.0, -1.0]) / S2, atol=ATOL)
-    # a and d keep their defining global phases
-    assert np.allclose(a, np.exp(-1j * np.pi / 4) * np.array([1.0, 1.0j]) / S2, atol=ATOL)
-    assert np.allclose(d, np.exp(+1j * np.pi / 4) * np.array([1.0, -1.0j]) / S2, atol=ATOL)
-    for x, y in ((h, v), (a, d)):
-        assert abs(np.vdot(x, y)) < ATOL
+    # h, v, a, d as Bob's analyzers; their kets' global phases drop out
+    proj = {b: MeasurementSetting("H", b).bob_proj for b in ("h", "v", "a", "d")}
+    assert np.allclose(proj["h"], _projector(np.array([1.0, 1.0]) / S2), atol=ATOL)
+    assert np.allclose(proj["v"], _projector(np.array([1.0, -1.0]) / S2), atol=ATOL)
+    assert np.allclose(proj["a"], _projector(np.array([1.0, 1.0j]) / S2), atol=ATOL)
+    assert np.allclose(proj["d"], _projector(np.array([1.0, -1.0j]) / S2), atol=ATOL)
+    for x, y in (("h", "v"), ("a", "d")):
+        assert np.allclose(proj[x] @ proj[y], 0.0, atol=ATOL)
 
 
 def test_label_resolution_and_errors():
-    assert basis_ket("+2").basis == (OAM_O2,)
-    assert basis_ket("H").basis == (POLARIZATION,)
-    with pytest.raises(InvalidLabelError):
-        basis_ket("X")
-    with pytest.raises(InvalidLabelError):
-        basis_ket("0")  # the fundamental mode is not a basis state here
+    assert MeasurementSetting("H", "+2").label == "H|+2"
+    for bad in ("X", "0", "spin"):  # "0", the fundamental mode, is not an analyzer
+        with pytest.raises(InvalidLabelError):
+            MeasurementSetting("H", bad)
+        with pytest.raises(InvalidLabelError):
+            MeasurementSetting(bad, "+2")
     # labels are unique across the two degrees: "h" is the OAM state
-    assert basis_ket("h").basis == (OAM_O2,)
-    with pytest.raises(InvalidLabelError):
-        basis_ket("spin")
+    MeasurementSetting("H", "h")
+    with pytest.raises(InvalidLabelError, match="not a polarization state"):
+        MeasurementSetting("h", "+2")
 
 
 def test_state_vector_normalization_guard():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 1.0]), (POLARIZATION,))
     sv = StateVector(np.array([1.0, 1.0]) / S2, (POLARIZATION,))
-    assert abs(sv.norm_squared() - 1.0) < ATOL
+    assert sv.dim == 2
     with pytest.raises(ValueError):
         StateVector(np.ones(3), (POLARIZATION,))  # dim mismatch
 
@@ -72,28 +73,21 @@ def test_density_matrix_guards():
     with pytest.raises(ValueError):
         DensityMatrix(neg, (POLARIZATION,))
     dm = DensityMatrix(neg, (POLARIZATION,), require_positive=False)
-    assert abs(dm.trace() - 1.0) < ATOL
-    mixed = DensityMatrix(np.eye(2) / 2, (POLARIZATION,))
-    assert abs(mixed.purity() - 0.5) < ATOL
+    assert np.array_equal(dm.matrix, neg)
 
 
 def test_project_to_physical_clamps_and_renormalizes():
-    raw = np.diag([0.8, 0.4, -0.1, -0.1])
-    fixed = project_to_physical(raw)
-    w = np.linalg.eigvalsh(fixed.matrix)
-    assert w[0] >= -ATOL
-    assert abs(fixed.trace() - 1.0) < ATOL
-    assert np.allclose(np.diag(fixed.matrix).real, [2 / 3, 1 / 3, 0, 0], atol=ATOL)
+    # the projection reconstruct starts from, on an indefinite estimate
+    raw = DensityMatrix(
+        np.diag([0.8, 0.4, -0.1, -0.1]), (POLARIZATION, OAM_O2), require_positive=False
+    )
+    fixed, least = _projection(raw)
+    assert fixed.basis == raw.basis
+    assert np.allclose(fixed.matrix, np.diag([2 / 3, 1 / 3, 0, 0]), atol=ATOL)
+    assert abs(least) < ATOL
     # idempotent on already physical input
-    again = project_to_physical(fixed)
+    again, _ = _projection(fixed)
     assert np.max(np.abs(again.matrix - fixed.matrix)) < ATOL
-
-
-def test_project_to_physical_degenerate_input():
-    with pytest.raises(DegenerateInputError):
-        project_to_physical(np.diag([-1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        project_to_physical(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
 
 
 def test_json_roundtrip_preserves_matrix_and_basis():
