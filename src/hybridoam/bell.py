@@ -21,7 +21,6 @@ correlation is the count-ratio estimator on the Born probabilities.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,8 @@ from .measurement import (
     _THETA_PREFIX,
     MeasurementSetting,
     _born_counts,
+    _compiled,
     _finite_float,
-    _operators,
     _stream,
 )
 from .states import DensityMatrix
@@ -47,6 +46,11 @@ _ANALYZERS = {
 # S = E(a,b) + E(a',b) + E(a,b') - E(a',b')
 _PAIRS = (("a", "b", +1), ("a'", "b", +1), ("a", "b'", +1), ("a'", "b'", -1))
 _PAIR_LABELS = tuple(f"{x},{y}" for x, y, _ in _PAIRS)
+# the (alice, bob) labels of the 16 outcome settings of S; setting 4k + 2i + j
+# is outcome (i, j) of pair k
+_OUTCOMES = tuple(
+    (alice, bob) for x, y, _ in _PAIRS for alice in _ANALYZERS[x] for bob in _ANALYZERS[y]
+)
 
 
 class UndefinedCorrelationError(ValueError):
@@ -110,21 +114,6 @@ class ChshResult:
         }
 
 
-# keyed by the float outcome duration; typed, as the other setting caches are
-@functools.lru_cache(maxsize=16, typed=True)
-def _compiled(duration_s: float) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
-    """The 16 outcome settings of S, each measured for duration_s, and
-    their operator stack, built once per duration; setting 4k + 2i + j is
-    outcome (i, j) of pair k."""
-    settings = tuple(
-        MeasurementSetting(alice, bob, duration_s)
-        for x, y, _ in _PAIRS
-        for alice in _ANALYZERS[x]
-        for bob in _ANALYZERS[y]
-    )
-    return settings, _operators(settings)
-
-
 def _outcome_duration(duration_s: float) -> float:
     """Each outcome's share, a quarter, of a setting pair's duration."""
     return _finite_float(duration_s, "duration", True) / 4.0
@@ -134,14 +123,15 @@ def chsh_settings(duration_s: float = 60.0) -> list[MeasurementSetting]:
     """The 16 outcome settings of S in draw order, outcome (i, j) of pair k
     at index 4k + 2i + j, each measured for a quarter of the pair's
     duration_s."""
-    return list(_compiled(_outcome_duration(duration_s))[0])
+    return list(_compiled(_OUTCOMES, _outcome_duration(duration_s))[0])
 
 
 def _chsh(rho: DensityMatrix, rate_cps: float, duration_s: float, rng) -> ChshResult:
     """S from the 16 outcome counts of the CHSH settings: drawn from the
     generator ``rng``, or with ``rng`` None their expectations."""
-    settings, ops = _compiled(_outcome_duration(duration_s))
-    _, counts = _born_counts(rho, ops, rate_cps, [s.duration_s for s in settings], rng)
+    outcome_s = _outcome_duration(duration_s)
+    ops = _compiled(_OUTCOMES, outcome_s)[1]
+    _, counts = _born_counts(rho, ops, rate_cps, outcome_s, rng)
     quads = [counts[4 * k : 4 * k + 4] for k in range(len(_PAIRS))]
     es = tuple(correlation_from_counts(q) for q in quads)
     s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))

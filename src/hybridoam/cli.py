@@ -84,8 +84,6 @@ def _load_config(path: str | None) -> dict:
 def _parse_noise(spec) -> src.NoiseModel:
     if spec is None:
         return src.noise_preset("ideal")
-    if isinstance(spec, src.NoiseModel):
-        return spec
     if isinstance(spec, dict):
         try:
             return src.NoiseModel.from_dict(spec)
@@ -157,10 +155,10 @@ class _Resolved:
             k: _positive_duration(k, cfg_durations.get(k, v))
             for k, v in _DEFAULT_DURATIONS.items()
         }
-        self.duration_flag = (
-            None if args.duration_s is None
-            else _positive_duration("--duration-s", args.duration_s)
-        )
+        # the flag overrides every experiment's duration, each still checked above
+        if args.duration_s is not None:
+            flag = _positive_duration("--duration-s", args.duration_s)
+            self.durations = dict.fromkeys(self.durations, flag)
         noise_spec = args.noise if args.noise is not None else cfg.get("noise")
         self.noise = _parse_noise(noise_spec)
         self.deterministic = bool(args.deterministic_transferrers)
@@ -192,29 +190,29 @@ class _Resolved:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {self.out}: {exc}") from exc
 
-    def duration_for(self, command: str) -> float:
-        if self.duration_flag is not None:
-            return float(self.duration_flag)
-        return self.durations[command]
-
     def mode(self) -> str:
         return src.DETERMINISTIC if self.deterministic else src.PROBABILISTIC
 
-    def provenance(self, command: str, **extras) -> dict:
-        eff = {
+    def write(self, command: str, payload: dict, **extras) -> dict:
+        """Write a command's payload to <command>.json under --out, with its
+        provenance block: the command, effective config and ``extras``, the
+        seed and the package version."""
+        config = {
             "noise": self.noise.as_dict(),
             "rate_cps": self.rate_cps,
             "seed": self.seed,
             "deterministic_transferrers": self.deterministic,
             "exact": self.exact,
+            **extras,
         }
-        eff.update(extras)
-        return {
+        payload["provenance"] = {
             "command": command,
-            "config": eff,
+            "config": config,
             "seed": self.seed,
             "version": __version__,
         }
+        write_json(payload, self.out / f"{command}.json")
+        return payload
 
 
 def _tomography_block(res: _Resolved, records) -> dict:
@@ -253,7 +251,7 @@ def _fringe_block(
         bob,
         grid,
         res.rate_cps,
-        res.duration_for("fringe"),
+        res.durations["fringe"],
         seed=res.seed,
         scan_index=scan_index,
         exact=res.exact,
@@ -273,13 +271,13 @@ def _chsh_result(res: _Resolved, rho) -> bell.ChshResult:
     if res.exact:
         return bell.chsh_exact(rho)
     return bell.chsh_empirical(
-        rho, rate_cps=res.rate_cps, duration_s=res.duration_for("chsh"),
+        rho, rate_cps=res.rate_cps, duration_s=res.durations["chsh"],
         seed=res.seed,
     )
 
 
 def _cmd_tomography(res: _Resolved, args) -> dict:
-    duration = res.duration_for("tomography")
+    duration = res.durations["tomography"]
     if args.counts_csv:
         records = ms.read_counts_csv(args.counts_csv)
         success = None
@@ -291,11 +289,9 @@ def _cmd_tomography(res: _Resolved, args) -> dict:
         ms.write_counts_csv(records, res.out / "tomography_counts.csv")
     payload = _tomography_block(res, records)
     payload["success_probability"] = success
-    payload["provenance"] = res.provenance(
-        "tomography", duration_s=duration, resamples=res.resamples
+    return res.write(
+        "tomography", payload, duration_s=duration, resamples=res.resamples
     )
-    write_json(payload, res.out / "tomography.json")
-    return payload
 
 
 def _cmd_fringe(res: _Resolved, args) -> dict:
@@ -303,29 +299,21 @@ def _cmd_fringe(res: _Resolved, args) -> dict:
     records, payload = _fringe_block(res, rho, args.bob, args.points)
     ms.write_counts_csv(records, res.out / "fringe_counts.csv")
     payload["bob"] = args.bob
-    payload["provenance"] = res.provenance(
-        "fringe", duration_s=res.duration_for("fringe"), bob=args.bob,
+    return res.write(
+        "fringe", payload, duration_s=res.durations["fringe"], bob=args.bob,
         points=args.points,
     )
-    write_json(payload, res.out / "fringe.json")
-    return payload
 
 
 def _cmd_chsh(res: _Resolved, args) -> dict:
     rho, _ = src.prepare_hybrid(res.noise, res.mode())
     payload = _chsh_result(res, rho).as_dict()
-    payload["provenance"] = res.provenance(
-        "chsh", duration_s=res.duration_for("chsh")
-    )
-    write_json(payload, res.out / "chsh.json")
-    return payload
+    return res.write("chsh", payload, duration_s=res.durations["chsh"])
 
 
 def _cmd_budget(res: _Resolved, args) -> dict:
     report = budget_mod.budget_report(res.budget)
-    payload = dict(report)
-    payload["provenance"] = res.provenance("budget")
-    write_json(payload, res.out / "budget.json")
+    payload = res.write("budget", dict(report))
     print(budget_mod.format_report(report))
     return payload
 
@@ -333,7 +321,7 @@ def _cmd_budget(res: _Resolved, args) -> dict:
 def _cmd_pipeline(res: _Resolved, args) -> dict:
     rho, success = src.prepare_hybrid(res.noise, res.mode())
     records = tg.simulate_tomography(
-        rho, res.rate_cps, res.duration_for("tomography"), res.seed,
+        rho, res.rate_cps, res.durations["tomography"], res.seed,
         exact=res.exact,
     )
     ms.write_counts_csv(records, res.out / "pipeline_tomography_counts.csv")
@@ -346,14 +334,10 @@ def _cmd_pipeline(res: _Resolved, args) -> dict:
             for scan_index, bob in enumerate(("+2", "h"))
         },
         "chsh": _chsh_result(res, rho).as_dict(),
-        "provenance": res.provenance(
-            "pipeline",
-            resamples=res.resamples,
-            durations={k: res.duration_for(k) for k in _DEFAULT_DURATIONS},
-        ),
     }
-    write_json(payload, res.out / "pipeline.json")
-    return payload
+    return res.write(
+        "pipeline", payload, resamples=res.resamples, durations=res.durations
+    )
 
 
 _COMMANDS = {

@@ -12,6 +12,12 @@ bootstrap (3,).  Experiments are independent of each other and of execution
 order, and no stream state is shared; this module builds the streams, and
 no other module does.
 
+Settings: an experiment is a tuple of (alice, bob) analyzer label pairs
+measured for one duration.  One cache, _compiled, builds its settings and
+their read-only (n, 4, 4) stack of Pi_A x Pi_B once per pairs and duration,
+for tomography's 36 canonical pairs, each fringe scan's theta= tags against
+Bob's label, and CHSH's 16 outcome pairs alike.
+
 Fringe convention: the scan variable theta is 4x the half-waveplate
 fast-axis angle, so Alice's analysis state is (cos(theta/2), sin(theta/2))
 and ideal fringes follow N0 (1 + V cos(theta - phi0)) with period 2 pi.
@@ -191,62 +197,53 @@ def _probabilities(rho: DensityMatrix, ops: np.ndarray) -> list[float]:
 
 
 def _born_counts(
-    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, durations, rng
+    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, duration_s: float, rng
 ) -> tuple[list[float], list]:
     """Expected rates and counts for the settings behind an operator stack.
 
-    ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack; setting
-    k is measured for durations[k].  All n counts are one Poisson draw from
-    the generator ``rng``, in stack order, or with ``rng`` None the unrounded
-    expectations.  This is the one counting path: every simulated count goes
-    through it.
+    ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack, and
+    each setting is measured for the float duration_s.  All n counts are one
+    Poisson draw from the generator ``rng``, in stack order, or with ``rng``
+    None the unrounded expectations.  This is the one counting path: every
+    simulated count goes through it.
     """
     rate_cps = _finite_float(rate_cps, "rate", False)
     rates = [max(p, 0.0) * rate_cps for p in _probabilities(rho, ops)]
-    means = [r * t for r, t in zip(rates, durations)]
+    means = [r * duration_s for r in rates]
     if rng is None:
         return rates, means
     return rates, rng.poisson(means).tolist()
 
 
+# typed, so that a bool duration misses the settings cached for 0 or 1 and is refused
+@functools.lru_cache(maxsize=16, typed=True)
+def _compiled(
+    pairs: tuple[tuple[str, str], ...], duration_s: float
+) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
+    """An experiment's settings, one per (alice, bob) label pair and each
+    measured for duration_s, with their (n, 4, 4) stack of Pi_A x Pi_B.
+    Built once per pairs and duration; everything returned is shared by
+    every caller, so read-only."""
+    settings = tuple(MeasurementSetting(a, b, duration_s) for a, b in pairs)
+    ops = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
+    return settings, _freeze(ops)
+
+
 def _count_records(
-    rho: DensityMatrix, settings, ops: np.ndarray, rate_cps: float, seed: int, rng
+    rho: DensityMatrix, pairs, duration_s: float, rate_cps: float, seed: int,
+    path: tuple[int, ...], exact: bool,
 ) -> list[CountRecord]:
-    """One CountRecord per setting, each carrying the run's seed; ``ops`` is
-    the settings' operator stack and ``rng`` the experiment's generator,
-    None for exact records."""
-    durations = [s.duration_s for s in settings]
-    rates, counts = _born_counts(rho, ops, rate_cps, durations, rng)
+    """One CountRecord per (alice, bob) label pair, measured for duration_s
+    and drawn in order from the experiment's stream ``path`` off ``seed``,
+    or with ``exact`` the expectations; each carries the run's seed."""
+    settings, ops = _compiled(pairs, duration_s)
+    rng = _stream(seed, path, exact)
+    rates, counts = _born_counts(rho, ops, rate_cps, settings[0].duration_s, rng)
     seed = int(seed)
     return [
         CountRecord(setting=s, counts=c, expected_rate_cps=r, seed=seed)
         for s, c, r in zip(settings, counts, rates)
     ]
-
-
-def _operators(settings) -> np.ndarray:
-    """The read-only (n, 4, 4) stack of Pi_A x Pi_B for the settings."""
-    return _freeze(np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings]))
-
-
-# typed, so that a bool duration misses the settings cached for 0 or 1 and is refused
-@functools.lru_cache(maxsize=16, typed=True)
-def _fringe_settings(
-    bob: str, thetas: bytes, duration_s: float
-) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
-    """The settings of one scan and their operator stack, built once.
-
-    Keyed by Bob's label, the bytes of the float theta grid and the
-    duration; everything returned is shared by every caller, so read-only.
-    """
-    grid = np.frombuffer(thetas)
-    if not np.isfinite(grid).all():
-        raise ValueError("theta grid must be finite")
-    settings = tuple(
-        MeasurementSetting(f"{_THETA_PREFIX}{theta:.17g}", bob, duration_s)
-        for theta in grid
-    )
-    return settings, _operators(settings)
 
 
 def fringe_scan_records(
@@ -270,9 +267,10 @@ def fringe_scan_records(
         raise ValueError("theta grid is empty")
     if not isinstance(bob, str):  # refused by the setting, before the cache hashes it
         MeasurementSetting("H", bob)
-    settings, ops = _fringe_settings(bob, thetas.tobytes(), duration_s)
-    rng = _stream(seed, (2, scan_index), exact)
-    return _count_records(rho, settings, ops, rate_cps, seed, rng)
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta grid must be finite")
+    pairs = tuple((f"{_THETA_PREFIX}{t:.17g}", bob) for t in thetas.tolist())
+    return _count_records(rho, pairs, duration_s, rate_cps, seed, (2, scan_index), exact)
 
 
 def fringe_scan(

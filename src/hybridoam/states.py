@@ -58,10 +58,6 @@ class InvalidLabelError(ValueError):
     """Basis label does not exist for the requested degree of freedom."""
 
 
-class DegenerateInputError(ValueError):
-    """Input matrix carries no usable weight (e.g. all eigenvalues <= 0)."""
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -170,10 +166,7 @@ def _clip_to_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in a stack."""
     w, vecs = np.linalg.eigh(mats)
     w = np.clip(w, 0.0, None)
-    total = w.sum(axis=-1, keepdims=True)
-    if (total <= 0.0).any():
-        raise DegenerateInputError("matrix has no positive spectral weight")
-    w = w / total
+    w = w / w.sum(axis=-1, keepdims=True)
     out = (vecs * w[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
     return (out + np.swapaxes(out.conj(), -1, -2)) / 2, w[..., 0]
 

@@ -37,7 +37,6 @@ plain 1 - Tr rho^2 convention.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,6 @@ import numpy as np
 
 from .measurement import (
     CountRecord,
-    MeasurementSetting,
     _count_records,
     _projector,
     _stream,
@@ -181,16 +179,6 @@ class TomographyRun:
 _KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
 
 
-# typed, so that a bool duration misses the settings cached for 0 or 1 and is refused
-@functools.lru_cache(maxsize=16, typed=True)
-def _compiled_settings(
-    duration_s: float,
-) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
-    """The 36 settings for one duration and their (36, 4, 4) operator stack."""
-    settings = tuple(MeasurementSetting(a, b, duration_s) for a, b in _KEYS)
-    return settings, _PROJECTORS.reshape(-1, 4, 4)
-
-
 # The tomography model, fixed by the canonical settings and built once:
 # setting keys in canonical order, the projectors flattened to (36, 16) rows
 # (so p_k = Tr(Pi_k rho) is the real part of rows @ conj(vec(rho))), each
@@ -233,8 +221,7 @@ def simulate_tomography(
     exact: bool = False,
 ) -> list[CountRecord]:
     """Counts for all 36 settings, drawn in canonical order from stream (0,)."""
-    settings, ops = _compiled_settings(duration_s)
-    return _count_records(rho, settings, ops, rate_cps, seed, _stream(seed, (0,), exact))
+    return _count_records(rho, _KEYS, duration_s, rate_cps, seed, (0,), exact)
 
 
 def _count_table(records) -> tuple[np.ndarray, np.ndarray]:

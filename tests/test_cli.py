@@ -222,6 +222,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "rate_cps"),
         (["chsh", "--exact", "--config", config({"durations": {"chsh": True}})],
          "duration chsh"),
+        # --duration-s overrides every duration, but a bad one in the config still fails
+        (["chsh", "--exact", "--duration-s", "5",
+          "--config", config({"durations": {"fringe": -1}})], "duration fringe"),
         (["fringe", "--exact", "--bob", "xyz"], "invalid choice"),
         (["fringe", "--exact", "--bob", "H"], "invalid choice"),
         (["tomography", "--exact", "--resamples", "1"], "0 disables, at least 100"),

@@ -605,24 +605,25 @@ def test_counting_rejects_bad_inputs():
 
 def test_compiled_settings_are_read_only():
     fringe = fringe_scan_records(SINGLET, "h", GRID16)
-    settings = [
-        *tomography._compiled_settings(15.0)[0],
-        *(r.setting for r in fringe),
-        *bell._compiled(15.0)[0],
-    ]
-    assert all(
-        not s.alice_proj.flags.writeable and not s.bob_proj.flags.writeable
-        for s in settings
-    )
-    scan = measurement._fringe_settings("h", GRID16.tobytes(), 15.0)
-    stacks = (tomography._compiled_settings(15.0)[1], scan[1], bell._compiled(15.0)[1])
-    assert all(not ops.flags.writeable for ops in stacks)
-    # a scan is built once per label, grid and duration, and every point
-    # shares Bob's one checked, read-only projector
-    assert scan is measurement._fringe_settings("h", GRID16.tobytes(), 15.0)
-    assert all(a is b for a, b in zip(scan[0], (r.setting for r in fringe)))
-    assert all(s.bob_proj is fringe[0].setting.bob_proj for s in scan[0])
-    assert bell._compiled(15.0) is bell._compiled(15.0)
+    scan_pairs = tuple((r.setting.alice, r.setting.bob) for r in fringe)
+    keys = ((tomography._KEYS, 15.0), (scan_pairs, 15.0), (bell._OUTCOMES, 15.0))
+    compiled = [measurement._compiled(*key) for key in keys]
+    for settings, ops in compiled:
+        assert not ops.flags.writeable
+        assert all(
+            not s.alice_proj.flags.writeable and not s.bob_proj.flags.writeable
+            for s in settings
+        )
+    # the one cache builds an experiment once per label pairs and duration, so
+    # its records carry the cached settings, and every point of a scan shares
+    # Bob's one checked, read-only projector
+    assert all(measurement._compiled(*key) is c for key, c in zip(keys, compiled))
+    tomo = tomography.simulate_tomography(SINGLET, duration_s=15.0)
+    assert all(a is r.setting for a, r in zip(compiled[0][0], tomo))
+    scan = compiled[1][0]
+    assert all(a is r.setting for a, r in zip(scan, fringe))
+    assert all(s.bob_proj is scan[0].bob_proj for s in scan)
+    assert all(a is b for a, b in zip(bell.chsh_settings(60.0), compiled[2][0]))
 
 
 def test_count_records_refuse_counts_float64_cannot_hold():

@@ -213,7 +213,7 @@ def test_import_loads_no_scipy():
 
 PUBLIC_NAMES = """
     ATOL ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS DETERMINISTIC
-    DegenerateInputError DensityMatrix FitFailureError
+    DensityMatrix FitFailureError
     InsufficientDataError InvalidLabelError MeasurementSetting NoiseModel
     OAM_O2 POLARIZATION PROBABILISTIC REFERENCE_FIDELITY
     REFERENCE_LINEAR_ENTROPY RateBudget StateMetrics StateVector
