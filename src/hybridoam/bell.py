@@ -57,13 +57,10 @@ class UndefinedCorrelationError(ValueError):
     """Correlation estimator has no data (all four counts are zero)."""
 
 
-def correlation_from_counts(records) -> float:
-    """Count-ratio estimator [N(++) + N(--) - N(+-) - N(-+)] / total.
-
-    ``records`` holds the four outcome counts in the order ++, +-, -+, --
-    (CountRecord instances or plain integers).
-    """
-    counts = [float(getattr(r, "counts", r)) for r in records]
+def correlation_from_counts(counts) -> float:
+    """Count-ratio estimator [N(++) + N(--) - N(+-) - N(-+)] / total of the
+    four outcome counts in the order ++, +-, -+, --."""
+    counts = [float(c) for c in counts]
     if len(counts) != 4:
         raise ValueError(f"need exactly 4 outcome counts, got {len(counts)}")
     # NaN fails the test

@@ -13,10 +13,11 @@ order, and no stream state is shared; this module builds the streams, and
 no other module does.
 
 Settings: an experiment is a tuple of (alice, bob) analyzer label pairs
-measured for one duration.  One cache, _compiled, builds its settings and
-their read-only (n, 4, 4) stack of Pi_A x Pi_B once per pairs and duration,
-for tomography's 36 canonical pairs, each fringe scan's theta= tags against
-Bob's label, and CHSH's 16 outcome pairs alike.
+measured for one duration.  One cache, _compiled, builds its settings once
+per pairs and duration, with their read-only (n, 4, 4) stack of Pi_A x Pi_B
+from _operators, built once per pairs, for tomography's 36 canonical pairs,
+each fringe scan's theta= tags against Bob's label, and CHSH's 16 outcome
+pairs alike.
 
 Fringe convention: the scan variable theta is 4x the half-waveplate
 fast-axis angle, so Alice's analysis state is (cos(theta/2), sin(theta/2))
@@ -215,18 +216,27 @@ def _born_counts(
     return rates, rng.poisson(means).tolist()
 
 
+@functools.lru_cache(maxsize=16)
+def _operators(pairs: tuple[tuple[str, str], ...]) -> np.ndarray:
+    """The read-only (n, 4, 4) stack of Pi_A x Pi_B of (alice, bob) label
+    pairs, built once per pairs whatever the duration; tomography's model
+    reads its 36 canonical pairs' stack here too."""
+    return _freeze(np.stack([
+        np.kron(_projector(a, POLARIZATION), _projector(b, OAM_O2)) for a, b in pairs
+    ]))
+
+
 # typed, so that a bool duration misses the settings cached for 0 or 1 and is refused
 @functools.lru_cache(maxsize=16, typed=True)
 def _compiled(
     pairs: tuple[tuple[str, str], ...], duration_s: float
 ) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
     """An experiment's settings, one per (alice, bob) label pair and each
-    measured for duration_s, with their (n, 4, 4) stack of Pi_A x Pi_B.
-    Built once per pairs and duration; everything returned is shared by
-    every caller, so read-only."""
+    measured for duration_s, with their _operators stack.  Built once per
+    pairs and duration; everything returned is shared by every caller, so
+    read-only."""
     settings = tuple(MeasurementSetting(a, b, duration_s) for a, b in pairs)
-    ops = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
-    return settings, _freeze(ops)
+    return settings, _operators(pairs)
 
 
 def _count_records(

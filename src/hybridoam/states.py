@@ -152,13 +152,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _projection(rho: DensityMatrix) -> tuple[DensityMatrix, np.ndarray]:
-    """The physical projection of an exactly Hermitian unit-trace estimate,
-    as _clip_to_states gives it, and its least eigenvalue."""
-    mat, least = _clip_to_states(rho.matrix)
-    return DensityMatrix(mat, rho.basis), least
-
-
 def _clip_to_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp negative eigenvalues to zero and renormalize the trace to one,
     on a (..., n, n) stack of Hermitian matrices; also each result's least
@@ -179,9 +172,11 @@ def matrix_to_json(rho: DensityMatrix) -> dict:
     return {"matrix": entries, "basis": list(rho.basis)}
 
 
-def matrix_from_json(data: dict, **kwargs) -> DensityMatrix:
+def matrix_from_json(data: dict, require_positive: bool = True) -> DensityMatrix:
+    """The DensityMatrix a matrix_to_json block holds; a rho_linear block
+    whose linear inversion went negative needs ``require_positive=False``."""
     rows = data["matrix"]
     mat = np.array(
         [[complex(re, im) for re, im in row] for row in rows], dtype=complex
     )
-    return DensityMatrix(mat, tuple(data["basis"]), **kwargs)
+    return DensityMatrix(mat, tuple(data["basis"]), require_positive=require_positive)

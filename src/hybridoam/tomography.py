@@ -3,8 +3,9 @@
 Settings are the Cartesian product of the three mutually unbiased bases on
 each side: {H,V,+,-,L,R} for Alice's polarization and {+2,-2,h,v,a,d} for
 Bob's OAM, in that canonical (Alice-major) order.  Counts are normalized
-within each complete 2x2 basis pair, so constant per-setting duration drops
-out and relative frequencies are unbiased.
+within each complete 2x2 basis pair, so a per-setting duration drops out
+and relative frequencies are unbiased if every setting shares it; a table
+whose settings mix durations is refused.
 
 Reconstruction is linear inversion over the Pauli expectations (Hermitian
 and unit trace by construction, possibly non-positive with finite counts)
@@ -23,8 +24,8 @@ step on all of them with one batched 15x15 solve, and a table leaves the
 stack when it is certified.  Every table keeps its own barrier weight,
 dual estimate and step, and its row arithmetic does not depend on the other
 tables, so a table solved in a stack gives exactly what it gives alone.
-reconstruct solves a stack of one; the bootstrap solves all its
-resamples in one stack.  Each of the 15 Pauli products G_m of the Bloch
+reconstruct inverts, projects and solves a stack of one; the bootstrap
+does the same to all its resamples in one stack.  Each of the 15 Pauli products G_m of the Bloch
 coordinates has one entry, +-1 or +-i, in each row, so the products with
 G_m that the Newton matrix needs are signed gathers from fixed index
 tables, and its barrier term is one real (15, 32) @ (32, 15) product per
@@ -45,7 +46,7 @@ import numpy as np
 from .measurement import (
     CountRecord,
     _count_records,
-    _projector,
+    _operators,
     _stream,
 )
 from .source import hybrid_singlet_ket
@@ -56,7 +57,6 @@ from .states import (
     StateVector,
     _clip_to_states,
     _freeze,
-    _projection,
 )
 
 ALICE_LABELS = ("H", "V", "+", "-", "L", "R")
@@ -180,17 +180,14 @@ _KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
 
 
 # The tomography model, fixed by the canonical settings and built once:
-# setting keys in canonical order, the projectors flattened to (36, 16) rows
-# (so p_k = Tr(Pi_k rho) is the real part of rows @ conj(vec(rho))), each
-# setting's basis-pair group as an index and as a (36, 9) 0/1 matrix, and the
-# linear-inversion map M_k with rho = I/4 + sum_k f_k M_k for the
-# within-group frequencies f_k.
+# setting keys in canonical order, the projectors of the counting path's
+# stack as read-only (36, 16) rows (so p_k = Tr(Pi_k rho) is the real part of
+# rows @ conj(vec(rho))), each setting's basis-pair group as an index and as
+# a (36, 9) 0/1 matrix, and the linear-inversion map M_k with
+# rho = I/4 + sum_k f_k M_k for the within-group frequencies f_k.
 _INDEX = {k: i for i, k in enumerate(_KEYS)}
 _GROUP_AXES = tuple((aa, bb) for aa in _AXES for bb in _AXES)
-_PROJECTORS = _freeze(np.stack([
-    np.kron(_projector(a, POLARIZATION), _projector(b, OAM_O2)).reshape(-1)
-    for a, b in _KEYS
-]))
+_PROJECTORS = _operators(_KEYS).reshape(36, 16)
 _GROUP = _freeze(
     np.array([
         _GROUP_AXES.index((_ALICE_AXIS[a][0], _BOB_AXIS[b][0])) for a, b in _KEYS
@@ -224,43 +221,45 @@ def simulate_tomography(
     return _count_records(rho, _KEYS, duration_s, rate_cps, seed, (0,), exact)
 
 
-def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
-    """Counts and per-setting group totals, in canonical setting order."""
-    table = {}
+def _count_table(records) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Counts and per-setting group totals, in canonical setting order, and
+    each record's canonical index.  The records must hold every setting
+    once, all measured for one duration, since counts are normalized within
+    each basis pair."""
+    table, durations = {}, set()  # canonical index -> counts, in record order
     for r in records:
         key = (r.setting.alice, r.setting.bob)
-        if key not in _INDEX:
+        i = _INDEX.get(key)
+        if i is None:
             raise InsufficientDataError(f"setting {key} is not a tomography setting")
-        if key in table:
+        if i in table:
             raise InsufficientDataError(f"duplicate setting {key}")
-        table[key] = float(r.counts)
-    missing = [k for k in _KEYS if k not in table]
+        table[i] = float(r.counts)
+        durations.add(r.setting.duration_s)
+    missing = [k for i, k in enumerate(_KEYS) if i not in table]
     if missing:
         raise InsufficientDataError(f"missing settings: {missing[:4]}...")
-    counts = np.array([table[k] for k in _KEYS])
+    if len(durations) > 1:
+        raise InsufficientDataError(
+            f"settings measured for different durations: {sorted(durations)} s"
+        )
+    counts = np.array([table[i] for i in range(len(_KEYS))])
     gtot = counts @ _GROUP_SUM
     if gtot.min() <= 0:
         bad = [g for g, v in zip(_GROUP_AXES, gtot) if v <= 0]
         raise InsufficientDataError(f"basis pairs with zero counts: {bad}")
-    return counts, gtot[_GROUP]
+    return counts, gtot[_GROUP], list(table)
 
 
-def _linear_estimate(counts: np.ndarray, totals: np.ndarray) -> DensityMatrix:
-    """Pauli-expectation inversion of one table's counts and group totals;
-    exactly Hermitian, unit trace, possibly non-PSD.
+def _invert(freqs: np.ndarray) -> np.ndarray:
+    """Pauli-expectation inversion of (..., 36) within-group frequencies
+    n_k / N_group(k); exactly Hermitian, unit trace, possibly non-PSD.
 
     Two-qubit correlations come from each basis pair's own 2x2 frequency
     table; single-side marginals are averaged over the partner's three
     bases, which all estimate the same quantity.  Both are folded into the
-    fixed inversion map, so rho = I/4 + sum_k (n_k / N_group(k)) M_k.
+    fixed inversion map, so rho = I/4 + sum_k f_k M_k.
     """
-    return DensityMatrix(
-        _invert(counts / totals), (POLARIZATION, OAM_O2), require_positive=False
-    )
-
-
-def _invert(freqs: np.ndarray) -> np.ndarray:
-    """Linear inversion of (..., 36) within-group frequencies, Hermitian."""
     rho = np.eye(4) / 4.0 + np.einsum("...s,sij->...ij", freqs, _INVERSION_MAP)
     return (rho + np.swapaxes(rho.conj(), -1, -2)) / 2
 
@@ -391,9 +390,7 @@ def _newton_system(rho, p, counts, mu, z=None):
     rho_inv = np.swapaxes(w.conj(), 1, 2) @ w
     v = _as_rows(rho_inv)
     grad = _rowwise(np.concatenate([counts / p, mu[:, None] / 4.0 * v], axis=1), _BLOCH_MAP_T)
-    dual = np.take(_signed_rows(v), _LEFT, axis=1) @ np.take(
-        _signed_rows(_as_rows(z / 16.0)), _RIGHT_T, axis=1
-    )
+    dual = _signed_rows(v)[:, _LEFT] @ _signed_rows(_as_rows(z / 16.0))[:, _RIGHT_T]
     hess = _rowwise(counts / p**2, _C_OUTER).reshape(-1, 15, 15) + dual
     return grad, hess, rho_inv, whiten
 
@@ -597,14 +594,14 @@ def reconstruct(records) -> TomographyRun:
     on a stack of one table.
     """
     records = tuple(records)  # read twice below, so any iterable will do
-    counts, totals = _count_table(records)
-    rho_lin = _linear_estimate(counts, totals)
-    start, least = _projection(rho_lin)
-    rho, bound, n_iter = _solve(counts[None], start.matrix[None], least[None])
+    counts, totals, _ = _count_table(records)
+    linear = _invert(counts[None] / totals)
+    rho, bound, n_iter = _solve(counts[None], *_clip_to_states(linear))
+    basis = (POLARIZATION, OAM_O2)
     return TomographyRun(
         records=records,
-        rho_linear=rho_lin,
-        rho_mle=DensityMatrix(rho[0], start.basis),
+        rho_linear=DensityMatrix(linear[0], basis, require_positive=False),
+        rho_mle=DensityMatrix(rho[0], basis),
         loglik=_loglik(rho[0], counts, totals),
         converged=bool(bound[0] <= _MLE_TOL),
         n_iter=int(n_iter[0]),
@@ -680,9 +677,7 @@ def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> Stat
     psi = hybrid_singlet_ket()
     run = records if isinstance(records, TomographyRun) else None
     records = run.records if run is not None else tuple(records)
-    observed, totals = _count_table(records)
-    # the records passed _count_table, so they hold each setting once
-    order = [_INDEX[r.setting.alice, r.setting.bob] for r in records]
+    observed, observed_totals, order = _count_table(records)
     draws = _stream(seed, (3,)).poisson(observed[order], (n_resamples, len(order)))
     counts = np.empty(draws.shape)
     counts[:, order] = draws
@@ -693,33 +688,28 @@ def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> Stat
         raise RuntimeError(
             f"{failures}/{n_resamples} bootstrap resamples failed"
         )
-    counts, gtot = counts[~refused], gtot[~refused]
-    start, least = _clip_to_states(_invert(counts / gtot[:, _GROUP]))
-    if run is None:
-        point_start, point_least = _projection(_linear_estimate(observed, totals))
+    solved = n_resamples - failures
+    counts, totals = counts[~refused], gtot[~refused][:, _GROUP]
+    if run is None:  # the observed table joins the stack as row 0
         counts = np.concatenate([observed[None], counts])
-        start = np.concatenate([point_start.matrix[None], start])
-        least = np.concatenate([point_least[None], least])
-    rhos, bounds, _ = _solve(counts, start, least)
-    if run is None:
-        rho_mle = DensityMatrix(rhos[0], point_start.basis)
-        rhos, bounds = rhos[1:], bounds[1:]
-    else:
-        rho_mle = run.rho_mle
-    point = (fidelity(rho_mle, psi), concurrence(rho_mle), linear_entropy(rho_mle))
-    samples = np.column_stack([
+        totals = np.concatenate([observed_totals[None], totals])
+    rhos, bounds, _ = _solve(counts, *_clip_to_states(_invert(counts / totals)))
+    if run is not None:  # its estimate joins as row 0, solved already
+        rhos = np.concatenate([run.rho_mle.matrix[None], rhos])
+    # row 0 gives the point values, the last `solved` rows the sigmas
+    metrics = np.column_stack([
         _fidelities(rhos, psi.amplitudes),
         _concurrences(rhos),
         _linear_entropies(rhos),
     ])
-    sig = samples.std(axis=0, ddof=1)
+    sig = metrics[-solved:].std(axis=0, ddof=1)
     return StateMetrics(
-        fidelity=point[0],
-        concurrence=point[1],
-        linear_entropy=point[2],
+        fidelity=float(metrics[0, 0]),
+        concurrence=float(metrics[0, 1]),
+        linear_entropy=float(metrics[0, 2]),
         fidelity_sigma=float(sig[0]),
         concurrence_sigma=float(sig[1]),
         linear_entropy_sigma=float(sig[2]),
         failed_resamples=failures,
-        unconverged_resamples=int((bounds > _MLE_TOL).sum()),
+        unconverged_resamples=int((bounds[-solved:] > _MLE_TOL).sum()),
     )

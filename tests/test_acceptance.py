@@ -248,7 +248,7 @@ def test_criterion_7_property_suites():
     )
 
     rho_f, _ = prepare_hybrid("fitted")
-    counts, _ = _count_table(simulate_tomography(rho_f, seed=2))
+    counts = _count_table(simulate_tomography(rho_f, seed=2))[0]
     projectors = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
 
     worst_grad = worst_hess = 0.0

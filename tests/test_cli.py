@@ -286,6 +286,18 @@ def test_runtime_errors_exit_1_with_error_json(tmp_path, capsys):
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"]["type"] == "ValueError", count
         assert "2**53" in err["error"]["message"], count
+    # a table whose rows mix durations
+    cells = rows[1].split(",")
+    assert cells[0] == "H|+2"
+    cells[3], cells[4] = "30", str(2 * int(cells[4]))
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("\n".join([rows[0], ",".join(cells), *rows[2:]]) + "\n")
+    out = tmp_path / "mixed"
+    assert main(["tomography", "--counts-csv", str(mixed), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"]["type"] == "InsufficientDataError"
+    assert "durations: [15.0, 30.0]" in err["error"]["message"]
+    assert not (out / "tomography.json").exists()
 
 
 def test_inline_noise_json(tmp_path):

@@ -624,6 +624,12 @@ def test_compiled_settings_are_read_only():
     assert all(a is r.setting for a, r in zip(scan, fringe))
     assert all(s.bob_proj is scan[0].bob_proj for s in scan)
     assert all(a is b for a, b in zip(bell.chsh_settings(60.0), compiled[2][0]))
+    # a new duration builds new settings on the same stack, whose 36
+    # canonical products are tomography's model rows
+    other = measurement._compiled(tomography._KEYS, 7.0)
+    assert other[0][0].duration_s == 7.0 and other[1] is compiled[0][1]
+    assert not tomography._ROWS.flags.writeable
+    assert np.array_equal(tomography._PROJECTORS, compiled[0][1].reshape(36, 16))
 
 
 def test_count_records_refuse_counts_float64_cannot_hold():

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from hybridoam import prepare_hybrid, reconstruct, simulate_tomography
 from hybridoam.measurement import MeasurementSetting
 from hybridoam.states import (
     ATOL,
@@ -9,7 +12,7 @@ from hybridoam.states import (
     OAM_O2,
     POLARIZATION,
     StateVector,
-    _projection,
+    _clip_to_states,
     matrix_from_json,
     matrix_to_json,
 )
@@ -81,13 +84,14 @@ def test_project_to_physical_clamps_and_renormalizes():
     raw = DensityMatrix(
         np.diag([0.8, 0.4, -0.1, -0.1]), (POLARIZATION, OAM_O2), require_positive=False
     )
-    fixed, least = _projection(raw)
+    mat, least = _clip_to_states(raw.matrix)
+    fixed = DensityMatrix(mat, raw.basis)  # physical over the same factors
     assert fixed.basis == raw.basis
     assert np.allclose(fixed.matrix, np.diag([2 / 3, 1 / 3, 0, 0]), atol=ATOL)
     assert abs(least) < ATOL
     # idempotent on already physical input
-    again, _ = _projection(fixed)
-    assert np.max(np.abs(again.matrix - fixed.matrix)) < ATOL
+    again, _ = _clip_to_states(fixed.matrix)
+    assert np.max(np.abs(again - fixed.matrix)) < ATOL
 
 
 def test_json_roundtrip_preserves_matrix_and_basis():
@@ -96,6 +100,21 @@ def test_json_roundtrip_preserves_matrix_and_basis():
     back = matrix_from_json(matrix_to_json(rho))
     assert back.basis == rho.basis
     assert np.max(np.abs(back.matrix - rho.matrix)) < ATOL
+
+
+def test_json_reads_an_indefinite_linear_estimate_only_when_asked():
+    # at 2 cps the fitted preset's linear inversion goes negative
+    rho, _ = prepare_hybrid("fitted")
+    linear = reconstruct(simulate_tomography(rho, rate_cps=2.0, seed=0)).rho_linear
+    assert np.linalg.eigvalsh(linear.matrix)[0] < -0.1
+    block = json.loads(json.dumps(matrix_to_json(linear)))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        matrix_from_json(block)
+    back = matrix_from_json(block, require_positive=False)
+    assert back.basis == linear.basis
+    assert np.array_equal(back.matrix, linear.matrix)
+    with pytest.raises(TypeError):
+        matrix_from_json(block, positive=False)  # no other keyword is forwarded
 
 
 def test_unknown_factor_names_are_refused():

@@ -314,6 +314,24 @@ def test_count_table_validation():
     zero = [CountRecord(r.setting, 0, None, 0) for r in recs]
     with pytest.raises(InsufficientDataError):
         reconstruct(zero)
+    # counts are normalized within each basis pair, which assumes one
+    # duration: on the fitted preset at 100 cps, seed 1, H|+2 measured twice
+    # as long at the same rate once moved F from 0.9494 to 0.9557 unreported
+    fitted = simulate_tomography(prepare_hybrid("fitted")[0], rate_cps=100.0, seed=1)
+    mixed = [
+        CountRecord(MeasurementSetting(r.setting.alice, r.setting.bob, 30.0), 2 * r.counts, None, 1)
+        if r.setting.label == "H|+2" else r
+        for r in fitted
+    ]
+    for run in (lambda: reconstruct(mixed), lambda: metric_uncertainties(mixed)):
+        with pytest.raises(InsufficientDataError, match=r"durations: \[15\.0, 30\.0\] s"):
+            run()
+    # one duration, whatever it is, reconstructs
+    longer = [
+        CountRecord(MeasurementSetting(r.setting.alice, r.setting.bob, 30.0), r.counts, None, 1)
+        for r in fitted
+    ]
+    assert np.array_equal(reconstruct(longer).rho_mle.matrix, reconstruct(fitted).rho_mle.matrix)
 
 
 def _bloch_point(rng):
@@ -360,7 +378,7 @@ def test_mle_gradient_spot_check():
     from hybridoam.tomography import _count_table
 
     rho, _ = prepare_hybrid("fitted")
-    counts, _ = _count_table(simulate_tomography(rho, seed=2))
+    counts = _count_table(simulate_tomography(rho, seed=2))[0]
     rng = np.random.default_rng(11)
     for _ in range(3):
         grad_err, hess_err = _barrier_derivative_errors(
@@ -401,7 +419,7 @@ def test_newton_system_takes_the_dual_estimate():
 def test_stacked_solve_matches_each_table_alone():
     # a table's solve is exactly the same alone and anywhere in a stack, so
     # the bootstrap's row 0 gives reconstruct's point values
-    from hybridoam.states import _projection
+    from hybridoam.states import _clip_to_states
     from hybridoam.tomography import _count_table, _solve
 
     rho, _ = prepare_hybrid("fitted")
@@ -419,9 +437,7 @@ def test_stacked_solve_matches_each_table_alone():
     werner, _ = prepare_hybrid(NoiseModel(werner_p=0.8))
     tables.append(simulate_tomography(werner, rate_cps=1000.0, seed=6))
     counts = np.stack([_count_table(t)[0] for t in tables])
-    projected = [_projection(reconstruct(t).rho_linear) for t in tables]
-    starts = np.stack([start.matrix for start, _ in projected])
-    least = np.array([least for _, least in projected])
+    starts, least = _clip_to_states(np.stack([reconstruct(t).rho_linear.matrix for t in tables]))
     assert least[-1] > 1e-3 >= least[0]
     forward = _solve(counts, starts, least)
     backward = [out[::-1] for out in _solve(counts[::-1], starts[::-1], least[::-1])]
@@ -432,6 +448,39 @@ def test_stacked_solve_matches_each_table_alone():
             assert np.array_equal(rhos[i], alone.rho_mle.matrix)
             assert bounds[i] == alone.loglik_gap_bound
             assert n_iter[i] == alone.n_iter
+
+
+def test_stacked_start_and_metrics_match_each_row_alone():
+    # reconstruct inverts, clips and scores a stack of one, the bootstrap a
+    # stack of up to 101 rows: each row must come out the same either way
+    from hybridoam.states import _clip_to_states
+    from hybridoam.tomography import (
+        _concurrences, _count_table, _fidelities, _invert, _linear_entropies,
+    )
+
+    tables = [
+        simulate_tomography(prepare_hybrid(noise)[0], rate_cps=rate, seed=seed, exact=exact)
+        for noise, rate, seed, exact in (
+            ("fitted", 2.0, 0, False), ("fitted", 100.0, 1, False), ("ideal", 5.0, 2, False),
+            (NoiseModel(werner_p=0.8), 1000.0, 3, False), ("fitted", 100.0, 0, True),
+        )
+    ]
+    freqs = np.stack([counts / totals for counts, totals, _ in map(_count_table, tables)])
+    rng = np.random.default_rng(3)
+    for size in (2, 37, 130):
+        stack = freqs[rng.integers(0, len(freqs), size)]
+        linear = _invert(stack)
+        starts, least = _clip_to_states(linear)
+        metrics = (_fidelities(starts, PSI.amplitudes), _concurrences(starts), _linear_entropies(starts))
+        for i, row in enumerate(stack):
+            alone = _invert(row[None])
+            assert np.array_equal(linear[i], alone[0]) and np.array_equal(alone[0], _invert(row))
+            start, low = _clip_to_states(alone)
+            assert np.array_equal(starts[i], start[0]) and least[i] == low[0]
+            for stacked, one in zip(metrics, (
+                _fidelities(start, PSI.amplitudes), _concurrences(start), _linear_entropies(start),
+            )):
+                assert stacked[i] == one[0]
 
 
 def _least_start_eigenvalue(records):
