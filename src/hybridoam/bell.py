@@ -28,6 +28,7 @@ import numpy as np
 
 from .measurement import (
     _THETA_PREFIX,
+    DEFAULT_RATE_CPS,
     MeasurementSetting,
     _born_counts,
     _compiled,
@@ -90,7 +91,6 @@ class ChshResult:
     s: float
     sigma: float | None
     correlations: tuple[float, float, float, float]
-    correlation_sigmas: tuple[float, float, float, float] | None
     mode: str
     pair_labels: tuple[str, str, str, str]
 
@@ -128,15 +128,14 @@ def _chsh(rho: DensityMatrix, rate_cps: float, duration_s: float, rng) -> ChshRe
     generator ``rng``, or with ``rng`` None their expectations."""
     outcome_s = _outcome_duration(duration_s)
     ops = _compiled(_OUTCOMES, outcome_s)[1]
-    _, counts = _born_counts(rho, ops, rate_cps, outcome_s, rng)
+    counts = _born_counts(rho, ops, rate_cps, outcome_s, rng)
     quads = [counts[4 * k : 4 * k + 4] for k in range(len(_PAIRS))]
     es = tuple(correlation_from_counts(q) for q in quads)
     s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
     if rng is None:
-        return ChshResult(s_val, None, es, None, "exact", _PAIR_LABELS)
-    sigmas = tuple(_correlation_sigma(q) for q in quads)
-    sigma = float(np.sqrt(sum(sg ** 2 for sg in sigmas)))
-    return ChshResult(s_val, sigma, es, sigmas, "empirical", _PAIR_LABELS)
+        return ChshResult(s_val, None, es, "exact", _PAIR_LABELS)
+    sigma = float(np.sqrt(sum(_correlation_sigma(q) ** 2 for q in quads)))
+    return ChshResult(s_val, sigma, es, "empirical", _PAIR_LABELS)
 
 
 def chsh_exact(rho: DensityMatrix) -> ChshResult:
@@ -147,7 +146,7 @@ def chsh_exact(rho: DensityMatrix) -> ChshResult:
 
 def chsh_empirical(
     rho: DensityMatrix,
-    rate_cps: float = 100.0,
+    rate_cps: float = DEFAULT_RATE_CPS,
     duration_s: float = 60.0,
     seed: int = 0,
 ) -> ChshResult:

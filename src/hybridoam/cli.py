@@ -29,8 +29,9 @@ from . import source as src
 from . import tomography as tg
 from .states import matrix_to_json
 
-_DEFAULT_DURATIONS = {"tomography": 15.0, "chsh": 60.0, "fringe": 15.0}
-_DEFAULT_RATE = 100.0
+_DEFAULT_DURATIONS = {
+    "tomography": ms.DEFAULT_DURATION_S, "chsh": 60.0, "fringe": ms.DEFAULT_DURATION_S,
+}
 _DEFAULT_SEED = 0
 _DEFAULT_RESAMPLES = 100
 _FRINGE_POINTS = 16
@@ -139,7 +140,7 @@ class _Resolved:
         self.rate_cps = (
             args.rate_cps
             if args.rate_cps is not None
-            else _config_value("rate_cps", cfg.get("rate_cps", _DEFAULT_RATE), float)
+            else _config_value("rate_cps", cfg.get("rate_cps", ms.DEFAULT_RATE_CPS), float)
         )
         if not (math.isfinite(self.rate_cps) and self.rate_cps >= 0):
             raise ConfigError(

@@ -137,35 +137,42 @@ class CountRecord:
     which rerunning its experiment with reproduces them.
 
     ``counts`` is an integer Poisson draw, or a float holding the exact
-    expectation for noise-free records; counts that are not finite, are
-    negative or exceed 2**53 (past which float64 cannot hold every count
-    exactly) raise ValueError.  expected_rate_cps is the per-setting mean
-    rate; it is None for drawn records read back from CSV, which does not
-    store it.
+    expectation for noise-free records: an int or a float, or a numpy one
+    that Python's holds.  Counts of another type, a bool or a long double
+    say, raise TypeError; counts that are not finite, are negative or exceed
+    2**53 (past which float64 cannot hold every count exactly) ValueError.
+    The seed is a non-negative integer, as _stream and the CSV take it: a
+    seed of another type raises TypeError, a negative one ValueError.  So
+    every record the constructor accepts, the CSV writes and reads back.
     """
 
     setting: MeasurementSetting
     counts: int | float
-    expected_rate_cps: float | None
     seed: int
 
     def __post_init__(self):
-        c = self.counts
-        # np.isfinite's verdict without its call on the two common types; a
-        # built-in int is finite (numpy refuses one past uint64 with
-        # TypeError, the bound below with ValueError)
-        if type(c) is float:
-            finite = math.isfinite(c)
-        else:
-            finite = type(c) is int or np.isfinite(c)
-        if not finite:
+        c, seed = self.counts, self.seed
+        if type(c) is not int and type(c) is not float:
+            # a numpy number is checked as the Python one it holds: numpy
+            # would cast 2**53 to a narrow type such as float16, past its range
+            if isinstance(c, (np.integer, np.floating)):
+                c = c.item()
+            if type(c) is not int and type(c) is not float:
+                raise TypeError(
+                    f"counts must be an int or a float, got {type(self.counts).__name__}"
+                )
+        # a built-in int is finite
+        if type(c) is float and not math.isfinite(c):
             raise ValueError(f"counts must be finite, got {c}")
         if c < 0:
             raise ValueError("counts must be non-negative")
         if c > _MAX_COUNT:
             raise ValueError(f"counts above 2**53 are not exact in float64, got {c}")
-        if self.expected_rate_cps is not None and not self.expected_rate_cps >= 0:
-            raise ValueError("expected rate must be non-negative")
+        # a bool is an int to Python, but of neither type
+        if not (type(seed) is int or isinstance(seed, np.integer)):
+            raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
@@ -185,35 +192,28 @@ def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
     return None if exact else np.random.default_rng(seq)
 
 
-def _probabilities(rho: DensityMatrix, ops: np.ndarray) -> list[float]:
-    """Born probabilities Tr[rho Pi_k] for an (n, 4, 4) operator stack."""
-    if rho.dim != 4 or len(rho.basis) != 2:
-        raise ValueError("counting expects a two-qubit state")
+def _born_counts(
+    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, duration_s: float, rng
+) -> list:
+    """Counts for the settings behind an operator stack.
+
+    ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack, and
+    each setting is measured for the float duration_s.  Each setting's mean
+    is its Born probability Tr[rho Pi_k] x rate x duration.  All n counts are
+    one Poisson draw from the generator ``rng``, in stack order, or with
+    ``rng`` None the unrounded means.  This is the one counting path: every
+    simulated count goes through it.
+    """
+    rate_cps = _finite_float(rate_cps, "rate", False)
     # one zgemm and one diagonal sum per operator, as for a single setting
     probs = np.trace(rho.matrix @ ops, axis1=1, axis2=2).real.tolist()
     for p in probs:
         if p < -ATOL or p > 1.0 + ATOL:
             raise ValueError(f"probability {p} outside [0, 1]")
-    return probs
-
-
-def _born_counts(
-    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, duration_s: float, rng
-) -> tuple[list[float], list]:
-    """Expected rates and counts for the settings behind an operator stack.
-
-    ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack, and
-    each setting is measured for the float duration_s.  All n counts are one
-    Poisson draw from the generator ``rng``, in stack order, or with ``rng``
-    None the unrounded expectations.  This is the one counting path: every
-    simulated count goes through it.
-    """
-    rate_cps = _finite_float(rate_cps, "rate", False)
-    rates = [max(p, 0.0) * rate_cps for p in _probabilities(rho, ops)]
-    means = [r * duration_s for r in rates]
+    means = [max(p, 0.0) * rate_cps * duration_s for p in probs]
     if rng is None:
-        return rates, means
-    return rates, rng.poisson(means).tolist()
+        return means
+    return rng.poisson(means).tolist()
 
 
 @functools.lru_cache(maxsize=16)
@@ -248,12 +248,9 @@ def _count_records(
     or with ``exact`` the expectations; each carries the run's seed."""
     settings, ops = _compiled(pairs, duration_s)
     rng = _stream(seed, path, exact)
-    rates, counts = _born_counts(rho, ops, rate_cps, settings[0].duration_s, rng)
+    counts = _born_counts(rho, ops, rate_cps, settings[0].duration_s, rng)
     seed = int(seed)
-    return [
-        CountRecord(setting=s, counts=c, expected_rate_cps=r, seed=seed)
-        for s, c, r in zip(settings, counts, rates)
-    ]
+    return [CountRecord(s, c, seed) for s, c in zip(settings, counts)]
 
 
 def fringe_scan_records(
@@ -366,9 +363,7 @@ def read_counts_csv(path) -> list[CountRecord]:
 
     Each row's setting_label must be its "alice|bob" pair, and its seed
     non-negative.  Integer counts come back as int, fractional ones
-    (exact-mode expectations) as float.  The per-setting expected rate is
-    not stored in the CSV, so integer rows carry None and fractional rows
-    recover it as counts / duration.  Integer cells are read exactly, so
+    (exact-mode expectations) as float.  Integer cells are read exactly, so
     one past 2**53 is refused as CountRecord refuses it; non-finite counts
     raise ValueError.
     """
@@ -384,13 +379,11 @@ def read_counts_csv(path) -> list[CountRecord]:
                 raise ValueError(
                     f"setting label {row['setting_label']!r} does not name {s.label!r}"
                 )
-            seed = int(row["seed"])
-            if seed < 0:
-                raise ValueError(f"seed must be non-negative, got {seed}")
             try:
-                counts, rate = int(row["counts"]), None
+                counts = int(row["counts"])
             except ValueError:
                 c = float(row["counts"])
-                counts, rate = (int(c), None) if c.is_integer() else (c, c / s.duration_s)
-            records.append(CountRecord(s, counts, rate, seed))
+                counts = int(c) if c.is_integer() else c
+            # CountRecord refuses a negative seed
+            records.append(CountRecord(s, counts, int(row["seed"])))
     return records

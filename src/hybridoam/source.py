@@ -128,8 +128,6 @@ def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
     Fixed composition order: Werner admixture, then phase damping in Bob's
     computational basis, then the miscalibration rotation on Bob.
     """
-    if rho.dim != 4 or len(rho.basis) != 2:
-        raise ValueError("apply_noise expects a two-qubit density matrix")
     m = rho.matrix.astype(complex)
     m = nm.werner_p * m + (1.0 - nm.werner_p) * np.eye(4) / 4.0
     if nm.dephase_q != 0.0:

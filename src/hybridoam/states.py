@@ -1,7 +1,7 @@
 """Labeled qubit bases and small dense linear algebra for two-photon states.
 
-Every state is expressed over an ordered tuple of tensor factors.  The factor
-kinds used throughout the package:
+Every state is a two-qubit state: 4 amplitudes, or a 4x4 matrix, over an
+ordered pair of tensor factors.  The factor kinds used throughout the package:
 
 * ``polarization``: 2-dim, computational basis (|H>, |V>)
 * ``oam_o2``: 2-dim orbital angular momentum subspace, basis (|+2>, |-2>)
@@ -26,8 +26,6 @@ PSD_FLOOR = -1e-10  # eigenvalue floor for physicality checks
 
 POLARIZATION = "polarization"
 OAM_O2 = "oam_o2"
-
-FACTOR_DIMS = {POLARIZATION: 2, OAM_O2: 2}
 
 _SQ2 = np.sqrt(2.0)
 
@@ -63,12 +61,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _dimension(basis: tuple) -> int:
-    """Dimension of the space a tuple of tensor factors spans."""
-    try:
-        return math.prod(FACTOR_DIMS[f] for f in basis)
-    except KeyError as err:
-        raise InvalidLabelError(f"unknown tensor factor: {err.args[0]!r}") from None
+def _pair(basis) -> tuple[str, str]:
+    """A state's factors as a tuple: two known factor names.  An unknown name
+    raises InvalidLabelError, any other number of factors ValueError."""
+    basis = tuple(basis)
+    for f in basis:
+        if f not in _DEGREE_KETS:
+            raise InvalidLabelError(f"unknown tensor factor: {f!r}")
+    if len(basis) != 2:
+        raise ValueError(f"a state has two factors, got {basis}")
+    return basis
 
 
 def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf):
@@ -82,52 +84,44 @@ def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf):
 
 @dataclass(frozen=True)
 class StateVector:
-    """A unit-norm ket over an ordered tuple of tensor factors."""
+    """A unit-norm two-qubit ket, 4 amplitudes over an ordered pair of
+    tensor factors."""
 
     amplitudes: np.ndarray
-    basis: tuple[str, ...]
+    basis: tuple[str, str]
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        # a copy, so that freezing it leaves the caller's array writable
+        amp = np.array(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", _freeze(amp))
-        object.__setattr__(self, "basis", tuple(self.basis))
-        expected = _dimension(self.basis)
-        if amp.size != expected:
-            raise ValueError(
-                f"amplitude length {amp.size} does not match factors {self.basis}"
-            )
+        object.__setattr__(self, "basis", _pair(self.basis))
+        if amp.shape != (4,):
+            raise ValueError(f"a two-qubit ket has 4 amplitudes, got shape {amp.shape}")
         norm2 = float(np.vdot(amp, amp).real)
         # a NaN or infinite amplitude fails the norm test
         if not abs(norm2 - 1.0) <= 1e-10:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm2}")
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A unit-trace Hermitian positive matrix over an ordered tuple of tensor
-    factors.
+    """A unit-trace Hermitian positive 4x4 matrix over an ordered pair of
+    tensor factors.
 
     Estimators that can produce indefinite matrices (pre-projection linear
     inversion) construct with ``require_positive=False``.
     """
 
     matrix: np.ndarray
-    basis: tuple[str, ...]
+    basis: tuple[str, str]
     require_positive: bool = True
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", _freeze(mat))
-        object.__setattr__(self, "basis", tuple(self.basis))
-        expected = _dimension(self.basis)
-        if mat.shape != (expected, expected):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match factors {self.basis}"
-            )
+        object.__setattr__(self, "basis", _pair(self.basis))
+        if mat.shape != (4, 4):
+            raise ValueError(f"a two-qubit density matrix is 4x4, got shape {mat.shape}")
         # a NaN or infinite entry fails the Hermitian test, and so does a
         # difference past float64's range, as inf without numpy's warning.
         # The trace is summed as Python floats, which overflow to inf without
@@ -146,10 +140,6 @@ class DensityMatrix:
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < PSD_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {lo}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _clip_to_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import (
+    DEFAULT_DURATION_S,
+    DEFAULT_RATE_CPS,
     CountRecord,
     _count_records,
     _operators,
@@ -212,8 +214,8 @@ _INVERSION_MAP = _freeze(np.stack([_inversion_term(a, b) for a, b in _KEYS]))
 
 def simulate_tomography(
     rho: DensityMatrix,
-    rate_cps: float = 100.0,
-    duration_s: float = 15.0,
+    rate_cps: float = DEFAULT_RATE_CPS,
+    duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
     exact: bool = False,
 ) -> list[CountRecord]:
@@ -611,22 +613,16 @@ def reconstruct(records) -> TomographyRun:
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:
     """Overlap <psi|rho|psi> with a pure target psi."""
-    if rho.dim != target.dim:
-        raise ValueError("dimension mismatch")
     return float(_fidelities(rho.matrix[None], target.amplitudes)[0])
 
 
 def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence from the spin-flipped spectrum."""
-    if rho.dim != 4:
-        raise ValueError("concurrence is defined for two-qubit states")
     return float(_concurrences(rho.matrix[None])[0])
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
     """S_L = (4/3)(1 - Tr rho^2), 0 for pure states, 1 for I/4."""
-    if rho.dim != 4:
-        raise ValueError("linear_entropy is defined for two-qubit states")
     return float(_linear_entropies(rho.matrix[None])[0])
 
 

@@ -193,7 +193,7 @@ def test_criterion_7_property_suites():
     min_eig, trace_err = 0.0, 0.0
     for _ in range(100):
         recs = [
-            CountRecord(s, int(rng.integers(0, 500)), None, 0) for s in settings
+            CountRecord(s, int(rng.integers(0, 500)), 0) for s in settings
         ]
         res = reconstruct(recs)
         w = np.linalg.eigvalsh(res.rho_mle.matrix)

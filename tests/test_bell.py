@@ -128,7 +128,7 @@ def test_result_serialization():
     assert d["violation_sigmas"] is None
     emp = ChshResult(
         s=2.5, sigma=0.04, correlations=(0.7, 0.7, 0.7, -0.4),
-        correlation_sigmas=(0.02,) * 4, mode="empirical",
+        mode="empirical",
         pair_labels=("a,b", "a',b", "a,b'", "a',b'"),
     )
     assert abs(emp.violation_sigmas() - 12.5) < 1e-12
@@ -157,7 +157,6 @@ def test_fuzzed_chsh_inputs_succeed_or_raise_typed_errors():
         SINGLET,
         prepare_hybrid("fitted")[0],
         DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2)),
-        DensityMatrix(np.eye(2) / 2, (POLARIZATION,)),
     )
 
     def pick(pool):

@@ -41,9 +41,9 @@ def _exact_tomography(rho, rate_cps=100.0, duration_s=15.0):
 
 
 def test_joint_probabilities_of_the_hybrid_singlet():
-    # at 1 cps a setting's expected rate is its Born probability
+    # at 1 cps for 1 s a setting's expected count is its Born probability
     probs = {
-        label: r.expected_rate_cps for label, r in _exact_tomography(SINGLET, 1.0).items()
+        label: r.counts for label, r in _exact_tomography(SINGLET, 1.0, 1.0).items()
     }
     assert abs(probs["H|+2"] - 0.5) < 1e-12
     assert abs(probs["V|-2"] - 0.5) < 1e-12
@@ -53,11 +53,6 @@ def test_joint_probabilities_of_the_hybrid_singlet():
     # conjugate-basis correlations persist for the entangled state
     assert abs(probs["+|v"] - 0.5) < 1e-12
     assert probs["+|h"] < 1e-12
-
-
-def test_joint_probability_rejects_wrong_shape():
-    with pytest.raises(ValueError, match="counting expects a two-qubit state"):
-        tomography.simulate_tomography(DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,)))
 
 
 def test_expected_counts_scale():
@@ -72,7 +67,8 @@ def test_exact_counts_keep_fractional_expectations():
     assert isinstance(rec, CountRecord) and isinstance(rec.counts, float)
     # p = 0.25*0.5 + 0.75*0.25 = 0.3125, times 1500
     assert abs(rec.counts - 468.75) < 1e-9
-    assert abs(rec.expected_rate_cps - 31.25) < 1e-9
+    # and per second, the expected rate
+    assert abs(_exact_tomography(rho, 100.0, 1.0)["H|+2"].counts - 31.25) < 1e-9
 
 
 def _numpy_stream(seed, path):
@@ -126,14 +122,17 @@ def test_counts_match_numpys_generator_on_each_path(monkeypatch):
     rho, _ = prepare_hybrid("fitted")
     seeds = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 2**200, np.int64(5), np.uint64(2**63))
     for seed in seeds:
+        # the means are the exact records' counts, the same floats
         recs = tomography.simulate_tomography(rho, 100.0, 15.0, seed)
-        means = [r.expected_rate_cps * 15.0 for r in recs]
+        means = [r.counts for r in tomography.simulate_tomography(rho, 100.0, 15.0, seed, True)]
         want = _numpy_stream(seed, (0,)).poisson(means).tolist()
         assert [r.counts for r in recs] == want
         assert all(r.seed == int(seed) and type(r.seed) is int for r in recs)
         for k in (0, 7, 2**32 + 1):
             scan = fringe_scan_records(rho, "h", GRID16, 100.0, 15.0, seed, k)
-            means = [r.expected_rate_cps * 15.0 for r in scan]
+            means = [
+                r.counts for r in fringe_scan_records(rho, "h", GRID16, 100.0, 15.0, seed, k, True)
+            ]
             assert [r.counts for r in scan] == _numpy_stream(seed, (2, k)).poisson(means).tolist()
         # CHSH: outcome (i, j) of pair k is draw 4k + 2i + j
         rng = _numpy_stream(seed, (1,))
@@ -255,10 +254,10 @@ def test_setting_validation():
     scan = fringe_scan_records(SINGLET, "theta=0.3", GRID16)
     assert all(np.array_equal(r.setting.bob_proj, proj) for r in scan)
     with pytest.raises(ValueError):
-        CountRecord(MeasurementSetting("H", "+2"), -1, None, 0)
+        CountRecord(MeasurementSetting("H", "+2"), -1, 0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            CountRecord(MeasurementSetting("H", "+2"), bad, None, 0)
+            CountRecord(MeasurementSetting("H", "+2"), bad, 0)
 
 
 def test_settings_are_their_labels(tmp_path):
@@ -379,24 +378,23 @@ def test_a_csv_seed_column_regenerates_its_table(tmp_path):
 
 
 def _loop_records(rho, settings, rate, seed, path, exact):
-    """The reference: each setting's Born probability, mean rate and mean
-    count on its own, then, unless exact, one draw per setting, in order,
-    from numpy's own generator for the path."""
+    """The reference: each setting's Born probability and mean count on its
+    own, then, unless exact, one draw per setting, in order, from numpy's
+    own generator for the path."""
     rng = None if exact else _numpy_stream(seed, path)
     records = []
     for s in settings:
         p = np.trace(rho.matrix @ np.kron(s.alice_proj, s.bob_proj)).real
-        r = max(float(p), 0.0) * float(rate)
-        mean = r * s.duration_s
+        mean = max(float(p), 0.0) * float(rate) * s.duration_s
         counts = mean if exact else int(rng.poisson(mean))
-        records.append(CountRecord(s, counts, r, int(seed)))
+        records.append(CountRecord(s, counts, int(seed)))
     return records
 
 
 def _as_rows(records):
     return [
         (r.setting.label, r.setting.alice, r.setting.bob, r.setting.duration_s,
-         r.counts, type(r.counts), r.expected_rate_cps, r.seed)
+         r.counts, type(r.counts), r.seed)
         for r in records
     ]
 
@@ -470,8 +468,8 @@ NON_FINITE = {
     "projector": (lambda: MeasurementSetting("theta=nan", "+2", 1.0), "scan angle"),
     "infinite-projector": (lambda: MeasurementSetting("theta=inf", "+2", 1.0), "scan angle"),
     "bob-projector": (lambda: MeasurementSetting("H", "theta=nan", 1.0), "scan angle"),
-    "ket": (lambda: StateVector([np.nan, 0.0], (POLARIZATION,)), "not normalized"),
-    "infinite-ket": (lambda: StateVector([np.inf, 0.0], (POLARIZATION,)), "not normalized"),
+    "ket": (lambda: StateVector([np.nan, 0.0, 0.0, 0.0], PAIR), "not normalized"),
+    "infinite-ket": (lambda: StateVector([np.inf, 0.0, 0.0, 0.0], PAIR), "not normalized"),
     "density-matrix": (
         lambda: DensityMatrix(NAN4, PAIR, require_positive=False), "not Hermitian"
     ),
@@ -578,17 +576,14 @@ def test_counting_rejects_bad_inputs():
                 run(bad)
     with pytest.raises(TypeError, match="polarization analyzer must be a label"):
         MeasurementSetting(np.diag([1.0, 0.0]), "h")
-    one_qubit = DensityMatrix(np.diag([1.0, 0.0]), (POLARIZATION,))
     runs = (
-        lambda state, rate: tomography.simulate_tomography(state, rate),
-        lambda state, rate: fringe_scan_records(state, "h", GRID16, rate),
-        lambda state, rate: bell.chsh_empirical(state, rate_cps=rate),
+        lambda rate: tomography.simulate_tomography(rho, rate),
+        lambda rate: fringe_scan_records(rho, "h", GRID16, rate),
+        lambda rate: bell.chsh_empirical(rho, rate_cps=rate),
     )
     for run in runs:
         with pytest.raises(ValueError, match="rate must be non-negative"):
-            run(rho, -1.0)
-        with pytest.raises(ValueError, match="two-qubit"):
-            run(one_qubit, 100.0)
+            run(-1.0)
     # a float32 rate or duration is read as a float: a mean past float64's
     # range is refused, not cast to float32 under numpy's overflow warning
     for rate, duration in ((np.float32(3.0), 1e308), (1e308, np.float32(3.0))):
@@ -634,19 +629,76 @@ def test_compiled_settings_are_read_only():
 
 def test_count_records_refuse_counts_float64_cannot_hold():
     s = MeasurementSetting("H", "+2")
-    for ok in (0, 2**53, float(2**53), 5, 7.25, True, np.int64(9), np.float64(2.5)):
-        assert CountRecord(s, ok, None, 0).counts == ok
+    for ok in (0, 2**53, float(2**53), 5, 7.25, np.int64(9), np.float64(2.5)):
+        assert CountRecord(s, ok, 0).counts == ok
     for bad in (2**53 + 1, float(2**54), 2**62, 2**64, 10**30, 1e30, np.uint64(2**64 - 1)):
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            CountRecord(s, bad, None, 0)
+            CountRecord(s, bad, 0)
     for bad, match in (
         (float("nan"), "finite"), (float("inf"), "finite"), (np.float64("-inf"), "finite"),
         (-1, "non-negative"), (-0.5, "non-negative"), (-(2**70), "non-negative"),
     ):
         with pytest.raises(ValueError, match=match):
-            CountRecord(s, bad, None, 0)
+            CountRecord(s, bad, 0)
     with pytest.raises(TypeError):
-        CountRecord(s, "5", None, 0)
+        CountRecord(s, "5", 0)
+    # and a seed is a non-negative integer, numpy's too, as the CSV holds it
+    for ok in (0, 2**200, np.int64(5), np.uint64(2**63)):
+        assert CountRecord(s, 1, ok).seed == ok
+    for bad, error in ((-1, ValueError), (np.int32(-2), ValueError), ("x", TypeError),
+                       (1.5, TypeError), (2.0, TypeError), (True, TypeError), (None, TypeError)):
+        with pytest.raises(error, match="seed"):
+            CountRecord(s, 1, bad)
+    # a bool is not a count: the CSV would write it as True
+    for bad in (True, False, np.True_):
+        with pytest.raises(TypeError, match="bool"):
+            CountRecord(s, bad, 0)
+    # nor is a number that neither Python's int nor float holds, which the
+    # CSV could not write back: a long double, an array
+    for bad in (np.longdouble(1) / 10, np.array(3.0), np.array([3.0])):
+        with pytest.raises(TypeError, match="int or a float"):
+            CountRecord(s, bad, 0)
+    # a narrow numpy float is compared with 2**53 as a Python float
+    assert CountRecord(s, np.float16(2.5), 0).counts == 2.5
+
+
+def test_every_record_the_constructor_accepts_round_trips_the_csv(tmp_path):
+    # counts and seeds of many types and sizes, drawn from a seeded stream:
+    # every record CountRecord accepts is written and read back equal, and
+    # every other pair is refused with TypeError or ValueError
+    rng = np.random.default_rng(20261019)
+    counts = (
+        0, 5, 2**53, 2**53 + 1, -1, 0.0, -0.0, 7.25, 1e-300, 5e-324, float(2**53),
+        1e30, float("nan"), float("inf"), True, False, np.True_, np.False_,
+        np.int64(9), np.uint64(2**63), np.int8(-3), np.float32(0.1), np.float16(2.5),
+        np.float64(468.75), np.longdouble(1) / 10, np.array(3.0), np.array([3.0]), "5", None,
+    )
+    seeds = (
+        0, 1, 2**64 + 7, 2**200, -1, np.int64(5), np.uint64(2**63), np.int32(-2),
+        True, False, np.True_, 1.5, 2.0, np.float64(3.0), "x", "3", None,
+    )
+    settings = (MeasurementSetting("H", "+2"), MeasurementSetting("theta=0.3", "h", 0.25))
+    accepted, refused = [], 0
+    for _ in range(600):
+        c = counts[rng.integers(len(counts))]
+        if rng.random() < 0.3:  # a float of any size, or an integer up to past 2**53
+            c = float(10.0 ** rng.uniform(-320.0, 18.0)) if rng.random() < 0.5 else int(
+                rng.integers(0, 2**54)
+            )
+        seed = seeds[rng.integers(len(seeds))]
+        try:
+            accepted.append(CountRecord(settings[rng.integers(2)], c, seed))
+        except (TypeError, ValueError):
+            refused += 1
+    assert len(accepted) > 100 and refused > 100
+    path = tmp_path / "counts.csv"
+    write_counts_csv(accepted, path)
+    back = read_counts_csv(path)
+    assert len(back) == len(accepted)
+    for a, b in zip(accepted, back):
+        assert (b.setting, b.counts, b.seed) == (a.setting, a.counts, a.seed), (a, b)
+        assert type(b.seed) is int
+        assert isinstance(b.counts, int) == float(a.counts).is_integer()
 
 
 def test_counts_csv_roundtrip(tmp_path):
@@ -660,7 +712,7 @@ def test_counts_csv_roundtrip(tmp_path):
         assert b.counts == a.counts and isinstance(b.counts, int)
         assert b.setting.label == a.setting.label
         assert np.max(np.abs(b.setting.alice_proj - a.setting.alice_proj)) < 1e-12
-        assert b.expected_rate_cps is None
+        assert b.seed == a.seed == 2
 
 
 def test_counts_csv_roundtrip_fractional(tmp_path):
@@ -671,7 +723,7 @@ def test_counts_csv_roundtrip_fractional(tmp_path):
     back = read_counts_csv(path)
     assert isinstance(back[0].counts, float)
     assert abs(back[0].counts - 468.75) < 1e-12
-    assert abs(back[0].expected_rate_cps - 31.25) < 1e-12
+    assert back[0].counts == recs[0].counts
 
 
 def test_counts_csv_reads_share_their_settings(tmp_path):

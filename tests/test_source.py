@@ -174,6 +174,6 @@ def test_noise_presets():
 
 def test_hybrid_state_input_guards():
     with pytest.raises(ValueError, match="polarization pair"):
-        hybrid_state(DensityMatrix(np.eye(2) / 2, (POLARIZATION,)))
+        hybrid_state(DensityMatrix(np.eye(4) / 4, (OAM_O2, OAM_O2)))
     with pytest.raises(ValueError, match="polarization pair"):
         hybrid_state(prepare_hybrid()[0])

@@ -18,6 +18,7 @@ from hybridoam.states import (
 )
 
 S2 = np.sqrt(2.0)
+PAIR = (POLARIZATION, OAM_O2)
 
 
 def _projector(ket):
@@ -59,24 +60,59 @@ def test_label_resolution_and_errors():
 
 
 def test_state_vector_normalization_guard():
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0]), (POLARIZATION,))
-    sv = StateVector(np.array([1.0, 1.0]) / S2, (POLARIZATION,))
-    assert sv.dim == 2
-    with pytest.raises(ValueError):
-        StateVector(np.ones(3), (POLARIZATION,))  # dim mismatch
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(np.array([1.0, 0.0, 0.0, 1.0]), PAIR)
+    sv = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / S2, PAIR)
+    assert sv.amplitudes.shape == (4,) and sv.basis == PAIR
+    with pytest.raises(ValueError, match="4 amplitudes"):
+        StateVector(np.ones(3) / np.sqrt(3.0), PAIR)  # length mismatch
 
 
 def test_density_matrix_guards():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]), (POLARIZATION,))
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2), (POLARIZATION,))  # trace 2
-    neg = np.diag([1.5, -0.5])
-    with pytest.raises(ValueError):
-        DensityMatrix(neg, (POLARIZATION,))
-    dm = DensityMatrix(neg, (POLARIZATION,), require_positive=False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]) + np.eye(4, k=1), PAIR)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(np.eye(4) / 2, PAIR)  # trace 2
+    neg = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(neg, PAIR)
+    dm = DensityMatrix(neg, PAIR, require_positive=False)
     assert np.array_equal(dm.matrix, neg)
+
+
+def test_states_are_two_qubit_by_construction():
+    # a state is 4 amplitudes or a 4x4 matrix over two known factors; any
+    # other shape or number of factors is refused as it is built, so no
+    # caller checks for two qubits again
+    ket2 = np.array([1.0, 0.0])
+    rho8 = np.eye(8) / 8
+    refused = {
+        "2-vector": lambda: StateVector(ket2, PAIR),
+        "2-vector over one factor": lambda: StateVector(ket2, (POLARIZATION,)),
+        "2x2": lambda: DensityMatrix(np.eye(2) / 2, PAIR),
+        "2x2 over one factor": lambda: DensityMatrix(np.eye(2) / 2, (POLARIZATION,)),
+        "8x8": lambda: DensityMatrix(rho8, PAIR),
+        "8x8 over three factors": lambda: DensityMatrix(rho8, (POLARIZATION,) * 3),
+        "1-factor basis": lambda: DensityMatrix(np.eye(4) / 4, (POLARIZATION,)),
+        "1-factor ket basis": lambda: StateVector([1, 0, 0, 0], (OAM_O2,)),
+        "3-factor basis": lambda: DensityMatrix(np.eye(4) / 4, (*PAIR, OAM_O2)),
+        "3-factor ket basis": lambda: StateVector([1, 0, 0, 0], (*PAIR, POLARIZATION)),
+        "empty basis": lambda: DensityMatrix(np.eye(4) / 4, ()),
+    }
+    for case, build in refused.items():
+        with pytest.raises(ValueError) as info:
+            build()
+        # a plain ValueError, not the unknown-factor InvalidLabelError
+        assert info.type is ValueError, case
+    # an unknown factor is named first, whatever the number of factors
+    for basis in (("foo",), (POLARIZATION, "foo"), ("foo", OAM_O2, OAM_O2)):
+        with pytest.raises(InvalidLabelError, match="'foo'"):
+            DensityMatrix(np.eye(4) / 4, basis)
+        with pytest.raises(InvalidLabelError, match="'foo'"):
+            StateVector([1, 0, 0, 0], basis)
+    # every ordered pair of known factors is a basis
+    for basis in ((POLARIZATION, POLARIZATION), PAIR, (OAM_O2, POLARIZATION)):
+        assert DensityMatrix(np.eye(4) / 4, list(basis)).basis == basis
 
 
 def test_project_to_physical_clamps_and_renormalizes():
@@ -119,11 +155,13 @@ def test_json_reads_an_indefinite_linear_estimate_only_when_asked():
 
 def test_unknown_factor_names_are_refused():
     with pytest.raises(InvalidLabelError, match="'foo'"):
-        StateVector([1, 0], ("foo",))
+        StateVector([1, 0, 0, 0], ("foo", OAM_O2))
     with pytest.raises(InvalidLabelError, match="'foo'"):
-        DensityMatrix(np.eye(2) / 2, ("foo",))
+        DensityMatrix(np.eye(4) / 4, (POLARIZATION, "foo"))
     with pytest.raises(InvalidLabelError, match="'oam_full'"):
         StateVector(np.array([1.0, 0, 0]), ("oam_full",))
-    data = matrix_to_json(DensityMatrix(np.eye(2) / 2, (POLARIZATION,)))
+    data = matrix_to_json(DensityMatrix(np.eye(4) / 4, PAIR))
     with pytest.raises(InvalidLabelError, match="'oam'"):
         matrix_from_json({**data, "basis": ["oam"]})
+    with pytest.raises(InvalidLabelError, match="'oam'"):
+        matrix_from_json({**data, "basis": [POLARIZATION, "oam"]})

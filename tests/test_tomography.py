@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -58,9 +59,11 @@ def test_exact_data_linear_inversion_is_exact():
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.887))
     recs = simulate_tomography(rho, exact=True)
     assert all(isinstance(r.counts, float) for r in recs)
+    # each exact count is the setting's expected rate times its duration
+    per_second = simulate_tomography(rho, duration_s=1.0, exact=True)
     assert all(
-        abs(r.expected_rate_cps * r.setting.duration_s - r.counts) < 1e-9
-        for r in recs
+        abs(p.counts * r.setting.duration_s - r.counts) < 1e-9
+        for p, r in zip(per_second, recs)
     )
     est = reconstruct(recs).rho_linear
     assert np.max(np.abs(est.matrix - rho.matrix)) < 1e-12
@@ -273,20 +276,82 @@ def _loaded_names(tree):
     return found
 
 
-def test_every_export_has_a_caller():
-    # a run path starts from the CLI, from benchmarks/workloads.py or from
-    # the README's library quick start; every export is read somewhere on
-    # one, outside its own definition, or is kept for a stated reason
+def _run_path_trees():
+    """The parsed sources a run path starts from: the package's modules but
+    its __init__, benchmarks/workloads.py and the README's library quick
+    start."""
     import hybridoam
 
     root = Path(__file__).parents[1]
     package = Path(hybridoam.__file__).parent
     sources = [p.read_text() for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     sources += [(root / "benchmarks" / "workloads.py").read_text(), _readme_quick_start()]
-    loaded = set().union(*(_loaded_names(ast.parse(text)) for text in sources))
+    return [ast.parse(text) for text in sources]
+
+
+def test_every_export_has_a_caller():
+    # a run path starts from the CLI, from benchmarks/workloads.py or from
+    # the README's library quick start; every export is read somewhere on
+    # one, outside its own definition, or is kept for a stated reason
+    loaded = set().union(*(_loaded_names(tree) for tree in _run_path_trees()))
     assert UNCALLED_EXPORTS <= set(PUBLIC_NAMES)
     uncalled = sorted(set(PUBLIC_NAMES) - loaded - UNCALLED_EXPORTS)
     assert uncalled == []
+
+
+# fields and properties of exported dataclasses that no run path reads, each
+# kept for the reason given beside it
+UNREAD_FIELDS = {
+    # a constructor switch that reconstruct and matrix_from_json set
+    "DensityMatrix.require_positive",
+    # what a setting measures, documented in README and read by the test oracles
+    "MeasurementSetting.alice_proj",
+    "MeasurementSetting.bob_proj",
+    # benchmarks/tracing.py reads it for tomography.mle_iters
+    "TomographyRun.n_iter",
+}
+
+
+def _attribute_reads(tree):
+    """(attribute, owner) for every attribute a module reads, where owner is
+    the class whose own __post_init__ holds the read, else None."""
+    owner = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    owner.update((id(node), cls.name) for node in ast.walk(fn))
+    return {
+        (node.attr, owner.get(id(node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_field_is_read_on_a_run_path():
+    # every field and property of an exported dataclass is read as an
+    # attribute on a run path, outside the class's own __post_init__ (a
+    # value only a check reads carries nothing), or is kept for a reason
+    import hybridoam
+
+    classes = [
+        value for name, value in vars(hybridoam).items()
+        if name in PUBLIC_NAMES and isinstance(value, type) and dataclasses.is_dataclass(value)
+    ]
+    members = {
+        (cls.__name__, name)
+        for cls in classes
+        for name in [f.name for f in dataclasses.fields(cls)]
+        + [n for n, v in vars(cls).items() if isinstance(v, property)]
+    }
+    reads = set().union(*(_attribute_reads(tree) for tree in _run_path_trees()))
+    read = {(cls, name) for cls, name in members if any(
+        attr == name and where != cls for attr, where in reads
+    )}
+    named = {f"{cls}.{name}" for cls, name in members}
+    assert UNREAD_FIELDS <= named
+    unread = sorted({f"{cls}.{name}" for cls, name in members - read} - UNREAD_FIELDS)
+    assert unread == []
 
 
 def test_readme_quick_start_runs(capsys):
@@ -306,12 +371,11 @@ def test_count_table_validation():
     with pytest.raises(InsufficientDataError):
         reconstruct(recs + [recs[0]])  # duplicated setting
     renamed = CountRecord(
-        setting=MeasurementSetting("theta=0.5", "+2"), counts=5,
-        expected_rate_cps=None, seed=0,
+        setting=MeasurementSetting("theta=0.5", "+2"), counts=5, seed=0,
     )
     with pytest.raises(InsufficientDataError):
         reconstruct(recs[:-1] + [renamed])
-    zero = [CountRecord(r.setting, 0, None, 0) for r in recs]
+    zero = [CountRecord(r.setting, 0, 0) for r in recs]
     with pytest.raises(InsufficientDataError):
         reconstruct(zero)
     # counts are normalized within each basis pair, which assumes one
@@ -319,7 +383,7 @@ def test_count_table_validation():
     # as long at the same rate once moved F from 0.9494 to 0.9557 unreported
     fitted = simulate_tomography(prepare_hybrid("fitted")[0], rate_cps=100.0, seed=1)
     mixed = [
-        CountRecord(MeasurementSetting(r.setting.alice, r.setting.bob, 30.0), 2 * r.counts, None, 1)
+        CountRecord(MeasurementSetting(r.setting.alice, r.setting.bob, 30.0), 2 * r.counts, 1)
         if r.setting.label == "H|+2" else r
         for r in fitted
     ]
@@ -328,7 +392,7 @@ def test_count_table_validation():
             run()
     # one duration, whatever it is, reconstructs
     longer = [
-        CountRecord(MeasurementSetting(r.setting.alice, r.setting.bob, 30.0), r.counts, None, 1)
+        CountRecord(MeasurementSetting(r.setting.alice, r.setting.bob, 30.0), r.counts, 1)
         for r in fitted
     ]
     assert np.array_equal(reconstruct(longer).rho_mle.matrix, reconstruct(fitted).rho_mle.matrix)
@@ -430,7 +494,7 @@ def test_stacked_solve_matches_each_table_alone():
     ]
     tables.append(simulate_tomography(rho, exact=True))
     tables.append(
-        [CountRecord(s, int(rng.integers(0, 400)), None, 0) for s in SETTINGS]
+        [CountRecord(s, int(rng.integers(0, 400)), 0) for s in SETTINGS]
     )
     # a full-rank state, whose start is taken unblended: the stack mixes
     # both start rules
@@ -541,7 +605,7 @@ def test_gap_bound_counts_its_round_off():
     eps = np.finfo(float).eps
     for preset, scale in (("ideal", 10**6), ("ideal", 10**7), ("fitted", 10**6)):
         records = simulate_tomography(prepare_hybrid(preset)[0], 100.0, 15.0, seed=3)
-        big = [CountRecord(r.setting, r.counts * scale, None, 0) for r in records]
+        big = [CountRecord(r.setting, r.counts * scale, 0) for r in records]
         total = sum(r.counts for r in big)
         res = reconstruct(big)
         assert res.loglik_gap_bound >= 4 * eps * total > 1e-6
@@ -622,7 +686,7 @@ def _bootstrap_by_reconstruct(records, seed):
     for r in range(100):
         drawn = rng.poisson(obs)
         resample = [
-            CountRecord(rec.setting, int(c), None, rec.seed)
+            CountRecord(rec.setting, int(c), rec.seed)
             for rec, c in zip(records, drawn)
         ]
         try:
@@ -709,7 +773,7 @@ def test_mle_physical_on_random_counts():
     rng = np.random.default_rng(7)
     for _ in range(5):
         recs = [
-            CountRecord(s, int(rng.integers(0, 400)), None, 0) for s in SETTINGS
+            CountRecord(s, int(rng.integers(0, 400)), 0) for s in SETTINGS
         ]
         res = reconstruct(recs)
         w = np.linalg.eigvalsh(res.rho_mle.matrix)
