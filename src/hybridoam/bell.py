@@ -35,7 +35,10 @@ from .measurement import (
     _finite_float,
     _stream,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, _real
+
+# seconds of beam time per setting pair, split over its four outcomes
+DEFAULT_PAIR_DURATION_S = 60.0
 
 # the plus- and minus-outcome analyzer labels of each observable
 _ANALYZERS = {
@@ -61,13 +64,15 @@ class UndefinedCorrelationError(ValueError):
 def correlation_from_counts(counts) -> float:
     """Count-ratio estimator [N(++) + N(--) - N(+-) - N(-+)] / total of the
     four outcome counts in the order ++, +-, -+, --."""
-    counts = [float(c) for c in counts]
+    counts = [_real("outcome count", c) for c in counts]
     if len(counts) != 4:
         raise ValueError(f"need exactly 4 outcome counts, got {len(counts)}")
-    # NaN fails the test
-    if not all(0.0 <= c < math.inf for c in counts):
-        raise ValueError(f"outcome counts must be finite and non-negative, got {counts}")
     total = sum(counts)
+    # NaN fails the test, and a sum past float64's range is inf
+    if not (all(0.0 <= c for c in counts) and total < math.inf):
+        raise ValueError(
+            f"outcome counts must be finite and non-negative, with a finite sum, got {counts}"
+        )
     if total <= 0:
         raise UndefinedCorrelationError("all four outcome counts are zero")
     npp, npm, nmp, nmm = counts
@@ -116,7 +121,7 @@ def _outcome_duration(duration_s: float) -> float:
     return _finite_float(duration_s, "duration", True) / 4.0
 
 
-def chsh_settings(duration_s: float = 60.0) -> list[MeasurementSetting]:
+def chsh_settings(duration_s: float = DEFAULT_PAIR_DURATION_S) -> list[MeasurementSetting]:
     """The 16 outcome settings of S in draw order, outcome (i, j) of pair k
     at index 4k + 2i + j, each measured for a quarter of the pair's
     duration_s."""
@@ -147,7 +152,7 @@ def chsh_exact(rho: DensityMatrix) -> ChshResult:
 def chsh_empirical(
     rho: DensityMatrix,
     rate_cps: float = DEFAULT_RATE_CPS,
-    duration_s: float = 60.0,
+    duration_s: float = DEFAULT_PAIR_DURATION_S,
     seed: int = 0,
 ) -> ChshResult:
     """S from simulated projective runs with Poisson error propagation.

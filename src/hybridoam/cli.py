@@ -4,8 +4,8 @@ Subcommands run the configured experiment end-to-end and write JSON (and
 CSV count tables) into the --out directory.  Precedence: built-in defaults,
 then the --config JSON file, then explicit flags.  Every output carries a
 provenance block (command, effective config, seed, package version) and
-floats are serialized at 17 significant digits, so identical config + seed
-gives byte-identical files.
+floats are written as Python's shortest repr that reads back to the same
+float64, so identical config + seed gives byte-identical files.
 
 Exit codes: 0 success, 2 usage/config errors, 1 simulation or
 reconstruction failures (with an error JSON on stdout).
@@ -30,7 +30,9 @@ from . import tomography as tg
 from .states import matrix_to_json
 
 _DEFAULT_DURATIONS = {
-    "tomography": ms.DEFAULT_DURATION_S, "chsh": 60.0, "fringe": ms.DEFAULT_DURATION_S,
+    "tomography": ms.DEFAULT_DURATION_S,
+    "chsh": bell.DEFAULT_PAIR_DURATION_S,
+    "fringe": ms.DEFAULT_DURATION_S,
 }
 _DEFAULT_SEED = 0
 _DEFAULT_RESAMPLES = 100
@@ -53,8 +55,7 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             return None  # JSON has no NaN or infinity
-        # normalize to 17 significant digits for byte-stable output
-        return float(f"{float(obj):.17g}")
+        return float(obj)
     return obj
 
 
@@ -372,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="global RNG seed")
         p.add_argument(
             "--duration-s", type=float, default=None,
-            help="seconds per setting (default 15, chsh 60)",
+            help=f"seconds per setting (default {_DEFAULT_DURATIONS['tomography']:g},"
+            f" chsh {_DEFAULT_DURATIONS['chsh']:g})",
         )
         p.add_argument("--rate-cps", type=float, default=None,
                        help="detected pair rate (default 100)")

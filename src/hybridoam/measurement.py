@@ -43,6 +43,7 @@ from .states import (
     InvalidLabelError,
     _DEGREE_KETS,
     _freeze,
+    _real,
 )
 
 DEFAULT_RATE_CPS = 100.0
@@ -59,18 +60,12 @@ class FitFailureError(ValueError):
 
 def _finite_float(value, name: str, positive: bool) -> float:
     """A rate or duration as a float, so that no mean is cast to a narrower
-    type.  A bool, numpy's too, raises TypeError; NaN, an infinite value, a
-    negative one (or zero, if ``positive``) or an integer past float64's
-    range, such as 10**400, raises ValueError."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a number, got a bool")
-    in_range = 0 < value if positive else 0 <= value  # TypeError for a non-number
-    try:
-        as_float = float(value)
-    except OverflowError:
-        as_float = math.inf
+    type.  A bool, numpy's too, or a non-number raises TypeError; NaN, an
+    infinite value, a negative one (or zero, if ``positive``) or an integer
+    past float64's range, such as 10**400, raises ValueError."""
+    as_float = _real(name, value)
     # NaN fails both tests
-    if not (in_range and as_float < math.inf):
+    if not ((0 < as_float if positive else 0 <= as_float) and as_float < math.inf):
         bound = "positive" if positive else "non-negative"
         raise ValueError(f"{name} must be {bound} and finite, got {value}")
     return as_float
@@ -309,7 +304,7 @@ def fit_fringe(points) -> tuple[float, float, float]:
     with V clamped to [0, 1].  Needs at least 4 finite points whose angles
     make the three basis functions independent.
     """
-    pts = np.array([(float(t), float(c)) for t, c in points]).reshape(-1, 2)
+    pts = np.array([(_real("angle", t), _real("count", c)) for t, c in points]).reshape(-1, 2)
     if len(pts) < 4:
         raise FitFailureError(f"need at least 4 points, got {len(pts)}")
     if not np.isfinite(pts).all():
@@ -331,16 +326,17 @@ def fit_fringe(points) -> tuple[float, float, float]:
 
 def visibility_minmax(points) -> float:
     """Max/min count visibility (max-min)/(max+min), the fit-free estimate."""
-    counts = np.array([float(c) for _, c in points])
+    counts = np.array([_real("count", c) for _, c in points])
     if counts.size == 0:
         raise FitFailureError("no points")
-    hi, lo = counts.max(), counts.min()
+    # Python floats, whose sum past float64's range is inf without numpy's warning
+    hi, lo = float(counts.max()), float(counts.min())
     # NaN fails both tests
-    if not (0.0 <= lo and hi < math.inf):
-        raise FitFailureError("fringe counts must be finite and non-negative")
+    if not (0.0 <= lo and hi + lo < math.inf):
+        raise FitFailureError("fringe counts must be finite and non-negative, with a finite sum")
     if hi + lo == 0:
         return 0.0
-    return float((hi - lo) / (hi + lo))
+    return (hi - lo) / (hi + lo)
 
 
 def write_counts_csv(records, path) -> None:

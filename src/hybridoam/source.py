@@ -92,7 +92,7 @@ class NoiseModel:
         extra = set(d) - {"werner_p", "dephase_q", "miscal_angle"}
         if extra:
             raise ValueError(f"unknown noise keys: {sorted(extra)}")
-        return cls(**{k: float(_check_real(k, v)) for k, v in d.items()})
+        return cls(**{k: _check_real(k, v) for k, v in d.items()})
 
 
 # The three constant states are built on first call and then shared: the

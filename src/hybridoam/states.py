@@ -73,13 +73,27 @@ def _pair(basis) -> tuple[str, str]:
     return basis
 
 
-def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf):
-    """A model parameter: a real number but not a bool, finite, in [lo, hi]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+def _real(name: str, value) -> float:
+    """A real number as a float.  A bool, numpy's too, or a non-number
+    raises TypeError; an integer past float64's range, such as 10**400,
+    becomes the infinity of its sign, for the caller's finiteness test."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got a bool")
+    if not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(value) and lo <= value <= hi):
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A model parameter as a float: a real number but not a bool, finite,
+    in [lo, hi]."""
+    as_float = _real(name, value)
+    if not (math.isfinite(as_float) and lo <= as_float <= hi):
         raise ValueError(f"{name} must be finite and lie in [{lo}, {hi}], got {value!r}")
-    return value
+    return as_float
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,8 @@ class DensityMatrix:
     require_positive: bool = True
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        # a copy, so that freezing it leaves the caller's array writable
+        mat = np.array(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", _freeze(mat))
         object.__setattr__(self, "basis", _pair(self.basis))
         if mat.shape != (4, 4):

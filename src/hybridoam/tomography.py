@@ -7,9 +7,12 @@ within each complete 2x2 basis pair, so a per-setting duration drops out
 and relative frequencies are unbiased if every setting shares it; a table
 whose settings mix durations is refused.
 
-Reconstruction is linear inversion over the Pauli expectations (Hermitian
-and unit trace by construction, possibly non-positive with finite counts)
-followed by maximum-likelihood refinement: a log-barrier (primal-dual
+One model serves both estimators: the map C from the 15 Bloch coordinates
+of rho to the 36 setting probabilities, built from the counting path's
+projectors.  Reconstruction is linear inversion, the least-squares inverse
+of C applied to the within-group frequencies (Hermitian and unit trace by
+construction, possibly non-positive with finite counts), followed by
+maximum-likelihood refinement through the same C: a log-barrier (primal-dual
 interior-point) Newton method in the 15 Bloch coordinates of rho, from the
 physical projection of the linear estimate: as it is when that lies well
 inside the state space, else blended toward I/4.  The Poisson log-likelihood
@@ -25,11 +28,11 @@ stack when it is certified.  Every table keeps its own barrier weight,
 dual estimate and step, and its row arithmetic does not depend on the other
 tables, so a table solved in a stack gives exactly what it gives alone.
 reconstruct inverts, projects and solves a stack of one; the bootstrap
-does the same to all its resamples in one stack.  Each of the 15 Pauli products G_m of the Bloch
-coordinates has one entry, +-1 or +-i, in each row, so the products with
-G_m that the Newton matrix needs are signed gathers from fixed index
-tables, and its barrier term is one real (15, 32) @ (32, 15) product per
-table.
+does the same to all its resamples in one stack.  Each of the 15 Pauli
+products G_m of the Bloch coordinates has one entry, +-1 or +-i, in each
+row, so the products with G_m that the Newton matrix needs are signed
+gathers from fixed index tables, and its barrier term is one real
+(15, 32) @ (32, 15) product per table.
 
 Linear entropy is normalized as S_L = (4/3)(1 - Tr rho^2) so the maximally
 mixed two-qubit state scores 1; drop the 4/3 to convert to the
@@ -57,27 +60,14 @@ from .states import (
     POLARIZATION,
     DensityMatrix,
     StateVector,
+    _O2_KETS,
+    _POL_KETS,
     _clip_to_states,
     _freeze,
 )
 
-ALICE_LABELS = ("H", "V", "+", "-", "L", "R")
-BOB_LABELS = ("+2", "-2", "h", "v", "a", "d")
-
-# label -> (Pauli axis, eigenvalue sign) for each side
-_ALICE_AXIS = {"H": ("z", +1), "V": ("z", -1), "+": ("x", +1), "-": ("x", -1),
-               "L": ("y", +1), "R": ("y", -1)}
-_BOB_AXIS = {"+2": ("z", +1), "-2": ("z", -1), "h": ("x", +1), "v": ("x", -1),
-             "a": ("y", +1), "d": ("y", -1)}
-
-_PAULI = {
-    "0": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_AXES = ("x", "y", "z")
+ALICE_LABELS = tuple(_POL_KETS)
+BOB_LABELS = tuple(_O2_KETS)
 
 _P_FLOOR = 1e-15
 # The solver stops once the likelihood is certified within _MLE_TOL of its
@@ -184,32 +174,17 @@ _KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
 # The tomography model, fixed by the canonical settings and built once:
 # setting keys in canonical order, the projectors of the counting path's
 # stack as read-only (36, 16) rows (so p_k = Tr(Pi_k rho) is the real part of
-# rows @ conj(vec(rho))), each setting's basis-pair group as an index and as
-# a (36, 9) 0/1 matrix, and the linear-inversion map M_k with
-# rho = I/4 + sum_k f_k M_k for the within-group frequencies f_k.
+# rows @ conj(vec(rho))), and each setting's basis pair as an index and as a
+# (36, 9) 0/1 matrix.  Each basis is an adjacent orthogonal pair of labels,
+# so setting (i, j) of the 6 x 6 label grid belongs to pair (i // 2, j // 2).
 _INDEX = {k: i for i, k in enumerate(_KEYS)}
-_GROUP_AXES = tuple((aa, bb) for aa in _AXES for bb in _AXES)
 _PROJECTORS = _operators(_KEYS).reshape(36, 16)
-_GROUP = _freeze(
-    np.array([
-        _GROUP_AXES.index((_ALICE_AXIS[a][0], _BOB_AXIS[b][0])) for a, b in _KEYS
-    ])
+_GROUP = _freeze(np.array([3 * (i // 2) + j // 2 for i in range(6) for j in range(6)]))
+_GROUP_SUM = _freeze(np.eye(9)[_GROUP])
+_GROUP_NAMES = tuple(
+    f"{'/'.join(ALICE_LABELS[i:i + 2])} x {'/'.join(BOB_LABELS[j:j + 2])}"
+    for i in (0, 2, 4) for j in (0, 2, 4)
 )
-_GROUP_SUM = _freeze(np.eye(len(_GROUP_AXES))[_GROUP])
-
-
-def _inversion_term(a: str, b: str) -> np.ndarray:
-    (aa, sa), (bb, sb) = _ALICE_AXIS[a], _BOB_AXIS[b]
-    # the correlation term, plus this setting's share of each marginal, which
-    # is averaged over the partner's three bases
-    return (
-        sa * sb * np.kron(_PAULI[aa], _PAULI[bb])
-        + sa / 3.0 * np.kron(_PAULI[aa], _PAULI["0"])
-        + sb / 3.0 * np.kron(_PAULI["0"], _PAULI[bb])
-    ) / 4.0
-
-
-_INVERSION_MAP = _freeze(np.stack([_inversion_term(a, b) for a, b in _KEYS]))
 
 
 def simulate_tomography(
@@ -223,12 +198,11 @@ def simulate_tomography(
     return _count_records(rho, _KEYS, duration_s, rate_cps, seed, (0,), exact)
 
 
-def _count_table(records) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Counts and per-setting group totals, in canonical setting order, and
-    each record's canonical index.  The records must hold every setting
-    once, all measured for one duration, since counts are normalized within
-    each basis pair."""
-    table, durations = {}, set()  # canonical index -> counts, in record order
+def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and per-setting group totals, in canonical setting order.  The
+    records must hold every setting once, all measured for one duration,
+    since counts are normalized within each basis pair."""
+    table, durations = {}, set()  # canonical index -> counts
     for r in records:
         key = (r.setting.alice, r.setting.bob)
         i = _INDEX.get(key)
@@ -248,22 +222,9 @@ def _count_table(records) -> tuple[np.ndarray, np.ndarray, list[int]]:
     counts = np.array([table[i] for i in range(len(_KEYS))])
     gtot = counts @ _GROUP_SUM
     if gtot.min() <= 0:
-        bad = [g for g, v in zip(_GROUP_AXES, gtot) if v <= 0]
+        bad = [g for g, v in zip(_GROUP_NAMES, gtot) if v <= 0]
         raise InsufficientDataError(f"basis pairs with zero counts: {bad}")
-    return counts, gtot[_GROUP], list(table)
-
-
-def _invert(freqs: np.ndarray) -> np.ndarray:
-    """Pauli-expectation inversion of (..., 36) within-group frequencies
-    n_k / N_group(k); exactly Hermitian, unit trace, possibly non-PSD.
-
-    Two-qubit correlations come from each basis pair's own 2x2 frequency
-    table; single-side marginals are averaged over the partner's three
-    bases, which all estimate the same quantity.  Both are folded into the
-    fixed inversion map, so rho = I/4 + sum_k f_k M_k.
-    """
-    rho = np.eye(4) / 4.0 + np.einsum("...s,sij->...ij", freqs, _INVERSION_MAP)
-    return (rho + np.swapaxes(rho.conj(), -1, -2)) / 2
+    return counts, gtot[_GROUP]
 
 
 def _loglik(rho: np.ndarray, counts: np.ndarray, totals: np.ndarray) -> float:
@@ -282,7 +243,9 @@ def _loglik(rho: np.ndarray, counts: np.ndarray, totals: np.ndarray) -> float:
 # takes x to [p - 1/4 | 4 rho - I as a vec row] in one product, and
 # C^T diag(d) C is d @ _C_OUTER, reshaped, for a (36,) weight vector d.
 _ROWS = _PROJECTORS.view(np.float64)
-_SIGMAS = np.stack([_PAULI[a] for a in "0xyz"])
+_SIGMAS = np.array([  # I, X, Y, Z
+    [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]],
+], dtype=complex)
 _BLOCH = _freeze(  # the kron products sigma_a x sigma_b but the identity
     (_SIGMAS[:, None, :, None, :, None] * _SIGMAS[None, :, None, :, None, :]).reshape(16, 4, 4)[1:]
 )
@@ -292,6 +255,10 @@ _C_OUTER = _freeze((_C[:, :, None] * _C[:, None, :]).reshape(36, 225))
 _EYE_ROW = _freeze(np.eye(4, dtype=complex).reshape(16).view(np.float64))
 _BLOCH_MAP = _freeze(np.concatenate([_C.T, _BLOCH_ROWS], axis=1))
 _BLOCH_MAP_T = _freeze(np.ascontiguousarray(_BLOCH_MAP.T))
+# Equal-weight linear inversion is the least-squares inverse of the same
+# map, x = C^+ (f - 1/4) for within-group frequencies f; C^+ is held as its
+# (36, 15) transpose, so a row of f - 1/4 times it is x.
+_INVERT = _freeze(np.ascontiguousarray(np.linalg.pinv(_C).T))
 
 
 def _signed_gathers(images: np.ndarray) -> np.ndarray:
@@ -345,6 +312,18 @@ def _point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of a (B, 15) stack of Bloch points, from one product."""
     y = _rowwise(x, _BLOCH_MAP)
     return 0.25 + y[:, :36], ((_EYE_ROW + y[:, 36:]) / 4.0).view(complex).reshape(-1, 4, 4)
+
+
+def _invert(freqs: np.ndarray) -> np.ndarray:
+    """Linear inversion of (B, 36) within-group frequencies n_k / N_group(k):
+    the (B, 4, 4) states of the least-squares Bloch points of p = f, exactly
+    Hermitian, unit trace up to round-off, possibly not positive.
+
+    The 15 columns of C are orthogonal, so each Bloch coordinate is read
+    from its own settings alone: a correlation from its basis pair's 2x2
+    table, a one-side expectation averaged over the partner's three bases.
+    """
+    return _point(_rowwise(freqs - 0.25, _INVERT))[1]
 
 
 def _gap_bound(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -596,7 +575,7 @@ def reconstruct(records) -> TomographyRun:
     on a stack of one table.
     """
     records = tuple(records)  # read twice below, so any iterable will do
-    counts, totals, _ = _count_table(records)
+    counts, totals = _count_table(records)
     linear = _invert(counts[None] / totals)
     rho, bound, n_iter = _solve(counts[None], *_clip_to_states(linear))
     basis = (POLARIZATION, OAM_O2)
@@ -627,7 +606,7 @@ def linear_entropy(rho: DensityMatrix) -> float:
 
 
 # The metrics on (B, 4, 4) stacks of two-qubit states, one value per state.
-_YY = _freeze(np.kron(_PAULI["y"], _PAULI["y"]))
+_YY = _freeze(np.kron(_SIGMAS[2], _SIGMAS[2]))
 
 
 def _fidelities(rhos: np.ndarray, amp: np.ndarray) -> np.ndarray:
@@ -656,11 +635,11 @@ def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> Stat
     estimate then gives the point values, so that the table is not solved
     again.  Each resample draws Poisson counts with the observed values as
     means: resample r is row r of one (n_resamples, 36) draw from stream
-    (3,) off the seed, in the order of the records, so it does not depend
-    on n_resamples.  Resamples are reconstructed as reconstruct would, in
-    one stacked solve; given a bare table, the observed table joins that
-    stack as row 0, started where reconstruct starts it, and its estimate
-    gives the point values.  Rows solve independently, so either way the
+    (3,) off the seed, in canonical setting order, so it depends neither on
+    n_resamples nor on the order of the records.  Resamples are
+    reconstructed as reconstruct would, in one stacked solve; given a bare
+    table, the observed table joins that stack as row 0, started where
+    reconstruct starts it, and its estimate gives the point values.  Rows solve independently, so either way the
     point values are those of reconstruct's estimate.  The sample standard
     deviations of the metrics over resamples are the one-sigma
     uncertainties.  A resample with an empty basis pair is refused for lack
@@ -673,10 +652,8 @@ def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> Stat
     psi = hybrid_singlet_ket()
     run = records if isinstance(records, TomographyRun) else None
     records = run.records if run is not None else tuple(records)
-    observed, observed_totals, order = _count_table(records)
-    draws = _stream(seed, (3,)).poisson(observed[order], (n_resamples, len(order)))
-    counts = np.empty(draws.shape)
-    counts[:, order] = draws
+    observed, observed_totals = _count_table(records)
+    counts = _stream(seed, (3,)).poisson(observed, (n_resamples, len(observed))).astype(float)
     gtot = counts @ _GROUP_SUM
     refused = gtot.min(axis=1) <= 0
     failures = int(refused.sum())

@@ -74,9 +74,12 @@ def test_correlation_bounds_and_count_estimator():
         correlation_from_counts([1, 2, 3])
     with pytest.raises(UndefinedCorrelationError):
         correlation_from_counts([0, 0, 0, 0])
-    for bad in ([np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [-1, 1, 0, 0]):
+    for bad in ([np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [-1, 1, 0, 0], [10**400, 1, 1, 1]):
         with pytest.raises(ValueError, match="finite and non-negative"):
             correlation_from_counts(bad)
+    # finite counts whose total is past float64's range
+    with pytest.raises(ValueError, match="finite sum"):
+        correlation_from_counts([1e308] * 4)
 
 
 def _random_noise_model(rng):

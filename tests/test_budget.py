@@ -51,6 +51,8 @@ def test_validation():
         RateBudget(fiber_coupling=-0.1)
     with pytest.raises(ValueError):
         RateBudget(c_source_cps=-1.0)
+    with pytest.raises(ValueError, match="c_source_cps"):
+        RateBudget(c_source_cps=10**400)
 
 
 def test_dict_roundtrip():

@@ -253,6 +253,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["chsh", "--exact", "--config", config({"noise": {"werner_p": True}})],
          "werner_p"),
         (["chsh", "--exact", "--noise", '{"miscal_angle": false}'], "miscal_angle"),
+        # integers past float64's range, which float() cannot convert
+        (["chsh", "--exact", "--noise", json.dumps({"miscal_angle": 10**400})],
+         "miscal_angle"),
+        (["budget", "--config", config({"budget": {"c_source_cps": 10**400}})],
+         "c_source_cps"),
     ]
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:

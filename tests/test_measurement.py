@@ -337,9 +337,14 @@ def test_fit_fringe_failure_modes():
             fit_fringe(points)
     with pytest.raises(FitFailureError):
         visibility_minmax([])
-    for bad in (np.nan, np.inf, -1.0):
+    for bad in (np.nan, np.inf, -1.0, 10**400):
         with pytest.raises(FitFailureError, match="finite and non-negative"):
             visibility_minmax([(0.0, bad), (1.0, 1.0)])
+    # finite counts whose max + min is past float64's range
+    with pytest.raises(FitFailureError, match="finite sum"):
+        visibility_minmax([(0, 1e308), (1, 1e308)])
+    with pytest.raises(FitFailureError, match="finite"):
+        fit_fringe([(t, 10**400 if i == 3 else 100.0) for i, t in enumerate(GRID16)])
 
 
 def test_fringe_scans_draw_from_their_own_stream():

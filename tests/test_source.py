@@ -138,6 +138,8 @@ def test_noise_model_validation_and_dict_roundtrip():
         NoiseModel(dephase_q=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(miscal_angle=np.inf)
+    with pytest.raises(ValueError, match="miscal_angle"):
+        NoiseModel(miscal_angle=10**400)
     nm = NoiseModel(0.9, 0.05, 0.1)
     assert NoiseModel.from_dict(nm.as_dict()) == nm
     with pytest.raises(ValueError):

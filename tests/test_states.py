@@ -78,6 +78,13 @@ def test_density_matrix_guards():
         DensityMatrix(neg, PAIR)
     dm = DensityMatrix(neg, PAIR, require_positive=False)
     assert np.array_equal(dm.matrix, neg)
+    # the state holds a read-only copy; the caller's array, complex already
+    # or not, stays writable
+    for mat in (np.eye(4) / 4, np.eye(4, dtype=complex) / 4):
+        frozen = DensityMatrix(mat, PAIR).matrix
+        assert mat.flags.writeable and not frozen.flags.writeable
+        mat[0, 0] = 1.0
+        assert frozen[0, 0] == 0.25
 
 
 def test_states_are_two_qubit_by_construction():
