@@ -17,7 +17,10 @@ measured for one duration.  One cache, _compiled, builds its settings once
 per pairs and duration, with their read-only (n, 4, 4) stack of Pi_A x Pi_B
 from _operators, built once per pairs, for tomography's 36 canonical pairs,
 each fringe scan's theta= tags against Bob's label, and CHSH's 16 outcome
-pairs alike.
+pairs alike.  A setting's Born probability is p = Re(vec(Pi) . vec(conj(rho))),
+its operator row against the state's vec in the tomography likelihood's
+form, computed one row at a time so that it does not depend on the other
+settings of its experiment.
 
 Fringe convention: the scan variable theta is 4x the half-waveplate
 fast-axis angle, so Alice's analysis state is (cos(theta/2), sin(theta/2))
@@ -67,7 +70,7 @@ def _finite_float(value, name: str, positive: bool) -> float:
     # NaN fails both tests
     if not ((0 < as_float if positive else 0 <= as_float) and as_float < math.inf):
         bound = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be {bound} and finite, got {value}")
+        raise ValueError(f"{name} must be {bound} and finite, got {as_float}")
     return as_float
 
 
@@ -194,18 +197,24 @@ def _born_counts(
 
     ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack, and
     each setting is measured for the float duration_s.  Each setting's mean
-    is its Born probability Tr[rho Pi_k] x rate x duration.  All n counts are
+    is its Born probability x rate x duration.  The probability comes from
+    the setting's operator row, in the likelihood's form:
+    p_k = Re(vec(Pi_k) . vec(conj(rho))) = Tr[rho Pi_k], the dot product of
+    vec(Pi_k) and vec(rho), each read as 32 real floats.  All n counts are
     one Poisson draw from the generator ``rng``, in stack order, or with
     ``rng`` None the unrounded means.  This is the one counting path: every
     simulated count goes through it.
     """
     rate_cps = _finite_float(rate_cps, "rate", False)
-    # one zgemm and one diagonal sum per operator, as for a single setting
-    probs = np.trace(rho.matrix @ ops, axis1=1, axis2=2).real.tolist()
-    for p in probs:
-        if p < -ATOL or p > 1.0 + ATOL:
-            raise ValueError(f"probability {p} outside [0, 1]")
-    means = [max(p, 0.0) * rate_cps * duration_s for p in probs]
+    # one dot product per row, so that a setting's p has the same bits in
+    # every experiment that measures it
+    rows = ops.reshape(-1, 1, 16).view(np.float64)
+    probs = (rows @ rho.matrix.reshape(16).view(np.float64))[:, 0]
+    outside = (probs < -ATOL) | (probs > 1.0 + ATOL)
+    if outside.any():
+        raise ValueError(f"probability {float(probs[outside.argmax()])} outside [0, 1]")
+    # Python floats, whose product past float64's range is inf without numpy's warning
+    means = [max(p, 0.0) * rate_cps * duration_s for p in probs.tolist()]
     if rng is None:
         return means
     return rng.poisson(means).tolist()
@@ -262,17 +271,29 @@ def fringe_scan_records(
 
     The points draw, in grid order, from the scan's stream (2, scan_index)
     off the global seed, so a point's count depends on the grid before it.
-    ``bob`` is an OAM label, such as "+2" or "h", or a "theta=<x>" tag.
+    ``theta_grid`` is a non-empty one-dimensional grid of finite angles (or
+    one angle).  ``bob`` is an OAM label, such as "+2" or "h", or a
+    "theta=<x>" tag.
     """
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
     if not isinstance(bob, str):  # refused by the setting, before the cache hashes it
         MeasurementSetting("H", bob)
+    if thetas.ndim != 1:
+        raise ValueError(f"theta grid must be one-dimensional, got shape {thetas.shape}")
     if not np.isfinite(thetas).all():
         raise ValueError("theta grid must be finite")
-    pairs = tuple((f"{_THETA_PREFIX}{t:.17g}", bob) for t in thetas.tolist())
+    pairs = _scan_pairs(thetas.tobytes(), bob)
     return _count_records(rho, pairs, duration_s, rate_cps, seed, (2, scan_index), exact)
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_pairs(grid: bytes, bob: str) -> tuple[tuple[str, str], ...]:
+    """The (theta tag, bob) label pairs of a scan over a float64 grid, given
+    as its bytes: formatted once per grid and Bob label.  Keyed by the bytes,
+    not the values, since 0.0 and -0.0 tag differently."""
+    return tuple((f"{_THETA_PREFIX}{t:.17g}", bob) for t in np.frombuffer(grid).tolist())
 
 
 def fringe_scan(

@@ -77,10 +77,15 @@ def _real(name: str, value) -> float:
     """A real number as a float.  A bool, numpy's too, or a non-number
     raises TypeError; an integer past float64's range, such as 10**400,
     becomes the infinity of its sign, for the caller's finiteness test."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a number, got a bool")
-    if not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a number, got {value!r}")
+    # built-in numbers, which every count, fringe point, rate and duration
+    # usually is, skip the ABC checks; a bool is of neither type
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} must be a number, got a bool")
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -92,7 +97,7 @@ def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -
     in [lo, hi]."""
     as_float = _real(name, value)
     if not (math.isfinite(as_float) and lo <= as_float <= hi):
-        raise ValueError(f"{name} must be finite and lie in [{lo}, {hi}], got {value!r}")
+        raise ValueError(f"{name} must be finite and lie in [{lo}, {hi}], got {as_float}")
     return as_float
 
 

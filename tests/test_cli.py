@@ -259,6 +259,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["budget", "--config", config({"budget": {"c_source_cps": 10**400}})],
          "c_source_cps"),
     ]
+    # an integer past Python's 4,300-digit limit, which json.load refuses to read
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"seed": 1' + "0" * 5000 + "}")
+    cases.append((["chsh", "--exact", "--config", str(huge)], "cannot read config"))
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])

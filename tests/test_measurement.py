@@ -382,6 +382,16 @@ def test_a_csv_seed_column_regenerates_its_table(tmp_path):
         assert [r.counts for r in rerun(seed)] == [r.counts for r in back]
 
 
+def _born_probability(rho, setting):
+    """A setting's Born probability on its own, as
+    Re(vec(Pi) . vec(conj(rho))) = Tr[rho Pi]: one dot product of the two
+    vecs, each read as 32 real floats."""
+    op = np.kron(setting.alice_proj, setting.bob_proj)
+    p = float(op.reshape(16).view(np.float64) @ rho.matrix.reshape(16).view(np.float64))
+    assert abs(p - np.trace(rho.matrix @ op).real) < 1e-14
+    return p
+
+
 def _loop_records(rho, settings, rate, seed, path, exact):
     """The reference: each setting's Born probability and mean count on its
     own, then, unless exact, one draw per setting, in order, from numpy's
@@ -389,8 +399,7 @@ def _loop_records(rho, settings, rate, seed, path, exact):
     rng = None if exact else _numpy_stream(seed, path)
     records = []
     for s in settings:
-        p = np.trace(rho.matrix @ np.kron(s.alice_proj, s.bob_proj)).real
-        mean = max(float(p), 0.0) * float(rate) * s.duration_s
+        mean = max(_born_probability(rho, s), 0.0) * float(rate) * s.duration_s
         counts = mean if exact else int(rng.poisson(mean))
         records.append(CountRecord(s, counts, int(seed)))
     return records
@@ -502,6 +511,15 @@ NON_FINITE = {
     # an integer past float64's range, which float() cannot convert
     "huge-integer-rate": (lambda: tomography.simulate_tomography(SINGLET, 10**400), "rate"),
     "huge-integer-duration": (lambda: MeasurementSetting("H", "+2", 10**400), "duration"),
+    # the message shows the converted float, which any integer can be printed as
+    "digit-limit-rate": (
+        lambda: tomography.simulate_tomography(SINGLET, 10**5000),
+        "rate must be non-negative and finite, got inf$",
+    ),
+    "digit-limit-duration": (
+        lambda: MeasurementSetting("H", "+2", -10**5000),
+        "duration must be positive and finite, got -inf$",
+    ),
     "chsh-huge-integer-duration": (
         lambda: bell.chsh_empirical(SINGLET, duration_s=10**400), "duration"
     ),
@@ -581,6 +599,8 @@ def test_counting_rejects_bad_inputs():
                 run(bad)
     with pytest.raises(TypeError, match="polarization analyzer must be a label"):
         MeasurementSetting(np.diag([1.0, 0.0]), "h")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        fringe_scan_records(rho, "h", GRID16.reshape(2, 8))
     runs = (
         lambda rate: tomography.simulate_tomography(rho, rate),
         lambda rate: fringe_scan_records(rho, "h", GRID16, rate),
@@ -601,6 +621,82 @@ def test_counting_rejects_bad_inputs():
         for run in runs:
             with pytest.raises(ValueError):
                 run()
+
+
+def _indefinite_state():
+    """I/4 + 0.6 ZZ + 0.9 XX: trace one and Hermitian, with eigenvalues
+    1.75, 0.55, -0.05 and -1.25, so some of its probabilities lie outside
+    [0, 1] on both sides."""
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    m = np.eye(4) / 4 + 0.6 * np.kron(z, z) + 0.9 * np.kron(x, x)
+    return DensityMatrix(m, (POLARIZATION, OAM_O2), require_positive=False)
+
+
+def test_counting_refuses_probabilities_outside_the_unit_interval():
+    rho = _indefinite_state()
+    experiments = {
+        "tomography": (
+            [r.setting for r in tomography.simulate_tomography(SINGLET)],
+            lambda exact: tomography.simulate_tomography(rho, exact=exact),
+        ),
+        "fringe": (
+            [_theta_setting(t, "h", 15.0) for t in GRID16],
+            lambda exact: fringe_scan_records(rho, "h", GRID16, exact=exact),
+        ),
+        "chsh": (
+            bell.chsh_settings(),
+            lambda exact: bell.chsh_exact(rho) if exact else bell.chsh_empirical(rho),
+        ),
+    }
+    for name, (settings, count) in experiments.items():
+        probs = [_born_probability(rho, s) for s in settings]
+        outside = [p for p in probs if p < -1e-12 or p > 1.0 + 1e-12]
+        # the first offender is neither the least nor the greatest
+        # probability, so only a check in setting order names it
+        assert min(probs) < outside[0] < max(probs), name
+        for exact in (False, True):
+            with pytest.raises(ValueError) as err:
+                count(exact)
+            assert str(err.value) == f"probability {outside[0]} outside [0, 1]", (name, exact)
+
+
+def test_scan_labels_are_formatted_once_per_grid():
+    pairs = measurement._scan_pairs(GRID16.tobytes(), "h")
+    # a repeated grid, as a new array or a list, reuses the cached pairs
+    for grid in (GRID16.copy(), list(GRID16)):
+        fringe = fringe_scan_records(SINGLET, "h", grid)
+        assert [(r.setting.alice, r.setting.bob) for r in fringe] == list(pairs)
+        grid_bytes = np.asarray(grid, dtype=float).tobytes()
+        assert measurement._scan_pairs(grid_bytes, "h") is pairs
+    assert pairs == tuple((f"theta={t:.17g}", "h") for t in GRID16.tolist())
+    # keyed by the bytes: -0.0 tags differently from 0.0
+    signed = [r.setting.alice for r in fringe_scan_records(SINGLET, "h", -GRID16)]
+    assert signed[0] == "theta=-0" and pairs[0][0] == "theta=0"
+
+
+# each public guard of a real number, as a function of the guarded value
+GUARDS = {
+    "noise-parameter": lambda x: NoiseModel.from_dict({"miscal_angle": x}).miscal_angle,
+    "duration": lambda x: MeasurementSetting("H", "+2", x).duration_s,
+    "rate": lambda x: [r.counts for r in tomography.simulate_tomography(SINGLET, x, exact=True)],
+    "fringe-count": lambda x: visibility_minmax([(0.0, x), (1.0, 1.0)]),
+    "outcome-count": lambda x: bell.correlation_from_counts([x, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_real_number_guards_accept_and_refuse_the_same_values(guard):
+    check = GUARDS[guard]
+    want = check(3.0)
+    for ok in (3.0, 3, np.float64(3.0), np.float32(3.0), np.int64(3)):
+        got = check(ok)
+        assert got == want and type(got) is type(want), (guard, type(ok))
+    for bad in (True, np.bool_(True), "1.5", 1j):
+        with pytest.raises(TypeError):
+            check(bad)
+    # an integer past float64's range reads as inf, which the caller refuses
+    with pytest.raises(ValueError):
+        check(10**400)
 
 
 def test_compiled_settings_are_read_only():
