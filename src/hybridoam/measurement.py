@@ -164,13 +164,17 @@ class CountRecord:
             raise ValueError(f"counts must be finite, got {c}")
         if c < 0:
             raise ValueError("counts must be non-negative")
+        # the messages print a value as a float, which even an integer past
+        # Python's 4,300-digit string limit can be
         if c > _MAX_COUNT:
-            raise ValueError(f"counts above 2**53 are not exact in float64, got {c}")
+            raise ValueError(
+                f"counts above 2**53 are not exact in float64, got {_real('counts', c):.6g}"
+            )
         # a bool is an int to Python, but of neither type
         if not (type(seed) is int or isinstance(seed, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
         if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+            raise ValueError(f"seed must be non-negative, got {_real('seed', seed):.6g}")
 
 
 def _stream(seed: int, path: tuple[int, ...], exact: bool = False):

@@ -346,10 +346,28 @@ def _certified(counts: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return np.maximum(bound, 0.0) + _ROUNDOFF * counts.sum(axis=1)
 
 
-def _newton_system(rho, p, counts, mu, z=None):
+def _workspace(n: int) -> tuple[np.ndarray, ...]:
+    """Scratch for _newton_system on stacks of up to n tables: the signed
+    gathers _LEFT of rho^-1 and _RIGHT_T of Z / 16, the barrier term and
+    the Newton matrix.  At the bootstrap's 101 rows these are 180-380 KiB
+    each, and blocks that size, freed every round, go back to the kernel
+    and are page-faulted in again the next; so one solve allocates them
+    once and each round writes into their leading rows.  They are four
+    views of one block: allocated as four, they were faulted in afresh at
+    every solve in some processes (about 200 minor faults per bootstrap,
+    with glibc's malloc), as one block in none.  The workspace belongs to
+    its solve: solves in concurrent threads must not share one."""
+    shapes = ((15, 32), (32, 15), (15, 15), (15, 15))
+    sizes = [n * a * b for a, b in shapes]
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    return tuple(part.reshape(n, *shape) for part, shape in zip(parts, shapes))
+
+
+def _newton_system(rho, p, counts, mu, work, z=None):
     """The barrier objective's gradient and primal-dual Newton matrix at a
     (B, 4, 4) stack of positive definite states with probabilities p, which
-    are 1 where a setting counted nothing.
+    are 1 where a setting counted nothing, written into the leading B rows
+    of the workspace ``work`` of _workspace.
 
     The objective is sum_k n_k log p_k + mu log det rho over the settings
     with counts, per table, in the Bloch coordinates of rho; its gradient
@@ -361,18 +379,28 @@ def _newton_system(rho, p, counts, mu, z=None):
     conj vec((G_n Z)^T) / 16, for all m and n one (15, 32) @ (32, 15)
     product per table of the signed gathers _LEFT of rho^-1 and _RIGHT_T of
     Z / 16.  rho^-1 = W^H W with W = L^-1 for rho = L L^H; W and Lz^-1 for
-    Z = Lz Lz^H whiten the step.  Returns (gradient, matrix, rho^-1, the
-    (2B, 4, 4) stack of W over Lz^-1).
+    Z = Lz Lz^H whiten the step.  The gathers land C-contiguous in the
+    workspace, so each table's product is one BLAS call (an indexed gather
+    puts the stack axis innermost, and the product then bypasses BLAS).
+    Returns (gradient, matrix, rho^-1, the (2B, 4, 4) stack of W over
+    Lz^-1); the matrix is a view of the workspace.
     """
+    n = len(rho)
+    left, right, dual, hess = (a[:n] for a in work)
     if z is None:
         z = mu[:, None, None] * np.linalg.inv(rho)
     whiten = np.linalg.inv(_cholesky(np.concatenate([rho, z])))
-    w = whiten[:len(rho)]
+    w = whiten[:n]
     rho_inv = np.swapaxes(w.conj(), 1, 2) @ w
     v = _as_rows(rho_inv)
     grad = _rowwise(np.concatenate([counts / p, mu[:, None] / 4.0 * v], axis=1), _BLOCH_MAP_T)
-    dual = _signed_rows(v)[:, _LEFT] @ _signed_rows(_as_rows(z / 16.0))[:, _RIGHT_T]
-    hess = _rowwise(counts / p**2, _C_OUTER).reshape(-1, 15, 15) + dual
+    # the tables hold only valid indices; mode="raise" would gather into a
+    # temporary copy of out first
+    np.take(_signed_rows(v), _LEFT, axis=1, out=left, mode="clip")
+    np.take(_signed_rows(_as_rows(z / 16.0)), _RIGHT_T, axis=1, out=right, mode="clip")
+    np.matmul(left, right, out=dual)
+    np.matmul((counts / p**2)[:, None, :], _C_OUTER, out=hess.reshape(n, 1, 225))
+    hess += dual
     return grad, hess, rho_inv, whiten
 
 
@@ -391,10 +419,11 @@ def _cholesky(m: np.ndarray) -> np.ndarray:
         return out
 
 
-def _newton_step(x, p, rho, z, counts, mu):
+def _newton_step(x, p, rho, z, counts, mu, work):
     """One primal-dual Newton step towards the barrier optimum at weight mu,
     from points x with probabilities p (1 where a setting counted nothing),
-    states rho and duals Z.
+    states rho and duals Z, with the Newton system built in the workspace
+    ``work``.
 
     The Newton system linearizes the optimality conditions
     C^T (n/p) + A*(Z) = 0 and Z rho = mu I (the HKM direction): the step dx
@@ -413,7 +442,7 @@ def _newton_step(x, p, rho, z, counts, mu):
     """
     n = len(x)
     with np.errstate(invalid="ignore", divide="ignore"):
-        grad, hess, rho_inv, whiten = _newton_system(rho, p, counts, mu, z)
+        grad, hess, rho_inv, whiten = _newton_system(rho, p, counts, mu, work, z)
         dx = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
         decrement = _dot(grad, dx)
     # a point whose rho or Z round-off has made singular stays where it is
@@ -472,10 +501,10 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray):
     round bounds the gap to the maximum of every running table whose
     duality measure is small with one batched eigvalsh, retires the tables
     that are certified or have run _MLE_MAXITER rounds, and makes one
-    Newton step on the rest.  Returns the Hermitian states, the gap bounds
-    (with their round-off, as _certified gives them) and the round counts,
-    in input order; a table has converged when its bound is at most
-    _MLE_TOL.
+    Newton step on the rest, in the one _workspace the solve allocates.
+    Returns the Hermitian states, the gap bounds (with their round-off, as
+    _certified gives them) and the round counts, in input order; a table
+    has converged when its bound is at most _MLE_TOL.
     """
     n_tables = len(counts)
     # probabilities are taken as 1 where a setting counted nothing, so that
@@ -504,6 +533,7 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray):
     z = mu_start[:, None, None] * np.linalg.inv(_point(x)[1])
     z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
     sigma = np.full(live.size, _TARGETS[1])
+    work = _workspace(live.size)
     rounds = 0
     while live.size:
         p, rho = _point(x)
@@ -535,7 +565,7 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray):
             mu, sigma = mu[keep], sigma[keep]
             if not live.size:
                 break
-        x, z, t, t_dual = _newton_step(x, p, rho, z, counts, sigma * mu)
+        x, z, t, t_dual = _newton_step(x, p, rho, z, counts, sigma * mu, work)
         # short steps mean the point strayed from the central path
         sigma = _TARGETS[np.searchsorted(_STEP_EDGES, np.minimum(t, t_dual), side="right")]
         rounds += 1
@@ -639,8 +669,9 @@ def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> Stat
     n_resamples nor on the order of the records.  Resamples are
     reconstructed as reconstruct would, in one stacked solve; given a bare
     table, the observed table joins that stack as row 0, started where
-    reconstruct starts it, and its estimate gives the point values.  Rows solve independently, so either way the
-    point values are those of reconstruct's estimate.  The sample standard
+    reconstruct starts it, and its estimate gives the point values.  Rows
+    solve independently, so either way the point values are those of
+    reconstruct's estimate.  The sample standard
     deviations of the metrics over resamples are the one-sigma
     uncertainties.  A resample with an empty basis pair is refused for lack
     of data and counts as failed; more than 10% failed raises RuntimeError,

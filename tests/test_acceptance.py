@@ -244,7 +244,7 @@ def test_criterion_7_property_suites():
     # 32 displaced copies evaluated as one stack; the objective
     # sum_k n_k log p_k + mu log det rho is computed here from the projectors
     from hybridoam.tomography import (
-        _BLOCH, _count_table, _newton_system, _point,
+        _BLOCH, _count_table, _newton_system, _point, _workspace,
     )
 
     rho_f, _ = prepare_hybrid("fitted")
@@ -266,7 +266,7 @@ def test_criterion_7_property_suites():
         p_stack, rho_stack = _point(stack)
         grad, neg_hess = _newton_system(
             rho_stack, p_stack, np.tile(counts, (len(stack), 1)),
-            np.full(len(stack), mu),
+            np.full(len(stack), mu), _workspace(len(stack)),
         )[:2]
         fd = (f[1:17] - f[17:]) / (2.0 * eps)
         rel = np.abs(dirs @ grad[0] - fd) / np.maximum(1.0, np.abs(fd))

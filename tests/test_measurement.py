@@ -750,6 +750,18 @@ def test_count_records_refuse_counts_float64_cannot_hold():
                        (1.5, TypeError), (2.0, TypeError), (True, TypeError), (None, TypeError)):
         with pytest.raises(error, match="seed"):
             CountRecord(s, 1, bad)
+    # a huge count or seed, past Python's 4,300-digit limit for printing an
+    # integer too, gets the record's own message with a bounded value
+    for counts, seed, message in (
+        (10**5000, 0, "counts above 2**53 are not exact in float64, got inf"),
+        (10**400, 0, "counts above 2**53 are not exact in float64, got inf"),
+        (2**53 + 1, 0, "counts above 2**53 are not exact in float64, got 9.0072e+15"),
+        (5, -10**5000, "seed must be non-negative, got -inf"),
+        (5, -10**400, "seed must be non-negative, got -inf"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            CountRecord(s, counts, seed)
+        assert str(refused.value) == message
     # a bool is not a count: the CSV would write it as True
     for bad in (True, False, np.True_):
         with pytest.raises(TypeError, match="bool"):

@@ -443,7 +443,7 @@ def _barrier_derivative_errors(counts, x, dirs, eps=1e-6, mu=0.5):
     sum_k n_k log p_k + mu log det rho (computed here from the settings'
     projectors) and of the gradient; the point and its displaced copies
     are evaluated as one stack."""
-    from hybridoam.tomography import _BLOCH, _newton_system, _point
+    from hybridoam.tomography import _BLOCH, _newton_system, _point, _workspace
 
     projectors = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in SETTINGS])
     n = len(dirs)
@@ -454,7 +454,7 @@ def _barrier_derivative_errors(counts, x, dirs, eps=1e-6, mu=0.5):
     p_stack, rho_stack = _point(stack)
     grad, neg_hess = _newton_system(
         rho_stack, p_stack, np.tile(counts, (len(stack), 1)),
-        np.full(len(stack), mu),
+        np.full(len(stack), mu), _workspace(len(stack)),
     )[:2]
     fd = (f[1:n + 1] - f[n + 1:]) / (2 * eps)
     grad_err = np.abs(dirs @ grad[0] - fd) / np.maximum(1.0, np.abs(fd))
@@ -486,7 +486,7 @@ def test_newton_system_takes_the_dual_estimate():
     # Re Tr(Z G_m rho^-1 G_n) / 16 (the HKM primal-dual direction), for
     # every table of a stack with its own point and Z
     from hybridoam.tomography import (
-        _BLOCH, _C, _count_table, _newton_system, _point,
+        _BLOCH, _C, _count_table, _newton_system, _point, _workspace,
     )
 
     rho, _ = prepare_hybrid("fitted")
@@ -500,7 +500,7 @@ def test_newton_system_takes_the_dual_estimate():
     z = a @ np.swapaxes(a.conj(), 1, 2) + 0.1 * np.eye(4)
     mu = np.array([0.5, 2.0, 0.01])
     p, rho_x = _point(x)
-    matrices = _newton_system(rho_x, p, counts, mu, z)[1]
+    matrices = _newton_system(rho_x, p, counts, mu, _workspace(3), z)[1]
     for b in range(3):
         rho_inv = np.linalg.inv(rho_x[b])
         barrier = np.einsum("ij,mjk,kl,nli->mn", z[b], _BLOCH, rho_inv, _BLOCH).real / 16
@@ -651,7 +651,7 @@ def test_a_singular_row_stays_put_and_leaves_its_stack_alone():
     # Cholesky factor is NaN and the row is stuck: it keeps its point and
     # dual, both step lengths are 0, and the rows around it step exactly as
     # they would alone
-    from hybridoam.tomography import _BLOCH, _count_table, _newton_step, _point
+    from hybridoam.tomography import _BLOCH, _count_table, _newton_step, _point, _workspace
 
     rho, _ = prepare_hybrid("fitted")
     counts = np.stack([
@@ -671,16 +671,54 @@ def test_a_singular_row_stays_put_and_leaves_its_stack_alone():
     # the rank-3 row gives a counted setting zero probability
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(counts > 0, p, 1.0)
-        x_new, z_new, t, t_dual = _newton_step(x, p, rhos, z, counts, mu)
+        x_new, z_new, t, t_dual = _newton_step(x, p, rhos, z, counts, mu, _workspace(4))
     for stuck in (1, 3):
         assert np.array_equal(x_new[stuck], x[stuck])
         assert np.array_equal(z_new[stuck], z[stuck])
         assert t[stuck] == t_dual[stuck] == 0.0
     for b in (0, 2):
-        alone = _newton_step(x[[b]], p[[b]], rhos[[b]], z[[b]], counts[[b]], mu[[b]])
+        alone = _newton_step(
+            x[[b]], p[[b]], rhos[[b]], z[[b]], counts[[b]], mu[[b]], _workspace(1)
+        )
         assert t[b] > 0.0
         for stacked, single in zip((x_new, z_new, t, t_dual), alone):
             assert np.array_equal(stacked[b], single[0])
+
+
+def test_a_bootstrap_round_builds_its_newton_system_in_the_workspace():
+    # A round of the bootstrap's 101-row stack used to allocate its Newton
+    # system fresh: two signed gathers of 384 KiB each and two 180 KiB terms
+    # of the matrix, a transient peak of about 1,025 KiB.  Blocks that size
+    # were handed back to the kernel when freed and page-faulted in again
+    # the next round, about 1,500 minor faults per bootstrap.  With the
+    # solve's workspace, what one step still allocates is small arrays
+    # (about 410 KiB at peak).  768 KiB lies between the two: it leaves
+    # room for numpy's own temporaries and fails if the round builds its
+    # Newton system fresh again.
+    import tracemalloc
+
+    from hybridoam.tomography import _count_table, _newton_step, _point, _workspace
+
+    rho, _ = prepare_hybrid("fitted")
+    observed = _count_table(simulate_tomography(rho, rate_cps=100.0, seed=0))[0]
+    rng = np.random.default_rng(14)
+    counts = rng.poisson(observed, (101, 36)).astype(float)
+    x = np.stack([_bloch_point(rng) for _ in range(101)])
+    p, rhos = _point(x)
+    p = np.where(counts > 0, p, 1.0)
+    mu = np.full(101, 0.1)
+    z = mu[:, None, None] * np.linalg.inv(rhos)
+    z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
+    work = _workspace(101)
+    _newton_step(x, p, rhos, z, counts, mu, work)  # numpy's first-call setup
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _newton_step(x, p, rhos, z, counts, mu, work)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 * 1024
 
 
 def test_bootstrap_stack_finishes_within_a_round_budget(monkeypatch):
