@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 from pathlib import Path
 
 import numpy as np
@@ -104,27 +103,13 @@ def _parse_noise(spec) -> src.NoiseModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _config_value(key: str, value, kind):
+def _checked(guard, value, name: str, *args):
+    """A config value or flag through the library's own guard for it, whose
+    refusal is a usage error."""
     try:
-        converted = kind(value)
-        # a bool is an int to Python, a string such as "50" parses, and
-        # int(3.7) is 3: none of them converts cleanly
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or (isinstance(value, float) and converted != value)
-        ):
-            raise ValueError(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}") from None
-    return converted
-
-
-def _positive_duration(name: str, value) -> float:
-    seconds = _config_value(f"duration {name}", value, float)
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise ConfigError(f"duration {name} must be positive, got {value!r}")
-    return seconds
+        return guard(value, name, *args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class _Resolved:
@@ -132,22 +117,11 @@ class _Resolved:
 
     def __init__(self, args):
         cfg = _load_config(args.config)
-        self.seed = (
-            args.seed
-            if args.seed is not None
-            else _config_value("seed", cfg.get("seed", _DEFAULT_SEED), int)
-        )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        self.rate_cps = (
-            args.rate_cps
-            if args.rate_cps is not None
-            else _config_value("rate_cps", cfg.get("rate_cps", ms.DEFAULT_RATE_CPS), float)
-        )
-        if not (math.isfinite(self.rate_cps) and self.rate_cps >= 0):
-            raise ConfigError(
-                f"rate_cps must be finite and non-negative, got {self.rate_cps!r}"
-            )
+        # a flag wins over the file, and the file over the default
+        seed = cfg.get("seed", _DEFAULT_SEED) if args.seed is None else args.seed
+        self.seed = _checked(ms._seed, seed, "seed")
+        rate = cfg.get("rate_cps", ms.DEFAULT_RATE_CPS) if args.rate_cps is None else args.rate_cps
+        self.rate_cps = _checked(ms._finite_float, rate, "rate_cps", False)
         cfg_durations = cfg.get("durations", {})
         if not isinstance(cfg_durations, dict):
             raise ConfigError('"durations" must be an object')
@@ -155,12 +129,12 @@ class _Resolved:
         if extra:
             raise ConfigError(f"unknown durations keys: {sorted(extra)}")
         self.durations = {
-            k: _positive_duration(k, cfg_durations.get(k, v))
+            k: _checked(ms._finite_float, cfg_durations.get(k, v), f"duration {k}", True)
             for k, v in _DEFAULT_DURATIONS.items()
         }
         # the flag overrides every experiment's duration, each still checked above
         if args.duration_s is not None:
-            flag = _positive_duration("--duration-s", args.duration_s)
+            flag = _checked(ms._finite_float, args.duration_s, "duration --duration-s", True)
             self.durations = dict.fromkeys(self.durations, flag)
         noise_spec = args.noise if args.noise is not None else cfg.get("noise")
         self.noise = _parse_noise(noise_spec)

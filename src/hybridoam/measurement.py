@@ -74,6 +74,23 @@ def _finite_float(value, name: str, positive: bool) -> float:
     return as_float
 
 
+def _seed(value, name: str = "seed") -> int:
+    """A seed as a Python int: a non-negative integer, Python's or numpy's,
+    as numpy's SeedSequence and the CSV take it.  A bool, numpy's too, a
+    float or a non-number raises TypeError; a negative integer ValueError."""
+    # a built-in int, which almost every seed is, skips the numpy check; a
+    # bool is of neither type
+    if type(value) is not int:
+        if not isinstance(value, np.integer):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        value = int(value)
+    if value < 0:
+        # printed as a float, which even an integer past Python's 4,300-digit
+        # string limit can be
+        raise ValueError(f"{name} must be non-negative, got {_real(name, value):.6g}")
+    return value
+
+
 @functools.lru_cache(maxsize=1024)
 def _projector(label: str, degree: str) -> np.ndarray:
     """The read-only projector of an analyzer: a basis-state label of one
@@ -99,7 +116,8 @@ class MeasurementSetting:
 
     ``alice`` is a polarization label (H, V, +, -, L, R), ``bob`` an OAM
     label (+2, -2, h, v, a, d), and either may be a "theta=<x>" scan tag.
-    The projectors and the "alice|bob" table label follow from the names.
+    The analyzers' projectors and the "alice|bob" table label follow from
+    the names.
     """
 
     alice: str
@@ -120,14 +138,6 @@ class MeasurementSetting:
     def label(self) -> str:
         return f"{self.alice}|{self.bob}"
 
-    @property
-    def alice_proj(self) -> np.ndarray:
-        return _projector(self.alice, POLARIZATION)
-
-    @property
-    def bob_proj(self) -> np.ndarray:
-        return _projector(self.bob, OAM_O2)
-
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -139,9 +149,8 @@ class CountRecord:
     that Python's holds.  Counts of another type, a bool or a long double
     say, raise TypeError; counts that are not finite, are negative or exceed
     2**53 (past which float64 cannot hold every count exactly) ValueError.
-    The seed is a non-negative integer, as _stream and the CSV take it: a
-    seed of another type raises TypeError, a negative one ValueError.  So
-    every record the constructor accepts, the CSV writes and reads back.
+    The seed passes _seed, as every seed does.  So every record the
+    constructor accepts, the CSV writes and reads back.
     """
 
     setting: MeasurementSetting
@@ -164,33 +173,30 @@ class CountRecord:
             raise ValueError(f"counts must be finite, got {c}")
         if c < 0:
             raise ValueError("counts must be non-negative")
-        # the messages print a value as a float, which even an integer past
+        # the message prints the value as a float, which even an integer past
         # Python's 4,300-digit string limit can be
         if c > _MAX_COUNT:
             raise ValueError(
                 f"counts above 2**53 are not exact in float64, got {_real('counts', c):.6g}"
             )
-        # a bool is an int to Python, but of neither type
-        if not (type(seed) is int or isinstance(seed, np.integer)):
-            raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-        if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {_real('seed', seed):.6g}")
+        # a non-negative built-in int, the usual seed, is one _seed passes
+        # unchanged; only another pays for the call
+        if type(seed) is not int or seed < 0:
+            _seed(seed)
 
 
 def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
     """The one generator an experiment draws all its counts from, in setting
     order: ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))``,
-    or None for exact records.  The seed and path are checked as numpy
-    checks them in either case: a negative seed or path element raises
-    ValueError, a non-integer one TypeError.  A bool, which numpy would
-    read as 0 or 1, is refused with TypeError too.
+    or None for exact records.  The seed passes _seed in either case, so
+    that SeedSequence never takes None as a request for fresh OS entropy, or
+    a bool as 0 or 1.  The path is checked as numpy checks it: a negative
+    element raises ValueError, a non-integer one TypeError, and a bool is
+    refused with TypeError too.
     """
-    # SeedSequence would take None as a request for fresh OS entropy
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
     if any(isinstance(k, bool) for k in path):
         raise TypeError("a stream path element must be an integer, got a bool")
-    seq = np.random.SeedSequence(seed, spawn_key=path)
+    seq = np.random.SeedSequence(_seed(seed), spawn_key=path)
     return None if exact else np.random.default_rng(seq)
 
 
@@ -206,8 +212,9 @@ def _born_counts(
     p_k = Re(vec(Pi_k) . vec(conj(rho))) = Tr[rho Pi_k], the dot product of
     vec(Pi_k) and vec(rho), each read as 32 real floats.  All n counts are
     one Poisson draw from the generator ``rng``, in stack order, or with
-    ``rng`` None the unrounded means.  This is the one counting path: every
-    simulated count goes through it.
+    ``rng`` None the unrounded means.  A mean above 2**53, the most a
+    CountRecord holds, raises ValueError in either mode.  This is the one
+    counting path: every simulated count goes through it.
     """
     rate_cps = _finite_float(rate_cps, "rate", False)
     # one dot product per row, so that a setting's p has the same bits in
@@ -219,6 +226,10 @@ def _born_counts(
         raise ValueError(f"probability {float(probs[outside.argmax()])} outside [0, 1]")
     # Python floats, whose product past float64's range is inf without numpy's warning
     means = [max(p, 0.0) * rate_cps * duration_s for p in probs.tolist()]
+    # refused before numpy's Poisson draw, which would refuse in its own words
+    top = max(means)
+    if top > _MAX_COUNT:
+        raise ValueError(f"mean counts above 2**53 are not exact in float64, got {top:.6g}")
     if rng is None:
         return means
     return rng.poisson(means).tolist()

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+import tomography_oracle
 from chain_oracle import KET0, QPLATE, SMF, H, backward, forward
 from hybridoam.bell import chsh_empirical, chsh_exact
 from hybridoam.budget import (
@@ -249,7 +250,7 @@ def test_criterion_7_property_suites():
 
     rho_f, _ = prepare_hybrid("fitted")
     counts = _count_table(simulate_tomography(rho_f, seed=2))[0]
-    projectors = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in settings])
+    projectors = np.stack([tomography_oracle.setting_projector(s) for s in settings])
 
     worst_grad = worst_hess = 0.0
     eps, mu = 1e-6, 0.5

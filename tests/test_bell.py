@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chsh_oracle
+from tomography_oracle import projector
 from hybridoam.bell import (
     ChshResult,
     UndefinedCorrelationError,
@@ -27,15 +28,15 @@ def test_settings_are_valid_observables():
     assert len(settings) == 16 and all(s.duration_s == 15.0 for s in settings)
     assert [s.duration_s for s in chsh_settings(8.0)] == [2.0] * 16
     # outcome (i, j) of pair k is setting 4k + 2i + j, and each side's two
-    # outcomes are the oracle's orthogonal projectors
+    # outcomes are labels of the oracle's orthogonal projectors
     for k, (x, y, _) in enumerate(chsh_oracle.PAIRS):
         pair = settings[4 * k : 4 * k + 4]
         for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
             s = pair[2 * i + j]
-            assert np.max(np.abs(s.alice_proj - chsh_oracle.projectors(x)[i])) < 1e-15
-            assert np.max(np.abs(s.bob_proj - chsh_oracle.projectors(y)[j])) < 1e-15
-        for side in ("alice_proj", "bob_proj"):
-            plus, minus = getattr(pair[0], side), getattr(pair[3], side)
+            assert np.max(np.abs(projector(s.alice) - chsh_oracle.projectors(x)[i])) < 1e-15
+            assert np.max(np.abs(projector(s.bob) - chsh_oracle.projectors(y)[j])) < 1e-15
+        for side in ("alice", "bob"):
+            plus, minus = (projector(getattr(pair[n], side)) for n in (0, 3))
             assert np.max(np.abs(plus + minus - np.eye(2))) < 1e-15
             op = plus - minus
             assert np.max(np.abs(op @ op - np.eye(2))) < 1e-15  # eigenvalues +-1

@@ -22,8 +22,9 @@ from chain_oracle import (
     backward,
     forward,
 )
+from tomography_oracle import projector
 from hybridoam.budget import RateBudget
-from hybridoam.measurement import MeasurementSetting, fringe_scan_records
+from hybridoam.measurement import fringe_scan_records
 from hybridoam.source import DETERMINISTIC, PROBABILISTIC, prepare_hybrid
 from hybridoam.states import ATOL
 
@@ -111,22 +112,24 @@ def test_detection_chain_realizes_the_ideal_analyzers():
     analyzer = {"+2": "+", "-2": "-", "h": "H", "v": "V", "a": "R", "d": "L"}
     eff = RateBudget().transfer_det_eff
     for bob, pol in analyzer.items():
-        setting = MeasurementSetting(pol, bob)
-        polarizer = np.kron(setting.alice_proj, np.eye(3))
+        polarizer = np.kron(projector(pol), np.eye(3))
         povm = embed.conj().T @ back.conj().T @ polarizer @ back @ embed
-        assert np.max(np.abs(povm - eff * setting.bob_proj)) < ATOL
+        assert np.max(np.abs(povm - eff * projector(bob))) < ATOL
 
 
 def test_half_waveplate_matrix_and_actions():
     assert np.max(np.abs(half_waveplate(np.pi / 8) @ H - (H + V) / S2)) < ATOL
     assert np.max(np.abs(half_waveplate(0.0) @ V + V)) < ATOL
     # the fringe scan's analyzer at theta is |H> through a half waveplate
-    # at theta / 4
+    # at theta / 4: each exact count is that analyzer's Born probability
+    # against Bob's, times rate and duration
     grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-    records = fringe_scan_records(prepare_hybrid()[0], "h", grid, exact=True)
+    rho = prepare_hybrid("fitted")[0]
+    records = fringe_scan_records(rho, "h", grid, 100.0, 15.0, exact=True)
     for theta, rec in zip(grid, records):
         ket = half_waveplate(theta / 4) @ H
-        assert np.max(np.abs(rec.setting.alice_proj - np.outer(ket, ket.conj()))) < ATOL
+        op = np.kron(np.outer(ket, ket.conj()), projector("h"))
+        assert abs(rec.counts - 1500.0 * np.trace(rho.matrix @ op).real) < 1e-9
 
 
 def test_quarter_waveplate_makes_circular_light():
@@ -135,5 +138,5 @@ def test_quarter_waveplate_makes_circular_light():
     for t, label, ket in ((np.pi / 4, "L", L), (-np.pi / 4, "R", R)):
         out = quarter_waveplate(t) @ H
         assert abs(np.vdot(ket, out) - np.exp(-1j * np.pi / 4)) < ATOL
-        proj = MeasurementSetting(label, "+2").alice_proj
+        proj = projector(label)
         assert np.max(np.abs(proj - np.outer(out, out.conj()))) < ATOL

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import hybridoam.measurement as measurement
 from hybridoam.cli import main
 from hybridoam.measurement import write_counts_csv
 from hybridoam.source import prepare_hybrid
@@ -212,6 +213,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["fringe", "--points", "0"], "at least 4"),
         (["fringe", "--points", "-3"], "at least 4"),
         (["chsh", "--exact", "--config", config({"seed": 3.7})], "seed"),
+        # a seed is a JSON integer, as the streams and CountRecord take it
+        (["chsh", "--exact", "--config", config({"seed": 3.0})],
+         "seed must be an integer, got float"),
         (["chsh", "--exact", "--config", config({"seed": True})], "seed"),
         (["chsh", "--exact", "--config", config({"rate_cps": False})], "rate_cps"),
         (["chsh", "--rate-cps", "inf"], "rate_cps"),
@@ -295,6 +299,16 @@ def test_runtime_errors_exit_1_with_error_json(tmp_path, capsys):
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"]["type"] == "ValueError", count
         assert "2**53" in err["error"]["message"], count
+    # a mean past 2**53, the most a count record holds, is refused before
+    # numpy's Poisson draw, which would refuse it in its own words
+    out = tmp_path / "huge_rate"
+    code = main(["tomography", "--rate-cps", "1e308", "--resamples", "0", "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == {
+        "type": "ValueError", "message": "mean counts above 2**53 are not exact in float64, got inf",
+    }
+    assert not (out / "tomography_counts.csv").exists()
     # a table whose rows mix durations
     cells = rows[1].split(",")
     assert cells[0] == "H|+2"
@@ -315,6 +329,46 @@ def test_inline_noise_json(tmp_path):
     ) == 0
     d = load(tmp_path / "chsh.json")
     assert abs(d["S"] - 0.5 * S_MAX) < 1e-12
+
+
+# each value the CLI checks with a library guard: its config entry, its
+# flag, and the guard with the name the CLI gives it
+_GUARDED = {
+    "seed": (
+        lambda v: {"seed": v}, "--seed", lambda v: measurement._seed(v, "seed"),
+    ),
+    "rate_cps": (
+        lambda v: {"rate_cps": v}, "--rate-cps",
+        lambda v: measurement._finite_float(v, "rate_cps", False),
+    ),
+    "duration": (
+        lambda v: {"durations": {"chsh": v}}, "--duration-s",
+        lambda v: measurement._finite_float(v, "duration chsh", True),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", _GUARDED)
+def test_the_cli_refuses_exactly_what_the_library_guard_refuses(key, tmp_path, capsys):
+    entry, flag, guard = _GUARDED[key]
+    for value in (*_HOSTILE, 3.0, 10**400):
+        try:
+            guard(value)
+            message = None
+        except (TypeError, ValueError) as exc:
+            message = str(exc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry(value)))  # inf and nan as Infinity and NaN
+        for argv in (["--config", str(cfg)], [flag, str(value)]):
+            try:
+                code = main(["budget", *argv, "--out", str(tmp_path)])
+            except SystemExit as exc:
+                code = exc.code
+            assert code == (0 if message is None else 2), (argv, value)
+            # argparse refuses a flag its type cannot convert in its own words
+            if message is not None and argv[0] == "--config":
+                assert message in capsys.readouterr().err, value
+            capsys.readouterr()
 
 
 # values no config field or CSV cell should crash on

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chsh_oracle
+import tomography_oracle
 from hybridoam.measurement import (
     DEFAULT_DURATION_S,
     DEFAULT_RATE_CPS,
@@ -23,7 +24,6 @@ import hybridoam.measurement as measurement
 import hybridoam.tomography as tomography
 from hybridoam.source import NoiseModel, prepare_hybrid
 from hybridoam.states import (
-    _DEGREE_KETS,
     OAM_O2,
     POLARIZATION,
     DensityMatrix,
@@ -248,11 +248,10 @@ def test_setting_validation():
     with pytest.raises(ValueError, match="not a polarization state"):
         MeasurementSetting("X", "h")
     # a scan tag names Bob's analyzer too: cos(theta/2)|+2> + sin(theta/2)|-2>
-    ket = np.array([np.cos(0.15), np.sin(0.15)], dtype=complex)
-    proj = np.outer(ket, ket.conj())
-    assert np.array_equal(MeasurementSetting("H", "theta=0.3").bob_proj, proj)
-    scan = fringe_scan_records(SINGLET, "theta=0.3", GRID16)
-    assert all(np.array_equal(r.setting.bob_proj, proj) for r in scan)
+    assert MeasurementSetting("H", "theta=0.3").bob == "theta=0.3"
+    scan = fringe_scan_records(SINGLET, "theta=0.3", GRID16, exact=True)
+    want = _loop_records(SINGLET, [r.setting for r in scan], 100.0, 0, (2, 0), True)
+    assert _as_rows(scan) == _as_rows(want)
     with pytest.raises(ValueError):
         CountRecord(MeasurementSetting("H", "+2"), -1, 0)
     for bad in (float("nan"), float("inf")):
@@ -268,7 +267,7 @@ def test_settings_are_their_labels(tmp_path):
     assert hash(s) == hash(MeasurementSetting("H", "+2", DEFAULT_DURATION_S))
     assert len({s, MeasurementSetting("H", "+2"), MeasurementSetting("V", "+2")}) == 2
     assert s != MeasurementSetting("H", "+2", 1.0)
-    # every setting the package builds projects onto its labels' states
+    # every setting the package builds, or reads, is named by its labels
     fringe = fringe_scan_records(SINGLET, "h", GRID16)
     path = tmp_path / "counts.csv"
     write_counts_csv(fringe, path)
@@ -278,16 +277,7 @@ def test_settings_are_their_labels(tmp_path):
         *(r.setting for r in read_counts_csv(path)),
         *bell.chsh_settings(),
     ]
-
-    def ket(label):
-        if label.startswith("theta="):
-            theta = float(label[len("theta="):])
-            return np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-        return {**_DEGREE_KETS[POLARIZATION], **_DEGREE_KETS[OAM_O2]}[label]
-
     for s in settings:
-        for proj, label in ((s.alice_proj, s.alice), (s.bob_proj, s.bob)):
-            assert np.array_equal(proj, np.outer(ket(label), ket(label).conj()))
         assert s.label == f"{s.alice}|{s.bob}"
 
 
@@ -385,8 +375,9 @@ def test_a_csv_seed_column_regenerates_its_table(tmp_path):
 def _born_probability(rho, setting):
     """A setting's Born probability on its own, as
     Re(vec(Pi) . vec(conj(rho))) = Tr[rho Pi]: one dot product of the two
-    vecs, each read as 32 real floats."""
-    op = np.kron(setting.alice_proj, setting.bob_proj)
+    vecs, each read as 32 real floats, with Pi built from the setting's
+    labels."""
+    op = tomography_oracle.setting_projector(setting)
     p = float(op.reshape(16).view(np.float64) @ rho.matrix.reshape(16).view(np.float64))
     assert abs(p - np.trace(rho.matrix @ op).real) < 1e-14
     return p
@@ -414,10 +405,7 @@ def _as_rows(records):
 
 
 def _theta_setting(theta, bob, duration_s):
-    s = MeasurementSetting(f"theta={theta:.17g}", bob, duration_s)
-    ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
-    assert np.array_equal(s.alice_proj, np.outer(ket, ket.conj()))
-    return s
+    return MeasurementSetting(f"theta={theta:.17g}", bob, duration_s)
 
 
 def _random_state(seed):
@@ -621,6 +609,18 @@ def test_counting_rejects_bad_inputs():
         for run in runs:
             with pytest.raises(ValueError):
                 run()
+    # a mean past 2**53, the most a record holds, is refused before numpy's
+    # Poisson draw, which would refuse it in its own words, and in exact
+    # mode alike (CHSH's exact mode counts at 1 cps)
+    runs = (
+        lambda exact: tomography.simulate_tomography(rho, 1e300, exact=exact),
+        lambda exact: fringe_scan_records(rho, "h", GRID16, 1e300, exact=exact),
+        lambda exact: bell.chsh_empirical(rho, 1e300),
+    )
+    for run in runs:
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="mean counts above 2\\*\\*53 .*got [67]"):
+                run(exact)
 
 
 def _indefinite_state():
@@ -699,26 +699,51 @@ def test_real_number_guards_accept_and_refuse_the_same_values(guard):
         check(10**400)
 
 
+# each public guard of a seed, as a function of the guarded seed
+SEED_GUARDS = {
+    "record": lambda x: CountRecord(MeasurementSetting("H", "+2"), 1, x).seed,
+    "tomography": lambda x: [
+        (r.counts, r.seed) for r in tomography.simulate_tomography(SINGLET, seed=x)
+    ],
+    "fringe": lambda x: [
+        (r.counts, r.seed) for r in fringe_scan_records(SINGLET, "h", GRID16, seed=x)
+    ],
+    "chsh": lambda x: bell.chsh_empirical(SINGLET, seed=x).correlations,
+}
+
+
+@pytest.mark.parametrize("guard", SEED_GUARDS)
+def test_seed_guards_accept_and_refuse_the_same_values(guard):
+    check = SEED_GUARDS[guard]
+    want = check(3)
+    for ok in (3, np.int64(3), np.uint64(3), np.int8(3)):
+        assert check(ok) == want, (guard, type(ok))
+    # SeedSequence would read a bool as 0 or 1, and None as a request for
+    # fresh entropy; a float seed is refused even where it is integral
+    for bad in (True, np.bool_(True), None, 3.0, np.float64(3.0), "3", 3 + 0j):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            check(bad)
+    for bad in (-1, np.int64(-1), -(10**400)):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            check(bad)
+    # a multi-word seed is taken whole
+    assert check(2**200) == check(2**200) != want
+
+
 def test_compiled_settings_are_read_only():
     fringe = fringe_scan_records(SINGLET, "h", GRID16)
     scan_pairs = tuple((r.setting.alice, r.setting.bob) for r in fringe)
     keys = ((tomography._KEYS, 15.0), (scan_pairs, 15.0), (bell._OUTCOMES, 15.0))
     compiled = [measurement._compiled(*key) for key in keys]
-    for settings, ops in compiled:
+    for _, ops in compiled:
         assert not ops.flags.writeable
-        assert all(
-            not s.alice_proj.flags.writeable and not s.bob_proj.flags.writeable
-            for s in settings
-        )
     # the one cache builds an experiment once per label pairs and duration, so
-    # its records carry the cached settings, and every point of a scan shares
-    # Bob's one checked, read-only projector
+    # its records carry the cached settings
     assert all(measurement._compiled(*key) is c for key, c in zip(keys, compiled))
     tomo = tomography.simulate_tomography(SINGLET, duration_s=15.0)
     assert all(a is r.setting for a, r in zip(compiled[0][0], tomo))
     scan = compiled[1][0]
     assert all(a is r.setting for a, r in zip(scan, fringe))
-    assert all(s.bob_proj is scan[0].bob_proj for s in scan)
     assert all(a is b for a, b in zip(bell.chsh_settings(60.0), compiled[2][0]))
     # a new duration builds new settings on the same stack, whose 36
     # canonical products are tomography's model rows
@@ -823,8 +848,7 @@ def test_counts_csv_roundtrip(tmp_path):
     assert len(back) == len(recs)
     for a, b in zip(recs, back):
         assert b.counts == a.counts and isinstance(b.counts, int)
-        assert b.setting.label == a.setting.label
-        assert np.max(np.abs(b.setting.alice_proj - a.setting.alice_proj)) < 1e-12
+        assert b.setting == a.setting
         assert b.seed == a.seed == 2
 
 
@@ -845,19 +869,13 @@ def test_counts_csv_reads_share_their_settings(tmp_path):
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
     first, again = read_counts_csv(path), read_counts_csv(path)
-    # equal settings, whose shared projectors are read-only
+    # equal settings
     assert [a.setting for a in first] == [b.setting for b in again]
-    assert all(
-        not r.setting.alice_proj.flags.writeable and not r.setting.bob_proj.flags.writeable
-        for r in first
-    )
     for a, b in zip(first, recs):
         assert (a.setting.label, a.setting.alice, a.setting.bob) == (
             b.setting.label, b.setting.alice, b.setting.bob
         )
         assert a.setting.duration_s == b.setting.duration_s
-        assert np.array_equal(a.setting.alice_proj, b.setting.alice_proj)
-        assert np.array_equal(a.setting.bob_proj, b.setting.bob_proj)
 
 
 def test_counts_csv_rejects_non_finite_counts(tmp_path):

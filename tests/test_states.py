@@ -26,24 +26,27 @@ def _projector(ket):
     return np.outer(ket, ket.conj())
 
 
+def _probabilities(alice_ket, bob_ket):
+    """Each tomography setting's Born probability on a product state: its
+    exact count at 1 cps for 1 s."""
+    ket = np.kron(alice_ket, bob_ket)
+    rho = DensityMatrix(_projector(ket / np.linalg.norm(ket)), PAIR)
+    return {r.setting.label: r.counts for r in simulate_tomography(rho, 1.0, 1.0, exact=True)}
+
+
 def test_circular_polarization_convention():
     # |L> = (|H>+i|V>)/sqrt2, |R> = (|H>-i|V>)/sqrt2, as analyzers
-    L = MeasurementSetting("L", "+2").alice_proj
-    R = MeasurementSetting("R", "+2").alice_proj
-    assert np.allclose(L, _projector(np.array([1.0, 1.0j]) / S2), atol=ATOL)
-    assert np.allclose(R, _projector(np.array([1.0, -1.0j]) / S2), atol=ATOL)
-    assert np.allclose(L @ R, 0.0, atol=ATOL)
+    for ket, label, other in (([1.0, 1.0j], "L", "R"), ([1.0, -1.0j], "R", "L")):
+        probs = _probabilities(np.array(ket), [1.0, 0.0])
+        assert abs(probs[f"{label}|+2"] - 1.0) < ATOL and abs(probs[f"{other}|+2"]) < ATOL
 
 
 def test_o2_superposition_kets():
     # h, v, a, d as Bob's analyzers; their kets' global phases drop out
-    proj = {b: MeasurementSetting("H", b).bob_proj for b in ("h", "v", "a", "d")}
-    assert np.allclose(proj["h"], _projector(np.array([1.0, 1.0]) / S2), atol=ATOL)
-    assert np.allclose(proj["v"], _projector(np.array([1.0, -1.0]) / S2), atol=ATOL)
-    assert np.allclose(proj["a"], _projector(np.array([1.0, 1.0j]) / S2), atol=ATOL)
-    assert np.allclose(proj["d"], _projector(np.array([1.0, -1.0j]) / S2), atol=ATOL)
-    for x, y in (("h", "v"), ("a", "d")):
-        assert np.allclose(proj[x] @ proj[y], 0.0, atol=ATOL)
+    kets = {"h": [1.0, 1.0], "v": [1.0, -1.0], "a": [1.0, 1.0j], "d": [1.0, -1.0j]}
+    for label, other in (("h", "v"), ("v", "h"), ("a", "d"), ("d", "a")):
+        probs = _probabilities([1.0, 0.0], np.array(kets[label]))
+        assert abs(probs[f"H|{label}"] - 1.0) < ATOL and abs(probs[f"H|{other}"]) < ATOL
 
 
 def test_label_resolution_and_errors():

@@ -47,12 +47,9 @@ def test_settings_enumeration():
     assert settings[6].label == "V|+2"
     assert {s.alice for s in settings} == set(ALICE_LABELS)
     assert {s.bob for s in settings} == set(BOB_LABELS)
-    # built once: every table of a duration shares the same settings, whose
-    # projectors are read-only
+    # built once: every table of a duration shares the same settings
     again = [r.setting for r in simulate_tomography(SINGLET, seed=1)]
     assert all(a is b for a, b in zip(again, settings))
-    assert not settings[0].alice_proj.flags.writeable
-    assert not settings[0].bob_proj.flags.writeable
 
 
 def test_exact_data_linear_inversion_is_exact():
@@ -215,7 +212,7 @@ def _gap_bound_of(rho, records):
     r, total = np.zeros((4, 4), dtype=complex), 0.0
     for rec in records:
         if rec.counts > 0:
-            proj = np.kron(rec.setting.alice_proj, rec.setting.bob_proj)
+            proj = oracle.setting_projector(rec.setting)
             r += rec.counts / np.trace(proj @ rho).real * proj
             total += rec.counts
     return float(np.linalg.eigvalsh(r)[-1] - total)
@@ -333,9 +330,6 @@ def test_every_export_has_a_caller():
 UNREAD_FIELDS = {
     # a constructor switch that reconstruct and matrix_from_json set
     "DensityMatrix.require_positive",
-    # what a setting measures, documented in README and read by the test oracles
-    "MeasurementSetting.alice_proj",
-    "MeasurementSetting.bob_proj",
     # benchmarks/tracing.py reads it for tomography.mle_iters
     "TomographyRun.n_iter",
 }
@@ -445,7 +439,7 @@ def _barrier_derivative_errors(counts, x, dirs, eps=1e-6, mu=0.5):
     are evaluated as one stack."""
     from hybridoam.tomography import _BLOCH, _newton_system, _point, _workspace
 
-    projectors = np.stack([np.kron(s.alice_proj, s.bob_proj) for s in SETTINGS])
+    projectors = np.stack([oracle.setting_projector(s) for s in SETTINGS])
     n = len(dirs)
     stack = np.concatenate([x[None], x + eps * dirs, x - eps * dirs])
     rhos = (np.eye(4) + np.einsum("bm,mij->bij", stack, _BLOCH)) / 4

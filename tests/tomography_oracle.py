@@ -2,11 +2,12 @@
 trace distance of 36-setting count tables in raw numpy: the oracle the
 tests hold ``hybridoam.tomography`` to.
 
-Each analyzer's Pauli axis and sign are read off its projector P as the
-one Pauli matrix sigma with Tr(P sigma) = +-1, and a setting belongs to the
-basis pair of its two axes.  A Pauli expectation is the signed sum of a
-basis pair's within-pair frequencies; a single-side expectation is averaged
-over the partner's three bases.  The log-likelihood is Poisson with each
+Each analyzer's projector P is built here from its label's ket, and its
+Pauli axis and sign are read off P as the one Pauli matrix sigma with
+Tr(P sigma) = +-1; a setting belongs to the basis pair of its two axes.  A
+Pauli expectation is the signed sum of a basis pair's within-pair
+frequencies; a single-side expectation is averaged over the partner's
+three bases.  The log-likelihood is Poisson with each
 basis pair's observed total as the scale.
 """
 
@@ -20,6 +21,40 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+S2 = np.sqrt(2.0)
+# each analyzer label's ket: Alice's over (|H>, |V>), Bob's over (|+2>, |-2>);
+# a and d carry the global phases exp(-i pi/4) and exp(+i pi/4) of their
+# definitions, which drop out of every projector
+KETS = {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "+": np.array([1.0, 1.0], dtype=complex) / S2,
+    "-": np.array([1.0, -1.0], dtype=complex) / S2,
+    "L": np.array([1.0, 1.0j], dtype=complex) / S2,
+    "R": np.array([1.0, -1.0j], dtype=complex) / S2,
+    "+2": np.array([1.0, 0.0], dtype=complex),
+    "-2": np.array([0.0, 1.0], dtype=complex),
+    "h": np.array([1.0, 1.0], dtype=complex) / S2,
+    "v": np.array([1.0, -1.0], dtype=complex) / S2,
+    "a": np.exp(-1j * np.pi / 4) * np.array([1.0, 1.0j], dtype=complex) / S2,
+    "d": np.exp(+1j * np.pi / 4) * np.array([1.0, -1.0j], dtype=complex) / S2,
+}
+
+
+def projector(label):
+    """The projector of an analyzer label, or of a "theta=<x>" scan tag,
+    whose ket is (cos(x/2), sin(x/2))."""
+    if label.startswith("theta="):
+        theta = float(label[len("theta="):])
+        ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
+    else:
+        ket = KETS[label]
+    return np.outer(ket, ket.conj())
+
+
+def setting_projector(setting):
+    """Pi_A x Pi_B of a setting, from its two labels."""
+    return np.kron(projector(setting.alice), projector(setting.bob))
 
 
 def _axis(proj):
@@ -34,7 +69,7 @@ def _axis(proj):
 def _rows(records):
     """Per record: counts, its basis pair's total, and both (axis, sign)."""
     rows = [
-        (float(r.counts), _axis(r.setting.alice_proj), _axis(r.setting.bob_proj))
+        (float(r.counts), _axis(projector(r.setting.alice)), _axis(projector(r.setting.bob)))
         for r in records
     ]
     totals = {}
@@ -66,7 +101,7 @@ def _loglik_terms(rho, records):
     the total of its basis pair and p_k = Tr(Pi_k rho), floored at 1e-15."""
     terms = []
     for rec, (n, total, _, _) in zip(records, _rows(records)):
-        proj = np.kron(rec.setting.alice_proj, rec.setting.bob_proj)
+        proj = setting_projector(rec.setting)
         lam = total * max(np.trace(proj @ rho).real, 1e-15)
         terms += [n * math.log(lam), -lam, -math.lgamma(n + 1.0)]
     return terms
