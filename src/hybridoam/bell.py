@@ -96,8 +96,10 @@ class ChshResult:
     s: float
     sigma: float | None
     correlations: tuple[float, float, float, float]
-    mode: str
-    pair_labels: tuple[str, str, str, str]
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.sigma is None else "empirical"
 
     def violation_sigmas(self) -> float | None:
         """How many sigma the classical bound |S| <= 2 is exceeded by."""
@@ -110,7 +112,7 @@ class ChshResult:
             "S": self.s,
             "sigma": self.sigma,
             "violation_sigmas": self.violation_sigmas(),
-            "settings": list(self.pair_labels),
+            "settings": list(_PAIR_LABELS),
             "correlations": list(self.correlations),
             "mode": self.mode,
         }
@@ -138,9 +140,9 @@ def _chsh(rho: DensityMatrix, rate_cps: float, duration_s: float, rng) -> ChshRe
     es = tuple(correlation_from_counts(q) for q in quads)
     s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
     if rng is None:
-        return ChshResult(s_val, None, es, "exact", _PAIR_LABELS)
+        return ChshResult(s_val, None, es)
     sigma = float(np.sqrt(sum(_correlation_sigma(q) ** 2 for q in quads)))
-    return ChshResult(s_val, sigma, es, "empirical", _PAIR_LABELS)
+    return ChshResult(s_val, sigma, es)
 
 
 def chsh_exact(rho: DensityMatrix) -> ChshResult:

@@ -6,7 +6,9 @@ q-plate conversion 0.80, probabilistic transferrers 0.5 each, fiber
 coupling 0.2, giving p_prep = 0.40, p_det = 0.08 and a model rate of
 192 cps against an observed 100 cps; unlisted losses (detector efficiency,
 Alice-arm coupling) presumably account for the gap, and the report states
-the ratio instead of inventing a fudge factor.
+the ratio instead of inventing a fudge factor.  The two transfer
+efficiencies are the one model of the transferrer: a deterministic stage is
+an efficiency of 1.0.
 """
 
 from __future__ import annotations
@@ -27,17 +29,12 @@ class RateBudget:
     transfer_prep_eff: float = 0.5
     transfer_det_eff: float = 0.5
     fiber_coupling: float = 0.2
-    deterministic_prep: bool = False
-    deterministic_det: bool = False
 
     def __post_init__(self):
-        _check_real("c_source_cps", self.c_source_cps, 0.0)
-        for name in ("qplate_eff", "transfer_prep_eff", "transfer_det_eff",
-                     "fiber_coupling"):
-            _check_real(name, getattr(self, name), 0.0, 1.0)
-        for name in ("deterministic_prep", "deterministic_det"):
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        # the guard's float is stored, so a numpy scalar computes in float64
+        for name in self.__dataclass_fields__:
+            bounds = (0.0,) if name == "c_source_cps" else (0.0, 1.0)
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), *bounds))
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -52,14 +49,12 @@ class RateBudget:
 
 def prep_probability(b: RateBudget) -> float:
     """Probability the hybrid state is prepared on Bob's photon."""
-    transfer = 1.0 if b.deterministic_prep else b.transfer_prep_eff
-    return b.qplate_eff * transfer
+    return b.qplate_eff * b.transfer_prep_eff
 
 
 def det_probability(b: RateBudget) -> float:
     """Probability Bob's OAM qubit survives analysis back to a detector."""
-    transfer = 1.0 if b.deterministic_det else b.transfer_det_eff
-    return b.qplate_eff * transfer * b.fiber_coupling
+    return b.qplate_eff * b.transfer_det_eff * b.fiber_coupling
 
 
 def expected_rate(b: RateBudget) -> float:
@@ -68,12 +63,12 @@ def expected_rate(b: RateBudget) -> float:
 
 
 def upgraded_budget(b: RateBudget) -> RateBudget:
-    """The projected improved chain: deterministic transferrers on both
-    stages and doubled fiber coupling, capped at 1."""
+    """The projected improved chain: deterministic transferrers (efficiency
+    1.0) on both stages and doubled fiber coupling, capped at 1."""
     return replace(
         b,
-        deterministic_prep=True,
-        deterministic_det=True,
+        transfer_prep_eff=1.0,
+        transfer_det_eff=1.0,
         fiber_coupling=min(1.0, 2.0 * b.fiber_coupling),
     )
 

@@ -14,6 +14,7 @@ reconstruction failures (with an error JSON on stdout).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -153,22 +154,13 @@ class _Resolved:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad budget config: {exc}") from exc
         if self.deterministic:
-            b = budget_mod.RateBudget(
-                **{
-                    **b.as_dict(),
-                    "deterministic_prep": True,
-                    "deterministic_det": True,
-                }
-            )
+            b = dataclasses.replace(b, transfer_prep_eff=1.0, transfer_det_eff=1.0)
         self.budget = b
         self.out = Path(args.out)
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {self.out}: {exc}") from exc
-
-    def mode(self) -> str:
-        return src.DETERMINISTIC if self.deterministic else src.PROBABILISTIC
 
     def write(self, command: str, payload: dict, **extras) -> dict:
         """Write a command's payload to <command>.json under --out, with its
@@ -259,7 +251,7 @@ def _cmd_tomography(res: _Resolved, args) -> dict:
         records = ms.read_counts_csv(args.counts_csv)
         success = None
     else:
-        rho, success = src.prepare_hybrid(res.noise, res.mode())
+        rho, success = src.prepare_hybrid(res.noise, res.budget)
         records = tg.simulate_tomography(
             rho, res.rate_cps, duration, res.seed, exact=res.exact
         )
@@ -272,7 +264,7 @@ def _cmd_tomography(res: _Resolved, args) -> dict:
 
 
 def _cmd_fringe(res: _Resolved, args) -> dict:
-    rho, _ = src.prepare_hybrid(res.noise, res.mode())
+    rho, _ = src.prepare_hybrid(res.noise, res.budget)
     records, payload = _fringe_block(res, rho, args.bob, args.points)
     ms.write_counts_csv(records, res.out / "fringe_counts.csv")
     payload["bob"] = args.bob
@@ -283,7 +275,7 @@ def _cmd_fringe(res: _Resolved, args) -> dict:
 
 
 def _cmd_chsh(res: _Resolved, args) -> dict:
-    rho, _ = src.prepare_hybrid(res.noise, res.mode())
+    rho, _ = src.prepare_hybrid(res.noise, res.budget)
     payload = _chsh_result(res, rho).as_dict()
     return res.write("chsh", payload, duration_s=res.durations["chsh"])
 
@@ -296,7 +288,7 @@ def _cmd_budget(res: _Resolved, args) -> dict:
 
 
 def _cmd_pipeline(res: _Resolved, args) -> dict:
-    rho, success = src.prepare_hybrid(res.noise, res.mode())
+    rho, success = src.prepare_hybrid(res.noise, res.budget)
     records = tg.simulate_tomography(
         rho, res.rate_cps, res.durations["tomography"], res.seed,
         exact=res.exact,

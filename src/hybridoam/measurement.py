@@ -319,16 +319,9 @@ def fringe_scan(
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
     scan_index: int = 0,
-    exact: bool = False,
 ) -> list[tuple[float, float]]:
-    """Fringe scan returning (theta, counts) pairs; see fringe_scan_records.
-
-    With exact=True the points carry the unrounded expectations, so a fit on
-    them recovers the model parameters to solver precision.
-    """
-    records = fringe_scan_records(
-        rho, bob, theta_grid, rate_cps, duration_s, seed, scan_index, exact
-    )
+    """Fringe scan returning (theta, counts) pairs; see fringe_scan_records."""
+    records = fringe_scan_records(rho, bob, theta_grid, rate_cps, duration_s, seed, scan_index)
     thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     return [(float(t), float(r.counts)) for t, r in zip(thetas, records)]
 

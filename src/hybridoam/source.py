@@ -6,7 +6,9 @@ polarization pair before the transfer step (one insertion point keeps the
 model identifiable): a Werner admixture, phase damping on Bob, and a coherent
 rotation error on Bob.  ``hybrid_state`` then moves Bob's qubit onto the
 +/-2 OAM subspace through the fiber filter and the transferrer, applied as
-one compiled 4x4 Kraus operator.
+one compiled 4x4 Kraus operator.  How often the transferrer succeeds is the
+rate budget's ``transfer_prep_eff``: 0.5 for the q-plate and polarizing
+beamsplitter, 1.0 for the interferometric realization.
 
 Frame convention: after the transferrer the o2 frame is rotated by a fixed
 quarter-turn (h -> |-2>, v -> |+2>, the one free basis choice of the
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import RateBudget
 from .states import (
     OAM_O2,
     POLARIZATION,
@@ -34,22 +37,15 @@ from .states import (
     _freeze,
 )
 
-# Transferrer realizations and the success probability of one pass: the
-# q-plate and polarizing beamsplitter transmit half the weight, the
-# interferometric realization all of it.
-PROBABILISTIC = "probabilistic"
-DETERMINISTIC = "deterministic"
-TRANSFER_SUCCESS = {PROBABILISTIC: 0.5, DETERMINISTIC: 1.0}
-
 # Reference tomography values the fitted noise preset is tuned to reproduce.
 REFERENCE_FIDELITY = 0.957
 REFERENCE_LINEAR_ENTROPY = 0.012
 
 # The whole transfer chain acts on a polarization pair as one fixed Kraus
-# operator, sqrt(transfer success) times this unitary: Alice untouched, Bob's
-# qubit carried by the pinned transfer H -> h, V -> v and then by the frame
-# alignment h -> |-2>, v -> |+2>, which nets to the logical NOT
-# H -> |-2>, V -> |+2>.
+# operator, this unitary times the square root of the transfer efficiency (a
+# factor the renormalized output drops): Alice untouched, Bob's qubit carried
+# by the pinned transfer H -> h, V -> v and then by the frame alignment
+# h -> |-2>, v -> |+2>, which nets to the logical NOT H -> |-2>, V -> |+2>.
 # The NOT is written out exactly so that exact zeros of the input stay
 # exact; the tests derive it element by element.
 _TRANSFER_UNITARY = _freeze(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
@@ -76,9 +72,10 @@ class NoiseModel:
     miscal_angle: float = 0.0
 
     def __post_init__(self):
-        _check_real("werner_p", self.werner_p, 0.0, 1.0)
-        _check_real("dephase_q", self.dephase_q, 0.0, 1.0)
-        _check_real("miscal_angle", self.miscal_angle)
+        # the guard's float is stored, so a numpy scalar computes in float64
+        for name, bounds in (("werner_p", (0.0, 1.0)), ("dephase_q", (0.0, 1.0)),
+                             ("miscal_angle", ())):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), *bounds))
 
     def as_dict(self) -> dict:
         return {
@@ -89,10 +86,10 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
-        extra = set(d) - {"werner_p", "dephase_q", "miscal_angle"}
+        extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown noise keys: {sorted(extra)}")
-        return cls(**{k: _check_real(k, v) for k, v in d.items()})
+        return cls(**d)
 
 
 # The three constant states are built on first call and then shared: the
@@ -142,39 +139,37 @@ def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
     return DensityMatrix((m + m.conj().T) / 2, rho.basis)
 
 
-def hybrid_state(
-    rho_pol: DensityMatrix, mode: str = PROBABILISTIC
-) -> tuple[DensityMatrix, float]:
+def hybrid_state(rho_pol: DensityMatrix) -> DensityMatrix:
     """Transfer Bob's polarization qubit onto the o2 OAM subspace.
 
     Takes a two-photon polarization state and applies the compiled transfer
     chain: Bob's photon (in the fundamental spatial mode) through the fiber
     filter and the polarization-to-OAM transferrer, then the fixed frame
     alignment, with Bob's now-factored |H> polarization discarded.  Returns
-    the renormalized Alice-polarization x Bob-OAM state and the success
-    probability (0.5 probabilistic, 1.0 deterministic).
+    the renormalized Alice-polarization x Bob-OAM state, which does not
+    depend on how often the transferrer succeeds.
     """
     if rho_pol.basis != (POLARIZATION, POLARIZATION):
         raise ValueError("hybrid_state expects a polarization pair")
-    if mode not in TRANSFER_SUCCESS:
-        raise ValueError(f"unknown transferrer mode {mode!r}")
     u = _TRANSFER_UNITARY
     out = u @ rho_pol.matrix @ u.conj().T
     out = (out + out.conj().T) / 2
     out /= np.trace(out).real
-    return DensityMatrix(out, (POLARIZATION, OAM_O2)), TRANSFER_SUCCESS[mode]
+    return DensityMatrix(out, (POLARIZATION, OAM_O2))
 
 
 def prepare_hybrid(
-    noise: NoiseModel | str | None = None, mode: str = PROBABILISTIC
+    noise: NoiseModel | str | None = None, budget: RateBudget = RateBudget()
 ) -> tuple[DensityMatrix, float]:
-    """Full preparation chain: singlet, noise channel, hybrid transfer."""
+    """Full preparation chain: singlet, noise channel, hybrid transfer.
+    Returns the hybrid state and the budget's transfer success on the
+    preparation arm, ``budget.transfer_prep_eff``."""
     rho = singlet()
     if noise is not None:
         if isinstance(noise, str):
             noise = noise_preset(noise)
         rho = apply_noise(rho, noise)
-    return hybrid_state(rho, mode)
+    return hybrid_state(rho), budget.transfer_prep_eff
 
 
 def fit_noise_model() -> NoiseModel:

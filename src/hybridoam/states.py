@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -133,9 +133,9 @@ class DensityMatrix:
 
     matrix: np.ndarray
     basis: tuple[str, str]
-    require_positive: bool = True
+    require_positive: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, require_positive):
         # a copy, so that freezing it leaves the caller's array writable
         mat = np.array(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", _freeze(mat))
@@ -156,7 +156,7 @@ class DensityMatrix:
         tr = sum(mat.diagonal().real.tolist())
         if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
-        if self.require_positive:
+        if require_positive:
             lo = float(np.linalg.eigvalsh(mat)[0])
             if lo < PSD_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {lo}")

@@ -163,9 +163,12 @@ class TomographyRun:
     rho_linear: DensityMatrix
     rho_mle: DensityMatrix
     loglik: float
-    converged: bool
     n_iter: int
     loglik_gap_bound: float
+
+    @property
+    def converged(self) -> bool:
+        return self.loglik_gap_bound <= _MLE_TOL
 
 
 _KEYS = tuple((a, b) for a in ALICE_LABELS for b in BOB_LABELS)
@@ -614,7 +617,6 @@ def reconstruct(records) -> TomographyRun:
         rho_linear=DensityMatrix(linear[0], basis, require_positive=False),
         rho_mle=DensityMatrix(rho[0], basis),
         loglik=_loglik(rho[0], counts, totals),
-        converged=bool(bound[0] <= _MLE_TOL),
         n_iter=int(n_iter[0]),
         loglik_gap_bound=float(bound[0]),
     )

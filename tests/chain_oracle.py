@@ -15,12 +15,12 @@ spatial mode and the o2 pair.  Conventions:
   forward transferrer, so that the ideal singlet maps to
   (|H,+2> - |V,-2>)/sqrt(2).
 * Each transferrer's Kraus operator is scaled so that one pass succeeds with
-  ``TRANSFER_SUCCESS[mode]``.
+  probability ``success``: 0.5 for the q-plate and polarizing beamsplitter,
+  the rate budget's default transfer efficiency, and 1.0 for a deterministic
+  transferrer.
 """
 
 import numpy as np
-
-from hybridoam.source import TRANSFER_SUCCESS
 
 S2 = np.sqrt(2.0)
 H, V = np.eye(2, dtype=complex)
@@ -57,19 +57,19 @@ _W = _ketbra(KET0, KET0) + _ketbra(H_O2, H_O2) + 1j * _ketbra(V_O2, V_O2)
 O2_FRAME_ALIGNMENT = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / S2
 
 
-def forward(mode):
+def forward(success):
     """Kraus operator of the pi->o2 transferrer."""
     pbs = np.kron(_ketbra(H, H), I3)
-    return np.sqrt(2 * TRANSFER_SUCCESS[mode]) * np.kron(I2, _W) @ pbs @ QPLATE
+    return np.sqrt(2 * success) * np.kron(I2, _W) @ pbs @ QPLATE
 
 
-def backward(mode):
+def backward(success):
     """Kraus operator of the o2->pi transferrer (the readout)."""
     fix = np.kron(np.diag([1.0, -1.0j]), I3)
-    return np.sqrt(2 * TRANSFER_SUCCESS[mode]) * fix @ np.kron(I2, SMF) @ QPLATE
+    return np.sqrt(2 * success) * fix @ np.kron(I2, SMF) @ QPLATE
 
 
-def reference_hybrid_state(rho_pol, mode):
+def reference_hybrid_state(rho_pol, success):
     """Bob's photon, in the fundamental mode, through the fiber filter, the
     pi->o2 transferrer and the frame alignment; Bob's polarization is then
     traced out and his OAM restricted to the o2 pair.  Returns the
@@ -77,7 +77,7 @@ def reference_hybrid_state(rho_pol, mode):
     probability."""
     align = np.eye(3, dtype=complex)
     align[1:, 1:] = O2_FRAME_ALIGNMENT
-    bob = np.kron(I2, align) @ forward(mode) @ np.kron(I2, SMF)
+    bob = np.kron(I2, align) @ forward(success) @ np.kron(I2, SMF)
     op = np.kron(I2, bob)
     out = op @ np.kron(rho_pol, SMF) @ op.conj().T
     # Alice pol, Bob pol, Bob OAM on each side; trace Bob pol, keep o2

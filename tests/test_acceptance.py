@@ -23,7 +23,6 @@ from hybridoam.budget import (
 from hybridoam.cli import main
 from hybridoam.measurement import CountRecord, fit_fringe, fringe_scan
 from hybridoam.source import (
-    PROBABILISTIC,
     NoiseModel,
     hybrid_singlet_ket,
     prepare_hybrid,
@@ -212,9 +211,9 @@ def test_criterion_7_property_suites():
 
     elements = [  # (operator, input kets, unitary)
         (QPLATE, lambda n: np.kron(rand_kets(n, 2), KET0), True),
-        (forward(PROBABILISTIC), lambda n: np.kron(rand_kets(n, 2), KET0), False),
+        (forward(RateBudget().transfer_prep_eff), lambda n: np.kron(rand_kets(n, 2), KET0), False),
         (
-            backward(PROBABILISTIC),
+            backward(RateBudget().transfer_det_eff),
             lambda n: np.kron(H, np.pad(rand_kets(n, 2), ((0, 0), (1, 0)))),
             False,
         ),

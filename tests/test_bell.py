@@ -53,7 +53,7 @@ def test_tsirelson_value_on_the_ideal_state():
     assert res.sigma is None and res.mode == "exact"
     c = 1.0 / np.sqrt(2.0)
     assert np.allclose(res.correlations, (c, c, c, -c), atol=1e-12)
-    assert res.pair_labels == ("a,b", "a',b", "a,b'", "a',b'")
+    assert res.as_dict()["settings"] == ["a,b", "a',b", "a,b'", "a',b'"]
 
 
 def test_s_scales_linearly_in_werner_weight():
@@ -130,11 +130,8 @@ def test_result_serialization():
         "S", "sigma", "violation_sigmas", "settings", "correlations", "mode",
     }
     assert d["violation_sigmas"] is None
-    emp = ChshResult(
-        s=2.5, sigma=0.04, correlations=(0.7, 0.7, 0.7, -0.4),
-        mode="empirical",
-        pair_labels=("a,b", "a',b", "a,b'", "a',b'"),
-    )
+    emp = ChshResult(s=2.5, sigma=0.04, correlations=(0.7, 0.7, 0.7, -0.4))
+    assert emp.mode == "empirical"
     assert abs(emp.violation_sigmas() - 12.5) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hybridoam.budget import (
@@ -24,7 +25,7 @@ def test_default_chain_probabilities():
 def test_upgrade_projection():
     b = RateBudget()
     up = upgraded_budget(b)
-    assert up.deterministic_prep and up.deterministic_det
+    assert up.transfer_prep_eff == up.transfer_det_eff == 1.0
     assert abs(up.fiber_coupling - 0.4) < 1e-12
     # 2x per transferrer, 2x fiber: 8x overall
     gain = expected_rate(up) / expected_rate(b)
@@ -35,11 +36,12 @@ def test_upgrade_projection():
 
 
 def test_deterministic_flags_change_single_stages():
+    # a deterministic transferrer is a transfer efficiency of 1.0
     base = RateBudget()
-    det_prep = RateBudget(deterministic_prep=True)
+    det_prep = RateBudget(transfer_prep_eff=1.0)
     assert abs(prep_probability(det_prep) - 0.80) < 1e-12
     assert abs(det_probability(det_prep) - det_probability(base)) < 1e-12
-    det_det = RateBudget(deterministic_det=True)
+    det_det = RateBudget(transfer_det_eff=1.0)
     assert abs(det_probability(det_det) - 0.16) < 1e-12
     assert abs(expected_rate(det_det) / expected_rate(base) - 2.0) < 1e-12
 
@@ -55,8 +57,19 @@ def test_validation():
         RateBudget(c_source_cps=10**400)
 
 
+def test_numpy_scalar_efficiencies_compute_in_float64():
+    # every field is stored as the guard's float, so the probabilities and
+    # the rate are Python floats whatever scalar type the caller passed
+    narrow = RateBudget(6000, np.float32(0.8), np.float16(0.5), np.float32(0.5), np.float32(0.2))
+    assert all(type(v) is float for v in narrow.as_dict().values())
+    assert type(prep_probability(narrow)) is float
+    assert prep_probability(narrow) == float(np.float32(0.8)) * 0.5
+    assert type(expected_rate(narrow)) is float
+    assert narrow.as_dict()["c_source_cps"] == 6000.0
+
+
 def test_dict_roundtrip():
-    b = RateBudget(qplate_eff=0.9, deterministic_det=True)
+    b = RateBudget(qplate_eff=0.9, transfer_det_eff=1.0)
     assert RateBudget.from_dict(b.as_dict()) == b
     with pytest.raises(ValueError):
         RateBudget.from_dict({"qplate_eff": 0.9, "mirror_loss": 0.01})

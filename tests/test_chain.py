@@ -25,7 +25,7 @@ from chain_oracle import (
 from tomography_oracle import projector
 from hybridoam.budget import RateBudget
 from hybridoam.measurement import fringe_scan_records
-from hybridoam.source import DETERMINISTIC, PROBABILISTIC, prepare_hybrid
+from hybridoam.source import prepare_hybrid
 from hybridoam.states import ATOL
 
 
@@ -61,7 +61,7 @@ def test_qplate_circular_basis_action():
 
 def test_forward_transferrer_probabilistic():
     alpha, beta = 0.6, 0.8j
-    out = forward(PROBABILISTIC) @ np.kron(alpha * H + beta * V, KET0)
+    out = forward(RateBudget().transfer_prep_eff) @ np.kron(alpha * H + beta * V, KET0)
     p = np.vdot(out, out).real
     assert abs(p - 0.5) < ATOL
     want = np.kron(H, alpha * H_O2 + beta * V_O2)
@@ -69,7 +69,7 @@ def test_forward_transferrer_probabilistic():
 
 
 def test_forward_transferrer_deterministic_unit_success():
-    fwd = forward(DETERMINISTIC)
+    fwd = forward(1.0)
     for pol in (L, V):
         out = fwd @ np.kron(pol, KET0)
         assert abs(np.vdot(out, out).real - 1.0) < ATOL
@@ -77,12 +77,12 @@ def test_forward_transferrer_deterministic_unit_success():
 
 def test_backward_transferrer_inverts_forward():
     psi = np.kron((H + np.exp(0.73j) * V) / S2, KET0)
-    out = backward(DETERMINISTIC) @ forward(DETERMINISTIC) @ psi
+    out = backward(1.0) @ forward(1.0) @ psi
     assert np.max(np.abs(out - psi)) < 1e-10
 
 
 def test_backward_transferrer_plus2_reads_out_diagonal():
-    out = backward(PROBABILISTIC) @ np.kron(H, KETP2)
+    out = backward(RateBudget().transfer_det_eff) @ np.kron(H, KETP2)
     p = np.vdot(out, out).real
     assert abs(p - 0.5) < ATOL
     want = np.kron((H + V) / S2, KET0)
@@ -97,8 +97,8 @@ def test_smf_filter_transmits_only_fundamental_mode():
 
 def test_probabilistic_and_deterministic_modes_share_the_conditional_map():
     psi = np.kron(0.28 * H + np.sqrt(1 - 0.28 ** 2) * V, KET0)
-    a = forward(PROBABILISTIC) @ psi
-    b = forward(DETERMINISTIC) @ psi
+    a = forward(RateBudget().transfer_prep_eff) @ psi
+    b = forward(1.0) @ psi
     assert np.max(np.abs(S2 * a - b)) < ATOL
 
 
@@ -107,7 +107,7 @@ def test_detection_chain_realizes_the_ideal_analyzers():
     # On the o2 qubit (|H> x span{|+2>, |-2>}) its effective POVM element is
     # the ideal projector the tomography model uses, times the detection
     # transfer efficiency of the rate budget.
-    back = backward(PROBABILISTIC)
+    back = backward(RateBudget().transfer_det_eff)
     embed = np.kron(H[:, None], np.eye(3)[:, 1:])
     analyzer = {"+2": "+", "-2": "-", "h": "H", "v": "V", "a": "R", "d": "L"}
     eff = RateBudget().transfer_det_eff

@@ -180,6 +180,31 @@ def test_deterministic_transferrer_flag(tmp_path):
     assert abs(d["det_probability"] - 0.16) < 1e-12
 
 
+def test_success_probability_is_the_budgets_prep_transfer_efficiency(tmp_path):
+    # the reported success and the same file's budget come from one value
+    cases = [
+        ({"transfer_prep_eff": 0.3}, [], 0.3),
+        ({"transfer_prep_eff": 1.0, "transfer_det_eff": 1.0}, [], 1.0),
+        ({}, ["--deterministic-transferrers"], 1.0),
+        ({"transfer_prep_eff": 0.3}, ["--deterministic-transferrers"], 1.0),
+    ]
+    for i, (budget, flags, success) in enumerate(cases):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"budget": budget}))
+        out = tmp_path / f"out{i}"
+        assert main(["pipeline", "--exact", "--resamples", "0", "--config", str(cfg),
+                     *flags, "--out", str(out)]) == 0
+        d = load(out / "pipeline.json")
+        assert d["success_probability"] == success
+        report = d["budget"]
+        assert report["budget"]["transfer_prep_eff"] == success
+        assert report["prep_probability"] == report["budget"]["qplate_eff"] * success
+    out = tmp_path / "tomography"
+    assert main(["tomography", "--deterministic-transferrers", "--exact", "--resamples", "0",
+                 "--out", str(out)]) == 0
+    assert load(out / "tomography.json")["success_probability"] == 1.0
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rate_cps": 50.0, "seed": 3, "noise": "fitted"}))
@@ -248,8 +273,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["chsh", "--config", config({"seed": -3})], "seed"),
         (["budget", "--config", config({"budget": {"c_source_cps": float("nan")}})],
          "c_source_cps"),
-        (["budget", "--config", config({"budget": {"deterministic_prep": "x"}})],
-         "deterministic_prep"),
+        # a deterministic stage is a transfer efficiency of 1.0, not a key of its own
+        *[(["budget", "--config", config({"budget": {f"deterministic_{stage}": True}})],
+           "unknown budget keys") for stage in ("prep", "det")],
         (["budget", "--config", config({"budget": {"qplate_eff": True}})],
          "qplate_eff"),
         (["budget", "--config", config({"budget": {"fiber_coupling": "0.2"}})],
@@ -378,8 +404,7 @@ _CONFIG_FIELDS = (
     ("noise", "werner_p"), ("noise", "dephase_q"), ("noise", "miscal_angle"),
     ("budget", "c_source_cps"), ("budget", "qplate_eff"),
     ("budget", "transfer_prep_eff"), ("budget", "transfer_det_eff"),
-    ("budget", "fiber_coupling"), ("budget", "deterministic_prep"),
-    ("budget", "deterministic_det"),
+    ("budget", "fiber_coupling"),
     ("durations", "chsh"), ("durations", "tomography"),
 )
 _FUZZ_COMMANDS = (
@@ -411,8 +436,6 @@ def _run_contract(argv, out, capsys):
             echoed = [payload["provenance"]["config"]]
             if path.name == "budget.json":
                 echoed += [payload["budget"], payload["upgrade"]["budget"]]
-                for flag in ("deterministic_prep", "deterministic_det"):
-                    assert isinstance(payload["budget"][flag], bool), argv
             assert _nulls(echoed) == 0, (argv, path.name)
     return code
 

@@ -281,9 +281,14 @@ def test_settings_are_their_labels(tmp_path):
         assert s.label == f"{s.alice}|{s.bob}"
 
 
+def _exact_fringe(rho, bob):
+    """(theta, expected counts) over GRID16 at the default rate and duration."""
+    return [(t, r.counts) for t, r in zip(GRID16, fringe_scan_records(rho, bob, GRID16, exact=True))]
+
+
 def test_exact_fringe_is_a_perfect_cosine():
     rho = SINGLET
-    pts = fringe_scan(rho, "+2", GRID16, exact=True)
+    pts = _exact_fringe(rho, "+2")
     n0, v, phi0 = fit_fringe(pts)
     assert abs(n0 - 375.0) < 1e-9  # rate*duration/4 at the defaults
     assert abs(v - 1.0) < 1e-12
@@ -293,7 +298,7 @@ def test_exact_fringe_is_a_perfect_cosine():
 
 def test_fringe_phase_tracks_bob_projector():
     rho = SINGLET
-    n0, v, phi0 = fit_fringe(fringe_scan(rho, "h", GRID16, exact=True))
+    n0, v, phi0 = fit_fringe(_exact_fringe(rho, "h"))
     assert abs(v - 1.0) < 1e-12
     assert abs(phi0 + np.pi / 2) < 1e-12
 
@@ -301,7 +306,7 @@ def test_fringe_phase_tracks_bob_projector():
 def test_fringe_visibility_matches_werner_weight():
     for p in (0.90, 0.93, 0.966):
         rho, _ = prepare_hybrid(NoiseModel(werner_p=p))
-        _, v, _ = fit_fringe(fringe_scan(rho, "+2", GRID16, exact=True))
+        _, v, _ = fit_fringe(_exact_fringe(rho, "+2"))
         assert abs(v - p) < 1e-6
 
 

@@ -4,8 +4,6 @@ import pytest
 from chain_oracle import reference_hybrid_state
 from hybridoam.budget import RateBudget
 from hybridoam.source import (
-    DETERMINISTIC,
-    PROBABILISTIC,
     REFERENCE_FIDELITY,
     REFERENCE_LINEAR_ENTROPY,
     NoiseModel,
@@ -68,41 +66,46 @@ def test_ideal_preparation_is_exact():
 
 
 def test_deterministic_mode_has_unit_success():
-    rho, success = prepare_hybrid(mode=DETERMINISTIC)
-    assert abs(success - 1.0) < ATOL
+    # a deterministic transferrer is a budget efficiency of 1.0; the state
+    # is the same whatever the efficiency, only the success follows it
+    nm = NoiseModel(werner_p=0.9, dephase_q=0.1, miscal_angle=0.2)
+    want = hybrid_state(apply_noise(singlet(), nm)).matrix
+    for eff in (1.0, 0.3, RateBudget().transfer_prep_eff):
+        rho, success = prepare_hybrid(nm, RateBudget(transfer_prep_eff=eff))
+        assert success == eff
+        assert np.array_equal(rho.matrix, want)
+    rho, success = prepare_hybrid(budget=RateBudget(transfer_prep_eff=1.0))
+    assert success == 1.0
     assert abs(fidelity_to(rho, hybrid_singlet_ket()) - 1.0) < 1e-12
 
 
 def test_frame_alignment_maps_computational_basis():
     # net Bob map through transfer + alignment: H -> |-2>, V -> |+2>
     pair = (POLARIZATION, POLARIZATION)
-    rho, _ = hybrid_state(DensityMatrix(np.diag([1.0, 0, 0, 0]), pair))
+    rho = hybrid_state(DensityMatrix(np.diag([1.0, 0, 0, 0]), pair))
     assert abs(rho.matrix[1, 1].real - 1.0) < 1e-10  # |H,-2>
-    rho2, _ = hybrid_state(DensityMatrix(np.diag([0, 1.0, 0, 0]), pair))
+    rho2 = hybrid_state(DensityMatrix(np.diag([0, 1.0, 0, 0]), pair))
     assert abs(rho2.matrix[0, 0].real - 1.0) < 1e-10  # |H,+2>
 
 
 def test_compiled_transfer_matches_the_element_chain():
     rng = np.random.default_rng(17)
-    success = {PROBABILISTIC: RateBudget().transfer_prep_eff, DETERMINISTIC: 1.0}
-    for mode, want in success.items():
+    # the q-plate and polarizing beamsplitter transferrer, and a deterministic one
+    for success in (RateBudget().transfer_prep_eff, 1.0):
         for _ in range(50):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g @ g.conj().T
             rho_pol = DensityMatrix(m / np.trace(m).real, (POLARIZATION, POLARIZATION))
-            ref, ref_success = reference_hybrid_state(rho_pol.matrix, mode)
-            rho, p = hybrid_state(rho_pol, mode)
+            ref, ref_success = reference_hybrid_state(rho_pol.matrix, success)
+            rho = hybrid_state(rho_pol)
             assert np.max(np.abs(rho.matrix - ref)) < 1e-12
-            assert abs(p - ref_success) < 1e-12
-            assert p == want
-    with pytest.raises(ValueError):
-        hybrid_state(singlet(), "heralded")
+            assert abs(ref_success - success) < 1e-12
 
 
 def test_transfer_preserves_spectrum():
     nm = NoiseModel(werner_p=0.7)
     rho_pol = apply_noise(singlet(), nm)
-    rho_hyb, _ = hybrid_state(rho_pol)
+    rho_hyb = hybrid_state(rho_pol)
     w_in = np.sort(np.linalg.eigvalsh(rho_pol.matrix))
     w_out = np.sort(np.linalg.eigvalsh(rho_hyb.matrix))
     assert np.max(np.abs(w_in - w_out)) < 1e-10
@@ -147,6 +150,17 @@ def test_noise_model_validation_and_dict_roundtrip():
     assert NoiseModel.from_dict(nm.as_dict()) == nm
     with pytest.raises(ValueError):
         NoiseModel.from_dict({"werner_p": 0.9, "detuning": 1.0})
+
+
+def test_numpy_scalar_parameters_compute_in_float64():
+    # each parameter is stored as the guard's float, so a float32 angle
+    # prepares the same state as the float64 of its value
+    narrow = NoiseModel(np.float32(0.9), np.float32(0.05), np.float32(0.1))
+    wide = NoiseModel(*(float(np.float32(x)) for x in (0.9, 0.05, 0.1)))
+    assert narrow == wide
+    assert all(type(v) is float for v in narrow.as_dict().values())
+    assert np.array_equal(prepare_hybrid(narrow)[0].matrix, prepare_hybrid(wide)[0].matrix)
+    assert NoiseModel.from_dict({"werner_p": 1, "dephase_q": np.float16(0.25)}).werner_p == 1.0
 
 
 def test_fit_noise_model_frozen_values():

@@ -241,10 +241,10 @@ def test_import_loads_no_scipy():
 
 
 PUBLIC_NAMES = """
-    ATOL ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS DETERMINISTIC
+    ATOL ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS
     DensityMatrix FitFailureError
     InsufficientDataError InvalidLabelError MeasurementSetting NoiseModel
-    OAM_O2 POLARIZATION PROBABILISTIC REFERENCE_FIDELITY
+    OAM_O2 POLARIZATION REFERENCE_FIDELITY
     REFERENCE_LINEAR_ENTROPY RateBudget StateMetrics StateVector
     TomographyRun UndefinedCorrelationError apply_noise budget_report
     chsh_empirical chsh_exact chsh_settings concurrence
@@ -328,8 +328,6 @@ def test_every_export_has_a_caller():
 # fields and properties of exported dataclasses that no run path reads, each
 # kept for the reason given beside it
 UNREAD_FIELDS = {
-    # a constructor switch that reconstruct and matrix_from_json set
-    "DensityMatrix.require_positive",
     # benchmarks/tracing.py reads it for tomography.mle_iters
     "TomographyRun.n_iter",
 }
