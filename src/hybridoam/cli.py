@@ -1,11 +1,18 @@
 """Batch command-line front-end.
 
-Subcommands run the configured experiment end-to-end and write JSON (and
-CSV count tables) into the --out directory.  Precedence: built-in defaults,
-then the --config JSON file, then explicit flags.  Every output carries a
-provenance block (command, effective config, seed, package version) and
-floats are written as Python's shortest repr that reads back to the same
-float64, so identical config + seed gives byte-identical files.
+One table, ``_EXPERIMENTS``, holds the experiments (tomography, fringe,
+CHSH, budget): each row gives the function that runs one and the inputs it
+reads, by provenance key.  A command runs its row; ``pipeline`` runs every
+row on one prepared state.  The table decides each command's flags (its
+inputs', besides --config and --out), its provenance ``config`` (exactly
+those inputs' values, beside the command, the version and any seed read),
+and its count tables: ``<command>_counts.csv``, or
+``pipeline_<experiment>_counts.csv``, for each row that draws records.
+
+Precedence: built-in defaults, then the --config JSON file (checked whole
+by every command), then explicit flags.  Floats are written as Python's
+shortest repr that reads back to the same float64, so identical config +
+seed gives byte-identical files.
 
 Exit codes: 0 success, 2 usage/config errors, 1 simulation or
 reconstruction failures (with an error JSON on stdout).
@@ -18,6 +25,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -113,15 +121,49 @@ def _checked(guard, value, name: str, *args):
         raise ConfigError(str(exc)) from None
 
 
+def _fringe_points(text: str) -> int:
+    n = int(text)
+    if n < 4:
+        # the fit has three parameters and needs one more point than that
+        raise argparse.ArgumentTypeError(f"need at least 4 points, got {n}")
+    return n
+
+
+# every input an experiment can read, by its provenance key: its flag's options
+_FLAGS = {
+    "seed": dict(type=int, help="global RNG seed"),
+    "duration_s": dict(type=float, help=(
+        f"seconds per setting (default {_DEFAULT_DURATIONS['tomography']:g},"
+        f" chsh {_DEFAULT_DURATIONS['chsh']:g})")),
+    "rate_cps": dict(type=float, help="detected pair rate (default 100)"),
+    "noise": dict(help='noise preset name or inline JSON {"werner_p":...}'),
+    "deterministic_transferrers": dict(
+        action="store_true", help="unit-success transferrers in state prep and budget"),
+    "resamples": dict(type=int, help="bootstrap resamples for uncertainties (0 disables)"),
+    "exact": dict(action="store_true", help="expected counts, no noise (chsh: Born rule)"),
+    "counts_csv": dict(help="reconstruct from an existing count table"),
+    "bob": dict(default="+2", choices=tg.BOB_LABELS, help="Bob projector label (default +2)"),
+    "points": dict(type=_fringe_points, help="grid points over one period (at least 4)"),
+}
+# options of one experiment's command, which the pipeline fixes or lacks
+_OWN = ("counts_csv", "bob", "points")
+# the flags a reanalysis takes; it records its table's own duration
+_TABLE_FLAGS = ("counts_csv", "seed", "resamples")
+
+
 class _Resolved:
-    """Effective settings after merging defaults, config file, and flags."""
+    """Effective settings after merging defaults, config file, and flags,
+    with the provenance keys of the inputs the command reads."""
 
     def __init__(self, args):
-        cfg = _load_config(args.config)
+        # a flag not given is left out of the namespace
+        flags = vars(args)
+        self.command = args.command
+        self.keys = _read_inputs(self.command, flags)
+        cfg = _load_config(flags.get("config"))
         # a flag wins over the file, and the file over the default
-        seed = cfg.get("seed", _DEFAULT_SEED) if args.seed is None else args.seed
-        self.seed = _checked(ms._seed, seed, "seed")
-        rate = cfg.get("rate_cps", ms.DEFAULT_RATE_CPS) if args.rate_cps is None else args.rate_cps
+        self.seed = _checked(ms._seed, flags.get("seed", cfg.get("seed", _DEFAULT_SEED)), "seed")
+        rate = flags.get("rate_cps", cfg.get("rate_cps", ms.DEFAULT_RATE_CPS))
         self.rate_cps = _checked(ms._finite_float, rate, "rate_cps", False)
         cfg_durations = cfg.get("durations", {})
         if not isinstance(cfg_durations, dict):
@@ -134,16 +176,13 @@ class _Resolved:
             for k, v in _DEFAULT_DURATIONS.items()
         }
         # the flag overrides every experiment's duration, each still checked above
-        if args.duration_s is not None:
-            flag = _checked(ms._finite_float, args.duration_s, "duration --duration-s", True)
+        if "duration_s" in flags:
+            flag = _checked(ms._finite_float, flags["duration_s"], "duration --duration-s", True)
             self.durations = dict.fromkeys(self.durations, flag)
-        noise_spec = args.noise if args.noise is not None else cfg.get("noise")
-        self.noise = _parse_noise(noise_spec)
-        self.deterministic = bool(args.deterministic_transferrers)
-        self.exact = bool(getattr(args, "exact", False))
-        # only tomography and pipeline, which bootstrap, take --resamples
-        resamples = getattr(args, "resamples", None)
-        self.resamples = resamples if resamples is not None else _DEFAULT_RESAMPLES
+        self.noise = _parse_noise(flags.get("noise", cfg.get("noise")))
+        self.deterministic_transferrers = flags.get("deterministic_transferrers", False)
+        self.exact = flags.get("exact", False)
+        self.resamples = flags.get("resamples", _DEFAULT_RESAMPLES)
         if self.resamples != 0 and self.resamples < 100:
             # the bootstrap needs at least 100 resamples for its sigmas
             raise ConfigError(
@@ -153,40 +192,38 @@ class _Resolved:
             b = budget_mod.RateBudget.from_dict(cfg.get("budget", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad budget config: {exc}") from exc
-        if self.deterministic:
+        if self.deterministic_transferrers:
             b = dataclasses.replace(b, transfer_prep_eff=1.0, transfer_det_eff=1.0)
         self.budget = b
-        self.out = Path(args.out)
+        self.counts_csv = flags.get("counts_csv")
+        self.bob = flags.get("bob")
+        self.points = flags.get("points", _FRINGE_POINTS)
+        self.out = Path(flags["out"])
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {self.out}: {exc}") from exc
 
-    def write(self, command: str, payload: dict, **extras) -> dict:
-        """Write a command's payload to <command>.json under --out, with its
-        provenance block: the command, effective config and ``extras``, the
-        seed and the package version."""
-        config = {
-            "noise": self.noise.as_dict(),
-            "rate_cps": self.rate_cps,
-            "seed": self.seed,
-            "deterministic_transferrers": self.deterministic,
-            "exact": self.exact,
-            **extras,
-        }
-        payload["provenance"] = {
-            "command": command,
-            "config": config,
-            "seed": self.seed,
-            "version": __version__,
-        }
-        write_json(payload, self.out / f"{command}.json")
-        return payload
+    def config(self) -> dict:
+        """The values of the inputs the command read, by provenance key."""
+        values = {**vars(self), "noise": self.noise.as_dict(),
+                  "duration_s": self.durations.get(self.command)}
+        return {key: values[key] for key in self.keys}
 
 
-def _tomography_block(res: _Resolved, records) -> dict:
-    """Reconstruction of one count table, with bootstrap metrics if asked."""
-    run = tg.reconstruct(records)
+def _tomography(res: _Resolved, rho) -> tuple:
+    """Reconstruction of a drawn or read count table, with bootstrap metrics
+    if asked.  A table read from a file is not drawn, so no records return."""
+    if res.counts_csv is None:
+        drawn = tg.simulate_tomography(
+            rho, res.rate_cps, res.durations["tomography"], res.seed, exact=res.exact
+        )
+        run = tg.reconstruct(drawn)
+    else:
+        drawn = None
+        run = tg.reconstruct(ms.read_counts_csv(res.counts_csv))
+        # a reanalysis records its table's one duration, which reconstruct checked
+        res.durations["tomography"] = run.records[0].setting.duration_s
     if res.resamples > 0:
         # the bootstrap takes the run, so the observed table is solved once
         metrics = tg.metric_uncertainties(
@@ -200,130 +237,129 @@ def _tomography_block(res: _Resolved, records) -> dict:
             "linear_entropy": tg.linear_entropy(run.rho_mle),
             "uncertainties": None,
         }
-    return {
+    return drawn, {
         "rho_linear": matrix_to_json(run.rho_linear),
         "rho_mle": matrix_to_json(run.rho_mle),
         "metrics": metrics,
         "loglik": run.loglik,
         "loglik_gap_bound": run.loglik_gap_bound,
         "converged": run.converged,
+        "n_iter": run.n_iter,
     }
 
 
-def _fringe_block(
-    res: _Resolved, rho, bob: str, n_points: int, scan_index: int = 0
-) -> tuple[list, dict]:
-    """One analyzer scan over a period and its fit: (records, result)."""
-    grid = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    records = ms.fringe_scan_records(
-        rho,
-        bob,
-        grid,
-        res.rate_cps,
-        res.durations["fringe"],
-        seed=res.seed,
-        scan_index=scan_index,
-        exact=res.exact,
-    )
-    points = [(float(t), float(r.counts)) for t, r in zip(grid, records)]
-    n0, vis, phi0 = ms.fit_fringe(points)
-    return records, {
-        "n0": n0,
-        "visibility": vis,
-        "phi0": phi0,
-        "visibility_minmax": ms.visibility_minmax(points),
-        "points": [[t, c] for t, c in points],
-    }
-
-
-def _chsh_result(res: _Resolved, rho) -> bell.ChshResult:
-    if res.exact:
-        return bell.chsh_exact(rho)
-    return bell.chsh_empirical(
-        rho, rate_cps=res.rate_cps, duration_s=res.durations["chsh"],
-        seed=res.seed,
-    )
-
-
-def _cmd_tomography(res: _Resolved, args) -> dict:
-    duration = res.durations["tomography"]
-    if args.counts_csv:
-        records = ms.read_counts_csv(args.counts_csv)
-        success = None
-    else:
-        rho, success = src.prepare_hybrid(res.noise, res.budget)
-        records = tg.simulate_tomography(
-            rho, res.rate_cps, duration, res.seed, exact=res.exact
+def _fringe(res: _Resolved, rho) -> tuple:
+    """Analyzer scans over a period and their fits: the fringe command's one
+    scan with its Bob label, or the pipeline's two keyed by theirs."""
+    grid = np.linspace(0.0, 2.0 * np.pi, res.points, endpoint=False)
+    records, scans = [], {}
+    for scan_index, bob in enumerate((res.bob,) if res.bob else ("+2", "h")):
+        scan = ms.fringe_scan_records(
+            rho, bob, grid, res.rate_cps, res.durations["fringe"],
+            seed=res.seed, scan_index=scan_index, exact=res.exact,
         )
-        ms.write_counts_csv(records, res.out / "tomography_counts.csv")
-    payload = _tomography_block(res, records)
-    payload["success_probability"] = success
-    return res.write(
-        "tomography", payload, duration_s=duration, resamples=res.resamples
-    )
+        points = [(float(t), float(r.counts)) for t, r in zip(grid, scan)]
+        n0, vis, phi0 = ms.fit_fringe(points)
+        records += scan
+        scans[bob] = {
+            "n0": n0, "visibility": vis, "phi0": phi0,
+            "visibility_minmax": ms.visibility_minmax(points),
+            "points": [[t, c] for t, c in points],
+        }
+    if res.bob:
+        return records, {**scans[res.bob], "bob": res.bob}
+    return records, scans
 
 
-def _cmd_fringe(res: _Resolved, args) -> dict:
-    rho, _ = src.prepare_hybrid(res.noise, res.budget)
-    records, payload = _fringe_block(res, rho, args.bob, args.points)
-    ms.write_counts_csv(records, res.out / "fringe_counts.csv")
-    payload["bob"] = args.bob
-    return res.write(
-        "fringe", payload, duration_s=res.durations["fringe"], bob=args.bob,
-        points=args.points,
-    )
+def _chsh(res: _Resolved, rho) -> tuple:
+    if res.exact:
+        return None, bell.chsh_exact(rho).as_dict()
+    return None, bell.chsh_empirical(
+        rho, rate_cps=res.rate_cps, duration_s=res.durations["chsh"], seed=res.seed,
+    ).as_dict()
 
 
-def _cmd_chsh(res: _Resolved, args) -> dict:
-    rho, _ = src.prepare_hybrid(res.noise, res.budget)
-    payload = _chsh_result(res, rho).as_dict()
-    return res.write("chsh", payload, duration_s=res.durations["chsh"])
+@dataclasses.dataclass(frozen=True)
+class _Experiment:
+    help: str
+    # (resolved settings, prepared state) -> (records drawn or None, result)
+    run: Callable
+    # provenance keys of what it can read, in flag order
+    inputs: tuple[str, ...]
+    # the text its command prints after writing the result
+    report: Callable | None = None
 
 
-def _cmd_budget(res: _Resolved, args) -> dict:
-    report = budget_mod.budget_report(res.budget)
-    payload = res.write("budget", dict(report))
-    print(budget_mod.format_report(report))
-    return payload
-
-
-def _cmd_pipeline(res: _Resolved, args) -> dict:
-    rho, success = src.prepare_hybrid(res.noise, res.budget)
-    records = tg.simulate_tomography(
-        rho, res.rate_cps, res.durations["tomography"], res.seed,
-        exact=res.exact,
-    )
-    ms.write_counts_csv(records, res.out / "pipeline_tomography_counts.csv")
-    payload = {
-        "success_probability": success,
-        "budget": budget_mod.budget_report(res.budget),
-        "tomography": _tomography_block(res, records),
-        "fringe": {
-            bob: _fringe_block(res, rho, bob, _FRINGE_POINTS, scan_index)[1]
-            for scan_index, bob in enumerate(("+2", "h"))
-        },
-        "chsh": _chsh_result(res, rho).as_dict(),
-    }
-    return res.write(
-        "pipeline", payload, resamples=res.resamples, durations=res.durations
-    )
-
-
-_COMMANDS = {
-    "tomography": _cmd_tomography,
-    "fringe": _cmd_fringe,
-    "chsh": _cmd_chsh,
-    "budget": _cmd_budget,
-    "pipeline": _cmd_pipeline,
+_EXPERIMENTS = {
+    "tomography": _Experiment(
+        "36-setting reconstruction", _tomography,
+        ("seed", "duration_s", "rate_cps", "noise", "deterministic_transferrers",
+         "resamples", "exact", "counts_csv"),
+    ),
+    "fringe": _Experiment(
+        "analyzer rotation scan", _fringe,
+        ("seed", "duration_s", "rate_cps", "noise", "exact", "bob", "points"),
+    ),
+    "chsh": _Experiment(
+        "S measurement", _chsh, ("seed", "duration_s", "rate_cps", "noise", "exact"),
+    ),
+    "budget": _Experiment(
+        "rate bookkeeping", lambda res, rho: (None, budget_mod.budget_report(res.budget)),
+        ("deterministic_transferrers",), budget_mod.format_report,
+    ),
 }
 
 
-def _fringe_points(text: str) -> int:
-    n = int(text)
-    if n < 4:
-        # the fit has three parameters and needs one more point than that
-        raise argparse.ArgumentTypeError(f"need at least 4 points, got {n}")
-    return n
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _inputs(command: str) -> tuple[str, ...]:
+    """Provenance keys of every input a command can read: its row's, or for
+    the pipeline every row's that it does not fix, with every duration."""
+    if command in _EXPERIMENTS:
+        return _EXPERIMENTS[command].inputs
+    read = {key for row in _EXPERIMENTS.values() for key in row.inputs} - set(_OWN)
+    return tuple("durations" if k == "duration_s" else k for k in _FLAGS if k in read)
+
+
+def _read_inputs(command: str, flags: dict) -> tuple[str, ...]:
+    """The inputs a run reads: its command's, without a table it was not
+    given.  A reanalysis reads only its table and the bootstrap's inputs,
+    and refuses a flag for any other."""
+    keys = _inputs(command)
+    if "counts_csv" not in flags:
+        return tuple(k for k in keys if k != "counts_csv")
+    refused = [_flag(k) for k in keys if k in flags and k not in _TABLE_FLAGS]
+    if refused:
+        raise ConfigError(f"{', '.join(refused)} not allowed with --counts-csv")
+    return (*_TABLE_FLAGS, "duration_s")
+
+
+def _run(res: _Resolved) -> None:
+    """Run a command's rows on one prepared state and write what they give."""
+    command = res.command
+    rows = _EXPERIMENTS if command == "pipeline" else {command: _EXPERIMENTS[command]}
+    # an experiment that reads the noise reads the state it shapes
+    rho, success = (
+        src.prepare_hybrid(res.noise, res.budget) if "noise" in res.keys else (None, None)
+    )
+    results = {}
+    for name, row in rows.items():
+        records, results[name] = row.run(res, rho)
+        if records is not None:
+            stem = command if name == command else f"{command}_{name}"
+            ms.write_counts_csv(records, res.out / f"{stem}_counts.csv")
+    payload = results if command == "pipeline" else results[command]
+    if "tomography" in rows:
+        payload["success_probability"] = success
+    config = res.config()
+    payload["provenance"] = {"command": command, "config": config, "version": __version__}
+    if "seed" in config:
+        payload["provenance"]["seed"] = res.seed
+    write_json(payload, res.out / f"{command}.json")
+    if command != "pipeline" and rows[command].report:
+        print(rows[command].report(payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,55 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    helps = {name: row.help for name, row in _EXPERIMENTS.items()}
+    helps["pipeline"] = " + ".join(_EXPERIMENTS) + " on one state"
+    for command, text in helps.items():
+        # a flag not given stays out of the namespace, so a run can tell
+        p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="global RNG seed")
-        p.add_argument(
-            "--duration-s", type=float, default=None,
-            help=f"seconds per setting (default {_DEFAULT_DURATIONS['tomography']:g},"
-            f" chsh {_DEFAULT_DURATIONS['chsh']:g})",
-        )
-        p.add_argument("--rate-cps", type=float, default=None,
-                       help="detected pair rate (default 100)")
-        p.add_argument("--noise", default=None,
-                       help='noise preset name or inline JSON {"werner_p":...}')
-        p.add_argument("--deterministic-transferrers", action="store_true",
-                       help="unit-success transferrers in state prep and budget")
-
-    def resamples(p):
-        p.add_argument("--resamples", type=int, default=None,
-                       help="bootstrap resamples for uncertainties (0 disables)")
-
-    p = sub.add_parser("tomography", help="36-setting reconstruction")
-    common(p)
-    resamples(p)
-    # a table read from a file has no expectations to take
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--exact", action="store_true", help="expected counts, no noise")
-    source.add_argument("--counts-csv", default=None,
-                        help="reconstruct from an existing count table")
-
-    p = sub.add_parser("fringe", help="analyzer rotation scan")
-    common(p)
-    p.add_argument("--exact", action="store_true", help="expected counts, no noise")
-    p.add_argument("--bob", default="+2", choices=tg.BOB_LABELS,
-                   help="Bob projector label (default +2)")
-    p.add_argument("--points", type=_fringe_points, default=_FRINGE_POINTS,
-                   help="grid points over one period (at least 4)")
-
-    p = sub.add_parser("chsh", help="S measurement")
-    common(p)
-    p.add_argument("--exact", action="store_true", help="Born-rule correlations")
-
-    p = sub.add_parser("budget", help="rate bookkeeping")
-    common(p)
-
-    p = sub.add_parser("pipeline", help="tomography + fringes + chsh + budget")
-    common(p)
-    resamples(p)
-    p.add_argument("--exact", action="store_true", help="expected counts, no noise")
+        for key in _inputs(command):
+            # the pipeline's durations are set by the one --duration-s
+            key = "duration_s" if key == "durations" else key
+            p.add_argument(_flag(key), **_FLAGS[key])
     return parser
 
 
@@ -393,7 +391,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         parser.error(str(exc))  # exits 2
     try:
-        _COMMANDS[args.command](res, args)
+        _run(res)
     except Exception as exc:  # runtime failure contract: error JSON, exit 1
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(record, sort_keys=True))

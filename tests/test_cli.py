@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import hybridoam.measurement as measurement
-from hybridoam.cli import main
-from hybridoam.measurement import write_counts_csv
+from hybridoam.cli import build_parser, main
+from hybridoam.measurement import read_counts_csv, write_counts_csv
 from hybridoam.source import prepare_hybrid
 from hybridoam.tomography import simulate_tomography
 
@@ -117,13 +117,31 @@ def test_tomography_from_counts_csv(tmp_path):
         assert d["loglik_gap_bound"] <= 1e-6
 
 
+def test_reanalysis_records_its_table(tmp_path):
+    table = tmp_path / "table"
+    assert main(["tomography", "--noise", "fitted", "--rate-cps", "5", "--duration-s", "30",
+                 "--resamples", "0", "--out", str(table)]) == 0
+    csv = table / "tomography_counts.csv"
+    before = csv.read_bytes()
+    # the table is read from --out itself and is not written back
+    assert main(["tomography", "--counts-csv", str(csv), "--seed", "4", "--resamples", "0",
+                 "--out", str(table)]) == 0
+    assert csv.read_bytes() == before
+    prov = load(table / "tomography.json")["provenance"]
+    assert prov["config"] == {
+        "counts_csv": str(csv), "duration_s": 30.0, "seed": 4, "resamples": 0,
+    }
+    assert prov["seed"] == 4
+
+
 def test_pipeline_reruns_are_byte_identical(tmp_path):
     args = ["pipeline", "--noise", "fitted", "--seed", "11", "--resamples", "0"]
     outa = tmp_path / "a"
     outb = tmp_path / "b"
     assert main(args + ["--out", str(outa)]) == 0
     assert main(args + ["--out", str(outb)]) == 0
-    for name in ("pipeline.json", "pipeline_tomography_counts.csv"):
+    names = ("pipeline.json", "pipeline_tomography_counts.csv", "pipeline_fringe_counts.csv")
+    for name in names:
         assert (outa / name).read_bytes() == (outb / name).read_bytes()
     d = load(outa / "pipeline.json")
     assert set(d["fringe"]) == {"+2", "h"}
@@ -137,6 +155,21 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
     metrics = load(tmp_path / "c" / "pipeline.json")["tomography"]["metrics"]
     assert metrics["uncertainties"]["fidelity"] > 0
+
+
+def test_pipeline_fringe_counts_file_holds_its_points(tmp_path):
+    assert main(["pipeline", "--noise", "fitted", "--seed", "3", "--resamples", "0",
+                 "--out", str(tmp_path)]) == 0
+    fringe = load(tmp_path / "pipeline.json")["fringe"]
+    records = read_counts_csv(tmp_path / "pipeline_fringe_counts.csv")
+    # the +2 scan, then the h scan, in grid order
+    scans = [fringe["+2"]["points"], fringe["h"]["points"]]
+    assert len(records) == sum(map(len, scans)) == 32
+    for i, (bob, points) in enumerate(zip(("+2", "h"), scans)):
+        rows = records[i * len(points):(i + 1) * len(points)]
+        assert [r.counts for r in rows] == [c for _, c in points]
+        assert {r.setting.bob for r in rows} == {bob}
+        assert {r.setting.duration_s for r in rows} == {15.0}
 
 
 def test_pipeline_honours_duration_flag(tmp_path):
@@ -205,6 +238,65 @@ def test_success_probability_is_the_budgets_prep_transfer_efficiency(tmp_path):
     assert load(out / "tomography.json")["success_probability"] == 1.0
 
 
+# the provenance keys of the inputs each command reads; the pipeline reads
+# every experiment's duration, and tomography also takes --counts-csv
+_INPUTS = {
+    "tomography": {"seed", "duration_s", "rate_cps", "noise", "deterministic_transferrers",
+                   "resamples", "exact"},
+    "fringe": {"seed", "duration_s", "rate_cps", "noise", "exact", "bob", "points"},
+    "chsh": {"seed", "duration_s", "rate_cps", "noise", "exact"},
+    "budget": {"deterministic_transferrers"},
+    "pipeline": {"seed", "durations", "rate_cps", "noise", "deterministic_transferrers",
+                 "resamples", "exact"},
+}
+# every flag a command may offer, with a value it accepts (None: a switch)
+_FLAG_VALUES = {
+    "--seed": "1", "--duration-s": "5", "--rate-cps": "5", "--noise": "ideal",
+    "--deterministic-transferrers": None, "--resamples": "0", "--exact": None,
+    "--counts-csv": "table.csv", "--bob": "h", "--points": "8",
+}
+
+
+def _flag(key):
+    return "--duration-s" if key == "durations" else "--" + key.replace("_", "-")
+
+
+def test_each_command_offers_and_echoes_exactly_its_inputs(tmp_path, capsys):
+    # one config file with every key serves every command; each echoes only
+    # the values it read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "noise": "fitted", "rate_cps": 50.0, "seed": 3,
+        "durations": {"tomography": 10.0, "fringe": 10.0, "chsh": 20.0},
+        "budget": {"transfer_prep_eff": 0.4},
+    }))
+    parser = build_parser()
+    offered = {}
+    for command, inputs in _INPUTS.items():
+        offered[command] = set()
+        for flag, value in _FLAG_VALUES.items():
+            argv = [command, flag] + ([] if value is None else [value])
+            try:
+                parser.parse_args(argv)
+                offered[command].add(flag)
+            except SystemExit:
+                assert "unrecognized arguments" in capsys.readouterr().err, argv
+        own = {"--counts-csv"} if command == "tomography" else set()
+        assert offered[command] == {_flag(k) for k in inputs} | own, command
+        for flag in ("--config", "--out"):
+            parser.parse_args([command, flag, "x"])
+        fast = ["--exact"] if "exact" in inputs else []
+        fast += ["--resamples", "0"] if "resamples" in inputs else []
+        out = tmp_path / command
+        assert main([command, *fast, "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        prov = load(out / f"{command}.json")["provenance"]
+        assert set(prov["config"]) == inputs, command
+        assert ("seed" in prov) == ("seed" in inputs), command
+    # with --config and --out, 38 flags over the five commands
+    assert sum(len(flags) + 2 for flags in offered.values()) == 38
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rate_cps": 50.0, "seed": 3, "noise": "fitted"}))
@@ -267,9 +359,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         # a table read from a file has no expectations to take
         (["tomography", "--counts-csv", "counts.csv", "--exact"], "not allowed with"),
         (["tomography", "--exact", "--counts-csv", "counts.csv"], "not allowed with"),
+        # nor the inputs its own records replace
+        *[(["tomography", "--counts-csv", "counts.csv", *flag], "not allowed with")
+          for flag in (["--noise", "fitted"], ["--rate-cps", "5"], ["--duration-s", "30"],
+                       ["--deterministic-transferrers"])],
         (["chsh", "--seed", "-1"], "seed"),
         (["chsh", "--exact", "--seed", "-1"], "seed"),
-        (["budget", "--seed", "-1"], "seed"),
+        # a command offers only the flags of the inputs it reads
+        (["budget", "--seed", "-1"], "unrecognized arguments: --seed"),
+        (["fringe", "--deterministic-transferrers"],
+         "unrecognized arguments: --deterministic-transferrers"),
         (["chsh", "--config", config({"seed": -3})], "seed"),
         (["budget", "--config", config({"budget": {"c_source_cps": float("nan")}})],
          "c_source_cps"),
@@ -387,7 +486,7 @@ def test_the_cli_refuses_exactly_what_the_library_guard_refuses(key, tmp_path, c
         cfg.write_text(json.dumps(entry(value)))  # inf and nan as Infinity and NaN
         for argv in (["--config", str(cfg)], [flag, str(value)]):
             try:
-                code = main(["budget", *argv, "--out", str(tmp_path)])
+                code = main(["chsh", "--exact", *argv, "--out", str(tmp_path)])
             except SystemExit as exc:
                 code = exc.code
             assert code == (0 if message is None else 2), (argv, value)

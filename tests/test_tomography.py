@@ -327,10 +327,7 @@ def test_every_export_has_a_caller():
 
 # fields and properties of exported dataclasses that no run path reads, each
 # kept for the reason given beside it
-UNREAD_FIELDS = {
-    # benchmarks/tracing.py reads it for tomography.mle_iters
-    "TomographyRun.n_iter",
-}
+UNREAD_FIELDS: set[str] = set()
 
 
 def _attribute_reads(tree):
