@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 # Every export below has a caller on a run path (the CLI,
 # benchmarks/workloads.py or the README's library quick start), or a reason
@@ -64,7 +64,7 @@ from .bell import (
     UndefinedCorrelationError,
     chsh_empirical,
     chsh_exact,
-    chsh_settings,  # the one public view of the 16 settings CHSH counts
+    chsh_records,
     correlation_from_counts,
     predicted_s,  # S = 2 sqrt(2) V, kept to compare S with a fitted visibility
 )

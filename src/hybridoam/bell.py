@@ -14,9 +14,10 @@ state, for the minus outcome.
 
 The 16 outcome settings, one projective run per outcome combination of
 each setting pair, are counted on the one counting path, with the pair's
-duration split evenly over its four outcomes.  Empirical mode draws their
-counts; exact mode takes their unrounded expectations, so an exact
-correlation is the count-ratio estimator on the Born probabilities.
+duration split evenly over its four outcomes: chsh_records draws their
+counts, or takes their unrounded expectations in exact mode, and
+ChshResult.from_records analyses such a table, so an exact correlation is
+the count-ratio estimator on the Born probabilities.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ import numpy as np
 from .measurement import (
     _THETA_PREFIX,
     DEFAULT_RATE_CPS,
-    MeasurementSetting,
-    _born_counts,
-    _compiled,
+    CountRecord,
+    _count_records,
     _finite_float,
-    _stream,
 )
 from .states import DensityMatrix, _real
 
@@ -80,12 +79,11 @@ def correlation_from_counts(counts) -> float:
 
 
 def _correlation_sigma(counts) -> float:
-    """First-order Poisson error of the count-ratio estimator."""
+    """First-order Poisson error of the count-ratio estimator, on counts
+    whose correlation is defined."""
     npp, npm, nmp, nmm = (float(c) for c in counts)
     agree, disagree = npp + nmm, npm + nmp
     total = agree + disagree
-    if total <= 0:
-        raise UndefinedCorrelationError("all four outcome counts are zero")
     return 2.0 * np.sqrt(agree * disagree) / total ** 1.5
 
 
@@ -117,53 +115,49 @@ class ChshResult:
             "mode": self.mode,
         }
 
+    @classmethod
+    def from_records(cls, records) -> ChshResult:
+        """S from the 16 outcome records of chsh_records, in its order and at
+        one duration, or ValueError.  Float counts are exact expectations, as
+        CountRecord holds them, and give no sigma; integer counts are draws,
+        whose Poisson errors give sigma."""
+        records = list(records)
+        labels = tuple((r.setting.alice, r.setting.bob) for r in records)
+        if labels != _OUTCOMES or len({r.setting.duration_s for r in records}) > 1:
+            raise ValueError("CHSH needs its 16 outcome settings in draw order, at one duration")
+        counts = [r.counts for r in records]
+        quads = [counts[4 * k : 4 * k + 4] for k in range(len(_PAIRS))]
+        es = tuple(correlation_from_counts(q) for q in quads)
+        s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
+        exact = any(isinstance(c, (float, np.floating)) for c in counts)
+        sigma = None if exact else float(np.sqrt(sum(_correlation_sigma(q) ** 2 for q in quads)))
+        return cls(s_val, sigma, es)
 
-def _outcome_duration(duration_s: float) -> float:
-    """Each outcome's share, a quarter, of a setting pair's duration."""
-    return _finite_float(duration_s, "duration", True) / 4.0
 
-
-def chsh_settings(duration_s: float = DEFAULT_PAIR_DURATION_S) -> list[MeasurementSetting]:
-    """The 16 outcome settings of S in draw order, outcome (i, j) of pair k
-    at index 4k + 2i + j, each measured for a quarter of the pair's
-    duration_s."""
-    return list(_compiled(_OUTCOMES, _outcome_duration(duration_s))[0])
-
-
-def _chsh(rho: DensityMatrix, rate_cps: float, duration_s: float, rng) -> ChshResult:
-    """S from the 16 outcome counts of the CHSH settings: drawn from the
-    generator ``rng``, or with ``rng`` None their expectations."""
-    outcome_s = _outcome_duration(duration_s)
-    ops = _compiled(_OUTCOMES, outcome_s)[1]
-    counts = _born_counts(rho, ops, rate_cps, outcome_s, rng)
-    quads = [counts[4 * k : 4 * k + 4] for k in range(len(_PAIRS))]
-    es = tuple(correlation_from_counts(q) for q in quads)
-    s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
-    if rng is None:
-        return ChshResult(s_val, None, es)
-    sigma = float(np.sqrt(sum(_correlation_sigma(q) ** 2 for q in quads)))
-    return ChshResult(s_val, sigma, es)
+def chsh_records(
+    rho: DensityMatrix, rate_cps: float = DEFAULT_RATE_CPS,
+    duration_s: float = DEFAULT_PAIR_DURATION_S, seed: int = 0, exact: bool = False,
+) -> list[CountRecord]:
+    """The 16 outcome records of S in draw order, outcome (i, j) of pair k at
+    index 4k + 2i + j: each setting pair's duration_s split evenly over its
+    four outcomes, their counts drawn from the stream (1,) off the global
+    seed, or with ``exact`` their expectations."""
+    outcome_s = _finite_float(duration_s, "duration", True) / 4.0
+    return _count_records(rho, _OUTCOMES, outcome_s, rate_cps, seed, (1,), exact)
 
 
 def chsh_exact(rho: DensityMatrix) -> ChshResult:
     """S from the Born probabilities of the 16 outcome settings: their
     expected counts at 1 cps for 1 s per outcome."""
-    return _chsh(rho, 1.0, 4.0, None)
+    return ChshResult.from_records(chsh_records(rho, 1.0, 4.0, exact=True))
 
 
 def chsh_empirical(
-    rho: DensityMatrix,
-    rate_cps: float = DEFAULT_RATE_CPS,
-    duration_s: float = DEFAULT_PAIR_DURATION_S,
-    seed: int = 0,
+    rho: DensityMatrix, rate_cps: float = DEFAULT_RATE_CPS,
+    duration_s: float = DEFAULT_PAIR_DURATION_S, seed: int = 0,
 ) -> ChshResult:
-    """S from simulated projective runs with Poisson error propagation.
-
-    Each of the four setting pairs gets duration_s of beam time, split
-    evenly over its four outcome combinations.  The 16 counts, in the order
-    of chsh_settings, are drawn from the stream (1,) off the global seed.
-    """
-    return _chsh(rho, rate_cps, duration_s, _stream(seed, (1,)))
+    """S, with Poisson error propagation, from the drawn records of chsh_records."""
+    return ChshResult.from_records(chsh_records(rho, rate_cps, duration_s, seed))
 
 
 def predicted_s(visibility: float) -> float:

@@ -1,13 +1,14 @@
 """Batch command-line front-end.
 
 One table, ``_EXPERIMENTS``, holds the experiments (tomography, fringe,
-CHSH, budget): each row gives the function that runs one and the inputs it
-reads, by provenance key.  A command runs its row; ``pipeline`` runs every
-row on one prepared state.  The table decides each command's flags (its
-inputs', besides --config and --out), its provenance ``config`` (exactly
-those inputs' values, beside the command, the version and any seed read),
-and its count tables: ``<command>_counts.csv``, or
-``pipeline_<experiment>_counts.csv``, for each row that draws records.
+CHSH, budget): each row draws a count table from the prepared state,
+analyses a table, and names the inputs it reads, by provenance key.  A
+command runs its row and ``pipeline`` every row on one state, through one
+loop that draws each table (or reads --counts-csv), writes a drawn one as
+``<command>_counts.csv`` or ``pipeline_<experiment>_counts.csv``, and
+analyses it.  The table decides each command's flags and its provenance
+``config``: the values of the inputs the run read, a seed only where a
+random draw or a bootstrap reads it.
 
 Precedence: built-in defaults, then the --config JSON file (checked whole
 by every command), then explicit flags.  Floats are written as Python's
@@ -42,7 +43,6 @@ _DEFAULT_DURATIONS = {
     "chsh": bell.DEFAULT_PAIR_DURATION_S,
     "fringe": ms.DEFAULT_DURATION_S,
 }
-_DEFAULT_SEED = 0
 _DEFAULT_RESAMPLES = 100
 _FRINGE_POINTS = 16
 
@@ -61,9 +61,7 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            return None  # JSON has no NaN or infinity
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None  # JSON has no NaN or infinity
     return obj
 
 
@@ -85,8 +83,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"noise", "budget", "rate_cps", "durations", "seed"}
-    extra = set(cfg) - known
+    extra = set(cfg) - {"noise", "budget", "rate_cps", "durations", "seed"}
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
     return cfg
@@ -140,15 +137,13 @@ _FLAGS = {
     "deterministic_transferrers": dict(
         action="store_true", help="unit-success transferrers in state prep and budget"),
     "resamples": dict(type=int, help="bootstrap resamples for uncertainties (0 disables)"),
-    "exact": dict(action="store_true", help="expected counts, no noise (chsh: Born rule)"),
+    "exact": dict(action="store_true", help="expected counts instead of Poisson draws"),
     "counts_csv": dict(help="reconstruct from an existing count table"),
-    "bob": dict(default="+2", choices=tg.BOB_LABELS, help="Bob projector label (default +2)"),
+    "bob": dict(choices=tg.BOB_LABELS, help="Bob projector label (default +2)"),
     "points": dict(type=_fringe_points, help="grid points over one period (at least 4)"),
 }
 # options of one experiment's command, which the pipeline fixes or lacks
 _OWN = ("counts_csv", "bob", "points")
-# the flags a reanalysis takes; it records its table's own duration
-_TABLE_FLAGS = ("counts_csv", "seed", "resamples")
 
 
 class _Resolved:
@@ -162,7 +157,7 @@ class _Resolved:
         self.keys = _read_inputs(self.command, flags)
         cfg = _load_config(flags.get("config"))
         # a flag wins over the file, and the file over the default
-        self.seed = _checked(ms._seed, flags.get("seed", cfg.get("seed", _DEFAULT_SEED)), "seed")
+        self.seed = _checked(ms._seed, flags.get("seed", cfg.get("seed", 0)), "seed")
         rate = flags.get("rate_cps", cfg.get("rate_cps", ms.DEFAULT_RATE_CPS))
         self.rate_cps = _checked(ms._finite_float, rate, "rate_cps", False)
         cfg_durations = cfg.get("durations", {})
@@ -196,48 +191,40 @@ class _Resolved:
             b = dataclasses.replace(b, transfer_prep_eff=1.0, transfer_det_eff=1.0)
         self.budget = b
         self.counts_csv = flags.get("counts_csv")
-        self.bob = flags.get("bob")
+        self.bob = flags.get("bob", "+2")
         self.points = flags.get("points", _FRINGE_POINTS)
+        # the seed is read by a random draw or a bootstrap, and by nothing else
+        draws = self.counts_csv is None and not self.exact
+        if not (draws or "resamples" in self.keys and self.resamples > 0):
+            self.keys = tuple(k for k in self.keys if k != "seed")
         self.out = Path(flags["out"])
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {self.out}: {exc}") from exc
 
-    def config(self) -> dict:
-        """The values of the inputs the command read, by provenance key."""
-        values = {**vars(self), "noise": self.noise.as_dict(),
-                  "duration_s": self.durations.get(self.command)}
+    def config(self, table=None) -> dict:
+        """The values of the inputs the command read, by provenance key; a table
+        read from a file brings its one duration, which its analysis checked."""
+        duration = table[0].setting.duration_s if table else self.durations.get(self.command)
+        values = {**vars(self), "noise": self.noise.as_dict(), "duration_s": duration}
         return {key: values[key] for key in self.keys}
 
 
-def _tomography(res: _Resolved, rho) -> tuple:
-    """Reconstruction of a drawn or read count table, with bootstrap metrics
-    if asked.  A table read from a file is not drawn, so no records return."""
-    if res.counts_csv is None:
-        drawn = tg.simulate_tomography(
-            rho, res.rate_cps, res.durations["tomography"], res.seed, exact=res.exact
-        )
-        run = tg.reconstruct(drawn)
-    else:
-        drawn = None
-        run = tg.reconstruct(ms.read_counts_csv(res.counts_csv))
-        # a reanalysis records its table's one duration, which reconstruct checked
-        res.durations["tomography"] = run.records[0].setting.duration_s
+def _tomography(res: _Resolved, records) -> dict:
+    """Reconstruction of a count table, with bootstrap metrics if asked."""
+    run = tg.reconstruct(records)
     if res.resamples > 0:
         # the bootstrap takes the run, so the observed table is solved once
-        metrics = tg.metric_uncertainties(
-            run, n_resamples=res.resamples, seed=res.seed
-        ).as_dict()
+        metrics = tg.metric_uncertainties(run, n_resamples=res.resamples, seed=res.seed).as_dict()
     else:
-        target = src.hybrid_singlet_ket()
         metrics = {
-            "fidelity": tg.fidelity(run.rho_mle, target),
+            "fidelity": tg.fidelity(run.rho_mle, src.hybrid_singlet_ket()),
             "concurrence": tg.concurrence(run.rho_mle),
             "linear_entropy": tg.linear_entropy(run.rho_mle),
             "uncertainties": None,
         }
-    return drawn, {
+    return {
         "rho_linear": matrix_to_json(run.rho_linear),
         "rho_mle": matrix_to_json(run.rho_mle),
         "metrics": metrics,
@@ -248,64 +235,77 @@ def _tomography(res: _Resolved, rho) -> tuple:
     }
 
 
-def _fringe(res: _Resolved, rho) -> tuple:
-    """Analyzer scans over a period and their fits: the fringe command's one
-    scan with its Bob label, or the pipeline's two keyed by theirs."""
+def _draw_fringe(res: _Resolved, rho) -> list:
+    """The fringe command's scan over a period, or the pipeline's two."""
     grid = np.linspace(0.0, 2.0 * np.pi, res.points, endpoint=False)
-    records, scans = [], {}
-    for scan_index, bob in enumerate((res.bob,) if res.bob else ("+2", "h")):
-        scan = ms.fringe_scan_records(
+    records = []
+    for scan_index, bob in enumerate(("+2", "h") if res.command == "pipeline" else (res.bob,)):
+        records += ms.fringe_scan_records(
             rho, bob, grid, res.rate_cps, res.durations["fringe"],
             seed=res.seed, scan_index=scan_index, exact=res.exact,
         )
-        points = [(float(t), float(r.counts)) for t, r in zip(grid, scan)]
+    return records
+
+
+def _fringe(res: _Resolved, records) -> dict:
+    """The fit of each scan, by its Bob label: a point's theta is its
+    record's Alice tag, whose 17 digits read back to the float scanned."""
+    scans = {}
+    for r in records:
+        theta = float(r.setting.alice[len(ms._THETA_PREFIX):])
+        scans.setdefault(r.setting.bob, []).append((theta, float(r.counts)))
+    fits = {}
+    for bob, points in scans.items():
         n0, vis, phi0 = ms.fit_fringe(points)
-        records += scan
-        scans[bob] = {
+        fits[bob] = {
             "n0": n0, "visibility": vis, "phi0": phi0,
             "visibility_minmax": ms.visibility_minmax(points),
             "points": [[t, c] for t, c in points],
         }
-    if res.bob:
-        return records, {**scans[res.bob], "bob": res.bob}
-    return records, scans
-
-
-def _chsh(res: _Resolved, rho) -> tuple:
-    if res.exact:
-        return None, bell.chsh_exact(rho).as_dict()
-    return None, bell.chsh_empirical(
-        rho, rate_cps=res.rate_cps, duration_s=res.durations["chsh"], seed=res.seed,
-    ).as_dict()
+    if res.command == "pipeline":
+        return fits
+    ((bob, fit),) = fits.items()
+    return {**fit, "bob": bob}
 
 
 @dataclasses.dataclass(frozen=True)
 class _Experiment:
     help: str
-    # (resolved settings, prepared state) -> (records drawn or None, result)
-    run: Callable
-    # provenance keys of what it can read, in flag order
+    # (resolved settings, prepared state) -> count records; None draws none
+    draw: Callable | None
+    # (resolved settings, count records or None) -> result
+    analyze: Callable
+    # provenance keys of what it can read, in flag order, and of what its
+    # analysis reads, which a reanalysis of a table keeps
     inputs: tuple[str, ...]
+    analysis: tuple[str, ...] = ()
     # the text its command prints after writing the result
     report: Callable | None = None
 
 
 _EXPERIMENTS = {
     "tomography": _Experiment(
-        "36-setting reconstruction", _tomography,
+        "36-setting reconstruction", lambda res, rho: tg.simulate_tomography(
+            rho, res.rate_cps, res.durations["tomography"], res.seed, exact=res.exact),
+        _tomography,
         ("seed", "duration_s", "rate_cps", "noise", "deterministic_transferrers",
          "resamples", "exact", "counts_csv"),
+        analysis=("seed", "resamples"),
     ),
     "fringe": _Experiment(
-        "analyzer rotation scan", _fringe,
+        "analyzer rotation scan", _draw_fringe, _fringe,
         ("seed", "duration_s", "rate_cps", "noise", "exact", "bob", "points"),
     ),
     "chsh": _Experiment(
-        "S measurement", _chsh, ("seed", "duration_s", "rate_cps", "noise", "exact"),
+        "S measurement", lambda res, rho: bell.chsh_records(
+            rho, res.rate_cps, res.durations["chsh"], res.seed, res.exact),
+        lambda res, records: bell.ChshResult.from_records(records).as_dict(),
+        ("seed", "duration_s", "rate_cps", "noise", "exact"),
     ),
     "budget": _Experiment(
-        "rate bookkeeping", lambda res, rho: (None, budget_mod.budget_report(res.budget)),
-        ("deterministic_transferrers",), budget_mod.format_report,
+        "rate bookkeeping", None,
+        lambda res, records: budget_mod.budget_report(res.budget),
+        ("deterministic_transferrers",), report=budget_mod.format_report,
     ),
 }
 
@@ -324,20 +324,21 @@ def _inputs(command: str) -> tuple[str, ...]:
 
 
 def _read_inputs(command: str, flags: dict) -> tuple[str, ...]:
-    """The inputs a run reads: its command's, without a table it was not
-    given.  A reanalysis reads only its table and the bootstrap's inputs,
-    and refuses a flag for any other."""
+    """The inputs a command reads: its row's, without a table it was not given.
+    A reanalysis reads its table and its analysis's inputs, and refuses the rest."""
     keys = _inputs(command)
     if "counts_csv" not in flags:
         return tuple(k for k in keys if k != "counts_csv")
-    refused = [_flag(k) for k in keys if k in flags and k not in _TABLE_FLAGS]
+    read = ("counts_csv", *_EXPERIMENTS[command].analysis)
+    refused = [_flag(k) for k in keys if k in flags and k not in read]
     if refused:
         raise ConfigError(f"{', '.join(refused)} not allowed with --counts-csv")
-    return (*_TABLE_FLAGS, "duration_s")
+    return (*read, "duration_s")
 
 
 def _run(res: _Resolved) -> None:
-    """Run a command's rows on one prepared state and write what they give."""
+    """Run a command's rows on one prepared state: draw and write each row's
+    count table, or read the one given, and analyse it."""
     command = res.command
     rows = _EXPERIMENTS if command == "pipeline" else {command: _EXPERIMENTS[command]}
     # an experiment that reads the noise reads the state it shapes
@@ -345,15 +346,19 @@ def _run(res: _Resolved) -> None:
         src.prepare_hybrid(res.noise, res.budget) if "noise" in res.keys else (None, None)
     )
     results = {}
+    # a table read from a file is not written back to --out, which may hold it
+    table = None if res.counts_csv is None else ms.read_counts_csv(res.counts_csv)
     for name, row in rows.items():
-        records, results[name] = row.run(res, rho)
-        if records is not None:
+        records = table
+        if records is None and row.draw is not None:
+            records = row.draw(res, rho)
             stem = command if name == command else f"{command}_{name}"
             ms.write_counts_csv(records, res.out / f"{stem}_counts.csv")
+        results[name] = row.analyze(res, records)
     payload = results if command == "pipeline" else results[command]
     if "tomography" in rows:
         payload["success_probability"] = success
-    config = res.config()
+    config = res.config(table)
     payload["provenance"] = {"command": command, "config": config, "version": __version__}
     if "seed" in config:
         payload["provenance"]["seed"] = res.seed
@@ -374,6 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, text in helps.items():
         # a flag not given stays out of the namespace, so a run can tell
         p = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        # the parser whose usage line a late usage error is reported under
+        p.set_defaults(command_parser=p)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         for key in _inputs(command):
@@ -384,12 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         res = _Resolved(args)
     except ConfigError as exc:
-        parser.error(str(exc))  # exits 2
+        args.command_parser.error(str(exc))  # exits 2
     try:
         _run(res)
     except Exception as exc:  # runtime failure contract: error JSON, exit 1

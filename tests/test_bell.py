@@ -10,11 +10,11 @@ from hybridoam.bell import (
     UndefinedCorrelationError,
     chsh_empirical,
     chsh_exact,
-    chsh_settings,
+    chsh_records,
     correlation_from_counts,
     predicted_s,
 )
-from hybridoam.measurement import MeasurementSetting
+from hybridoam.measurement import CountRecord, MeasurementSetting
 from hybridoam.source import NoiseModel, prepare_hybrid
 from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
 
@@ -23,10 +23,14 @@ SINGLET = prepare_hybrid()[0]
 S_MAX = 2.0 * np.sqrt(2.0)
 
 
+def _settings(duration_s=60.0):
+    return [r.setting for r in chsh_records(SINGLET, duration_s=duration_s)]
+
+
 def test_settings_are_valid_observables():
-    settings = chsh_settings()
+    settings = _settings()
     assert len(settings) == 16 and all(s.duration_s == 15.0 for s in settings)
-    assert [s.duration_s for s in chsh_settings(8.0)] == [2.0] * 16
+    assert [s.duration_s for s in _settings(8.0)] == [2.0] * 16
     # outcome (i, j) of pair k is setting 4k + 2i + j, and each side's two
     # outcomes are labels of the oracle's orthogonal projectors
     for k, (x, y, _) in enumerate(chsh_oracle.PAIRS):
@@ -116,6 +120,30 @@ def test_empirical_chsh_reproducible_and_near_exact():
         chsh_empirical(rho, duration_s=0.0)
 
 
+def test_chsh_is_the_analysis_of_its_records():
+    rho, _ = prepare_hybrid(NoiseModel(werner_p=0.887))
+    drawn = chsh_records(rho, rate_cps=50.0, duration_s=30.0, seed=4)
+    assert all(isinstance(r.counts, int) and r.seed == 4 for r in drawn)
+    assert ChshResult.from_records(drawn) == chsh_empirical(rho, 50.0, 30.0, 4)
+    # float counts are exact expectations, with no sigma, whatever the rate
+    exact = chsh_records(rho, rate_cps=3.0, duration_s=7.0, exact=True)
+    assert all(isinstance(r.counts, float) for r in exact)
+    res = ChshResult.from_records(exact)
+    assert res.sigma is None
+    assert abs(res.s - chsh_exact(rho).s) <= 1e-15
+    # any other table is refused: short, reordered, relabelled or of mixed durations
+    swapped = [drawn[1], drawn[0], *drawn[2:]]
+    relabelled = [CountRecord(MeasurementSetting("L", r.setting.bob, r.setting.duration_s),
+                              r.counts, r.seed) for r in drawn]
+    mixed = [*drawn[:15], CountRecord(MeasurementSetting(drawn[15].setting.alice,
+                                                         drawn[15].setting.bob, 1.0), 3, 4)]
+    for bad in ([], drawn[:15], drawn + drawn[:1], swapped, relabelled):
+        with pytest.raises(ValueError, match="16 outcome settings in draw order"):
+            ChshResult.from_records(bad)
+    with pytest.raises(ValueError, match="at one duration"):
+        ChshResult.from_records(mixed)
+
+
 def test_empirical_seed_changes_the_draw():
     rho, _ = prepare_hybrid(NoiseModel(werner_p=0.887))
     r1 = chsh_empirical(rho, seed=0)
@@ -163,9 +191,40 @@ def test_fuzzed_chsh_inputs_succeed_or_raise_typed_errors():
     def pick(pool):
         return pool[rng.integers(len(pool))]
 
+    drawn = chsh_records(states[1])
+
+    def hostile_table():
+        # the drawn table with up to three records dropped, duplicated,
+        # relabelled or moved to another duration, or their counts replaced
+        records = list(drawn)
+        for _ in range(rng.integers(4)):
+            i = int(rng.integers(len(records)))
+            r = records[i]
+            edit = rng.integers(5)
+            if edit == 0:
+                del records[i]
+            elif edit == 1:
+                records.insert(int(rng.integers(len(records))), r)
+            elif edit == 2:
+                records[i] = CountRecord(
+                    MeasurementSetting(pick(_TAGS), r.setting.bob, r.setting.duration_s),
+                    r.counts, r.seed,
+                )
+            elif edit == 3:
+                records[i] = CountRecord(
+                    MeasurementSetting(r.setting.alice, r.setting.bob, pick(_NUMBERS)),
+                    r.counts, r.seed,
+                )
+            else:
+                records[i] = CountRecord(r.setting, pick(_NUMBERS), r.seed)
+        return records
+
     calls = (
         lambda: MeasurementSetting(pick(_TAGS), pick(_TAGS), pick(_NUMBERS)),
-        lambda: chsh_settings(pick(_NUMBERS)),
+        lambda: chsh_records(
+            pick(states), pick(_NUMBERS), pick(_NUMBERS), pick(_NUMBERS), pick((False, True))
+        ),
+        lambda: ChshResult.from_records(hostile_table()),
         lambda: chsh_empirical(pick(states), pick(_NUMBERS), pick(_NUMBERS), pick(_NUMBERS)),
         # a valid state and seed, so that a rate and duration reach the draw
         lambda: chsh_empirical(states[1], pick(_NUMBERS), pick(_NUMBERS), 2**64),

@@ -275,7 +275,7 @@ def test_settings_are_their_labels(tmp_path):
         *(r.setting for r in tomography.simulate_tomography(SINGLET)),
         *(r.setting for r in fringe),
         *(r.setting for r in read_counts_csv(path)),
-        *bell.chsh_settings(),
+        *(r.setting for r in bell.chsh_records(SINGLET)),
     ]
     for s in settings:
         assert s.label == f"{s.alice}|{s.bob}"
@@ -566,7 +566,7 @@ BOOLS = {
     "chsh-numpy-rate": lambda: bell.chsh_empirical(SINGLET, rate_cps=np.True_),
     "chsh-duration": lambda: bell.chsh_empirical(SINGLET, duration_s=True),
     "chsh-numpy-duration": lambda: bell.chsh_empirical(SINGLET, duration_s=np.True_),
-    "chsh-settings-duration": lambda: bell.chsh_settings(True),
+    "chsh-settings-duration": lambda: bell.chsh_records(SINGLET, duration_s=True),
 }
 
 
@@ -574,7 +574,7 @@ BOOLS = {
 def test_bools_are_refused_where_integers_or_durations_go(case):
     tomography.simulate_tomography(SINGLET, duration_s=1)
     fringe_scan_records(SINGLET, "+2", GRID16, duration_s=1)
-    bell.chsh_settings(1)
+    bell.chsh_records(SINGLET, duration_s=1)
     with pytest.raises(TypeError, match="bool"):
         BOOLS[case]()
 
@@ -649,7 +649,7 @@ def test_counting_refuses_probabilities_outside_the_unit_interval():
             lambda exact: fringe_scan_records(rho, "h", GRID16, exact=exact),
         ),
         "chsh": (
-            bell.chsh_settings(),
+            [r.setting for r in bell.chsh_records(SINGLET)],
             lambda exact: bell.chsh_exact(rho) if exact else bell.chsh_empirical(rho),
         ),
     }
@@ -749,7 +749,8 @@ def test_compiled_settings_are_read_only():
     assert all(a is r.setting for a, r in zip(compiled[0][0], tomo))
     scan = compiled[1][0]
     assert all(a is r.setting for a, r in zip(scan, fringe))
-    assert all(a is b for a, b in zip(bell.chsh_settings(60.0), compiled[2][0]))
+    chsh = bell.chsh_records(SINGLET, duration_s=60.0)
+    assert all(a is r.setting for a, r in zip(compiled[2][0], chsh))
     # a new duration builds new settings on the same stack, whose 36
     # canonical products are tomography's model rows
     other = measurement._compiled(tomography._KEYS, 7.0)

@@ -247,7 +247,7 @@ PUBLIC_NAMES = """
     OAM_O2 POLARIZATION REFERENCE_FIDELITY
     REFERENCE_LINEAR_ENTROPY RateBudget StateMetrics StateVector
     TomographyRun UndefinedCorrelationError apply_noise budget_report
-    chsh_empirical chsh_exact chsh_settings concurrence
+    chsh_empirical chsh_exact chsh_records concurrence
     correlation_from_counts det_probability expected_rate fidelity
     fit_fringe fit_noise_model format_report fringe_scan
     fringe_scan_records hybrid_singlet_ket hybrid_state linear_entropy
@@ -275,7 +275,7 @@ def test_public_api_is_pinned():
 
 # exports that no run path calls, each kept for the reason given beside it
 # in hybridoam/__init__.py
-UNCALLED_EXPORTS = {"matrix_from_json", "chsh_settings", "predicted_s"}
+UNCALLED_EXPORTS = {"matrix_from_json", "predicted_s"}
 
 
 def _readme_quick_start():
