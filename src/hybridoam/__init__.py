@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 # Every export below has a caller on a run path (the CLI,
 # benchmarks/workloads.py or the README's library quick start), or a reason

@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import (
-    _THETA_PREFIX,
     DEFAULT_RATE_CPS,
     CountRecord,
     _count_records,
     _finite_float,
+    _tag,
 )
 from .states import DensityMatrix, _real
 
@@ -43,8 +43,8 @@ DEFAULT_PAIR_DURATION_S = 60.0
 _ANALYZERS = {
     "a": ("H", "V"),
     "a'": ("+", "-"),
-    "b": tuple(f"{_THETA_PREFIX}{k * np.pi / 4:.17g}" for k in (-1, 3)),
-    "b'": tuple(f"{_THETA_PREFIX}{k * np.pi / 4:.17g}" for k in (1, 5)),
+    "b": tuple(_tag(k * np.pi / 4) for k in (-1, 3)),
+    "b'": tuple(_tag(k * np.pi / 4) for k in (1, 5)),
 }
 # S = E(a,b) + E(a',b) + E(a,b') - E(a',b')
 _PAIRS = (("a", "b", +1), ("a'", "b", +1), ("a", "b'", +1), ("a'", "b'", -1))

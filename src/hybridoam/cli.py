@@ -8,15 +8,15 @@ loop that draws each table (or reads --counts-csv), writes a drawn one as
 ``<command>_counts.csv`` or ``pipeline_<experiment>_counts.csv``, and
 analyses it.  The table decides each command's flags and its provenance
 ``config``: the values of the inputs the run read, a seed only where a
-random draw or a bootstrap reads it.
+random draw or a bootstrap reads it, and the rate budget, which has no flag.
 
 Precedence: built-in defaults, then the --config JSON file (checked whole
 by every command), then explicit flags.  Floats are written as Python's
 shortest repr that reads back to the same float64, so identical config +
 seed gives byte-identical files.
 
-Exit codes: 0 success, 2 usage/config errors, 1 simulation or
-reconstruction failures (with an error JSON on stdout).
+Exit codes: 0 success, 2 usage/config errors, under the command's usage
+line, 1 simulation or reconstruction failures (with an error JSON on stdout).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _fringe_points(text: str) -> int:
     return n
 
 
-# every input an experiment can read, by its provenance key: its flag's options
+# every input a flag sets, by its provenance key: its flag's options
 _FLAGS = {
     "seed": dict(type=int, help="global RNG seed"),
     "duration_s": dict(type=float, help=(
@@ -134,8 +134,6 @@ _FLAGS = {
         f" chsh {_DEFAULT_DURATIONS['chsh']:g})")),
     "rate_cps": dict(type=float, help="detected pair rate (default 100)"),
     "noise": dict(help='noise preset name or inline JSON {"werner_p":...}'),
-    "deterministic_transferrers": dict(
-        action="store_true", help="unit-success transferrers in state prep and budget"),
     "resamples": dict(type=int, help="bootstrap resamples for uncertainties (0 disables)"),
     "exact": dict(action="store_true", help="expected counts instead of Poisson draws"),
     "counts_csv": dict(help="reconstruct from an existing count table"),
@@ -175,7 +173,6 @@ class _Resolved:
             flag = _checked(ms._finite_float, flags["duration_s"], "duration --duration-s", True)
             self.durations = dict.fromkeys(self.durations, flag)
         self.noise = _parse_noise(flags.get("noise", cfg.get("noise")))
-        self.deterministic_transferrers = flags.get("deterministic_transferrers", False)
         self.exact = flags.get("exact", False)
         self.resamples = flags.get("resamples", _DEFAULT_RESAMPLES)
         if self.resamples != 0 and self.resamples < 100:
@@ -184,12 +181,9 @@ class _Resolved:
                 f"resamples: 0 disables, at least 100 otherwise; got {self.resamples}"
             )
         try:
-            b = budget_mod.RateBudget.from_dict(cfg.get("budget", {}))
+            self.budget = budget_mod.RateBudget.from_dict(cfg.get("budget", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad budget config: {exc}") from exc
-        if self.deterministic_transferrers:
-            b = dataclasses.replace(b, transfer_prep_eff=1.0, transfer_det_eff=1.0)
-        self.budget = b
         self.counts_csv = flags.get("counts_csv")
         self.bob = flags.get("bob", "+2")
         self.points = flags.get("points", _FRINGE_POINTS)
@@ -207,7 +201,8 @@ class _Resolved:
         """The values of the inputs the command read, by provenance key; a table
         read from a file brings its one duration, which its analysis checked."""
         duration = table[0].setting.duration_s if table else self.durations.get(self.command)
-        values = {**vars(self), "noise": self.noise.as_dict(), "duration_s": duration}
+        values = {**vars(self), "noise": self.noise.as_dict(), "duration_s": duration,
+                  "budget": self.budget.as_dict()}
         return {key: values[key] for key in self.keys}
 
 
@@ -248,12 +243,10 @@ def _draw_fringe(res: _Resolved, rho) -> list:
 
 
 def _fringe(res: _Resolved, records) -> dict:
-    """The fit of each scan, by its Bob label: a point's theta is its
-    record's Alice tag, whose 17 digits read back to the float scanned."""
+    """The fit of each scan, by its Bob label, over the angles of its Alice tags."""
     scans = {}
     for r in records:
-        theta = float(r.setting.alice[len(ms._THETA_PREFIX):])
-        scans.setdefault(r.setting.bob, []).append((theta, float(r.counts)))
+        scans.setdefault(r.setting.bob, []).append((ms._theta(r.setting.alice), float(r.counts)))
     fits = {}
     for bob, points in scans.items():
         n0, vis, phi0 = ms.fit_fringe(points)
@@ -275,7 +268,7 @@ class _Experiment:
     draw: Callable | None
     # (resolved settings, count records or None) -> result
     analyze: Callable
-    # provenance keys of what it can read, in flag order, and of what its
+    # provenance keys of what it can read, in help order, and of what its
     # analysis reads, which a reanalysis of a table keeps
     inputs: tuple[str, ...]
     analysis: tuple[str, ...] = ()
@@ -288,8 +281,8 @@ _EXPERIMENTS = {
         "36-setting reconstruction", lambda res, rho: tg.simulate_tomography(
             rho, res.rate_cps, res.durations["tomography"], res.seed, exact=res.exact),
         _tomography,
-        ("seed", "duration_s", "rate_cps", "noise", "deterministic_transferrers",
-         "resamples", "exact", "counts_csv"),
+        ("seed", "duration_s", "rate_cps", "noise", "budget", "resamples", "exact",
+         "counts_csv"),
         analysis=("seed", "resamples"),
     ),
     "fringe": _Experiment(
@@ -305,7 +298,7 @@ _EXPERIMENTS = {
     "budget": _Experiment(
         "rate bookkeeping", None,
         lambda res, records: budget_mod.budget_report(res.budget),
-        ("deterministic_transferrers",), report=budget_mod.format_report,
+        ("budget",), report=budget_mod.format_report,
     ),
 }
 
@@ -319,8 +312,8 @@ def _inputs(command: str) -> tuple[str, ...]:
     the pipeline every row's that it does not fix, with every duration."""
     if command in _EXPERIMENTS:
         return _EXPERIMENTS[command].inputs
-    read = {key for row in _EXPERIMENTS.values() for key in row.inputs} - set(_OWN)
-    return tuple("durations" if k == "duration_s" else k for k in _FLAGS if k in read)
+    read = dict.fromkeys(k for row in _EXPERIMENTS.values() for k in row.inputs if k not in _OWN)
+    return tuple("durations" if k == "duration_s" else k for k in read)
 
 
 def _read_inputs(command: str, flags: dict) -> tuple[str, ...]:
@@ -384,18 +377,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         for key in _inputs(command):
-            # the pipeline's durations are set by the one --duration-s
+            # the pipeline's durations are set by the one --duration-s; the budget has none
             key = "duration_s" if key == "durations" else key
-            p.add_argument(_flag(key), **_FLAGS[key])
+            if key in _FLAGS:
+                p.add_argument(_flag(key), **_FLAGS[key])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # as every usage error, under the command's usage line
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         res = _Resolved(args)
     except ConfigError as exc:
-        args.command_parser.error(str(exc))  # exits 2
+        args.command_parser.error(str(exc))
     try:
         _run(res)
     except Exception as exc:  # runtime failure contract: error JSON, exit 1

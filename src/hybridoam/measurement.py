@@ -91,6 +91,16 @@ def _seed(value, name: str = "seed") -> int:
     return value
 
 
+def _tag(theta: float) -> str:
+    """The scan tag of an angle, whose 17 digits read back to the float."""
+    return f"{_THETA_PREFIX}{theta:.17g}"
+
+
+def _theta(tag: str) -> float:
+    """The angle of a scan tag."""
+    return float(tag[len(_THETA_PREFIX):])
+
+
 @functools.lru_cache(maxsize=1024)
 def _projector(label: str, degree: str) -> np.ndarray:
     """The read-only projector of an analyzer: a basis-state label of one
@@ -98,7 +108,7 @@ def _projector(label: str, degree: str) -> np.ndarray:
     is (cos(x/2), sin(x/2)) in that degree's basis, (H, V) or (+2, -2).
     Built once per label and shared."""
     if label.startswith(_THETA_PREFIX):
-        theta = float(label[len(_THETA_PREFIX):])
+        theta = _theta(label)
         if not math.isfinite(theta):
             raise ValueError(f"scan angle must be finite, got {label!r}")
         ket = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
@@ -308,7 +318,7 @@ def _scan_pairs(grid: bytes, bob: str) -> tuple[tuple[str, str], ...]:
     """The (theta tag, bob) label pairs of a scan over a float64 grid, given
     as its bytes: formatted once per grid and Bob label.  Keyed by the bytes,
     not the values, since 0.0 and -0.0 tag differently."""
-    return tuple((f"{_THETA_PREFIX}{t:.17g}", bob) for t in np.frombuffer(grid).tolist())
+    return tuple((_tag(t), bob) for t in np.frombuffer(grid).tolist())
 
 
 def fringe_scan(
@@ -371,15 +381,17 @@ def visibility_minmax(points) -> float:
 def write_counts_csv(records, path) -> None:
     """Write count records as CSV: setting_label, alice, bob, duration_s, counts, seed.
 
-    Integer counts serialize without a decimal point; exact-mode expectations
-    keep their fractional part via repr-faithful formatting.
+    Counts are written with 17 significant digits, which hold every count
+    up to 2**53 exactly; a float count gets ".0" where those are all digits,
+    so that it reads back a float: 750.0 is written "750.0".
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["setting_label", "alice", "bob", "duration_s", "counts", "seed"])
         for r in records:
-            s = r.setting
-            c = r.counts if isinstance(r.counts, int) else f"{r.counts:.17g}"
+            s, c = r.setting, f"{r.counts:.17g}"
+            if isinstance(r.counts, (float, np.floating)) and c.lstrip("-").isdigit():
+                c += ".0"  # -0.0 too
             w.writerow([s.label, s.alice, s.bob, f"{s.duration_s:.17g}", c, r.seed])
 
 
@@ -387,10 +399,10 @@ def read_counts_csv(path) -> list[CountRecord]:
     """Read records written by write_counts_csv.
 
     Each row's setting_label must be its "alice|bob" pair, and its seed
-    non-negative.  Integer counts come back as int, fractional ones
-    (exact-mode expectations) as float.  Integer cells are read exactly, so
-    one past 2**53 is refused as CountRecord refuses it; non-finite counts
-    raise ValueError.
+    non-negative.  A counts cell that is an integer literal comes back as an
+    int, read exactly, so one past 2**53 is refused as CountRecord refuses
+    it; any other as a float (an exact-mode expectation), and a non-finite
+    one raises ValueError.
     """
     records = []
     with open(path, newline="") as fh:
@@ -407,8 +419,7 @@ def read_counts_csv(path) -> list[CountRecord]:
             try:
                 counts = int(row["counts"])
             except ValueError:
-                c = float(row["counts"])
-                counts = int(c) if c.is_integer() else c
+                counts = float(row["counts"])
             # CountRecord refuses a negative seed
             records.append(CountRecord(s, counts, int(row["seed"])))
     return records

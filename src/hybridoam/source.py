@@ -23,7 +23,7 @@ All reported observables are free of this convention; it only fixes signs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,11 +78,7 @@ class NoiseModel:
             object.__setattr__(self, name, _check_real(name, getattr(self, name), *bounds))
 
     def as_dict(self) -> dict:
-        return {
-            "werner_p": self.werner_p,
-            "dephase_q": self.dephase_q,
-            "miscal_angle": self.miscal_angle,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":

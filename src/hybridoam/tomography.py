@@ -578,34 +578,18 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray):
 def reconstruct(records) -> TomographyRun:
     """Linear inversion plus maximum-likelihood refinement on one count table.
 
-    This is the one reconstruction entry point.  The likelihood is maximized
-    over density matrices by a log-barrier Newton method in the 15 Bloch
-    coordinates of rho: each round steps towards the maximum of
-    sum_k n_k log p_k + mu log det rho, with mu a hundredth to a half of the
-    current duality measure, the smaller the longer the last steps were.
-    The Newton matrix takes its barrier term from a dual estimate Z, which
-    moves with rho (the HKM primal-dual direction, the primal barrier
-    Hessian where Z = mu rho^-1), so each cut of mu takes about one round.
-    The solve starts from the physical projection of linear inversion.  If
-    that has least eigenvalue above 1e-3, it is taken as it is, on the
-    central path at duality measure 0.01: the estimate lies close to the
-    maximum, which then most likely lies inside the state space too.  Any
-    other start is blended with 1% of I/4 to make it full rank and begins
-    at duality measure max(1, 1e-3 x its gap bound), far enough from a
-    boundary optimum.  Each step is backtracked so that rho stays positive
-    definite and the step gains likelihood against the quadratic model.
-    Every round bounds the gap to the maximum by the concavity bound
-    lambda_max(R) - N, with R = sum_k (n_k/p_k) Pi_k (Glancy, Knill &
-    Girard, NJP 14, 095017, 2012), once the duality measure is small enough
-    for it to certify, and the solve stops when it is at most _MLE_TOL.
-    The bound counts its own round-off: it is clipped at 0 and has
-    16 eps N added for a table of N counts, so a table of more than about
-    3e8 counts cannot converge.  It is reported as loglik_gap_bound, and
-    converged means it is at most _MLE_TOL; after _MLE_MAXITER rounds the
-    solve stops unconverged.  A start that already certifies, as for exact
-    count tables, comes back unchanged, and the result never has less
-    likelihood than the start.  This is the stacked solver of the bootstrap
-    on a stack of one table.
+    This is the one reconstruction entry point: the bootstrap's stacked
+    solver, _solve, on a stack of one table, whose method the module
+    docstring describes.  The solve starts from the physical projection of
+    linear inversion, taken as it is if its least eigenvalue exceeds 1e-3 and
+    else blended with 1% of I/4.  It stops once the concavity bound
+    lambda_max(R) - N, with R = sum_k (n_k/p_k) Pi_k (Glancy, Knill & Girard,
+    NJP 14, 095017, 2012), is at most _MLE_TOL, or after _MLE_MAXITER rounds.
+    The bound counts its own round-off, 16 eps N for a table of N counts, so
+    a table of more than about 3e8 counts cannot converge.  It is reported as
+    loglik_gap_bound, and converged means it is at most _MLE_TOL.  A start
+    that already certifies, as for exact count tables, comes back unchanged,
+    and the result never has less likelihood than the start.
     """
     records = tuple(records)  # read twice below, so any iterable will do
     counts, totals = _count_table(records)

@@ -6,9 +6,10 @@ import pytest
 
 import hybridoam.measurement as measurement
 from hybridoam.bell import ChshResult
+from hybridoam.budget import RateBudget
 from hybridoam.cli import build_parser, main
 from hybridoam.measurement import fit_fringe, read_counts_csv, write_counts_csv
-from hybridoam.source import prepare_hybrid
+from hybridoam.source import noise_preset, prepare_hybrid
 from hybridoam.states import matrix_to_json
 from hybridoam.tomography import reconstruct, simulate_tomography
 
@@ -271,57 +272,61 @@ def test_pipeline_exact_is_seed_invariant(tmp_path):
     assert abs(da["chsh"]["S"] - S_MAX) < 1e-9
 
 
-def test_deterministic_transferrer_flag(tmp_path):
-    assert main(
-        ["budget", "--deterministic-transferrers", "--out", str(tmp_path)]
-    ) == 0
-    d = load(tmp_path / "budget.json")
-    assert abs(d["prep_probability"] - 0.80) < 1e-12
-    assert abs(d["det_probability"] - 0.16) < 1e-12
-
-
-def test_success_probability_is_the_budgets_prep_transfer_efficiency(tmp_path):
-    # the reported success and the same file's budget come from one value
-    cases = [
-        ({"transfer_prep_eff": 0.3}, [], 0.3),
-        ({"transfer_prep_eff": 1.0, "transfer_det_eff": 1.0}, [], 1.0),
-        ({}, ["--deterministic-transferrers"], 1.0),
-        ({"transfer_prep_eff": 0.3}, ["--deterministic-transferrers"], 1.0),
-    ]
-    for i, (budget, flags, success) in enumerate(cases):
+def test_success_probability_is_the_budgets_prep_transfer_efficiency(tmp_path, capsys):
+    # the reported success and the same file's budget come from one value,
+    # which the config file sets and the provenance echoes
+    # the last is a deterministic chain: both transferrers succeed every time
+    deterministic = {"transfer_prep_eff": 1.0, "transfer_det_eff": 1.0}
+    cases = [({}, 0.5), ({"transfer_prep_eff": 0.3}, 0.3), (deterministic, 1.0)]
+    for i, (budget, success) in enumerate(cases):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(json.dumps({"budget": budget}))
-        out = tmp_path / f"out{i}"
-        assert main(["pipeline", "--exact", "--resamples", "0", "--config", str(cfg),
-                     *flags, "--out", str(out)]) == 0
-        d = load(out / "pipeline.json")
-        assert d["success_probability"] == success
-        report = d["budget"]
-        assert report["budget"]["transfer_prep_eff"] == success
-        assert report["prep_probability"] == report["budget"]["qplate_eff"] * success
-    out = tmp_path / "tomography"
-    assert main(["tomography", "--deterministic-transferrers", "--exact", "--resamples", "0",
-                 "--out", str(out)]) == 0
-    assert load(out / "tomography.json")["success_probability"] == 1.0
+        echoed = RateBudget.from_dict(budget).as_dict()
+        runs = {
+            "pipeline": ["pipeline", "--exact", "--resamples", "0"],
+            "tomography": ["tomography", "--exact", "--resamples", "0"],
+            "budget": ["budget"],
+        }
+        for command, argv in runs.items():
+            out = tmp_path / f"{command}{i}"
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+            d = load(out / f"{command}.json")
+            assert d["provenance"]["config"]["budget"] == echoed, (command, budget)
+            if command != "budget":
+                assert d["success_probability"] == success == echoed["transfer_prep_eff"]
+            report = d["budget"] if command == "pipeline" else d
+            if command != "tomography":
+                assert report["budget"] == echoed
+                assert report["prep_probability"] == report["budget"]["qplate_eff"] * success
+    # a reanalysis reads no budget, and reports no success
+    table = tmp_path / "tomography1" / "tomography_counts.csv"
+    assert main(["tomography", "--counts-csv", str(table), "--resamples", "0",
+                 "--config", str(tmp_path / "cfg1.json"), "--out", str(tmp_path / "re")]) == 0
+    d = load(tmp_path / "re" / "tomography.json")
+    assert d["success_probability"] is None and "budget" not in d["provenance"]["config"]
+    capsys.readouterr()
+    # the unit-success chain doubles both arms' probabilities, as the
+    # upgraded budget does
+    d = load(tmp_path / "budget2" / "budget.json")
+    assert abs(d["prep_probability"] - 0.80) < 1e-12
+    assert abs(d["det_probability"] - 0.16) < 1e-12
 
 
 # the provenance keys of the inputs each command reads, in a run that draws
 # counts at random; the pipeline reads every experiment's duration, and
 # tomography also takes --counts-csv
 _INPUTS = {
-    "tomography": {"seed", "duration_s", "rate_cps", "noise", "deterministic_transferrers",
-                   "resamples", "exact"},
+    "tomography": {"seed", "duration_s", "rate_cps", "noise", "budget", "resamples", "exact"},
     "fringe": {"seed", "duration_s", "rate_cps", "noise", "exact", "bob", "points"},
     "chsh": {"seed", "duration_s", "rate_cps", "noise", "exact"},
-    "budget": {"deterministic_transferrers"},
-    "pipeline": {"seed", "durations", "rate_cps", "noise", "deterministic_transferrers",
-                 "resamples", "exact"},
+    "budget": {"budget"},
+    "pipeline": {"seed", "durations", "rate_cps", "noise", "budget", "resamples", "exact"},
 }
 # every flag a command may offer, with a value it accepts (None: a switch)
 _FLAG_VALUES = {
     "--seed": "1", "--duration-s": "5", "--rate-cps": "5", "--noise": "ideal",
-    "--deterministic-transferrers": None, "--resamples": "0", "--exact": None,
-    "--counts-csv": "table.csv", "--bob": "h", "--points": "8",
+    "--resamples": "0", "--exact": None, "--counts-csv": "table.csv", "--bob": "h",
+    "--points": "8",
 }
 
 
@@ -332,12 +337,18 @@ def _flag(key):
 def test_each_command_offers_and_echoes_exactly_its_inputs(tmp_path, capsys):
     # one config file with every key serves every command; each echoes only
     # the values it read
+    durations = {"tomography": 10.0, "fringe": 10.0, "chsh": 20.0}
+    budget = {"transfer_prep_eff": 0.4}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "noise": "fitted", "rate_cps": 50.0, "seed": 3,
-        "durations": {"tomography": 10.0, "fringe": 10.0, "chsh": 20.0},
-        "budget": {"transfer_prep_eff": 0.4},
+        "noise": "fitted", "rate_cps": 50.0, "seed": 3, "durations": durations, "budget": budget,
     }))
+    # the value each input echoes: the file's, or a flag's default
+    values = {
+        "seed": 3, "rate_cps": 50.0, "noise": noise_preset("fitted").as_dict(),
+        "durations": durations, "budget": RateBudget.from_dict(budget).as_dict(),
+        "resamples": 100, "exact": False, "bob": "+2", "points": 16,
+    }
     parser = build_parser()
     offered = {}
     for command, inputs in _INPUTS.items():
@@ -350,7 +361,8 @@ def test_each_command_offers_and_echoes_exactly_its_inputs(tmp_path, capsys):
             except SystemExit:
                 assert "unrecognized arguments" in capsys.readouterr().err, argv
         own = {"--counts-csv"} if command == "tomography" else set()
-        assert offered[command] == {_flag(k) for k in inputs} | own, command
+        # the budget has no flag: only the config file sets it
+        assert offered[command] == {_flag(k) for k in inputs - {"budget"}} | own, command
         for flag in ("--config", "--out"):
             parser.parse_args([command, flag, "x"])
         # the seed is read only by a random draw or a bootstrap: an exact run
@@ -368,8 +380,14 @@ def test_each_command_offers_and_echoes_exactly_its_inputs(tmp_path, capsys):
             prov = load(out / f"{command}.json")["provenance"]
             assert set(prov["config"]) == keys, (command, mode)
             assert ("seed" in prov) == ("seed" in keys), (command, mode)
-    # with --config and --out, 38 flags over the five commands
-    assert sum(len(flags) + 2 for flags in offered.values()) == 38
+            expected = {
+                **values, "duration_s": durations.get(command), "exact": "--exact" in mode,
+                "resamples": 0 if "0" in mode else 100,
+            }
+            assert prov["config"] == {k: expected[k] for k in keys}, (command, mode)
+            assert prov.get("seed", 3) == 3
+    # with --config and --out, 35 flags over the five commands
+    assert sum(len(flags) + 2 for flags in offered.values()) == 35
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -436,13 +454,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["tomography", "--exact", "--counts-csv", "counts.csv"], "not allowed with"),
         # nor the inputs its own records replace
         *[(["tomography", "--counts-csv", "counts.csv", *flag], "not allowed with")
-          for flag in (["--noise", "fitted"], ["--rate-cps", "5"], ["--duration-s", "30"],
-                       ["--deterministic-transferrers"])],
+          for flag in (["--noise", "fitted"], ["--rate-cps", "5"], ["--duration-s", "30"])],
         (["chsh", "--seed", "-1"], "seed"),
         (["chsh", "--exact", "--seed", "-1"], "seed"),
         # a command offers only the flags of the inputs it reads
         (["budget", "--seed", "-1"], "unrecognized arguments: --seed"),
         (["fringe", "--deterministic-transferrers"],
+         "unrecognized arguments: --deterministic-transferrers"),
+        # the budget comes from the config file alone, so the command's usage
+        # line lists its real flags
+        (["budget", "--deterministic-transferrers"],
          "unrecognized arguments: --deterministic-transferrers"),
         (["chsh", "--config", config({"seed": -3})], "seed"),
         (["budget", "--config", config({"budget": {"c_source_cps": float("nan")}})],
@@ -473,10 +494,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert message in err, argv
-        # an error found in or after parsing the command's flags is reported
-        # under its usage; argparse reports an unknown flag under the top level's
-        if "unrecognized arguments" not in message:
-            assert err.startswith(f"usage: hybridoam {argv[0]} "), argv
+        # an error found in or after parsing the command's flags, an unknown
+        # flag among them, is reported under the command's usage
+        assert err.startswith(f"usage: hybridoam {argv[0]} "), argv
+        assert f"hybridoam {argv[0]}: error: " in err, argv
     with pytest.raises(SystemExit) as exc:
         main(["tomography", "--counts-csv", "t.csv", "--noise", "fitted"])
     assert exc.value.code == 2

@@ -240,6 +240,24 @@ def test_stream_derivation_lives_in_measurement():
             assert not referenced(path), path.name
 
 
+def test_scan_tag_format_lives_in_measurement():
+    """Only measurement.py writes or parses a theta= tag: the others call its
+    _tag and _theta, and name the prefix only in docstrings."""
+    package = Path(measurement.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        consts = [n.value for n in nodes if isinstance(n, ast.Constant)]
+        texts = {c for c in consts if isinstance(c, str) and "theta=" in c}
+        docs = {ast.get_docstring(n, clean=False) for n in nodes
+                if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))}
+        home = path.name == "measurement.py"
+        assert ("_THETA_PREFIX" in names) == home, path.name
+        assert home or texts <= docs, (path.name, texts - docs)
+
+
 def test_setting_validation():
     with pytest.raises(ValueError):
         MeasurementSetting("H", "+2", duration_s=0.0)
@@ -674,6 +692,8 @@ def test_scan_labels_are_formatted_once_per_grid():
         grid_bytes = np.asarray(grid, dtype=float).tobytes()
         assert measurement._scan_pairs(grid_bytes, "h") is pairs
     assert pairs == tuple((f"theta={t:.17g}", "h") for t in GRID16.tolist())
+    # each tag reads back the float scanned
+    assert [measurement._theta(a) for a, _ in pairs] == GRID16.tolist()
     # keyed by the bytes: -0.0 tags differently from 0.0
     signed = [r.setting.alice for r in fringe_scan_records(SINGLET, "h", -GRID16)]
     assert signed[0] == "theta=-0" and pairs[0][0] == "theta=0"
@@ -842,7 +862,8 @@ def test_every_record_the_constructor_accepts_round_trips_the_csv(tmp_path):
     for a, b in zip(accepted, back):
         assert (b.setting, b.counts, b.seed) == (a.setting, a.counts, a.seed), (a, b)
         assert type(b.seed) is int
-        assert isinstance(b.counts, int) == float(a.counts).is_integer()
+        # an integer count reads back an int, and a float count a float
+        assert type(b.counts) is (int if isinstance(a.counts, (int, np.integer)) else float)
 
 
 def test_counts_csv_roundtrip(tmp_path):
@@ -867,6 +888,42 @@ def test_counts_csv_roundtrip_fractional(tmp_path):
     assert isinstance(back[0].counts, float)
     assert abs(back[0].counts - 468.75) < 1e-12
     assert back[0].counts == recs[0].counts
+
+
+def test_a_float_count_reads_back_a_float(tmp_path):
+    # an exact expectation that happens to be a whole number keeps its point
+    s = MeasurementSetting("H", "+2")
+    path = tmp_path / "whole.csv"
+    write_counts_csv([CountRecord(s, 375.0, 0), CountRecord(s, -0.0, 0),
+                      CountRecord(s, 375, 0)], path)
+    assert [row.split(",")[4] for row in path.read_text().splitlines()[1:]] == [
+        "375.0", "-0.0", "375",
+    ]
+    assert [(type(r.counts), r.counts) for r in read_counts_csv(path)] == [
+        (float, 375.0), (float, 0.0), (int, 375),
+    ]
+    # so the maximally mixed state's exact CHSH table reads back exact, all
+    # floats, though half its expectations are 375 exactly
+    mixed = DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))
+    exact = bell.chsh_records(mixed, exact=True)
+    write_counts_csv(exact, path)
+    back = read_counts_csv(path)
+    assert all(type(r.counts) is float for r in back)
+    assert [r.counts for r in back] == [r.counts for r in exact]
+    assert any(r.counts == 375.0 for r in back)
+    result = bell.ChshResult.from_records(back)
+    assert result == bell.ChshResult.from_records(exact) and result.sigma is None
+    # a drawn table stays ints, each cell its integer literal, byte for byte
+    drawn = bell.chsh_records(mixed, seed=5)
+    write_counts_csv(drawn, path)
+    first = path.read_bytes()
+    assert [row.split(",")[4] for row in path.read_text().splitlines()[1:]] == [
+        str(r.counts) for r in drawn
+    ]
+    back = read_counts_csv(path)
+    assert all(type(r.counts) is int for r in back)
+    write_counts_csv(back, path)
+    assert path.read_bytes() == first
 
 
 def test_counts_csv_reads_share_their_settings(tmp_path):
