@@ -43,7 +43,6 @@ _DEFAULT_DURATIONS = {
     "chsh": bell.DEFAULT_PAIR_DURATION_S,
     "fringe": ms.DEFAULT_DURATION_S,
 }
-_DEFAULT_RESAMPLES = 100
 _FRINGE_POINTS = 16
 
 
@@ -174,11 +173,11 @@ class _Resolved:
             self.durations = dict.fromkeys(self.durations, flag)
         self.noise = _parse_noise(flags.get("noise", cfg.get("noise")))
         self.exact = flags.get("exact", False)
-        self.resamples = flags.get("resamples", _DEFAULT_RESAMPLES)
-        if self.resamples != 0 and self.resamples < 100:
-            # the bootstrap needs at least 100 resamples for its sigmas
+        self.resamples = flags.get("resamples", tg.MIN_RESAMPLES)
+        if self.resamples != 0 and self.resamples < tg.MIN_RESAMPLES:
             raise ConfigError(
-                f"resamples: 0 disables, at least 100 otherwise; got {self.resamples}"
+                f"resamples: 0 disables, at least {tg.MIN_RESAMPLES} otherwise;"
+                f" got {self.resamples}"
             )
         try:
             self.budget = budget_mod.RateBudget.from_dict(cfg.get("budget", {}))
@@ -210,8 +209,8 @@ def _tomography(res: _Resolved, records) -> dict:
     """Reconstruction of a count table, with bootstrap metrics if asked."""
     run = tg.reconstruct(records)
     if res.resamples > 0:
-        # the bootstrap takes the run, so the observed table is solved once
-        metrics = tg.metric_uncertainties(run, n_resamples=res.resamples, seed=res.seed).as_dict()
+        boot = tg.metric_uncertainties(records, n_resamples=res.resamples, seed=res.seed)
+        metrics = boot.as_dict()
     else:
         metrics = {
             "fidelity": tg.fidelity(run.rho_mle, src.hybrid_singlet_ket()),

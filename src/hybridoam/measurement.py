@@ -402,7 +402,9 @@ def read_counts_csv(path) -> list[CountRecord]:
     non-negative.  A counts cell that is an integer literal comes back as an
     int, read exactly, so one past 2**53 is refused as CountRecord refuses
     it; any other as a float (an exact-mode expectation), and a non-finite
-    one raises ValueError.
+    one raises ValueError.  So does a row without 6 cells, and a numeric
+    cell with what Python's literals accept but write_counts_csv never
+    writes: a '_', a leading '+' or surrounding whitespace.
     """
     records = []
     with open(path, newline="") as fh:
@@ -411,6 +413,12 @@ def read_counts_csv(path) -> list[CountRecord]:
         if reader.fieldnames is None or set(reader.fieldnames) != expected:
             raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
         for row in reader:
+            if None in row or None in row.values():  # more cells than columns, or fewer
+                raise ValueError(f"CSV line {reader.line_num} does not have 6 cells")
+            for column in ("duration_s", "counts", "seed"):
+                cell = row[column]
+                if "_" in cell or cell.startswith("+") or cell != cell.strip():
+                    raise ValueError(f"{column} cell {cell[:20]!r} is not a plain number")
             s = MeasurementSetting(row["alice"], row["bob"], float(row["duration_s"]))
             if row["setting_label"] != s.label:
                 raise ValueError(

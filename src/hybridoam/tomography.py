@@ -28,11 +28,11 @@ stack when it is certified.  Every table keeps its own barrier weight,
 dual estimate and step, and its row arithmetic does not depend on the other
 tables, so a table solved in a stack gives exactly what it gives alone.
 reconstruct inverts, projects and solves a stack of one; the bootstrap
-does the same to all its resamples in one stack.  Each of the 15 Pauli
-products G_m of the Bloch coordinates has one entry, +-1 or +-i, in each
-row, so the products with G_m that the Newton matrix needs are signed
-gathers from fixed index tables, and its barrier term is one real
-(15, 32) @ (32, 15) product per table.
+does the same to the observed table and all its resamples in one stack.
+Each of the 15 Pauli products G_m of the Bloch coordinates has one entry,
++-1 or +-i, in each row, so the products with G_m that the Newton matrix
+needs are signed gathers from fixed index tables, and its barrier term is
+one real (15, 32) @ (32, 15) product per table.
 
 Linear entropy is normalized as S_L = (4/3)(1 - Tr rho^2) so the maximally
 mixed two-qubit state scores 1; drop the 4/3 to convert to the
@@ -101,6 +101,8 @@ _TO_BOUNDARY, _TO_BOUNDARY_DUAL = 0.9, 0.99
 _SHARES = _freeze(np.array([[_TO_BOUNDARY], [_TO_BOUNDARY_DUAL]]))  # as a column
 _ARMIJO = 0.25
 _HALVES = _freeze(0.5 ** np.arange(1.0, 13.0))  # tried when a full step fails
+# the bootstrap's default number of resamples, and the fewest it takes
+MIN_RESAMPLES = 100
 
 
 class InsufficientDataError(ValueError):
@@ -151,7 +153,7 @@ class StateMetrics:
 
 @dataclass(frozen=True)
 class TomographyRun:
-    """One full reconstruction: raw counts, both estimates and the MLE's
+    """One reconstruction of a count table: both estimates and the MLE's
     convergence report.
 
     ``loglik_gap_bound`` is a proven upper bound on how far ``loglik`` lies
@@ -159,7 +161,6 @@ class TomographyRun:
     means it is at most _MLE_TOL.
     """
 
-    records: tuple[CountRecord, ...]
     rho_linear: DensityMatrix
     rho_mle: DensityMatrix
     loglik: float
@@ -578,9 +579,10 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray):
 def reconstruct(records) -> TomographyRun:
     """Linear inversion plus maximum-likelihood refinement on one count table.
 
-    This is the one reconstruction entry point: the bootstrap's stacked
-    solver, _solve, on a stack of one table, whose method the module
-    docstring describes.  The solve starts from the physical projection of
+    ``records`` may be any iterable of count records; it is read once.  This
+    is the bootstrap's stacked solver, _solve, on a stack of one table, whose
+    method the module docstring describes, so the bootstrap's row 0 is this
+    estimate, bit for bit.  The solve starts from the physical projection of
     linear inversion, taken as it is if its least eigenvalue exceeds 1e-3 and
     else blended with 1% of I/4.  It stops once the concavity bound
     lambda_max(R) - N, with R = sum_k (n_k/p_k) Pi_k (Glancy, Knill & Girard,
@@ -591,13 +593,11 @@ def reconstruct(records) -> TomographyRun:
     that already certifies, as for exact count tables, comes back unchanged,
     and the result never has less likelihood than the start.
     """
-    records = tuple(records)  # read twice below, so any iterable will do
     counts, totals = _count_table(records)
     linear = _invert(counts[None] / totals)
     rho, bound, n_iter = _solve(counts[None], *_clip_to_states(linear))
     basis = (POLARIZATION, OAM_O2)
     return TomographyRun(
-        records=records,
         rho_linear=DensityMatrix(linear[0], basis, require_positive=False),
         rho_mle=DensityMatrix(rho[0], basis),
         loglik=_loglik(rho[0], counts, totals),
@@ -643,32 +643,28 @@ def _linear_entropies(rhos: np.ndarray) -> np.ndarray:
     return (4.0 / 3.0) * (1.0 - np.einsum("bij,bji->b", rhos, rhos).real)
 
 
-def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> StateMetrics:
-    """Parametric bootstrap of (F, C, S_L) around the observed counts, with
-    the hybrid singlet as the fidelity target.
+def metric_uncertainties(
+    records, n_resamples: int = MIN_RESAMPLES, seed: int = 0
+) -> StateMetrics:
+    """Parametric bootstrap of (F, C, S_L) around an observed count table,
+    with the hybrid singlet as the fidelity target.
 
-    ``records`` is a count table, or the TomographyRun of one, whose
-    estimate then gives the point values, so that the table is not solved
-    again.  Each resample draws Poisson counts with the observed values as
-    means: resample r is row r of one (n_resamples, 36) draw from stream
-    (3,) off the seed, in canonical setting order, so it depends neither on
-    n_resamples nor on the order of the records.  Resamples are
-    reconstructed as reconstruct would, in one stacked solve; given a bare
-    table, the observed table joins that stack as row 0, started where
-    reconstruct starts it, and its estimate gives the point values.  Rows
-    solve independently, so either way the point values are those of
-    reconstruct's estimate.  The sample standard
-    deviations of the metrics over resamples are the one-sigma
-    uncertainties.  A resample with an empty basis pair is refused for lack
-    of data and counts as failed; more than 10% failed raises RuntimeError,
-    and the result reports how many failed, and how many of the solved
-    resamples stopped unconverged.
+    Each resample draws Poisson counts with the observed values as means:
+    resample r is row r of one (n_resamples, 36) draw from stream (3,) off
+    the seed, in canonical setting order, so it depends neither on
+    n_resamples nor on the order of the records.  The observed table and
+    its resamples are reconstructed as reconstruct would, in one stacked
+    solve: the observed table is row 0, and since rows solve independently
+    its metrics are exactly those of reconstruct's estimate, the point
+    values.  The sample standard deviations of the metrics over resamples
+    are the one-sigma uncertainties.  A resample with an empty basis pair
+    is refused for lack of data and counts as failed; more than 10% failed
+    raises RuntimeError, and the result reports how many failed, and how
+    many of the solved resamples stopped unconverged.
     """
-    if n_resamples < 100:
-        raise ValueError(f"need at least 100 resamples, got {n_resamples}")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     psi = hybrid_singlet_ket()
-    run = records if isinstance(records, TomographyRun) else None
-    records = run.records if run is not None else tuple(records)
     observed, observed_totals = _count_table(records)
     counts = _stream(seed, (3,)).poisson(observed, (n_resamples, len(observed))).astype(float)
     gtot = counts @ _GROUP_SUM
@@ -678,21 +674,16 @@ def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> Stat
         raise RuntimeError(
             f"{failures}/{n_resamples} bootstrap resamples failed"
         )
-    solved = n_resamples - failures
-    counts, totals = counts[~refused], gtot[~refused][:, _GROUP]
-    if run is None:  # the observed table joins the stack as row 0
-        counts = np.concatenate([observed[None], counts])
-        totals = np.concatenate([observed_totals[None], totals])
+    counts = np.concatenate([observed[None], counts[~refused]])
+    totals = np.concatenate([observed_totals[None], gtot[~refused][:, _GROUP]])
     rhos, bounds, _ = _solve(counts, *_clip_to_states(_invert(counts / totals)))
-    if run is not None:  # its estimate joins as row 0, solved already
-        rhos = np.concatenate([run.rho_mle.matrix[None], rhos])
-    # row 0 gives the point values, the last `solved` rows the sigmas
+    # row 0 gives the point values, the resamples the sigmas
     metrics = np.column_stack([
         _fidelities(rhos, psi.amplitudes),
         _concurrences(rhos),
         _linear_entropies(rhos),
     ])
-    sig = metrics[-solved:].std(axis=0, ddof=1)
+    sig = metrics[1:].std(axis=0, ddof=1)
     return StateMetrics(
         fidelity=float(metrics[0, 0]),
         concurrence=float(metrics[0, 1]),
@@ -701,5 +692,5 @@ def metric_uncertainties(records, n_resamples: int = 100, seed: int = 0) -> Stat
         concurrence_sigma=float(sig[1]),
         linear_entropy_sigma=float(sig[2]),
         failed_resamples=failures,
-        unconverged_resamples=int((bounds[-solved:] > _MLE_TOL).sum()),
+        unconverged_resamples=int((bounds[1:] > _MLE_TOL).sum()),
     )

@@ -891,17 +891,19 @@ def test_counts_csv_roundtrip_fractional(tmp_path):
 
 
 def test_a_float_count_reads_back_a_float(tmp_path):
-    # an exact expectation that happens to be a whole number keeps its point
+    # an exact expectation that happens to be a whole number keeps its point,
+    # -0.0 its sign, and a tiny one its bits through its exponent form
     s = MeasurementSetting("H", "+2")
     path = tmp_path / "whole.csv"
-    write_counts_csv([CountRecord(s, 375.0, 0), CountRecord(s, -0.0, 0),
-                      CountRecord(s, 375, 0)], path)
+    counts = [375.0, -0.0, 375, 5e-324, 1e-5, 2.5e-300, float(2**53)]
+    write_counts_csv([CountRecord(s, c, 0) for c in counts], path)
     assert [row.split(",")[4] for row in path.read_text().splitlines()[1:]] == [
-        "375.0", "-0.0", "375",
+        "375.0", "-0.0", "375", "4.9406564584124654e-324", "1.0000000000000001e-05",
+        "2.5e-300", "9007199254740992.0",
     ]
-    assert [(type(r.counts), r.counts) for r in read_counts_csv(path)] == [
-        (float, 375.0), (float, 0.0), (int, 375),
-    ]
+    back = [r.counts for r in read_counts_csv(path)]
+    assert [type(c) for c in back] == [type(c) for c in counts]
+    assert [float(c).hex() for c in back] == [float(c).hex() for c in counts]
     # so the maximally mixed state's exact CHSH table reads back exact, all
     # floats, though half its expectations are 375 exactly
     mixed = DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))
@@ -960,12 +962,20 @@ def test_counts_csv_rejects_mislabelled_rows_and_negative_seeds(tmp_path):
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
     lines = path.read_text().splitlines()
-    for column, value, match in ((0, "bogus", "does not name"), (0, "V|+2", "does not name"),
-                                 (5, "-3", "non-negative")):
+    cases = [(0, "bogus", "does not name"), (0, "V|+2", "does not name"),
+             (5, "-3", "non-negative")]
+    # Python's number literals accept these, but write_counts_csv never writes them
+    cases += [(4, value, "counts cell") for value in ("1_000", "+1000", " 1000", "1_0.5")]
+    cases += [(3, "1_5", "duration_s cell"), (5, "+7", "seed cell")]
+    for column, value, match in cases:
         cells = lines[1].split(",")
         cells[column] = value
         path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
         with pytest.raises(ValueError, match=match):
+            read_counts_csv(path)
+    for row in (lines[1] + ",99", lines[1].rsplit(",", 1)[0]):
+        path.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match="line 2 does not have 6 cells"):
             read_counts_csv(path)
 
 
