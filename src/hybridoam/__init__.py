@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 # Every export below has a caller on a run path (the CLI,
 # benchmarks/workloads.py or the README's library quick start), or a reason
@@ -66,7 +66,6 @@ from .bell import (
     chsh_exact,
     chsh_records,
     correlation_from_counts,
-    predicted_s,  # S = 2 sqrt(2) V, kept to compare S with a fitted visibility
 )
 from .budget import (
     DEFAULT_OBSERVED_RATE_CPS,

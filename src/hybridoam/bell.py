@@ -120,16 +120,20 @@ class ChshResult:
         """S from the 16 outcome records of chsh_records, in its order and at
         one duration, or ValueError.  Float counts are exact expectations, as
         CountRecord holds them, and give no sigma; integer counts are draws,
-        whose Poisson errors give sigma."""
+        whose Poisson errors give sigma.  A table that mixes the two is
+        neither, and raises ValueError."""
         records = list(records)
         labels = tuple((r.setting.alice, r.setting.bob) for r in records)
         if labels != _OUTCOMES or len({r.setting.duration_s for r in records}) > 1:
             raise ValueError("CHSH needs its 16 outcome settings in draw order, at one duration")
         counts = [r.counts for r in records]
+        kinds = {type(c) for c in counts}
+        if len(kinds) > 1:
+            raise ValueError("CHSH counts must be all draws (int) or all expectations (float)")
         quads = [counts[4 * k : 4 * k + 4] for k in range(len(_PAIRS))]
         es = tuple(correlation_from_counts(q) for q in quads)
         s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
-        exact = any(isinstance(c, (float, np.floating)) for c in counts)
+        exact = float in kinds
         sigma = None if exact else float(np.sqrt(sum(_correlation_sigma(q) ** 2 for q in quads)))
         return cls(s_val, sigma, es)
 
@@ -159,13 +163,3 @@ def chsh_empirical(
     """S, with Poisson error propagation, from the drawn records of chsh_records."""
     return ChshResult.from_records(chsh_records(rho, rate_cps, duration_s, seed))
 
-
-def predicted_s(visibility: float) -> float:
-    """S of a state whose correlations are uniformly scaled by a visibility.
-
-    S = 2 sqrt(2) x V, the Werner-family relation.  Real data may deviate
-    when the visibility reduction is not basis-uniform.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    return float(2.0 * np.sqrt(2.0) * visibility)

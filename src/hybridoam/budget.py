@@ -13,38 +13,26 @@ an efficiency of 1.0.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
-from .states import _check_real
+from .states import _Parameters
 
 DEFAULT_OBSERVED_RATE_CPS = 100.0
 
 
 @dataclass(frozen=True)
-class RateBudget:
-    """Stage efficiencies of the source-to-detection chain."""
+class RateBudget(_Parameters):
+    """Stage efficiencies of the source-to-detection chain, each in [0, 1],
+    and the source's pair rate."""
+
+    _BOUNDS = {"c_source_cps": (0.0,)}
+    _KIND = "budget"
 
     c_source_cps: float = 6000.0
     qplate_eff: float = 0.80
     transfer_prep_eff: float = 0.5
     transfer_det_eff: float = 0.5
     fiber_coupling: float = 0.2
-
-    def __post_init__(self):
-        # the guard's float is stored, so a numpy scalar computes in float64
-        for name in self.__dataclass_fields__:
-            bounds = (0.0,) if name == "c_source_cps" else (0.0, 1.0)
-            object.__setattr__(self, name, _check_real(name, getattr(self, name), *bounds))
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RateBudget":
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown budget keys: {sorted(extra)}")
-        return cls(**d)
 
 
 def prep_probability(b: RateBudget) -> float:
@@ -77,22 +65,24 @@ def budget_report(b: RateBudget) -> dict:
     """Rates, probabilities, and the gap between the model and the observed
     DEFAULT_OBSERVED_RATE_CPS, plus the projected gain from the upgraded
     chain scaled off the observed rate."""
-    upgrade = upgraded_budget(b)
-    rate = expected_rate(b)
-    up_rate = expected_rate(upgrade)
-    gain = up_rate / rate if rate > 0 else float("nan")
+
+    def chain(budget: RateBudget) -> dict:
+        return {
+            "budget": budget.as_dict(),
+            "prep_probability": prep_probability(budget),
+            "det_probability": det_probability(budget),
+            "expected_rate_cps": expected_rate(budget),
+        }
+
+    report, upgrade = chain(b), chain(upgraded_budget(b))
+    rate = report["expected_rate_cps"]
+    gain = upgrade["expected_rate_cps"] / rate if rate > 0 else float("nan")
     return {
-        "budget": b.as_dict(),
-        "prep_probability": prep_probability(b),
-        "det_probability": det_probability(b),
-        "expected_rate_cps": rate,
+        **report,
         "observed_rate_cps": DEFAULT_OBSERVED_RATE_CPS,
         "model_to_observed_ratio": rate / DEFAULT_OBSERVED_RATE_CPS,
         "upgrade": {
-            "budget": upgrade.as_dict(),
-            "prep_probability": prep_probability(upgrade),
-            "det_probability": det_probability(upgrade),
-            "expected_rate_cps": up_rate,
+            **upgrade,
             "rate_gain": gain,
             "projected_observed_rate_cps": DEFAULT_OBSERVED_RATE_CPS * gain,
         },

@@ -89,23 +89,21 @@ def _load_config(path: str | None) -> dict:
 
 
 def _parse_noise(spec) -> src.NoiseModel:
+    """The noise model of a config's "noise" value or the --noise flag: a
+    preset name, or a model object, given as a dict or inline JSON."""
     if spec is None:
         return src.noise_preset("ideal")
-    if isinstance(spec, dict):
-        try:
-            return src.NoiseModel.from_dict(spec)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad noise model: {exc}") from exc
-    text = str(spec).strip()
-    if text.startswith("{"):
-        try:
-            return src.NoiseModel.from_dict(json.loads(text))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad inline noise JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        spec = str(spec).strip()
+        if not spec.startswith("{"):
+            try:
+                return src.noise_preset(spec)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     try:
-        return src.noise_preset(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return src.NoiseModel.from_dict(spec if isinstance(spec, dict) else json.loads(spec))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad noise model: {exc}") from exc
 
 
 def _checked(guard, value, name: str, *args):

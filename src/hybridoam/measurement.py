@@ -10,16 +10,19 @@ order, from one numpy stream, default_rng(SeedSequence(global seed,
 spawn_key=path)): tomography (0,), CHSH (1,), fringe scan k (2, k) and the
 bootstrap (3,).  Experiments are independent of each other and of execution
 order, and no stream state is shared; this module builds the streams, and
-no other module does.
+no other module does.  One guard, _seed, holds the seed, each stream path
+element and the bootstrap's resample count to non-negative integers.
 
 Settings: an experiment is a tuple of (alice, bob) analyzer label pairs
 measured for one duration.  One cache, _compiled, builds its settings once
 per pairs and duration, with their read-only (n, 4, 4) stack of Pi_A x Pi_B
 from _operators, built once per pairs, for tomography's 36 canonical pairs,
 each fringe scan's theta= tags against Bob's label, and CHSH's 16 outcome
-pairs alike.  A setting's Born probability is p = Re(vec(Pi) . vec(conj(rho))),
-its operator row against the state's vec in the tomography likelihood's
-form, computed one row at a time so that it does not depend on the other
+pairs alike.  A tag's angle is a plain number, by the rule a count CSV's
+numeric cells follow (_plain).  _count_records is the one counting path:
+a setting's Born probability is p = Re(vec(Pi) . vec(conj(rho))), its
+operator row against the state's vec in the tomography likelihood's form,
+computed one row at a time so that it does not depend on the other
 settings of its experiment.
 
 Fringe convention: the scan variable theta is 4x the half-waveplate
@@ -75,10 +78,11 @@ def _finite_float(value, name: str, positive: bool) -> float:
 
 
 def _seed(value, name: str = "seed") -> int:
-    """A seed as a Python int: a non-negative integer, Python's or numpy's,
-    as numpy's SeedSequence and the CSV take it.  A bool, numpy's too, a
-    float or a non-number raises TypeError; a negative integer ValueError."""
-    # a built-in int, which almost every seed is, skips the numpy check; a
+    """A seed, a stream path element or a resample count as a Python int: a
+    non-negative integer, Python's or numpy's, as numpy's SeedSequence and
+    the CSV take it.  A bool, numpy's too, a float or a non-number raises
+    TypeError; a negative integer ValueError."""
+    # a built-in int, which almost every value is, skips the numpy check; a
     # bool is of neither type
     if type(value) is not int:
         if not isinstance(value, np.integer):
@@ -97,8 +101,17 @@ def _tag(theta: float) -> str:
 
 
 def _theta(tag: str) -> float:
-    """The angle of a scan tag."""
-    return float(tag[len(_THETA_PREFIX):])
+    """The angle of a scan tag, whose number is a plain one."""
+    return float(_plain(tag[len(_THETA_PREFIX):], "scan angle"))
+
+
+def _plain(text: str, name: str) -> str:
+    """A number as this package writes it, or ValueError for what Python's
+    literals accept but it never writes: a '_', a leading '+', surrounding
+    whitespace or a non-ASCII character."""
+    if "_" in text or text.startswith("+") or text != text.strip() or not text.isascii():
+        raise ValueError(f"{name} {text[:20]!r} is not a plain number")
+    return text
 
 
 @functools.lru_cache(maxsize=1024)
@@ -156,11 +169,13 @@ class CountRecord:
 
     ``counts`` is an integer Poisson draw, or a float holding the exact
     expectation for noise-free records: an int or a float, or a numpy one
-    that Python's holds.  Counts of another type, a bool or a long double
-    say, raise TypeError; counts that are not finite, are negative or exceed
-    2**53 (past which float64 cannot hold every count exactly) ValueError.
-    The seed passes _seed, as every seed does.  So every record the
-    constructor accepts, the CSV writes and reads back.
+    that Python's holds, which is stored.  Counts of another type, a bool or
+    a long double say, raise TypeError; counts that are not finite, are
+    negative or exceed 2**53 (past which float64 cannot hold every count
+    exactly) ValueError.  The seed passes _seed, as every seed does, and
+    the int it returns is stored.  So a record's counts are an int or a
+    float, and every record the constructor accepts, the CSV writes and
+    reads back.
     """
 
     setting: MeasurementSetting
@@ -178,6 +193,7 @@ class CountRecord:
                 raise TypeError(
                     f"counts must be an int or a float, got {type(self.counts).__name__}"
                 )
+            object.__setattr__(self, "counts", c)
         # a built-in int is finite
         if type(c) is float and not math.isfinite(c):
             raise ValueError(f"counts must be finite, got {c}")
@@ -192,57 +208,19 @@ class CountRecord:
         # a non-negative built-in int, the usual seed, is one _seed passes
         # unchanged; only another pays for the call
         if type(seed) is not int or seed < 0:
-            _seed(seed)
+            object.__setattr__(self, "seed", _seed(seed))
 
 
 def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
     """The one generator an experiment draws all its counts from, in setting
     order: ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))``,
-    or None for exact records.  The seed passes _seed in either case, so
-    that SeedSequence never takes None as a request for fresh OS entropy, or
-    a bool as 0 or 1.  The path is checked as numpy checks it: a negative
-    element raises ValueError, a non-integer one TypeError, and a bool is
-    refused with TypeError too.
+    or None for exact records.  The seed and each path element pass _seed
+    in either case, so that SeedSequence never takes None as a request for
+    fresh OS entropy, or a bool as 0 or 1.
     """
-    if any(isinstance(k, bool) for k in path):
-        raise TypeError("a stream path element must be an integer, got a bool")
-    seq = np.random.SeedSequence(_seed(seed), spawn_key=path)
+    key = tuple(_seed(k, "stream path element") for k in path)
+    seq = np.random.SeedSequence(_seed(seed), spawn_key=key)
     return None if exact else np.random.default_rng(seq)
-
-
-def _born_counts(
-    rho: DensityMatrix, ops: np.ndarray, rate_cps: float, duration_s: float, rng
-) -> list:
-    """Counts for the settings behind an operator stack.
-
-    ``ops`` holds Pi_A x Pi_B for each setting as an (n, 4, 4) stack, and
-    each setting is measured for the float duration_s.  Each setting's mean
-    is its Born probability x rate x duration.  The probability comes from
-    the setting's operator row, in the likelihood's form:
-    p_k = Re(vec(Pi_k) . vec(conj(rho))) = Tr[rho Pi_k], the dot product of
-    vec(Pi_k) and vec(rho), each read as 32 real floats.  All n counts are
-    one Poisson draw from the generator ``rng``, in stack order, or with
-    ``rng`` None the unrounded means.  A mean above 2**53, the most a
-    CountRecord holds, raises ValueError in either mode.  This is the one
-    counting path: every simulated count goes through it.
-    """
-    rate_cps = _finite_float(rate_cps, "rate", False)
-    # one dot product per row, so that a setting's p has the same bits in
-    # every experiment that measures it
-    rows = ops.reshape(-1, 1, 16).view(np.float64)
-    probs = (rows @ rho.matrix.reshape(16).view(np.float64))[:, 0]
-    outside = (probs < -ATOL) | (probs > 1.0 + ATOL)
-    if outside.any():
-        raise ValueError(f"probability {float(probs[outside.argmax()])} outside [0, 1]")
-    # Python floats, whose product past float64's range is inf without numpy's warning
-    means = [max(p, 0.0) * rate_cps * duration_s for p in probs.tolist()]
-    # refused before numpy's Poisson draw, which would refuse in its own words
-    top = max(means)
-    if top > _MAX_COUNT:
-        raise ValueError(f"mean counts above 2**53 are not exact in float64, got {top:.6g}")
-    if rng is None:
-        return means
-    return rng.poisson(means).tolist()
 
 
 @functools.lru_cache(maxsize=16)
@@ -272,13 +250,37 @@ def _count_records(
     rho: DensityMatrix, pairs, duration_s: float, rate_cps: float, seed: int,
     path: tuple[int, ...], exact: bool,
 ) -> list[CountRecord]:
-    """One CountRecord per (alice, bob) label pair, measured for duration_s
-    and drawn in order from the experiment's stream ``path`` off ``seed``,
-    or with ``exact`` the expectations; each carries the run's seed."""
+    """One CountRecord per (alice, bob) label pair, measured for duration_s:
+    the one counting path, which every simulated count goes through.
+
+    A setting's mean is its Born probability x rate x duration, with
+    p_k = Re(vec(Pi_k) . vec(conj(rho))) = Tr[rho Pi_k] from its operator
+    row in the likelihood's form, the dot product of vec(Pi_k) and vec(rho)
+    read as 32 real floats each.  The counts are one Poisson draw, in pair
+    order, from the experiment's stream ``path`` off ``seed``, or with
+    ``exact`` the unrounded means; each record carries the run's seed.  The
+    duration, seed and rate are checked in that order, then the
+    probabilities; a mean above 2**53, the most a CountRecord holds, raises
+    ValueError in either mode.
+    """
     settings, ops = _compiled(pairs, duration_s)
     rng = _stream(seed, path, exact)
-    counts = _born_counts(rho, ops, rate_cps, settings[0].duration_s, rng)
-    seed = int(seed)
+    rate_cps = _finite_float(rate_cps, "rate", False)
+    # one dot product per row, so that a setting's p has the same bits in
+    # every experiment that measures it
+    rows = ops.reshape(-1, 1, 16).view(np.float64)
+    probs = (rows @ rho.matrix.reshape(16).view(np.float64))[:, 0]
+    outside = (probs < -ATOL) | (probs > 1.0 + ATOL)
+    if outside.any():
+        raise ValueError(f"probability {float(probs[outside.argmax()])} outside [0, 1]")
+    # Python floats, whose product past float64's range is inf without numpy's warning
+    duration_s = settings[0].duration_s
+    means = [max(p, 0.0) * rate_cps * duration_s for p in probs.tolist()]
+    # refused before numpy's Poisson draw, which would refuse in its own words
+    top = max(means)
+    if top > _MAX_COUNT:
+        raise ValueError(f"mean counts above 2**53 are not exact in float64, got {top:.6g}")
+    counts = means if rng is None else rng.poisson(means).tolist()
     return [CountRecord(s, c, seed) for s, c in zip(settings, counts)]
 
 
@@ -332,8 +334,7 @@ def fringe_scan(
 ) -> list[tuple[float, float]]:
     """Fringe scan returning (theta, counts) pairs; see fringe_scan_records."""
     records = fringe_scan_records(rho, bob, theta_grid, rate_cps, duration_s, seed, scan_index)
-    thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
-    return [(float(t), float(r.counts)) for t, r in zip(thetas, records)]
+    return [(_theta(r.setting.alice), float(r.counts)) for r in records]
 
 
 def fit_fringe(points) -> tuple[float, float, float]:
@@ -390,7 +391,7 @@ def write_counts_csv(records, path) -> None:
         w.writerow(["setting_label", "alice", "bob", "duration_s", "counts", "seed"])
         for r in records:
             s, c = r.setting, f"{r.counts:.17g}"
-            if isinstance(r.counts, (float, np.floating)) and c.lstrip("-").isdigit():
+            if type(r.counts) is float and c.lstrip("-").isdigit():
                 c += ".0"  # -0.0 too
             w.writerow([s.label, s.alice, s.bob, f"{s.duration_s:.17g}", c, r.seed])
 
@@ -416,9 +417,7 @@ def read_counts_csv(path) -> list[CountRecord]:
             if None in row or None in row.values():  # more cells than columns, or fewer
                 raise ValueError(f"CSV line {reader.line_num} does not have 6 cells")
             for column in ("duration_s", "counts", "seed"):
-                cell = row[column]
-                if "_" in cell or cell.startswith("+") or cell != cell.strip():
-                    raise ValueError(f"{column} cell {cell[:20]!r} is not a plain number")
+                _plain(row[column], f"{column} cell")
             s = MeasurementSetting(row["alice"], row["bob"], float(row["duration_s"]))
             if row["setting_label"] != s.label:
                 raise ValueError(

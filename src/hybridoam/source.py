@@ -23,7 +23,7 @@ All reported observables are free of this convention; it only fixes signs.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .states import (
     POLARIZATION,
     DensityMatrix,
     StateVector,
-    _check_real,
     _freeze,
+    _Parameters,
 )
 
 # Reference tomography values the fitted noise preset is tuned to reproduce.
@@ -59,7 +59,7 @@ _BOB_PROJECTORS = tuple(
 
 
 @dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Parameters):
     """Three-parameter imperfection model for the polarization pair.
 
     werner_p:     weight of the input state vs. white noise, in [0, 1].
@@ -67,25 +67,12 @@ class NoiseModel:
     miscal_angle: coherent rotation error on Bob's qubit, radians.
     """
 
+    _BOUNDS = {"miscal_angle": ()}
+    _KIND = "noise"
+
     werner_p: float = 1.0
     dephase_q: float = 0.0
     miscal_angle: float = 0.0
-
-    def __post_init__(self):
-        # the guard's float is stored, so a numpy scalar computes in float64
-        for name, bounds in (("werner_p", (0.0, 1.0)), ("dephase_q", (0.0, 1.0)),
-                             ("miscal_angle", ())):
-            object.__setattr__(self, name, _check_real(name, getattr(self, name), *bounds))
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NoiseModel":
-        extra = set(d) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown noise keys: {sorted(extra)}")
-        return cls(**d)
 
 
 # The three constant states are built on first call and then shared: the

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass
 
 import numpy as np
 
@@ -99,6 +99,32 @@ def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -
     if not (math.isfinite(as_float) and lo <= as_float <= hi):
         raise ValueError(f"{name} must be finite and lie in [{lo}, {hi}], got {as_float}")
     return as_float
+
+
+class _Parameters:
+    """Base of a frozen dataclass of model parameters, each checked by
+    _check_real as it is built and stored as the guard's float, so that a
+    numpy scalar computes in float64.  A field lies in [0, 1] unless the
+    class's _BOUNDS gives its (lo[, hi]); _KIND names the record in
+    from_dict's refusal of unknown keys."""
+
+    _BOUNDS: dict = {}
+    _KIND = "parameter"
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            bounds = self._BOUNDS.get(name, (0.0, 1.0))
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), *bounds))
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        extra = set(d) - set(cls.__dataclass_fields__)
+        if extra:
+            raise ValueError(f"unknown {cls._KIND} keys: {sorted(extra)}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)

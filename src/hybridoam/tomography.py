@@ -52,6 +52,7 @@ from .measurement import (
     CountRecord,
     _count_records,
     _operators,
+    _seed,
     _stream,
 )
 from .source import hybrid_singlet_ket
@@ -367,7 +368,7 @@ def _workspace(n: int) -> tuple[np.ndarray, ...]:
     return tuple(part.reshape(n, *shape) for part, shape in zip(parts, shapes))
 
 
-def _newton_system(rho, p, counts, mu, work, z=None):
+def _newton_system(rho, p, counts, mu, work, z):
     """The barrier objective's gradient and primal-dual Newton matrix at a
     (B, 4, 4) stack of positive definite states with probabilities p, which
     are 1 where a setting counted nothing, written into the leading B rows
@@ -378,10 +379,10 @@ def _newton_system(rho, p, counts, mu, work, z=None):
     is C^T (n/p) + mu Tr(rho^-1 G_m) / 4, one product of the row
     [n/p | mu vec(rho^-1) / 4] with _BLOCH_MAP.  The matrix is
     C^T diag(n/p^2) C + Re Tr(Z G_m rho^-1 G_n) / 16 for the dual estimate
-    Z; with Z = mu rho^-1, the default, it is the objective's Hessian,
-    negated.  The Z term is the real dot product of vec(G_m rho^-1) with
-    conj vec((G_n Z)^T) / 16, for all m and n one (15, 32) @ (32, 15)
-    product per table of the signed gathers _LEFT of rho^-1 and _RIGHT_T of
+    Z; with Z = mu rho^-1 it is the objective's Hessian, negated.  The Z
+    term is the real dot product of vec(G_m rho^-1) with conj
+    vec((G_n Z)^T) / 16, for all m and n one (15, 32) @ (32, 15) product
+    per table of the signed gathers _LEFT of rho^-1 and _RIGHT_T of
     Z / 16.  rho^-1 = W^H W with W = L^-1 for rho = L L^H; W and Lz^-1 for
     Z = Lz Lz^H whiten the step.  The gathers land C-contiguous in the
     workspace, so each table's product is one BLAS call (an indexed gather
@@ -391,8 +392,6 @@ def _newton_system(rho, p, counts, mu, work, z=None):
     """
     n = len(rho)
     left, right, dual, hess = (a[:n] for a in work)
-    if z is None:
-        z = mu[:, None, None] * np.linalg.inv(rho)
     whiten = np.linalg.inv(_cholesky(np.concatenate([rho, z])))
     w = whiten[:n]
     rho_inv = np.swapaxes(w.conj(), 1, 2) @ w
@@ -660,8 +659,10 @@ def metric_uncertainties(
     are the one-sigma uncertainties.  A resample with an empty basis pair
     is refused for lack of data and counts as failed; more than 10% failed
     raises RuntimeError, and the result reports how many failed, and how
-    many of the solved resamples stopped unconverged.
+    many of the solved resamples stopped unconverged.  ``n_resamples`` is
+    an integer, as _seed takes it, of at least MIN_RESAMPLES.
     """
+    n_resamples = _seed(n_resamples, "n_resamples")
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     psi = hybrid_singlet_ket()

@@ -51,3 +51,9 @@ def outcome_probabilities(rho, x, y):
         np.trace(rho @ np.kron(px, py)).real
         for px in projectors(x) for py in projectors(y)
     ]
+
+
+def predicted_s(visibility):
+    """S of a state whose correlations are uniformly scaled by a visibility:
+    S = 2 sqrt(2) x V, the Werner-family relation."""
+    return 2.0 * S2 * visibility

@@ -266,7 +266,7 @@ def test_criterion_7_property_suites():
         p_stack, rho_stack = _point(stack)
         grad, neg_hess = _newton_system(
             rho_stack, p_stack, np.tile(counts, (len(stack), 1)),
-            np.full(len(stack), mu), _workspace(len(stack)),
+            np.full(len(stack), mu), _workspace(len(stack)), mu * np.linalg.inv(rho_stack),
         )[:2]
         fd = (f[1:17] - f[17:]) / (2.0 * eps)
         rel = np.abs(dirs @ grad[0] - fd) / np.maximum(1.0, np.abs(fd))

@@ -12,9 +12,13 @@ from hybridoam.bell import (
     chsh_exact,
     chsh_records,
     correlation_from_counts,
-    predicted_s,
 )
-from hybridoam.measurement import CountRecord, MeasurementSetting
+from hybridoam.measurement import (
+    CountRecord,
+    MeasurementSetting,
+    fit_fringe,
+    fringe_scan_records,
+)
 from hybridoam.source import NoiseModel, prepare_hybrid
 from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
 
@@ -142,6 +146,10 @@ def test_chsh_is_the_analysis_of_its_records():
             ChshResult.from_records(bad)
     with pytest.raises(ValueError, match="at one duration"):
         ChshResult.from_records(mixed)
+    # a table is drawn or exact, not both
+    half_exact = [*drawn[:15], CountRecord(drawn[15].setting, 12.0, 4)]
+    with pytest.raises(ValueError, match="all draws .* or all expectations"):
+        ChshResult.from_records(half_exact)
 
 
 def test_empirical_seed_changes_the_draw():
@@ -164,9 +172,15 @@ def test_result_serialization():
 
 
 def test_predicted_s_follows_visibility():
-    assert abs(predicted_s(1.0) - S_MAX) < 1e-12
-    assert abs(predicted_s(0.93) - 0.93 * S_MAX) < 1e-12
-    assert abs(predicted_s(0.0)) < 1e-12
+    # on the Werner family the exact S is 2 sqrt(2) V, with V the exact
+    # fringe visibility against Bob's |+2>
+    grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    for p in (1.0, 0.93, 0.0):
+        rho = prepare_hybrid(NoiseModel(werner_p=p))[0]
+        records = fringe_scan_records(rho, "+2", grid, exact=True)
+        v = fit_fringe([(t, r.counts) for t, r in zip(grid, records)])[1]
+        assert abs(v - p) < 1e-12
+        assert abs(chsh_exact(rho).s - chsh_oracle.predicted_s(v)) < 1e-12
 
 
 _TAGS = (

@@ -483,14 +483,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "miscal_angle"),
         (["budget", "--config", config({"budget": {"c_source_cps": 10**400}})],
          "c_source_cps"),
+        (["budget", "--config", config([1, 2])], "config root must be a JSON object"),
+        # a noise model given as a config object or as inline JSON is read one way
+        (["chsh", "--exact", "--config", config({"noise": {"bogus": 1}})],
+         "bad noise model: unknown noise keys: ['bogus']"),
+        (["chsh", "--exact", "--noise", '{"bogus": 1}'],
+         "bad noise model: unknown noise keys: ['bogus']"),
+        (["chsh", "--exact", "--noise", '{"werner_p": '], "bad noise model: Expecting value"),
     ]
     # an integer past Python's 4,300-digit limit, which json.load refuses to read
     huge = tmp_path / "huge.json"
     huge.write_text('{"seed": 1' + "0" * 5000 + "}")
     cases.append((["chsh", "--exact", "--config", str(huge)], "cannot read config"))
+    # an output directory that cannot be made, below a regular file
+    cases.append((["budget", "--out", str(huge / "out")], "cannot create output directory"))
     for argv, message in cases:
+        out = [] if "--out" in argv else ["--out", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(tmp_path)])
+            main(argv + out)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert message in err, argv

@@ -205,8 +205,9 @@ def test_bad_seeds_are_refused_in_draw_and_exact_mode():
         for run in runs:
             with pytest.raises(error):
                 run()
-    # a scan index is a path element: negative or not an integer, as numpy says
-    for bad, error in ((-1, ValueError), (1.7, TypeError)):
+    # a scan index is a path element: negative or not an integer, as _seed
+    # and numpy say, and an integral float is not an integer either
+    for bad, error in ((-1, ValueError), (1.7, TypeError), (1.0, TypeError)):
         with pytest.raises(error):
             np.random.SeedSequence(0, spawn_key=(2, bad))
         for exact in (False, True):
@@ -267,6 +268,13 @@ def test_setting_validation():
         MeasurementSetting("X", "h")
     # a scan tag names Bob's analyzer too: cos(theta/2)|+2> + sin(theta/2)|-2>
     assert MeasurementSetting("H", "theta=0.3").bob == "theta=0.3"
+    # a tag's angle is a plain number, as a CSV cell's is, so an angle has
+    # no spelling that Python's literals alone accept; 1.50 is one
+    for tag in ("theta=1_0", "theta= 1.5", "theta=+1.5", "theta=1.5 ", "theta=\u0661"):
+        for alice, bob in ((tag, "h"), ("H", tag)):
+            with pytest.raises(ValueError, match="scan angle .* is not a plain number"):
+                MeasurementSetting(alice, bob)
+    assert MeasurementSetting("theta=1.50", "h").alice == "theta=1.50"
     scan = fringe_scan_records(SINGLET, "theta=0.3", GRID16, exact=True)
     want = _loop_records(SINGLET, [r.setting for r in scan], 100.0, 0, (2, 0), True)
     assert _as_rows(scan) == _as_rows(want)
@@ -343,6 +351,10 @@ def test_fit_fringe_failure_modes():
         fit_fringe([(0.1, 5.0)] * 6)  # degenerate grid
     n0, v, phi0 = fit_fringe([(t, 100.0) for t in GRID16])
     assert abs(v) < 1e-12 and abs(n0 - 100.0) < 1e-9
+    with pytest.raises(FitFailureError, match="baseline"):
+        fit_fringe([(t, -100.0 + np.cos(t)) for t in GRID16])
+    # no counts at all have no contrast
+    assert visibility_minmax([(t, 0) for t in GRID16]) == 0.0
     for bad in ((0, float("nan")), (0, float("inf")), (1, float("nan"))):
         points = [[t, 100.0] for t in GRID16]
         points[3][bad[0]] = bad[1]
@@ -612,6 +624,8 @@ def test_counting_rejects_bad_inputs():
         MeasurementSetting(np.diag([1.0, 0.0]), "h")
     with pytest.raises(ValueError, match="one-dimensional"):
         fringe_scan_records(rho, "h", GRID16.reshape(2, 8))
+    with pytest.raises(ValueError, match="theta grid is empty"):
+        fringe_scan_records(rho, "h", [])
     runs = (
         lambda rate: tomography.simulate_tomography(rho, rate),
         lambda rate: fringe_scan_records(rho, "h", GRID16, rate),
@@ -965,8 +979,11 @@ def test_counts_csv_rejects_mislabelled_rows_and_negative_seeds(tmp_path):
     cases = [(0, "bogus", "does not name"), (0, "V|+2", "does not name"),
              (5, "-3", "non-negative")]
     # Python's number literals accept these, but write_counts_csv never writes them
-    cases += [(4, value, "counts cell") for value in ("1_000", "+1000", " 1000", "1_0.5")]
+    cases += [(4, value, "counts cell")
+              for value in ("1_000", "+1000", " 1000", "1_0.5", "\u0661\u0660")]
     cases += [(3, "1_5", "duration_s cell"), (5, "+7", "seed cell")]
+    # and a scan tag's angle is read by the same rule
+    cases += [(1, "theta=1_0", "scan angle")]
     for column, value, match in cases:
         cells = lines[1].split(",")
         cells[column] = value

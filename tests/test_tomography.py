@@ -251,7 +251,7 @@ PUBLIC_NAMES = """
     fit_fringe fit_noise_model format_report fringe_scan
     fringe_scan_records hybrid_singlet_ket hybrid_state linear_entropy
     matrix_from_json matrix_to_json metric_uncertainties noise_preset
-    predicted_s prep_probability prepare_hybrid read_counts_csv
+    prep_probability prepare_hybrid read_counts_csv
     reconstruct simulate_tomography singlet singlet_ket upgraded_budget
     visibility_minmax write_counts_csv
 """.split()
@@ -274,7 +274,7 @@ def test_public_api_is_pinned():
 
 # exports that no run path calls, each kept for the reason given beside it
 # in hybridoam/__init__.py
-UNCALLED_EXPORTS = {"matrix_from_json", "predicted_s"}
+UNCALLED_EXPORTS = {"matrix_from_json"}
 
 
 def _readme_quick_start():
@@ -442,7 +442,7 @@ def _barrier_derivative_errors(counts, x, dirs, eps=1e-6, mu=0.5):
     p_stack, rho_stack = _point(stack)
     grad, neg_hess = _newton_system(
         rho_stack, p_stack, np.tile(counts, (len(stack), 1)),
-        np.full(len(stack), mu), _workspace(len(stack)),
+        np.full(len(stack), mu), _workspace(len(stack)), mu * np.linalg.inv(rho_stack),
     )[:2]
     fd = (f[1:n + 1] - f[n + 1:]) / (2 * eps)
     grad_err = np.abs(dirs @ grad[0] - fd) / np.maximum(1.0, np.abs(fd))
@@ -843,6 +843,10 @@ def test_bootstrap_enforces_resample_floor_and_failure_budget():
     assert MIN_RESAMPLES == 100
     with pytest.raises(ValueError, match="need at least 100 resamples, got 99"):
         metric_uncertainties(recs, n_resamples=MIN_RESAMPLES - 1)
+    # the count is an integer, as every seed is
+    for bad in (True, np.float64(100.0), None):
+        with pytest.raises(TypeError, match="n_resamples must be an integer"):
+            metric_uncertainties(recs, n_resamples=bad)
     # the bootstrap takes a count table, not a reconstruction of one
     with pytest.raises(TypeError):
         metric_uncertainties(reconstruct(recs))
