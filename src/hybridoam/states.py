@@ -108,8 +108,8 @@ class _Parameters:
     class's _BOUNDS gives its (lo[, hi]); _KIND names the record in
     from_dict's refusal of unknown keys."""
 
-    _BOUNDS: dict = {}
-    _KIND = "parameter"
+    _BOUNDS: dict
+    _KIND: str
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
