@@ -8,16 +8,17 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
-# Every export below has a caller on a run path (the CLI,
-# benchmarks/workloads.py or the README's library quick start), or a reason
-# beside it.
+# Every export below is what a user calls, receives or catches: a name the
+# CLI, benchmarks/workloads.py or the README's library quick start reads; a
+# class an exported function returns, or a field of one holds; an error the
+# package raises; or a name with a reason beside it.  The chain's internal
+# steps stay in their modules (hybridoam.source.apply_noise, for one).
 
 from .states import (
-    ATOL,
-    OAM_O2,
-    POLARIZATION,
+    OAM_O2,  # Bob's basis name, which building a DensityMatrix takes
+    POLARIZATION,  # Alice's basis name, likewise
     DensityMatrix,
     InvalidLabelError,
     StateVector,
@@ -25,24 +26,17 @@ from .states import (
     matrix_to_json,
 )
 from .source import (
-    REFERENCE_FIDELITY,
-    REFERENCE_LINEAR_ENTROPY,
     NoiseModel,
-    apply_noise,
-    fit_noise_model,
     hybrid_singlet_ket,
-    hybrid_state,
     noise_preset,
     prepare_hybrid,
-    singlet,
-    singlet_ket,
 )
 from .measurement import (
     CountRecord,
     FitFailureError,
     MeasurementSetting,
     fit_fringe,
-    fringe_scan,  # benchmarks/workloads.py calls it
+    fringe_scan,
     fringe_scan_records,
     read_counts_csv,
     visibility_minmax,
@@ -65,15 +59,9 @@ from .bell import (
     chsh_empirical,
     chsh_exact,
     chsh_records,
-    correlation_from_counts,
 )
 from .budget import (
-    DEFAULT_OBSERVED_RATE_CPS,
     RateBudget,
     budget_report,
-    det_probability,
-    expected_rate,
     format_report,
-    prep_probability,
-    upgraded_budget,
 )

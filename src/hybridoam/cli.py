@@ -93,13 +93,15 @@ def _parse_noise(spec) -> src.NoiseModel:
     preset name, or a model object, given as a dict or inline JSON."""
     if spec is None:
         return src.noise_preset("ideal")
-    if not isinstance(spec, dict):
-        spec = str(spec).strip()
+    if isinstance(spec, str):
+        spec = spec.strip()
         if not spec.startswith("{"):
             try:
                 return src.noise_preset(spec)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+    elif not isinstance(spec, dict):
+        raise ConfigError(f"noise must be a preset name or an object, got {type(spec).__name__}")
     try:
         return src.NoiseModel.from_dict(spec if isinstance(spec, dict) else json.loads(spec))
     except (TypeError, ValueError) as exc:

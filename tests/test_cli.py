@@ -490,6 +490,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["chsh", "--exact", "--noise", '{"bogus": 1}'],
          "bad noise model: unknown noise keys: ['bogus']"),
         (["chsh", "--exact", "--noise", '{"werner_p": '], "bad noise model: Expecting value"),
+        # a config noise value is a preset name or an object, nothing else
+        *[(["chsh", "--exact", "--config", config({"noise": value})],
+           f"noise must be a preset name or an object, got {kind}")
+          for value, kind in ((0.9, "float"), (["fitted"], "list"), (True, "bool"))],
     ]
     # an integer past Python's 4,300-digit limit, which json.load refuses to read
     huge = tmp_path / "huge.json"

@@ -1,12 +1,6 @@
-import ast
-import dataclasses
-import json
-import os
-import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,17 +74,29 @@ def test_noisy_linear_inversion_matches_the_oracle():
 
 
 def test_basis_pairs_follow_the_label_order():
-    # each basis is an adjacent orthogonal pair of labels, so the four
-    # settings of a basis pair, (i // 2, j // 2) on the 6 x 6 label grid,
-    # resolve the identity
-    from hybridoam.measurement import _operators
-    from hybridoam.tomography import _GROUP, _KEYS
-
-    ops = _operators(_KEYS)
-    for g in range(9):
-        members = np.flatnonzero(_GROUP == g)
-        assert len(members) == 4
-        assert np.max(np.abs(ops[members].sum(axis=0) - np.eye(4))) < 1e-15
+    # each basis is an adjacent orthogonal pair of labels, so on any state
+    # the four settings of a basis pair, (i // 2, j // 2) on the 6 x 6 label
+    # grid, count every pair: their exact counts sum to rate x duration
+    plus, right = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, 1j]) / np.sqrt(2)
+    tilted = np.array([np.cos(0.3), np.sin(0.3) * np.exp(0.7j)])
+    products = [
+        np.kron(a, b)
+        for a, b in ((np.array([1.0, 0.0]), np.array([0.0, 1.0])), (plus, right), (right, tilted))
+    ]
+    states = [DensityMatrix(np.outer(v, v.conj()), (POLARIZATION, OAM_O2)) for v in products]
+    states += [SINGLET, DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))]
+    for rho in states:
+        table = {
+            (r.setting.alice, r.setting.bob): r.counts
+            for r in simulate_tomography(rho, rate_cps=100.0, duration_s=15.0, exact=True)
+        }
+        for a in (0, 2, 4):
+            for b in (0, 2, 4):
+                total = sum(
+                    table[ALICE_LABELS[i], BOB_LABELS[j]]
+                    for i in (a, a + 1) for j in (b, b + 1)
+                )
+                assert abs(total - 1500.0) < 1e-9
 
 
 def test_exact_data_mle_matches_truth():
@@ -215,170 +221,6 @@ def _gap_bound_of(rho, records):
             r += rec.counts / np.trace(proj @ rho).real * proj
             total += rec.counts
     return float(np.linalg.eigvalsh(r)[-1] - total)
-
-
-def test_import_loads_no_scipy():
-    # a CLI start loads no scipy, and exactly the package modules it runs
-    import hybridoam
-
-    env = dict(os.environ)
-    src_dir = str(Path(hybridoam.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    code = (
-        "import json, sys, hybridoam.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'hybridoam'))))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
-    )
-    modules = ("states", "source", "measurement", "tomography", "bell", "budget", "cli")
-    assert json.loads(out.stdout) == sorted(
-        ["hybridoam"] + [f"hybridoam.{name}" for name in modules]
-    )
-
-
-PUBLIC_NAMES = """
-    ATOL ChshResult CountRecord DEFAULT_OBSERVED_RATE_CPS
-    DensityMatrix FitFailureError
-    InsufficientDataError InvalidLabelError MeasurementSetting NoiseModel
-    OAM_O2 POLARIZATION REFERENCE_FIDELITY
-    REFERENCE_LINEAR_ENTROPY RateBudget StateMetrics StateVector
-    TomographyRun UndefinedCorrelationError apply_noise budget_report
-    chsh_empirical chsh_exact chsh_records concurrence
-    correlation_from_counts det_probability expected_rate fidelity
-    fit_fringe fit_noise_model format_report fringe_scan
-    fringe_scan_records hybrid_singlet_ket hybrid_state linear_entropy
-    matrix_from_json matrix_to_json metric_uncertainties noise_preset
-    prep_probability prepare_hybrid read_counts_csv
-    reconstruct simulate_tomography singlet singlet_ket upgraded_budget
-    visibility_minmax write_counts_csv
-""".split()
-
-
-def test_public_api_is_pinned():
-    # every name `import hybridoam` exports besides its submodules, whose
-    # set test_import_loads_no_scipy pins: adding or removing one is a
-    # deliberate change of this list
-    import types
-
-    import hybridoam
-
-    exported = {
-        name for name, value in vars(hybridoam).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert sorted(exported) == sorted(PUBLIC_NAMES)
-
-
-# exports that no run path calls, each kept for the reason given beside it
-# in hybridoam/__init__.py
-UNCALLED_EXPORTS = {"matrix_from_json"}
-
-
-def _readme_quick_start():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("## Library quick start\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
-
-
-def _loaded_names(tree):
-    """Names a module reads, each top-level definition's own body left out
-    for its own name: a function that only calls itself has no caller."""
-    found = set()
-    for node in tree.body:
-        own = getattr(node, "name", None)
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                name = sub.id
-            elif isinstance(sub, ast.Attribute):
-                name = sub.attr
-            else:
-                continue
-            if name != own:
-                found.add(name)
-    return found
-
-
-def _run_path_trees():
-    """The parsed sources a run path starts from: the package's modules but
-    its __init__, benchmarks/workloads.py and the README's library quick
-    start."""
-    import hybridoam
-
-    root = Path(__file__).parents[1]
-    package = Path(hybridoam.__file__).parent
-    sources = [p.read_text() for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
-    sources += [(root / "benchmarks" / "workloads.py").read_text(), _readme_quick_start()]
-    return [ast.parse(text) for text in sources]
-
-
-def test_every_export_has_a_caller():
-    # a run path starts from the CLI, from benchmarks/workloads.py or from
-    # the README's library quick start; every export is read somewhere on
-    # one, outside its own definition, or is kept for a stated reason
-    loaded = set().union(*(_loaded_names(tree) for tree in _run_path_trees()))
-    assert UNCALLED_EXPORTS <= set(PUBLIC_NAMES)
-    uncalled = sorted(set(PUBLIC_NAMES) - loaded - UNCALLED_EXPORTS)
-    assert uncalled == []
-
-
-# fields and properties of exported dataclasses that no run path reads, each
-# kept for the reason given beside it
-UNREAD_FIELDS: set[str] = set()
-
-
-def _attribute_reads(tree):
-    """(attribute, owner) for every attribute a module reads, where owner is
-    the class whose own __post_init__ holds the read, else None."""
-    owner = {}
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef):
-            for fn in cls.body:
-                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
-                    owner.update((id(node), cls.name) for node in ast.walk(fn))
-    return {
-        (node.attr, owner.get(id(node)))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-
-
-def test_every_field_is_read_on_a_run_path():
-    # every field and property of an exported dataclass is read as an
-    # attribute on a run path, outside the class's own __post_init__ (a
-    # value only a check reads carries nothing), or is kept for a reason
-    import hybridoam
-
-    classes = [
-        value for name, value in vars(hybridoam).items()
-        if name in PUBLIC_NAMES and isinstance(value, type) and dataclasses.is_dataclass(value)
-    ]
-    members = {
-        (cls.__name__, name)
-        for cls in classes
-        for name in [f.name for f in dataclasses.fields(cls)]
-        + [n for n, v in vars(cls).items() if isinstance(v, property)]
-    }
-    reads = set().union(*(_attribute_reads(tree) for tree in _run_path_trees()))
-    read = {(cls, name) for cls, name in members if any(
-        attr == name and where != cls for attr, where in reads
-    )}
-    named = {f"{cls}.{name}" for cls, name in members}
-    assert UNREAD_FIELDS <= named
-    unread = sorted({f"{cls}.{name}" for cls, name in members - read} - UNREAD_FIELDS)
-    assert unread == []
-
-
-def test_readme_quick_start_runs(capsys):
-    # the README's library example, run as written, so that a renamed or
-    # removed export fails here instead of leaving the example stale
-    namespace = {}
-    exec(compile(_readme_quick_start(), "README.md", "exec"), namespace)
-    fidelity_value, s_value = map(float, capsys.readouterr().out.split())
-    assert 0.85 < fidelity_value < 1.0 and 2.0 < s_value < 2.8
-    assert 0.8 < namespace["v"] <= 1.0
 
 
 def test_count_table_validation():
