@@ -174,11 +174,9 @@ class _Resolved:
         self.noise = _parse_noise(flags.get("noise", cfg.get("noise")))
         self.exact = flags.get("exact", False)
         self.resamples = flags.get("resamples", tg.MIN_RESAMPLES)
-        if self.resamples != 0 and self.resamples < tg.MIN_RESAMPLES:
-            raise ConfigError(
-                f"resamples: 0 disables, at least {tg.MIN_RESAMPLES} otherwise;"
-                f" got {self.resamples}"
-            )
+        if self.resamples != 0 and not tg.MIN_RESAMPLES <= self.resamples <= tg.MAX_RESAMPLES:
+            raise ConfigError(f"resamples: 0 disables, at least {tg.MIN_RESAMPLES} and at most"
+                              f" {tg.MAX_RESAMPLES} otherwise; got {self.resamples}")
         try:
             self.budget = budget_mod.RateBudget.from_dict(cfg.get("budget", {}))
         except (TypeError, ValueError) as exc:

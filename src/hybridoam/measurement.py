@@ -334,7 +334,7 @@ def fringe_scan(
 ) -> list[tuple[float, float]]:
     """Fringe scan returning (theta, counts) pairs; see fringe_scan_records."""
     records = fringe_scan_records(rho, bob, theta_grid, rate_cps, duration_s, seed, scan_index)
-    return [(_theta(r.setting.alice), float(r.counts)) for r in records]
+    return [(float(t), float(r.counts)) for t, r in zip(np.ravel(theta_grid).tolist(), records)]
 
 
 def fit_fringe(points) -> tuple[float, float, float]:

@@ -20,6 +20,7 @@ import numbers
 from dataclasses import InitVar, asdict, dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack  # np.linalg's gufuncs, unwrapped
 
 ATOL = 1e-12        # tolerance for algebraic identities
 PSD_FLOOR = -1e-10  # eigenvalue floor for physicality checks
@@ -54,6 +55,13 @@ _DEGREE_KETS = {POLARIZATION: _POL_KETS, OAM_O2: _O2_KETS}
 
 class InvalidLabelError(ValueError):
     """Basis label does not exist for the requested degree of freedom."""
+
+
+def _linalg_error(err, flag):
+    raise np.linalg.LinAlgError("LAPACK failed: singular, not definite or not converged")
+
+
+_RAISE = {"call": _linalg_error, "invalid": "call"}  # np.linalg's errstate rule
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -183,7 +191,8 @@ class DensityMatrix:
         if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
         if require_positive:
-            lo = float(np.linalg.eigvalsh(mat)[0])
+            with np.errstate(**_RAISE):
+                lo = float(_lapack.eigvalsh_lo(mat)[0])
             if lo < PSD_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {lo}")
 
@@ -193,7 +202,8 @@ def _clip_to_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on a (..., n, n) stack of Hermitian matrices; also each result's least
     eigenvalue as the projection sets it.  Per matrix, so the same alone and
     in a stack."""
-    w, vecs = np.linalg.eigh(mats)
+    with np.errstate(**_RAISE):
+        w, vecs = _lapack.eigh_lo(mats)
     w = np.clip(w, 0.0, None)
     w = w / w.sum(axis=-1, keepdims=True)
     out = (vecs * w[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)

@@ -29,6 +29,9 @@ dual estimate and step, and its row arithmetic does not depend on the other
 tables, so a table solved in a stack gives exactly what it gives alone.
 reconstruct inverts, projects and solves a stack of one; the bootstrap
 does the same to the observed table and all its resamples in one stack.
+Its Cholesky, inverse, solve and Hermitian eigenvalue calls skip np.linalg's
+Python wrappers, which cost as much as the LAPACK call on one table; a failed
+call raises LinAlgError as there, but in a Newton step leaves its row in place.
 Each of the 15 Pauli products G_m of the Bloch coordinates has one entry,
 +-1 or +-i, in each row, so the products with G_m that the Newton matrix
 needs are signed gathers from fixed index tables, and its barrier term is
@@ -63,8 +66,10 @@ from .states import (
     StateVector,
     _O2_KETS,
     _POL_KETS,
+    _RAISE,
     _clip_to_states,
     _freeze,
+    _lapack,
 )
 
 ALICE_LABELS = tuple(_POL_KETS)
@@ -102,8 +107,8 @@ _TO_BOUNDARY, _TO_BOUNDARY_DUAL = 0.9, 0.99
 _SHARES = _freeze(np.array([[_TO_BOUNDARY], [_TO_BOUNDARY_DUAL]]))  # as a column
 _ARMIJO = 0.25
 _HALVES = _freeze(0.5 ** np.arange(1.0, 13.0))  # tried when a full step fails
-# the bootstrap's default number of resamples, and the fewest it takes
-MIN_RESAMPLES = 100
+MIN_RESAMPLES = 100  # the bootstrap's default number of resamples, and the fewest
+MAX_RESAMPLES = 10_000  # the most: about 4 s and 220 MiB at peak
 
 
 class InsufficientDataError(ValueError):
@@ -342,7 +347,8 @@ def _gap_bound(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
     counted nothing, as _solve makes it.
     """
     r = _rowwise(counts / p, _ROWS).view(complex).reshape(-1, 4, 4)
-    return np.linalg.eigvalsh(r)[:, -1] - counts.sum(axis=1)
+    with np.errstate(**_RAISE):
+        return _lapack.eigvalsh_lo(r)[:, -1] - counts.sum(axis=1)
 
 
 def _certified(counts: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -353,19 +359,15 @@ def _certified(counts: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 def _workspace(n: int) -> tuple[np.ndarray, ...]:
     """Scratch for _newton_system on stacks of up to n tables: the signed
-    gathers _LEFT of rho^-1 and _RIGHT_T of Z / 16, the barrier term and
-    the Newton matrix.  At the bootstrap's 101 rows these are 180-380 KiB
-    each, and blocks that size, freed every round, go back to the kernel
-    and are page-faulted in again the next; so one solve allocates them
-    once and each round writes into their leading rows.  They are four
-    views of one block: allocated as four, they were faulted in afresh at
-    every solve in some processes (about 200 minor faults per bootstrap,
-    with glibc's malloc), as one block in none.  The workspace belongs to
-    its solve: solves in concurrent threads must not share one."""
+    gathers _LEFT of rho^-1 and _RIGHT_T of Z / 16, the barrier term and the
+    Newton matrix, 180-380 KiB each at 101 rows.  glibc gives blocks that
+    size back to the kernel when freed, to be page-faulted in again, so a
+    solve allocates them once, as four views of one block (as four blocks,
+    some processes faulted them in at every solve), and each round writes
+    into their leading rows.  Concurrent solves must not share one."""
+    block, ends = np.empty(n * 1410), (0, 480 * n, 960 * n, 1185 * n, 1410 * n)
     shapes = ((15, 32), (32, 15), (15, 15), (15, 15))
-    sizes = [n * a * b for a, b in shapes]
-    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-    return tuple(part.reshape(n, *shape) for part, shape in zip(parts, shapes))
+    return tuple(block[a:b].reshape(n, *s) for a, b, s in zip(ends, ends[1:], shapes))
 
 
 def _newton_system(rho, p, counts, mu, work, z):
@@ -392,7 +394,7 @@ def _newton_system(rho, p, counts, mu, work, z):
     """
     n = len(rho)
     left, right, dual, hess = (a[:n] for a in work)
-    whiten = np.linalg.inv(_cholesky(np.concatenate([rho, z])))
+    whiten = _lapack.inv(_lapack.cholesky_lo(np.concatenate([rho, z])))
     w = whiten[:n]
     rho_inv = np.swapaxes(w.conj(), 1, 2) @ w
     v = _as_rows(rho_inv)
@@ -405,21 +407,6 @@ def _newton_system(rho, p, counts, mu, work, z):
     np.matmul((counts / p**2)[:, None, :], _C_OUTER, out=hess.reshape(n, 1, 225))
     hess += dual
     return grad, hess, rho_inv, whiten
-
-
-def _cholesky(m: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a (B, n, n) stack; NaN where m is not positive
-    definite, which round-off can cause on a nearly singular point."""
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        out = np.full_like(m, np.nan)
-        for i, mi in enumerate(m):
-            try:
-                out[i] = np.linalg.cholesky(mi)
-            except np.linalg.LinAlgError:
-                pass
-        return out
 
 
 def _newton_step(x, p, rho, z, counts, mu, work):
@@ -441,29 +428,30 @@ def _newton_step(x, p, rho, z, counts, mu, work):
     gain is exact and cheap, sum_k n_k log(1 + t dp_k / p_k) +
     mu sum_i log(1 + t e_i) with e the eigenvalues of W drho W^H.  Returns
     the new points and duals and the two step lengths (0 where the point
-    is stuck).
+    is stuck: singular, or NaN from a LAPACK call that failed on its row).
     """
     n = len(x)
     with np.errstate(invalid="ignore", divide="ignore"):
         grad, hess, rho_inv, whiten = _newton_system(rho, p, counts, mu, work, z)
-        dx = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        dx = _lapack.solve(hess, grad[:, :, None])[:, :, 0]
         decrement = _dot(grad, dx)
-    # a point whose rho or Z round-off has made singular stays where it is
-    stuck = ~(decrement > 0.0) | np.isnan(whiten[n:, 0, 0])
-    if stuck.any():
-        dx[stuck] = 0.0
-        whiten.reshape(2, n, 4, 4)[:, stuck] = 0.0
-    dy = _rowwise(dx, _BLOCH_MAP)
-    dq = np.where(counts > 0, dy[:, :36] / p, 0.0)
-    d_rho = (dy[:, 36:] / 4.0).view(complex).reshape(-1, 4, 4)
-    z_rho = z @ d_rho @ rho_inv
-    dz = mu[:, None, None] * rho_inv - z - (z_rho + np.swapaxes(z_rho.conj(), 1, 2)) / 2
-    if stuck.any():
-        dz[stuck] = 0.0
-    # the eigenvalues of both steps, whitened, in one call
-    e = np.linalg.eigvalsh(
-        whiten @ np.concatenate([d_rho, dz]) @ np.swapaxes(whiten.conj(), 1, 2)
-    )
+        # a point whose rho or Z round-off has made singular stays where it is
+        stuck = ~(decrement > 0.0) | np.isnan(whiten[n:, 0, 0])
+        if stuck.any():
+            dx[stuck] = 0.0
+            whiten.reshape(2, n, 4, 4)[:, stuck] = 0.0
+        dy = _rowwise(dx, _BLOCH_MAP)
+        dq = np.where(counts > 0, dy[:, :36] / p, 0.0)
+        d_rho = (dy[:, 36:] / 4.0).view(complex).reshape(-1, 4, 4)
+        z_rho = z @ d_rho @ rho_inv
+        dz = mu[:, None, None] * rho_inv - z - (z_rho + np.swapaxes(z_rho.conj(), 1, 2)) / 2
+        if stuck.any():
+            dz[stuck] = 0.0
+        # the eigenvalues of both steps, whitened, in one call
+        e = _lapack.eigvalsh_lo(
+            whiten @ np.concatenate([d_rho, dz]) @ np.swapaxes(whiten.conj(), 1, 2)
+        )
+    stuck |= np.isnan(e[:, 0]).reshape(2, n).any(axis=0)
     t, t_dual = np.minimum(1.0, _SHARES / np.maximum(-e[:, 0].reshape(2, n), 1e-300))
     e = e[:n]
     # most steps pass at once; the others try _HALVES of it all at once and
@@ -533,7 +521,8 @@ def _solve(counts: np.ndarray, start: np.ndarray, least: np.ndarray):
     mu_start = np.where(
         inside, _MU_INSIDE, np.maximum(_MU_START, _MU_PER_GAP * bound_start[live])
     )
-    z = mu_start[:, None, None] * np.linalg.inv(_point(x)[1])
+    with np.errstate(**_RAISE):
+        z = mu_start[:, None, None] * _lapack.inv(_point(x)[1])
     z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
     sigma = np.full(live.size, _TARGETS[1])
     work = _workspace(live.size)
@@ -632,7 +621,8 @@ def _concurrences(rhos: np.ndarray) -> np.ndarray:
     # the square roots of the eigenvalues of rho Y rho* Y are the singular
     # values of A^T Y A for rho = A A^H: no non-Hermitian eigenproblem, so
     # round-off in rho moves them by round-off only
-    w, v = np.linalg.eigh(rhos)
+    with np.errstate(**_RAISE):
+        w, v = _lapack.eigh_lo(rhos)
     a = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     lam = np.linalg.svd(np.swapaxes(a, 1, 2) @ _YY @ a, compute_uv=False)
     return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
@@ -660,11 +650,13 @@ def metric_uncertainties(
     is refused for lack of data and counts as failed; more than 10% failed
     raises RuntimeError, and the result reports how many failed, and how
     many of the solved resamples stopped unconverged.  ``n_resamples`` is
-    an integer, as _seed takes it, of at least MIN_RESAMPLES.
+    an integer, as _seed takes it, from MIN_RESAMPLES to MAX_RESAMPLES.
     """
     n_resamples = _seed(n_resamples, "n_resamples")
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
+    if n_resamples > MAX_RESAMPLES:
+        raise ValueError(f"need at most {MAX_RESAMPLES} resamples, got {n_resamples}")
     psi = hybrid_singlet_ket()
     observed, observed_totals = _count_table(records)
     counts = _stream(seed, (3,)).poisson(observed, (n_resamples, len(observed))).astype(float)

@@ -443,6 +443,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["fringe", "--exact", "--bob", "H"], "invalid choice"),
         (["tomography", "--exact", "--resamples", "1"], "0 disables, at least 100"),
         (["tomography", "--exact", "--resamples", "99"], "0 disables, at least 100"),
+        # and at most MAX_RESAMPLES: 10**12 would allocate 262 TiB of draws
+        (["tomography", "--exact", "--resamples", "10001"], "at most 10000 otherwise; got 10001"),
+        (["pipeline", "--exact", "--resamples", str(10**12)], "at most 10000"),
         (["pipeline", "--exact", "--resamples", "50"], "0 disables, at least 100"),
         # only the commands that bootstrap take --resamples
         (["chsh", "--resamples", "5"], "unrecognized arguments: --resamples"),

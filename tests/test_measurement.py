@@ -712,6 +712,19 @@ def test_scan_labels_are_formatted_once_per_grid():
     assert signed[0] == "theta=-0" and pairs[0][0] == "theta=0"
 
 
+def test_fringe_scan_returns_the_grid_floats_its_tags_read_back_to():
+    # fringe_scan gives each point the grid's own float, not its tag parsed
+    # again; the tag's 17 digits read back to the same float, -0.0 included
+    for grid in (GRID16, -GRID16, np.array([-0.0, 0.0, -1e-300, 1.0 / 3.0])):
+        points = fringe_scan(SINGLET, "h", grid, 100.0, 15.0, seed=2, scan_index=1)
+        records = fringe_scan_records(SINGLET, "h", grid, 100.0, 15.0, 2, 1)
+        thetas = np.array([t for t, _ in points])
+        tags = np.array([measurement._theta(r.setting.alice) for r in records])
+        assert thetas.tobytes() == tags.tobytes() == grid.tobytes()
+        assert all(type(t) is float for t, _ in points)
+        assert [c for _, c in points] == [float(r.counts) for r in records]
+
+
 # each public guard of a real number, as a function of the guarded value
 GUARDS = {
     "noise-parameter": lambda x: NoiseModel.from_dict({"miscal_angle": x}).miscal_angle,

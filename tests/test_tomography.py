@@ -515,6 +515,114 @@ def test_a_singular_row_stays_put_and_leaves_its_stack_alone():
             assert np.array_equal(stacked[b], single[0])
 
 
+def _linalg_stacks(size):
+    """Random stacks of ``size`` Hermitian positive definite and Hermitian
+    indefinite 4x4 matrices, real 15x15 SPD matrices and (15, 1) columns:
+    the shapes the solver hands to LAPACK."""
+    rng = np.random.default_rng(size)
+    a = rng.normal(size=(size, 4, 4)) + 1j * rng.normal(size=(size, 4, 4))
+    b = rng.normal(size=(size, 15, 15))
+    return (
+        a @ np.swapaxes(a.conj(), 1, 2) + 0.1 * np.eye(4),
+        a + np.swapaxes(a.conj(), 1, 2),
+        b @ np.swapaxes(b, 1, 2) + np.eye(15),
+        rng.normal(size=(size, 15, 1)),
+    )
+
+
+@pytest.mark.parametrize("size", [1, 2, 101])
+def test_direct_lapack_calls_equal_numpy_linalg(size):
+    # the solver and the state checks call np.linalg's gufuncs without its
+    # wrappers; each call gives the wrapper's bits, and a rename in numpy's
+    # private module fails here
+    from hybridoam.states import _lapack
+
+    pd, indefinite, spd, column = _linalg_stacks(size)
+    for m in (pd, indefinite, spd):
+        assert np.array_equal(_lapack.inv(m), np.linalg.inv(m))
+        assert np.array_equal(_lapack.eigvalsh_lo(m), np.linalg.eigvalsh(m))
+        for direct, wrapped in zip(_lapack.eigh_lo(m), np.linalg.eigh(m)):
+            assert np.array_equal(direct, wrapped)
+    for m in (pd, spd):
+        assert np.array_equal(_lapack.cholesky_lo(m), np.linalg.cholesky(m))
+    assert np.array_equal(_lapack.solve(spd, column), np.linalg.solve(spd, column))
+
+
+def test_a_failed_factor_is_a_nan_row_or_raises_by_the_shared_rule():
+    from hybridoam.states import _RAISE, _lapack
+
+    pd, indefinite, _, _ = _linalg_stacks(101)
+    stack = pd.copy()
+    stack[[1, 50]] = indefinite[[1, 50]]
+    assert (np.linalg.eigvalsh(stack[[1, 50]])[:, 0] < 0.0).all()
+    # inside the Newton step a matrix that is not positive definite gives
+    # a NaN factor, and the other rows keep their bits
+    with np.errstate(invalid="ignore"):
+        factors = _lapack.cholesky_lo(stack)
+    assert np.isnan(factors[[1, 50]]).all()
+    ok = np.ones(101, dtype=bool)
+    ok[[1, 50]] = False
+    assert np.array_equal(factors[ok], np.linalg.cholesky(pd[ok]))
+    # outside it, a failed call raises LinAlgError, as np.linalg does
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(stack)
+    with np.errstate(**_RAISE), pytest.raises(np.linalg.LinAlgError):
+        _lapack.cholesky_lo(stack)
+    with np.errstate(**_RAISE), pytest.raises(np.linalg.LinAlgError):
+        _lapack.inv(np.zeros((2, 4, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("call, row", [
+    ("solve", 1), ("inv", 1), ("inv", 4 + 1), ("eigvalsh_lo", 1), ("eigvalsh_lo", 4 + 1),
+])
+def test_a_failed_lapack_call_in_a_step_leaves_its_row_stuck(monkeypatch, call, row):
+    # a solve, inverse or eigenvalue call that fails in a Newton step gives a
+    # NaN row (the rows past 4 are the dual's); that row keeps its point and
+    # dual with both step lengths 0, and the other rows step as they would
+    # alone
+    import hybridoam.tomography as tg
+    from hybridoam.states import _lapack
+
+    rho, _ = prepare_hybrid("fitted")
+    counts = np.stack([
+        tg._count_table(simulate_tomography(rho, rate_cps=100.0, seed=seed))[0]
+        for seed in range(4)
+    ])
+    rng = np.random.default_rng(15)
+    x = np.stack([_bloch_point(rng) for _ in range(4)])
+    p, rhos = tg._point(x)
+    p = np.where(counts > 0, p, 1.0)
+    mu = np.full(4, 0.05)
+    z = mu[:, None, None] * np.linalg.inv(rhos)
+    z = (z + np.swapaxes(z.conj(), 1, 2)) / 2
+    alone = [
+        tg._newton_step(x[[b]], p[[b]], rhos[[b]], z[[b]], counts[[b]], mu[[b]], tg._workspace(1))
+        for b in range(4)
+    ]
+
+    class FailOneRow:
+        def __getattr__(self, name):
+            return getattr(_lapack, name)
+
+    def failing(*args):
+        out = getattr(_lapack, call)(*args)
+        out[row] = np.nan
+        return out
+
+    spy = FailOneRow()
+    setattr(spy, call, failing)
+    monkeypatch.setattr(tg, "_lapack", spy)
+    x_new, z_new, t, t_dual = tg._newton_step(x, p, rhos, z, counts, mu, tg._workspace(4))
+    stuck = row % 4
+    assert np.array_equal(x_new[stuck], x[stuck])
+    assert np.array_equal(z_new[stuck], z[stuck])
+    assert t[stuck] == t_dual[stuck] == 0.0
+    for b in {0, 1, 2, 3} - {stuck}:
+        assert t[b] > 0.0
+        for stacked, single in zip((x_new, z_new, t, t_dual), alone[b]):
+            assert np.array_equal(stacked[b], single[0])
+
+
 def test_a_bootstrap_round_builds_its_newton_system_in_the_workspace():
     # A round of the bootstrap's 101-row stack used to allocate its Newton
     # system fresh: two signed gathers of 384 KiB each and two 180 KiB terms
@@ -698,6 +806,20 @@ def test_bootstrap_enforces_resample_floor_and_failure_budget():
         sparse = simulate_tomography(rho, rate_cps=0.2, seed=seed)
         with pytest.raises(RuntimeError, match=r"^\d+/100 bootstrap resamples failed$"):
             metric_uncertainties(sparse, n_resamples=100, seed=seed)
+
+
+def test_bootstrap_refuses_more_than_max_resamples_before_drawing(monkeypatch):
+    import hybridoam.tomography as tg
+
+    recs = simulate_tomography(SINGLET, seed=4)
+    assert tg.MAX_RESAMPLES == 10_000
+    drawn = []
+    monkeypatch.setattr(tg, "_stream", lambda *args: drawn.append(args))
+    # 10**12 resamples would allocate 262 TiB of draws
+    for n in (tg.MAX_RESAMPLES + 1, 10**12):
+        with pytest.raises(ValueError, match=f"need at most 10000 resamples, got {n}"):
+            metric_uncertainties(recs, n_resamples=n)
+    assert drawn == []
 
 
 def test_bootstrap_sigma_scale_at_reference_acquisition():
