@@ -22,7 +22,6 @@ the count-ratio estimator on the Born probabilities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,10 @@ from .measurement import (
     CountRecord,
     _count_records,
     _finite_float,
+    _one_duration,
     _tag,
 )
-from .states import DensityMatrix, _real
+from .states import DensityMatrix
 
 # seconds of beam time per setting pair, split over its four outcomes
 DEFAULT_PAIR_DURATION_S = 60.0
@@ -58,33 +58,6 @@ _OUTCOMES = tuple(
 
 class UndefinedCorrelationError(ValueError):
     """Correlation estimator has no data (all four counts are zero)."""
-
-
-def correlation_from_counts(counts) -> float:
-    """Count-ratio estimator [N(++) + N(--) - N(+-) - N(-+)] / total of the
-    four outcome counts in the order ++, +-, -+, --."""
-    counts = [_real("outcome count", c) for c in counts]
-    if len(counts) != 4:
-        raise ValueError(f"need exactly 4 outcome counts, got {len(counts)}")
-    total = sum(counts)
-    # NaN fails the test, and a sum past float64's range is inf
-    if not (all(0.0 <= c for c in counts) and total < math.inf):
-        raise ValueError(
-            f"outcome counts must be finite and non-negative, with a finite sum, got {counts}"
-        )
-    if total <= 0:
-        raise UndefinedCorrelationError("all four outcome counts are zero")
-    npp, npm, nmp, nmm = counts
-    return (npp + nmm - npm - nmp) / total
-
-
-def _correlation_sigma(counts) -> float:
-    """First-order Poisson error of the count-ratio estimator, on counts
-    whose correlation is defined."""
-    npp, npm, nmp, nmm = (float(c) for c in counts)
-    agree, disagree = npp + nmm, npm + nmp
-    total = agree + disagree
-    return 2.0 * np.sqrt(agree * disagree) / total ** 1.5
 
 
 @dataclass(frozen=True)
@@ -118,24 +91,33 @@ class ChshResult:
     @classmethod
     def from_records(cls, records) -> ChshResult:
         """S from the 16 outcome records of chsh_records, in its order and at
-        one duration, or ValueError.  Float counts are exact expectations, as
-        CountRecord holds them, and give no sigma; integer counts are draws,
-        whose Poisson errors give sigma.  A table that mixes the two is
+        one duration, or ValueError.  Each pair's correlation is the
+        count-ratio estimator [N(++) + N(--) - N(+-) - N(-+)] / N over its
+        four outcome counts, undefined (UndefinedCorrelationError) where all
+        four are zero.  Float counts are exact expectations, as CountRecord
+        holds them, and give no sigma; integer counts are draws, whose
+        first-order Poisson errors give sigma.  A table that mixes the two is
         neither, and raises ValueError."""
         records = list(records)
         labels = tuple((r.setting.alice, r.setting.bob) for r in records)
-        if labels != _OUTCOMES or len({r.setting.duration_s for r in records}) > 1:
-            raise ValueError("CHSH needs its 16 outcome settings in draw order, at one duration")
-        counts = [r.counts for r in records]
-        kinds = {type(c) for c in counts}
+        if labels != _OUTCOMES:
+            raise ValueError("CHSH needs its 16 outcome settings in draw order")
+        _one_duration((r.setting.duration_s for r in records), ValueError)
+        kinds = {type(r.counts) for r in records}
         if len(kinds) > 1:
             raise ValueError("CHSH counts must be all draws (int) or all expectations (float)")
-        quads = [counts[4 * k : 4 * k + 4] for k in range(len(_PAIRS))]
-        es = tuple(correlation_from_counts(q) for q in quads)
+        es, variances = [], []
+        for k in range(len(_PAIRS)):
+            npp, npm, nmp, nmm = quad = [float(r.counts) for r in records[4 * k : 4 * k + 4]]
+            total = sum(quad)
+            if total <= 0:
+                raise UndefinedCorrelationError("all four outcome counts are zero")
+            es.append((npp + nmm - npm - nmp) / total)
+            agree, disagree = npp + nmm, npm + nmp
+            variances.append((2.0 * np.sqrt(agree * disagree) / (agree + disagree) ** 1.5) ** 2)
         s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
-        exact = float in kinds
-        sigma = None if exact else float(np.sqrt(sum(_correlation_sigma(q) ** 2 for q in quads)))
-        return cls(s_val, sigma, es)
+        sigma = None if float in kinds else float(np.sqrt(sum(variances)))
+        return cls(s_val, sigma, tuple(es))
 
 
 def chsh_records(

@@ -44,6 +44,8 @@ _DEFAULT_DURATIONS = {
     "fringe": ms.DEFAULT_DURATION_S,
 }
 _FRINGE_POINTS = 16
+# --points' ceiling: a scan's records, count file and JSON grow linearly in it
+MAX_FRINGE_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -117,14 +119,6 @@ def _checked(guard, value, name: str, *args):
         raise ConfigError(str(exc)) from None
 
 
-def _fringe_points(text: str) -> int:
-    n = int(text)
-    if n < 4:
-        # the fit has three parameters and needs one more point than that
-        raise argparse.ArgumentTypeError(f"need at least 4 points, got {n}")
-    return n
-
-
 # every input a flag sets, by its provenance key: its flag's options
 _FLAGS = {
     "seed": dict(type=int, help="global RNG seed"),
@@ -137,7 +131,8 @@ _FLAGS = {
     "exact": dict(action="store_true", help="expected counts instead of Poisson draws"),
     "counts_csv": dict(help="reconstruct from an existing count table"),
     "bob": dict(choices=tg.BOB_LABELS, help="Bob projector label (default +2)"),
-    "points": dict(type=_fringe_points, help="grid points over one period (at least 4)"),
+    "points": dict(type=int, help=(
+        f"grid points over one period (at least 4, at most {MAX_FRINGE_POINTS})")),
 }
 # options of one experiment's command, which the pipeline fixes or lacks
 _OWN = ("counts_csv", "bob", "points")
@@ -184,6 +179,10 @@ class _Resolved:
         self.counts_csv = flags.get("counts_csv")
         self.bob = flags.get("bob", "+2")
         self.points = flags.get("points", _FRINGE_POINTS)
+        # the fit has three parameters and needs one more point than that
+        if not 4 <= self.points <= MAX_FRINGE_POINTS:
+            raise ConfigError(f"need at least 4 points and at most {MAX_FRINGE_POINTS},"
+                              f" got {self.points}")
         # the seed is read by a random draw or a bootstrap, and by nothing else
         draws = self.counts_csv is None and not self.exact
         if not (draws or "resamples" in self.keys and self.resamples > 0):
@@ -232,7 +231,7 @@ def _draw_fringe(res: _Resolved, rho) -> list:
     grid = np.linspace(0.0, 2.0 * np.pi, res.points, endpoint=False)
     records = []
     for scan_index, bob in enumerate(("+2", "h") if res.command == "pipeline" else (res.bob,)):
-        records += ms.fringe_scan_records(
+        records += ms.fringe_scan(
             rho, bob, grid, res.rate_cps, res.durations["fringe"],
             seed=res.seed, scan_index=scan_index, exact=res.exact,
         )
@@ -240,17 +239,18 @@ def _draw_fringe(res: _Resolved, rho) -> list:
 
 
 def _fringe(res: _Resolved, records) -> dict:
-    """The fit of each scan, by its Bob label, over the angles of its Alice tags."""
+    """The fit of each scan, the records of one Bob label, over the angles
+    of its Alice tags."""
     scans = {}
     for r in records:
-        scans.setdefault(r.setting.bob, []).append((ms._theta(r.setting.alice), float(r.counts)))
+        scans.setdefault(r.setting.bob, []).append(r)
     fits = {}
-    for bob, points in scans.items():
-        n0, vis, phi0 = ms.fit_fringe(points)
+    for bob, scan in scans.items():
+        n0, vis, phi0 = ms.fit_fringe(scan)
         fits[bob] = {
             "n0": n0, "visibility": vis, "phi0": phi0,
-            "visibility_minmax": ms.visibility_minmax(points),
-            "points": [[t, c] for t, c in points],
+            "visibility_minmax": ms.visibility_minmax(scan),
+            "points": [list(p) for p in ms._scan_points(scan)],
         }
     if res.command == "pipeline":
         return fits

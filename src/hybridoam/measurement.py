@@ -29,7 +29,9 @@ Fringe convention: the scan variable theta is 4x the half-waveplate
 fast-axis angle, so Alice's analysis state is (cos(theta/2), sin(theta/2))
 and ideal fringes follow N0 (1 + V cos(theta - phi0)) with period 2 pi.
 The phase offset phi0 depends on Bob's projector (0 for |+2>, -pi/2 for
-|h>) and is reported by the fit rather than absorbed.
+|h>) and is reported by the fit rather than absorbed.  fringe_scan returns
+a scan's count records, and the fits read each angle back from its tag, as
+every analysis reads a table of CountRecords.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ _MAX_COUNT = 2**53
 
 
 class FitFailureError(ValueError):
-    """Fringe fit cannot be performed on the given points."""
+    """Fringe fit cannot be performed on the given scan records."""
 
 
 def _finite_float(value, name: str, positive: bool) -> float:
@@ -100,8 +102,10 @@ def _tag(theta: float) -> str:
     return f"{_THETA_PREFIX}{theta:.17g}"
 
 
+@functools.lru_cache(maxsize=1024)
 def _theta(tag: str) -> float:
-    """The angle of a scan tag, whose number is a plain one."""
+    """The angle of a scan tag, whose number is a plain one.  Parsed once
+    per tag and shared."""
     return float(_plain(tag[len(_THETA_PREFIX):], "scan angle"))
 
 
@@ -284,7 +288,7 @@ def _count_records(
     return [CountRecord(s, c, seed) for s, c in zip(settings, counts)]
 
 
-def fringe_scan_records(
+def fringe_scan(
     rho: DensityMatrix,
     bob: str,
     theta_grid,
@@ -294,7 +298,8 @@ def fringe_scan_records(
     scan_index: int = 0,
     exact: bool = False,
 ) -> list[CountRecord]:
-    """Scan Alice's analyzer over theta against a fixed Bob analyzer.
+    """Scan Alice's analyzer over theta against a fixed Bob analyzer: one
+    record per grid angle, whose Alice label is the angle's tag.
 
     The points draw, in grid order, from the scan's stream (2, scan_index)
     off the global seed, so a point's count depends on the grid before it.
@@ -323,32 +328,44 @@ def _scan_pairs(grid: bytes, bob: str) -> tuple[tuple[str, str], ...]:
     return tuple((_tag(t), bob) for t in np.frombuffer(grid).tolist())
 
 
-def fringe_scan(
-    rho: DensityMatrix,
-    bob: str,
-    theta_grid,
-    rate_cps: float = DEFAULT_RATE_CPS,
-    duration_s: float = DEFAULT_DURATION_S,
-    seed: int = 0,
-    scan_index: int = 0,
-) -> list[tuple[float, float]]:
-    """Fringe scan returning (theta, counts) pairs; see fringe_scan_records."""
-    records = fringe_scan_records(rho, bob, theta_grid, rate_cps, duration_s, seed, scan_index)
-    return [(float(t), float(r.counts)) for t, r in zip(np.ravel(theta_grid).tolist(), records)]
+def _one_duration(durations, error: type[ValueError]) -> None:
+    """Refuse, with ``error``, a table whose settings' ``durations`` differ,
+    since its counts are then not on one scale."""
+    durations = set(durations)
+    if len(durations) > 1:
+        raise error(f"settings measured for different durations: {sorted(durations)} s")
 
 
-def fit_fringe(points) -> tuple[float, float, float]:
-    """Least-squares fit of N(theta) = N0 (1 + V cos(theta - phi0)).
+def _scan_points(records) -> list[tuple[float, float]]:
+    """The (theta, counts) points of one fringe scan's records, in record
+    order: theta is the angle of the Alice tag, counts a float.  A record
+    whose Alice analyzer is not a tag, or a table of more than one Bob
+    analyzer or duration, raises FitFailureError."""
+    points, bobs, durations = [], set(), set()
+    for r in records:
+        s = r.setting
+        if not s.alice.startswith(_THETA_PREFIX):
+            raise FitFailureError(f"setting {s.label!r} is not a fringe scan point")
+        points.append((_theta(s.alice), float(r.counts)))
+        bobs.add(s.bob)
+        durations.add(s.duration_s)
+    if len(bobs) > 1:
+        raise FitFailureError(f"a fringe scan has one Bob analyzer, got {sorted(bobs)}")
+    _one_duration(durations, FitFailureError)
+    return points
+
+
+def fit_fringe(records) -> tuple[float, float, float]:
+    """Least-squares fit of N(theta) = N0 (1 + V cos(theta - phi0)) to one
+    scan's records, as fringe_scan returns them.
 
     Linear in (N0, N0 V cos phi0, N0 V sin phi0); returns (N0, V, phi0)
-    with V clamped to [0, 1].  Needs at least 4 finite points whose angles
-    make the three basis functions independent.
+    with V clamped to [0, 1].  Needs at least 4 points whose angles make the
+    three basis functions independent, and a positive fitted N0.
     """
-    pts = np.array([(_real("angle", t), _real("count", c)) for t, c in points]).reshape(-1, 2)
+    pts = np.array(_scan_points(records)).reshape(-1, 2)
     if len(pts) < 4:
         raise FitFailureError(f"need at least 4 points, got {len(pts)}")
-    if not np.isfinite(pts).all():
-        raise FitFailureError("fringe points must be finite")
     thetas, counts = pts.T
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
@@ -364,16 +381,13 @@ def fit_fringe(points) -> tuple[float, float, float]:
     return float(n0), v, phi0
 
 
-def visibility_minmax(points) -> float:
-    """Max/min count visibility (max-min)/(max+min), the fit-free estimate."""
-    counts = np.array([_real("count", c) for _, c in points])
-    if counts.size == 0:
+def visibility_minmax(records) -> float:
+    """Max/min count visibility (max-min)/(max+min) of one scan's records,
+    the fit-free estimate."""
+    counts = [c for _, c in _scan_points(records)]
+    if not counts:
         raise FitFailureError("no points")
-    # Python floats, whose sum past float64's range is inf without numpy's warning
-    hi, lo = float(counts.max()), float(counts.min())
-    # NaN fails both tests
-    if not (0.0 <= lo and hi + lo < math.inf):
-        raise FitFailureError("fringe counts must be finite and non-negative, with a finite sum")
+    hi, lo = max(counts), min(counts)
     if hi + lo == 0:
         return 0.0
     return (hi - lo) / (hi + lo)

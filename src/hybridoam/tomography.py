@@ -54,6 +54,7 @@ from .measurement import (
     DEFAULT_RATE_CPS,
     CountRecord,
     _count_records,
+    _one_duration,
     _operators,
     _seed,
     _stream,
@@ -225,10 +226,7 @@ def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
     missing = [k for i, k in enumerate(_KEYS) if i not in table]
     if missing:
         raise InsufficientDataError(f"missing settings: {missing[:4]}...")
-    if len(durations) > 1:
-        raise InsufficientDataError(
-            f"settings measured for different durations: {sorted(durations)} s"
-        )
+    _one_duration(durations, InsufficientDataError)
     counts = np.array([table[i] for i in range(len(_KEYS))])
     gtot = counts @ _GROUP_SUM
     if gtot.min() <= 0:

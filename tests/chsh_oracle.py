@@ -53,6 +53,13 @@ def outcome_probabilities(rho, x, y):
     ]
 
 
+def correlation_from_counts(counts):
+    """The count-ratio estimator [N(++) + N(--) - N(+-) - N(-+)] / N of a
+    pair's four outcome counts in the order ++, +-, -+, --."""
+    npp, npm, nmp, nmm = (float(c) for c in counts)
+    return (npp + nmm - npm - nmp) / (npp + npm + nmp + nmm)
+
+
 def predicted_s(visibility):
     """S of a state whose correlations are uniformly scaled by a visibility:
     S = 2 sqrt(2) x V, the Werner-family relation."""

@@ -45,9 +45,8 @@ PUBLIC_NAMES = """
     OAM_O2 POLARIZATION RateBudget StateMetrics StateVector
     TomographyRun UndefinedCorrelationError budget_report
     chsh_empirical chsh_exact chsh_records concurrence fidelity
-    fit_fringe format_report fringe_scan fringe_scan_records
-    hybrid_singlet_ket linear_entropy matrix_from_json matrix_to_json
-    metric_uncertainties noise_preset prepare_hybrid read_counts_csv
+    fit_fringe format_report fringe_scan hybrid_singlet_ket
+    linear_entropy matrix_from_json matrix_to_json metric_uncertainties noise_preset prepare_hybrid read_counts_csv
     reconstruct simulate_tomography visibility_minmax write_counts_csv
 """.split()
 

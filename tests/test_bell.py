@@ -11,13 +11,12 @@ from hybridoam.bell import (
     chsh_empirical,
     chsh_exact,
     chsh_records,
-    correlation_from_counts,
 )
 from hybridoam.measurement import (
     CountRecord,
     MeasurementSetting,
     fit_fringe,
-    fringe_scan_records,
+    fringe_scan,
 )
 from hybridoam.source import NoiseModel, prepare_hybrid
 from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
@@ -75,20 +74,27 @@ def test_maximally_mixed_state_has_zero_s():
     assert abs(chsh_exact(rho).s) < 1e-12
 
 
+def _table(counts):
+    """The 16 CHSH outcome records with the given counts, in draw order."""
+    return [CountRecord(s, c, 0) for s, c in zip(_settings(), counts)]
+
+
 def test_correlation_bounds_and_count_estimator():
     assert all(-1.0 <= e <= 1.0 for e in chsh_exact(SINGLET).correlations)
-    assert abs(correlation_from_counts([30, 10, 10, 30]) - 0.5) < 1e-12
-    assert abs(correlation_from_counts([0, 5, 5, 0]) + 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        correlation_from_counts([1, 2, 3])
-    with pytest.raises(UndefinedCorrelationError):
-        correlation_from_counts([0, 0, 0, 0])
-    for bad in ([np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [-1, 1, 0, 0], [10**400, 1, 1, 1]):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            correlation_from_counts(bad)
-    # finite counts whose total is past float64's range
-    with pytest.raises(ValueError, match="finite sum"):
-        correlation_from_counts([1e308] * 4)
+    # each pair's correlation is the count-ratio estimator on its four counts
+    res = ChshResult.from_records(_table([30, 10, 10, 30] * 3 + [0, 5, 5, 0]))
+    assert res.correlations == (0.5, 0.5, 0.5, -1.0)
+    assert res.s == 0.5 + 0.5 + 0.5 + 1.0
+    assert res.correlations == tuple(
+        chsh_oracle.correlation_from_counts(q) for q in ([30, 10, 10, 30],) * 3 + ([0, 5, 5, 0],)
+    )
+    for k in range(4):
+        counts = [1] * 16
+        counts[4 * k : 4 * k + 4] = [0, 0, 0, 0]
+        with pytest.raises(UndefinedCorrelationError):
+            ChshResult.from_records(_table(counts))
+    # the most counts a record holds, in every outcome, has a finite sum
+    assert ChshResult.from_records(_table([2**53] * 16)).correlations == (0.0,) * 4
 
 
 def _random_noise_model(rng):
@@ -144,7 +150,7 @@ def test_chsh_is_the_analysis_of_its_records():
     for bad in ([], drawn[:15], drawn + drawn[:1], swapped, relabelled):
         with pytest.raises(ValueError, match="16 outcome settings in draw order"):
             ChshResult.from_records(bad)
-    with pytest.raises(ValueError, match="at one duration"):
+    with pytest.raises(ValueError, match=r"different durations: \[1.0, 7.5\] s"):
         ChshResult.from_records(mixed)
     # a table is drawn or exact, not both
     half_exact = [*drawn[:15], CountRecord(drawn[15].setting, 12.0, 4)]
@@ -177,8 +183,7 @@ def test_predicted_s_follows_visibility():
     grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     for p in (1.0, 0.93, 0.0):
         rho = prepare_hybrid(NoiseModel(werner_p=p))[0]
-        records = fringe_scan_records(rho, "+2", grid, exact=True)
-        v = fit_fringe([(t, r.counts) for t, r in zip(grid, records)])[1]
+        v = fit_fringe(fringe_scan(rho, "+2", grid, exact=True))[1]
         assert abs(v - p) < 1e-12
         assert abs(chsh_exact(rho).s - chsh_oracle.predicted_s(v)) < 1e-12
 

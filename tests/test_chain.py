@@ -24,7 +24,7 @@ from chain_oracle import (
 )
 from tomography_oracle import projector
 from hybridoam.budget import RateBudget
-from hybridoam.measurement import fringe_scan_records
+from hybridoam.measurement import fringe_scan
 from hybridoam.source import prepare_hybrid
 from hybridoam.states import ATOL
 
@@ -125,7 +125,7 @@ def test_half_waveplate_matrix_and_actions():
     # against Bob's, times rate and duration
     grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     rho = prepare_hybrid("fitted")[0]
-    records = fringe_scan_records(rho, "h", grid, 100.0, 15.0, exact=True)
+    records = fringe_scan(rho, "h", grid, 100.0, 15.0, exact=True)
     for theta, rec in zip(grid, records):
         ket = half_waveplate(theta / 4) @ H
         op = np.kron(np.outer(ket, ket.conj()), projector("h"))

@@ -182,11 +182,15 @@ def _theta(record):
 
 
 def _refit(records):
-    """Each scan's fit from its records, by Bob label, in record order."""
+    """Each scan's fit and (theta, counts) points from its records, by Bob
+    label, in record order."""
     scans = {}
     for r in records:
-        scans.setdefault(r.setting.bob, []).append((_theta(r), float(r.counts)))
-    return {bob: (fit_fringe(points), points) for bob, points in scans.items()}
+        scans.setdefault(r.setting.bob, []).append(r)
+    return {
+        bob: (fit_fringe(scan), [(_theta(r), float(r.counts)) for r in scan])
+        for bob, scan in scans.items()
+    }
 
 
 def test_every_count_file_reproduces_its_result(tmp_path):
@@ -422,6 +426,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "tomografy"),
         (["fringe", "--points", "0"], "at least 4"),
         (["fringe", "--points", "-3"], "at least 4"),
+        # and at most MAX_FRINGE_POINTS, refused as the flag is parsed, before any draw
+        (["fringe", "--points", "10001"], "at most 10000, got 10001"),
+        (["fringe", "--exact", "--points", str(10**12)], "at most 10000"),
+        (["fringe", "--points", "1e3"], "argument --points: invalid int value: '1e3'"),
         (["chsh", "--exact", "--config", config({"seed": 3.7})], "seed"),
         # a seed is a JSON integer, as the streams and CountRecord take it
         (["chsh", "--exact", "--config", config({"seed": 3.0})],

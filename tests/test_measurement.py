@@ -14,7 +14,6 @@ from hybridoam.measurement import (
     MeasurementSetting,
     fit_fringe,
     fringe_scan,
-    fringe_scan_records,
     read_counts_csv,
     visibility_minmax,
     write_counts_csv,
@@ -129,9 +128,9 @@ def test_counts_match_numpys_generator_on_each_path(monkeypatch):
         assert [r.counts for r in recs] == want
         assert all(r.seed == int(seed) and type(r.seed) is int for r in recs)
         for k in (0, 7, 2**32 + 1):
-            scan = fringe_scan_records(rho, "h", GRID16, 100.0, 15.0, seed, k)
+            scan = fringe_scan(rho, "h", GRID16, 100.0, 15.0, seed, k)
             means = [
-                r.counts for r in fringe_scan_records(rho, "h", GRID16, 100.0, 15.0, seed, k, True)
+                r.counts for r in fringe_scan(rho, "h", GRID16, 100.0, 15.0, seed, k, True)
             ]
             assert [r.counts for r in scan] == _numpy_stream(seed, (2, k)).poisson(means).tolist()
         # CHSH: outcome (i, j) of pair k is draw 4k + 2i + j
@@ -140,7 +139,7 @@ def test_counts_match_numpys_generator_on_each_path(monkeypatch):
         for x, y, _ in chsh_oracle.PAIRS:
             probs = _chsh_probabilities(rho, x, y)
             means = [max(p, 0.0) * 100.0 * 15.0 for p in probs]
-            es.append(bell.correlation_from_counts(rng.poisson(means).tolist()))
+            es.append(chsh_oracle.correlation_from_counts(rng.poisson(means).tolist()))
         chsh = bell.chsh_empirical(rho, rate_cps=100.0, duration_s=60.0, seed=seed)
         assert chsh.correlations == tuple(es)
         # the bootstrap: resample r is row r of one (n_resamples, 36) draw
@@ -196,8 +195,8 @@ def test_bad_seeds_are_refused_in_draw_and_exact_mode():
         runs = (
             lambda: tomography.simulate_tomography(rho, seed=bad),
             lambda: tomography.simulate_tomography(rho, seed=bad, exact=True),
-            lambda: fringe_scan_records(rho, "+2", GRID16, seed=bad),
-            lambda: fringe_scan_records(rho, "+2", GRID16, seed=bad, exact=True),
+            lambda: fringe_scan(rho, "+2", GRID16, seed=bad),
+            lambda: fringe_scan(rho, "+2", GRID16, seed=bad, exact=True),
             lambda: bell.chsh_empirical(rho, seed=bad),
             lambda: tomography.metric_uncertainties(recs, seed=bad),
         )
@@ -211,7 +210,7 @@ def test_bad_seeds_are_refused_in_draw_and_exact_mode():
             np.random.SeedSequence(0, spawn_key=(2, bad))
         for exact in (False, True):
             with pytest.raises(error):
-                fringe_scan_records(rho, "+2", GRID16, scan_index=bad, exact=exact)
+                fringe_scan(rho, "+2", GRID16, scan_index=bad, exact=exact)
 
 
 def test_stream_derivation_lives_in_measurement():
@@ -274,7 +273,7 @@ def test_setting_validation():
             with pytest.raises(ValueError, match="scan angle .* is not a plain number"):
                 MeasurementSetting(alice, bob)
     assert MeasurementSetting("theta=1.50", "h").alice == "theta=1.50"
-    scan = fringe_scan_records(SINGLET, "theta=0.3", GRID16, exact=True)
+    scan = fringe_scan(SINGLET, "theta=0.3", GRID16, exact=True)
     want = _loop_records(SINGLET, [r.setting for r in scan], 100.0, 0, (2, 0), True)
     assert _as_rows(scan) == _as_rows(want)
     with pytest.raises(ValueError):
@@ -293,7 +292,7 @@ def test_settings_are_their_labels(tmp_path):
     assert len({s, MeasurementSetting("H", "+2"), MeasurementSetting("V", "+2")}) == 2
     assert s != MeasurementSetting("H", "+2", 1.0)
     # every setting the package builds, or reads, is named by its labels
-    fringe = fringe_scan_records(SINGLET, "h", GRID16)
+    fringe = fringe_scan(SINGLET, "h", GRID16)
     path = tmp_path / "counts.csv"
     write_counts_csv(fringe, path)
     settings = [
@@ -307,8 +306,16 @@ def test_settings_are_their_labels(tmp_path):
 
 
 def _exact_fringe(rho, bob):
-    """(theta, expected counts) over GRID16 at the default rate and duration."""
-    return [(t, r.counts) for t, r in zip(GRID16, fringe_scan_records(rho, bob, GRID16, exact=True))]
+    """The exact scan records over GRID16 at the default rate and duration."""
+    return fringe_scan(rho, bob, GRID16, exact=True)
+
+
+def _scan(thetas, counts, bob="+2", duration_s=DEFAULT_DURATION_S):
+    """A scan's records with the given angles and counts, built by hand."""
+    return [
+        CountRecord(MeasurementSetting(f"theta={float(t)!r}", bob, duration_s), c, 0)
+        for t, c in zip(thetas, counts)
+    ]
 
 
 def test_exact_fringe_is_a_perfect_cosine():
@@ -344,44 +351,52 @@ def test_noisy_fringe_recovers_visibility():
 
 
 def test_fit_fringe_failure_modes():
-    with pytest.raises(FitFailureError):
-        fit_fringe([(0.0, 10.0), (1.0, 12.0), (2.0, 9.0)])  # too few points
-    with pytest.raises(FitFailureError):
-        fit_fringe([(0.1, 5.0)] * 6)  # degenerate grid
-    n0, v, phi0 = fit_fringe([(t, 100.0) for t in GRID16])
+    with pytest.raises(FitFailureError, match="at least 4 points, got 3"):
+        fit_fringe(_scan((0.0, 1.0, 2.0), (10, 12, 9)))
+    with pytest.raises(FitFailureError, match="degenerate"):
+        fit_fringe(_scan([0.1] * 6, [5] * 6))
+    n0, v, phi0 = fit_fringe(_scan(GRID16, [100.0] * 16))
     assert abs(v) < 1e-12 and abs(n0 - 100.0) < 1e-9
-    with pytest.raises(FitFailureError, match="baseline"):
-        fit_fringe([(t, -100.0 + np.cos(t)) for t in GRID16])
+    # non-negative counts on a non-uniform grid can still fit a negative baseline
+    lopsided = _scan((0.0, 0.2, 0.4, np.pi / 2 + 0.3, 3.0), (0, 0, 0, 100, 0))
+    with pytest.raises(FitFailureError, match="baseline -14.46"):
+        fit_fringe(lopsided)
     # no counts at all have no contrast
-    assert visibility_minmax([(t, 0) for t in GRID16]) == 0.0
-    for bad in ((0, float("nan")), (0, float("inf")), (1, float("nan"))):
-        points = [[t, 100.0] for t in GRID16]
-        points[3][bad[0]] = bad[1]
-        with pytest.raises(FitFailureError, match="finite"):
-            fit_fringe(points)
-    with pytest.raises(FitFailureError):
+    assert visibility_minmax(_scan(GRID16, [0] * 16)) == 0.0
+    with pytest.raises(FitFailureError, match="no points"):
         visibility_minmax([])
-    for bad in (np.nan, np.inf, -1.0, 10**400):
-        with pytest.raises(FitFailureError, match="finite and non-negative"):
-            visibility_minmax([(0.0, bad), (1.0, 1.0)])
-    # finite counts whose max + min is past float64's range
-    with pytest.raises(FitFailureError, match="finite sum"):
-        visibility_minmax([(0, 1e308), (1, 1e308)])
-    with pytest.raises(FitFailureError, match="finite"):
-        fit_fringe([(t, 10**400 if i == 3 else 100.0) for i, t in enumerate(GRID16)])
+    # the most counts a record holds have a finite max + min
+    assert visibility_minmax(_scan((0.0, 1.0), (2**53, 2**53))) == 0.0
+
+
+def test_fringe_analyses_read_one_scans_records():
+    # each analysis reads the records of one scan: theta tags on Alice's
+    # side, against one Bob analyzer, at one duration
+    scan = _scan(GRID16, [100 + 10 * k for k in range(16)])
+    untagged = [*scan[:3], CountRecord(MeasurementSetting("H", "+2"), 5, 0), *scan[3:]]
+    two_bobs = scan[:8] + _scan(GRID16[8:], [100] * 8, bob="h")
+    two_durations = scan[:8] + _scan(GRID16[8:], [100] * 8, duration_s=30.0)
+    for analysis in (fit_fringe, visibility_minmax):
+        analysis(scan)
+        with pytest.raises(FitFailureError, match="'H\\|\\+2' is not a fringe scan point"):
+            analysis(untagged)
+        with pytest.raises(FitFailureError, match=r"one Bob analyzer, got \['\+2', 'h'\]"):
+            analysis(two_bobs)
+        with pytest.raises(FitFailureError, match=r"different durations: \[15.0, 30.0\] s"):
+            analysis(two_durations)
 
 
 def test_fringe_scans_draw_from_their_own_stream():
     rho = SINGLET
-    recs = fringe_scan_records(rho, "+2", GRID16, seed=3)
-    again = fringe_scan_records(rho, "+2", GRID16, seed=3)
+    recs = fringe_scan(rho, "+2", GRID16, seed=3)
+    again = fringe_scan(rho, "+2", GRID16, seed=3)
     assert [r.counts for r in recs] == [r.counts for r in again]
-    other_scan = fringe_scan_records(rho, "+2", GRID16, seed=3, scan_index=1)
+    other_scan = fringe_scan(rho, "+2", GRID16, seed=3, scan_index=1)
     assert [r.counts for r in recs] != [r.counts for r in other_scan]
     assert recs[0].setting.alice.startswith("theta=")
     # the points draw in grid order: a point's count depends on the points
     # before it, not on those after
-    head = fringe_scan_records(rho, "+2", GRID16[:7], seed=3)
+    head = fringe_scan(rho, "+2", GRID16[:7], seed=3)
     assert [r.counts for r in head] == [r.counts for r in recs[:7]]
     assert all(r.seed == 3 for r in recs)
 
@@ -394,8 +409,8 @@ def test_a_csv_seed_column_regenerates_its_table(tmp_path):
             lambda seed: tomography.simulate_tomography(rho, 50.0, 15.0, seed=seed),
         ),
         "fringe": (
-            fringe_scan_records(rho, "h", GRID16, 50.0, 15.0, seed=8, scan_index=1),
-            lambda seed: fringe_scan_records(rho, "h", GRID16, 50.0, 15.0, seed, 1),
+            fringe_scan(rho, "h", GRID16, 50.0, 15.0, seed=8, scan_index=1),
+            lambda seed: fringe_scan(rho, "h", GRID16, 50.0, 15.0, seed, 1),
         ),
     }
     for name, (records, rerun) in tables.items():
@@ -468,7 +483,7 @@ def test_compiled_counts_match_a_per_setting_loop():
                 # scan index past 2**32 puts two words in the spawn key
                 for k, bob in ((0, "+2"), (1, "h"), (2**32 + 1, "h")):
                     settings = [_theta_setting(t, bob, duration) for t in GRID16]
-                    got = fringe_scan_records(
+                    got = fringe_scan(
                         rho, bob, GRID16, rate, duration, seed, k, exact
                     )
                     want = _loop_records(rho, settings, rate, seed, (2, k), exact)
@@ -484,7 +499,7 @@ def test_compiled_counts_match_a_per_setting_loop():
             ]
             rng = _numpy_stream(seed, (1,))
             counts = [int(rng.poisson(m)) for m in means]
-            es = [bell.correlation_from_counts(counts[4 * k : 4 * k + 4]) for k in range(4)]
+            es = [chsh_oracle.correlation_from_counts(counts[4 * k : 4 * k + 4]) for k in range(4)]
             assert result.correlations == tuple(es)
             assert result.s == es[0] + es[1] + es[2] - es[3]
 
@@ -552,9 +567,9 @@ NON_FINITE = {
         lambda: tomography.simulate_tomography(SINGLET, duration_s=np.inf), "duration"
     ),
     "infinite-fringe-angle": (
-        lambda: fringe_scan_records(SINGLET, "h", [0.0, np.inf, 1.0]), "theta grid"
+        lambda: fringe_scan(SINGLET, "h", [0.0, np.inf, 1.0]), "theta grid"
     ),
-    "nan-fringe-grid": (lambda: fringe_scan_records(SINGLET, "h", [np.nan] * 4), "theta grid"),
+    "nan-fringe-grid": (lambda: fringe_scan(SINGLET, "h", [np.nan] * 4), "theta grid"),
 }
 
 
@@ -567,15 +582,15 @@ def test_non_finite_inputs_are_refused_at_their_guard(case):
 
 # each of these would run as 1, or with True as the duration
 BOOLS = {
-    "simulate-counts-seed": lambda: fringe_scan_records(SINGLET, "+2", GRID16, seed=True),
+    "simulate-counts-seed": lambda: fringe_scan(SINGLET, "+2", GRID16, seed=True),
     "exact-counts-seed": lambda: tomography.simulate_tomography(SINGLET, seed=True, exact=True),
     "tomography-seed": lambda: tomography.simulate_tomography(SINGLET, seed=True),
     "chsh-seed": lambda: bell.chsh_empirical(SINGLET, seed=True),
     "bootstrap-seed": lambda: tomography.metric_uncertainties(
         tomography.simulate_tomography(SINGLET), seed=True
     ),
-    "scan-index": lambda: fringe_scan_records(SINGLET, "+2", GRID16, scan_index=True),
-    "exact-scan-index": lambda: fringe_scan_records(
+    "scan-index": lambda: fringe_scan(SINGLET, "+2", GRID16, scan_index=True),
+    "exact-scan-index": lambda: fringe_scan(
         SINGLET, "+2", GRID16, scan_index=True, exact=True
     ),
     "setting-duration": lambda: MeasurementSetting("H", "+2", True),
@@ -584,13 +599,13 @@ BOOLS = {
     "tomography-duration": lambda: tomography.simulate_tomography(
         SINGLET, duration_s=True
     ),
-    "fringe-duration": lambda: fringe_scan_records(SINGLET, "+2", GRID16, duration_s=True),
+    "fringe-duration": lambda: fringe_scan(SINGLET, "+2", GRID16, duration_s=True),
     # and these as a rate of 1, or a CHSH pair duration of 1
     "tomography-rate": lambda: tomography.simulate_tomography(SINGLET, True),
     "exact-tomography-rate": lambda: tomography.simulate_tomography(
         SINGLET, np.True_, exact=True
     ),
-    "fringe-rate": lambda: fringe_scan_records(SINGLET, "+2", GRID16, rate_cps=True),
+    "fringe-rate": lambda: fringe_scan(SINGLET, "+2", GRID16, rate_cps=True),
     "chsh-rate": lambda: bell.chsh_empirical(SINGLET, rate_cps=True),
     "chsh-numpy-rate": lambda: bell.chsh_empirical(SINGLET, rate_cps=np.True_),
     "chsh-duration": lambda: bell.chsh_empirical(SINGLET, duration_s=True),
@@ -602,7 +617,7 @@ BOOLS = {
 @pytest.mark.parametrize("case", BOOLS)
 def test_bools_are_refused_where_integers_or_durations_go(case):
     tomography.simulate_tomography(SINGLET, duration_s=1)
-    fringe_scan_records(SINGLET, "+2", GRID16, duration_s=1)
+    fringe_scan(SINGLET, "+2", GRID16, duration_s=1)
     bell.chsh_records(SINGLET, duration_s=1)
     with pytest.raises(TypeError, match="bool"):
         BOOLS[case]()
@@ -612,7 +627,7 @@ def test_counting_rejects_bad_inputs():
     rho = SINGLET
     # analyzers are named by label; a projector matrix or other object is not one
     not_labels = (
-        lambda bob: fringe_scan_records(rho, bob, GRID16),
+        lambda bob: fringe_scan(rho, bob, GRID16),
         lambda bob: MeasurementSetting("H", bob),
     )
     for bad in (np.diag([1.0, 0.0]), None, 2, ["h"]):
@@ -622,12 +637,12 @@ def test_counting_rejects_bad_inputs():
     with pytest.raises(TypeError, match="polarization analyzer must be a label"):
         MeasurementSetting(np.diag([1.0, 0.0]), "h")
     with pytest.raises(ValueError, match="one-dimensional"):
-        fringe_scan_records(rho, "h", GRID16.reshape(2, 8))
+        fringe_scan(rho, "h", GRID16.reshape(2, 8))
     with pytest.raises(ValueError, match="theta grid is empty"):
-        fringe_scan_records(rho, "h", [])
+        fringe_scan(rho, "h", [])
     runs = (
         lambda rate: tomography.simulate_tomography(rho, rate),
-        lambda rate: fringe_scan_records(rho, "h", GRID16, rate),
+        lambda rate: fringe_scan(rho, "h", GRID16, rate),
         lambda rate: bell.chsh_empirical(rho, rate_cps=rate),
     )
     for run in runs:
@@ -639,7 +654,7 @@ def test_counting_rejects_bad_inputs():
         runs = (
             lambda: tomography.simulate_tomography(rho, rate, duration),
             lambda: tomography.simulate_tomography(rho, rate, duration, exact=True),
-            lambda: fringe_scan_records(rho, "h", GRID16, rate, duration),
+            lambda: fringe_scan(rho, "h", GRID16, rate, duration),
             lambda: bell.chsh_empirical(rho, rate, duration),
         )
         for run in runs:
@@ -650,7 +665,7 @@ def test_counting_rejects_bad_inputs():
     # mode alike (CHSH's exact mode counts at 1 cps)
     runs = (
         lambda exact: tomography.simulate_tomography(rho, 1e300, exact=exact),
-        lambda exact: fringe_scan_records(rho, "h", GRID16, 1e300, exact=exact),
+        lambda exact: fringe_scan(rho, "h", GRID16, 1e300, exact=exact),
         lambda exact: bell.chsh_empirical(rho, 1e300),
     )
     for run in runs:
@@ -677,7 +692,7 @@ def test_counting_refuses_probabilities_outside_the_unit_interval():
         ),
         "fringe": (
             [_theta_setting(t, "h", 15.0) for t in GRID16],
-            lambda exact: fringe_scan_records(rho, "h", GRID16, exact=exact),
+            lambda exact: fringe_scan(rho, "h", GRID16, exact=exact),
         ),
         "chsh": (
             [r.setting for r in bell.chsh_records(SINGLET)],
@@ -700,7 +715,7 @@ def test_scan_labels_are_formatted_once_per_grid():
     pairs = measurement._scan_pairs(GRID16.tobytes(), "h")
     # a repeated grid, as a new array or a list, reuses the cached pairs
     for grid in (GRID16.copy(), list(GRID16)):
-        fringe = fringe_scan_records(SINGLET, "h", grid)
+        fringe = fringe_scan(SINGLET, "h", grid)
         assert [(r.setting.alice, r.setting.bob) for r in fringe] == list(pairs)
         grid_bytes = np.asarray(grid, dtype=float).tobytes()
         assert measurement._scan_pairs(grid_bytes, "h") is pairs
@@ -708,20 +723,19 @@ def test_scan_labels_are_formatted_once_per_grid():
     # each tag reads back the float scanned
     assert [measurement._theta(a) for a, _ in pairs] == GRID16.tolist()
     # keyed by the bytes: -0.0 tags differently from 0.0
-    signed = [r.setting.alice for r in fringe_scan_records(SINGLET, "h", -GRID16)]
+    signed = [r.setting.alice for r in fringe_scan(SINGLET, "h", -GRID16)]
     assert signed[0] == "theta=-0" and pairs[0][0] == "theta=0"
 
 
 def test_fringe_scan_returns_the_grid_floats_its_tags_read_back_to():
-    # fringe_scan gives each point the grid's own float, not its tag parsed
-    # again; the tag's 17 digits read back to the same float, -0.0 included
+    # each record's tag reads back, with its 17 digits, to the grid's own
+    # float, -0.0 included, and the fit reads those angles
     for grid in (GRID16, -GRID16, np.array([-0.0, 0.0, -1e-300, 1.0 / 3.0])):
-        points = fringe_scan(SINGLET, "h", grid, 100.0, 15.0, seed=2, scan_index=1)
-        records = fringe_scan_records(SINGLET, "h", grid, 100.0, 15.0, 2, 1)
+        records = fringe_scan(SINGLET, "h", grid, 100.0, 15.0, seed=2, scan_index=1)
+        points = measurement._scan_points(records)
         thetas = np.array([t for t, _ in points])
-        tags = np.array([measurement._theta(r.setting.alice) for r in records])
-        assert thetas.tobytes() == tags.tobytes() == grid.tobytes()
-        assert all(type(t) is float for t, _ in points)
+        assert thetas.tobytes() == grid.tobytes()
+        assert all(type(t) is float and type(c) is float for t, c in points)
         assert [c for _, c in points] == [float(r.counts) for r in records]
 
 
@@ -730,8 +744,12 @@ GUARDS = {
     "noise-parameter": lambda x: NoiseModel.from_dict({"miscal_angle": x}).miscal_angle,
     "duration": lambda x: MeasurementSetting("H", "+2", x).duration_s,
     "rate": lambda x: [r.counts for r in tomography.simulate_tomography(SINGLET, x, exact=True)],
-    "fringe-count": lambda x: visibility_minmax([(0.0, x), (1.0, 1.0)]),
-    "outcome-count": lambda x: bell.correlation_from_counts([x, 1, 1, 1]),
+    "fringe-count": lambda x: visibility_minmax(
+        [CountRecord(MeasurementSetting("theta=0", "h"), x, 0), *_scan((1.0,), (1.0,), "h")]
+    ),
+    "outcome-count": lambda x: bell.ChshResult.from_records(
+        [CountRecord(r.setting, x, 0) for r in bell.chsh_records(SINGLET)]
+    ).correlations,
 }
 
 
@@ -757,7 +775,7 @@ SEED_GUARDS = {
         (r.counts, r.seed) for r in tomography.simulate_tomography(SINGLET, seed=x)
     ],
     "fringe": lambda x: [
-        (r.counts, r.seed) for r in fringe_scan_records(SINGLET, "h", GRID16, seed=x)
+        (r.counts, r.seed) for r in fringe_scan(SINGLET, "h", GRID16, seed=x)
     ],
     "chsh": lambda x: bell.chsh_empirical(SINGLET, seed=x).correlations,
 }
@@ -782,7 +800,7 @@ def test_seed_guards_accept_and_refuse_the_same_values(guard):
 
 
 def test_compiled_settings_are_read_only():
-    fringe = fringe_scan_records(SINGLET, "h", GRID16)
+    fringe = fringe_scan(SINGLET, "h", GRID16)
     scan_pairs = tuple((r.setting.alice, r.setting.bob) for r in fringe)
     keys = ((tomography._KEYS, 15.0), (scan_pairs, 15.0), (bell._OUTCOMES, 15.0))
     compiled = [measurement._compiled(*key) for key in keys]
@@ -894,7 +912,7 @@ def test_every_record_the_constructor_accepts_round_trips_the_csv(tmp_path):
 
 def test_counts_csv_roundtrip(tmp_path):
     rho = SINGLET
-    recs = fringe_scan_records(rho, "h", GRID16, seed=2)
+    recs = fringe_scan(rho, "h", GRID16, seed=2)
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
     back = read_counts_csv(path)
@@ -971,7 +989,7 @@ def test_counts_csv_reads_share_their_settings(tmp_path):
 
 def test_counts_csv_rejects_non_finite_counts(tmp_path):
     rho = SINGLET
-    recs = fringe_scan_records(rho, "h", GRID16, seed=2)
+    recs = fringe_scan(rho, "h", GRID16, seed=2)
     path = tmp_path / "counts.csv"
     write_counts_csv(recs, path)
     lines = path.read_text().splitlines()
