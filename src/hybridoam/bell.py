@@ -22,6 +22,7 @@ the count-ratio estimator on the Born probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,10 @@ from .measurement import (
     DEFAULT_RATE_CPS,
     CountRecord,
     _count_records,
-    _finite_float,
     _one_duration,
     _tag,
 )
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_real
 
 # seconds of beam time per setting pair, split over its four outcomes
 DEFAULT_PAIR_DURATION_S = 60.0
@@ -128,7 +128,7 @@ def chsh_records(
     index 4k + 2i + j: each setting pair's duration_s split evenly over its
     four outcomes, their counts drawn from the stream (1,) off the global
     seed, or with ``exact`` their expectations."""
-    outcome_s = _finite_float(duration_s, "duration", True) / 4.0
+    outcome_s = _check_real("duration", duration_s, math.ulp(0.0)) / 4.0
     return _count_records(rho, _OUTCOMES, outcome_s, rate_cps, seed, (1,), exact)
 
 

@@ -36,7 +36,7 @@ from . import budget as budget_mod
 from . import measurement as ms
 from . import source as src
 from . import tomography as tg
-from .states import matrix_to_json
+from .states import _check_int, _check_real, matrix_to_json
 
 _DEFAULT_DURATIONS = {
     "tomography": ms.DEFAULT_DURATION_S,
@@ -57,12 +57,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None  # JSON has no NaN or infinity
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # JSON has no NaN or infinity
     return obj
 
 
@@ -92,7 +88,8 @@ def _load_config(path: str | None) -> dict:
 
 def _parse_noise(spec) -> src.NoiseModel:
     """The noise model of a config's "noise" value or the --noise flag: a
-    preset name, or a model object, given as a dict or inline JSON."""
+    preset name, or a model object, given as a dict or inline JSON; a value
+    of another type is refused by the model's own from_dict."""
     if spec is None:
         return src.noise_preset("ideal")
     if isinstance(spec, str):
@@ -102,19 +99,17 @@ def _parse_noise(spec) -> src.NoiseModel:
                 return src.noise_preset(spec)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-    elif not isinstance(spec, dict):
-        raise ConfigError(f"noise must be a preset name or an object, got {type(spec).__name__}")
     try:
-        return src.NoiseModel.from_dict(spec if isinstance(spec, dict) else json.loads(spec))
+        return src.NoiseModel.from_dict(json.loads(spec) if isinstance(spec, str) else spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad noise model: {exc}") from exc
 
 
-def _checked(guard, value, name: str, *args):
-    """A config value or flag through the library's own guard for it, whose
-    refusal is a usage error."""
+def _checked(guard, name: str, value, *bounds):
+    """A config value or flag through one of the library's two number guards,
+    states._check_real or _check_int, whose refusal is a usage error."""
     try:
-        return guard(value, name, *args)
+        return guard(name, value, *bounds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -132,7 +127,8 @@ _FLAGS = {
     "counts_csv": dict(help="reconstruct from an existing count table"),
     "bob": dict(choices=tg.BOB_LABELS, help="Bob projector label (default +2)"),
     "points": dict(type=int, help=(
-        f"grid points over one period (at least 4, at most {MAX_FRINGE_POINTS})")),
+        f"grid points over one period (at least {ms.MIN_FRINGE_POINTS},"
+        f" at most {MAX_FRINGE_POINTS})")),
 }
 # options of one experiment's command, which the pipeline fixes or lacks
 _OWN = ("counts_csv", "bob", "points")
@@ -149,40 +145,37 @@ class _Resolved:
         self.keys = _read_inputs(self.command, flags)
         cfg = _load_config(flags.get("config"))
         # a flag wins over the file, and the file over the default
-        self.seed = _checked(ms._seed, flags.get("seed", cfg.get("seed", 0)), "seed")
+        self.seed = _checked(_check_int, "seed", flags.get("seed", cfg.get("seed", 0)))
         rate = flags.get("rate_cps", cfg.get("rate_cps", ms.DEFAULT_RATE_CPS))
-        self.rate_cps = _checked(ms._finite_float, rate, "rate_cps", False)
+        self.rate_cps = _checked(_check_real, "rate_cps", rate, 0.0)
         cfg_durations = cfg.get("durations", {})
         if not isinstance(cfg_durations, dict):
             raise ConfigError('"durations" must be an object')
         extra = set(cfg_durations) - set(_DEFAULT_DURATIONS)
         if extra:
             raise ConfigError(f"unknown durations keys: {sorted(extra)}")
+        positive = math.ulp(0.0)
         self.durations = {
-            k: _checked(ms._finite_float, cfg_durations.get(k, v), f"duration {k}", True)
+            k: _checked(_check_real, f"duration {k}", cfg_durations.get(k, v), positive)
             for k, v in _DEFAULT_DURATIONS.items()
         }
         # the flag overrides every experiment's duration, each still checked above
         if "duration_s" in flags:
-            flag = _checked(ms._finite_float, flags["duration_s"], "duration --duration-s", True)
+            flag = _checked(_check_real, "duration --duration-s", flags["duration_s"], positive)
             self.durations = dict.fromkeys(self.durations, flag)
         self.noise = _parse_noise(flags.get("noise", cfg.get("noise")))
         self.exact = flags.get("exact", False)
         self.resamples = flags.get("resamples", tg.MIN_RESAMPLES)
-        if self.resamples != 0 and not tg.MIN_RESAMPLES <= self.resamples <= tg.MAX_RESAMPLES:
-            raise ConfigError(f"resamples: 0 disables, at least {tg.MIN_RESAMPLES} and at most"
-                              f" {tg.MAX_RESAMPLES} otherwise; got {self.resamples}")
+        if self.resamples != 0:  # 0 disables the bootstrap
+            _checked(_check_int, "resamples", self.resamples, tg.MIN_RESAMPLES, tg.MAX_RESAMPLES)
         try:
             self.budget = budget_mod.RateBudget.from_dict(cfg.get("budget", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad budget config: {exc}") from exc
         self.counts_csv = flags.get("counts_csv")
         self.bob = flags.get("bob", "+2")
-        self.points = flags.get("points", _FRINGE_POINTS)
-        # the fit has three parameters and needs one more point than that
-        if not 4 <= self.points <= MAX_FRINGE_POINTS:
-            raise ConfigError(f"need at least 4 points and at most {MAX_FRINGE_POINTS},"
-                              f" got {self.points}")
+        self.points = _checked(_check_int, "points", flags.get("points", _FRINGE_POINTS),
+                               ms.MIN_FRINGE_POINTS, MAX_FRINGE_POINTS)
         # the seed is read by a random draw or a bootstrap, and by nothing else
         draws = self.counts_csv is None and not self.exact
         if not (draws or "resamples" in self.keys and self.resamples > 0):

@@ -10,8 +10,9 @@ order, from one numpy stream, default_rng(SeedSequence(global seed,
 spawn_key=path)): tomography (0,), CHSH (1,), fringe scan k (2, k) and the
 bootstrap (3,).  Experiments are independent of each other and of execution
 order, and no stream state is shared; this module builds the streams, and
-no other module does.  One guard, _seed, holds the seed, each stream path
-element and the bootstrap's resample count to non-negative integers.
+no other module does.  The seed and each stream path element pass
+states._check_int, the integer one of the package's two number guards;
+rates and durations pass the real one, states._check_real.
 
 Settings: an experiment is a tuple of (alice, bob) analyzer label pairs
 measured for one duration.  One cache, _compiled, builds its settings once
@@ -50,51 +51,25 @@ from .states import (
     DensityMatrix,
     InvalidLabelError,
     _DEGREE_KETS,
+    _check_int,
+    _check_real,
     _freeze,
     _real,
 )
 
 DEFAULT_RATE_CPS = 100.0
 DEFAULT_DURATION_S = 15.0
+# the fewest points a fringe fit takes: one more than its three parameters
+MIN_FRINGE_POINTS = 4
 
 _THETA_PREFIX = "theta="
+_CSV_COLUMNS = ("setting_label", "alice", "bob", "duration_s", "counts", "seed")
 # the largest count float64 holds exactly, with every integer below it
 _MAX_COUNT = 2**53
 
 
 class FitFailureError(ValueError):
     """Fringe fit cannot be performed on the given scan records."""
-
-
-def _finite_float(value, name: str, positive: bool) -> float:
-    """A rate or duration as a float, so that no mean is cast to a narrower
-    type.  A bool, numpy's too, or a non-number raises TypeError; NaN, an
-    infinite value, a negative one (or zero, if ``positive``) or an integer
-    past float64's range, such as 10**400, raises ValueError."""
-    as_float = _real(name, value)
-    # NaN fails both tests
-    if not ((0 < as_float if positive else 0 <= as_float) and as_float < math.inf):
-        bound = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be {bound} and finite, got {as_float}")
-    return as_float
-
-
-def _seed(value, name: str = "seed") -> int:
-    """A seed, a stream path element or a resample count as a Python int: a
-    non-negative integer, Python's or numpy's, as numpy's SeedSequence and
-    the CSV take it.  A bool, numpy's too, a float or a non-number raises
-    TypeError; a negative integer ValueError."""
-    # a built-in int, which almost every value is, skips the numpy check; a
-    # bool is of neither type
-    if type(value) is not int:
-        if not isinstance(value, np.integer):
-            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-        value = int(value)
-    if value < 0:
-        # printed as a float, which even an integer past Python's 4,300-digit
-        # string limit can be
-        raise ValueError(f"{name} must be non-negative, got {_real(name, value):.6g}")
-    return value
 
 
 def _tag(theta: float) -> str:
@@ -159,7 +134,8 @@ class MeasurementSetting:
                     f" {', '.join(_DEGREE_KETS[degree])}, got {type(label).__name__}"
                 )
             _projector(label, degree)
-        object.__setattr__(self, "duration_s", _finite_float(self.duration_s, "duration", True))
+        duration_s = _check_real("duration", self.duration_s, math.ulp(0.0))
+        object.__setattr__(self, "duration_s", duration_s)
 
     @property
     def label(self) -> str:
@@ -176,8 +152,8 @@ class CountRecord:
     that Python's holds, which is stored.  Counts of another type, a bool or
     a long double say, raise TypeError; counts that are not finite, are
     negative or exceed 2**53 (past which float64 cannot hold every count
-    exactly) ValueError.  The seed passes _seed, as every seed does, and
-    the int it returns is stored.  So a record's counts are an int or a
+    exactly) ValueError.  The seed passes _check_int, as every seed does,
+    and the int it returns is stored.  So a record's counts are an int or a
     float, and every record the constructor accepts, the CSV writes and
     reads back.
     """
@@ -209,21 +185,21 @@ class CountRecord:
             raise ValueError(
                 f"counts above 2**53 are not exact in float64, got {_real('counts', c):.6g}"
             )
-        # a non-negative built-in int, the usual seed, is one _seed passes
-        # unchanged; only another pays for the call
+        # a non-negative built-in int, the usual seed, is one _check_int
+        # passes unchanged; only another pays for the call
         if type(seed) is not int or seed < 0:
-            object.__setattr__(self, "seed", _seed(seed))
+            object.__setattr__(self, "seed", _check_int("seed", seed))
 
 
 def _stream(seed: int, path: tuple[int, ...], exact: bool = False):
     """The one generator an experiment draws all its counts from, in setting
     order: ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))``,
-    or None for exact records.  The seed and each path element pass _seed
-    in either case, so that SeedSequence never takes None as a request for
-    fresh OS entropy, or a bool as 0 or 1.
+    or None for exact records.  The seed and each path element pass
+    _check_int in either case, so that SeedSequence never takes None as a
+    request for fresh OS entropy, or a bool as 0 or 1.
     """
-    key = tuple(_seed(k, "stream path element") for k in path)
-    seq = np.random.SeedSequence(_seed(seed), spawn_key=key)
+    key = tuple(_check_int("stream path element", k) for k in path)
+    seq = np.random.SeedSequence(_check_int("seed", seed), spawn_key=key)
     return None if exact else np.random.default_rng(seq)
 
 
@@ -269,7 +245,7 @@ def _count_records(
     """
     settings, ops = _compiled(pairs, duration_s)
     rng = _stream(seed, path, exact)
-    rate_cps = _finite_float(rate_cps, "rate", False)
+    rate_cps = _check_real("rate", rate_cps, 0.0)
     # one dot product per row, so that a setting's p has the same bits in
     # every experiment that measures it
     rows = ops.reshape(-1, 1, 16).view(np.float64)
@@ -360,12 +336,13 @@ def fit_fringe(records) -> tuple[float, float, float]:
     scan's records, as fringe_scan returns them.
 
     Linear in (N0, N0 V cos phi0, N0 V sin phi0); returns (N0, V, phi0)
-    with V clamped to [0, 1].  Needs at least 4 points whose angles make the
-    three basis functions independent, and a positive fitted N0.
+    with V clamped to [0, 1].  Needs at least MIN_FRINGE_POINTS points whose
+    angles make the three basis functions independent, and a positive
+    fitted N0.
     """
     pts = np.array(_scan_points(records)).reshape(-1, 2)
-    if len(pts) < 4:
-        raise FitFailureError(f"need at least 4 points, got {len(pts)}")
+    if len(pts) < MIN_FRINGE_POINTS:
+        raise FitFailureError(f"need at least {MIN_FRINGE_POINTS} points, got {len(pts)}")
     thetas, counts = pts.T
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
@@ -402,7 +379,7 @@ def write_counts_csv(records, path) -> None:
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["setting_label", "alice", "bob", "duration_s", "counts", "seed"])
+        w.writerow(_CSV_COLUMNS)
         for r in records:
             s, c = r.setting, f"{r.counts:.17g}"
             if type(r.counts) is float and c.lstrip("-").isdigit():
@@ -413,19 +390,20 @@ def write_counts_csv(records, path) -> None:
 def read_counts_csv(path) -> list[CountRecord]:
     """Read records written by write_counts_csv.
 
-    Each row's setting_label must be its "alice|bob" pair, and its seed
-    non-negative.  A counts cell that is an integer literal comes back as an
-    int, read exactly, so one past 2**53 is refused as CountRecord refuses
-    it; any other as a float (an exact-mode expectation), and a non-finite
-    one raises ValueError.  So does a row without 6 cells, and a numeric
-    cell with what Python's literals accept but write_counts_csv never
-    writes: a '_', a leading '+' or surrounding whitespace.
+    The header names the six columns, each once.  Each row's setting_label
+    must be its "alice|bob" pair, and its seed non-negative.  A counts cell
+    that is an integer literal comes back as an int, read exactly, so one
+    past 2**53 is refused as CountRecord refuses it; any other as a float
+    (an exact-mode expectation), and a non-finite one raises ValueError.
+    So does a row without 6 cells, and a numeric cell with what Python's
+    literals accept but write_counts_csv never writes: a '_', a leading '+'
+    or surrounding whitespace.
     """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = {"setting_label", "alice", "bob", "duration_s", "counts", "seed"}
-        if reader.fieldnames is None or set(reader.fieldnames) != expected:
+        # each column once: a repeated one's last cell would replace the first
+        if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(_CSV_COLUMNS):
             raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
         for row in reader:
             if None in row or None in row.values():  # more cells than columns, or fewer

@@ -101,12 +101,33 @@ def _real(name: str, value) -> float:
 
 
 def _check_real(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> float:
-    """A model parameter as a float: a real number but not a bool, finite,
-    in [lo, hi]."""
+    """A real input, a model parameter, rate or duration, as a float, so that
+    no mean is cast to a narrower type: a real number but not a bool,
+    finite, in [lo, hi].  A quantity that must be positive takes
+    lo = math.ulp(0.0), the least float above 0."""
     as_float = _real(name, value)
     if not (math.isfinite(as_float) and lo <= as_float <= hi):
         raise ValueError(f"{name} must be finite and lie in [{lo}, {hi}], got {as_float}")
     return as_float
+
+
+def _check_int(name: str, value, lo: int = 0, hi: float = math.inf) -> int:
+    """An integer input, a seed, a stream path element or a count of
+    resamples or points, as a Python int: an integer, Python's or numpy's,
+    in [lo, hi], as numpy's SeedSequence and the CSV take it.  A bool,
+    numpy's too, a float or a non-number raises TypeError; an integer
+    outside [lo, hi] ValueError."""
+    # a built-in int, which almost every value is, skips the numpy check; a
+    # bool is of neither type
+    if type(value) is not int:
+        if not isinstance(value, np.integer):
+            raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+        value = int(value)
+    if not lo <= value <= hi:
+        # printed as a float, which even an integer past Python's 4,300-digit
+        # string limit can be
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {_real(name, value):.6g}")
+    return value
 
 
 class _Parameters:
@@ -114,7 +135,8 @@ class _Parameters:
     _check_real as it is built and stored as the guard's float, so that a
     numpy scalar computes in float64.  A field lies in [0, 1] unless the
     class's _BOUNDS gives its (lo[, hi]); _KIND names the record in
-    from_dict's refusal of unknown keys."""
+    from_dict's refusals, of a value that is not a dict (TypeError) and of
+    unknown keys."""
 
     _BOUNDS: dict
     _KIND: str
@@ -129,6 +151,8 @@ class _Parameters:
 
     @classmethod
     def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise TypeError(f"{cls._KIND} must be an object, got {type(d).__name__}")
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown {cls._KIND} keys: {sorted(extra)}")

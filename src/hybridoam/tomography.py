@@ -56,7 +56,6 @@ from .measurement import (
     _count_records,
     _one_duration,
     _operators,
-    _seed,
     _stream,
 )
 from .source import hybrid_singlet_ket
@@ -68,6 +67,7 @@ from .states import (
     _O2_KETS,
     _POL_KETS,
     _RAISE,
+    _check_int,
     _clip_to_states,
     _freeze,
     _lapack,
@@ -648,13 +648,9 @@ def metric_uncertainties(
     is refused for lack of data and counts as failed; more than 10% failed
     raises RuntimeError, and the result reports how many failed, and how
     many of the solved resamples stopped unconverged.  ``n_resamples`` is
-    an integer, as _seed takes it, from MIN_RESAMPLES to MAX_RESAMPLES.
+    an integer, as _check_int takes it, from MIN_RESAMPLES to MAX_RESAMPLES.
     """
-    n_resamples = _seed(n_resamples, "n_resamples")
-    if n_resamples < MIN_RESAMPLES:
-        raise ValueError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
-    if n_resamples > MAX_RESAMPLES:
-        raise ValueError(f"need at most {MAX_RESAMPLES} resamples, got {n_resamples}")
+    n_resamples = _check_int("n_resamples", n_resamples, MIN_RESAMPLES, MAX_RESAMPLES)
     psi = hybrid_singlet_ket()
     observed, observed_totals = _count_table(records)
     counts = _stream(seed, (3,)).poisson(observed, (n_resamples, len(observed))).astype(float)

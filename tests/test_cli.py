@@ -1,17 +1,27 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
-import hybridoam.measurement as measurement
 from hybridoam.bell import ChshResult
 from hybridoam.budget import RateBudget
-from hybridoam.cli import build_parser, main
-from hybridoam.measurement import fit_fringe, read_counts_csv, write_counts_csv
+from hybridoam.cli import MAX_FRINGE_POINTS, build_parser, main
+from hybridoam.measurement import (
+    MIN_FRINGE_POINTS,
+    fit_fringe,
+    read_counts_csv,
+    write_counts_csv,
+)
 from hybridoam.source import noise_preset, prepare_hybrid
-from hybridoam.states import matrix_to_json
-from hybridoam.tomography import reconstruct, simulate_tomography
+from hybridoam.states import _check_int, _check_real, matrix_to_json
+from hybridoam.tomography import (
+    MAX_RESAMPLES,
+    MIN_RESAMPLES,
+    reconstruct,
+    simulate_tomography,
+)
 
 S_MAX = 2.0 * np.sqrt(2.0)
 
@@ -424,11 +434,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["chsh", "--config", config({"durations": {"chsh": "abc"}})], "chsh"),
         (["pipeline", "--config", config({"durations": {"tomografy": 5}})],
          "tomografy"),
-        (["fringe", "--points", "0"], "at least 4"),
-        (["fringe", "--points", "-3"], "at least 4"),
+        (["fringe", "--points", "0"], "points must lie in [4, 10000], got 0"),
+        (["fringe", "--points", "-3"], "points must lie in [4, 10000], got -3"),
         # and at most MAX_FRINGE_POINTS, refused as the flag is parsed, before any draw
-        (["fringe", "--points", "10001"], "at most 10000, got 10001"),
-        (["fringe", "--exact", "--points", str(10**12)], "at most 10000"),
+        (["fringe", "--points", "10001"], "points must lie in [4, 10000], got 10001"),
+        (["fringe", "--exact", "--points", str(10**12)], "points must lie in [4, 10000]"),
         (["fringe", "--points", "1e3"], "argument --points: invalid int value: '1e3'"),
         (["chsh", "--exact", "--config", config({"seed": 3.7})], "seed"),
         # a seed is a JSON integer, as the streams and CountRecord take it
@@ -449,12 +459,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
           "--config", config({"durations": {"fringe": -1}})], "duration fringe"),
         (["fringe", "--exact", "--bob", "xyz"], "invalid choice"),
         (["fringe", "--exact", "--bob", "H"], "invalid choice"),
-        (["tomography", "--exact", "--resamples", "1"], "0 disables, at least 100"),
-        (["tomography", "--exact", "--resamples", "99"], "0 disables, at least 100"),
+        (["tomography", "--exact", "--resamples", "1"], "resamples must lie in [100, 10000]"),
+        (["tomography", "--exact", "--resamples", "99"], "resamples must lie in [100, 10000]"),
         # and at most MAX_RESAMPLES: 10**12 would allocate 262 TiB of draws
-        (["tomography", "--exact", "--resamples", "10001"], "at most 10000 otherwise; got 10001"),
-        (["pipeline", "--exact", "--resamples", str(10**12)], "at most 10000"),
-        (["pipeline", "--exact", "--resamples", "50"], "0 disables, at least 100"),
+        (["tomography", "--exact", "--resamples", "10001"],
+         "resamples must lie in [100, 10000], got 10001"),
+        (["pipeline", "--exact", "--resamples", str(10**12)],
+         "resamples must lie in [100, 10000]"),
+        (["pipeline", "--exact", "--resamples", "50"], "resamples must lie in [100, 10000]"),
         # only the commands that bootstrap take --resamples
         (["chsh", "--resamples", "5"], "unrecognized arguments: --resamples"),
         (["chsh", "--resamples", "0"], "unrecognized arguments: --resamples"),
@@ -503,8 +515,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         (["chsh", "--exact", "--noise", '{"werner_p": '], "bad noise model: Expecting value"),
         # a config noise value is a preset name or an object, nothing else
         *[(["chsh", "--exact", "--config", config({"noise": value})],
-           f"noise must be a preset name or an object, got {kind}")
+           f"bad noise model: noise must be an object, got {kind}")
           for value, kind in ((0.9, "float"), (["fitted"], "list"), (True, "bool"))],
+        # and a budget value is an object, refused by its type
+        *[(["budget", "--config", config({"budget": value})],
+           f"bad budget config: budget must be an object, got {kind}")
+          for value, kind in (("qplate_eff", "str"), (None, "NoneType"), (7, "int"),
+                              ([1], "list"))],
     ]
     # an integer past Python's 4,300-digit limit, which json.load refuses to read
     huge = tmp_path / "huge.json"
@@ -588,27 +605,37 @@ def test_inline_noise_json(tmp_path):
     assert abs(d["S"] - 0.5 * S_MAX) < 1e-12
 
 
-# each value the CLI checks with a library guard: its config entry, its
-# flag, and the guard with the name the CLI gives it
+# each value the CLI checks with a library guard: the command that reads
+# it, its config entry (None for a flag alone), its flag, and the guard with
+# the name and bounds the CLI gives it
 _GUARDED = {
     "seed": (
-        lambda v: {"seed": v}, "--seed", lambda v: measurement._seed(v, "seed"),
+        ["chsh", "--exact"], lambda v: {"seed": v}, "--seed", lambda v: _check_int("seed", v),
     ),
     "rate_cps": (
-        lambda v: {"rate_cps": v}, "--rate-cps",
-        lambda v: measurement._finite_float(v, "rate_cps", False),
+        ["chsh", "--exact"], lambda v: {"rate_cps": v}, "--rate-cps",
+        lambda v: _check_real("rate_cps", v, 0.0),
     ),
     "duration": (
-        lambda v: {"durations": {"chsh": v}}, "--duration-s",
-        lambda v: measurement._finite_float(v, "duration chsh", True),
+        ["chsh", "--exact"], lambda v: {"durations": {"chsh": v}}, "--duration-s",
+        lambda v: _check_real("duration chsh", v, math.ulp(0.0)),
+    ),
+    # 0 disables the bootstrap
+    "resamples": (
+        ["tomography", "--exact"], None, "--resamples",
+        lambda v: None if v == 0 else _check_int("resamples", v, MIN_RESAMPLES, MAX_RESAMPLES),
+    ),
+    "points": (
+        ["fringe", "--exact"], None, "--points",
+        lambda v: _check_int("points", v, MIN_FRINGE_POINTS, MAX_FRINGE_POINTS),
     ),
 }
 
 
 @pytest.mark.parametrize("key", _GUARDED)
 def test_the_cli_refuses_exactly_what_the_library_guard_refuses(key, tmp_path, capsys):
-    entry, flag, guard = _GUARDED[key]
-    for value in (*_HOSTILE, 3.0, 10**400):
+    command, entry, flag, guard = _GUARDED[key]
+    for value in (*_HOSTILE, 3.0, 10**400, 100):
         try:
             guard(value)
             message = None
@@ -617,17 +644,22 @@ def test_the_cli_refuses_exactly_what_the_library_guard_refuses(key, tmp_path, c
         # exact CHSH takes its expectations at the run's rate and duration, so
         # an accepted rate of 0 leaves no counts to correlate, and 1e308 means
         # past 2**53: runtime failures (exit 1), not usage errors
-        accepted = 1 if key != "seed" and value in (0, 1e308) else 0
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(entry(value)))  # inf and nan as Infinity and NaN
-        for argv in (["--config", str(cfg)], [flag, str(value)]):
+        accepted = 1 if key in ("rate_cps", "duration") and value in (0, 1e308) else 0
+        runs = [[flag, str(value)]]
+        if entry is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(entry(value)))  # inf and nan as Infinity and NaN
+            runs.insert(0, ["--config", str(cfg)])
+        for argv in runs:
             try:
-                code = main(["chsh", "--exact", *argv, "--out", str(tmp_path)])
+                code = main([*command, *argv, "--out", str(tmp_path)])
             except SystemExit as exc:
                 code = exc.code
             assert code == (accepted if message is None else 2), (argv, value)
-            # argparse refuses a flag its type cannot convert in its own words
-            if message is not None and argv[0] == "--config":
+            # argparse refuses a flag its type cannot convert in its own words;
+            # a flag alone, whose type is int, passes an integer literal to the guard
+            checked = argv[0] == "--config" or entry is None and str(value).lstrip("-").isdigit()
+            if message is not None and checked:
                 assert message in capsys.readouterr().err, value
             capsys.readouterr()
 

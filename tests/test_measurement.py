@@ -551,11 +551,11 @@ NON_FINITE = {
     # the message shows the converted float, which any integer can be printed as
     "digit-limit-rate": (
         lambda: tomography.simulate_tomography(SINGLET, 10**5000),
-        "rate must be non-negative and finite, got inf$",
+        r"rate must be finite and lie in \[0.0, inf\], got inf$",
     ),
     "digit-limit-duration": (
         lambda: MeasurementSetting("H", "+2", -10**5000),
-        "duration must be positive and finite, got -inf$",
+        r"duration must be finite and lie in \[5e-324, inf\], got -inf$",
     ),
     "chsh-huge-integer-duration": (
         lambda: bell.chsh_empirical(SINGLET, duration_s=10**400), "duration"
@@ -646,7 +646,7 @@ def test_counting_rejects_bad_inputs():
         lambda rate: bell.chsh_empirical(rho, rate_cps=rate),
     )
     for run in runs:
-        with pytest.raises(ValueError, match="rate must be non-negative"):
+        with pytest.raises(ValueError, match=r"rate must be finite and lie in \[0.0, inf\]"):
             run(-1.0)
     # a float32 rate or duration is read as a float: a mean past float64's
     # range is refused, not cast to float32 under numpy's overflow warning
@@ -793,7 +793,7 @@ def test_seed_guards_accept_and_refuse_the_same_values(guard):
         with pytest.raises(TypeError, match="seed must be an integer"):
             check(bad)
     for bad in (-1, np.int64(-1), -(10**400)):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, inf\]"):
             check(bad)
     # a multi-word seed is taken whole
     assert check(2**200) == check(2**200) != want
@@ -851,8 +851,8 @@ def test_count_records_refuse_counts_float64_cannot_hold():
         (10**5000, 0, "counts above 2**53 are not exact in float64, got inf"),
         (10**400, 0, "counts above 2**53 are not exact in float64, got inf"),
         (2**53 + 1, 0, "counts above 2**53 are not exact in float64, got 9.0072e+15"),
-        (5, -10**5000, "seed must be non-negative, got -inf"),
-        (5, -10**400, "seed must be non-negative, got -inf"),
+        (5, -10**5000, "seed must lie in [0, inf], got -inf"),
+        (5, -10**400, "seed must lie in [0, inf], got -inf"),
     ):
         with pytest.raises(ValueError) as refused:
             CountRecord(s, counts, seed)
@@ -1007,7 +1007,7 @@ def test_counts_csv_rejects_mislabelled_rows_and_negative_seeds(tmp_path):
     write_counts_csv(recs, path)
     lines = path.read_text().splitlines()
     cases = [(0, "bogus", "does not name"), (0, "V|+2", "does not name"),
-             (5, "-3", "non-negative")]
+             (5, "-3", r"seed must lie in \[0, inf\], got -3")]
     # Python's number literals accept these, but write_counts_csv never writes them
     cases += [(4, value, "counts cell")
               for value in ("1_000", "+1000", " 1000", "1_0.5", "\u0661\u0660")]
@@ -1030,6 +1030,11 @@ def test_counts_csv_rejects_foreign_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("setting,counts\nH|+2,5\n")
     with pytest.raises(ValueError):
+        read_counts_csv(path)
+    # a repeated column, whose last cell would silently replace the first
+    header = "setting_label,alice,bob,duration_s,counts,seed,counts"
+    path.write_text(f"{header}\nH|+2,H,+2,15,5,0,999\n")
+    with pytest.raises(ValueError, match="unexpected CSV columns"):
         read_counts_csv(path)
 
 
