@@ -113,8 +113,10 @@ class ChshResult:
             if total <= 0:
                 raise UndefinedCorrelationError("all four outcome counts are zero")
             es.append((npp + nmm - npm - nmp) / total)
-            agree, disagree = npp + nmm, npm + nmp
-            variances.append((2.0 * np.sqrt(agree * disagree) / (agree + disagree) ** 1.5) ** 2)
+            if float not in kinds:  # only draws have Poisson errors
+                agree, disagree = npp + nmm, npm + nmp
+                sd = 2.0 * np.sqrt(agree * disagree) / (agree + disagree) ** 1.5
+                variances.append(sd**2)
         s_val = float(sum(sign * e for (_, _, sign), e in zip(_PAIRS, es)))
         sigma = None if float in kinds else float(np.sqrt(sum(variances)))
         return cls(s_val, sigma, tuple(es))

@@ -6,7 +6,8 @@ analyses a table, and names the inputs it reads, by provenance key.  A
 command runs its row and ``pipeline`` every row on one state, through one
 loop that draws each table (or reads --counts-csv), writes a drawn one as
 ``<command>_counts.csv`` or ``pipeline_<experiment>_counts.csv``, and
-analyses it.  The table decides each command's flags and its provenance
+analyses it, so a command's count file and result are the pipeline's for
+its row.  The table decides each command's flags and its provenance
 ``config``: the values of the inputs the run read, a seed only where a
 random draw or a bootstrap reads it, and the rate budget, which has no flag.
 
@@ -125,13 +126,12 @@ _FLAGS = {
     "resamples": dict(type=int, help="bootstrap resamples for uncertainties (0 disables)"),
     "exact": dict(action="store_true", help="expected counts instead of Poisson draws"),
     "counts_csv": dict(help="reconstruct from an existing count table"),
-    "bob": dict(choices=tg.BOB_LABELS, help="Bob projector label (default +2)"),
     "points": dict(type=int, help=(
         f"grid points over one period (at least {ms.MIN_FRINGE_POINTS},"
         f" at most {MAX_FRINGE_POINTS})")),
 }
 # options of one experiment's command, which the pipeline fixes or lacks
-_OWN = ("counts_csv", "bob", "points")
+_OWN = ("counts_csv", "points")
 
 
 class _Resolved:
@@ -173,7 +173,6 @@ class _Resolved:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad budget config: {exc}") from exc
         self.counts_csv = flags.get("counts_csv")
-        self.bob = flags.get("bob", "+2")
         self.points = _checked(_check_int, "points", flags.get("points", _FRINGE_POINTS),
                                ms.MIN_FRINGE_POINTS, MAX_FRINGE_POINTS)
         # the seed is read by a random draw or a bootstrap, and by nothing else
@@ -220,10 +219,10 @@ def _tomography(res: _Resolved, records) -> dict:
 
 
 def _draw_fringe(res: _Resolved, rho) -> list:
-    """The fringe command's scan over a period, or the pipeline's two."""
+    """Two scans over a period, against Bob's +2 and h analyzers."""
     grid = np.linspace(0.0, 2.0 * np.pi, res.points, endpoint=False)
     records = []
-    for scan_index, bob in enumerate(("+2", "h") if res.command == "pipeline" else (res.bob,)):
+    for scan_index, bob in enumerate(("+2", "h")):
         records += ms.fringe_scan(
             rho, bob, grid, res.rate_cps, res.durations["fringe"],
             seed=res.seed, scan_index=scan_index, exact=res.exact,
@@ -245,10 +244,7 @@ def _fringe(res: _Resolved, records) -> dict:
             "visibility_minmax": ms.visibility_minmax(scan),
             "points": [list(p) for p in ms._scan_points(scan)],
         }
-    if res.command == "pipeline":
-        return fits
-    ((bob, fit),) = fits.items()
-    return {**fit, "bob": bob}
+    return fits
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,7 +273,7 @@ _EXPERIMENTS = {
     ),
     "fringe": _Experiment(
         "analyzer rotation scan", _draw_fringe, _fringe,
-        ("seed", "duration_s", "rate_cps", "noise", "exact", "bob", "points"),
+        ("seed", "duration_s", "rate_cps", "noise", "exact", "points"),
     ),
     "chsh": _Experiment(
         "S measurement", lambda res, rho: bell.chsh_records(

@@ -279,11 +279,11 @@ def fringe_scan(
 
     The points draw, in grid order, from the scan's stream (2, scan_index)
     off the global seed, so a point's count depends on the grid before it.
-    ``theta_grid`` is a non-empty one-dimensional grid of finite angles (or
-    one angle).  ``bob`` is an OAM label, such as "+2" or "h", or a
+    ``theta_grid`` is a non-empty one-dimensional grid of finite angles.
+    ``bob`` is an OAM label, such as "+2" or "h", or a
     "theta=<x>" tag.
     """
-    thetas = np.atleast_1d(np.asarray(theta_grid, dtype=float))
+    thetas = np.asarray(theta_grid, dtype=float)
     if thetas.size == 0:
         raise ValueError("theta grid is empty")
     if not isinstance(bob, str):  # refused by the setting, before the cache hashes it

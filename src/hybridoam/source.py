@@ -142,17 +142,16 @@ def hybrid_state(rho_pol: DensityMatrix) -> DensityMatrix:
 
 
 def prepare_hybrid(
-    noise: NoiseModel | str | None = None, budget: RateBudget = RateBudget()
+    noise: NoiseModel | str = "ideal", budget: RateBudget = RateBudget()
 ) -> tuple[DensityMatrix, float]:
-    """Full preparation chain: singlet, noise channel, hybrid transfer.
-    Returns the hybrid state and the budget's transfer success on the
-    preparation arm, ``budget.transfer_prep_eff``."""
-    rho = singlet()
-    if noise is not None:
-        if isinstance(noise, str):
-            noise = noise_preset(noise)
-        rho = apply_noise(rho, noise)
-    return hybrid_state(rho), budget.transfer_prep_eff
+    """Full preparation chain: singlet, noise channel, hybrid transfer, with
+    the noise a model or a preset name.  Returns the hybrid state and the
+    budget's transfer success on the preparation arm, ``budget.transfer_prep_eff``."""
+    if isinstance(noise, str):
+        noise = noise_preset(noise)
+    elif not isinstance(noise, NoiseModel):
+        raise TypeError(f"noise must be a NoiseModel or a preset name, got {type(noise).__name__}")
+    return hybrid_state(apply_noise(singlet(), noise)), budget.transfer_prep_eff
 
 
 def fit_noise_model() -> NoiseModel:

@@ -239,7 +239,8 @@ def _loglik(rho: np.ndarray, counts: np.ndarray, totals: np.ndarray) -> float:
     p = (_PROJECTORS @ rho.conj().reshape(-1)).real
     lam = totals * np.clip(p, _P_FLOOR, None)
     log_fact = sum(math.lgamma(c + 1.0) for c in counts)
-    return float(np.sum(counts * np.log(lam) - lam)) - log_fact
+    # a setting that counted nothing contributes -lam alone, as in _solve
+    return float(np.sum(counts * np.log(np.where(counts > 0, lam, 1.0)) - lam)) - log_fact
 
 
 # The solver works in Bloch coordinates: rho = (I + sum_m x_m G_m) / 4 over

@@ -39,7 +39,7 @@ RUNS = {
         "tomography", "--counts-csv", "inputs/tomography_counts.csv", "--seed", "4",
     ],
     "chsh_exact": ["chsh", "--noise", "fitted", "--exact"],
-    "fringe_h": ["fringe", "--bob", "h", "--points", "24", "--seed", "5"],
+    "fringe": ["fringe", "--points", "24", "--seed", "5"],
     "budget_det": ["budget", "--config", "inputs/det.json"],
 }
 

@@ -141,6 +141,9 @@ def test_chsh_is_the_analysis_of_its_records():
     res = ChshResult.from_records(exact)
     assert res.sigma is None
     assert abs(res.s - chsh_exact(rho).s) <= 1e-15
+    # an exact table of subnormal means has no Poisson error to compute either
+    tiny = ChshResult.from_records(chsh_records(rho, rate_cps=1e-320, exact=True))
+    assert tiny.sigma is None and np.isfinite(tiny.s)
     # any other table is refused: short, reordered, relabelled or of mixed durations
     swapped = [drawn[1], drawn[0], *drawn[2:]]
     relabelled = [CountRecord(MeasurementSetting("L", r.setting.bob, r.setting.duration_s),

@@ -74,11 +74,14 @@ def test_chsh_empirical_command(tmp_path):
 
 
 def test_fringe_exact_command(tmp_path):
-    assert main(["fringe", "--exact", "--bob", "h", "--out", str(tmp_path)]) == 0
+    assert main(["fringe", "--exact", "--out", str(tmp_path)]) == 0
     d = load(tmp_path / "fringe.json")
-    assert abs(d["visibility"] - 1.0) < 1e-9
-    assert abs(d["phi0"] + np.pi / 2) < 1e-9
-    assert len(d["points"]) == 16
+    # one fit per Bob analyzer, +2 then h, each with full visibility
+    assert list(d) == ["+2", "h", "provenance"]
+    for bob, phi0 in (("+2", 0.0), ("h", -np.pi / 2)):
+        assert abs(d[bob]["visibility"] - 1.0) < 1e-9
+        assert abs(d[bob]["phi0"] - phi0) < 1e-9
+        assert len(d[bob]["points"]) == 16
     assert (tmp_path / "fringe_counts.csv").exists()
 
 
@@ -207,8 +210,9 @@ def test_every_count_file_reproduces_its_result(tmp_path):
     # each counts file, read back, gives its command's result through the
     # public analysis, float for float
     runs = {
+        "tomography": ["tomography", "--noise", "fitted", "--resamples", "0"],
         "chsh": ["chsh", "--noise", "fitted"],
-        "fringe": ["fringe", "--noise", "fitted", "--bob", "h"],
+        "fringe": ["fringe", "--noise", "fitted"],
         "pipeline": ["pipeline", "--noise", "fitted", "--resamples", "0"],
     }
     for command, argv in runs.items():
@@ -217,12 +221,26 @@ def test_every_count_file_reproduces_its_result(tmp_path):
     assert files == [
         "chsh/chsh_counts.csv", "fringe/fringe_counts.csv", "pipeline/pipeline_chsh_counts.csv",
         "pipeline/pipeline_fringe_counts.csv", "pipeline/pipeline_tomography_counts.csv",
+        "tomography/tomography_counts.csv",
     ]
 
     def table(command, name):
         return read_counts_csv(tmp_path / command / f"{name}_counts.csv")
 
     pipeline = load(tmp_path / "pipeline" / "pipeline.json")
+    # a command runs the pipeline's row: its count file is the pipeline's,
+    # and its result, without the provenance, the pipeline's block
+    # (tomography's with the success probability the pipeline reports once)
+    for command in ("tomography", "chsh", "fringe"):
+        counts = f"{command}_counts.csv"
+        assert (tmp_path / command / counts).read_bytes() == (
+            tmp_path / "pipeline" / f"pipeline_{counts}").read_bytes(), command
+        single = load(tmp_path / command / f"{command}.json")
+        assert single.pop("provenance")["command"] == command
+        block = pipeline[command]
+        if command == "tomography":
+            block = {**block, "success_probability": pipeline["success_probability"]}
+        assert single == block, command
     for result, records in (
         (load(tmp_path / "chsh" / "chsh.json"), table("chsh", "chsh")),
         (pipeline["chsh"], table("pipeline", "pipeline_chsh")),
@@ -232,11 +250,13 @@ def test_every_count_file_reproduces_its_result(tmp_path):
             result["S"], result["sigma"], result["correlations"]
         )
     single = load(tmp_path / "fringe" / "fringe.json")
-    fringes = {"fringe": ({"h": single}, table("fringe", "fringe")),
+    del single["provenance"]
+    fringes = {"fringe": (single, table("fringe", "fringe")),
                "pipeline": (pipeline["fringe"], table("pipeline", "pipeline_fringe"))}
     for command, (results, records) in fringes.items():
-        # the pipeline's +2 scan, then its h scan, each in grid order at 15 s
+        # the +2 scan, then the h scan, each in grid order at 15 s
         refits = _refit(records)
+        assert list(refits) == ["+2", "h"], command
         assert list(refits) == list(results), command
         assert {r.setting.duration_s for r in records} == {15.0}
         for bob, ((n0, vis, phi0), points) in refits.items():
@@ -331,7 +351,7 @@ def test_success_probability_is_the_budgets_prep_transfer_efficiency(tmp_path, c
 # tomography also takes --counts-csv
 _INPUTS = {
     "tomography": {"seed", "duration_s", "rate_cps", "noise", "budget", "resamples", "exact"},
-    "fringe": {"seed", "duration_s", "rate_cps", "noise", "exact", "bob", "points"},
+    "fringe": {"seed", "duration_s", "rate_cps", "noise", "exact", "points"},
     "chsh": {"seed", "duration_s", "rate_cps", "noise", "exact"},
     "budget": {"budget"},
     "pipeline": {"seed", "durations", "rate_cps", "noise", "budget", "resamples", "exact"},
@@ -339,8 +359,7 @@ _INPUTS = {
 # every flag a command may offer, with a value it accepts (None: a switch)
 _FLAG_VALUES = {
     "--seed": "1", "--duration-s": "5", "--rate-cps": "5", "--noise": "ideal",
-    "--resamples": "0", "--exact": None, "--counts-csv": "table.csv", "--bob": "h",
-    "--points": "8",
+    "--resamples": "0", "--exact": None, "--counts-csv": "table.csv", "--points": "8",
 }
 
 
@@ -361,7 +380,7 @@ def test_each_command_offers_and_echoes_exactly_its_inputs(tmp_path, capsys):
     values = {
         "seed": 3, "rate_cps": 50.0, "noise": noise_preset("fitted").as_dict(),
         "durations": durations, "budget": RateBudget.from_dict(budget).as_dict(),
-        "resamples": 100, "exact": False, "bob": "+2", "points": 16,
+        "resamples": 100, "exact": False, "points": 16,
     }
     parser = build_parser()
     offered = {}
@@ -400,8 +419,8 @@ def test_each_command_offers_and_echoes_exactly_its_inputs(tmp_path, capsys):
             }
             assert prov["config"] == {k: expected[k] for k in keys}, (command, mode)
             assert prov.get("seed", 3) == 3
-    # with --config and --out, 35 flags over the five commands
-    assert sum(len(flags) + 2 for flags in offered.values()) == 35
+    # with --config and --out, 34 flags over the five commands
+    assert sum(len(flags) + 2 for flags in offered.values()) == 34
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -457,8 +476,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         # --duration-s overrides every duration, but a bad one in the config still fails
         (["chsh", "--exact", "--duration-s", "5",
           "--config", config({"durations": {"fringe": -1}})], "duration fringe"),
-        (["fringe", "--exact", "--bob", "xyz"], "invalid choice"),
-        (["fringe", "--exact", "--bob", "H"], "invalid choice"),
+        # the fringe command scans +2 and h, as the pipeline does, and has no --bob
+        (["fringe", "--exact", "--bob", "xyz"], "unrecognized arguments: --bob xyz"),
+        (["fringe", "--exact", "--bob", "H"], "unrecognized arguments: --bob H"),
         (["tomography", "--exact", "--resamples", "1"], "resamples must lie in [100, 10000]"),
         (["tomography", "--exact", "--resamples", "99"], "resamples must lie in [100, 10000]"),
         # and at most MAX_RESAMPLES: 10**12 would allocate 262 TiB of draws

@@ -636,8 +636,10 @@ def test_counting_rejects_bad_inputs():
                 run(bad)
     with pytest.raises(TypeError, match="polarization analyzer must be a label"):
         MeasurementSetting(np.diag([1.0, 0.0]), "h")
-    with pytest.raises(ValueError, match="one-dimensional"):
-        fringe_scan(rho, "h", GRID16.reshape(2, 8))
+    # a single angle is no scan
+    for grid in (GRID16.reshape(2, 8), 0.5):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            fringe_scan(rho, "h", grid)
     with pytest.raises(ValueError, match="theta grid is empty"):
         fringe_scan(rho, "h", [])
     runs = (

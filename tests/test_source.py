@@ -189,6 +189,13 @@ def test_noise_presets():
     assert noise_preset("fitted") == fit_noise_model()
     with pytest.raises(ValueError):
         noise_preset("lab")
+    # the preparation takes a model or a preset name, "ideal" by default
+    ideal = prepare_hybrid(noise_preset("ideal"))[0].matrix
+    assert np.array_equal(prepare_hybrid()[0].matrix, ideal)
+    for bad in (None, 5, {"werner_p": 0.9}):
+        message = f"NoiseModel or a preset name, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            prepare_hybrid(bad)
 
 
 def test_hybrid_state_input_guards():

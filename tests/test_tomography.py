@@ -107,6 +107,10 @@ def test_exact_data_mle_matches_truth():
     assert np.max(np.abs(run.rho_mle.matrix - rho.matrix)) < 1e-8
     assert oracle.trace_distance(run.rho_mle.matrix, rho.matrix) < 1e-8
     assert np.max(np.abs(run.rho_linear.matrix - rho.matrix)) < 1e-12
+    # at 1e-310 cps the means of the unlikely settings underflow to 0; such a
+    # setting adds -lambda to the log-likelihood, which stays finite
+    tiny = reconstruct(simulate_tomography(rho, 1e-310, exact=True))
+    assert tiny.converged and np.isfinite(tiny.loglik)
 
 
 def test_maximally_mixed_state_reconstructs():
