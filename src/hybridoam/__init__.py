@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.33.0"
+__version__ = "0.34.0"
 
 # Every export below is what a user calls, receives or catches: a name the
 # CLI, benchmarks/workloads.py or the README's library quick start reads; a
@@ -38,7 +38,6 @@ from .measurement import (
     fit_fringe,
     fringe_scan,
     read_counts_csv,
-    visibility_minmax,
     write_counts_csv,
 )
 from .tomography import (

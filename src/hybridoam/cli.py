@@ -45,7 +45,7 @@ _DEFAULT_DURATIONS = {
     "fringe": ms.DEFAULT_DURATION_S,
 }
 _FRINGE_POINTS = 16
-# --points' ceiling: a scan's records, count file and JSON grow linearly in it
+# --points' ceiling: a scan's records and count file grow linearly in it; its JSON does not
 MAX_FRINGE_POINTS = 10_000
 
 
@@ -232,18 +232,14 @@ def _draw_fringe(res: _Resolved, rho) -> list:
 
 def _fringe(res: _Resolved, records) -> dict:
     """The fit of each scan, the records of one Bob label, over the angles
-    of its Alice tags."""
+    of its Alice tags; the points themselves stay in the count file."""
     scans = {}
     for r in records:
         scans.setdefault(r.setting.bob, []).append(r)
     fits = {}
     for bob, scan in scans.items():
         n0, vis, phi0 = ms.fit_fringe(scan)
-        fits[bob] = {
-            "n0": n0, "visibility": vis, "phi0": phi0,
-            "visibility_minmax": ms.visibility_minmax(scan),
-            "points": [list(p) for p in ms._scan_points(scan)],
-        }
+        fits[bob] = {"n0": n0, "visibility": vis, "phi0": phi0}
     return fits
 
 

@@ -31,8 +31,9 @@ fast-axis angle, so Alice's analysis state is (cos(theta/2), sin(theta/2))
 and ideal fringes follow N0 (1 + V cos(theta - phi0)) with period 2 pi.
 The phase offset phi0 depends on Bob's projector (0 for |+2>, -pi/2 for
 |h>) and is reported by the fit rather than absorbed.  fringe_scan returns
-a scan's count records, and the fits read each angle back from its tag, as
-every analysis reads a table of CountRecords.
+a scan's count records, and fit_fringe reads each angle back from its tag,
+as every analysis reads a table of CountRecords; a scan's (theta, counts)
+points are kept only in those records, and so in its count file.
 """
 
 from __future__ import annotations
@@ -241,7 +242,8 @@ def _count_records(
     ``exact`` the unrounded means; each record carries the run's seed.  The
     duration, seed and rate are checked in that order, then the
     probabilities; a mean above 2**53, the most a CountRecord holds, raises
-    ValueError in either mode.
+    ValueError in either mode, and so does an exact table whose largest
+    mean is positive but subnormal (below np.finfo(float).tiny).
     """
     settings, ops = _compiled(pairs, duration_s)
     rng = _stream(seed, path, exact)
@@ -260,6 +262,9 @@ def _count_records(
     top = max(means)
     if top > _MAX_COUNT:
         raise ValueError(f"mean counts above 2**53 are not exact in float64, got {top:.6g}")
+    # subnormal means carry too few bits for the ratios an exact table is read by
+    if rng is None and 0.0 < top < np.finfo(float).tiny:
+        raise ValueError(f"exact mean counts are subnormal in float64, largest {top:.6g}")
     counts = means if rng is None else rng.poisson(means).tolist()
     return [CountRecord(s, c, seed) for s, c in zip(settings, counts)]
 
@@ -312,38 +317,33 @@ def _one_duration(durations, error: type[ValueError]) -> None:
         raise error(f"settings measured for different durations: {sorted(durations)} s")
 
 
-def _scan_points(records) -> list[tuple[float, float]]:
-    """The (theta, counts) points of one fringe scan's records, in record
-    order: theta is the angle of the Alice tag, counts a float.  A record
-    whose Alice analyzer is not a tag, or a table of more than one Bob
-    analyzer or duration, raises FitFailureError."""
-    points, bobs, durations = [], set(), set()
+def fit_fringe(records) -> tuple[float, float, float]:
+    """Least-squares fit of N(theta) = N0 (1 + V cos(theta - phi0)) to one
+    scan's records, as fringe_scan returns them: each point's theta is the
+    angle of its Alice tag, its counts a float.
+
+    Linear in (N0, N0 V cos phi0, N0 V sin phi0); returns (N0, V, phi0)
+    with V clamped to [0, 1].  Raises FitFailureError, in this order, for a
+    record whose Alice analyzer is not a tag, a table of more than one Bob
+    analyzer or duration, fewer than MIN_FRINGE_POINTS points, angles that
+    leave the three basis functions dependent, and a fitted N0 that is not
+    positive.
+    """
+    thetas, counts, bobs, durations = [], [], set(), set()
     for r in records:
         s = r.setting
         if not s.alice.startswith(_THETA_PREFIX):
             raise FitFailureError(f"setting {s.label!r} is not a fringe scan point")
-        points.append((_theta(s.alice), float(r.counts)))
+        thetas.append(_theta(s.alice))
+        counts.append(float(r.counts))
         bobs.add(s.bob)
         durations.add(s.duration_s)
     if len(bobs) > 1:
         raise FitFailureError(f"a fringe scan has one Bob analyzer, got {sorted(bobs)}")
     _one_duration(durations, FitFailureError)
-    return points
-
-
-def fit_fringe(records) -> tuple[float, float, float]:
-    """Least-squares fit of N(theta) = N0 (1 + V cos(theta - phi0)) to one
-    scan's records, as fringe_scan returns them.
-
-    Linear in (N0, N0 V cos phi0, N0 V sin phi0); returns (N0, V, phi0)
-    with V clamped to [0, 1].  Needs at least MIN_FRINGE_POINTS points whose
-    angles make the three basis functions independent, and a positive
-    fitted N0.
-    """
-    pts = np.array(_scan_points(records)).reshape(-1, 2)
-    if len(pts) < MIN_FRINGE_POINTS:
-        raise FitFailureError(f"need at least {MIN_FRINGE_POINTS} points, got {len(pts)}")
-    thetas, counts = pts.T
+    if len(thetas) < MIN_FRINGE_POINTS:
+        raise FitFailureError(f"need at least {MIN_FRINGE_POINTS} points, got {len(thetas)}")
+    thetas = np.array(thetas)
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
     coef, _, _, singular = np.linalg.lstsq(design, counts, rcond=None)
     # the rank, as matrix_rank(design, tol=1e-9) counts it
@@ -356,18 +356,6 @@ def fit_fringe(records) -> tuple[float, float, float]:
     v = min(max(v, 0.0), 1.0)
     phi0 = float(np.arctan2(a2, a1)) if v > 0 else 0.0
     return float(n0), v, phi0
-
-
-def visibility_minmax(records) -> float:
-    """Max/min count visibility (max-min)/(max+min) of one scan's records,
-    the fit-free estimate."""
-    counts = [c for _, c in _scan_points(records)]
-    if not counts:
-        raise FitFailureError("no points")
-    hi, lo = max(counts), min(counts)
-    if hi + lo == 0:
-        return 0.0
-    return (hi - lo) / (hi + lo)
 
 
 def write_counts_csv(records, path) -> None:

@@ -47,7 +47,7 @@ PUBLIC_NAMES = """
     chsh_empirical chsh_exact chsh_records concurrence fidelity
     fit_fringe format_report fringe_scan hybrid_singlet_ket
     linear_entropy matrix_from_json matrix_to_json metric_uncertainties noise_preset prepare_hybrid read_counts_csv
-    reconstruct simulate_tomography visibility_minmax write_counts_csv
+    reconstruct simulate_tomography write_counts_csv
 """.split()
 
 

@@ -141,9 +141,14 @@ def test_chsh_is_the_analysis_of_its_records():
     res = ChshResult.from_records(exact)
     assert res.sigma is None
     assert abs(res.s - chsh_exact(rho).s) <= 1e-15
-    # an exact table of subnormal means has no Poisson error to compute either
-    tiny = ChshResult.from_records(chsh_records(rho, rate_cps=1e-320, exact=True))
+    # an exact table of subnormal means, built by hand since simulating one
+    # is refused, has no Poisson error to compute either
+    ones = chsh_records(rho, rate_cps=1.0, exact=True)
+    tiny = ChshResult.from_records([CountRecord(r.setting, r.counts * 1e-320, r.seed)
+                                    for r in ones])
     assert tiny.sigma is None and np.isfinite(tiny.s)
+    with pytest.raises(ValueError, match="subnormal"):
+        chsh_records(rho, rate_cps=1e-320, exact=True)
     # any other table is refused: short, reordered, relabelled or of mixed durations
     swapped = [drawn[1], drawn[0], *drawn[2:]]
     relabelled = [CountRecord(MeasurementSetting("L", r.setting.bob, r.setting.duration_s),

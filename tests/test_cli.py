@@ -73,16 +73,34 @@ def test_chsh_empirical_command(tmp_path):
     assert abs(d["S"]) < S_MAX + 0.5
 
 
+def _shape(value):
+    """A JSON value without its numbers and strings: the keys of every
+    object and the length of every list, at every level."""
+    if isinstance(value, dict):
+        return {k: _shape(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_shape(v) for v in value]
+    return None
+
+
 def test_fringe_exact_command(tmp_path):
-    assert main(["fringe", "--exact", "--out", str(tmp_path)]) == 0
-    d = load(tmp_path / "fringe.json")
-    # one fit per Bob analyzer, +2 then h, each with full visibility
-    assert list(d) == ["+2", "h", "provenance"]
-    for bob, phi0 in (("+2", 0.0), ("h", -np.pi / 2)):
-        assert abs(d[bob]["visibility"] - 1.0) < 1e-9
-        assert abs(d[bob]["phi0"] - phi0) < 1e-9
-        assert len(d[bob]["points"]) == 16
-    assert (tmp_path / "fringe_counts.csv").exists()
+    shapes = {}
+    for points in (16, 1000):
+        out = tmp_path / str(points)
+        assert main(["fringe", "--exact", "--points", str(points), "--out", str(out)]) == 0
+        d = load(out / "fringe.json")
+        # one fit per Bob analyzer, +2 then h, each with full visibility
+        assert list(d) == ["+2", "h", "provenance"]
+        records = read_counts_csv(out / "fringe_counts.csv")
+        for bob, phi0 in (("+2", 0.0), ("h", -np.pi / 2)):
+            assert abs(d[bob]["visibility"] - 1.0) < 1e-9
+            assert abs(d[bob]["phi0"] - phi0) < 1e-9
+            # the scan's points are the count file's
+            assert sum(r.setting.bob == bob for r in records) == points
+        # the JSON holds the fits alone, so it does not grow with the grid
+        assert (out / "fringe.json").stat().st_size < 1024
+        shapes[points] = _shape(d)
+    assert shapes[16] == shapes[1000]
 
 
 def test_tomography_exact_command(tmp_path):
@@ -194,16 +212,12 @@ def _theta(record):
     return float(record.setting.alice[len("theta="):])
 
 
-def _refit(records):
-    """Each scan's fit and (theta, counts) points from its records, by Bob
-    label, in record order."""
+def _scans(records):
+    """Each scan's records, by Bob label, in record order."""
     scans = {}
     for r in records:
         scans.setdefault(r.setting.bob, []).append(r)
-    return {
-        bob: (fit_fringe(scan), [(_theta(r), float(r.counts)) for r in scan])
-        for bob, scan in scans.items()
-    }
+    return scans
 
 
 def test_every_count_file_reproduces_its_result(tmp_path):
@@ -255,18 +269,18 @@ def test_every_count_file_reproduces_its_result(tmp_path):
                "pipeline": (pipeline["fringe"], table("pipeline", "pipeline_fringe"))}
     for command, (results, records) in fringes.items():
         # the +2 scan, then the h scan, each in grid order at 15 s
-        refits = _refit(records)
-        assert list(refits) == ["+2", "h"], command
-        assert list(refits) == list(results), command
+        scans = _scans(records)
+        assert list(scans) == ["+2", "h"], command
+        assert list(scans) == list(results), command
         assert {r.setting.duration_s for r in records} == {15.0}
-        for bob, ((n0, vis, phi0), points) in refits.items():
-            assert len(points) == 16
-            assert [_theta(r) for r in records if r.setting.bob == bob] == list(
+        for bob, scan in scans.items():
+            assert [_theta(r) for r in scan] == list(
                 np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
             )
+            # the block is the fit alone: the points are the count file's
             result = results[bob]
-            assert (n0, vis, phi0) == (result["n0"], result["visibility"], result["phi0"])
-            assert [list(p) for p in points] == result["points"], (command, bob)
+            assert sorted(result) == ["n0", "phi0", "visibility"], (command, bob)
+            assert fit_fringe(scan) == (result["n0"], result["visibility"], result["phi0"])
     run = reconstruct(table("pipeline", "pipeline_tomography"))
     tomography = pipeline["tomography"]
     assert matrix_to_json(run.rho_mle) == tomography["rho_mle"]
@@ -288,7 +302,11 @@ def test_pipeline_honours_duration_flag(tmp_path):
     assert db["provenance"]["config"]["durations"] == {
         "tomography": 300.0, "fringe": 300.0, "chsh": 300.0,
     }
-    assert da["fringe"]["+2"]["points"] != db["fringe"]["+2"]["points"]
+    # the +2 fringe scan of each count file, at 15 s and at 300 s
+    plus2 = [_scans(read_counts_csv(tmp_path / d / "pipeline_fringe_counts.csv"))["+2"]
+             for d in ("a", "b")]
+    assert [{r.setting.duration_s for r in scan} for scan in plus2] == [{15.0}, {300.0}]
+    assert [r.counts for r in plus2[0]] != [r.counts for r in plus2[1]]
     assert da["chsh"]["sigma"] > db["chsh"]["sigma"]
 
 

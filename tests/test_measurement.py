@@ -15,7 +15,6 @@ from hybridoam.measurement import (
     fit_fringe,
     fringe_scan,
     read_counts_csv,
-    visibility_minmax,
     write_counts_csv,
 )
 import hybridoam.bell as bell
@@ -325,7 +324,6 @@ def test_exact_fringe_is_a_perfect_cosine():
     assert abs(n0 - 375.0) < 1e-9  # rate*duration/4 at the defaults
     assert abs(v - 1.0) < 1e-12
     assert abs(phi0) < 1e-12
-    assert abs(visibility_minmax(pts) - 1.0) < 1e-12
 
 
 def test_fringe_phase_tracks_bob_projector():
@@ -361,29 +359,22 @@ def test_fit_fringe_failure_modes():
     lopsided = _scan((0.0, 0.2, 0.4, np.pi / 2 + 0.3, 3.0), (0, 0, 0, 100, 0))
     with pytest.raises(FitFailureError, match="baseline -14.46"):
         fit_fringe(lopsided)
-    # no counts at all have no contrast
-    assert visibility_minmax(_scan(GRID16, [0] * 16)) == 0.0
-    with pytest.raises(FitFailureError, match="no points"):
-        visibility_minmax([])
-    # the most counts a record holds have a finite max + min
-    assert visibility_minmax(_scan((0.0, 1.0), (2**53, 2**53))) == 0.0
 
 
 def test_fringe_analyses_read_one_scans_records():
-    # each analysis reads the records of one scan: theta tags on Alice's
-    # side, against one Bob analyzer, at one duration
+    # the fit reads the records of one scan: theta tags on Alice's side,
+    # against one Bob analyzer, at one duration
     scan = _scan(GRID16, [100 + 10 * k for k in range(16)])
     untagged = [*scan[:3], CountRecord(MeasurementSetting("H", "+2"), 5, 0), *scan[3:]]
     two_bobs = scan[:8] + _scan(GRID16[8:], [100] * 8, bob="h")
     two_durations = scan[:8] + _scan(GRID16[8:], [100] * 8, duration_s=30.0)
-    for analysis in (fit_fringe, visibility_minmax):
-        analysis(scan)
-        with pytest.raises(FitFailureError, match="'H\\|\\+2' is not a fringe scan point"):
-            analysis(untagged)
-        with pytest.raises(FitFailureError, match=r"one Bob analyzer, got \['\+2', 'h'\]"):
-            analysis(two_bobs)
-        with pytest.raises(FitFailureError, match=r"different durations: \[15.0, 30.0\] s"):
-            analysis(two_durations)
+    fit_fringe(scan)
+    with pytest.raises(FitFailureError, match="'H\\|\\+2' is not a fringe scan point"):
+        fit_fringe(untagged)
+    with pytest.raises(FitFailureError, match=r"one Bob analyzer, got \['\+2', 'h'\]"):
+        fit_fringe(two_bobs)
+    with pytest.raises(FitFailureError, match=r"different durations: \[15.0, 30.0\] s"):
+        fit_fringe(two_durations)
 
 
 def test_fringe_scans_draw_from_their_own_stream():
@@ -730,15 +721,13 @@ def test_scan_labels_are_formatted_once_per_grid():
 
 
 def test_fringe_scan_returns_the_grid_floats_its_tags_read_back_to():
-    # each record's tag reads back, with its 17 digits, to the grid's own
-    # float, -0.0 included, and the fit reads those angles
+    # each record's Alice tag reads back, with its 17 digits, to the grid's
+    # own float, -0.0 included, which is the angle the fit reads
     for grid in (GRID16, -GRID16, np.array([-0.0, 0.0, -1e-300, 1.0 / 3.0])):
         records = fringe_scan(SINGLET, "h", grid, 100.0, 15.0, seed=2, scan_index=1)
-        points = measurement._scan_points(records)
-        thetas = np.array([t for t, _ in points])
-        assert thetas.tobytes() == grid.tobytes()
-        assert all(type(t) is float and type(c) is float for t, c in points)
-        assert [c for _, c in points] == [float(r.counts) for r in records]
+        thetas = [measurement._theta(r.setting.alice) for r in records]
+        assert all(type(t) is float for t in thetas)
+        assert np.array(thetas).tobytes() == grid.tobytes()
 
 
 # each public guard of a real number, as a function of the guarded value
@@ -746,8 +735,8 @@ GUARDS = {
     "noise-parameter": lambda x: NoiseModel.from_dict({"miscal_angle": x}).miscal_angle,
     "duration": lambda x: MeasurementSetting("H", "+2", x).duration_s,
     "rate": lambda x: [r.counts for r in tomography.simulate_tomography(SINGLET, x, exact=True)],
-    "fringe-count": lambda x: visibility_minmax(
-        [CountRecord(MeasurementSetting("theta=0", "h"), x, 0), *_scan((1.0,), (1.0,), "h")]
+    "fringe-count": lambda x: fit_fringe(
+        [CountRecord(MeasurementSetting("theta=0", "h"), x, 0), *_scan((1, 2, 3), (1, 1, 1), "h")]
     ),
     "outcome-count": lambda x: bell.ChshResult.from_records(
         [CountRecord(r.setting, x, 0) for r in bell.chsh_records(SINGLET)]

@@ -107,10 +107,14 @@ def test_exact_data_mle_matches_truth():
     assert np.max(np.abs(run.rho_mle.matrix - rho.matrix)) < 1e-8
     assert oracle.trace_distance(run.rho_mle.matrix, rho.matrix) < 1e-8
     assert np.max(np.abs(run.rho_linear.matrix - rho.matrix)) < 1e-12
-    # at 1e-310 cps the means of the unlikely settings underflow to 0; such a
+    # a table of subnormal means, built by hand since simulating one is
+    # refused: the means of the unlikely settings underflow to 0, and such a
     # setting adds -lambda to the log-likelihood, which stays finite
-    tiny = reconstruct(simulate_tomography(rho, 1e-310, exact=True))
+    ones = simulate_tomography(rho, 1.0, exact=True)
+    tiny = reconstruct([CountRecord(r.setting, r.counts * 1e-310, r.seed) for r in ones])
     assert tiny.converged and np.isfinite(tiny.loglik)
+    with pytest.raises(ValueError, match="subnormal"):
+        simulate_tomography(rho, 1e-310, exact=True)
 
 
 def test_maximally_mixed_state_reconstructs():
