@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.34.0"
+__version__ = "0.35.0"
 
 # Every export below is what a user calls, receives or catches: a name the
 # CLI, benchmarks/workloads.py or the README's library quick start reads; a
@@ -17,8 +17,6 @@ __version__ = "0.34.0"
 # steps stay in their modules (hybridoam.source.apply_noise, for one).
 
 from .states import (
-    OAM_O2,  # Bob's basis name, which building a DensityMatrix takes
-    POLARIZATION,  # Alice's basis name, likewise
     DensityMatrix,
     InvalidLabelError,
     StateVector,

@@ -28,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import RateBudget
-from .states import (
-    OAM_O2,
-    POLARIZATION,
-    DensityMatrix,
-    StateVector,
-    _freeze,
-    _Parameters,
-)
+from .states import DensityMatrix, StateVector, _freeze, _Parameters
 
 # Reference tomography values the fitted noise preset is tuned to reproduce.
 REFERENCE_FIDELITY = 0.957
@@ -81,14 +74,14 @@ class NoiseModel(_Parameters):
 def singlet_ket() -> StateVector:
     """Pure polarization singlet (|HV> - |VH>)/sqrt(2)."""
     amp = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    return StateVector(amp, (POLARIZATION, POLARIZATION))
+    return StateVector(amp)
 
 
 @functools.cache
 def singlet() -> DensityMatrix:
     """Density matrix of the polarization singlet."""
     amp = singlet_ket().amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()), (POLARIZATION, POLARIZATION))
+    return DensityMatrix(np.outer(amp, amp.conj()))
 
 
 @functools.cache
@@ -99,7 +92,7 @@ def hybrid_singlet_ket() -> StateVector:
     pattern re-expressed in the hybrid encoding, used as the fidelity target.
     """
     amp = np.array([1.0, 0.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
-    return StateVector(amp, (POLARIZATION, OAM_O2))
+    return StateVector(amp)
 
 
 def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
@@ -119,26 +112,24 @@ def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
         # keep their signs
         r = (_EYE2[:, None, :, None] * np.array([[c, -s], [s, c]])[:, None, :]).reshape(4, 4)
         m = r @ m @ r.conj().T
-    return DensityMatrix((m + m.conj().T) / 2, rho.basis)
+    return DensityMatrix((m + m.conj().T) / 2)
 
 
 def hybrid_state(rho_pol: DensityMatrix) -> DensityMatrix:
     """Transfer Bob's polarization qubit onto the o2 OAM subspace.
 
-    Takes a two-photon polarization state and applies the compiled transfer
-    chain: Bob's photon (in the fundamental spatial mode) through the fiber
-    filter and the polarization-to-OAM transferrer, then the fixed frame
-    alignment, with Bob's now-factored |H> polarization discarded.  Returns
-    the renormalized Alice-polarization x Bob-OAM state, which does not
-    depend on how often the transferrer succeeds.
+    Takes a two-photon polarization state, the noisy singlet prepare_hybrid
+    passes, and applies the compiled transfer chain: Bob's photon (in the
+    fundamental spatial mode) through the fiber filter and the
+    polarization-to-OAM transferrer, then the fixed frame alignment, with
+    Bob's now-factored |H> polarization discarded.  Returns the renormalized
+    Alice-polarization x Bob-OAM state, whatever the transferrer's success.
     """
-    if rho_pol.basis != (POLARIZATION, POLARIZATION):
-        raise ValueError("hybrid_state expects a polarization pair")
     u = _TRANSFER_UNITARY
     out = u @ rho_pol.matrix @ u.conj().T
     out = (out + out.conj().T) / 2
     out /= np.trace(out).real
-    return DensityMatrix(out, (POLARIZATION, OAM_O2))
+    return DensityMatrix(out)
 
 
 def prepare_hybrid(

@@ -1,7 +1,7 @@
 """Labeled qubit bases and small dense linear algebra for two-photon states.
 
-Every state is a two-qubit state: 4 amplitudes, or a 4x4 matrix, over an
-ordered pair of tensor factors.  The factor kinds used throughout the package:
+Every state is a two-qubit state, its 4 amplitudes or its 4x4 matrix alone.
+The analyzers name the two degrees of freedom, Alice's and then Bob's:
 
 * ``polarization``: 2-dim, computational basis (|H>, |V>)
 * ``oam_o2``: 2-dim orbital angular momentum subspace, basis (|+2>, |-2>)
@@ -69,16 +69,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _pair(basis) -> tuple[str, str]:
-    """A state's factors as a tuple: two known factor names.  An unknown name
-    raises InvalidLabelError, any other number of factors ValueError."""
-    basis = tuple(basis)
-    for f in basis:
-        if f not in _DEGREE_KETS:
-            raise InvalidLabelError(f"unknown tensor factor: {f!r}")
-    if len(basis) != 2:
-        raise ValueError(f"a state has two factors, got {basis}")
-    return basis
+def _complex_array(entries, pairs: bool = False) -> np.ndarray:
+    """A state's entries, or with ``pairs`` a JSON block's [re, im] pairs, as
+    a read-only complex copy, which leaves the caller's array writable.  An
+    integer past float64's range, such as 10**400, raises ValueError as an
+    entry that is not finite, where numpy and complex() raise OverflowError."""
+    try:
+        if pairs:
+            entries = [[complex(re, im) for re, im in row] for row in entries]
+        return _freeze(np.array(entries, dtype=complex))
+    except OverflowError:
+        raise ValueError("state has an entry that is not finite") from None
 
 
 def _real(name: str, value) -> float:
@@ -161,17 +162,13 @@ class _Parameters:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A unit-norm two-qubit ket, 4 amplitudes over an ordered pair of
-    tensor factors."""
+    """A unit-norm two-qubit ket, 4 amplitudes in the canonical ordering."""
 
     amplitudes: np.ndarray
-    basis: tuple[str, str]
 
     def __post_init__(self):
-        # a copy, so that freezing it leaves the caller's array writable
-        amp = np.array(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", _freeze(amp))
-        object.__setattr__(self, "basis", _pair(self.basis))
+        amp = _complex_array(self.amplitudes)
+        object.__setattr__(self, "amplitudes", amp)
         if amp.shape != (4,):
             raise ValueError(f"a two-qubit ket has 4 amplitudes, got shape {amp.shape}")
         norm2 = float(np.vdot(amp, amp).real)
@@ -182,22 +179,18 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A unit-trace Hermitian positive 4x4 matrix over an ordered pair of
-    tensor factors.
+    """A unit-trace Hermitian positive 4x4 matrix in the canonical ordering.
 
     Estimators that can produce indefinite matrices (pre-projection linear
     inversion) construct with ``require_positive=False``.
     """
 
     matrix: np.ndarray
-    basis: tuple[str, str]
     require_positive: InitVar[bool] = True
 
     def __post_init__(self, require_positive):
-        # a copy, so that freezing it leaves the caller's array writable
-        mat = np.array(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", _freeze(mat))
-        object.__setattr__(self, "basis", _pair(self.basis))
+        mat = _complex_array(self.matrix)
+        object.__setattr__(self, "matrix", mat)
         if mat.shape != (4, 4):
             raise ValueError(f"a two-qubit density matrix is 4x4, got shape {mat.shape}")
         # a NaN or infinite entry fails the Hermitian test, and so does a
@@ -235,18 +228,18 @@ def _clip_to_states(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_to_json(rho: DensityMatrix) -> dict:
-    """Serialize a matrix as row-major [re, im] entry pairs plus factor labels."""
+    """Serialize a matrix as {"matrix": row-major [re, im] entry pairs}."""
     entries = [
         [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
     ]
-    return {"matrix": entries, "basis": list(rho.basis)}
+    return {"matrix": entries}
 
 
 def matrix_from_json(data: dict, require_positive: bool = True) -> DensityMatrix:
-    """The DensityMatrix a matrix_to_json block holds; a rho_linear block
+    """The DensityMatrix a matrix_to_json block holds, whatever its other keys,
+    such as the "basis" of a block written before 0.35; a rho_linear block
     whose linear inversion went negative needs ``require_positive=False``."""
-    rows = data["matrix"]
-    mat = np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-    )
-    return DensityMatrix(mat, tuple(data["basis"]), require_positive=require_positive)
+    if "matrix" not in data:
+        raise ValueError("a density-matrix block needs a 'matrix' key")
+    mat = _complex_array(data["matrix"], pairs=True)
+    return DensityMatrix(mat, require_positive=require_positive)

@@ -60,8 +60,6 @@ from .measurement import (
 )
 from .source import hybrid_singlet_ket
 from .states import (
-    OAM_O2,
-    POLARIZATION,
     DensityMatrix,
     StateVector,
     _O2_KETS,
@@ -583,10 +581,9 @@ def reconstruct(records) -> TomographyRun:
     counts, totals = _count_table(records)
     linear = _invert(counts[None] / totals)
     rho, bound, n_iter = _solve(counts[None], *_clip_to_states(linear))
-    basis = (POLARIZATION, OAM_O2)
     return TomographyRun(
-        rho_linear=DensityMatrix(linear[0], basis, require_positive=False),
-        rho_mle=DensityMatrix(rho[0], basis),
+        rho_linear=DensityMatrix(linear[0], require_positive=False),
+        rho_mle=DensityMatrix(rho[0]),
         loglik=_loglik(rho[0], counts, totals),
         n_iter=int(n_iter[0]),
         loglik_gap_bound=float(bound[0]),

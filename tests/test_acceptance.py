@@ -27,7 +27,7 @@ from hybridoam.source import (
     hybrid_singlet_ket,
     prepare_hybrid,
 )
-from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
+from hybridoam.states import DensityMatrix
 from hybridoam.tomography import (
     concurrence,
     fidelity,
@@ -184,7 +184,7 @@ def test_criterion_7_property_suites():
     for _ in range(25):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = g @ g.conj().T
-        rho = DensityMatrix(m / np.trace(m).real, (POLARIZATION, OAM_O2))
+        rho = DensityMatrix(m / np.trace(m).real)
         est = reconstruct(simulate_tomography(rho, exact=True)).rho_linear
         worst_rt = max(worst_rt, float(np.max(np.abs(est.matrix - rho.matrix))))
 

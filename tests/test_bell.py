@@ -19,7 +19,7 @@ from hybridoam.measurement import (
     fringe_scan,
 )
 from hybridoam.source import NoiseModel, prepare_hybrid
-from hybridoam.states import OAM_O2, POLARIZATION, DensityMatrix
+from hybridoam.states import DensityMatrix
 
 SINGLET = prepare_hybrid()[0]
 
@@ -70,7 +70,7 @@ def test_s_scales_linearly_in_werner_weight():
 
 
 def test_maximally_mixed_state_has_zero_s():
-    rho = DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))
+    rho = DensityMatrix(np.eye(4) / 4)
     assert abs(chsh_exact(rho).s) < 1e-12
 
 
@@ -108,7 +108,7 @@ def _random_noise_model(rng):
 def test_exact_chsh_matches_the_oracle():
     # the count-ratio estimator on exact Born probabilities is Tr[rho (A x B)]
     rng = np.random.default_rng(15)
-    states = [SINGLET, DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))]
+    states = [SINGLET, DensityMatrix(np.eye(4) / 4)]
     states += [prepare_hybrid(_random_noise_model(rng))[0] for _ in range(200)]
     for rho in states:
         es, s = chsh_oracle.chsh(rho.matrix)
@@ -212,7 +212,7 @@ def test_fuzzed_chsh_inputs_succeed_or_raise_typed_errors():
     states = (
         SINGLET,
         prepare_hybrid("fitted")[0],
-        DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2)),
+        DensityMatrix(np.eye(4) / 4),
     )
 
     def pick(pool):

@@ -21,12 +21,7 @@ import hybridoam.bell as bell
 import hybridoam.measurement as measurement
 import hybridoam.tomography as tomography
 from hybridoam.source import NoiseModel, prepare_hybrid
-from hybridoam.states import (
-    OAM_O2,
-    POLARIZATION,
-    DensityMatrix,
-    StateVector,
-)
+from hybridoam.states import DensityMatrix, StateVector, matrix_from_json
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 SINGLET = prepare_hybrid()[0]
@@ -451,7 +446,7 @@ def _theta_setting(theta, bob, duration_s):
 def _random_state(seed):
     g = np.random.default_rng(seed).normal(size=(2, 4, 4))
     m = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
-    return DensityMatrix(m / np.trace(m).real, (POLARIZATION, OAM_O2))
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def test_compiled_counts_match_a_per_setting_loop():
@@ -503,32 +498,31 @@ def _with_pair(upper, lower):
 
 
 NAN4 = np.full((4, 4), np.nan)
-PAIR = (POLARIZATION, OAM_O2)
 # each refused at its own guard: a tolerance test that NaN fails, or a
 # finiteness check where no tolerance test can see it
 NON_FINITE = {
     "projector": (lambda: MeasurementSetting("theta=nan", "+2", 1.0), "scan angle"),
     "infinite-projector": (lambda: MeasurementSetting("theta=inf", "+2", 1.0), "scan angle"),
     "bob-projector": (lambda: MeasurementSetting("H", "theta=nan", 1.0), "scan angle"),
-    "ket": (lambda: StateVector([np.nan, 0.0, 0.0, 0.0], PAIR), "not normalized"),
-    "infinite-ket": (lambda: StateVector([np.inf, 0.0, 0.0, 0.0], PAIR), "not normalized"),
+    "ket": (lambda: StateVector([np.nan, 0.0, 0.0, 0.0]), "not normalized"),
+    "infinite-ket": (lambda: StateVector([np.inf, 0.0, 0.0, 0.0]), "not normalized"),
     "density-matrix": (
-        lambda: DensityMatrix(NAN4, PAIR, require_positive=False), "not Hermitian"
+        lambda: DensityMatrix(NAN4, require_positive=False), "not Hermitian"
     ),
-    "positive-density-matrix": (lambda: DensityMatrix(NAN4, PAIR), "not Hermitian"),
+    "positive-density-matrix": (lambda: DensityMatrix(NAN4), "not Hermitian"),
     "infinite-density-matrix": (
-        lambda: DensityMatrix(np.diag([np.inf, 0, 0, 0]), PAIR, require_positive=False),
+        lambda: DensityMatrix(np.diag([np.inf, 0, 0, 0]), require_positive=False),
         "infinite",
     ),
     "overflowing-trace-density-matrix": (
-        lambda: DensityMatrix(np.diag([1e308, 1e308, 0, 0]), PAIR), "trace is inf"
+        lambda: DensityMatrix(np.diag([1e308, 1e308, 0, 0])), "trace is inf"
     ),
     "infinite-off-diagonal-density-matrix": (
-        lambda: DensityMatrix(np.full((4, 4), -np.inf), PAIR), "infinite"
+        lambda: DensityMatrix(np.full((4, 4), -np.inf)), "infinite"
     ),
     # finite, but past what float64 can subtract, add or sum
     "overflowing-difference-density-matrix": (
-        lambda: DensityMatrix(_with_pair(1e308, -1e308), PAIR), "not Hermitian"
+        lambda: DensityMatrix(_with_pair(1e308, -1e308)), "not Hermitian"
     ),
     "chsh-duration": (lambda: bell.chsh_empirical(SINGLET, duration_s=np.nan), "duration"),
     "chsh-infinite-duration": (
@@ -539,6 +533,11 @@ NON_FINITE = {
     # an integer past float64's range, which float() cannot convert
     "huge-integer-rate": (lambda: tomography.simulate_tomography(SINGLET, 10**400), "rate"),
     "huge-integer-duration": (lambda: MeasurementSetting("H", "+2", 10**400), "duration"),
+    "huge-integer-ket": (lambda: StateVector([10**400, 0, 0, 0]), "not finite"),
+    "huge-integer-density-matrix": (lambda: DensityMatrix([[10**400] * 4] * 4), "not finite"),
+    "huge-integer-json-entry": (
+        lambda: matrix_from_json({"matrix": [[[10**400, 0]] * 4] * 4}), "not finite"
+    ),
     # the message shows the converted float, which any integer can be printed as
     "digit-limit-rate": (
         lambda: tomography.simulate_tomography(SINGLET, 10**5000),
@@ -673,7 +672,7 @@ def _indefinite_state():
     [0, 1] on both sides."""
     x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
     m = np.eye(4) / 4 + 0.6 * np.kron(z, z) + 0.9 * np.kron(x, x)
-    return DensityMatrix(m, (POLARIZATION, OAM_O2), require_positive=False)
+    return DensityMatrix(m, require_positive=False)
 
 
 def test_counting_refuses_probabilities_outside_the_unit_interval():
@@ -941,7 +940,7 @@ def test_a_float_count_reads_back_a_float(tmp_path):
     assert [float(c).hex() for c in back] == [float(c).hex() for c in counts]
     # so the maximally mixed state's exact CHSH table reads back exact, all
     # floats, though half its expectations are 375 exactly
-    mixed = DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))
+    mixed = DensityMatrix(np.eye(4) / 4)
     exact = bell.chsh_records(mixed, exact=True)
     write_counts_csv(exact, path)
     back = read_counts_csv(path)

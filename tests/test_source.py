@@ -17,13 +17,7 @@ from hybridoam.source import (
     singlet_ket,
 )
 from hybridoam.tomography import concurrence
-from hybridoam.states import (
-    ATOL,
-    OAM_O2,
-    POLARIZATION,
-    DensityMatrix,
-    StateVector,
-)
+from hybridoam.states import ATOL, DensityMatrix, StateVector
 
 S2 = np.sqrt(2.0)
 
@@ -45,7 +39,6 @@ def test_singlet_amplitude_patterns():
     assert np.allclose(
         hybrid_singlet_ket().amplitudes, np.array([1, 0, 0, -1]) / S2, atol=ATOL
     )
-    assert hybrid_singlet_ket().basis == (POLARIZATION, OAM_O2)
 
 
 def test_constant_states_are_built_once_and_read_only():
@@ -81,10 +74,9 @@ def test_deterministic_mode_has_unit_success():
 
 def test_frame_alignment_maps_computational_basis():
     # net Bob map through transfer + alignment: H -> |-2>, V -> |+2>
-    pair = (POLARIZATION, POLARIZATION)
-    rho = hybrid_state(DensityMatrix(np.diag([1.0, 0, 0, 0]), pair))
+    rho = hybrid_state(DensityMatrix(np.diag([1.0, 0, 0, 0])))
     assert abs(rho.matrix[1, 1].real - 1.0) < 1e-10  # |H,-2>
-    rho2 = hybrid_state(DensityMatrix(np.diag([0, 1.0, 0, 0]), pair))
+    rho2 = hybrid_state(DensityMatrix(np.diag([0, 1.0, 0, 0])))
     assert abs(rho2.matrix[0, 0].real - 1.0) < 1e-10  # |H,+2>
 
 
@@ -95,7 +87,7 @@ def test_compiled_transfer_matches_the_element_chain():
         for _ in range(50):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g @ g.conj().T
-            rho_pol = DensityMatrix(m / np.trace(m).real, (POLARIZATION, POLARIZATION))
+            rho_pol = DensityMatrix(m / np.trace(m).real)
             ref, ref_success = reference_hybrid_state(rho_pol.matrix, success)
             rho = hybrid_state(rho_pol)
             assert np.max(np.abs(rho.matrix - ref)) < 1e-12
@@ -196,10 +188,3 @@ def test_noise_presets():
         message = f"NoiseModel or a preset name, got {type(bad).__name__}$"
         with pytest.raises(TypeError, match=message):
             prepare_hybrid(bad)
-
-
-def test_hybrid_state_input_guards():
-    with pytest.raises(ValueError, match="polarization pair"):
-        hybrid_state(DensityMatrix(np.eye(4) / 4, (OAM_O2, OAM_O2)))
-    with pytest.raises(ValueError, match="polarization pair"):
-        hybrid_state(prepare_hybrid()[0])

@@ -9,8 +9,6 @@ from hybridoam.states import (
     ATOL,
     DensityMatrix,
     InvalidLabelError,
-    OAM_O2,
-    POLARIZATION,
     StateVector,
     _clip_to_states,
     matrix_from_json,
@@ -18,7 +16,6 @@ from hybridoam.states import (
 )
 
 S2 = np.sqrt(2.0)
-PAIR = (POLARIZATION, OAM_O2)
 
 
 def _projector(ket):
@@ -30,7 +27,7 @@ def _probabilities(alice_ket, bob_ket):
     """Each tomography setting's Born probability on a product state: its
     exact count at 1 cps for 1 s."""
     ket = np.kron(alice_ket, bob_ket)
-    rho = DensityMatrix(_projector(ket / np.linalg.norm(ket)), PAIR)
+    rho = DensityMatrix(_projector(ket / np.linalg.norm(ket)))
     return {r.setting.label: r.counts for r in simulate_tomography(rho, 1.0, 1.0, exact=True)}
 
 
@@ -64,75 +61,54 @@ def test_label_resolution_and_errors():
 
 def test_state_vector_normalization_guard():
     with pytest.raises(ValueError, match="not normalized"):
-        StateVector(np.array([1.0, 0.0, 0.0, 1.0]), PAIR)
-    sv = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / S2, PAIR)
-    assert sv.amplitudes.shape == (4,) and sv.basis == PAIR
+        StateVector(np.array([1.0, 0.0, 0.0, 1.0]))
+    sv = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / S2)
+    assert sv.amplitudes.shape == (4,)
     with pytest.raises(ValueError, match="4 amplitudes"):
-        StateVector(np.ones(3) / np.sqrt(3.0), PAIR)  # length mismatch
+        StateVector(np.ones(3) / np.sqrt(3.0))  # length mismatch
 
 
 def test_density_matrix_guards():
     with pytest.raises(ValueError, match="not Hermitian"):
-        DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]) + np.eye(4, k=1), PAIR)
+        DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]) + np.eye(4, k=1))
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(4) / 2, PAIR)  # trace 2
+        DensityMatrix(np.eye(4) / 2)  # trace 2
     neg = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        DensityMatrix(neg, PAIR)
-    dm = DensityMatrix(neg, PAIR, require_positive=False)
+        DensityMatrix(neg)
+    dm = DensityMatrix(neg, require_positive=False)
     assert np.array_equal(dm.matrix, neg)
     # the state holds a read-only copy; the caller's array, complex already
     # or not, stays writable
     for mat in (np.eye(4) / 4, np.eye(4, dtype=complex) / 4):
-        frozen = DensityMatrix(mat, PAIR).matrix
+        frozen = DensityMatrix(mat).matrix
         assert mat.flags.writeable and not frozen.flags.writeable
         mat[0, 0] = 1.0
         assert frozen[0, 0] == 0.25
 
 
 def test_states_are_two_qubit_by_construction():
-    # a state is 4 amplitudes or a 4x4 matrix over two known factors; any
-    # other shape or number of factors is refused as it is built, so no
-    # caller checks for two qubits again
+    # a state is 4 amplitudes or a 4x4 matrix; any other shape is refused as
+    # it is built, so no caller checks for two qubits again
     ket2 = np.array([1.0, 0.0])
     rho8 = np.eye(8) / 8
     refused = {
-        "2-vector": lambda: StateVector(ket2, PAIR),
-        "2-vector over one factor": lambda: StateVector(ket2, (POLARIZATION,)),
-        "2x2": lambda: DensityMatrix(np.eye(2) / 2, PAIR),
-        "2x2 over one factor": lambda: DensityMatrix(np.eye(2) / 2, (POLARIZATION,)),
-        "8x8": lambda: DensityMatrix(rho8, PAIR),
-        "8x8 over three factors": lambda: DensityMatrix(rho8, (POLARIZATION,) * 3),
-        "1-factor basis": lambda: DensityMatrix(np.eye(4) / 4, (POLARIZATION,)),
-        "1-factor ket basis": lambda: StateVector([1, 0, 0, 0], (OAM_O2,)),
-        "3-factor basis": lambda: DensityMatrix(np.eye(4) / 4, (*PAIR, OAM_O2)),
-        "3-factor ket basis": lambda: StateVector([1, 0, 0, 0], (*PAIR, POLARIZATION)),
-        "empty basis": lambda: DensityMatrix(np.eye(4) / 4, ()),
+        "2-vector": lambda: StateVector(ket2),
+        "2x2": lambda: DensityMatrix(np.eye(2) / 2),
+        "8x8": lambda: DensityMatrix(rho8),
     }
     for case, build in refused.items():
         with pytest.raises(ValueError) as info:
             build()
-        # a plain ValueError, not the unknown-factor InvalidLabelError
+        # a plain ValueError, not the analyzers' InvalidLabelError
         assert info.type is ValueError, case
-    # an unknown factor is named first, whatever the number of factors
-    for basis in (("foo",), (POLARIZATION, "foo"), ("foo", OAM_O2, OAM_O2)):
-        with pytest.raises(InvalidLabelError, match="'foo'"):
-            DensityMatrix(np.eye(4) / 4, basis)
-        with pytest.raises(InvalidLabelError, match="'foo'"):
-            StateVector([1, 0, 0, 0], basis)
-    # every ordered pair of known factors is a basis
-    for basis in ((POLARIZATION, POLARIZATION), PAIR, (OAM_O2, POLARIZATION)):
-        assert DensityMatrix(np.eye(4) / 4, list(basis)).basis == basis
 
 
 def test_project_to_physical_clamps_and_renormalizes():
     # the projection reconstruct starts from, on an indefinite estimate
-    raw = DensityMatrix(
-        np.diag([0.8, 0.4, -0.1, -0.1]), (POLARIZATION, OAM_O2), require_positive=False
-    )
+    raw = DensityMatrix(np.diag([0.8, 0.4, -0.1, -0.1]), require_positive=False)
     mat, least = _clip_to_states(raw.matrix)
-    fixed = DensityMatrix(mat, raw.basis)  # physical over the same factors
-    assert fixed.basis == raw.basis
+    fixed = DensityMatrix(mat)  # physical
     assert np.allclose(fixed.matrix, np.diag([2 / 3, 1 / 3, 0, 0]), atol=ATOL)
     assert abs(least) < ATOL
     # idempotent on already physical input
@@ -140,12 +116,18 @@ def test_project_to_physical_clamps_and_renormalizes():
     assert np.max(np.abs(again - fixed.matrix)) < ATOL
 
 
-def test_json_roundtrip_preserves_matrix_and_basis():
+def test_json_roundtrip_preserves_matrix():
     amp = np.array([1, 1j, -1, -1j]) / 2
-    rho = DensityMatrix(np.outer(amp, amp.conj()), (POLARIZATION, OAM_O2))
-    back = matrix_from_json(matrix_to_json(rho))
-    assert back.basis == rho.basis
-    assert np.max(np.abs(back.matrix - rho.matrix)) < ATOL
+    rho = DensityMatrix(np.outer(amp, amp.conj()))
+    block = matrix_to_json(rho)
+    assert list(block) == ["matrix"]
+    # a block as 0.34 wrote it, with its factor names, reads back equal too
+    old = {**block, "basis": ["polarization", "oam_o2"]}
+    for data in (block, old):
+        back = matrix_from_json(data)
+        assert np.max(np.abs(back.matrix - rho.matrix)) < ATOL
+    with pytest.raises(ValueError, match="'matrix'"):
+        matrix_from_json({})
 
 
 def test_json_reads_an_indefinite_linear_estimate_only_when_asked():
@@ -157,21 +139,7 @@ def test_json_reads_an_indefinite_linear_estimate_only_when_asked():
     with pytest.raises(ValueError, match="negative eigenvalue"):
         matrix_from_json(block)
     back = matrix_from_json(block, require_positive=False)
-    assert back.basis == linear.basis
     assert np.array_equal(back.matrix, linear.matrix)
     with pytest.raises(TypeError):
         matrix_from_json(block, positive=False)  # no other keyword is forwarded
 
-
-def test_unknown_factor_names_are_refused():
-    with pytest.raises(InvalidLabelError, match="'foo'"):
-        StateVector([1, 0, 0, 0], ("foo", OAM_O2))
-    with pytest.raises(InvalidLabelError, match="'foo'"):
-        DensityMatrix(np.eye(4) / 4, (POLARIZATION, "foo"))
-    with pytest.raises(InvalidLabelError, match="'oam_full'"):
-        StateVector(np.array([1.0, 0, 0]), ("oam_full",))
-    data = matrix_to_json(DensityMatrix(np.eye(4) / 4, PAIR))
-    with pytest.raises(InvalidLabelError, match="'oam'"):
-        matrix_from_json({**data, "basis": ["oam"]})
-    with pytest.raises(InvalidLabelError, match="'oam'"):
-        matrix_from_json({**data, "basis": [POLARIZATION, "oam"]})

@@ -9,11 +9,7 @@ import pytest
 import tomography_oracle as oracle
 from hybridoam.measurement import CountRecord, MeasurementSetting
 from hybridoam.source import NoiseModel, hybrid_singlet_ket, prepare_hybrid
-from hybridoam.states import (
-    OAM_O2,
-    POLARIZATION,
-    DensityMatrix,
-)
+from hybridoam.states import DensityMatrix
 from hybridoam.tomography import (
     ALICE_LABELS,
     BOB_LABELS,
@@ -84,8 +80,8 @@ def test_basis_pairs_follow_the_label_order():
         np.kron(a, b)
         for a, b in ((np.array([1.0, 0.0]), np.array([0.0, 1.0])), (plus, right), (right, tilted))
     ]
-    states = [DensityMatrix(np.outer(v, v.conj()), (POLARIZATION, OAM_O2)) for v in products]
-    states += [SINGLET, DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))]
+    states = [DensityMatrix(np.outer(v, v.conj())) for v in products]
+    states += [SINGLET, DensityMatrix(np.eye(4) / 4)]
     for rho in states:
         table = {
             (r.setting.alice, r.setting.bob): r.counts
@@ -118,7 +114,7 @@ def test_exact_data_mle_matches_truth():
 
 
 def test_maximally_mixed_state_reconstructs():
-    rho = DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))
+    rho = DensityMatrix(np.eye(4) / 4)
     run = reconstruct(simulate_tomography(rho, exact=True))
     assert np.max(np.abs(run.rho_linear.matrix - np.eye(4) / 4)) < 1e-12
     assert np.max(np.abs(run.rho_mle.matrix - np.eye(4) / 4)) < 1e-8
@@ -146,7 +142,7 @@ def test_concurrence_moves_by_round_off_only():
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h += h.conj().T
         moved = DensityMatrix(
-            estimate.matrix + 2.5e-16 * h / np.abs(h).max(), estimate.basis,
+            estimate.matrix + 2.5e-16 * h / np.abs(h).max(),
             require_positive=False,
         )
         assert abs(concurrence(moved) - c) <= 1e-12
@@ -160,11 +156,11 @@ def test_metric_oracles_on_known_states():
     assert abs(fidelity(pure, PSI) - 1.0) < 1e-12
     assert abs(concurrence(pure) - 1.0) < 1e-12
     assert linear_entropy(pure) < 1e-12
-    mixed = DensityMatrix(np.eye(4) / 4, (POLARIZATION, OAM_O2))
+    mixed = DensityMatrix(np.eye(4) / 4)
     assert abs(fidelity(mixed, PSI) - 0.25) < 1e-12
     assert concurrence(mixed) < 1e-12
     assert abs(linear_entropy(mixed) - 1.0) < 1e-12
-    prod = DensityMatrix(np.diag([1.0, 0, 0, 0]), (POLARIZATION, OAM_O2))
+    prod = DensityMatrix(np.diag([1.0, 0, 0, 0]))
     assert concurrence(prod) < 1e-12
 
 
