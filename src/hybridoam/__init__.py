@@ -8,13 +8,13 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.35.0"
+__version__ = "0.36.0"
 
 # Every export below is what a user calls, receives or catches: a name the
 # CLI, benchmarks/workloads.py or the README's library quick start reads; a
 # class an exported function returns, or a field of one holds; an error the
 # package raises; or a name with a reason beside it.  The chain's internal
-# steps stay in their modules (hybridoam.source.apply_noise, for one).
+# steps stay in their modules (hybridoam.source.fit_noise_model, for one).
 
 from .states import (
     DensityMatrix,

@@ -4,11 +4,13 @@ The source emits the polarization singlet (|HV> - |VH>)/sqrt(2).  Real
 imperfections are folded into a three-parameter noise channel applied to the
 polarization pair before the transfer step (one insertion point keeps the
 model identifiable): a Werner admixture, phase damping on Bob, and a coherent
-rotation error on Bob.  ``hybrid_state`` then moves Bob's qubit onto the
-+/-2 OAM subspace through the fiber filter and the transferrer, applied as
-one compiled 4x4 Kraus operator.  How often the transferrer succeeds is the
-rate budget's ``transfer_prep_eff``: 0.5 for the q-plate and polarizing
-beamsplitter, 1.0 for the interferometric realization.
+rotation error on Bob.  ``prepare_hybrid`` is the one preparation path: it
+applies the channel to the singlet, a module constant, then moves Bob's
+qubit onto the +/-2 OAM subspace through the fiber filter and the
+transferrer, applied as one compiled 4x4 Kraus operator.  How often the
+transferrer succeeds is the rate budget's ``transfer_prep_eff``: 0.5 for the
+q-plate and polarizing beamsplitter, 1.0 for the interferometric
+realization.
 
 Frame convention: after the transferrer the o2 frame is rotated by a fixed
 quarter-turn (h -> |-2>, v -> |+2>, the one free basis choice of the
@@ -68,20 +70,11 @@ class NoiseModel(_Parameters):
     miscal_angle: float = 0.0
 
 
-# The three constant states are built on first call and then shared: the
-# dataclasses are frozen and their arrays read-only.
-@functools.cache
-def singlet_ket() -> StateVector:
-    """Pure polarization singlet (|HV> - |VH>)/sqrt(2)."""
-    amp = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
-    return StateVector(amp)
-
-
-@functools.cache
-def singlet() -> DensityMatrix:
-    """Density matrix of the polarization singlet."""
-    amp = singlet_ket().amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()))
+# The polarization singlet (|HV> - |VH>)/sqrt(2) and the fidelity target
+# below are built once and shared, each read-only.
+_amp = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+_SINGLET = _freeze(np.outer(_amp, _amp.conj()))
+del _amp
 
 
 @functools.cache
@@ -95,54 +88,38 @@ def hybrid_singlet_ket() -> StateVector:
     return StateVector(amp)
 
 
-def apply_noise(rho: DensityMatrix, nm: NoiseModel) -> DensityMatrix:
-    """Noise channel on a two-qubit state, Bob = second factor.
-
-    Fixed composition order: Werner admixture, then phase damping in Bob's
-    computational basis, then the miscalibration rotation on Bob.
-    """
-    m = rho.matrix.astype(complex)
-    m = nm.werner_p * m + (1.0 - nm.werner_p) * np.eye(4) / 4.0
-    if nm.dephase_q != 0.0:
-        damped = sum(p @ m @ p for p in _BOB_PROJECTORS)
-        m = (1.0 - nm.dephase_q) * m + nm.dephase_q * damped
-    if nm.miscal_angle != 0.0:
-        c, s = np.cos(nm.miscal_angle), np.sin(nm.miscal_angle)
-        # kron(I, rotation), with kron's own products so that its zeros
-        # keep their signs
-        r = (_EYE2[:, None, :, None] * np.array([[c, -s], [s, c]])[:, None, :]).reshape(4, 4)
-        m = r @ m @ r.conj().T
-    return DensityMatrix((m + m.conj().T) / 2)
-
-
-def hybrid_state(rho_pol: DensityMatrix) -> DensityMatrix:
-    """Transfer Bob's polarization qubit onto the o2 OAM subspace.
-
-    Takes a two-photon polarization state, the noisy singlet prepare_hybrid
-    passes, and applies the compiled transfer chain: Bob's photon (in the
-    fundamental spatial mode) through the fiber filter and the
-    polarization-to-OAM transferrer, then the fixed frame alignment, with
-    Bob's now-factored |H> polarization discarded.  Returns the renormalized
-    Alice-polarization x Bob-OAM state, whatever the transferrer's success.
-    """
-    u = _TRANSFER_UNITARY
-    out = u @ rho_pol.matrix @ u.conj().T
-    out = (out + out.conj().T) / 2
-    out /= np.trace(out).real
-    return DensityMatrix(out)
-
-
 def prepare_hybrid(
     noise: NoiseModel | str = "ideal", budget: RateBudget = RateBudget()
 ) -> tuple[DensityMatrix, float]:
     """Full preparation chain: singlet, noise channel, hybrid transfer, with
     the noise a model or a preset name.  Returns the hybrid state and the
-    budget's transfer success on the preparation arm, ``budget.transfer_prep_eff``."""
+    budget's transfer success on the preparation arm, ``budget.transfer_prep_eff``.
+
+    The channel acts on the polarization pair, Bob = second factor, in a
+    fixed order: Werner admixture, phase damping in Bob's computational
+    basis, then the miscalibration rotation on Bob.  The transferred state
+    is renormalized, whatever the transferrer's success.
+    """
     if isinstance(noise, str):
         noise = noise_preset(noise)
     elif not isinstance(noise, NoiseModel):
         raise TypeError(f"noise must be a NoiseModel or a preset name, got {type(noise).__name__}")
-    return hybrid_state(apply_noise(singlet(), noise)), budget.transfer_prep_eff
+    if not isinstance(budget, RateBudget):
+        raise TypeError(f"budget must be a RateBudget, got {type(budget).__name__}")
+    m = noise.werner_p * _SINGLET + (1.0 - noise.werner_p) * np.eye(4) / 4.0
+    if noise.dephase_q != 0.0:
+        damped = sum(p @ m @ p for p in _BOB_PROJECTORS)
+        m = (1.0 - noise.dephase_q) * m + noise.dephase_q * damped
+    if noise.miscal_angle != 0.0:
+        c, s = np.cos(noise.miscal_angle), np.sin(noise.miscal_angle)
+        # kron(I, rotation), with kron's own products so that its zeros
+        # keep their signs
+        r = (_EYE2[:, None, :, None] * np.array([[c, -s], [s, c]])[:, None, :]).reshape(4, 4)
+        m = r @ m @ r.conj().T
+    m = (m + m.conj().T) / 2
+    m = _TRANSFER_UNITARY @ m @ _TRANSFER_UNITARY.conj().T
+    m = (m + m.conj().T) / 2
+    return DensityMatrix(m / np.trace(m).real), budget.transfer_prep_eff
 
 
 def fit_noise_model() -> NoiseModel:
@@ -163,16 +140,14 @@ def fit_noise_model() -> NoiseModel:
     return NoiseModel(werner_p=1.0, dephase_q=float(q), miscal_angle=float(theta))
 
 
-_PRESETS = {
-    "ideal": lambda: NoiseModel(1.0, 0.0, 0.0),
-    "fitted": fit_noise_model,
-}
+# Built once: a NoiseModel is frozen, so every caller can share it.
+_PRESETS = {"ideal": NoiseModel(), "fitted": fit_noise_model()}
 
 
 def noise_preset(name: str) -> NoiseModel:
     """Named noise models: "ideal" (no noise) and "fitted" (reference fit)."""
     try:
-        return _PRESETS[name]()
+        return _PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown noise preset {name!r}; available: {sorted(_PRESETS)}"

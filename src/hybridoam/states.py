@@ -69,14 +69,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _number(value):
+    """A state entry that is a number; a bool, numpy's too, a str, None or
+    any other value raises TypeError, where numpy reads "1" and True as 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Number):
+        raise TypeError(f"a state entry must be a number, got {type(value).__name__}")
+    return value
+
+
 def _complex_array(entries, pairs: bool = False) -> np.ndarray:
     """A state's entries, or with ``pairs`` a JSON block's [re, im] pairs, as
     a read-only complex copy, which leaves the caller's array writable.  An
-    integer past float64's range, such as 10**400, raises ValueError as an
-    entry that is not finite, where numpy and complex() raise OverflowError."""
+    ndarray, as the run path passes, is checked by its dtype, any other input
+    entry by entry.  An integer past float64's range, such as 10**400, raises
+    ValueError as an entry that is not finite, where numpy and complex()
+    raise OverflowError."""
     try:
         if pairs:
-            entries = [[complex(re, im) for re, im in row] for row in entries]
+            entries = [[complex(_number(re), _number(im)) for re, im in row] for row in entries]
+        elif not isinstance(entries, np.ndarray) or entries.dtype == object:
+            entries = np.array(entries, dtype=object)
+            for value in entries.flat:
+                _number(value)
+        elif entries.dtype.kind not in "iufc":
+            raise TypeError(f"a state's entries must be numbers, got dtype {entries.dtype}")
         return _freeze(np.array(entries, dtype=complex))
     except OverflowError:
         raise ValueError("state has an entry that is not finite") from None

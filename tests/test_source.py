@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from chain_oracle import reference_hybrid_state
+from hybridoam import source
 from hybridoam.budget import RateBudget
 from hybridoam.source import (
     REFERENCE_FIDELITY,
     REFERENCE_LINEAR_ENTROPY,
     NoiseModel,
-    apply_noise,
     fit_noise_model,
     hybrid_singlet_ket,
-    hybrid_state,
     noise_preset,
     prepare_hybrid,
-    singlet,
-    singlet_ket,
 )
 from hybridoam.tomography import concurrence
 from hybridoam.states import ATOL, DensityMatrix, StateVector
@@ -35,17 +32,16 @@ def linear_entropy_of(rho: DensityMatrix) -> float:
 
 
 def test_singlet_amplitude_patterns():
-    assert np.allclose(singlet_ket().amplitudes, np.array([0, 1, -1, 0]) / S2, atol=ATOL)
+    amp = np.array([0, 1, -1, 0]) / S2
+    assert np.allclose(source._SINGLET, np.outer(amp, amp), atol=ATOL)
     assert np.allclose(
         hybrid_singlet_ket().amplitudes, np.array([1, 0, 0, -1]) / S2, atol=ATOL
     )
 
 
 def test_constant_states_are_built_once_and_read_only():
-    for make in (singlet, singlet_ket, hybrid_singlet_ket):
-        state = make()
-        assert make() is state
-        array = state.matrix if hasattr(state, "matrix") else state.amplitudes
+    assert hybrid_singlet_ket() is hybrid_singlet_ket()
+    for array in (source._SINGLET, hybrid_singlet_ket().amplitudes):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
@@ -62,7 +58,7 @@ def test_deterministic_mode_has_unit_success():
     # a deterministic transferrer is a budget efficiency of 1.0; the state
     # is the same whatever the efficiency, only the success follows it
     nm = NoiseModel(werner_p=0.9, dephase_q=0.1, miscal_angle=0.2)
-    want = hybrid_state(apply_noise(singlet(), nm)).matrix
+    want = prepare_hybrid(nm)[0].matrix
     for eff in (1.0, 0.3, RateBudget().transfer_prep_eff):
         rho, success = prepare_hybrid(nm, RateBudget(transfer_prep_eff=eff))
         assert success == eff
@@ -73,11 +69,13 @@ def test_deterministic_mode_has_unit_success():
 
 
 def test_frame_alignment_maps_computational_basis():
-    # net Bob map through transfer + alignment: H -> |-2>, V -> |+2>
-    rho = hybrid_state(DensityMatrix(np.diag([1.0, 0, 0, 0])))
-    assert abs(rho.matrix[1, 1].real - 1.0) < 1e-10  # |H,-2>
-    rho2 = hybrid_state(DensityMatrix(np.diag([0, 1.0, 0, 0])))
-    assert abs(rho2.matrix[0, 0].real - 1.0) < 1e-10  # |H,+2>
+    # net Bob map through transfer + alignment: H -> |-2>, V -> |+2>.  Full
+    # dephasing leaves the singlet's (|HV><HV| + |VH><VH|)/2, which the
+    # chain maps to |H,+2> and |V,-2>; a quarter-turn on Bob before the
+    # transfer makes it (|HH><HH| + |VV><VV|)/2, mapped to |H,-2> and |V,+2>
+    for angle, diagonal in ((0.0, [0.5, 0, 0, 0.5]), (np.pi / 2, [0, 0.5, 0.5, 0])):
+        rho, _ = prepare_hybrid(NoiseModel(dephase_q=1.0, miscal_angle=angle))
+        assert np.max(np.abs(rho.matrix - np.diag(diagonal))) < 1e-10
 
 
 def test_compiled_transfer_matches_the_element_chain():
@@ -87,20 +85,23 @@ def test_compiled_transfer_matches_the_element_chain():
         for _ in range(50):
             g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = g @ g.conj().T
-            rho_pol = DensityMatrix(m / np.trace(m).real)
-            ref, ref_success = reference_hybrid_state(rho_pol.matrix, success)
-            rho = hybrid_state(rho_pol)
-            assert np.max(np.abs(rho.matrix - ref)) < 1e-12
+            rho_pol = m / np.trace(m).real
+            ref, ref_success = reference_hybrid_state(rho_pol, success)
+            # the compiled operator prepare_hybrid applies, renormalized
+            u = source._TRANSFER_UNITARY
+            rho = u @ rho_pol @ u.conj().T
+            assert np.max(np.abs(rho / np.trace(rho).real - ref)) < 1e-12
             assert abs(ref_success - success) < 1e-12
 
 
 def test_transfer_preserves_spectrum():
-    nm = NoiseModel(werner_p=0.7)
-    rho_pol = apply_noise(singlet(), nm)
-    rho_hyb = hybrid_state(rho_pol)
-    w_in = np.sort(np.linalg.eigvalsh(rho_pol.matrix))
-    w_out = np.sort(np.linalg.eigvalsh(rho_hyb.matrix))
-    assert np.max(np.abs(w_in - w_out)) < 1e-10
+    # the rotation and the transfer are unitary, so the prepared state keeps
+    # the spectrum of the Werner-mixed, dephased singlet:
+    # (1 - p)/4 + p {0, 0, q/2, 1 - q/2}
+    for p, q, t in ((0.7, 0.0, 0.0), (0.9, 0.3, 0.0), (0.8, 0.2, 0.4), (1.0, 0.05, -1.1)):
+        rho, _ = prepare_hybrid(NoiseModel(p, q, t))
+        want = (1 - p) / 4 + p * np.array([0.0, 0.0, q / 2, 1 - q / 2])
+        assert np.max(np.abs(np.linalg.eigvalsh(rho.matrix) - want)) < 1e-10
 
 
 def test_werner_closed_forms_through_the_chain():
@@ -112,17 +113,17 @@ def test_werner_closed_forms_through_the_chain():
 
 
 def test_dephasing_scales_coherences():
-    nm = NoiseModel(dephase_q=0.2)
-    rho = apply_noise(singlet(), nm)
-    # off-diagonal |HV><VH| element shrinks by (1-q), diagonal untouched
-    assert abs(rho.matrix[1, 2].real - (-0.5 * 0.8)) < ATOL
-    assert abs(rho.matrix[1, 1].real - 0.5) < ATOL
+    rho, _ = prepare_hybrid(NoiseModel(dephase_q=0.2))
+    # the singlet's |HV><VH| coherence, carried to |H,+2><V,-2|, shrinks by
+    # (1-q); the diagonal is untouched
+    assert abs(rho.matrix[0, 3].real - (-0.5 * 0.8)) < ATOL
+    assert abs(rho.matrix[0, 0].real - 0.5) < ATOL
 
 
 def test_rotation_only_lowers_fidelity_as_cos_squared():
     for t in (0.1, 0.19789613827834454):
-        rho = apply_noise(singlet(), NoiseModel(miscal_angle=t))
-        f = fidelity_to(rho, singlet_ket())
+        rho, _ = prepare_hybrid(NoiseModel(miscal_angle=t))
+        f = fidelity_to(rho, hybrid_singlet_ket())
         assert abs(f - np.cos(t) ** 2) < 1e-12
 
 
@@ -179,6 +180,8 @@ def test_fitted_preset_hits_reference_metrics_through_the_chain():
 def test_noise_presets():
     assert noise_preset("ideal") == NoiseModel(1.0, 0.0, 0.0)
     assert noise_preset("fitted") == fit_noise_model()
+    # built once and shared: a NoiseModel is frozen
+    assert noise_preset("fitted") is noise_preset("fitted")
     with pytest.raises(ValueError):
         noise_preset("lab")
     # the preparation takes a model or a preset name, "ideal" by default
@@ -188,3 +191,7 @@ def test_noise_presets():
         message = f"NoiseModel or a preset name, got {type(bad).__name__}$"
         with pytest.raises(TypeError, match=message):
             prepare_hybrid(bad)
+    for bad in ({"qplate_eff": 1}, None):
+        message = f"budget must be a RateBudget, got {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            prepare_hybrid("ideal", bad)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -143,3 +144,67 @@ def test_json_reads_an_indefinite_linear_estimate_only_when_asked():
     with pytest.raises(TypeError):
         matrix_from_json(block, positive=False)  # no other keyword is forwarded
 
+
+
+# Values a state entry might be handed: non-finite, boolean, narrow,
+# non-numeric and past float64's range.
+FUZZ_ENTRIES = [
+    np.nan, np.inf, -np.inf, True, False, np.True_, np.float32(0.25),
+    "1", None, 2**64, 10**400, 10**5000,
+]
+NOT_NUMBERS = (str, bool, np.bool_, type(None))
+WRONG_SHAPES = [[], 0.5, [0.5] * 3, [[0.5] * 4], [[0.25] * 4] * 3, [[[0.25]] * 4] * 4]
+
+
+def _fuzzed_calls(rng, value):
+    """Each state constructor on a valid state with ``value`` put in one
+    random entry: (value, call, whether the input is a list)."""
+    i, j = (int(k) for k in rng.integers(4, size=2))
+    ket = [0.5] * 4
+    ket[i] = value
+    rho = (np.eye(4) / 4).tolist()
+    rho[i][j] = value
+    if rng.random() < 0.5:
+        rho[j][i] = value  # Hermitian when the value is real
+    pairs = [[[x, 0.0] for x in row] for row in (np.eye(4) / 4).tolist()]
+    pairs[i][j][int(rng.integers(2))] = value
+    yield value, lambda: StateVector(ket), True
+    yield value, lambda: DensityMatrix(rho), True
+    yield value, lambda: DensityMatrix(rho, require_positive=False), True
+    yield value, lambda: matrix_from_json({"matrix": pairs}), True
+    # numpy's own conversion may turn the value into a number first
+    yield value, lambda: StateVector(np.array(ket)), False
+    yield value, lambda: DensityMatrix(np.array(rho)), False
+
+
+def test_state_constructors_take_or_refuse_fuzzed_entries():
+    rng = np.random.default_rng(38)
+    calls = [call for _ in range(10) for v in FUZZ_ENTRIES for call in _fuzzed_calls(rng, v)]
+    for shape in WRONG_SHAPES:
+        calls += [
+            (shape, lambda s=shape: StateVector(s), True),
+            (shape, lambda s=shape: DensityMatrix(s), True),
+            (shape, lambda s=shape: matrix_from_json({"matrix": s}), True),
+            (shape, lambda s=shape: StateVector(np.array(s)), False),
+        ]
+    for pairs in ([[[0.25]] * 4] * 4, [[[0.25, 0.0, 0.0]] * 4] * 4, [[0.25] * 4] * 4):
+        calls.append((pairs, lambda p=pairs: matrix_from_json({"matrix": p}), True))
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the call
+        for value, call, from_list in calls:
+            try:
+                call()
+            except (ValueError, TypeError) as err:
+                # a typed refusal, not a raw numpy error such as LinAlgError
+                assert type(err) in (ValueError, TypeError), (value, err)
+                refused = err
+            else:
+                refused = None
+            outcomes.add("built" if refused is None else type(refused).__name__)
+            if from_list and isinstance(value, NOT_NUMBERS):
+                assert isinstance(refused, TypeError), (value, refused)
+            if type(value) is int and value > 2**1024:
+                assert isinstance(refused, ValueError), refused
+                assert "not finite" in str(refused)
+    assert outcomes == {"built", "ValueError", "TypeError"}
