@@ -385,28 +385,33 @@ def read_counts_csv(path) -> list[CountRecord]:
     (an exact-mode expectation), and a non-finite one raises ValueError.
     So does a row without 6 cells, and a numeric cell with what Python's
     literals accept but write_counts_csv never writes: a '_', a leading '+'
-    or surrounding whitespace.
+    or surrounding whitespace, and a line the csv module cannot parse, such
+    as one with a cell past its field size limit.
     """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        # each column once: a repeated one's last cell would replace the first
-        if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(_CSV_COLUMNS):
-            raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
-        for row in reader:
-            if None in row or None in row.values():  # more cells than columns, or fewer
-                raise ValueError(f"CSV line {reader.line_num} does not have 6 cells")
-            for column in ("duration_s", "counts", "seed"):
-                _plain(row[column], f"{column} cell")
-            s = MeasurementSetting(row["alice"], row["bob"], float(row["duration_s"]))
-            if row["setting_label"] != s.label:
-                raise ValueError(
-                    f"setting label {row['setting_label']!r} does not name {s.label!r}"
-                )
-            try:
-                counts = int(row["counts"])
-            except ValueError:
-                counts = float(row["counts"])
-            # CountRecord refuses a negative seed
-            records.append(CountRecord(s, counts, int(row["seed"])))
+        try:
+            # each column once: a repeated one's last cell would replace the first
+            if reader.fieldnames is None or sorted(reader.fieldnames) != sorted(_CSV_COLUMNS):
+                raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
+            for row in reader:
+                if None in row or None in row.values():  # more cells than columns, or fewer
+                    raise ValueError(f"CSV line {reader.line_num} does not have 6 cells")
+                for column in ("duration_s", "counts", "seed"):
+                    _plain(row[column], f"{column} cell")
+                s = MeasurementSetting(row["alice"], row["bob"], float(row["duration_s"]))
+                if row["setting_label"] != s.label:
+                    raise ValueError(
+                        f"setting label {row['setting_label']!r} does not name {s.label!r}"
+                    )
+                try:
+                    counts = int(row["counts"])
+                except ValueError:
+                    counts = float(row["counts"])
+                # CountRecord refuses a negative seed
+                records.append(CountRecord(s, counts, int(row["seed"])))
+        except csv.Error as err:  # such as a cell past the csv module's field size limit
+            # the DictReader's line_num stops at the last row it returned
+            raise ValueError(f"CSV line {reader.reader.line_num}: {err}") from None
     return records

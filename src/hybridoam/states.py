@@ -86,6 +86,12 @@ def _complex_array(entries, pairs: bool = False) -> np.ndarray:
     raise OverflowError."""
     try:
         if pairs:
+            seq = (list, tuple)
+            if not isinstance(entries, seq) or not all(
+                isinstance(row, seq) and all(isinstance(p, seq) and len(p) == 2 for p in row)
+                for row in entries
+            ):
+                raise TypeError("a density-matrix block's 'matrix' must be rows of [re, im] pairs")
             entries = [[complex(_number(re), _number(im)) for re, im in row] for row in entries]
         elif not isinstance(entries, np.ndarray) or entries.dtype == object:
             entries = np.array(entries, dtype=object)
@@ -255,6 +261,8 @@ def matrix_from_json(data: dict, require_positive: bool = True) -> DensityMatrix
     """The DensityMatrix a matrix_to_json block holds, whatever its other keys,
     such as the "basis" of a block written before 0.35; a rho_linear block
     whose linear inversion went negative needs ``require_positive=False``."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a density-matrix block must be an object, got {type(data).__name__}")
     if "matrix" not in data:
         raise ValueError("a density-matrix block needs a 'matrix' key")
     mat = _complex_array(data["matrix"], pairs=True)

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1002,6 +1003,8 @@ def test_counts_csv_rejects_mislabelled_rows_and_negative_seeds(tmp_path):
     cases += [(4, value, "counts cell")
               for value in ("1_000", "+1000", " 1000", "1_0.5", "\u0661\u0660")]
     cases += [(3, "1_5", "duration_s cell"), (5, "+7", "seed cell")]
+    # a cell the csv module will not read: a ValueError naming its line
+    cases += [(4, "1" * 200_000, r"CSV line 2: field larger than field limit")]
     # and a scan tag's angle is read by the same rule
     cases += [(1, "theta=1_0", "scan angle")]
     for column, value, match in cases:
@@ -1026,6 +1029,71 @@ def test_counts_csv_rejects_foreign_columns(tmp_path):
     path.write_text(f"{header}\nH|+2,H,+2,15,5,0,999\n")
     with pytest.raises(ValueError, match="unexpected CSV columns"):
         read_counts_csv(path)
+
+
+# Cells a counts file might hold where write_counts_csv writes a label or a
+# number; the last is longer than the csv module reads in one field.
+FUZZ_CELLS = [
+    "nan", "NaN", "inf", "-inf", "-1", "1e400", str(2**64), "", "True", "1_0", "+1", " 1",
+    "1" * 200_000,
+]
+
+
+def test_read_counts_csv_returns_records_or_a_typed_refusal(tmp_path):
+    # seeded fuzz: cells replaced, rows dropped or repeated, the header
+    # permuted or repeated; every file reads back records or raises
+    # ValueError or TypeError, with no other exception and no warning
+    rng = np.random.default_rng(39)
+    tables = [
+        tomography.simulate_tomography(SINGLET, seed=4),
+        fringe_scan(SINGLET, "h", GRID16, exact=True),
+    ]
+    path = tmp_path / "counts.csv"
+    outcomes = set()
+    for _ in range(300):
+        records = tables[int(rng.integers(len(tables)))]
+        write_counts_csv(records, path)
+        header, *rows = (line.split(",") for line in path.read_text().splitlines())
+        # the record each row holds (None for a copy of the header), as long
+        # as only whole rows and whole columns move
+        held = list(range(len(rows)))
+        moved_only = True
+        for kind in rng.integers(6, size=int(rng.integers(1, 4))):
+            if kind == 0 and rows:  # a cell replaced
+                row = rows[int(rng.integers(len(rows)))]
+                row[int(rng.integers(6))] = FUZZ_CELLS[int(rng.integers(len(FUZZ_CELLS)))]
+                moved_only = False
+            elif kind == 1 and rows:  # rows dropped
+                drop = set(rng.choice(len(rows), size=int(rng.integers(1, len(rows) + 1))))
+                rows = [r for i, r in enumerate(rows) if i not in drop]
+                held = [h for i, h in enumerate(held) if i not in drop]
+            elif kind == 2 and rows:  # a row repeated
+                i, at = int(rng.integers(len(rows))), int(rng.integers(len(rows) + 1))
+                rows.insert(at, list(rows[i]))
+                held.insert(at, held[i])
+            elif kind == 3:  # the header repeated
+                at = int(rng.integers(len(rows) + 1))
+                rows.insert(at, list(header))
+                held.insert(at, None)
+            elif kind == 4:  # the header permuted, its columns with it
+                perm = rng.permutation(6)
+                header, rows = [header[k] for k in perm], [[r[k] for k in perm] for r in rows]
+            elif kind == 5:  # the header permuted alone
+                header = [header[k] for k in rng.permutation(6)]
+                moved_only = False
+        path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = read_counts_csv(path)
+            except (ValueError, TypeError) as err:
+                got = err
+        if moved_only and None in held:  # a header line among the rows
+            assert isinstance(got, ValueError), got
+        elif moved_only:
+            assert got == [records[i] for i in held]
+        outcomes.add("records" if isinstance(got, list) else "refused")
+    assert outcomes == {"records", "refused"}
 
 
 def test_defaults_are_the_reference_acquisition():

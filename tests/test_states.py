@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -154,6 +155,13 @@ FUZZ_ENTRIES = [
 ]
 NOT_NUMBERS = (str, bool, np.bool_, type(None))
 WRONG_SHAPES = [[], 0.5, [0.5] * 3, [[0.5] * 4], [[0.25] * 4] * 3, [[[0.25]] * 4] * 4]
+# JSON blocks that are not an object, and "matrix" values that are not rows
+# of [re, im] pairs: each refused with a TypeError that says which
+NOT_BLOCKS = ["matrix", 5, None, [1, 2]]
+NOT_PAIR_ROWS = [
+    5, "ab", None, [[0.25] * 4] * 4, [[[0.25]] * 4] * 4, [[[0.25, 0.0, 0.0]] * 4] * 4,
+    [["ab"] * 4] * 4, [[{"re": 0.25, "im": 0.0}] * 4] * 4,
+]
 
 
 def _fuzzed_calls(rng, value):
@@ -187,8 +195,11 @@ def test_state_constructors_take_or_refuse_fuzzed_entries():
             (shape, lambda s=shape: matrix_from_json({"matrix": s}), True),
             (shape, lambda s=shape: StateVector(np.array(s)), False),
         ]
-    for pairs in ([[[0.25]] * 4] * 4, [[[0.25, 0.0, 0.0]] * 4] * 4, [[0.25] * 4] * 4):
-        calls.append((pairs, lambda p=pairs: matrix_from_json({"matrix": p}), True))
+    refusals = [(lambda b=b: matrix_from_json(b), f"got {type(b).__name__}") for b in NOT_BLOCKS]
+    refusals += [
+        (lambda m=m: matrix_from_json({"matrix": m}), "must be rows of [re, im] pairs")
+        for m in NOT_PAIR_ROWS
+    ]
     outcomes = set()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning fails the call
@@ -207,4 +218,7 @@ def test_state_constructors_take_or_refuse_fuzzed_entries():
             if type(value) is int and value > 2**1024:
                 assert isinstance(refused, ValueError), refused
                 assert "not finite" in str(refused)
+        for call, says in refusals:
+            with pytest.raises(TypeError, match=re.escape(says)):
+                call()
     assert outcomes == {"built", "ValueError", "TypeError"}
