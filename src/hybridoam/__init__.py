@@ -8,7 +8,7 @@ maximum-likelihood refinement, fringe visibility, CHSH, and the
 coincidence-rate budget.
 """
 
-__version__ = "0.36.0"
+__version__ = "0.37.0"
 
 # Every export below is what a user calls, receives or catches: a name the
 # CLI, benchmarks/workloads.py or the README's library quick start reads; a

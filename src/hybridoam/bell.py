@@ -31,7 +31,7 @@ from .measurement import (
     DEFAULT_RATE_CPS,
     CountRecord,
     _count_records,
-    _one_duration,
+    _table,
     _tag,
 )
 from .states import DensityMatrix, _check_real
@@ -91,18 +91,17 @@ class ChshResult:
     @classmethod
     def from_records(cls, records) -> ChshResult:
         """S from the 16 outcome records of chsh_records, in its order and at
-        one duration, or ValueError.  Each pair's correlation is the
-        count-ratio estimator [N(++) + N(--) - N(+-) - N(-+)] / N over its
-        four outcome counts, undefined (UndefinedCorrelationError) where all
-        four are zero.  Float counts are exact expectations, as CountRecord
-        holds them, and give no sigma; integer counts are draws, whose
-        first-order Poisson errors give sigma.  A table that mixes the two is
-        neither, and raises ValueError."""
-        records = list(records)
+        one duration, or ValueError (TypeError for an entry that is not a
+        CountRecord).  Each pair's correlation is the count-ratio estimator
+        [N(++) + N(--) - N(+-) - N(-+)] / N over its four outcome counts,
+        undefined (UndefinedCorrelationError) where all four are zero.  Float
+        counts are exact expectations, as CountRecord holds them, and give no
+        sigma; integer counts are draws, whose first-order Poisson errors give
+        sigma.  A table that mixes the two is neither, and raises ValueError."""
+        records = _table(records, ValueError)
         labels = tuple((r.setting.alice, r.setting.bob) for r in records)
         if labels != _OUTCOMES:
             raise ValueError("CHSH needs its 16 outcome settings in draw order")
-        _one_duration((r.setting.duration_s for r in records), ValueError)
         kinds = {type(r.counts) for r in records}
         if len(kinds) > 1:
             raise ValueError("CHSH counts must be all draws (int) or all expectations (float)")

@@ -1,14 +1,15 @@
 """Coincidence-rate bookkeeping for the transfer chain.
 
-Multiplies the stage efficiencies into preparation and detection
-probabilities and an expected pair rate.  Reference values: a 6 kHz source,
-q-plate conversion 0.80, probabilistic transferrers 0.5 each, fiber
-coupling 0.2, giving p_prep = 0.40, p_det = 0.08 and a model rate of
-192 cps against an observed 100 cps; unlisted losses (detector efficiency,
-Alice-arm coupling) presumably account for the gap, and the report states
-the ratio instead of inventing a fudge factor.  The two transfer
-efficiencies are the one model of the transferrer: a deterministic stage is
-an efficiency of 1.0.
+budget_report is the one path to every rate-chain number: it multiplies the
+stage efficiencies into preparation and detection probabilities and an
+expected pair rate, for the budget and for its upgraded chain.  Reference
+values: a 6 kHz source, q-plate conversion 0.80, probabilistic transferrers
+0.5 each, fiber coupling 0.2, giving p_prep = 0.40, p_det = 0.08 and a model
+rate of 192 cps against an observed 100 cps; unlisted losses (detector
+efficiency, Alice-arm coupling) presumably account for the gap, and the
+report states the ratio instead of inventing a fudge factor.  The two
+transfer efficiencies are the one model of the transferrer: a deterministic
+stage is an efficiency of 1.0.
 """
 
 from __future__ import annotations
@@ -35,46 +36,33 @@ class RateBudget(_Parameters):
     fiber_coupling: float = 0.2
 
 
-def prep_probability(b: RateBudget) -> float:
-    """Probability the hybrid state is prepared on Bob's photon."""
-    return b.qplate_eff * b.transfer_prep_eff
-
-
-def det_probability(b: RateBudget) -> float:
-    """Probability Bob's OAM qubit survives analysis back to a detector."""
-    return b.qplate_eff * b.transfer_det_eff * b.fiber_coupling
-
-
-def expected_rate(b: RateBudget) -> float:
-    """Model coincidence rate: source rate x p_prep x p_det."""
-    return b.c_source_cps * prep_probability(b) * det_probability(b)
-
-
-def upgraded_budget(b: RateBudget) -> RateBudget:
-    """The projected improved chain: deterministic transferrers (efficiency
-    1.0) on both stages and doubled fiber coupling, capped at 1."""
-    return replace(
-        b,
-        transfer_prep_eff=1.0,
-        transfer_det_eff=1.0,
-        fiber_coupling=min(1.0, 2.0 * b.fiber_coupling),
-    )
-
-
 def budget_report(b: RateBudget) -> dict:
     """Rates, probabilities, and the gap between the model and the observed
     DEFAULT_OBSERVED_RATE_CPS, plus the projected gain from the upgraded
-    chain scaled off the observed rate."""
+    chain scaled off the observed rate.
+
+    Of a chain: p_prep = qplate_eff x transfer_prep_eff, the probability
+    the hybrid state is prepared on Bob's photon; p_det = qplate_eff x
+    transfer_det_eff x fiber_coupling, the probability Bob's OAM qubit
+    survives analysis back to a detector; and the model coincidence rate
+    c_source_cps x p_prep x p_det.  The upgraded chain has deterministic
+    transferrers (efficiency 1.0) on both stages and doubled fiber
+    coupling, capped at 1; its rate over b's is the gain, NaN at a zero rate.
+    """
 
     def chain(budget: RateBudget) -> dict:
+        p_prep = budget.qplate_eff * budget.transfer_prep_eff
+        p_det = budget.qplate_eff * budget.transfer_det_eff * budget.fiber_coupling
         return {
             "budget": budget.as_dict(),
-            "prep_probability": prep_probability(budget),
-            "det_probability": det_probability(budget),
-            "expected_rate_cps": expected_rate(budget),
+            "prep_probability": p_prep,
+            "det_probability": p_det,
+            "expected_rate_cps": budget.c_source_cps * p_prep * p_det,
         }
 
-    report, upgrade = chain(b), chain(upgraded_budget(b))
+    upgraded = replace(b, transfer_prep_eff=1.0, transfer_det_eff=1.0,
+                       fiber_coupling=min(1.0, 2.0 * b.fiber_coupling))
+    report, upgrade = chain(b), chain(upgraded)
     rate = report["expected_rate_cps"]
     gain = upgrade["expected_rate_cps"] / rate if rate > 0 else float("nan")
     return {

@@ -214,8 +214,7 @@ def _operators(pairs: tuple[tuple[str, str], ...]) -> np.ndarray:
     ]))
 
 
-# typed, so that a bool duration misses the settings cached for 0 or 1 and is refused
-@functools.lru_cache(maxsize=16, typed=True)
+@functools.lru_cache(maxsize=16)
 def _compiled(
     pairs: tuple[tuple[str, str], ...], duration_s: float
 ) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
@@ -239,12 +238,19 @@ def _count_records(
     row in the likelihood's form, the dot product of vec(Pi_k) and vec(rho)
     read as 32 real floats each.  The counts are one Poisson draw, in pair
     order, from the experiment's stream ``path`` off ``seed``, or with
-    ``exact`` the unrounded means; each record carries the run's seed.  The
-    duration, seed and rate are checked in that order, then the
+    ``exact`` the unrounded means; each record carries the run's seed.  A
+    state that is not a DensityMatrix, and an ``exact`` that is not a bool,
+    Python's or numpy's, raise TypeError; then the duration, before the
+    cache, the seed and the rate are checked in that order, then the
     probabilities; a mean above 2**53, the most a CountRecord holds, raises
     ValueError in either mode, and so does an exact table whose largest
     mean is positive but subnormal (below np.finfo(float).tiny).
     """
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"state must be a DensityMatrix, got {type(rho).__name__}")
+    if not isinstance(exact, (bool, np.bool_)):
+        raise TypeError(f"exact must be a bool, got {type(exact).__name__}")
+    duration_s = _check_real("duration", duration_s, math.ulp(0.0))
     settings, ops = _compiled(pairs, duration_s)
     rng = _stream(seed, path, exact)
     rate_cps = _check_real("rate", rate_cps, 0.0)
@@ -256,7 +262,6 @@ def _count_records(
     if outside.any():
         raise ValueError(f"probability {float(probs[outside.argmax()])} outside [0, 1]")
     # Python floats, whose product past float64's range is inf without numpy's warning
-    duration_s = settings[0].duration_s
     means = [max(p, 0.0) * rate_cps * duration_s for p in probs.tolist()]
     # refused before numpy's Poisson draw, which would refuse in its own words
     top = max(means)
@@ -309,12 +314,19 @@ def _scan_pairs(grid: bytes, bob: str) -> tuple[tuple[str, str], ...]:
     return tuple((_tag(t), bob) for t in np.frombuffer(grid).tolist())
 
 
-def _one_duration(durations, error: type[ValueError]) -> None:
-    """Refuse, with ``error``, a table whose settings' ``durations`` differ,
-    since its counts are then not on one scale."""
-    durations = set(durations)
-    if len(durations) > 1:
+def _table(records, error: type[ValueError] | None) -> list[CountRecord]:
+    """A count table, read once, as a list: the one reader of every table.
+    An entry that is not a CountRecord raises TypeError; with an ``error``
+    type, a table whose settings' durations differ raises it, since its
+    counts are then not on one scale."""
+    table = list(records)
+    for r in table:
+        if not isinstance(r, CountRecord):
+            raise TypeError(f"a count table holds CountRecords, got {type(r).__name__}")
+    durations = {r.setting.duration_s for r in table}
+    if error is not None and len(durations) > 1:
         raise error(f"settings measured for different durations: {sorted(durations)} s")
+    return table
 
 
 def fit_fringe(records) -> tuple[float, float, float]:
@@ -323,24 +335,23 @@ def fit_fringe(records) -> tuple[float, float, float]:
     angle of its Alice tag, its counts a float.
 
     Linear in (N0, N0 V cos phi0, N0 V sin phi0); returns (N0, V, phi0)
-    with V clamped to [0, 1].  Raises FitFailureError, in this order, for a
-    record whose Alice analyzer is not a tag, a table of more than one Bob
-    analyzer or duration, fewer than MIN_FRINGE_POINTS points, angles that
+    with V clamped to [0, 1].  An entry that is not a CountRecord raises
+    TypeError.  Raises FitFailureError, in this order, for a table of more
+    than one duration, a record whose Alice analyzer is not a tag, more
+    than one Bob analyzer, fewer than MIN_FRINGE_POINTS points, angles that
     leave the three basis functions dependent, and a fitted N0 that is not
     positive.
     """
-    thetas, counts, bobs, durations = [], [], set(), set()
-    for r in records:
+    thetas, counts, bobs = [], [], set()
+    for r in _table(records, FitFailureError):
         s = r.setting
         if not s.alice.startswith(_THETA_PREFIX):
             raise FitFailureError(f"setting {s.label!r} is not a fringe scan point")
         thetas.append(_theta(s.alice))
         counts.append(float(r.counts))
         bobs.add(s.bob)
-        durations.add(s.duration_s)
     if len(bobs) > 1:
         raise FitFailureError(f"a fringe scan has one Bob analyzer, got {sorted(bobs)}")
-    _one_duration(durations, FitFailureError)
     if len(thetas) < MIN_FRINGE_POINTS:
         raise FitFailureError(f"need at least {MIN_FRINGE_POINTS} points, got {len(thetas)}")
     thetas = np.array(thetas)
@@ -363,8 +374,10 @@ def write_counts_csv(records, path) -> None:
 
     Counts are written with 17 significant digits, which hold every count
     up to 2**53 exactly; a float count gets ".0" where those are all digits,
-    so that it reads back a float: 750.0 is written "750.0".
+    so that it reads back a float: 750.0 is written "750.0".  An entry that
+    is not a CountRecord raises TypeError before the file is opened.
     """
+    records = _table(records, None)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_COLUMNS)

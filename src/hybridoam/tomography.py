@@ -54,9 +54,9 @@ from .measurement import (
     DEFAULT_RATE_CPS,
     CountRecord,
     _count_records,
-    _one_duration,
     _operators,
     _stream,
+    _table,
 )
 from .source import hybrid_singlet_ket
 from .states import (
@@ -211,8 +211,8 @@ def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
     """Counts and per-setting group totals, in canonical setting order.  The
     records must hold every setting once, all measured for one duration,
     since counts are normalized within each basis pair."""
-    table, durations = {}, set()  # canonical index -> counts
-    for r in records:
+    table = {}  # canonical index -> counts
+    for r in _table(records, InsufficientDataError):
         key = (r.setting.alice, r.setting.bob)
         i = _INDEX.get(key)
         if i is None:
@@ -220,11 +220,9 @@ def _count_table(records) -> tuple[np.ndarray, np.ndarray]:
         if i in table:
             raise InsufficientDataError(f"duplicate setting {key}")
         table[i] = float(r.counts)
-        durations.add(r.setting.duration_s)
     missing = [k for i, k in enumerate(_KEYS) if i not in table]
     if missing:
         raise InsufficientDataError(f"missing settings: {missing[:4]}...")
-    _one_duration(durations, InsufficientDataError)
     counts = np.array([table[i] for i in range(len(_KEYS))])
     gtot = counts @ _GROUP_SUM
     if gtot.min() <= 0:

@@ -5,45 +5,42 @@ from hybridoam.budget import (
     DEFAULT_OBSERVED_RATE_CPS,
     RateBudget,
     budget_report,
-    det_probability,
-    expected_rate,
     format_report,
-    prep_probability,
-    upgraded_budget,
 )
 
 
 def test_default_chain_probabilities():
-    b = RateBudget()
+    rep = budget_report(RateBudget())
     # 0.8 qplate x 0.5 transferrer on the prep arm
-    assert abs(prep_probability(b) - 0.40) < 1e-12
+    assert abs(rep["prep_probability"] - 0.40) < 1e-12
     # 0.8 x 0.5 x 0.2 fiber on the detection arm
-    assert abs(det_probability(b) - 0.08) < 1e-12
-    assert abs(expected_rate(b) - 192.0) < 1e-9
+    assert abs(rep["det_probability"] - 0.08) < 1e-12
+    assert abs(rep["expected_rate_cps"] - 192.0) < 1e-9
 
 
 def test_upgrade_projection():
-    b = RateBudget()
-    up = upgraded_budget(b)
-    assert up.transfer_prep_eff == up.transfer_det_eff == 1.0
-    assert abs(up.fiber_coupling - 0.4) < 1e-12
+    rep = budget_report(RateBudget())
+    up = rep["upgrade"]
+    assert up["budget"]["transfer_prep_eff"] == up["budget"]["transfer_det_eff"] == 1.0
+    assert abs(up["budget"]["fiber_coupling"] - 0.4) < 1e-12
     # 2x per transferrer, 2x fiber: 8x overall
-    gain = expected_rate(up) / expected_rate(b)
+    gain = up["expected_rate_cps"] / rep["expected_rate_cps"]
     assert abs(gain - 8.0) < 1e-12
+    assert up["rate_gain"] == gain
     # cap at unity
-    near = RateBudget(fiber_coupling=0.7)
-    assert abs(upgraded_budget(near).fiber_coupling - 1.0) < 1e-12
+    near = budget_report(RateBudget(fiber_coupling=0.7))
+    assert abs(near["upgrade"]["budget"]["fiber_coupling"] - 1.0) < 1e-12
 
 
 def test_deterministic_flags_change_single_stages():
     # a deterministic transferrer is a transfer efficiency of 1.0
-    base = RateBudget()
-    det_prep = RateBudget(transfer_prep_eff=1.0)
-    assert abs(prep_probability(det_prep) - 0.80) < 1e-12
-    assert abs(det_probability(det_prep) - det_probability(base)) < 1e-12
-    det_det = RateBudget(transfer_det_eff=1.0)
-    assert abs(det_probability(det_det) - 0.16) < 1e-12
-    assert abs(expected_rate(det_det) / expected_rate(base) - 2.0) < 1e-12
+    base = budget_report(RateBudget())
+    det_prep = budget_report(RateBudget(transfer_prep_eff=1.0))
+    assert abs(det_prep["prep_probability"] - 0.80) < 1e-12
+    assert abs(det_prep["det_probability"] - base["det_probability"]) < 1e-12
+    det_det = budget_report(RateBudget(transfer_det_eff=1.0))
+    assert abs(det_det["det_probability"] - 0.16) < 1e-12
+    assert abs(det_det["expected_rate_cps"] / base["expected_rate_cps"] - 2.0) < 1e-12
 
 
 def test_validation():
@@ -58,13 +55,16 @@ def test_validation():
 
 
 def test_numpy_scalar_efficiencies_compute_in_float64():
-    # every field is stored as the guard's float, so the probabilities and
-    # the rate are Python floats whatever scalar type the caller passed
+    # every field is stored as the guard's float, so the report's
+    # probabilities and rates are Python floats whatever scalar type the
+    # caller passed
     narrow = RateBudget(6000, np.float32(0.8), np.float16(0.5), np.float32(0.5), np.float32(0.2))
     assert all(type(v) is float for v in narrow.as_dict().values())
-    assert type(prep_probability(narrow)) is float
-    assert prep_probability(narrow) == float(np.float32(0.8)) * 0.5
-    assert type(expected_rate(narrow)) is float
+    rep = budget_report(narrow)
+    assert type(rep["prep_probability"]) is float
+    assert rep["prep_probability"] == float(np.float32(0.8)) * 0.5
+    assert type(rep["expected_rate_cps"]) is float
+    assert type(rep["upgrade"]["expected_rate_cps"]) is float
     assert narrow.as_dict()["c_source_cps"] == 6000.0
 
 

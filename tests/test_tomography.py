@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -840,3 +841,76 @@ def test_state_metrics_validation():
         StateMetrics(1.2, 0.5, 0.1, 0.01, 0.01, 0.01)
     with pytest.raises(ValueError):
         StateMetrics(0.9, 0.5, 0.1, -0.01, 0.01, 0.01)
+
+
+# Values a tomography argument, a count table or one of its entries might be
+# handed: non-finite, negative, boolean, narrow, fractional where an int is
+# due, past float64's range, not a number, and the wrong shape.
+_FUZZ = (
+    np.nan, np.inf, -np.inf, -1, -1.0, 0, 0.0, 5e-324, 1.5, 1e308, True, False,
+    np.True_, np.False_, np.float32(100.0), np.float32(np.nan), np.int64(3),
+    2**64, 10**400, 10**5000, "3", "abc", None, [15.0], np.array(15.0),
+    np.array([1, 2]), np.zeros((36, 4)), np.eye(4) / 4,
+)
+
+
+def test_fuzzed_tomography_inputs_return_or_raise_typed_errors():
+    rng = np.random.default_rng(40)
+
+    def pick(pool):
+        return pool[rng.integers(len(pool))]
+
+    def fuzzed(valid):
+        # the valid arguments with one or two of them replaced
+        args = list(valid)
+        for i in rng.choice(len(args), size=rng.integers(1, 3), replace=False):
+            args[i] = pick(_FUZZ)
+        return args
+
+    # the fitted preset counts every setting, so that no three edits empty a
+    # basis pair's resamples: a sparse table's bootstrap is a RuntimeError by
+    # design, which the bootstrap tests check
+    drawn = simulate_tomography(prepare_hybrid("fitted")[0], seed=5)
+
+    def hostile_table():
+        # up to three entries replaced by a fuzz value, given fuzzed counts
+        # or another duration, dropped or repeated; or the table replaced
+        if rng.random() < 0.2:
+            return pick(_FUZZ)
+        records = list(drawn)
+        for _ in range(rng.integers(1, 4)):
+            i = int(rng.integers(len(records)))
+            r, edit = drawn[i % len(drawn)], rng.integers(5)
+            if edit == 0:
+                records[i] = pick(_FUZZ)
+            elif edit == 1:
+                records[i] = CountRecord(r.setting, pick(_FUZZ), r.seed)
+            elif edit == 2:
+                setting = MeasurementSetting(r.setting.alice, r.setting.bob, pick(_FUZZ))
+                records[i] = CountRecord(setting, r.counts, r.seed)
+            elif edit == 3:
+                del records[i]
+            else:
+                records.insert(int(rng.integers(len(records))), r)
+        return records
+
+    calls = (
+        lambda: simulate_tomography(*fuzzed([SINGLET, 100.0, 15.0, 0, False])),
+        lambda: reconstruct(hostile_table()),
+        lambda: reconstruct(simulate_tomography(*fuzzed([SINGLET, 100.0, 15.0, 0, False]))),
+        lambda: metric_uncertainties(hostile_table()),
+        lambda: metric_uncertainties(drawn, *fuzzed([MIN_RESAMPLES, 0])),
+    )
+    outcomes = set()
+    for case in range(500):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning fails the call
+            try:
+                calls[case % len(calls)]()
+                outcomes.add("ok")
+            except (ValueError, TypeError) as err:
+                # a typed refusal, not a raw numpy error such as LinAlgError
+                assert not isinstance(err, np.linalg.LinAlgError), err
+                assert "unhashable" not in str(err) and "truth value" not in str(err), err
+                outcomes.add(type(err).__name__)
+    assert {"ok", "ValueError", "TypeError", "InsufficientDataError"} <= outcomes
